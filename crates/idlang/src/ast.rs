@@ -46,11 +46,11 @@ pub enum Stmt {
         span: Span,
     },
     /// Array allocation: `a = array(n);`, `a = matrix(n, m);`,
-    /// `a = tensor(n, m, k);`.
+    /// `a = tensor(n, m, k);` (`tensor` takes three or more extents).
     Alloc {
         /// Array name.
         name: String,
-        /// Dimension extents (one, two, or three expressions).
+        /// Dimension extents (one, two, or at least three expressions).
         dims: Vec<Expr>,
         /// Statement span.
         span: Span,

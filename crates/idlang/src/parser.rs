@@ -220,12 +220,14 @@ impl Parser {
                 }
                 self.expect(TokenKind::RParen)?;
                 let end = self.expect(TokenKind::Semicolon)?.span;
-                let expected = match callee.as_str() {
-                    "array" => 1,
-                    "matrix" => 2,
-                    _ => 3,
+                // `tensor` is the rank-3-and-up form: nothing after the
+                // parser depends on a maximum rank.
+                let (expected, arity_ok) = match callee.as_str() {
+                    "array" => ("1", dims.len() == 1),
+                    "matrix" => ("2", dims.len() == 2),
+                    _ => ("3 or more", dims.len() >= 3),
                 };
-                if dims.len() != expected {
+                if !arity_ok {
                     return Err(CompileError::parse(
                         format!(
                             "`{callee}` takes {expected} dimension argument(s), found {}",
@@ -634,12 +636,18 @@ mod tests {
         assert!(
             matches!(&p.function("main").unwrap().body[0], Stmt::Alloc { dims, .. } if dims.len() == 3)
         );
+        let src = "def main() { t = tensor(2, 2, 2, 2, 3); t[1, 0, 1, 1, 2] = 5; return t; }";
+        let p = parse(src).unwrap();
+        assert!(
+            matches!(&p.function("main").unwrap().body[0], Stmt::Alloc { dims, .. } if dims.len() == 5)
+        );
     }
 
     #[test]
     fn rejects_wrong_allocation_arity() {
         assert!(parse("def main() { a = matrix(3); return a; }").is_err());
         assert!(parse("def main() { a = array(3, 4); return a; }").is_err());
+        assert!(parse("def main() { a = tensor(3, 4); return a; }").is_err());
     }
 
     #[test]

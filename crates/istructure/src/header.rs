@@ -9,6 +9,7 @@
 
 use crate::layout::{ArrayShape, DimRange, Partitioning};
 use crate::PeId;
+use std::sync::Arc;
 
 /// Identifier of an allocated I-structure array.
 ///
@@ -41,7 +42,8 @@ impl std::fmt::Display for ArrayId {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrayHeader {
     id: ArrayId,
-    name: String,
+    /// Shared with the allocating instruction, so allocation copies no text.
+    name: Arc<str>,
     shape: ArrayShape,
     partitioning: Partitioning,
 }
@@ -50,7 +52,7 @@ impl ArrayHeader {
     /// Builds a header for an array with the given shape and partitioning.
     pub fn new(
         id: ArrayId,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         shape: ArrayShape,
         partitioning: Partitioning,
     ) -> Self {

@@ -14,6 +14,7 @@ use crate::store::{LocalArrayStore, ReadResult};
 use crate::value::Value;
 use crate::PeId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Outcome of a read request issued on this PE.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,7 +88,7 @@ impl<T> ArrayMemory<T> {
     pub fn allocate(
         &mut self,
         id: ArrayId,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         shape: ArrayShape,
         partitioning: Partitioning,
     ) -> Result<(), IStructureError> {

@@ -61,18 +61,22 @@ pub struct StoreStats {
 }
 
 /// One write-once element cell with its deferred-reader queue.
-#[derive(Debug)]
+///
+/// The common deferred case is exactly one reader per cell, so the first
+/// waiter tag is held inline and only a second reader pays for a heap
+/// queue. The variants are flat (rather than a queue type nested in the
+/// empty state) so the cell stays as small as a bare `Vec` queue made it.
+#[derive(Debug, Default)]
 enum SharedCell<T> {
-    /// Presence bit clear; the queue holds deferred-read waiter tags.
-    Empty(Vec<T>),
+    /// Presence bit clear, no deferred reader.
+    #[default]
+    Empty,
+    /// Presence bit clear, one deferred reader.
+    One(T),
+    /// Presence bit clear, two or more deferred readers in arrival order.
+    Many(Vec<T>),
     /// Presence bit set.
     Full(Value),
-}
-
-impl<T> Default for SharedCell<T> {
-    fn default() -> Self {
-        SharedCell::Empty(Vec::new())
-    }
 }
 
 /// The result of a read against the shared store.
@@ -111,12 +115,18 @@ impl<T> SharedArray<T> {
         })?;
         let mut guard = cell.lock().expect("shared cell poisoned");
         match &mut *guard {
-            SharedCell::Full(v) => Ok(SharedReadResult::Present(*v)),
-            SharedCell::Empty(queue) => {
-                queue.push(waiter);
-                Ok(SharedReadResult::Deferred)
+            SharedCell::Full(v) => return Ok(SharedReadResult::Present(*v)),
+            SharedCell::Many(queue) => queue.push(waiter),
+            absent => {
+                *absent = match std::mem::take(absent) {
+                    // The second reader promotes the inline waiter to a
+                    // queue, keeping arrival (= wake) order.
+                    SharedCell::One(first) => SharedCell::Many(vec![first, waiter]),
+                    _ => SharedCell::One(waiter),
+                };
             }
         }
+        Ok(SharedReadResult::Deferred)
     }
 
     /// Reads the element at `offset` without enqueueing a waiter.
@@ -128,7 +138,7 @@ impl<T> SharedArray<T> {
             .expect("shared cell poisoned");
         match &*guard {
             SharedCell::Full(v) => Some(*v),
-            SharedCell::Empty(_) => None,
+            _ => None,
         }
     }
 
@@ -141,25 +151,30 @@ impl<T> SharedArray<T> {
     /// Returns [`IStructureError::SingleAssignment`] on a second write and
     /// [`IStructureError::OutOfBounds`] for offsets past the end.
     pub fn write(&self, offset: usize, value: Value) -> Result<Vec<T>, IStructureError> {
+        Ok(match self.fill(offset, value)? {
+            SharedCell::One(waiter) => vec![waiter],
+            SharedCell::Many(waiters) => waiters,
+            SharedCell::Empty | SharedCell::Full(_) => Vec::new(),
+        })
+    }
+
+    /// Sets the presence bit of the element at `offset` and returns the
+    /// cell's previous (absent) state, i.e. its deferred readers. Errors
+    /// leave the cell — value and waiters — exactly as it was.
+    fn fill(&self, offset: usize, value: Value) -> Result<SharedCell<T>, IStructureError> {
         let cell = self.cells.get(offset).ok_or(IStructureError::OutOfBounds {
             array: self.header.id(),
             offset,
             len: self.cells.len(),
         })?;
         let mut guard = cell.lock().expect("shared cell poisoned");
-        match std::mem::take(&mut *guard) {
-            SharedCell::Full(prev) => {
-                *guard = SharedCell::Full(prev);
-                Err(IStructureError::SingleAssignment {
-                    array: self.header.id(),
-                    offset,
-                })
-            }
-            SharedCell::Empty(waiters) => {
-                *guard = SharedCell::Full(value);
-                Ok(waiters)
-            }
+        if matches!(*guard, SharedCell::Full(_)) {
+            return Err(IStructureError::SingleAssignment {
+                array: self.header.id(),
+                offset,
+            });
         }
+        Ok(std::mem::replace(&mut *guard, SharedCell::Full(value)))
     }
 
     /// Bulk-delivery form of [`SharedArray::write`]: writes the element and
@@ -183,10 +198,13 @@ impl<T> SharedArray<T> {
         value: Value,
         sink: &mut Vec<(T, Value)>,
     ) -> Result<usize, IStructureError> {
-        let waiters = self.write(offset, value)?;
-        let n = waiters.len();
-        sink.extend(waiters.into_iter().map(|w| (w, value)));
-        Ok(n)
+        let before = sink.len();
+        match self.fill(offset, value)? {
+            SharedCell::One(waiter) => sink.push((waiter, value)),
+            SharedCell::Many(waiters) => sink.extend(waiters.into_iter().map(|w| (w, value))),
+            SharedCell::Empty | SharedCell::Full(_) => {}
+        }
+        Ok(sink.len() - before)
     }
 
     /// Snapshot of every element (`None` = never written), row-major.
@@ -195,7 +213,7 @@ impl<T> SharedArray<T> {
             .iter()
             .map(|c| match &*c.lock().expect("shared cell poisoned") {
                 SharedCell::Full(v) => Some(*v),
-                SharedCell::Empty(_) => None,
+                _ => None,
             })
             .collect()
     }
@@ -279,7 +297,7 @@ impl<T> SharedArrayStore<T> {
     pub fn allocate(
         &self,
         id: ArrayId,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         shape: ArrayShape,
         partitioning: Partitioning,
     ) -> Result<(), IStructureError> {
@@ -431,6 +449,99 @@ mod tests {
             Err(IStructureError::OutOfBounds { .. })
         ));
         assert_eq!(sink.len(), 3);
+    }
+
+    #[test]
+    fn the_first_waiter_is_held_inline_and_the_second_promotes_in_order() {
+        let s = store();
+        let a = s.require(ArrayId(0)).unwrap();
+        let state = |offset: usize| match &*a.cells[offset].lock().unwrap() {
+            SharedCell::Empty => "empty",
+            SharedCell::One(_) => "one",
+            SharedCell::Many(_) => "many",
+            SharedCell::Full(_) => "full",
+        };
+        assert_eq!(state(2), "empty");
+        assert_eq!(a.read(2, 7).unwrap(), SharedReadResult::Deferred);
+        assert_eq!(state(2), "one");
+        assert_eq!(a.peek(2), None);
+        assert_eq!(a.write(2, Value::Int(1)).unwrap(), vec![7]);
+        assert_eq!(state(2), "full");
+
+        for waiter in [5, 3, 9] {
+            assert_eq!(a.read(6, waiter).unwrap(), SharedReadResult::Deferred);
+        }
+        assert_eq!(state(6), "many");
+        assert_eq!(a.snapshot()[6], None);
+        // Arrival order is wake order, across the promotion.
+        assert_eq!(a.write(6, Value::Int(2)).unwrap(), vec![5, 3, 9]);
+        assert_eq!(a.write(7, Value::Int(3)).unwrap(), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn write_into_delivers_from_every_cell_state() {
+        let s = store();
+        let a = s.require(ArrayId(0)).unwrap();
+        a.read(1, 10).unwrap(); // one waiter
+        a.read(2, 20).unwrap(); // two waiters
+        a.read(2, 21).unwrap();
+        let mut sink = vec![(99, Value::Unit)];
+        assert_eq!(a.write_into(0, Value::Int(0), &mut sink).unwrap(), 0);
+        assert_eq!(a.write_into(1, Value::Int(1), &mut sink).unwrap(), 1);
+        assert_eq!(a.write_into(2, Value::Int(2), &mut sink).unwrap(), 2);
+        let delivered = vec![
+            (99, Value::Unit),
+            (10, Value::Int(1)),
+            (20, Value::Int(2)),
+            (21, Value::Int(2)),
+        ];
+        assert_eq!(sink, delivered);
+        // A full cell refuses the write: value and sink stay as they were.
+        for offset in 0..3 {
+            assert!(matches!(
+                a.write_into(offset, Value::Int(-1), &mut sink),
+                Err(IStructureError::SingleAssignment { .. })
+            ));
+            assert_eq!(a.peek(offset), Some(Value::Int(offset as i64)));
+        }
+        assert_eq!(sink, delivered);
+    }
+
+    #[test]
+    fn a_failed_write_leaves_waiters_queued() {
+        let s = store();
+        let a = s.require(ArrayId(0)).unwrap();
+        a.read(4, 1).unwrap();
+        a.read(5, 2).unwrap();
+        a.read(5, 3).unwrap();
+        let mut sink = Vec::new();
+        assert!(matches!(
+            a.write_into(a.len(), Value::Int(0), &mut sink),
+            Err(IStructureError::OutOfBounds { .. })
+        ));
+        assert!(a.write(a.len(), Value::Int(0)).is_err());
+        assert!(sink.is_empty());
+        // The readers parked before the failures are all still woken.
+        assert_eq!(a.write(4, Value::Int(4)).unwrap(), vec![1]);
+        assert_eq!(a.write(5, Value::Int(5)).unwrap(), vec![2, 3]);
+    }
+
+    #[test]
+    fn the_inline_waiter_does_not_grow_the_cell() {
+        // One locked cell per element is `alloc_kib_per_job` and
+        // `peak_rss_mb` on every workload. With a bare `Vec` queue the cell
+        // was as big as a locked `Vec` (the value packs into its niche: 32
+        // bytes on 64-bit Linux); holding the first waiter inline must not
+        // cost a byte more — for both pooled engines' tags, an (instance,
+        // slot) pair and a waker (`Arc` of the task plus the slot).
+        fn assert_no_bigger_than_a_locked_queue<T>() {
+            assert_eq!(
+                std::mem::size_of::<Mutex<SharedCell<T>>>(),
+                std::mem::size_of::<Mutex<Vec<T>>>()
+            );
+        }
+        assert_no_bigger_than_a_locked_queue::<(u64, usize)>();
+        assert_no_bigger_than_a_locked_queue::<(Arc<Mutex<u8>>, usize)>();
     }
 
     #[test]

@@ -24,6 +24,7 @@ use pods_sp::{Operand, SlotId, SpId, SpProgram};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::rc::Rc;
+use std::sync::Arc;
 
 const EU: usize = 0;
 const MU: usize = 1;
@@ -774,8 +775,8 @@ impl ArrayOps for SimCtx<'_> {
     fn alloc_array(
         &mut self,
         dst: SlotId,
-        name: &str,
-        dims: &[usize],
+        name: &Arc<str>,
+        dims: Vec<usize>,
         distributed: bool,
     ) -> Result<(), String> {
         let pe = self.pe;
@@ -786,8 +787,9 @@ impl ArrayOps for SimCtx<'_> {
         self.sim.next_array += 1;
         self.sim
             .arrays
-            .push((id, name.to_string(), ArrayShape::new(dims.to_vec())));
-        self.sim.register_array(pe, id, name, dims, distributed, pe);
+            .push((id, name.to_string(), ArrayShape::new(dims.clone())));
+        self.sim
+            .register_array(pe, id, name, &dims, distributed, pe);
         let finish = self
             .sim
             .schedule_unit(pe, AM, *self.t, self.timing.array_allocate);
@@ -810,7 +812,7 @@ impl ArrayOps for SimCtx<'_> {
                         Message::RemoteAlloc {
                             array: id,
                             name: name.to_string(),
-                            dims: dims.to_vec(),
+                            dims: dims.clone(),
                             distributed: true,
                             origin: pe,
                         },

@@ -23,6 +23,7 @@ use super::AsyncStats;
 use crate::engine::native::{JobNotifier, JobSpec, NEXT_POOL_ID};
 use crate::engine::{
     cancellation_error, EngineOutcome, EngineStats, InstanceArena, JobCounts, ReadSlots,
+    ARENA_MAX_FREE,
 };
 use crate::error::PodsError;
 use crate::trace::{TraceEventKind, TraceHandle};
@@ -38,19 +39,46 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Per-poll memo of array directory lookups (see
+/// The worker's memo of array directory lookups (see
 /// [`crate::engine::ArrayCache`], shared with the native engine).
 type ArrayCache = crate::engine::ArrayCache<AsyncWaiter>;
 
 /// State owned by one worker thread and reused across every poll: the
-/// waker delivery buffer, the shared frame arena, and a scratch vector for
-/// marshalling spawn arguments (mirroring the native engine's
-/// `WorkerCtx`). Invariant: `delivery` is empty between polls.
+/// waker delivery buffer, the shared frame arena plus a free-list of task
+/// handles, the scratch vectors for woken tasks and spawn arguments, and
+/// the array directory memo (mirroring the native engine's `WorkerCtx`).
+/// Invariant: `delivery` is empty between polls.
 #[derive(Default)]
 struct WorkerCtx {
     delivery: Vec<(AsyncWaiter, Value)>,
+    /// The tasks one `flush` re-activates, between their wakers firing and
+    /// entering the run queue. Empty outside `flush`.
+    woken: Vec<Arc<TaskHandle>>,
     arena: InstanceArena,
+    /// Retired task handles nothing else references, reset and reused by
+    /// the next spawn: the handle is this engine's one per-instance
+    /// allocation the frame arena does not cover.
+    handles: Vec<Arc<TaskHandle>>,
     spawn_args: Vec<Value>,
+    /// Directory memo of the poll in progress. Array ids are per job, so
+    /// the worker loop clears it after every poll — which also means no
+    /// `Arc<SharedArray>` outlives its job on an idle worker.
+    cache: ArrayCache,
+}
+
+impl WorkerCtx {
+    /// Keeps a finished task's handle for reuse if this was its last
+    /// reference (no unfired waker, no child still holding it as its
+    /// return target); otherwise the handle is simply dropped.
+    fn recycle_handle(&mut self, mut task: Arc<TaskHandle>) {
+        if self.handles.len() < ARENA_MAX_FREE {
+            if let Some(handle) = Arc::get_mut(&mut task) {
+                // Let go of the parent now, so it can be recycled in turn.
+                handle.return_to = None;
+                self.handles.push(task);
+            }
+        }
+    }
 }
 
 /// A note about the most recent suspension, kept for deadlock diagnostics
@@ -258,15 +286,23 @@ impl ExecShared {
         args: &[Value],
         pe: usize,
         return_to: Option<(Arc<TaskHandle>, SlotId)>,
-        arena: &mut InstanceArena,
+        worker: &mut WorkerCtx,
     ) {
         let id = InstanceId(job.next_instance.fetch_add(1, Ordering::Relaxed));
         let num_slots = job.program.template(template_id).num_slots;
-        let (slots, reused) = arena.frame(num_slots, args);
+        let (slots, reused) = worker.arena.frame(num_slots, args);
         if reused {
             job.arena_reuses.fetch_add(1, Ordering::Relaxed);
         }
-        let task = Arc::new(TaskHandle::new(id, template_id, pe, slots, return_to));
+        let task = match worker.handles.pop() {
+            Some(mut task) => {
+                Arc::get_mut(&mut task)
+                    .expect("a recycled handle has no other owner")
+                    .reset(id, template_id, pe, slots, return_to);
+                task
+            }
+            None => Arc::new(TaskHandle::new(id, template_id, pe, slots, return_to)),
+        };
         if let Some(t) = &job.trace {
             t.emit(w as u32, id.0, TraceEventKind::InstanceSpawned);
         }
@@ -312,13 +348,13 @@ impl ExecShared {
     /// finish), so batching changes *when* deliveries happen, never whether
     /// a wake lands before the liveness counters could observe a false
     /// idle.
-    fn flush(&self, w: usize, job: &Arc<AsyncJob>, buf: &mut Vec<(AsyncWaiter, Value)>) {
+    fn flush(&self, w: usize, job: &Arc<AsyncJob>, worker: &mut WorkerCtx) {
+        let (buf, to_wake) = (&mut worker.delivery, &mut worker.woken);
         if buf.is_empty() {
             return;
         }
         job.wakeups.fetch_add(buf.len() as u64, Ordering::Relaxed);
         job.wakeup_flushes.fetch_add(1, Ordering::Relaxed);
-        let mut to_wake: Vec<Arc<TaskHandle>> = Vec::new();
         for (waiter, value) in buf.drain(..) {
             if waiter.task.deliver(waiter.slot, value) {
                 to_wake.push(waiter.task);
@@ -336,7 +372,7 @@ impl ExecShared {
         self.lock_coord().ready += woken as isize;
         {
             let mut q = self.queues[w].lock().expect("queue poisoned");
-            for task in to_wake {
+            for task in to_wake.drain(..) {
                 if let Some(t) = &job.trace {
                     t.emit(w as u32, task.id.0, TraceEventKind::Resumed);
                 }
@@ -396,13 +432,13 @@ impl ExecShared {
         job: &Arc<AsyncJob>,
         task: &Arc<TaskHandle>,
         value: Option<Value>,
-        delivery: &mut Vec<(AsyncWaiter, Value)>,
+        worker: &mut WorkerCtx,
     ) {
         task.retire();
         if task.id == job.entry {
             *job.result.lock().expect("result poisoned") = value;
         } else if let (Some((parent, slot)), Some(v)) = (task.return_to.as_ref(), value) {
-            delivery.push((
+            worker.delivery.push((
                 AsyncWaiter {
                     task: Arc::clone(parent),
                     slot: *slot,
@@ -410,7 +446,7 @@ impl ExecShared {
                 v,
             ));
         }
-        self.flush(w, job, delivery);
+        self.flush(w, job, worker);
         let mut c = job.counts.lock().expect("counts poisoned");
         c.in_flight -= 1;
         c.live -= 1;
@@ -443,9 +479,11 @@ impl ExecShared {
     /// exits flush, failure exits clear (the job is already failing and
     /// the buffer must not leak into another job's poll). Frames the
     /// worker still holds at a terminal exit (finish, error, stop) are
-    /// recycled into its arena; a suspension hands the frame back to the
-    /// task instead.
-    fn poll(&self, job: &Arc<AsyncJob>, task: &Arc<TaskHandle>, w: usize, ctx: &mut WorkerCtx) {
+    /// recycled into its arena — and a finished task's handle with it, when
+    /// the run-queue entry consumed here was its last reference; a
+    /// suspension hands the frame back to the task instead.
+    fn poll(&self, job: &Arc<AsyncJob>, owned: Arc<TaskHandle>, w: usize, ctx: &mut WorkerCtx) {
+        let task = &owned;
         debug_assert!(ctx.delivery.is_empty(), "delivery buffer leaked a poll");
         let executed = job.polls.fetch_add(1, Ordering::Relaxed) + 1;
         if job.max_polls > 0 && executed > job.max_polls {
@@ -459,7 +497,6 @@ impl ExecShared {
         let program = Arc::clone(&job.program);
         let template = program.template(task.template);
         let slot_table = &job.read_slots[task.template.index()];
-        let mut cache = ArrayCache::default();
         if let Some(t) = &job.trace {
             t.emit(w as u32, task.id.0, TraceEventKind::RunBegin);
         }
@@ -470,7 +507,6 @@ impl ExecShared {
                     job,
                     task,
                     frame: &mut frame,
-                    cache: &mut cache,
                     w,
                     worker: ctx,
                     super_ops: 0,
@@ -488,15 +524,16 @@ impl ExecShared {
                     if let Some(t) = &job.trace {
                         t.emit(w as u32, task.id.0, TraceEventKind::RunEnd);
                     }
-                    self.finish(w, job, task, v, &mut ctx.delivery);
+                    self.finish(w, job, task, v, ctx);
                     ctx.arena.recycle(std::mem::take(&mut frame.slots));
+                    ctx.recycle_handle(owned);
                     return;
                 }
                 Ok(RunExit::Blocked(slot)) => {
                     if let Some(t) = &job.trace {
                         t.emit(w as u32, task.id.0, TraceEventKind::RunEnd);
                     }
-                    self.flush(w, job, &mut ctx.delivery);
+                    self.flush(w, job, ctx);
                     match self.suspend(job, task, frame, slot) {
                         Some(resumed) => {
                             if let Some(t) = &job.trace {
@@ -546,7 +583,8 @@ impl ExecShared {
                 return;
             }
             if let Some(entry) = self.pop_entry(w) {
-                self.poll(&entry.job, &entry.task, w, &mut ctx);
+                self.poll(&entry.job, entry.task, w, &mut ctx);
+                ctx.cache.clear();
                 continue;
             }
             let c = self.lock_coord();
@@ -574,7 +612,6 @@ struct AsyncCtx<'a> {
     job: &'a Arc<AsyncJob>,
     task: &'a Arc<TaskHandle>,
     frame: &'a mut Frame,
-    cache: &'a mut ArrayCache,
     w: usize,
     worker: &'a mut WorkerCtx,
     /// Super-op firings this poll segment, flushed to the job counter on
@@ -597,8 +634,8 @@ impl ArrayOps for AsyncCtx<'_> {
     fn alloc_array(
         &mut self,
         dst: SlotId,
-        name: &str,
-        dims: &[usize],
+        name: &Arc<str>,
+        dims: Vec<usize>,
         distributed: bool,
     ) -> Result<(), String> {
         let id = ArrayId(self.job.next_array.fetch_add(1, Ordering::Relaxed));
@@ -617,8 +654,8 @@ impl ArrayOps for AsyncCtx<'_> {
             .store
             .allocate(
                 id,
-                name.to_string(),
-                pods_istructure::ArrayShape::new(dims.to_vec()),
+                Arc::clone(name),
+                pods_istructure::ArrayShape::new(dims),
                 partitioning,
             )
             .map_err(|e| e.to_string())?;
@@ -631,12 +668,12 @@ impl ArrayOps for AsyncCtx<'_> {
         id: ArrayId,
         f: impl FnOnce(&ArrayHeader) -> R,
     ) -> Result<R, String> {
-        let shared = self.cache.get(&self.job.store, id)?;
+        let shared = self.worker.cache.get(&self.job.store, id)?;
         Ok(f(shared.header()))
     }
 
     fn load_element(&mut self, id: ArrayId, offset: usize, dst: SlotId) -> Result<Loaded, String> {
-        let shared = self.cache.get(&self.job.store, id)?;
+        let shared = self.worker.cache.get(&self.job.store, id)?;
         let waker = AsyncWaiter {
             task: Arc::clone(self.task),
             slot: dst,
@@ -653,14 +690,12 @@ impl ArrayOps for AsyncCtx<'_> {
     fn store_element(&mut self, id: ArrayId, offset: usize, value: Value) -> Result<(), String> {
         // Wakers land in the worker's delivery buffer; they fire when the
         // buffer fills or at the next task boundary.
-        {
-            let shared = self.cache.get(&self.job.store, id)?;
-            shared
-                .write_into(offset, value, &mut self.worker.delivery)
-                .map_err(|e| e.to_string())?;
-        }
+        let shared = self.worker.cache.get(&self.job.store, id)?;
+        shared
+            .write_into(offset, value, &mut self.worker.delivery)
+            .map_err(|e| e.to_string())?;
         if self.worker.delivery.len() >= self.job.delivery_batch {
-            self.pool.flush(self.w, self.job, &mut self.worker.delivery);
+            self.pool.flush(self.w, self.job, self.worker);
         }
         Ok(())
     }
@@ -728,15 +763,8 @@ impl ExecCtx for AsyncCtx<'_> {
         if distributed {
             for q in 0..self.job.workers {
                 let ret_here = if q == self.task.pe { ret.clone() } else { None };
-                self.pool.spawn_task(
-                    self.w,
-                    self.job,
-                    target,
-                    &buf,
-                    q,
-                    ret_here,
-                    &mut self.worker.arena,
-                );
+                self.pool
+                    .spawn_task(self.w, self.job, target, &buf, q, ret_here, self.worker);
             }
         } else {
             self.pool.spawn_task(
@@ -746,7 +774,7 @@ impl ExecCtx for AsyncCtx<'_> {
                 &buf,
                 self.task.pe,
                 ret,
-                &mut self.worker.arena,
+                self.worker,
             );
         }
         self.worker.spawn_args = buf;
@@ -872,11 +900,12 @@ impl AsyncPool {
             finished: AtomicBool::new(false),
         });
         let home = (seq as usize - 1) % self.shared.workers;
-        // Submission happens off the worker threads, so the entry frame
-        // comes from a throwaway arena (one allocation per job).
-        let mut arena = InstanceArena::default();
+        // Submission happens off the worker threads, so the entry frame and
+        // handle come from a throwaway worker context (two allocations per
+        // job; empty scratch vectors cost nothing).
+        let mut scratch = WorkerCtx::default();
         self.shared
-            .spawn_task(home, &job, entry_template, args, 0, None, &mut arena);
+            .spawn_task(home, &job, entry_template, args, 0, None, &mut scratch);
         AsyncJobHandle {
             job,
             partition,
@@ -909,7 +938,7 @@ impl Drop for AsyncPool {
 /// completes and assembles the uniform [`EngineOutcome`].
 pub(crate) struct AsyncJobHandle {
     job: Arc<AsyncJob>,
-    partition: PartitionReport,
+    partition: Arc<PartitionReport>,
     started: Instant,
 }
 

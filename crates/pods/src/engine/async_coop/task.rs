@@ -123,6 +123,28 @@ impl TaskHandle {
         }
     }
 
+    /// Turns a retired handle into a fresh queued task, exactly as
+    /// [`TaskHandle::new`] would have built it — `&mut self` proves no
+    /// waker, queue entry or child still refers to the old instance.
+    pub(crate) fn reset(
+        &mut self,
+        id: InstanceId,
+        template: SpId,
+        pe: usize,
+        slots: Vec<Option<Value>>,
+        return_to: Option<(Arc<TaskHandle>, SlotId)>,
+    ) {
+        (self.id, self.template, self.pe, self.return_to) = (id, template, pe, return_to);
+        let core = self.core.get_mut().expect("task core poisoned");
+        debug_assert_eq!(core.phase, Phase::Done, "only retired tasks are reused");
+        core.frame = Some(Frame { pc: 0, slots });
+        core.phase = Phase::Queued;
+        debug_assert!(
+            core.pending.is_empty(),
+            "retire releases pending deliveries"
+        );
+    }
+
     /// Checks the frame out for execution: drains pending deliveries into
     /// it and marks the task running. Called by the worker that popped the
     /// task off a run queue.
@@ -192,7 +214,9 @@ impl TaskHandle {
     pub(crate) fn retire(&self) {
         let mut core = self.core.lock().expect("task core poisoned");
         core.phase = Phase::Done;
-        core.pending.clear();
+        // Released, not cleared: a recycled handle must not carry a busy
+        // parent's delivery buffer into the worker's free-list.
+        core.pending = Vec::new();
         core.frame = None;
     }
 }
@@ -252,6 +276,32 @@ mod tests {
         // … and the suspension attempt finds it and keeps the task running.
         let frame = t.try_suspend(frame, SlotId(2)).expect("must keep running");
         assert_eq!(frame.slot(SlotId(2)), Some(Value::Int(9)));
+    }
+
+    #[test]
+    fn a_retired_handle_resets_into_a_fresh_task() {
+        let mut t = task();
+        let _frame = t.begin_poll();
+        // A delivery buffered while running is dropped with the old
+        // incarnation, not replayed into the next one.
+        assert!(!t.deliver(SlotId(1), Value::Int(10)));
+        t.retire();
+        let parent = task();
+        let handle = Arc::get_mut(&mut t).expect("no waker or child holds the task");
+        handle.reset(
+            InstanceId(8),
+            SpId(3),
+            1,
+            vec![Some(Value::Int(2)), None],
+            Some((Arc::clone(&parent), SlotId(3))),
+        );
+        assert_eq!((t.id, t.template, t.pe), (InstanceId(8), SpId(3), 1));
+        assert!(t.return_to.is_some());
+        // Queued over the new frame: deliveries land in it directly.
+        assert!(!t.deliver(SlotId(1), Value::Int(20)));
+        let frame = t.begin_poll();
+        assert_eq!(frame.pc, 0);
+        assert_eq!(frame.slots, vec![Some(Value::Int(2)), Some(Value::Int(20))]);
     }
 
     #[test]

@@ -73,7 +73,7 @@ use pods_baseline::PrPoint;
 use pods_istructure::Value;
 use pods_machine::{ArraySnapshot, SimulationStats, Unit};
 use pods_partition::PartitionReport;
-use std::sync::LazyLock;
+use std::sync::{Arc, LazyLock};
 
 /// A uniform executor of compiled PODS programs.
 ///
@@ -129,15 +129,17 @@ pub enum EngineStats {
     Native {
         /// Worker/instance/steal counters from the pool.
         stats: NativeStats,
-        /// The partitioner's per-loop decisions.
-        partition: PartitionReport,
+        /// The partitioner's per-loop decisions, shared with the prepared
+        /// program (a warm job copies no report).
+        partition: Arc<PartitionReport>,
     },
     /// Cooperative-executor statistics plus the partitioning decisions.
     AsyncCoop {
         /// Poll/suspension/resumption/steal counters from the executor.
         stats: AsyncStats,
-        /// The partitioner's per-loop decisions.
-        partition: PartitionReport,
+        /// The partitioner's per-loop decisions, shared with the prepared
+        /// program (a warm job copies no report).
+        partition: Arc<PartitionReport>,
     },
 }
 
@@ -209,9 +211,10 @@ impl EngineOutcome {
     /// The partition report, for engines that run the partitioned program.
     pub fn partition(&self) -> Option<&PartitionReport> {
         match &self.stats {
-            EngineStats::Simulated { partition, .. }
-            | EngineStats::Native { partition, .. }
-            | EngineStats::AsyncCoop { partition, .. } => Some(partition),
+            EngineStats::Simulated { partition, .. } => Some(partition),
+            EngineStats::Native { partition, .. } | EngineStats::AsyncCoop { partition, .. } => {
+                Some(partition)
+            }
             _ => None,
         }
     }
@@ -402,9 +405,10 @@ pub fn engine_by_name(name: &str) -> Option<&'static dyn Engine> {
 /// Going through the store's sharded directory (plus an `Arc` refcount
 /// bump) for every element access costs two shared-cache-line touches;
 /// loop instances touch the same few arrays thousands of times, so one
-/// lookup per task execution amortises to nothing. The cache lives on the
-/// worker's stack for the duration of one task/poll and is simply rebuilt
-/// after a park or suspension.
+/// lookup per task execution amortises to nothing. The memo is owned by the
+/// worker thread and *cleared* (keeping its capacity) after every task or
+/// poll: array ids are per job, and a cleared memo holds no
+/// `Arc<SharedArray>` past the job that allocated it.
 #[derive(Debug)]
 pub(crate) struct ArrayCache<T> {
     entries: Vec<(
@@ -433,6 +437,12 @@ impl<T> ArrayCache<T> {
         let shared = store.require(id).map_err(|e| e.to_string())?;
         self.entries.push((id, shared));
         Ok(&self.entries.last().expect("just pushed").1)
+    }
+
+    /// Forgets every memoised array (a task/poll boundary), keeping the
+    /// capacity.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
     }
 }
 

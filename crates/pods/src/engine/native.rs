@@ -66,6 +66,39 @@
 //!   (the operand-slot vector) to a free-list owned by the worker thread;
 //!   fine-grained loops that spawn an instance per iteration recycle frames
 //!   instead of hammering the allocator.
+//!
+//! ## The allocation budget
+//!
+//! With those in place a warm job's steady state is allocation-free. The
+//! allocator may be called
+//!
+//! * **per job** — the [`Job`] record, its store's directory (one map per
+//!   shard that holds an array) and allocation-order list, the parked
+//!   registry and mailbox as they grow, the entry frame, and the outcome's
+//!   result snapshots (name, shape and values of every array);
+//! * **per array** — four calls: the extents, the partitioning's segment
+//!   table, the shared array record, and its cells (the name is the
+//!   allocating instruction's `Arc<str>`);
+//! * **per arena miss** — a frame (on the async engine, also a task handle)
+//!   no free-list of the spawning worker had spare, or had only too small:
+//!   work migrates between workers, so a job finds some frames on the
+//!   wrong one —
+//!
+//! and **never** per instruction, per element access (index operands
+//! resolve on the stack, the first deferred reader of a cell is held
+//! inline), per task execution (the directory memo belongs to the worker
+//! and is cleared, not rebuilt), per deferred read or per wake-up flush
+//! (the woken instances pass through a worker-owned scratch vector).
+//! `tests/alloc_budget.rs` fences this with an exact count on both pooled
+//! engines. On the standing benchmark (`benchmark/`, `allocs_per_job`, two
+//! workers) the budget reads, before → after it was enforced:
+//!
+//! | workload | allocator calls per job | KiB requested per job |
+//! |---|---|---|
+//! | `simple_solo` (SIMPLE n=32, 67,746 super-op firings, 22 arrays) | 83,644 → 323 | 2,785 → 1,222 |
+//! | `gather_wake` (130 instances, 128 deferred reads) | 531 → 101 | 42.0 → 22.1 |
+//! | `tiny_burst` (FILL n=6..10) | 100 → 18 | 7.6 → 5.8 |
+//! | `cold_mix` (compiles every job; the front end is the bulk) | 4,101 → 3,167 | 379 → 335 |
 
 use super::{
     cancellation_error, check_invocation, Engine, EngineOutcome, EngineStats, InstanceArena,
@@ -237,7 +270,7 @@ struct Blocked {
     slot: SlotId,
 }
 
-/// Per-task memo of array directory lookups (see
+/// The worker's memo of array directory lookups (see
 /// [`crate::engine::ArrayCache`], shared with the async engine).
 type ArrayCache = crate::engine::ArrayCache<NativeWaiter>;
 
@@ -250,7 +283,7 @@ type ArrayCache = crate::engine::ArrayCache<NativeWaiter>;
 pub(crate) struct JobSpec {
     pub program: Arc<SpProgram>,
     pub read_slots: Arc<ReadSlots>,
-    pub partition: PartitionReport,
+    pub partition: Arc<PartitionReport>,
     pub page_size: usize,
     /// 0 = unlimited; otherwise abort after this many task executions.
     pub max_tasks: u64,
@@ -288,7 +321,7 @@ impl JobSpec {
         JobSpec {
             program: Arc::new(partitioned),
             read_slots: Arc::new(read_slots),
-            partition,
+            partition: Arc::new(partition),
             page_size: opts.page_size,
             max_tasks: opts.max_events,
             delivery_batch: opts.delivery_batch.max(1),
@@ -300,9 +333,10 @@ impl JobSpec {
 }
 
 /// State owned by one worker thread and reused across every task it runs:
-/// the instance arena, the wake-up delivery buffer, and a scratch vector for
-/// marshalling spawn arguments. All three exist to keep per-iteration
-/// allocations and lock acquisitions off the warm path.
+/// the instance arena, the wake-up delivery buffer, the scratch vectors for
+/// woken instances and spawn arguments, and the array directory memo. All
+/// of them exist to keep per-iteration allocations and lock acquisitions
+/// off the warm path.
 #[derive(Default)]
 struct WorkerCtx {
     arena: InstanceArena,
@@ -311,7 +345,14 @@ struct WorkerCtx {
     /// progress) or clears (when the job is already failing) the buffer, so
     /// deliveries can never leak into another job.
     delivery: Vec<(NativeWaiter, Value)>,
+    /// The instances one `flush` re-activates, between leaving the blocked
+    /// registry and entering the deque. Empty outside `flush`.
+    woken: Vec<NInstance>,
     spawn_args: Vec<Value>,
+    /// Directory memo of the task being executed. Array ids are per job, so
+    /// the worker loop clears it after every task — which also means no
+    /// `Arc<SharedArray>` outlives its job on an idle worker.
+    cache: ArrayCache,
 }
 
 /// Parked-instance registry plus the mailbox for values that arrive while
@@ -594,13 +635,13 @@ impl PoolShared {
     /// every task boundary (park, finish), so batching changes *when* locks
     /// are taken, never *whether* a wake-up happens before the liveness
     /// counters can observe the task as idle.
-    fn flush(&self, w: usize, job: &Arc<Job>, buf: &mut Vec<(NativeWaiter, Value)>) {
+    fn flush(&self, w: usize, job: &Arc<Job>, worker: &mut WorkerCtx) {
+        let (buf, to_wake) = (&mut worker.delivery, &mut worker.woken);
         if buf.is_empty() {
             return;
         }
         job.wakeups.fetch_add(buf.len() as u64, Ordering::Relaxed);
         job.wakeup_flushes.fetch_add(1, Ordering::Relaxed);
-        let mut to_wake: Vec<NInstance> = Vec::new();
         {
             let mut sched = job.sched.lock().expect("sched poisoned");
             for (waiter, value) in buf.drain(..) {
@@ -627,7 +668,7 @@ impl PoolShared {
         self.lock_coord().ready += woken as isize;
         {
             let mut q = self.queues[w].lock().expect("queue poisoned");
-            for inst in to_wake {
+            for inst in to_wake.drain(..) {
                 if let Some(t) = &job.trace {
                     t.emit(w as u32, inst.id.0, TraceEventKind::Resumed);
                 }
@@ -679,14 +720,14 @@ impl PoolShared {
         job: &Arc<Job>,
         inst: NInstance,
         value: Option<Value>,
-        delivery: &mut Vec<(NativeWaiter, Value)>,
+        worker: &mut WorkerCtx,
     ) {
         if inst.id == job.entry {
             *job.result.lock().expect("result poisoned") = value;
         } else if let (Some(ret), Some(v)) = (inst.return_to, value) {
-            delivery.push((ret, v));
+            worker.delivery.push((ret, v));
         }
-        self.flush(w, job, delivery);
+        self.flush(w, job, worker);
         let mut c = job.counts.lock().expect("counts poisoned");
         c.in_flight -= 1;
         c.live -= 1;
@@ -735,7 +776,6 @@ impl PoolShared {
         let program = Arc::clone(&job.program);
         let template = program.template(inst.template);
         let slot_table = &job.read_slots[inst.template.index()];
-        let mut cache = ArrayCache::default();
         if let Some(t) = &job.trace {
             t.emit(w as u32, inst.id.0, TraceEventKind::RunBegin);
         }
@@ -745,7 +785,6 @@ impl PoolShared {
                     pool: self,
                     job,
                     inst: &mut inst,
-                    cache: &mut cache,
                     w,
                     worker: ctx,
                     super_ops: 0,
@@ -764,7 +803,7 @@ impl PoolShared {
                         t.emit(w as u32, inst.id.0, TraceEventKind::RunEnd);
                     }
                     let frame = std::mem::take(&mut inst.slots);
-                    self.finish(w, job, inst, v, &mut ctx.delivery);
+                    self.finish(w, job, inst, v, ctx);
                     ctx.arena.recycle(frame);
                     return;
                 }
@@ -772,7 +811,7 @@ impl PoolShared {
                     if let Some(t) = &job.trace {
                         t.emit(w as u32, inst.id.0, TraceEventKind::RunEnd);
                     }
-                    self.flush(w, job, &mut ctx.delivery);
+                    self.flush(w, job, ctx);
                     match self.park(job, inst, slot) {
                         Some(resumed) => {
                             if let Some(t) = &job.trace {
@@ -823,6 +862,7 @@ impl PoolShared {
             }
             if let Some(task) = self.pop_task(w) {
                 self.run_instance(&task.job, task.inst, w, &mut ctx);
+                ctx.cache.clear();
                 continue;
             }
             let c = self.lock_coord();
@@ -845,7 +885,7 @@ impl PoolShared {
 /// The native engine's execution context for the shared instruction core
 /// (`pods_sp::exec`): one task execution of one instance. The semantics
 /// live in the core; this adapter supplies the native *mechanics* — the
-/// process-wide [`SharedArrayStore`] (with the per-task directory memo and
+/// process-wide [`SharedArrayStore`] (with the worker's directory memo and
 /// batched wake-up delivery), the worker-local spawn scratch and frame
 /// arena, and the job/pool stop flags. Costs are free (`charge` keeps its
 /// no-op default): the native engine's only honest clock is the wall.
@@ -853,7 +893,6 @@ struct NativeCtx<'a> {
     pool: &'a PoolShared,
     job: &'a Arc<Job>,
     inst: &'a mut NInstance,
-    cache: &'a mut ArrayCache,
     w: usize,
     worker: &'a mut WorkerCtx,
     /// Super-op firings this run segment, flushed to the job counter on
@@ -876,8 +915,8 @@ impl ArrayOps for NativeCtx<'_> {
     fn alloc_array(
         &mut self,
         dst: SlotId,
-        name: &str,
-        dims: &[usize],
+        name: &Arc<str>,
+        dims: Vec<usize>,
         distributed: bool,
     ) -> Result<(), String> {
         let id = ArrayId(self.job.next_array.fetch_add(1, Ordering::Relaxed));
@@ -896,8 +935,8 @@ impl ArrayOps for NativeCtx<'_> {
             .store
             .allocate(
                 id,
-                name.to_string(),
-                pods_istructure::ArrayShape::new(dims.to_vec()),
+                Arc::clone(name),
+                pods_istructure::ArrayShape::new(dims),
                 partitioning,
             )
             .map_err(|e| e.to_string())?;
@@ -910,12 +949,12 @@ impl ArrayOps for NativeCtx<'_> {
         id: ArrayId,
         f: impl FnOnce(&ArrayHeader) -> R,
     ) -> Result<R, String> {
-        let shared = self.cache.get(&self.job.store, id)?;
+        let shared = self.worker.cache.get(&self.job.store, id)?;
         Ok(f(shared.header()))
     }
 
     fn load_element(&mut self, id: ArrayId, offset: usize, dst: SlotId) -> Result<Loaded, String> {
-        let shared = self.cache.get(&self.job.store, id)?;
+        let shared = self.worker.cache.get(&self.job.store, id)?;
         match shared
             .read(offset, (self.inst.id, dst))
             .map_err(|e| e.to_string())?
@@ -932,14 +971,12 @@ impl ArrayOps for NativeCtx<'_> {
         // Wake-ups land in the worker's delivery buffer; they are flushed
         // in one scheduler transaction when the buffer fills (or at the
         // next task boundary).
-        {
-            let shared = self.cache.get(&self.job.store, id)?;
-            shared
-                .write_into(offset, value, &mut self.worker.delivery)
-                .map_err(|e| e.to_string())?;
-        }
+        let shared = self.worker.cache.get(&self.job.store, id)?;
+        shared
+            .write_into(offset, value, &mut self.worker.delivery)
+            .map_err(|e| e.to_string())?;
         if self.worker.delivery.len() >= self.job.delivery_batch {
-            self.pool.flush(self.w, self.job, &mut self.worker.delivery);
+            self.pool.flush(self.w, self.job, self.worker);
         }
         Ok(())
     }
@@ -1189,7 +1226,7 @@ impl Drop for NativePool {
 /// completes and assembles the uniform [`EngineOutcome`].
 pub(crate) struct NativeJobHandle {
     job: Arc<Job>,
-    partition: PartitionReport,
+    partition: Arc<PartitionReport>,
     started: Instant,
 }
 

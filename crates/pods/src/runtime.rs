@@ -503,7 +503,7 @@ impl Runtime {
                 source: program.clone(),
                 sp,
                 read_slots: Arc::new(read_slots),
-                partition,
+                partition: Arc::new(partition),
                 autotuned,
             }),
         }
@@ -835,7 +835,7 @@ struct PreparedInner {
     source: CompiledProgram,
     sp: Arc<SpProgram>,
     read_slots: Arc<ReadSlots>,
-    partition: PartitionReport,
+    partition: Arc<PartitionReport>,
     /// How many adaptive grain retunes produced this preparation (0 = the
     /// prepare-time grain; each retune doubled the auto-sized chunk).
     autotuned: u64,
@@ -880,14 +880,14 @@ impl PreparedProgram {
         self.inner.autotuned
     }
 
-    /// The per-job spec handed to the pooled backends: `Arc` bumps plus a
-    /// partition-report clone, no program work. The service attaches its
-    /// completion hook before submission.
+    /// The per-job spec handed to the pooled backends: `Arc` bumps only, no
+    /// program work and no copy of the partition report. The service
+    /// attaches its completion hook before submission.
     pub(crate) fn job_spec(&self, opts: &RunOptions) -> JobSpec {
         JobSpec {
             program: Arc::clone(&self.inner.sp),
             read_slots: Arc::clone(&self.inner.read_slots),
-            partition: self.inner.partition.clone(),
+            partition: Arc::clone(&self.inner.partition),
             page_size: opts.page_size,
             max_tasks: opts.max_events,
             delivery_batch: opts.delivery_batch.max(1),

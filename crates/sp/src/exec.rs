@@ -64,6 +64,7 @@ use crate::specialize::{Fetch, FusedOp, PlanOp, SuperOp, TemplatePlan};
 use crate::template::{ChunkMeta, SpProgram};
 use pods_idlang::{BinaryOp, UnaryOp};
 use pods_istructure::{ArrayHeader, ArrayId, DimRange, PeId, Value};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Scalar evaluation (moved here from `pods-machine` so every interpreter —
@@ -346,7 +347,9 @@ pub enum Loaded {
 /// schedule events, or memoise directory lookups.
 pub trait ArrayOps {
     /// Allocates an array and routes its [`Value::ArrayRef`] to `dst`. The
-    /// core has already validated the dimensions (non-empty extents).
+    /// core has already validated the dimensions (non-empty extents) and
+    /// hands them over by value, with the template's shared copy of the
+    /// name, so an implementation need not copy either.
     /// Implementations choose the delivery mechanics: the pooled engines
     /// set the slot synchronously, the simulator clears it and delivers the
     /// reference asynchronously from the Array Manager.
@@ -357,8 +360,8 @@ pub trait ArrayOps {
     fn alloc_array(
         &mut self,
         dst: SlotId,
-        name: &str,
-        dims: &[usize],
+        name: &Arc<str>,
+        dims: Vec<usize>,
         distributed: bool,
     ) -> Result<(), String>;
 
@@ -565,11 +568,35 @@ fn expect_array(v: Value) -> Result<ArrayId, String> {
         .ok_or_else(|| format!("expected an array reference, found {v}"))
 }
 
-fn index_values<C: ExecCtx>(ctx: &C, indices: &[Operand]) -> Vec<i64> {
-    indices
-        .iter()
-        .map(|i| ctx.operand(i).as_i64().unwrap_or(-1))
-        .collect()
+/// Ranks up to this many dimensions resolve their index operands on the
+/// stack; higher ranks spill to the heap, so the language has no rank limit.
+const INLINE_RANK: usize = 4;
+
+/// Resolves the index operands of an array access (non-integers read as
+/// `-1`, which is out of bounds for every shape) and folds them into the
+/// row-major element offset, with the canonical out-of-bounds diagnostic.
+/// The one helper behind `ArrayLoad`, `ArrayStore` and the fused store:
+/// every element access runs it, so the common ranks must not touch the
+/// allocator.
+fn resolve_offset<C: ExecCtx, I>(
+    ctx: &mut C,
+    id: ArrayId,
+    indices: &[I],
+    resolve: impl Fn(&C, &I) -> Value,
+) -> Result<usize, String> {
+    let index = |i: &I| resolve(ctx, i).as_i64().unwrap_or(-1);
+    let mut inline = [0; INLINE_RANK];
+    let spilled: Vec<i64>;
+    let idx: &[i64] = if indices.len() <= INLINE_RANK {
+        for (slot, i) in inline.iter_mut().zip(indices) {
+            *slot = index(i);
+        }
+        &inline[..indices.len()]
+    } else {
+        spilled = indices.iter().map(index).collect();
+        &spilled
+    };
+    ctx.with_header(id, |h| element_offset(h, idx))?
 }
 
 /// Executes one instruction against the context. This is the single
@@ -643,7 +670,7 @@ pub fn execute_instr<C: ExecCtx>(ctx: &mut C, instr: &Instr) -> Result<Step, Str
                 return Err(format!("array `{name}` allocated with a zero dimension"));
             }
             ctx.charge(Cost::ArrayAlloc);
-            ctx.alloc_array(*dst, name, &dim_values, *distributed)?;
+            ctx.alloc_array(*dst, name, dim_values, *distributed)?;
             Ok(Step::Next)
         }
         Instr::ArrayLoad {
@@ -652,8 +679,7 @@ pub fn execute_instr<C: ExecCtx>(ctx: &mut C, instr: &Instr) -> Result<Step, Str
             indices,
         } => {
             let id = expect_array(ctx.operand(array))?;
-            let idx = index_values(ctx, indices);
-            let offset = ctx.with_header(id, |h| element_offset(h, &idx))??;
+            let offset = resolve_offset(ctx, id, indices, |c, i| c.operand(i))?;
             ctx.charge(Cost::ArrayAccess);
             match ctx.load_element(id, offset, *dst)? {
                 Loaded::Ready(v) => ctx.set_slot(*dst, v),
@@ -677,9 +703,8 @@ pub fn execute_instr<C: ExecCtx>(ctx: &mut C, instr: &Instr) -> Result<Step, Str
             value,
         } => {
             let id = expect_array(ctx.operand(array))?;
-            let idx = index_values(ctx, indices);
             let v = ctx.operand(value);
-            let offset = ctx.with_header(id, |h| element_offset(h, &idx))??;
+            let offset = resolve_offset(ctx, id, indices, |c, i| c.operand(i))?;
             ctx.charge(Cost::ArrayAccess);
             ctx.store_element(id, offset, v)?;
             Ok(Step::Next)
@@ -956,12 +981,8 @@ fn execute_fused<C: ExecCtx>(ctx: &mut C, op: &FusedOp, last: Value) -> Result<V
             value,
         } => {
             let id = expect_array(fetch(ctx, array, last))?;
-            let idx: Vec<i64> = indices
-                .iter()
-                .map(|i| fetch(ctx, i, last).as_i64().unwrap_or(-1))
-                .collect();
             let v = fetch(ctx, value, last);
-            let offset = ctx.with_header(id, |h| element_offset(h, &idx))??;
+            let offset = resolve_offset(ctx, id, indices, |c, i| fetch(c, i, last))?;
             ctx.charge(Cost::ArrayAccess);
             ctx.store_element(id, offset, v)?;
             Ok(Value::Unit)
@@ -1115,11 +1136,11 @@ mod tests {
         fn alloc_array(
             &mut self,
             dst: SlotId,
-            name: &str,
-            dims: &[usize],
+            name: &Arc<str>,
+            dims: Vec<usize>,
             distributed: bool,
         ) -> Result<(), String> {
-            let shape = ArrayShape::new(dims.to_vec());
+            let shape = ArrayShape::new(dims);
             let part = if distributed {
                 Partitioning::new(shape.len(), 8, self.pes)
             } else {
@@ -1127,8 +1148,10 @@ mod tests {
             };
             let id = ArrayId(self.arrays.len());
             let len = shape.len();
-            self.arrays
-                .push((ArrayHeader::new(id, name, shape, part), vec![None; len]));
+            self.arrays.push((
+                ArrayHeader::new(id, name.clone(), shape, part),
+                vec![None; len],
+            ));
             self.set_slot(dst, Value::ArrayRef(id));
             Ok(())
         }
@@ -1409,6 +1432,22 @@ mod tests {
                 check: |n, _, ctx| assert_eq!(ctx.arrays[0].1[1], Some(Value::Int(5)), "{n}"),
             },
             Case {
+                // One more dimension than the on-stack index buffer holds:
+                // the indices spill to the heap and fold row-major alike.
+                name: "array-store-above-the-inline-rank",
+                ctx: || TestCtx::new(2).with_array(0, &[2, 2, 2, 2, 3], 8),
+                instr: || Instr::ArrayStore {
+                    array: slot_op(0),
+                    indices: [1, 0, 1, 1, 2].map(Operand::Int).to_vec(),
+                    value: Operand::Int(5),
+                },
+                check: |n, _, ctx| {
+                    assert!(ctx.arrays[0].0.shape().dims().len() > INLINE_RANK, "{n}");
+                    assert_eq!(ctx.arrays[0].1[35], Some(Value::Int(5)), "{n}");
+                    assert_eq!(ctx.costs, vec![Cost::ArrayAccess], "{n}");
+                },
+            },
+            Case {
                 name: "spawn-clears-return-slot-at-issue",
                 ctx: || {
                     TestCtx::new(2)
@@ -1622,7 +1661,17 @@ mod tests {
                     array: slot_op(0),
                     indices: vec![Operand::Int(9)],
                 },
-                msg: "out of bounds",
+                msg: "index [9] out of bounds for 4 array `t`",
+            },
+            Case {
+                name: "load-out-of-bounds-above-the-inline-rank",
+                ctx: || TestCtx::new(2).with_array(0, &[2, 2, 2, 2, 3], 8),
+                instr: || Instr::ArrayLoad {
+                    dst: s(1),
+                    array: slot_op(0),
+                    indices: [1, 0, 1, 1, 3].map(Operand::Int).to_vec(),
+                },
+                msg: "index [1, 0, 1, 1, 3] out of bounds for 2x2x2x2x3 array `t`",
             },
             Case {
                 name: "non-integer-index-coerces-to-out-of-bounds",

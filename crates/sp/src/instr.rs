@@ -10,6 +10,7 @@
 //! running until the value is actually consumed.
 
 use pods_idlang::{BinaryOp, UnaryOp};
+use std::sync::Arc;
 
 /// Identifier of an operand slot within an SP frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -155,8 +156,9 @@ pub enum Instr {
     ArrayAlloc {
         /// Slot that will receive the array reference.
         dst: SlotId,
-        /// Source-level array name (diagnostics and headers).
-        name: String,
+        /// Source-level array name (diagnostics and headers). Shared, so
+        /// every array the instruction allocates reuses the one copy.
+        name: Arc<str>,
         /// Dimension extents.
         dims: Vec<Operand>,
         /// `true` once the partitioner converted this into the distributing

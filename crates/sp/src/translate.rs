@@ -338,7 +338,7 @@ impl TemplateBuilder {
                 self.env.insert(name.clone(), dst);
                 self.code.push(Instr::ArrayAlloc {
                     dst,
-                    name: name.clone(),
+                    name: name.as_str().into(),
                     dims: dim_ops,
                     distributed: false,
                 });

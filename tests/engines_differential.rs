@@ -184,6 +184,57 @@ fn simple_agrees_across_all_engines() {
     assert_engines_agree(name, src, &args, &[1, 2, 4]);
 }
 
+/// A rank-5 array: one dimension more than the instruction core resolves
+/// on the stack, so every access below takes the heap-spill path — through
+/// the interpreter, the fused super-op store and the chunk driver alike.
+/// `last` is the index of the store that `main`'s caller aims out of range.
+const RANK5: &str = r#"
+    def main(n, last) {
+        t = tensor(2, 2, 2, 2, n);
+        for i = 0 to 1 {
+            for j = 0 to 1 {
+                for k = 0 to n - 1 {
+                    t[i, j, 0, 0, k] = i * 100 + j * 10 + k;
+                    t[i, j, 0, 1, k] = t[i, j, 0, 0, k] + 0.5;
+                    t[i, j, 1, 0, k] = k - i;
+                }
+            }
+        }
+        t[1, 0, 1, 1, last] = 7;
+        return t[1, 1, 0, 1, n - 1] + t[0, 1, 1, 0, 0] + t[1, 0, 1, 1, last];
+    }
+"#;
+
+#[test]
+fn rank_above_the_inline_index_capacity_agrees_across_all_engines() {
+    let args = [Value::Int(3), Value::Int(2)];
+    assert_engines_agree("rank5", RANK5, &args, &[1, 2, 4]);
+}
+
+#[test]
+fn out_of_bounds_above_the_inline_index_capacity_is_reported_alike() {
+    // The same program with its last store one past the innermost extent.
+    // Every engine running the SP program reports the core's canonical
+    // diagnostic, byte for byte, spilled indices included; the oracle (and
+    // the cost model built on its profile) words the same fault its own way.
+    let program = pods::compile(RANK5).unwrap();
+    let args = [Value::Int(3), Value::Int(3)];
+    for kind in engines_under_test() {
+        for spec in [true, false] {
+            let runtime = Runtime::builder(kind).workers(2).specialize(spec).build();
+            let err = runtime.run(&program, &args).unwrap_err().to_string();
+            let expected = match kind {
+                EngineKind::Seq | EngineKind::Pr => "index [1, 0, 1, 1, 3] out of bounds for `t`",
+                _ => "index [1, 0, 1, 1, 3] out of bounds for 2x2x2x2x3 array `t`",
+            };
+            assert!(
+                err.contains(expected),
+                "{kind} (specialize {spec}): `{err}` lacks `{expected}`"
+            );
+        }
+    }
+}
+
 #[test]
 fn unknown_engine_names_are_rejected() {
     let program = pods::compile("def main() { return 1; }").unwrap();

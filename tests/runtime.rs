@@ -254,10 +254,12 @@ fn warm_runtime_amortises_pool_spawn_over_cold_run_on() {
         }
         start.elapsed().as_secs_f64() * 1e6
     };
-    // Best of three batches each, interleaved to be fair to both sides.
+    // Best of five batches each, interleaved to be fair to both sides (the
+    // other tests of this binary run beside it: with three batches one side
+    // found no quiet batch in about one run in six on a 2-vCPU host).
     let mut warm_best = f64::MAX;
     let mut cold_best = f64::MAX;
-    for _ in 0..3 {
+    for _ in 0..5 {
         warm_best = warm_best.min(warm());
         cold_best = cold_best.min(cold());
     }
