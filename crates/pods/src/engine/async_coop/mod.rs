@@ -1,64 +1,35 @@
-//! The cooperative (async, futures-style) parallel engine.
+//! The cooperative (async, futures-style) parallel engine: the
+//! [`super::pool`] scheduler with the *task-owned frame + waker* suspension
+//! strategy.
 //!
-//! The native engine ([`super::NativeParallelEngine`]) already avoids
-//! blocking OS threads on absent operands: the *instance* parks and the
-//! worker moves on. But its suspension protocol is centralised — every
-//! park, wake, and mailbox delivery goes through a job-global scheduler
-//! mutex holding the blocked-instance registry — which puts a floor under
-//! how cheap a suspension can get. The paper's thesis (iteration-level
-//! parallelism pays off only when per-iteration scheduling overhead is
-//! tiny) makes that floor the quantity worth attacking.
+//! The native engine ([`super::NativeParallelEngine`]) parks a blocked
+//! instance in a job-wide registry, so every park, wake and mailbox
+//! delivery takes one job-wide lock. This engine keeps each SP instance's
+//! suspension state in the instance itself, the way async runtimes do: an
+//! instance is a resumable task ([`task::TaskHandle`]) that owns its saved
+//! frame, and the waiter tag a deferred I-structure read registers *is* the
+//! waker — an `Arc` of the task plus the destination slot. The write that
+//! fills the element delivers the value by locking only that one task and
+//! re-queues it if its awaited slot arrived. There is no registry and no
+//! mailbox: value *delivery* locks only the receiving task. (Re-queuing a
+//! woken task still touches the pool's liveness and ready-count locks.)
 //!
-//! This engine attacks it the way modern async runtimes do: each SP
-//! instance is a **resumable state machine** ([`task::TaskHandle`]) whose
-//! suspension state lives in the task itself. A deferred I-structure read
-//! registers a **waker** — an `Arc` of the task plus the destination slot
-//! — with the shared store's deferred-reader queue and the task keeps
-//! running until the value is actually consumed (the split-phase rule of
-//! the shared core); when the firing rule blocks, the task suspends, and
-//! the write that eventually fills the element delivers the value by
-//! locking only that one task and re-queues it if its awaited slot
-//! arrived. A small cooperative executor ([`executor::AsyncPool`]) runs
-//! the tasks: per-worker run queues, work stealing over *tasks* (not
-//! threads), condvar-idle workers. There is no blocked-instance registry
-//! and no mailbox map: value *delivery* locks only the receiving task.
-//! (Re-queuing a woken task still touches the shared liveness and
-//! ready-count locks — that part of the wake path is common to both
-//! schedulers; what this engine removes is the per-delivery registry
-//! transaction.)
-//!
-//! Everything else deliberately matches the native engine, so the two
-//! schedulers are directly comparable:
-//!
-//! * same `Arc`-shared per-job program state ([`super::native::JobSpec`],
-//!   also the [`crate::PreparedProgram`] fast path),
-//! * same per-job model: one I-structure store, `live`/`in_flight`
-//!   liveness counts with exact deadlock detection, first-error slot,
-//!   drop-cancellation at instruction boundaries,
-//! * same execution semantics *by construction*: both schedulers execute
-//!   instructions through the shared core (`pods_sp::exec`), so operand
-//!   coercion, Range-Filter clamping, and split-phase loads cannot
-//!   diverge (the differential suite double-checks end to end),
-//! * same knobs: [`crate::RunOptions::max_events`] bounds polls,
-//!   [`crate::RunOptions::delivery_batch`] bounds the per-worker waker
-//!   buffer (flushed at every task boundary, so liveness is unaffected).
-//!
-//! [`AsyncStats`] reports `suspensions` / `resumptions` / `steals`
-//! alongside the shared counters, mirroring [`super::NativeStats`], so
-//! `BENCH_engines.json`'s `async_vs_native` group can put the two
-//! schedulers' overheads side by side.
+//! Everything else — the pool, the per-job model, the knobs, the execution
+//! semantics — is the one implementation in [`super::pool`], so any
+//! difference between the two engines' numbers is the suspension strategy.
 
-mod executor;
 mod task;
 
-pub(crate) use executor::{AsyncCanceller, AsyncJobHandle, AsyncPool};
-
-use super::{check_invocation, Engine, EngineOutcome};
-use crate::engine::native::JobSpec;
+use super::pool::{self, locked, Frame, Instance, PoolStats, Suspension};
+use super::{Engine, EngineOutcome, EngineStats};
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
 use pods_istructure::{StoreStats, Value};
-use std::time::Instant;
+use pods_machine::InstanceId;
+use pods_partition::PartitionReport;
+use pods_sp::{SlotId, SpId, SpProgram};
+use std::sync::{Arc, Mutex};
+use task::{AsyncWaiter, TaskHandle};
 
 /// Executes the partitioned SP program on a cooperative executor with
 /// `opts.num_pes` worker threads: suspended instances are resumed by
@@ -167,6 +138,178 @@ impl std::fmt::Display for AsyncStats {
     }
 }
 
+/// The most recent suspension, kept for deadlock diagnostics (there is no
+/// registry of suspended tasks to walk).
+#[derive(Clone, Copy)]
+pub(crate) struct SuspendInfo {
+    inst: InstanceId,
+    template: SpId,
+    pc: usize,
+    slot: SlotId,
+}
+
+/// The cooperative suspension strategy: the task owns its frame and the
+/// store holds the task itself as the waker. Tasks do not point back at
+/// their job, so a failed job's suspended tasks are released as soon as its
+/// store (holding their wakers) is dropped.
+pub(crate) struct Wakers;
+
+impl Suspension for Wakers {
+    type Waiter = AsyncWaiter;
+    type Task = Arc<TaskHandle>;
+    type Shell = Arc<TaskHandle>;
+    type JobState = Mutex<Option<SuspendInfo>>;
+    /// Retired task handles nothing else references: the one per-instance
+    /// allocation the frame arena does not cover.
+    type Spare = Arc<TaskHandle>;
+    const NAME: &'static str = "async";
+
+    fn new_task(
+        id: InstanceId,
+        template: SpId,
+        pe: usize,
+        frame: Frame,
+        return_to: Option<AsyncWaiter>,
+        spare: Option<Arc<TaskHandle>>,
+    ) -> Arc<TaskHandle> {
+        match spare {
+            Some(mut task) => {
+                Arc::get_mut(&mut task)
+                    .expect("a recycled handle has no other owner")
+                    .reset(id, template, pe, frame, return_to);
+                task
+            }
+            None => Arc::new(TaskHandle::new(id, template, pe, frame, return_to)),
+        }
+    }
+
+    fn task_id(task: &Arc<TaskHandle>) -> InstanceId {
+        task.id
+    }
+
+    fn check_out(task: Arc<TaskHandle>) -> Instance<Wakers> {
+        Instance {
+            id: task.id,
+            template: task.template,
+            pe: task.pe,
+            frame: task.begin_poll(),
+            shell: task,
+        }
+    }
+
+    fn waiter(inst: &Instance<Wakers>, slot: SlotId) -> AsyncWaiter {
+        AsyncWaiter {
+            task: Arc::clone(&inst.shell),
+            slot,
+        }
+    }
+
+    fn deliver(
+        _state: &Mutex<Option<SuspendInfo>>,
+        wakeups: &mut Vec<(AsyncWaiter, Value)>,
+        woken: &mut Vec<Arc<TaskHandle>>,
+    ) {
+        for (waiter, value) in wakeups.drain(..) {
+            if waiter.task.deliver(waiter.slot, value) {
+                woken.push(waiter.task);
+            }
+        }
+    }
+
+    /// The frame's pc addresses the blocked (consuming) instruction — the
+    /// shared core only blocks at the firing rule — so the deadlock detail
+    /// points at the instruction that is actually waiting.
+    fn try_suspend(
+        last: &Mutex<Option<SuspendInfo>>,
+        inst: Instance<Wakers>,
+        slot: SlotId,
+    ) -> Option<Instance<Wakers>> {
+        let Instance {
+            id,
+            template,
+            pe,
+            frame,
+            shell,
+        } = inst;
+        let pc = frame.pc;
+        match shell.try_suspend(frame, slot) {
+            Some(frame) => Some(Instance {
+                id,
+                template,
+                pe,
+                frame,
+                shell,
+            }),
+            None => {
+                let info = SuspendInfo {
+                    inst: id,
+                    template,
+                    pc,
+                    slot,
+                };
+                *locked(last.lock(), "last_suspend") = Some(info);
+                None
+            }
+        }
+    }
+
+    fn retire(inst: &Instance<Wakers>) {
+        inst.shell.retire();
+    }
+
+    fn return_to(inst: &Instance<Wakers>) -> Option<AsyncWaiter> {
+        inst.shell.return_to.clone()
+    }
+
+    /// Keeps a finished task's handle only if this was its last reference
+    /// (no unfired waker, no child still holding it as its return target).
+    fn into_spare(mut shell: Arc<TaskHandle>) -> Option<Arc<TaskHandle>> {
+        // Let go of the parent now, so it can be recycled in turn.
+        Arc::get_mut(&mut shell)?.return_to = None;
+        Some(shell)
+    }
+
+    fn deadlock(
+        last: &Mutex<Option<SuspendInfo>>,
+        program: &SpProgram,
+        live: usize,
+    ) -> (usize, String) {
+        let detail = locked(last.lock(), "last_suspend")
+            .map(|s| {
+                format!(
+                    "inst{} of {} suspended at pc {} awaiting {}",
+                    s.inst.0,
+                    program.template(s.template).name,
+                    s.pc,
+                    s.slot
+                )
+            })
+            .unwrap_or_default();
+        (live, detail)
+    }
+
+    fn stats(c: PoolStats, partition: Arc<PartitionReport>) -> EngineStats {
+        let stats = AsyncStats {
+            workers: c.workers,
+            instances: c.instances,
+            polls: c.tasks,
+            suspensions: c.parks,
+            resumptions: c.resumptions,
+            steals: c.steals,
+            pool_id: c.pool_id,
+            job_seq: c.job_seq,
+            wakeups: c.wakeups,
+            wakeup_flushes: c.wakeup_flushes,
+            arena_reuses: c.arena_reuses,
+            chunk_iterations: c.chunk_iterations,
+            super_ops: c.super_ops,
+            chunks_autotuned: c.chunks_autotuned,
+            store: c.store,
+        };
+        EngineStats::AsyncCoop { stats, partition }
+    }
+}
+
 impl Engine for AsyncCoopEngine {
     fn name(&self) -> &'static str {
         "async"
@@ -182,305 +325,51 @@ impl Engine for AsyncCoopEngine {
         args: &[Value],
         opts: &RunOptions,
     ) -> Result<EngineOutcome, PodsError> {
-        check_invocation(program, args)?;
-        let start = Instant::now();
-        let pool = AsyncPool::new(opts.num_pes.max(1));
-        let handle = pool.submit(JobSpec::from_options(program, opts), args);
-        let mut outcome = handle.wait()?;
-        // The cold path owns the executor, so its wall-clock honestly
-        // includes executor spawn, measured from entry.
-        outcome.wall_us = start.elapsed().as_secs_f64() * 1e6;
-        Ok(outcome)
+        pool::run_cold::<Wakers>(program, args, opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::Wakers;
+    use crate::engine::pool::{cases, pool_cases};
     use crate::engine::EngineStats;
-    use crate::pipeline::compile;
-    use pods_machine::SimulationError;
 
-    fn run_async(src: &str, args: &[Value], workers: usize) -> EngineOutcome {
-        let program = compile(src).unwrap();
-        AsyncCoopEngine
-            .run(&program, args, &RunOptions::with_pes(workers))
-            .unwrap()
-    }
-
-    fn async_stats(outcome: &EngineOutcome) -> AsyncStats {
-        match &outcome.stats {
-            EngineStats::AsyncCoop { stats, .. } => *stats,
-            other => panic!("expected async stats, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn scalar_and_function_calls() {
-        let outcome = run_async(
-            "def main(n) { x = double(n); return x + 1; } def double(v) { return v * 2; }",
-            &[Value::Int(10)],
-            2,
-        );
-        assert_eq!(outcome.return_value, Some(Value::Int(21)));
-        let stats = async_stats(&outcome);
-        assert_eq!(stats.workers, 2);
-        assert!(stats.instances >= 2);
-        assert!(stats.polls >= stats.instances);
-    }
-
-    #[test]
-    fn distributed_fill_is_complete_on_any_worker_count() {
-        let src = r#"
-            def main(n) {
-                a = matrix(n, n);
-                for i = 0 to n - 1 {
-                    for j = 0 to n - 1 { a[i, j] = i * n + j; }
-                }
-                return a;
-            }
-        "#;
-        let reference = run_async(src, &[Value::Int(8)], 1);
-        let expected = reference.returned_array().unwrap().to_f64(-1.0);
-        for workers in [2, 4, 8] {
-            let outcome = run_async(src, &[Value::Int(8)], workers);
-            let a = outcome.returned_array().unwrap();
-            assert!(a.is_complete(), "incomplete on {workers} workers");
-            assert_eq!(
-                a.to_f64(-1.0),
-                expected,
-                "wrong values on {workers} workers"
-            );
-        }
-    }
+    pool_cases!(Wakers:
+        scalar_and_function_calls => scalar_and_function_calls,
+        distributed_fill_is_complete_on_any_worker_count
+            => distributed_fill_is_complete_on_any_worker_count,
+        carried_recurrence_is_computed_correctly => carried_recurrence_is_computed_correctly,
+        single_assignment_violation_is_a_runtime_error
+            => single_assignment_violation_is_a_runtime_error,
+        poll_limit_aborts_runaway_runs => task_limit_aborts_runaway_runs,
+        out_of_bounds_store_is_reported => out_of_bounds_store_is_reported,
+        one_executor_runs_many_jobs_with_disjoint_state
+            => one_pool_runs_many_jobs_with_disjoint_state,
+        a_failing_job_does_not_poison_the_executor => a_failing_job_does_not_poison_the_pool,
+        batched_waker_delivery_coalesces_flushes_without_changing_wakeups
+            => batched_delivery_coalesces_flushes,
+        worker_arena_recycles_task_frames => worker_arena_recycles_frames,
+    );
 
     #[test]
     fn consumers_suspend_until_producers_write_and_counters_balance() {
-        let src = r#"
-            def main(n) {
-                a = array(n);
-                for i = 0 to n - 1 { a[i] = i * 2; }
-                s = a[n - 1] + a[0];
-                return s;
-            }
-        "#;
-        let outcome = run_async(src, &[Value::Int(10)], 4);
-        assert_eq!(outcome.return_value, Some(Value::Int(18)));
-        let stats = async_stats(&outcome);
+        let outcome = cases::consumers_wait_for_producers::<Wakers>();
+        let EngineStats::AsyncCoop { stats, .. } = outcome.stats else {
+            panic!("async stats expected");
+        };
         // Every suspension of a completed run was resumed by a waker.
         assert_eq!(stats.suspensions, stats.resumptions);
         assert!(stats.polls >= stats.instances + stats.resumptions);
     }
 
     #[test]
-    fn carried_recurrence_is_computed_correctly() {
-        let src = r#"
-            def main(n) {
-                src = array(n);
-                for i = 0 to n - 1 { src[i] = i * 1.0; }
-                acc = array(n);
-                acc[0] = src[0];
-                for i = 1 to n - 1 { acc[i] = acc[i - 1] + src[i]; }
-                return acc;
-            }
-        "#;
-        let outcome = run_async(src, &[Value::Int(16)], 4);
-        let acc = outcome.returned_array().unwrap();
-        assert!(acc.is_complete());
-        assert_eq!(acc.get(&[15]), Some(Value::Float(120.0)));
-    }
-
-    #[test]
-    fn single_assignment_violation_is_a_runtime_error() {
-        let program =
-            compile("def main(n) { a = array(n); for i = 0 to n - 1 { a[0] = i; } return 0; }")
-                .unwrap();
-        let err = AsyncCoopEngine
-            .run(&program, &[Value::Int(4)], &RunOptions::with_pes(1))
-            .unwrap_err();
-        assert!(
-            matches!(err, PodsError::Simulation(SimulationError::Runtime(_))),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn reading_a_never_written_element_is_detected_as_deadlock() {
-        let program = compile("def main(n) { a = array(n); a[0] = 1; return a[1]; }").unwrap();
-        for workers in [1, 4] {
-            let err = AsyncCoopEngine
-                .run(&program, &[Value::Int(4)], &RunOptions::with_pes(workers))
-                .unwrap_err();
-            let PodsError::Simulation(SimulationError::Deadlock { detail, .. }) = &err else {
-                panic!("workers={workers}: expected deadlock, got {err}");
-            };
+        for detail in cases::reading_a_never_written_element_is_a_deadlock::<Wakers>() {
             assert!(
                 detail.contains("awaiting"),
                 "deadlock detail must name the awaited slot: {detail}"
             );
         }
-    }
-
-    #[test]
-    fn poll_limit_aborts_runaway_runs() {
-        let program = compile(
-            "def main(n) { a = matrix(n, n); for i = 0 to n - 1 { for j = 0 to n - 1 { a[i, j] = i + j; } } return a; }",
-        )
-        .unwrap();
-        let mut opts = RunOptions::with_pes(2);
-        opts.max_events = 3;
-        let err = AsyncCoopEngine
-            .run(&program, &[Value::Int(8)], &opts)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            PodsError::Simulation(SimulationError::EventLimitExceeded { limit: 3 })
-        ));
-    }
-
-    #[test]
-    fn out_of_bounds_store_is_reported() {
-        let program = compile("def main(n) { a = array(n); a[n + 5] = 1; return 0; }").unwrap();
-        let err = AsyncCoopEngine
-            .run(&program, &[Value::Int(4)], &RunOptions::with_pes(2))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            PodsError::Simulation(SimulationError::Runtime(_))
-        ));
-    }
-
-    #[test]
-    fn one_executor_runs_many_jobs_with_disjoint_state() {
-        let fill =
-            compile("def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i * 3; } return a; }")
-                .unwrap();
-        let scalar = compile("def main(n) { return n * 7; }").unwrap();
-        let pool = AsyncPool::new(4);
-        let opts = RunOptions::with_pes(4);
-        let mut handles = Vec::new();
-        for k in 0..6i64 {
-            let (program, args) = if k % 2 == 0 {
-                (&fill, vec![Value::Int(8 + k)])
-            } else {
-                (&scalar, vec![Value::Int(k)])
-            };
-            handles.push((k, pool.submit(JobSpec::from_options(program, &opts), &args)));
-        }
-        let mut seqs = Vec::new();
-        for (k, handle) in handles {
-            let outcome = handle.wait().unwrap();
-            if k % 2 == 0 {
-                let a = outcome.returned_array().unwrap();
-                assert!(a.is_complete(), "job {k} incomplete");
-                assert_eq!(a.get(&[2]), Some(Value::Int(6)), "job {k}");
-            } else {
-                assert_eq!(outcome.return_value, Some(Value::Int(k * 7)), "job {k}");
-            }
-            let stats = async_stats(&outcome);
-            assert_eq!(stats.pool_id, pool.id());
-            seqs.push(stats.job_seq);
-        }
-        seqs.sort_unstable();
-        assert_eq!(seqs, vec![1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn a_failing_job_does_not_poison_the_executor() {
-        let bad = compile("def main(n) { a = array(n); a[0] = 1; return a[1]; }").unwrap();
-        let good = compile("def main(n) { return n + 1; }").unwrap();
-        let pool = AsyncPool::new(2);
-        let opts = RunOptions::with_pes(2);
-        let bad_handle = pool.submit(JobSpec::from_options(&bad, &opts), &[Value::Int(4)]);
-        let good_handle = pool.submit(JobSpec::from_options(&good, &opts), &[Value::Int(4)]);
-        assert!(bad_handle.wait().is_err());
-        assert_eq!(
-            good_handle.wait().unwrap().return_value,
-            Some(Value::Int(5))
-        );
-        let again = pool.submit(JobSpec::from_options(&good, &opts), &[Value::Int(9)]);
-        assert_eq!(again.wait().unwrap().return_value, Some(Value::Int(10)));
-    }
-
-    #[test]
-    fn batched_waker_delivery_coalesces_flushes_without_changing_wakeups() {
-        // Same probe workload as the native batching test: 16 split-phase
-        // probes suspend on unwritten elements, one producer task wakes
-        // them all. Batch 16 must deliver the same wakeups in fewer
-        // flushes, with identical results.
-        let src = r#"
-            def main(n) {
-                a = array(n);
-                for i = 0 to n - 1 { a[i] = i * 3; }
-                return probe(a, 0) + (probe(a, 1) + (probe(a, 2) + (probe(a, 3)
-                     + (probe(a, 4) + (probe(a, 5) + (probe(a, 6) + (probe(a, 7)
-                     + (probe(a, 8) + (probe(a, 9) + (probe(a, 10) + (probe(a, 11)
-                     + (probe(a, 12) + (probe(a, 13) + (probe(a, 14) + probe(a, 15)
-                     ))))))))))))));
-            }
-            def probe(a, i) { return a[i] + 1; }
-        "#;
-        let program = compile(src).unwrap();
-        let expected = (0..16).map(|i| i * 3 + 1).sum::<i64>();
-        let stats_for = |batch: usize| {
-            let mut opts = RunOptions::with_pes(1);
-            opts.delivery_batch = batch;
-            let outcome = AsyncCoopEngine
-                .run(&program, &[Value::Int(16)], &opts)
-                .unwrap();
-            assert_eq!(
-                outcome.return_value,
-                Some(Value::Int(expected)),
-                "batch={batch}"
-            );
-            async_stats(&outcome)
-        };
-        let unbatched = stats_for(1);
-        let batched = stats_for(16);
-        assert_eq!(
-            unbatched.wakeups, batched.wakeups,
-            "batching must not change how many wakers fire"
-        );
-        assert!(
-            unbatched.wakeups >= 32,
-            "expected 16 deferred reads + 16 returns, got {}",
-            unbatched.wakeups
-        );
-        assert!(
-            batched.wakeup_flushes + 8 <= unbatched.wakeup_flushes,
-            "batch=16 should need fewer flushes: {} vs {}",
-            batched.wakeup_flushes,
-            unbatched.wakeup_flushes
-        );
-    }
-
-    #[test]
-    fn worker_arena_recycles_task_frames() {
-        // Mirror of the native arena test: one probe task per iteration,
-        // sequentially — after the first frame is recycled every later
-        // spawn reuses it, so reuse grows with n.
-        let src = r#"
-            def main(n) {
-                a = array(n);
-                s = array(n);
-                for i = 0 to n - 1 { a[i] = i * 3; }
-                for i = 0 to n - 1 { s[i] = probe(a, i); }
-                return s;
-            }
-            def probe(a, i) { return a[i] + 1; }
-        "#;
-        let program = compile(src).unwrap();
-        let mut opts = RunOptions::with_pes(1);
-        opts.delivery_batch = 16;
-        let outcome = AsyncCoopEngine
-            .run(&program, &[Value::Int(64)], &opts)
-            .unwrap();
-        let stats = async_stats(&outcome);
-        assert!(
-            stats.arena_reuses > 32,
-            "expected recycled task frames, got {} (instances {})",
-            stats.arena_reuses,
-            stats.instances
-        );
     }
 }

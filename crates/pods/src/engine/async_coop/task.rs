@@ -11,6 +11,7 @@
 //! instances: `deliver` is `wake_by_ref`, `try_suspend` is returning
 //! `Poll::Pending` after re-checking for a wake that raced the suspension.
 
+use crate::engine::pool::{locked, Frame};
 use pods_istructure::Value;
 use pods_machine::InstanceId;
 use pods_sp::{SlotId, SpId};
@@ -19,41 +20,12 @@ use std::sync::{Arc, Mutex};
 /// The waiter tag the async engine registers with the shared I-structure
 /// store: a waker. When the producing write lands, the store hands this tag
 /// back and the writer delivers the value straight into the task.
+#[derive(Clone)]
 pub(crate) struct AsyncWaiter {
     /// The task awaiting the value.
     pub task: Arc<TaskHandle>,
     /// The frame slot the value is destined for.
     pub slot: SlotId,
-}
-
-/// The saved execution state of a suspended (or queued) task: everything a
-/// worker needs to resume the SP instance where it left off.
-#[derive(Debug)]
-pub(crate) struct Frame {
-    pub pc: usize,
-    pub slots: Vec<Option<Value>>,
-}
-
-impl Frame {
-    pub(crate) fn slot(&self, slot: SlotId) -> Option<Value> {
-        self.slots.get(slot.index()).copied().flatten()
-    }
-
-    pub(crate) fn is_present(&self, slot: SlotId) -> bool {
-        self.slot(slot).is_some()
-    }
-
-    pub(crate) fn set_slot(&mut self, slot: SlotId, value: Value) {
-        if slot.index() < self.slots.len() {
-            self.slots[slot.index()] = Some(value);
-        }
-    }
-
-    pub(crate) fn clear_slot(&mut self, slot: SlotId) {
-        if slot.index() < self.slots.len() {
-            self.slots[slot.index()] = None;
-        }
-    }
 }
 
 /// Where a task is in its lifecycle. Transitions:
@@ -95,20 +67,20 @@ pub(crate) struct TaskHandle {
     /// The virtual PE this instance runs as (drives Range Filters).
     pub pe: usize,
     /// Waker for the function-return value, if this is a call.
-    pub return_to: Option<(Arc<TaskHandle>, SlotId)>,
+    pub return_to: Option<AsyncWaiter>,
     core: Mutex<TaskCore>,
 }
 
 impl TaskHandle {
-    /// A fresh task, queued, over a ready-made frame vector (arguments
-    /// already in the parameter slots — the executor builds frames through
-    /// its per-worker arena so finished frames are recycled).
+    /// A fresh task, queued, over a ready-made frame (arguments already in
+    /// the parameter slots — the pool builds frames through its per-worker
+    /// arenas so finished frames are recycled).
     pub(crate) fn new(
         id: InstanceId,
         template: SpId,
         pe: usize,
-        slots: Vec<Option<Value>>,
-        return_to: Option<(Arc<TaskHandle>, SlotId)>,
+        frame: Frame,
+        return_to: Option<AsyncWaiter>,
     ) -> TaskHandle {
         TaskHandle {
             id,
@@ -116,7 +88,7 @@ impl TaskHandle {
             pe,
             return_to,
             core: Mutex::new(TaskCore {
-                frame: Some(Frame { pc: 0, slots }),
+                frame: Some(frame),
                 phase: Phase::Queued,
                 pending: Vec::new(),
             }),
@@ -131,13 +103,13 @@ impl TaskHandle {
         id: InstanceId,
         template: SpId,
         pe: usize,
-        slots: Vec<Option<Value>>,
-        return_to: Option<(Arc<TaskHandle>, SlotId)>,
+        frame: Frame,
+        return_to: Option<AsyncWaiter>,
     ) {
         (self.id, self.template, self.pe, self.return_to) = (id, template, pe, return_to);
-        let core = self.core.get_mut().expect("task core poisoned");
+        let core = locked(self.core.get_mut(), "task core");
         debug_assert_eq!(core.phase, Phase::Done, "only retired tasks are reused");
-        core.frame = Some(Frame { pc: 0, slots });
+        core.frame = Some(frame);
         core.phase = Phase::Queued;
         debug_assert!(
             core.pending.is_empty(),
@@ -149,7 +121,7 @@ impl TaskHandle {
     /// it and marks the task running. Called by the worker that popped the
     /// task off a run queue.
     pub(crate) fn begin_poll(&self) -> Frame {
-        let mut core = self.core.lock().expect("task core poisoned");
+        let mut core = locked(self.core.lock(), "task core");
         let mut frame = core.frame.take().expect("queued task owns its frame");
         for (slot, value) in core.pending.drain(..) {
             frame.set_slot(slot, value);
@@ -164,7 +136,7 @@ impl TaskHandle {
     /// buffered in `pending` (the frame is checked out); deliveries to a
     /// queued or suspended task land directly in the saved frame.
     pub(crate) fn deliver(&self, slot: SlotId, value: Value) -> bool {
-        let mut core = self.core.lock().expect("task core poisoned");
+        let mut core = locked(self.core.lock(), "task core");
         match core.phase {
             Phase::Running => {
                 core.pending.push((slot, value));
@@ -197,7 +169,7 @@ impl TaskHandle {
     /// park-then-mailbox re-check, closing the race where the producing
     /// write lands between the firing-rule miss and the suspension.
     pub(crate) fn try_suspend(&self, mut frame: Frame, awaited: SlotId) -> Option<Frame> {
-        let mut core = self.core.lock().expect("task core poisoned");
+        let mut core = locked(self.core.lock(), "task core");
         for (slot, value) in core.pending.drain(..) {
             frame.set_slot(slot, value);
         }
@@ -212,7 +184,7 @@ impl TaskHandle {
     /// Marks the task finished (successfully or abandoned); its frame is
     /// dropped by the caller and late deliveries become no-ops.
     pub(crate) fn retire(&self) {
-        let mut core = self.core.lock().expect("task core poisoned");
+        let mut core = locked(self.core.lock(), "task core");
         core.phase = Phase::Done;
         // Released, not cleared: a recycled handle must not carry a busy
         // parent's delivery buffer into the worker's free-list.
@@ -238,7 +210,8 @@ mod tests {
     fn task() -> Arc<TaskHandle> {
         let mut slots = vec![None; 4];
         slots[0] = Some(Value::Int(1));
-        Arc::new(TaskHandle::new(InstanceId(7), SpId(0), 0, slots, None))
+        let frame = Frame { pc: 0, slots };
+        Arc::new(TaskHandle::new(InstanceId(7), SpId(0), 0, frame, None))
     }
 
     #[test]
@@ -292,8 +265,14 @@ mod tests {
             InstanceId(8),
             SpId(3),
             1,
-            vec![Some(Value::Int(2)), None],
-            Some((Arc::clone(&parent), SlotId(3))),
+            Frame {
+                pc: 0,
+                slots: vec![Some(Value::Int(2)), None],
+            },
+            Some(AsyncWaiter {
+                task: Arc::clone(&parent),
+                slot: SlotId(3),
+            }),
         );
         assert_eq!((t.id, t.template, t.pe), (InstanceId(8), SpId(3), 1));
         assert!(t.return_to.is_some());

@@ -53,16 +53,14 @@
 
 mod async_coop;
 mod native;
+mod pool;
 mod pr;
 mod seq;
 mod sim;
 
-pub(crate) use async_coop::{AsyncCanceller, AsyncJobHandle, AsyncPool};
 pub use async_coop::{AsyncCoopEngine, AsyncStats};
-pub(crate) use native::{
-    build_read_slots, JobSpec, NativeCanceller, NativeJobHandle, NativePool, ReadSlots,
-};
 pub use native::{NativeParallelEngine, NativeStats};
+pub(crate) use pool::{build_read_slots, JobSpec, PoolCanceller, PoolHandle, Pooled, ReadSlots};
 pub use pr::PrEstimateEngine;
 pub use seq::SequentialEngine;
 pub use sim::SimEngine;
@@ -321,6 +319,16 @@ impl EngineKind {
         matches!(self, EngineKind::Native | EngineKind::AsyncCoop)
     }
 
+    /// Spawns the persistent worker pool a [`crate::Runtime`] of this kind
+    /// keeps warm; `None` for the modelled kinds.
+    pub(crate) fn spawn_pool(self, workers: usize) -> Option<Arc<dyn Pooled>> {
+        match self {
+            EngineKind::Native => Some(Arc::new(pool::Pool::<native::Registry>::new(workers))),
+            EngineKind::AsyncCoop => Some(Arc::new(pool::Pool::<async_coop::Wakers>::new(workers))),
+            _ => None,
+        }
+    }
+
     /// Parses a name or alias, case-insensitively and without allocating.
     /// Returns `None` for unknown names ([`std::str::FromStr`] maps that to
     /// [`PodsError::UnknownEngine`]).
@@ -399,104 +407,8 @@ pub fn engine_by_name(name: &str) -> Option<&'static dyn Engine> {
     Some(EngineKind::parse(name)?.engine())
 }
 
-/// Per-task memo of array directory lookups, shared by both pooled
-/// engines (generic over the store's waiter tag type).
-///
-/// Going through the store's sharded directory (plus an `Arc` refcount
-/// bump) for every element access costs two shared-cache-line touches;
-/// loop instances touch the same few arrays thousands of times, so one
-/// lookup per task execution amortises to nothing. The memo is owned by the
-/// worker thread and *cleared* (keeping its capacity) after every task or
-/// poll: array ids are per job, and a cleared memo holds no
-/// `Arc<SharedArray>` past the job that allocated it.
-#[derive(Debug)]
-pub(crate) struct ArrayCache<T> {
-    entries: Vec<(
-        pods_istructure::ArrayId,
-        std::sync::Arc<pods_istructure::SharedArray<T>>,
-    )>,
-}
-
-impl<T> Default for ArrayCache<T> {
-    fn default() -> Self {
-        ArrayCache {
-            entries: Vec::new(),
-        }
-    }
-}
-
-impl<T> ArrayCache<T> {
-    pub(crate) fn get(
-        &mut self,
-        store: &pods_istructure::SharedArrayStore<T>,
-        id: pods_istructure::ArrayId,
-    ) -> Result<&pods_istructure::SharedArray<T>, String> {
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == id) {
-            return Ok(&self.entries[i].1);
-        }
-        let shared = store.require(id).map_err(|e| e.to_string())?;
-        self.entries.push((id, shared));
-        Ok(&self.entries.last().expect("just pushed").1)
-    }
-
-    /// Forgets every memoised array (a task/poll boundary), keeping the
-    /// capacity.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// Upper bound on recycled frames a worker keeps around, so a spike of tiny
-/// instances cannot pin memory forever. Shared by both pooled engines.
-const ARENA_MAX_FREE: usize = 256;
-
-/// Per-worker free-list of instance frames (operand-slot vectors), shared
-/// by both pooled engines. Loop bodies spawn one instance per iteration;
-/// recycling the frame of every finished instance turns that allocator
-/// traffic into a pop/push on a thread-local vector — and keeps the two
-/// schedulers' allocator costs symmetric, so `async_vs_native` timings
-/// measure scheduling, not allocation.
-#[derive(Default)]
-pub(crate) struct InstanceArena {
-    free: Vec<Vec<Option<Value>>>,
-}
-
-impl InstanceArena {
-    /// A frame of `num_slots` cleared slots with `args` copied into the
-    /// parameter positions. Returns `true` when the frame was recycled.
-    pub(crate) fn frame(&mut self, num_slots: usize, args: &[Value]) -> (Vec<Option<Value>>, bool) {
-        let (mut slots, reused) = match self.free.pop() {
-            Some(v) => (v, true),
-            None => (Vec::with_capacity(num_slots), false),
-        };
-        slots.clear();
-        slots.resize(num_slots, None);
-        for (i, v) in args.iter().take(num_slots).enumerate() {
-            slots[i] = Some(*v);
-        }
-        (slots, reused)
-    }
-
-    pub(crate) fn recycle(&mut self, slots: Vec<Option<Value>>) {
-        if self.free.len() < ARENA_MAX_FREE {
-            self.free.push(slots);
-        }
-    }
-}
-
-/// Per-job liveness accounting shared by both pooled engines. `live`
-/// counts existing instances (queued, running, or parked/suspended);
-/// `in_flight` counts queued-or-running tasks. When `in_flight` hits zero
-/// with instances still live, no future delivery can wake them: the job is
-/// deadlocked.
-#[derive(Default)]
-pub(crate) struct JobCounts {
-    pub(crate) live: usize,
-    pub(crate) in_flight: usize,
-}
-
-/// The error every job cut short by pool teardown reports (both pooled
-/// engines use the same wording; tests match on "cancelled").
+/// The error every job cut short by pool teardown reports (tests match on
+/// "cancelled").
 pub(crate) fn cancellation_error() -> pods_machine::SimulationError {
     pods_machine::SimulationError::Runtime(
         "job cancelled: its runtime was dropped before the job completed".into(),

@@ -57,14 +57,14 @@
 //! match the preparing runtime's.
 
 use crate::engine::{
-    build_read_slots, check_invocation, AsyncPool, EngineKind, EngineOutcome, EngineStats, JobSpec,
-    NativePool, ReadSlots, SimEngine,
+    build_read_slots, check_invocation, EngineKind, EngineOutcome, EngineStats, JobSpec, Pooled,
+    ReadSlots, SimEngine,
 };
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
 use crate::service::metrics::MetricsRegistry;
 use crate::service::queue::{CancelKind, Ticket};
-use crate::service::{Admission, ClientId, JobService, PoolHandle, ServiceInner, ServiceMetrics};
+use crate::service::{Admission, ClientId, JobService, ServiceInner, ServiceMetrics};
 use crate::trace::{JobTrace, TraceConfig, TraceEventKind, TraceHandle, TraceRecorder};
 use pods_istructure::Value;
 use pods_partition::{ChunkPolicy, PartitionConfig, PartitionReport};
@@ -267,34 +267,28 @@ impl RuntimeBuilder {
     /// [`EngineKind::AsyncCoop`]) this spawns the persistent worker pool
     /// immediately, so the first `run` is already warm.
     pub fn build(self) -> Runtime {
-        let backend = Arc::new(match self.kind {
-            EngineKind::Native => Backend::Native(NativePool::new(self.opts.num_pes)),
-            EngineKind::AsyncCoop => Backend::Async(AsyncPool::new(self.opts.num_pes)),
-            _ => Backend::Modelled,
-        });
+        let pool = self.kind.spawn_pool(self.opts.num_pes);
         let metrics = Arc::new(MetricsRegistry::new(self.admission_capacity));
         let window = self.dispatch_window.unwrap_or(self.opts.num_pes).max(1);
         let trace = self
             .trace
             .or_else(TraceConfig::from_env)
             .map(|cfg| Arc::new(TraceRecorder::new(self.opts.num_pes, cfg.buffer_size)));
-        let service = if self.kind.is_pooled() {
-            Some(JobService::start(
-                Arc::downgrade(&backend),
+        let service = pool.as_ref().map(|pool| {
+            JobService::start(
+                Arc::downgrade(pool),
                 self.opts.clone(),
                 self.admission_capacity,
                 window,
                 self.client_weights,
                 Arc::clone(&metrics),
                 trace.clone(),
-            ))
-        } else {
-            None
-        };
+            )
+        });
         Runtime {
             kind: self.kind,
             opts: self.opts,
-            backend,
+            pool,
             prepared: Mutex::new(Vec::new()),
             prepared_cap: self.prepared_cache,
             metrics,
@@ -319,10 +313,12 @@ impl RuntimeBuilder {
 pub struct Runtime {
     kind: EngineKind,
     opts: RunOptions,
-    /// The strong owner of the pool. The job service holds only a `Weak`
-    /// reference (completion hooks keep the service alive, and a strong
-    /// backend reference there would keep the pool alive in a cycle).
-    backend: Arc<Backend>,
+    /// The strong owner of the worker pool (`None` for the modelled
+    /// engines, which run eagerly on the calling thread). The job service
+    /// holds only a `Weak` reference (completion hooks keep the service
+    /// alive, and a strong reference there would keep the pool alive in a
+    /// cycle).
+    pool: Option<Arc<dyn Pooled>>,
     /// LRU cache of auto-prepared programs, most recently used last, keyed
     /// by [`CompiledProgram::identity`].
     prepared: Mutex<Vec<PreparedProgram>>,
@@ -340,32 +336,10 @@ pub struct Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         // Drain the service first (cancels queued jobs, joins the
-        // dispatcher); the pool itself is torn down when `backend` — the
+        // dispatcher); the pool itself is torn down when `pool` — the
         // only strong reference — drops with the remaining fields.
         if let Some(service) = &mut self.service {
             service.shutdown();
-        }
-    }
-}
-
-/// The execution machinery a runtime owns, per engine kind.
-pub(crate) enum Backend {
-    /// The modelled engines (`sim`, `seq`, `pr`) run eagerly on the
-    /// calling thread; there is nothing to keep warm.
-    Modelled,
-    /// The native work-stealing thread pool (parked-instance scheduling).
-    Native(NativePool),
-    /// The cooperative executor (futures-style task suspension).
-    Async(AsyncPool),
-}
-
-impl Backend {
-    /// Hands one job to the pooled backend (dispatcher-only path).
-    pub(crate) fn submit_pooled(&self, spec: JobSpec, args: &[Value]) -> PoolHandle {
-        match self {
-            Backend::Native(pool) => PoolHandle::Native(pool.submit(spec, args)),
-            Backend::Async(pool) => PoolHandle::Async(pool.submit(spec, args)),
-            Backend::Modelled => unreachable!("modelled backends take no pooled jobs"),
         }
     }
 }
@@ -419,11 +393,7 @@ impl Runtime {
     /// [`crate::NativeStats::pool_id`] / [`crate::AsyncStats::pool_id`] to
     /// verify reuse.
     pub fn pool_id(&self) -> Option<u64> {
-        match &*self.backend {
-            Backend::Modelled => None,
-            Backend::Native(pool) => Some(pool.id()),
-            Backend::Async(pool) => Some(pool.id()),
-        }
+        self.pool.as_ref().map(|pool| pool.id())
     }
 
     /// Number of programs currently held by the auto-prepare LRU cache.

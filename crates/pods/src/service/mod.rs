@@ -1,8 +1,8 @@
 //! The job-service subsystem: bounded admission, backpressure, per-client
 //! fairness, deadlines, and aggregate metrics for pooled runtimes.
 //!
-//! This layer sits between the public [`crate::Runtime`] API and the pooled
-//! backends (the native thread pool and the async cooperative executor).
+//! This layer sits between the public [`crate::Runtime`] API and the worker
+//! pool of a pooled engine (native or async).
 //! Job arrival is treated as an unbounded stream, not a batch: submissions
 //! are admitted into a bounded queue ([`crate::PodsError::QueueFull`] /
 //! blocking backpressure at capacity), a dispatcher thread drains the queue
@@ -38,13 +38,9 @@ pub(crate) mod queue;
 pub use fairness::ClientId;
 pub use metrics::ServiceMetrics;
 
-use crate::engine::{
-    cancellation_error, AsyncCanceller, AsyncJobHandle, EngineOutcome, NativeCanceller,
-    NativeJobHandle,
-};
+use crate::engine::{cancellation_error, PoolCanceller, Pooled};
 use crate::error::PodsError;
 use crate::pipeline::RunOptions;
-use crate::runtime::Backend;
 use crate::trace::{TraceEventKind, TraceHandle, TraceRecorder};
 use fairness::FairQueue;
 use metrics::MetricsRegistry;
@@ -65,58 +61,6 @@ fn user_cancel_error() -> SimulationError {
 /// (mapped to [`PodsError::DeadlineExceeded`] at `wait`).
 fn deadline_cancel_error() -> SimulationError {
     SimulationError::Runtime("job cancelled: deadline exceeded".into())
-}
-
-/// A job in flight on either pooled backend.
-pub(crate) enum PoolHandle {
-    Native(NativeJobHandle),
-    Async(AsyncJobHandle),
-}
-
-impl PoolHandle {
-    pub(crate) fn is_done(&self) -> bool {
-        match self {
-            PoolHandle::Native(h) => h.is_done(),
-            PoolHandle::Async(h) => h.is_done(),
-        }
-    }
-
-    pub(crate) fn canceller(&self) -> PoolCanceller {
-        match self {
-            PoolHandle::Native(h) => PoolCanceller::Native(h.canceller()),
-            PoolHandle::Async(h) => PoolCanceller::Async(h.canceller()),
-        }
-    }
-
-    pub(crate) fn wait(self) -> Result<EngineOutcome, PodsError> {
-        match self {
-            PoolHandle::Native(h) => h.wait(),
-            PoolHandle::Async(h) => h.wait(),
-        }
-    }
-}
-
-/// A detachable cancel token for a job on either pooled backend.
-#[derive(Clone)]
-pub(crate) enum PoolCanceller {
-    Native(NativeCanceller),
-    Async(AsyncCanceller),
-}
-
-impl PoolCanceller {
-    fn is_done(&self) -> bool {
-        match self {
-            PoolCanceller::Native(c) => c.is_done(),
-            PoolCanceller::Async(c) => c.is_done(),
-        }
-    }
-
-    fn cancel(&self, err: SimulationError) {
-        match self {
-            PoolCanceller::Native(c) => c.cancel(err),
-            PoolCanceller::Async(c) => c.cancel(err),
-        }
-    }
 }
 
 /// How a submission behaves when the admission queue is full.
@@ -144,10 +88,10 @@ struct ServiceState {
 
 /// The shared core of the service (see module docs).
 pub(crate) struct ServiceInner {
-    /// The pooled backend, held weakly: the `Runtime` owns the strong
+    /// The worker pool, held weakly: the `Runtime` owns the strong
     /// reference, so dropping the runtime tears the pool down even while
     /// completion hooks (which hold `Arc<ServiceInner>`) are alive.
-    backend: Weak<Backend>,
+    pool: Weak<dyn Pooled>,
     opts: RunOptions,
     /// Admission queue capacity (0 = unbounded).
     capacity: usize,
@@ -263,7 +207,7 @@ impl ServiceInner {
             prepared,
             args,
         } = qj;
-        let Some(backend) = self.backend.upgrade() else {
+        let Some(pool) = self.pool.upgrade() else {
             // The runtime is tearing down; terminal, like shutdown.
             ticket.set_cancel_kind(CancelKind::Shutdown);
             ticket.cancelled(cancellation_error().into());
@@ -285,7 +229,7 @@ impl ServiceInner {
                 self.trace_job_event(ticket.trace_job, TraceEventKind::JobDispatched);
             }
         }
-        let handle = backend.submit_pooled(spec, &args);
+        let handle = pool.submit(spec, &args);
         let canceller = handle.canceller();
         ticket.dispatched(handle);
         st.in_flight.push(InFlight { ticket, canceller });
@@ -467,7 +411,7 @@ pub(crate) struct JobService {
 impl JobService {
     /// Spawns the dispatcher and returns the running service.
     pub(crate) fn start(
-        backend: Weak<Backend>,
+        pool: Weak<dyn Pooled>,
         opts: RunOptions,
         capacity: usize,
         window: usize,
@@ -476,7 +420,7 @@ impl JobService {
         trace: Option<Arc<TraceRecorder>>,
     ) -> JobService {
         let inner = Arc::new(ServiceInner {
-            backend,
+            pool,
             opts,
             capacity,
             window: window.max(1),

@@ -18,7 +18,7 @@
 //! [`PodsError::DeadlineExceeded`]).
 
 use super::fairness::ClientId;
-use super::PoolHandle;
+use crate::engine::PoolHandle;
 use crate::error::PodsError;
 use crate::runtime::PreparedProgram;
 use pods_istructure::Value;

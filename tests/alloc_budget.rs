@@ -8,7 +8,9 @@
 //! cannot guard that; a count can. This binary installs its own counting
 //! allocator (an integration test is its own process, so nothing else is
 //! affected) and runs pinned programs on one worker, where the schedule —
-//! and therefore the count — is deterministic.
+//! and therefore the count — is deterministic, and a gather on two workers,
+//! where work migrates between workers and the count is fenced by a
+//! percentile.
 
 use pods::{compile, EngineKind, EngineOutcome, EngineStats, PreparedProgram, Runtime, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -59,21 +61,24 @@ struct Warm {
 }
 
 /// Runs `pinned(n)` a few times to fill the arenas and scratch buffers,
-/// then once more between two readings of the counter: submit, execution on
-/// the worker thread, wait and the outcome's snapshots, all of it.
+/// then once more, counted (see [`counted_job`]).
 fn warm_job(runtime: &Runtime, pinned: &PreparedProgram, n: i64) -> Warm {
-    let run = || -> EngineOutcome {
-        runtime
-            .submit(pinned, &[Value::Int(n)])
-            .expect("admitted")
-            .wait()
-            .expect("job succeeds")
-    };
     for _ in 0..4 {
-        run();
+        counted_job(runtime, pinned, n);
     }
+    counted_job(runtime, pinned, n)
+}
+
+/// Runs `pinned(n)` once between two readings of the counter: submit,
+/// execution on the worker threads, wait and the outcome's snapshots, all
+/// of it.
+fn counted_job(runtime: &Runtime, pinned: &PreparedProgram, n: i64) -> Warm {
     let before = CALLS.load(Ordering::SeqCst);
-    let outcome = run();
+    let outcome: EngineOutcome = runtime
+        .submit(pinned, &[Value::Int(n)])
+        .expect("admitted")
+        .wait()
+        .expect("job succeeds");
     let allocs = CALLS.load(Ordering::SeqCst) - before;
     let (super_ops, instances, arrays) = match &outcome.stats {
         EngineStats::Native { stats, .. } => {
@@ -90,6 +95,21 @@ fn warm_job(runtime: &Runtime, pinned: &PreparedProgram, n: i64) -> Warm {
         instances,
         arrays: arrays as u64,
     }
+}
+
+/// A gather with one split-phase `probe` call per probe: every probe
+/// instance parks on an unwritten element, then the producer loop's writes
+/// wake them. The sum is right-nested so no add needs a return value until
+/// every probe is in flight (the benchmark's `gather_wake` program).
+fn gather_source(probes: usize) -> String {
+    let mut expr = format!("probe(a, {})", probes - 1);
+    for i in (0..probes - 1).rev() {
+        expr = format!("probe(a, {i}) + ({expr})");
+    }
+    format!(
+        "def main(n) {{\n    a = array(n);\n    for i = 0 to n - 1 {{ a[i] = i * 3; }}\n    \
+         return {expr};\n}}\ndef probe(a, i) {{ return a[i] + 1; }}\n"
+    )
 }
 
 /// One test, so nothing else in this process allocates while it counts.
@@ -146,6 +166,40 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
              ({extra_instances} more instances)",
             large.allocs,
             small.allocs
+        );
+    }
+
+    // The gather on two workers: a thief finishes probes the other worker
+    // spawned, so frames (and task handles) are recycled on the worker that
+    // did not spawn them. A spawner whose arena ran dry takes half of a
+    // sibling's spares instead of allocating; without that, per-job counts
+    // were bimodal (~24 or ~150 calls, q75 147 native and 218 async).
+    // The 128-deep sum recurses deeper than a test thread's stack allows in
+    // a debug build, so it compiles on a thread of its own.
+    let gather = std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(|| compile(&gather_source(128)).expect("gather compiles"))
+        .expect("spawn compiler thread")
+        .join()
+        .expect("compiler thread");
+    for kind in [EngineKind::Native, EngineKind::AsyncCoop] {
+        let runtime = Runtime::builder(kind).workers(2).build();
+        let pinned = runtime.prepare(&gather);
+        warm_job(&runtime, &pinned, 128);
+        let mut allocs: Vec<u64> = (0..200)
+            .map(|_| counted_job(&runtime, &pinned, 128).allocs)
+            .collect();
+        allocs.sort_unstable();
+        let p90 = allocs[allocs.len() * 9 / 10];
+        eprintln!(
+            "{kind}: gather of 128 probes on 2 workers: allocator calls per job \
+             median {}, p90 {p90}, max {}",
+            allocs[allocs.len() / 2],
+            allocs[allocs.len() - 1]
+        );
+        assert!(
+            p90 <= 64,
+            "{kind}: p90 of a warm 2-worker gather is {p90} allocator calls (budget 64)"
         );
     }
 }
