@@ -6,8 +6,15 @@
 //! locally (§4, "remote data caching"). Because of single assignment a cached
 //! value can never become stale, so there is no invalidation protocol — but a
 //! cached page may contain *absent* elements (they had not been written when
-//! the page was copied), in which case the same page may be fetched again
-//! later.
+//! the page was copied). A read of such an element misses on a *stale copy*
+//! ([`crate::ReadOutcome::RemoteMiss`] with `cached` set) and re-requests the
+//! page.
+//!
+//! The cache holds only pages that have arrived. The machine simulator keeps
+//! the pages that are still on their way in a per-PE in-flight table beside
+//! it, so each PE has at most one outstanding request per remote page: a
+//! miss on a requested page waits for that request's reply instead of
+//! sending another (see `pods_machine::sim`).
 
 use crate::header::ArrayId;
 use crate::value::Value;

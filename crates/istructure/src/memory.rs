@@ -32,6 +32,9 @@ pub enum ReadOutcome {
         owner: PeId,
         /// The page index to request.
         page: usize,
+        /// The page is cached, but the element was still absent when the
+        /// page was copied (a stale copy rather than a cold miss).
+        cached: bool,
     },
 }
 
@@ -156,7 +159,11 @@ impl<T> ArrayMemory<T> {
         } else {
             match self.cache.lookup(id, page, offset) {
                 Some(v) => Ok(ReadOutcome::CacheHit(v)),
-                None => Ok(ReadOutcome::RemoteMiss { owner, page }),
+                None => Ok(ReadOutcome::RemoteMiss {
+                    owner,
+                    page,
+                    cached: self.cache.contains_page(id, page),
+                }),
             }
         }
     }
@@ -308,9 +315,14 @@ mod tests {
         let (mut m0, mut m1) = two_pe_memories();
         // Offset 20 is in PE1's segment (16..32).
         match m0.read(ArrayId(0), 20, 1).unwrap() {
-            ReadOutcome::RemoteMiss { owner, page } => {
+            ReadOutcome::RemoteMiss {
+                owner,
+                page,
+                cached,
+            } => {
                 assert_eq!(owner, PeId(1));
                 assert_eq!(page, 2);
+                assert!(!cached, "nothing is cached yet: a cold miss");
             }
             other => panic!("unexpected outcome {other:?}"),
         }
@@ -323,10 +335,11 @@ mod tests {
             m0.read(ArrayId(0), 20, 2).unwrap(),
             ReadOutcome::CacheHit(Value::Int(42))
         );
-        // A different, still-absent element of the same page misses again.
+        // A different, still-absent element of the same page misses again,
+        // on a stale copy.
         assert!(matches!(
             m0.read(ArrayId(0), 21, 3).unwrap(),
-            ReadOutcome::RemoteMiss { .. }
+            ReadOutcome::RemoteMiss { cached: true, .. }
         ));
         assert_eq!(m0.cache_stats().hits, 1);
         assert_eq!(m0.cache_stats().pages_installed, 1);

@@ -47,5 +47,5 @@ pub use instance::{Instance, InstanceId, InstanceStatus, Waiter};
 pub use pods_sp::exec::{eval_binary, eval_unary, EvalError};
 pub use result::{ArraySnapshot, SimulationResult};
 pub use sim::{simulate, simulate_with_sink, Simulation, SimulationError};
-pub use stats::{PeStats, SimulationStats, Unit, UnitState};
+pub use stats::{MessageKind, PeStats, SimulationStats, Unit, UnitState};
 pub use timing::{MachineConfig, TimingModel};

@@ -10,10 +10,36 @@
 //! inter-PE traffic (tokens, spawn requests, page transfers, forwarded
 //! writes, allocation broadcasts) flows through the Routing Units and the
 //! network model.
+//!
+//! # Remote reads
+//!
+//! A read that misses the page cache sends a `ReadRequest` to the element's
+//! owner, which answers with a `PageReply` carrying the whole page once the
+//! element is present. With the cache on, each PE keeps an **in-flight
+//! table** keyed by `(array, page)`, so it has at most one outstanding
+//! request per remote page:
+//!
+//! * the read whose request is on the wire is the entry's *lead*; a later
+//!   miss on the same page sends nothing and queues as a *follower*, charged
+//!   the Array Manager's `enqueue_read` (§5.1's "push an early read onto the
+//!   queue", the split-phase mechanism the owner uses for early reads);
+//! * when the page reply installs, each follower whose element is in the
+//!   copy is delivered (`memory_read + unit_signal` on the AM); a follower
+//!   whose element was still empty when the page was copied becomes a fresh
+//!   miss — the first becomes the new lead, the rest follow it;
+//! * when the owner *defers* the lead's read (the element is unwritten), it
+//!   will answer the lead with a token and never with a page, so it also
+//!   sends a token-sized `ReadDeferred` notice. The requester then re-issues
+//!   the entry's followers the same way. Without the notice the followers
+//!   would wait for a page that never comes — possibly on a producer that
+//!   needs their values — and a ready instance would be lost.
+//!
+//! With the cache off the table is not used: every miss sends its own
+//! request and no notice is sent.
 
 use crate::instance::{Instance, InstanceId, InstanceStatus, Waiter};
 use crate::result::{ArraySnapshot, SimulationResult};
-use crate::stats::{PeStats, SimulationStats, UnitState};
+use crate::stats::{MessageKind, PeStats, SimulationStats, UnitState};
 use crate::timing::{MachineConfig, TimingModel};
 use pods_istructure::{
     ArrayHeader, ArrayId, ArrayMemory, ArrayShape, PageCopy, Partitioning, PeId, ReadOutcome,
@@ -22,6 +48,7 @@ use pods_istructure::{
 use pods_sp::exec::{self, ArrayOps, Cost, ExecCtx, Loaded, ReadSlots, RunExit, TraceSink};
 use pods_sp::{Operand, SlotId, SpId, SpProgram};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -115,6 +142,37 @@ enum Message {
         offset: usize,
         value: Value,
     },
+    /// The owner deferred `waiter`'s request for `page`: the element will
+    /// come as a token, and no page will follow.
+    ReadDeferred {
+        array: ArrayId,
+        page: usize,
+        waiter: Waiter,
+    },
+}
+
+impl Message {
+    fn kind(&self) -> MessageKind {
+        match self {
+            Message::Token { .. } => MessageKind::Token,
+            Message::Spawn { .. } => MessageKind::Spawn,
+            Message::RemoteAlloc { .. } => MessageKind::RemoteAlloc,
+            Message::ReadRequest { .. } => MessageKind::ReadRequest,
+            Message::PageReply { .. } => MessageKind::PageReply,
+            Message::WriteForward { .. } => MessageKind::WriteForward,
+            Message::ReadDeferred { .. } => MessageKind::ReadDeferred,
+        }
+    }
+}
+
+/// One outstanding page request of a PE: an in-flight table entry.
+struct InFlight {
+    /// The page's owner.
+    owner: usize,
+    /// The read whose `ReadRequest` is on the wire.
+    lead: Waiter,
+    /// Reads of the same page issued since, with their element offsets.
+    followers: Vec<(usize, Waiter)>,
 }
 
 #[derive(Debug, Clone)]
@@ -168,6 +226,9 @@ struct PeState {
     stats: PeStats,
     /// Remote requests that arrived before the array's allocation broadcast.
     pending_remote: HashMap<ArrayId, Vec<Message>>,
+    /// This PE's outstanding page requests, keyed by `(array, page)` (used
+    /// only with the page cache on).
+    in_flight: HashMap<(ArrayId, usize), InFlight>,
 }
 
 impl PeState {
@@ -180,6 +241,7 @@ impl PeState {
             eu_event_pending: false,
             stats: PeStats::default(),
             pending_remote: HashMap::new(),
+            in_flight: HashMap::new(),
         }
     }
 }
@@ -310,11 +372,13 @@ impl Simulation {
 
         let stuck: usize = self.pes.iter().map(|p| p.instances.len()).sum();
         if stuck > 0 {
+            // Name the oldest stuck instance, so the detail does not depend
+            // on hash-map iteration order.
             let detail = self
                 .pes
                 .iter()
                 .flat_map(|p| p.instances.values())
-                .next()
+                .min_by_key(|inst| inst.id)
                 .map(|inst| {
                     let template = self.program.template(inst.template);
                     format!(
@@ -481,13 +545,17 @@ impl Simulation {
             Message::ReadRequest { .. } => t.token_route,
             Message::PageReply { copy, .. } => t.page_message_time(copy.len()),
             Message::WriteForward { .. } => t.token_route,
+            Message::ReadDeferred { .. } => t.token_route,
         }
     }
 
     fn send_message(&mut self, from_pe: usize, to_pe: usize, msg: Message, now: f64) {
         let cost = self.message_route_cost(&msg);
         let finish = self.schedule_unit(from_pe, RU, now, cost);
-        self.pes[from_pe].stats.messages_sent += 1;
+        let stats = &mut self.pes[from_pe].stats;
+        stats.messages_sent += 1;
+        stats.messages_by_kind[msg.kind().index()] += 1;
+        stats.route_busy_by_kind[msg.kind().index()] += cost;
         let arrive = finish + self.config.timing.network_hop;
         self.push_event(arrive, EventKind::NetArrive { pe: to_pe, msg });
     }
@@ -553,13 +621,13 @@ impl Simulation {
                     );
                     return;
                 }
+                let page = self.pes[pe]
+                    .memory
+                    .header(array)
+                    .map(|h| h.partitioning().page_of(offset))
+                    .unwrap_or(0);
                 match self.pes[pe].memory.read_as_owner(array, offset, waiter) {
                     Ok(ReadResult::Present(value)) => {
-                        let page = self.pes[pe]
-                            .memory
-                            .header(array)
-                            .map(|h| h.partitioning().page_of(offset))
-                            .unwrap_or(0);
                         match self.pes[pe].memory.extract_page(array, page) {
                             Ok(copy) => {
                                 let service = t.send_page(copy.len());
@@ -579,7 +647,21 @@ impl Simulation {
                         }
                     }
                     Ok(ReadResult::Deferred) => {
-                        self.schedule_unit(pe, AM, time, t.enqueue_read);
+                        let finish = self.schedule_unit(pe, AM, time, t.enqueue_read);
+                        // The requester may have followers waiting on this
+                        // request's page; tell it none is coming.
+                        if self.config.remote_page_cache {
+                            self.send_message(
+                                pe,
+                                waiter.pe,
+                                Message::ReadDeferred {
+                                    array,
+                                    page,
+                                    waiter,
+                                },
+                                finish,
+                            );
+                        }
                     }
                     Err(e) => self.fail(e.to_string()),
                 }
@@ -591,9 +673,6 @@ impl Simulation {
             } => {
                 let service = t.receive_page(copy.len());
                 let finish = self.schedule_unit(pe, AM, time, service);
-                if self.config.remote_page_cache {
-                    self.pes[pe].memory.install_page(copy);
-                }
                 self.push_event(
                     finish,
                     EventKind::Deliver {
@@ -603,6 +682,49 @@ impl Simulation {
                         value,
                     },
                 );
+                if self.config.remote_page_cache {
+                    let key = (copy.array, copy.page);
+                    if let Some(entry) = self.take_in_flight(pe, key, waiter) {
+                        // Serve the followers the copy can; the rest missed
+                        // on a stale copy and ask again.
+                        let mut missing = Vec::new();
+                        for (offset, follower) in entry.followers {
+                            match copy.get(offset) {
+                                Some(v) => {
+                                    let served = self.schedule_unit(
+                                        pe,
+                                        AM,
+                                        finish,
+                                        t.memory_read + t.unit_signal,
+                                    );
+                                    self.push_event(
+                                        served,
+                                        EventKind::Deliver {
+                                            pe,
+                                            instance: follower.instance,
+                                            slot: follower.slot,
+                                            value: v,
+                                        },
+                                    );
+                                }
+                                None => missing.push((offset, follower)),
+                            }
+                        }
+                        self.reissue(pe, key, entry.owner, missing, finish);
+                    }
+                    self.pes[pe].memory.install_page(copy);
+                }
+            }
+            Message::ReadDeferred {
+                array,
+                page,
+                waiter,
+            } => {
+                let finish = self.schedule_unit(pe, MU, time, t.matching_unit);
+                let key = (array, page);
+                if let Some(entry) = self.take_in_flight(pe, key, waiter) {
+                    self.reissue(pe, key, entry.owner, entry.followers, finish);
+                }
             }
             Message::WriteForward {
                 array,
@@ -645,6 +767,82 @@ impl Simulation {
                     Err(e) => self.fail(e.to_string()),
                 }
             }
+        }
+    }
+
+    // ----- remote reads: the in-flight table -----
+
+    /// Issues a remote read of element `offset` of page `key`, owned by
+    /// `owner`. With the page cache on, a read of a page already requested
+    /// joins that request as a follower (charged `enqueue_read`, no
+    /// message); otherwise the read sends a `ReadRequest` and, with the cache
+    /// on, becomes the page's lead.
+    fn request_element(
+        &mut self,
+        pe: usize,
+        key: (ArrayId, usize),
+        offset: usize,
+        owner: usize,
+        waiter: Waiter,
+        now: f64,
+    ) {
+        let t = &self.config.timing;
+        let (enqueue, issue) = (t.enqueue_read, t.memory_read + t.unit_signal);
+        if self.config.remote_page_cache {
+            match self.pes[pe].in_flight.entry(key) {
+                Entry::Occupied(mut e) => {
+                    e.get_mut().followers.push((offset, waiter));
+                    self.schedule_unit(pe, AM, now, enqueue);
+                    return;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(InFlight {
+                        owner,
+                        lead: waiter,
+                        followers: Vec::new(),
+                    });
+                }
+            }
+        }
+        let finish = self.schedule_unit(pe, AM, now, issue);
+        self.send_message(
+            pe,
+            owner,
+            Message::ReadRequest {
+                array: key.0,
+                offset,
+                waiter,
+            },
+            finish,
+        );
+    }
+
+    /// Removes the in-flight entry of `key` if `lead` is still its lead (the
+    /// reply or deferral notice is for the current request).
+    fn take_in_flight(
+        &mut self,
+        pe: usize,
+        key: (ArrayId, usize),
+        lead: Waiter,
+    ) -> Option<InFlight> {
+        match self.pes[pe].in_flight.entry(key) {
+            Entry::Occupied(e) if e.get().lead == lead => Some(e.remove()),
+            _ => None,
+        }
+    }
+
+    /// Re-issues reads that an answered request could not serve: the first
+    /// becomes the new lead of `key`'s page and the rest follow it.
+    fn reissue(
+        &mut self,
+        pe: usize,
+        key: (ArrayId, usize),
+        owner: usize,
+        reads: Vec<(usize, Waiter)>,
+        now: f64,
+    ) {
+        for (offset, waiter) in reads {
+            self.request_element(pe, key, offset, owner, waiter, now);
         }
     }
 
@@ -858,24 +1056,24 @@ impl ArrayOps for SimCtx<'_> {
                     .schedule_unit(pe, AM, *self.t, self.timing.enqueue_read);
                 Ok(Loaded::Deferred)
             }
-            Ok(ReadOutcome::RemoteMiss { owner, .. }) => {
-                self.sim.pes[pe].stats.remote_reads += 1;
-                let finish = self.sim.schedule_unit(
-                    pe,
-                    AM,
-                    *self.t,
-                    self.timing.memory_read + self.timing.unit_signal,
-                );
-                self.sim.send_message(
-                    pe,
-                    owner.index(),
-                    Message::ReadRequest {
-                        array: id,
-                        offset,
-                        waiter,
-                    },
-                    finish,
-                );
+            Ok(ReadOutcome::RemoteMiss {
+                owner,
+                page,
+                cached,
+            }) => {
+                let sim = &mut *self.sim;
+                let key = (id, page);
+                let in_flight = sim.pes[pe].in_flight.contains_key(&key);
+                let stats = &mut sim.pes[pe].stats;
+                stats.remote_reads += 1;
+                if in_flight {
+                    stats.in_flight_misses += 1;
+                } else if cached {
+                    stats.stale_misses += 1;
+                } else {
+                    stats.cold_misses += 1;
+                }
+                sim.request_element(pe, key, offset, owner.index(), waiter, *self.t);
                 Ok(Loaded::Deferred)
             }
             Err(e) => Err(e.to_string()),
@@ -1155,7 +1353,26 @@ mod tests {
         "#;
         let program = compile_and_partition(src);
         let err = simulate(&program, &[Value::Int(4)], &MachineConfig::with_pes(1)).unwrap_err();
-        assert!(matches!(err, SimulationError::Deadlock { .. }), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "deadlock: 1 SP instances stuck (inst0 of main blocked at pc 3 (Blocked(SlotId(2))))"
+        );
+        // With several instances stuck on several PEs, the detail names the
+        // oldest one, whatever the order of the PEs' instance tables.
+        let src = r#"
+            def main(n) {
+                a = array(n);
+                b = array(n);
+                for i = 0 to n - 1 { b[i] = a[i] + 1; }
+                return b;
+            }
+        "#;
+        let program = compile_and_partition(src);
+        let err = simulate(&program, &[Value::Int(64)], &MachineConfig::with_pes(4)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "deadlock: 2 SP instances stuck (inst1 of main.loop0.i blocked at pc 7 (Blocked(SlotId(7))))"
+        );
     }
 
     #[test]
@@ -1232,17 +1449,53 @@ mod tests {
     }
 
     #[test]
+    fn routing_time_by_message_kind_adds_up_to_the_routing_unit() {
+        let src = r#"
+            def main(n) {
+                a = array(n);
+                for i = 0 to n - 1 { a[i] = i * 2; }
+                b = array(n);
+                for i = 1 to n - 1 { b[i] = a[i - 1] + a[n - i]; }
+                return b;
+            }
+        "#;
+        let result = run(src, &[Value::Int(64)], 4);
+        for (pe, stats) in result.stats.per_pe.iter().enumerate() {
+            let by_kind: f64 = stats.route_busy_by_kind.iter().sum();
+            let ru = stats.unit_busy[RU];
+            assert!((by_kind - ru).abs() < 1e-6, "PE{pe}: {by_kind} vs {ru}");
+            assert_eq!(
+                stats.messages_by_kind.iter().sum::<u64>(),
+                stats.messages_sent
+            );
+            assert_eq!(
+                stats.remote_reads,
+                stats.cold_misses + stats.in_flight_misses + stats.stale_misses
+            );
+        }
+        assert!(result.stats.total_remote_reads() > 0);
+    }
+
+    #[test]
     fn utilization_report_shows_eu_as_the_busiest_unit() {
+        // The second nest reads the row above, so rows at segment edges
+        // come from another PE: the Routing Unit carries page traffic.
         let src = r#"
             def main(n) {
                 a = matrix(n, n);
                 for i = 0 to n - 1 {
                     for j = 0 to n - 1 { a[i, j] = sqrt(i * 1.0 + j) * 3.0; }
                 }
-                return a;
+                b = matrix(n, n);
+                for i = 1 to n - 1 {
+                    for j = 0 to n - 1 { b[i, j] = sqrt(a[i - 1, j]) + a[i, j]; }
+                }
+                return b;
             }
         "#;
         let result = run(src, &[Value::Int(16)], 4);
+        assert!(result.stats.total_remote_reads() > 0, "no remote reads");
+        assert!(result.stats.total_messages_of(MessageKind::PageReply) > 0);
         let eu = result.stats.utilization(Unit::Execution);
         for unit in [Unit::Matching, Unit::MemoryManager, Unit::Routing] {
             assert!(

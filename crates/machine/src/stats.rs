@@ -44,6 +44,60 @@ impl std::fmt::Display for Unit {
     }
 }
 
+/// The kinds of inter-PE message, for attributing Routing-Unit traffic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MessageKind {
+    /// A data token for an instance slot (returns, woken deferred reads).
+    Token,
+    /// A remote spawn (the remote half of an `LD`).
+    Spawn,
+    /// The broadcast half of a distributing allocate.
+    RemoteAlloc,
+    /// A request for a remote element's page.
+    ReadRequest,
+    /// A page copy answering a [`MessageKind::ReadRequest`].
+    PageReply,
+    /// A write forwarded to the element's owner.
+    WriteForward,
+    /// The owner's notice that it deferred a page request: the element will
+    /// come later as a token, and no page will follow.
+    ReadDeferred,
+}
+
+impl MessageKind {
+    /// Number of message kinds.
+    pub const COUNT: usize = 7;
+
+    /// All kinds, in display order (and [`PeStats`] array index order).
+    pub const ALL: [MessageKind; MessageKind::COUNT] = [
+        MessageKind::Token,
+        MessageKind::Spawn,
+        MessageKind::RemoteAlloc,
+        MessageKind::ReadRequest,
+        MessageKind::PageReply,
+        MessageKind::WriteForward,
+        MessageKind::ReadDeferred,
+    ];
+
+    /// Short label used in reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            MessageKind::Token => "token",
+            MessageKind::Spawn => "spawn",
+            MessageKind::RemoteAlloc => "alloc",
+            MessageKind::ReadRequest => "read req",
+            MessageKind::PageReply => "page reply",
+            MessageKind::WriteForward => "write fwd",
+            MessageKind::ReadDeferred => "deferred",
+        }
+    }
+
+    /// Index of this kind in the per-kind arrays of [`PeStats`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Busy time and next-free time of one functional unit on one PE.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UnitState {
@@ -84,8 +138,23 @@ pub struct PeStats {
     pub local_reads: u64,
     /// Reads satisfied from the remote-page cache.
     pub cache_hit_reads: u64,
-    /// Reads that required a remote request.
+    /// Reads that missed the remote-page cache:
+    /// `cold_misses + in_flight_misses + stale_misses`.
     pub remote_reads: u64,
+    /// Misses on a page this PE had neither cached nor requested (with the
+    /// cache off, every miss).
+    pub cold_misses: u64,
+    /// Misses on a page this PE had already requested and not yet received:
+    /// they join that request instead of sending their own.
+    pub in_flight_misses: u64,
+    /// Misses on a cached page whose copy lacked the element (it was still
+    /// empty when the page was copied).
+    pub stale_misses: u64,
+    /// Messages sent, per [`MessageKind`] (indexed by [`MessageKind::index`]).
+    pub messages_by_kind: [u64; MessageKind::COUNT],
+    /// Routing-Unit busy time per [`MessageKind`] (µs); sums to the RU
+    /// entry of `unit_busy`.
+    pub route_busy_by_kind: [f64; MessageKind::COUNT],
     /// Reads deferred on an absent element.
     pub deferred_reads: u64,
     /// Array element writes performed (locally owned).
@@ -163,6 +232,24 @@ impl SimulationStats {
         self.per_pe.iter().map(|p| p.cache_hit_reads).sum()
     }
 
+    /// Sums any per-PE counter, e.g. `stats.total(|p| p.stale_misses)`.
+    pub fn total(&self, counter: impl Fn(&PeStats) -> u64) -> u64 {
+        self.per_pe.iter().map(counter).sum()
+    }
+
+    /// Total messages of one kind sent across PEs.
+    pub fn total_messages_of(&self, kind: MessageKind) -> u64 {
+        self.total(|p| p.messages_by_kind[kind.index()])
+    }
+
+    /// Total Routing-Unit busy time spent on one kind of message (µs).
+    pub fn route_busy_of(&self, kind: MessageKind) -> f64 {
+        self.per_pe
+            .iter()
+            .map(|p| p.route_busy_by_kind[kind.index()])
+            .sum()
+    }
+
     /// Elapsed time in seconds.
     pub fn elapsed_seconds(&self) -> f64 {
         self.elapsed_us / 1.0e6
@@ -238,6 +325,21 @@ mod tests {
         assert_eq!(s.total_messages(), 3);
         assert_eq!(s.total_context_switches(), 4);
         assert!(s.summary().contains("utilization"));
+    }
+
+    #[test]
+    fn message_kinds_index_the_per_kind_arrays_in_display_order() {
+        for (i, kind) in MessageKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
+        let mut s = SimulationStats::new(2);
+        s.per_pe[0].messages_by_kind[MessageKind::PageReply.index()] = 3;
+        s.per_pe[1].messages_by_kind[MessageKind::PageReply.index()] = 4;
+        s.per_pe[1].route_busy_by_kind[MessageKind::Token.index()] = 19.5;
+        s.per_pe[0].stale_misses = 2;
+        assert_eq!(s.total_messages_of(MessageKind::PageReply), 7);
+        assert_eq!(s.route_busy_of(MessageKind::Token), 19.5);
+        assert_eq!(s.total(|p| p.stale_misses), 2);
     }
 
     #[test]
