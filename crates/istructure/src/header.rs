@@ -7,7 +7,7 @@
 //! restrict loop bounds (Figure 5) and the first-element-ownership rule of
 //! §4.2.3 is implemented here as well.
 
-use crate::layout::{ArrayShape, DimRange, Partitioning};
+use crate::layout::{ArrayShape, DimRange, PartitionSpec, Partitioning};
 use crate::PeId;
 use std::sync::Arc;
 
@@ -62,6 +62,23 @@ impl ArrayHeader {
             shape,
             partitioning,
         }
+    }
+
+    /// Re-describes this header in place for another array: the extents
+    /// are rewritten and the segment table rebuilt in its own storage, so
+    /// a reused header calls the allocator only for ranks above four or for
+    /// more PEs than it was built for.
+    pub(crate) fn reset(
+        &mut self,
+        id: ArrayId,
+        name: &Arc<str>,
+        dims: &[usize],
+        partitioning: PartitionSpec,
+    ) {
+        self.id = id;
+        self.name = Arc::clone(name);
+        self.shape = ArrayShape::from_dims(dims);
+        self.partitioning.rebuild(self.shape.len(), partitioning);
     }
 
     /// The array identifier.

@@ -16,10 +16,26 @@
 use crate::PeId;
 use std::ops::Range;
 
+/// Ranks up to this many dimensions keep their extents inline; higher ranks
+/// spill to the heap, so the language has no rank limit.
+const INLINE_RANK: usize = 4;
+
 /// The shape (dimension sizes) of an array, stored row-major.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Extents of rank up to four are held inline, so building or cloning the
+/// shape of any array the workloads allocate never calls the allocator.
+#[derive(Clone)]
 pub struct ArrayShape {
-    dims: Vec<usize>,
+    extents: Extents,
+}
+
+#[derive(Clone)]
+enum Extents {
+    Inline {
+        rank: usize,
+        dims: [usize; INLINE_RANK],
+    },
+    Spilled(Vec<usize>),
 }
 
 impl ArrayShape {
@@ -27,41 +43,63 @@ impl ArrayShape {
     ///
     /// A scalar-like empty shape is normalised to a one-element vector.
     pub fn new(dims: Vec<usize>) -> Self {
-        if dims.is_empty() {
-            ArrayShape { dims: vec![1] }
+        if dims.len() > INLINE_RANK {
+            ArrayShape {
+                extents: Extents::Spilled(dims),
+            }
         } else {
-            ArrayShape { dims }
+            ArrayShape::from_dims(&dims)
         }
+    }
+
+    /// Creates a shape from borrowed dimension sizes, normalised like
+    /// [`ArrayShape::new`].
+    pub fn from_dims(dims: &[usize]) -> Self {
+        let dims = if dims.is_empty() { &[1][..] } else { dims };
+        let extents = if dims.len() <= INLINE_RANK {
+            let mut inline = [0; INLINE_RANK];
+            inline[..dims.len()].copy_from_slice(dims);
+            Extents::Inline {
+                rank: dims.len(),
+                dims: inline,
+            }
+        } else {
+            Extents::Spilled(dims.to_vec())
+        };
+        ArrayShape { extents }
     }
 
     /// Creates a one-dimensional shape.
     pub fn vector(n: usize) -> Self {
-        ArrayShape::new(vec![n])
+        ArrayShape::from_dims(&[n])
     }
 
     /// Creates a two-dimensional shape (`rows` x `cols`).
     pub fn matrix(rows: usize, cols: usize) -> Self {
-        ArrayShape::new(vec![rows, cols])
+        ArrayShape::from_dims(&[rows, cols])
     }
 
     /// Returns the dimension sizes.
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        match &self.extents {
+            Extents::Inline { rank, dims } => &dims[..*rank],
+            Extents::Spilled(dims) => dims,
+        }
     }
 
     /// Returns the number of dimensions.
     pub fn ndims(&self) -> usize {
-        self.dims.len()
+        self.dims().len()
     }
 
     /// Returns `true` if any dimension is zero.
     pub fn is_degenerate(&self) -> bool {
-        self.dims.contains(&0)
+        self.dims().contains(&0)
     }
 
     /// Returns the total number of elements.
     pub fn len(&self) -> usize {
-        self.dims.iter().product()
+        self.dims().iter().product()
     }
 
     /// Returns `true` when the array holds no elements.
@@ -73,12 +111,12 @@ impl ArrayShape {
     ///
     /// For a 1-D array this is 1 so that every element is its own row.
     pub fn row_len(&self) -> usize {
-        self.dims[1..].iter().product::<usize>().max(1)
+        self.dims()[1..].iter().product::<usize>().max(1)
     }
 
     /// Number of rows (extent of the first dimension).
     pub fn num_rows(&self) -> usize {
-        self.dims[0]
+        self.dims()[0]
     }
 
     /// Computes the row-major offset of a multi-dimensional index.
@@ -86,11 +124,12 @@ impl ArrayShape {
     /// Returns `None` when the number of indices does not match the number of
     /// dimensions or any index is out of range. Indices are zero-based.
     pub fn offset_of(&self, indices: &[i64]) -> Option<usize> {
-        if indices.len() != self.dims.len() {
+        let dims = self.dims();
+        if indices.len() != dims.len() {
             return None;
         }
         let mut offset: usize = 0;
-        for (&idx, &dim) in indices.iter().zip(&self.dims) {
+        for (&idx, &dim) in indices.iter().zip(dims) {
             if idx < 0 || (idx as usize) >= dim {
                 return None;
             }
@@ -107,19 +146,44 @@ impl ArrayShape {
         if offset >= self.len() {
             return None;
         }
+        let dims = self.dims();
         let mut rem = offset;
-        let mut out = vec![0usize; self.dims.len()];
-        for k in (0..self.dims.len()).rev() {
-            out[k] = rem % self.dims[k];
-            rem /= self.dims[k];
+        let mut out = vec![0usize; dims.len()];
+        for k in (0..dims.len()).rev() {
+            out[k] = rem % dims[k];
+            rem /= dims[k];
         }
         Some(out)
     }
 }
 
+// Equality, hashing and debug output see the extents only, never how they
+// are stored.
+impl PartialEq for ArrayShape {
+    fn eq(&self, other: &Self) -> bool {
+        self.dims() == other.dims()
+    }
+}
+
+impl Eq for ArrayShape {}
+
+impl std::hash::Hash for ArrayShape {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.dims().hash(state);
+    }
+}
+
+impl std::fmt::Debug for ArrayShape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ArrayShape")
+            .field("dims", &self.dims())
+            .finish()
+    }
+}
+
 impl std::fmt::Display for ArrayShape {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let parts: Vec<String> = self.dims.iter().map(|d| d.to_string()).collect();
+        let parts: Vec<String> = self.dims().iter().map(|d| d.to_string()).collect();
         write!(f, "{}", parts.join("x"))
     }
 }
@@ -223,6 +287,39 @@ impl Segment {
     }
 }
 
+/// The parameters a [`Partitioning`] is built from: the page size, the
+/// machine size, and whether the pages are spread over every PE or all kept
+/// on one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartitionSpec {
+    /// Page size in elements.
+    pub page_size: usize,
+    /// Number of PEs participating in the distribution.
+    pub num_pes: usize,
+    /// `None` spreads the pages over every PE ([`Partitioning::new`]);
+    /// `Some(pe)` keeps them all on `pe` ([`Partitioning::single_owner`]).
+    pub owner: Option<PeId>,
+}
+
+impl PartitionSpec {
+    /// Partitions `total_elements` elements according to this spec.
+    ///
+    /// # Panics
+    ///
+    /// As [`Partitioning::rebuild`].
+    pub fn build(self, total_elements: usize) -> Partitioning {
+        let mut partitioning = Partitioning {
+            total_elements: 0,
+            page_size: 1,
+            num_pes: 1,
+            num_pages: 0,
+            segments: Vec::new(),
+        };
+        partitioning.rebuild(total_elements, self);
+        partitioning
+    }
+}
+
 /// Row-major page partitioning of an array over a set of PEs (§4.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partitioning {
@@ -242,34 +339,12 @@ impl Partitioning {
     ///
     /// Panics if `page_size` or `num_pes` is zero.
     pub fn new(total_elements: usize, page_size: usize, num_pes: usize) -> Self {
-        assert!(page_size > 0, "page size must be positive");
-        assert!(num_pes > 0, "number of PEs must be positive");
-        let num_pages = total_elements.div_ceil(page_size).max(1);
-        let base = num_pages / num_pes;
-        let extra = num_pages % num_pes;
-        let mut segments = Vec::with_capacity(num_pes);
-        let mut next_page = 0usize;
-        for pe in 0..num_pes {
-            // The first `extra` PEs receive one additional page so that the
-            // segment sizes differ by at most one page.
-            let count = base + usize::from(pe < extra);
-            let pages = next_page..next_page + count;
-            next_page += count;
-            let elem_start = (pages.start * page_size).min(total_elements);
-            let elem_end = (pages.end * page_size).min(total_elements);
-            segments.push(Segment {
-                pe: PeId(pe),
-                pages,
-                elements: elem_start..elem_end,
-            });
-        }
-        Partitioning {
-            total_elements,
+        PartitionSpec {
             page_size,
             num_pes,
-            num_pages,
-            segments,
+            owner: None,
         }
+        .build(total_elements)
     }
 
     /// A partitioning that keeps the whole array on a single PE.
@@ -289,34 +364,73 @@ impl Partitioning {
         num_pes: usize,
         owner: PeId,
     ) -> Self {
-        assert!(page_size > 0, "page size must be positive");
-        assert!(num_pes > 0, "number of PEs must be positive");
-        assert!(owner.index() < num_pes, "owner PE out of range");
-        let num_pages = total_elements.div_ceil(page_size).max(1);
-        let segments = (0..num_pes)
-            .map(|pe| {
-                if pe == owner.index() {
-                    Segment {
-                        pe: PeId(pe),
-                        pages: 0..num_pages,
-                        elements: 0..total_elements,
-                    }
-                } else {
-                    Segment {
-                        pe: PeId(pe),
-                        pages: 0..0,
-                        elements: 0..0,
-                    }
-                }
-            })
-            .collect();
-        Partitioning {
-            total_elements,
+        PartitionSpec {
             page_size,
             num_pes,
-            num_pages,
-            segments,
+            owner: Some(owner),
         }
+        .build(total_elements)
+    }
+
+    /// Re-partitions `total_elements` elements according to `spec` in
+    /// place. The segment table keeps its storage, so re-partitioning over
+    /// no more PEs than before does not call the allocator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page size or PE count is zero, or the owner is out of
+    /// range.
+    pub fn rebuild(&mut self, total_elements: usize, spec: PartitionSpec) {
+        let PartitionSpec {
+            page_size,
+            num_pes,
+            owner,
+        } = spec;
+        assert!(page_size > 0, "page size must be positive");
+        assert!(num_pes > 0, "number of PEs must be positive");
+        let num_pages = total_elements.div_ceil(page_size).max(1);
+        self.segments.clear();
+        self.segments.reserve_exact(num_pes);
+        match owner {
+            None => {
+                let base = num_pages / num_pes;
+                let extra = num_pages % num_pes;
+                let mut next_page = 0usize;
+                for pe in 0..num_pes {
+                    // The first `extra` PEs receive one additional page so
+                    // that the segment sizes differ by at most one page.
+                    let count = base + usize::from(pe < extra);
+                    let pages = next_page..next_page + count;
+                    next_page += count;
+                    let elem_start = (pages.start * page_size).min(total_elements);
+                    let elem_end = (pages.end * page_size).min(total_elements);
+                    self.segments.push(Segment {
+                        pe: PeId(pe),
+                        pages,
+                        elements: elem_start..elem_end,
+                    });
+                }
+            }
+            Some(owner) => {
+                assert!(owner.index() < num_pes, "owner PE out of range");
+                self.segments.extend((0..num_pes).map(|pe| {
+                    let (pages, elements) = if pe == owner.index() {
+                        (0..num_pages, 0..total_elements)
+                    } else {
+                        (0..0, 0..0)
+                    };
+                    Segment {
+                        pe: PeId(pe),
+                        pages,
+                        elements,
+                    }
+                }));
+            }
+        }
+        self.total_elements = total_elements;
+        self.page_size = page_size;
+        self.num_pes = num_pes;
+        self.num_pages = num_pages;
     }
 
     /// Total number of elements covered.
@@ -502,6 +616,54 @@ mod tests {
         for offset in [0, 50, 99] {
             assert_eq!(part.owner_of(offset), PeId(2));
         }
+    }
+
+    #[test]
+    fn shapes_compare_by_extents_whether_inline_or_spilled() {
+        let inline = ArrayShape::from_dims(&[2, 3, 4, 5]);
+        assert_eq!(inline, ArrayShape::new(vec![2, 3, 4, 5]));
+        assert_eq!(inline.len(), 120);
+        let spilled = ArrayShape::new(vec![2, 3, 4, 5, 6]);
+        assert_eq!(spilled, ArrayShape::from_dims(&[2, 3, 4, 5, 6]));
+        assert_eq!(spilled.dims(), &[2, 3, 4, 5, 6]);
+        assert_eq!(spilled.len(), 720);
+        assert_ne!(inline, ArrayShape::from_dims(&[2, 3, 4]));
+        assert_eq!(ArrayShape::new(Vec::new()), ArrayShape::vector(1));
+        assert_eq!(
+            format!("{:?}", ArrayShape::matrix(3, 4)),
+            "ArrayShape { dims: [3, 4] }"
+        );
+    }
+
+    #[test]
+    fn rebuilding_in_place_equals_building_afresh() {
+        let specs = [
+            PartitionSpec {
+                page_size: 32,
+                num_pes: 4,
+                owner: None,
+            },
+            PartitionSpec {
+                page_size: 8,
+                num_pes: 4,
+                owner: Some(PeId(2)),
+            },
+            PartitionSpec {
+                page_size: 7,
+                num_pes: 3,
+                owner: None,
+            },
+        ];
+        let mut reused = Partitioning::new(1536, 32, 4);
+        for (spec, total) in specs.iter().zip([1000, 100, 500]) {
+            reused.rebuild(total, *spec);
+            assert_eq!(reused, spec.build(total));
+        }
+        assert_eq!(reused, Partitioning::new(500, 7, 3));
+        assert_eq!(
+            specs[1].build(100),
+            Partitioning::single_owner(100, 8, 4, PeId(2))
+        );
     }
 
     #[test]

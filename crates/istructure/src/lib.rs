@@ -48,7 +48,7 @@ mod value;
 pub use cache::{CacheStats, PageCache, PageCopy};
 pub use error::IStructureError;
 pub use header::{ArrayHeader, ArrayId};
-pub use layout::{ArrayShape, DimRange, Partitioning, Segment};
+pub use layout::{ArrayShape, DimRange, PartitionSpec, Partitioning, Segment};
 pub use memory::{ArrayMemory, ReadOutcome, WriteOutcome};
 pub use shared::{SharedArray, SharedArrayStore, SharedReadResult, StoreStats};
 pub use store::{LocalArrayStore, ReadResult};

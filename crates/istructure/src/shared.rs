@@ -29,25 +29,32 @@
 //! workers via `Arc`; headers carry the same [`Partitioning`] the simulator
 //! uses, so Range Filters compute identical per-worker responsibility
 //! ranges in both execution modes.
+//!
+//! A store serves one job at a time but may serve many in turn:
+//! [`SharedArrayStore::recycle`] empties it for the next job and keeps the
+//! finished job's arrays as spares, so an allocation of the same length
+//! rewrites a spare's header and cells in place instead of calling the
+//! allocator.
 
 use crate::error::IStructureError;
 use crate::header::{ArrayHeader, ArrayId};
-use crate::layout::{ArrayShape, Partitioning};
+use crate::layout::{ArrayShape, PartitionSpec, Partitioning};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Allocation statistics of a [`SharedArrayStore`], maintained with relaxed
-/// atomics so sampling them never contends with the execution hot path.
+/// Allocation statistics of a [`SharedArrayStore`] for the job it is
+/// serving, maintained with relaxed atomics so sampling them never contends
+/// with the execution hot path.
 ///
-/// `live` counts what the store currently holds; `peak` is the high-water
-/// mark over the store's lifetime. Byte figures are *approximate*: each
-/// array is costed as its header plus one locked cell per element
+/// `live` counts what the job has allocated in the store; `peak` is the
+/// high-water mark over the job. Byte figures are *approximate*: each array
+/// is costed as its header plus one locked cell per element
 /// (`size_of::<Mutex<SharedCell<T>>>()`), which tracks the dominant term of
-/// the real footprint but ignores deferred-reader queue growth. Until
-/// array deallocation lands (the GC half of the array-lifecycle roadmap
-/// item), nothing decrements the live counters, so `live == peak`.
+/// the real footprint but ignores deferred-reader queue growth. Arrays are
+/// released only between jobs, when [`SharedArrayStore::recycle`] resets
+/// all four counters to zero, so within one job `live == peak`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Arrays currently allocated in the store.
@@ -97,6 +104,24 @@ pub struct SharedArray<T> {
 }
 
 impl<T> SharedArray<T> {
+    fn new(header: ArrayHeader) -> Self {
+        let len = header.len();
+        SharedArray {
+            header,
+            cells: (0..len)
+                .map(|_| Mutex::new(SharedCell::default()))
+                .collect(),
+        }
+    }
+
+    /// Empties every cell, dropping any waiters still queued on it;
+    /// `false` if a panic poisoned a cell.
+    fn clear(&mut self) -> bool {
+        self.cells
+            .iter_mut()
+            .all(|cell| cell.get_mut().map(|c| *c = SharedCell::Empty).is_ok())
+    }
+
     /// The array header (shape, name, partitioning / responsibility ranges).
     pub fn header(&self) -> &ArrayHeader {
         &self.header
@@ -244,13 +269,21 @@ const DIRECTORY_SHARDS: usize = 16;
 /// The directory is split into a fixed number of independently locked
 /// maps (16 shards) keyed by array id. Per-task caching already hides directory lookups
 /// on the hot path; sharding removes the residual cold-path contention —
-/// first-touch lookups and allocations of distinct arrays proceed in
-/// parallel instead of serialising on one `RwLock`.
+/// first-touch lookups of distinct arrays proceed in parallel instead of
+/// serialising on one `RwLock`.
+///
+/// Creating a store does not call the allocator; a store that serves job
+/// after job through [`Self::recycle`] keeps its directory's capacity and
+/// the last job's arrays.
 #[derive(Debug)]
 pub struct SharedArrayStore<T> {
-    shards: Vec<RwLock<HashMap<ArrayId, Arc<SharedArray<T>>>>>,
-    /// Allocation order, so result snapshots match the simulator's.
+    shards: [RwLock<HashMap<ArrayId, Arc<SharedArray<T>>>>; DIRECTORY_SHARDS],
+    /// Allocation order, so result snapshots match the simulator's. Lock
+    /// order: `order`, then a shard.
     order: Mutex<Vec<ArrayId>>,
+    /// The previous job's arrays, emptied, that nothing else holds:
+    /// `allocate` takes one of the right length before it builds an array.
+    spares: Mutex<Vec<Arc<SharedArray<T>>>>,
     /// Arrays currently allocated (see [`StoreStats`]).
     live_arrays: AtomicUsize,
     /// High-water mark of `live_arrays`.
@@ -264,10 +297,9 @@ pub struct SharedArrayStore<T> {
 impl<T> Default for SharedArrayStore<T> {
     fn default() -> Self {
         SharedArrayStore {
-            shards: (0..DIRECTORY_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             order: Mutex::new(Vec::new()),
+            spares: Mutex::new(Vec::new()),
             live_arrays: AtomicUsize::new(0),
             peak_arrays: AtomicUsize::new(0),
             live_bytes: AtomicUsize::new(0),
@@ -307,24 +339,78 @@ impl<T> SharedArrayStore<T> {
             });
         }
         let header = ArrayHeader::new(id, name, shape, partitioning);
-        let len = header.len();
-        let array = Arc::new(SharedArray {
-            header,
-            cells: (0..len)
-                .map(|_| Mutex::new(SharedCell::default()))
-                .collect(),
-        });
+        let array = match self.take_spare(header.len()) {
+            Some(mut spare) => {
+                unique(&mut spare).header = header;
+                spare
+            }
+            None => Arc::new(SharedArray::new(header)),
+        };
+        self.insert(array)
+    }
+
+    /// Allocates an array of extents `dims`, partitioned by `partitioning`,
+    /// with the allocating instruction's shared copy of its name. This is
+    /// the pooled engines' path: a spare array of the same length is reused
+    /// whole — header storage, record and cells — so it calls the
+    /// allocator only when no spare fits (or for ranks above four).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::allocate`].
+    pub fn allocate_dims(
+        &self,
+        id: ArrayId,
+        name: &Arc<str>,
+        dims: &[usize],
+        partitioning: PartitionSpec,
+    ) -> Result<(), IStructureError> {
+        if dims.contains(&0) {
+            return Err(IStructureError::InvalidShape {
+                dims: dims.to_vec(),
+            });
+        }
+        let len = dims.iter().product();
+        let array = match self.take_spare(len) {
+            Some(mut spare) => {
+                unique(&mut spare)
+                    .header
+                    .reset(id, name, dims, partitioning);
+                spare
+            }
+            None => {
+                let shape = ArrayShape::from_dims(dims);
+                let header = ArrayHeader::new(id, Arc::clone(name), shape, partitioning.build(len));
+                Arc::new(SharedArray::new(header))
+            }
+        };
+        self.insert(array)
+    }
+
+    /// A spare array with `len` cells, if the previous job left one.
+    fn take_spare(&self, len: usize) -> Option<Arc<SharedArray<T>>> {
+        let mut spares = self.spares.lock().expect("shared store poisoned");
+        let i = spares.iter().position(|a| a.len() == len)?;
+        Some(spares.swap_remove(i))
+    }
+
+    /// Enters a built array into the directory and the allocation order.
+    fn insert(&self, array: Arc<SharedArray<T>>) -> Result<(), IStructureError> {
+        let id = array.header.id();
+        let len = array.len();
+        // The order lock is held across the shard insert, so a racing
+        // duplicate allocate of the *same* id cannot interleave between the
+        // insert and the order push (allocations of different ids serialise
+        // only here; whichever push lands first *is* the allocation order).
+        let mut order = self.order.lock().expect("shared store poisoned");
         let mut arrays = self.shard(id).write().expect("shared store poisoned");
         if arrays.contains_key(&id) {
             return Err(IStructureError::DuplicateArray { array: id });
         }
         arrays.insert(id, array);
-        // Take the order lock while still holding the shard write lock so a
-        // racing duplicate allocate of the *same* id cannot interleave
-        // between the insert and the order push (allocations of different
-        // ids may interleave freely — whichever push lands first *is* the
-        // allocation order).
-        self.order.lock().expect("shared store poisoned").push(id);
+        order.push(id);
+        drop(arrays);
+        drop(order);
         let bytes =
             std::mem::size_of::<ArrayHeader>() + len * std::mem::size_of::<Mutex<SharedCell<T>>>();
         let live = self.live_arrays.fetch_add(1, Ordering::Relaxed) + 1;
@@ -332,6 +418,48 @@ impl<T> SharedArrayStore<T> {
         let live_bytes = self.live_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.peak_bytes.fetch_max(live_bytes, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Empties the store for the next job, keeping what can be reused: the
+    /// directory's and the allocation order's capacity, and as spares every
+    /// array of the finished job that nothing else still holds (an `Arc`
+    /// clone kept elsewhere makes that array's reuse unsafe, so it is
+    /// dropped instead). A kept array's cells are reset to empty, which
+    /// drops any waiters a failed or cancelled job left queued on them.
+    /// Spares the finished job did not take are dropped, so a store holds
+    /// at most one job's arrays. The [`StoreStats`] restart at zero.
+    ///
+    /// Never panics, so it may run in a `Drop`: it returns `false` if a
+    /// panic poisoned one of the store's locks, and such a store must not
+    /// serve another job.
+    pub fn recycle(&mut self) -> bool {
+        let Ok(spares) = self.spares.get_mut() else {
+            return false;
+        };
+        spares.clear();
+        for shard in &mut self.shards {
+            let Ok(arrays) = shard.get_mut() else {
+                return false;
+            };
+            for (_, mut array) in arrays.drain() {
+                if Arc::get_mut(&mut array).is_some_and(SharedArray::clear) {
+                    spares.push(array);
+                }
+            }
+        }
+        let Ok(order) = self.order.get_mut() else {
+            return false;
+        };
+        order.clear();
+        for counter in [
+            &mut self.live_arrays,
+            &mut self.peak_arrays,
+            &mut self.live_bytes,
+            &mut self.peak_bytes,
+        ] {
+            *counter.get_mut() = 0;
+        }
+        true
     }
 
     /// Current/peak allocation counters (relaxed-atomic snapshot; safe to
@@ -369,8 +497,9 @@ impl<T> SharedArrayStore<T> {
     /// Snapshots of every array in allocation order:
     /// `(id, name, shape, values)`.
     pub fn snapshots(&self) -> Vec<(ArrayId, String, ArrayShape, Vec<Option<Value>>)> {
-        let order = self.order.lock().expect("shared store poisoned").clone();
-        order
+        self.order
+            .lock()
+            .expect("shared store poisoned")
             .iter()
             .filter_map(|id| self.array(*id))
             .map(|a| {
@@ -383,6 +512,12 @@ impl<T> SharedArrayStore<T> {
             })
             .collect()
     }
+}
+
+/// Mutable access to an array taken from the spare list, which only ever
+/// holds arrays nothing else references.
+fn unique<T>(spare: &mut Arc<SharedArray<T>>) -> &mut SharedArray<T> {
+    Arc::get_mut(spare).expect("a spare array has no other owner")
 }
 
 #[cfg(test)]
@@ -738,7 +873,7 @@ mod tests {
         assert_eq!(two.live_arrays, 2);
         assert_eq!(two.peak_arrays, 2);
         assert!(two.live_bytes > one.live_bytes);
-        // No deallocation yet: live always equals peak.
+        // Nothing is released within a job: live always equals peak.
         assert_eq!(two.live_bytes, two.peak_bytes);
         // Failed allocations leave the counters untouched.
         assert!(s
@@ -750,5 +885,155 @@ mod tests {
             )
             .is_err());
         assert_eq!(s.stats(), two);
+    }
+
+    fn spread(num_pes: usize) -> PartitionSpec {
+        PartitionSpec {
+            page_size: 8,
+            num_pes,
+            owner: None,
+        }
+    }
+
+    /// The store of a job that wrote `a[3]` and left a reader queued on
+    /// `a[5]`, recycled; returns it with the address of `a`'s record.
+    fn recycled() -> (SharedArrayStore<usize>, *const SharedArray<usize>) {
+        let mut s = store();
+        let a = s.require(ArrayId(0)).unwrap();
+        a.write(3, Value::Int(9)).unwrap();
+        assert_eq!(a.read(5, 7).unwrap(), SharedReadResult::Deferred);
+        let record = Arc::as_ptr(&a);
+        drop(a);
+        assert!(s.recycle());
+        (s, record)
+    }
+
+    #[test]
+    fn a_recycled_store_reuses_an_array_of_the_same_length_with_every_cell_empty() {
+        let (s, record) = recycled();
+        assert_eq!(s.stats(), StoreStats::default());
+        assert_eq!(s.num_arrays(), 0);
+        assert!(s.snapshots().is_empty());
+        assert!(s.require(ArrayId(0)).is_err());
+        // 8 x 4 has the 4 x 8 array's length: its record is reused, with a
+        // header rewritten for the new name, shape and partitioning.
+        s.allocate_dims(ArrayId(0), &Arc::from("c"), &[8, 4], spread(4))
+            .unwrap();
+        let c = s.require(ArrayId(0)).unwrap();
+        assert_eq!(Arc::as_ptr(&c), record);
+        assert_eq!(c.header().name(), "c");
+        assert_eq!(c.header().shape(), &ArrayShape::matrix(8, 4));
+        assert_eq!(c.header().partitioning(), &Partitioning::new(32, 8, 4));
+        assert!(c.snapshot().iter().all(Option::is_none));
+        // The queued reader went with the old job.
+        assert_eq!(c.write(5, Value::Int(1)).unwrap(), Vec::<usize>::new());
+        assert_eq!(c.write(3, Value::Int(2)).unwrap(), Vec::<usize>::new());
+        let stats = s.stats();
+        assert_eq!((stats.live_arrays, stats.peak_arrays), (1, 1));
+    }
+
+    #[test]
+    fn recycling_releases_the_waiters_a_failed_job_left_queued() {
+        // Async-style waiters: each queued read holds an `Arc` of its task.
+        let mut s = SharedArrayStore::<Arc<u8>>::new();
+        s.allocate(
+            ArrayId(0),
+            "a",
+            ArrayShape::vector(4),
+            Partitioning::new(4, 8, 1),
+        )
+        .unwrap();
+        let task = Arc::new(0u8);
+        let a = s.require(ArrayId(0)).unwrap();
+        for offset in [1, 2, 2] {
+            a.read(offset, Arc::clone(&task)).unwrap();
+        }
+        drop(a);
+        assert_eq!(Arc::strong_count(&task), 4);
+        assert!(s.recycle());
+        assert_eq!(Arc::strong_count(&task), 1);
+    }
+
+    #[test]
+    fn a_recycled_store_rejects_duplicates_and_snapshots_the_new_order() {
+        let (s, _) = recycled();
+        s.allocate_dims(ArrayId(1), &Arc::from("y"), &[2], spread(2))
+            .unwrap();
+        s.allocate_dims(ArrayId(0), &Arc::from("x"), &[32], spread(2))
+            .unwrap();
+        assert!(matches!(
+            s.allocate_dims(ArrayId(1), &Arc::from("dup"), &[2], spread(2)),
+            Err(IStructureError::DuplicateArray { .. })
+        ));
+        assert!(matches!(
+            s.allocate(
+                ArrayId(0),
+                "dup",
+                ArrayShape::vector(32),
+                Partitioning::new(32, 8, 2)
+            ),
+            Err(IStructureError::DuplicateArray { .. })
+        ));
+        let names: Vec<String> = s.snapshots().into_iter().map(|(_, n, ..)| n).collect();
+        assert_eq!(names, ["y", "x"]);
+        assert_eq!(s.num_arrays(), 2);
+        assert_eq!(s.stats().live_arrays, 2);
+    }
+
+    #[test]
+    fn a_length_mismatch_builds_a_fresh_array() {
+        let (s, record) = recycled();
+        s.allocate_dims(ArrayId(0), &Arc::from("v"), &[16], spread(2))
+            .unwrap();
+        let v = s.require(ArrayId(0)).unwrap();
+        assert_ne!(Arc::as_ptr(&v), record);
+        assert_eq!(v.len(), 16);
+        assert!(matches!(
+            s.allocate_dims(ArrayId(1), &Arc::from("z"), &[4, 0], spread(2)),
+            Err(IStructureError::InvalidShape { .. })
+        ));
+    }
+
+    #[test]
+    fn an_array_still_referenced_elsewhere_is_not_reused() {
+        let mut s = store();
+        let held = s.require(ArrayId(0)).unwrap();
+        held.write(0, Value::Int(1)).unwrap();
+        assert!(s.recycle());
+        s.allocate_dims(ArrayId(0), &Arc::from("b"), &[4, 8], spread(2))
+            .unwrap();
+        let fresh = s.require(ArrayId(0)).unwrap();
+        assert!(!Arc::ptr_eq(&fresh, &held));
+        assert_eq!(fresh.peek(0), None);
+        // The holder's array was left exactly as it was.
+        assert_eq!(held.peek(0), Some(Value::Int(1)));
+    }
+
+    #[test]
+    fn recycling_never_panics_on_a_poisoned_lock() {
+        fn poison<G>(lock: impl FnOnce() -> G + Send) {
+            thread::scope(|scope| {
+                let held = scope.spawn(move || {
+                    let _guard = lock();
+                    panic!("poison it");
+                });
+                assert!(held.join().is_err());
+            });
+        }
+        // A poisoned cell costs only its array, which is not kept.
+        let (mut s, _) = recycled();
+        s.allocate_dims(ArrayId(0), &Arc::from("p"), &[32], spread(2))
+            .unwrap();
+        let a = s.require(ArrayId(0)).unwrap();
+        poison(|| a.cells[0].lock());
+        drop(a);
+        assert!(s.recycle());
+        s.allocate_dims(ArrayId(0), &Arc::from("q"), &[32], spread(2))
+            .unwrap();
+        // Reading the poisoned cell would panic.
+        assert_eq!(s.require(ArrayId(0)).unwrap().peek(0), None);
+        // A poisoned directory lock makes the whole store unfit for reuse.
+        poison(|| s.order.lock());
+        assert!(!s.recycle());
     }
 }

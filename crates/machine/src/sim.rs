@@ -855,7 +855,7 @@ impl Simulation {
         distributed: bool,
         origin: usize,
     ) {
-        let shape = ArrayShape::new(dims.to_vec());
+        let shape = ArrayShape::from_dims(dims);
         let partitioning = if distributed {
             Partitioning::new(shape.len(), self.config.page_size, self.pes.len())
         } else {
@@ -974,7 +974,7 @@ impl ArrayOps for SimCtx<'_> {
         &mut self,
         dst: SlotId,
         name: &Arc<str>,
-        dims: Vec<usize>,
+        dims: &[usize],
         distributed: bool,
     ) -> Result<(), String> {
         let pe = self.pe;
@@ -985,9 +985,8 @@ impl ArrayOps for SimCtx<'_> {
         self.sim.next_array += 1;
         self.sim
             .arrays
-            .push((id, name.to_string(), ArrayShape::new(dims.clone())));
-        self.sim
-            .register_array(pe, id, name, &dims, distributed, pe);
+            .push((id, name.to_string(), ArrayShape::from_dims(dims)));
+        self.sim.register_array(pe, id, name, dims, distributed, pe);
         let finish = self
             .sim
             .schedule_unit(pe, AM, *self.t, self.timing.array_allocate);
@@ -1010,7 +1009,7 @@ impl ArrayOps for SimCtx<'_> {
                         Message::RemoteAlloc {
                             array: id,
                             name: name.to_string(),
-                            dims: dims.clone(),
+                            dims: dims.to_vec(),
                             distributed: true,
                             origin: pe,
                         },

@@ -288,6 +288,10 @@ impl Suspension for Wakers {
         (live, detail)
     }
 
+    fn clear(last: &mut Mutex<Option<SuspendInfo>>) -> bool {
+        last.get_mut().map(|last| *last = None).is_ok()
+    }
+
     fn stats(c: PoolStats, partition: Arc<PartitionReport>) -> EngineStats {
         let stats = AsyncStats {
             workers: c.workers,

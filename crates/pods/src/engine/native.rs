@@ -257,6 +257,17 @@ impl Suspension for Registry {
         (sched.blocked.len(), detail)
     }
 
+    /// The registry and the mailbox keep their capacity, which a SIMPLE
+    /// job would otherwise regrow, rehashing, several times over.
+    fn clear(sched: &mut Mutex<Sched>) -> bool {
+        let Ok(sched) = sched.get_mut() else {
+            return false;
+        };
+        sched.blocked.clear();
+        sched.mailbox.clear();
+        true
+    }
+
     fn stats(c: PoolStats, partition: Arc<PartitionReport>) -> EngineStats {
         let stats = NativeStats {
             workers: c.workers,

@@ -50,7 +50,7 @@
 //!
 //! # Warm-path cost model
 //!
-//! Three further overheads are amortised so that a warm run pays only for
+//! Four further overheads are amortised so that a warm run pays only for
 //! job execution, not job setup (the paper batches token routing — ~20
 //! tokens per message — for exactly this reason):
 //!
@@ -73,20 +73,34 @@
 //!   worker spawned, so a worker whose frame free-list runs dry takes half
 //!   of a sibling's frames, and the task handles kept with them, before it
 //!   allocates.
+//! * **Recycled job-scoped state**: job-scoped state is cleared, not
+//!   dropped. When a job's last `Arc` goes, its `Drop` empties the store
+//!   ([`SharedArrayStore::recycle`]) and the suspension state
+//!   ([`Suspension::clear`]) and hands both back to the pool, the way the
+//!   paper's Memory Manager serves frames from a free list (§5.1). The next
+//!   submission takes them: the directory maps, the allocation order and
+//!   the native registry keep their capacity, and every array of the
+//!   previous job is a spare that an allocation of the same length reuses
+//!   whole — record, header storage and cells. A pool creates a store only
+//!   when none is spare, so it holds no more than it ever had jobs alive at
+//!   once, each with one job's arrays, until the pool is dropped.
 //!
 //! ## The allocation budget
 //!
-//! With those in place a warm job's steady state is allocation-free. The
-//! allocator may be called
+//! With those in place a warm job's steady state is allocation-free, and so
+//! is most of its setup. The allocator may be called
 //!
-//! * **per job** — the job record, its store's directory (one map per shard
-//!   that holds an array) and allocation-order list, the suspension state
-//!   as it grows (the native registry, and its mailbox, which is drained in
-//!   place so a busy caller keeps its capacity), and the outcome's result
-//!   snapshots (name, shape and values of every array);
-//! * **per array** — four calls: the extents, the partitioning's segment
-//!   table, the shared array record, and its cells (the name is the
-//!   allocating instruction's `Arc<str>`);
+//! * **per job** — the job record and the outcome's result snapshots (name
+//!   and values of every array; a shape of rank up to four is inline);
+//! * **per array** — only when the store's previous job left no spare of the
+//!   same length: then three calls, the partitioning's segment table, the
+//!   shared array record and its cells, plus the extents above rank four (the
+//!   name is the allocating instruction's `Arc<str>`). A reused array makes
+//!   none;
+//! * **per new store** — the directory maps, the allocation order and the
+//!   suspension state (the native registry, and its mailbox, which is
+//!   drained in place so a busy caller keeps its capacity) as they first
+//!   grow, until they have the capacity the pool's jobs need;
 //! * **per arena miss** — a frame that neither the spawning worker nor any
 //!   sibling had spare, or a spare frame too small for the template reusing
 //!   it; on the async engine also a task handle the spawning worker had
@@ -101,22 +115,23 @@
 //! `tests/alloc_budget.rs` fences this with exact counts on one worker and
 //! a 90th percentile on two. On the standing benchmark (`benchmark/`, two
 //! workers, 15-second runs on a 2-vCPU host) the budget reads, from before
-//! it was enforced, to after, to the one pool with sibling refill:
+//! it was enforced, to after, to the one pool with sibling refill, to
+//! recycled stores:
 //!
 //! | workload | allocator calls per job | KiB requested per job |
 //! |---|---|---|
-//! | `simple_solo` (SIMPLE n=32, 67,746 super-op firings, 22 arrays) | 83,644 → 321 → 193 | 2,785 → 1,219 → 1,120 |
-//! | `gather_wake` (130 instances, 128 deferred reads) | 531 → 76–110 → 23 | 42.0 → 23.0 → 12.4 |
-//! | `tiny_burst` (FILL n=6..10) | 100 → 18.4 → 16.4 | 7.6 → 5.8 → 5.5 |
-//! | `cold_mix` (compiles every job; the front end is the bulk) | 4,101 → 3,167 → 3,163 | 379 → 335 → 332 |
+//! | `simple_solo` (SIMPLE n=32, 67,746 super-op firings, 22 arrays) | 83,644 → 321 → 193 → 53 | 2,785 → 1,219 → 1,120 → 344 |
+//! | `gather_wake` (130 instances, 128 deferred reads) | 531 → 76–110 → 23 → 12 | 42.0 → 23.0 → 11.7 → 7.1 |
+//! | `tiny_burst` (FILL n=6..10) | 100 → 18.4 → 16.4 → 9.8 | 7.6 → 5.8 → 5.5 → 5.1 |
+//! | `cold_mix` (compiles every job; the front end is the bulk) | 4,101 → 3,167 → 3,163 → 3,145 | 379 → 335 → 332 → 328 |
 
 use super::{cancellation_error, check_invocation, EngineOutcome, EngineStats};
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
 use crate::trace::{TraceEventKind, TraceHandle};
 use pods_istructure::{
-    ArrayHeader, ArrayId, ArrayShape, Partitioning, PeId, SharedArray, SharedArrayStore,
-    SharedReadResult, StoreStats, Value,
+    ArrayHeader, ArrayId, PartitionSpec, PeId, SharedArray, SharedArrayStore, SharedReadResult,
+    StoreStats, Value,
 };
 use pods_machine::{ArraySnapshot, InstanceId, SimulationError};
 use pods_partition::PartitionReport;
@@ -181,8 +196,8 @@ pub(crate) struct Instance<S: Suspension> {
 /// parallel engines do differently. The pool calls these at fixed points:
 /// spawn (`new_task`), pop (`check_out`), a deferred read or a spawn with a
 /// return slot (`waiter`), a delivery flush (`deliver`), a firing-rule miss
-/// (`try_suspend`), a terminal exit (`retire`, `return_to`, `into_spare`)
-/// and a detected deadlock (`deadlock`).
+/// (`try_suspend`), a terminal exit (`retire`, `return_to`, `into_spare`),
+/// a detected deadlock (`deadlock`) and a dropped job (`clear`).
 pub(crate) trait Suspension: Sized + Send + Sync + 'static {
     /// The continuation tag registered with the I-structure store and used
     /// to route return values: where a produced value must go.
@@ -250,6 +265,13 @@ pub(crate) trait Suspension: Sized + Send + Sync + 'static {
     /// job's count of instances not yet finished.
     fn deadlock(state: &Self::JobState, program: &SpProgram, live: usize) -> (usize, String);
 
+    /// Empties a dropped job's suspension state in place, for the pool's
+    /// next job: whatever a failed job left suspended is dropped, and
+    /// containers keep their capacity. Runs in a `Drop`, so it must not
+    /// panic: `false` if a panic poisoned the state, which is then not
+    /// reused.
+    fn clear(state: &mut Self::JobState) -> bool;
+
     /// The engine's public statistics for one job.
     fn stats(counters: PoolStats, partition: Arc<PartitionReport>) -> EngineStats;
 }
@@ -275,9 +297,9 @@ pub(crate) struct JobSpec {
     pub chunks_autotuned: u64,
     /// Completion hook: fired exactly once when the job finishes (success,
     /// failure, or cancellation), with the final allocation statistics of
-    /// the job's I-structure store. Installed by the `Runtime`'s service
-    /// layer to drive its metrics and dispatch window; `None` on the cold
-    /// `Engine`-trait path.
+    /// the job's I-structure store, and dropped once it has fired.
+    /// Installed by the `Runtime`'s service layer to drive its metrics and
+    /// dispatch window; `None` on the cold `Engine`-trait path.
     pub on_done: Option<JobNotifier>,
     /// Flight-recorder handle: when present, the scheduler and the exec
     /// core emit trace events for this job (see [`crate::trace`]). `None`
@@ -412,11 +434,13 @@ const ENTRY: InstanceId = InstanceId(0);
 /// Everything scoped to one submitted program execution. Queue entries
 /// reference their job through an `Arc`, so concurrent jobs on one pool have
 /// fully disjoint instance namespaces, stores, suspension state, deadlock
-/// detection, and error/result slots.
+/// detection, and error/result slots. The store and the suspension state
+/// are the pool's: a job takes a spare pair at submission and its `Drop`
+/// hands the pair back, cleared.
 struct Job<S: Suspension> {
     /// 1-based submission sequence number on the owning pool.
     seq: u64,
-    pool_id: u64,
+    pool: Arc<Shared<S>>,
     program: Arc<SpProgram>,
     read_slots: Arc<ReadSlots>,
     store: SharedArrayStore<S::Waiter>,
@@ -429,17 +453,18 @@ struct Job<S: Suspension> {
     result: Mutex<Option<Value>>,
     done: Mutex<bool>,
     done_cv: Condvar,
-    /// Virtual-PE count for partitioning decisions (= pool worker count).
-    workers: usize,
     page_size: usize,
     /// 0 = unlimited; otherwise abort after this many task executions
     /// (the analogue of the simulator's event limit).
     max_tasks: u64,
     delivery_batch: usize,
     chunks_autotuned: u64,
-    /// Completion hook (see [`JobSpec::on_done`]); fired exactly once, by
-    /// whichever of normal completion / failure / cancellation wins.
-    on_done: Option<JobNotifier>,
+    /// Completion hook (see [`JobSpec::on_done`]); taken and fired exactly
+    /// once, by whichever of normal completion / failure / cancellation
+    /// wins. Dropping it then matters: the service's hook holds the job's
+    /// ticket, which holds the job until its handle is claimed, so a hook
+    /// kept alive would leak a detached job — and its store — for good.
+    on_done: Mutex<Option<JobNotifier>>,
     trace: Option<TraceHandle>,
     /// First-wins claim on the terminal transition, separate from `done` so
     /// the hook can run *before* `done` is published (waiters must never
@@ -479,7 +504,8 @@ impl<S: Suspension> Job<S> {
             *locked(self.error.lock(), "error") = Some(e);
         }
         // No locks are held here, so the hook may take the service locks.
-        if let Some(hook) = &self.on_done {
+        let hook = locked(self.on_done.lock(), "on_done").take();
+        if let Some(hook) = hook {
             hook(self.store.stats());
         }
         *locked(self.done.lock(), "done") = true;
@@ -525,13 +551,13 @@ impl<S: Suspension> Job<S> {
     fn stats(&self) -> PoolStats {
         let n = |c: &AtomicU64| c.load(Ordering::Relaxed);
         PoolStats {
-            workers: self.workers,
+            workers: self.pool.workers,
             instances: n(&self.next_instance),
             tasks: n(&self.tasks),
             parks: n(&self.parks),
             resumptions: n(&self.resumptions),
             steals: n(&self.steals),
-            pool_id: self.pool_id,
+            pool_id: self.pool.id,
             job_seq: self.seq,
             wakeups: n(&self.wakeups),
             wakeup_flushes: n(&self.wakeup_flushes),
@@ -540,6 +566,23 @@ impl<S: Suspension> Job<S> {
             super_ops: n(&self.super_ops),
             chunks_autotuned: self.chunks_autotuned,
             store: self.store.stats(),
+        }
+    }
+}
+
+impl<S: Suspension> Drop for Job<S> {
+    /// Hands the store and the suspension state back to the pool, cleared.
+    /// This runs once the last `Arc<Job>` is gone, so no worker, canceller
+    /// or queue entry can reach either any more, and the workers' directory
+    /// memos, cleared after every task, hold none of the store's arrays.
+    /// A drop must not panic, so state a panic poisoned is dropped instead.
+    fn drop(&mut self) {
+        let mut store = std::mem::take(&mut self.store);
+        let mut sched = std::mem::take(&mut self.sched);
+        if store.recycle() && S::clear(&mut sched) {
+            if let Ok(mut spares) = self.pool.spare_state.lock() {
+                spares.push((store, sched));
+            }
         }
     }
 }
@@ -598,14 +641,26 @@ impl<S: Suspension> Default for WorkerCtx<S> {
     }
 }
 
+/// A job's I-structure store and suspension state: what a pool recycles.
+type JobScoped<S> = (
+    SharedArrayStore<<S as Suspension>::Waiter>,
+    <S as Suspension>::JobState,
+);
+
 struct Shared<S: Suspension> {
     id: u64,
+    /// Virtual-PE count for partitioning decisions.
     workers: usize,
     queues: Vec<Mutex<VecDeque<Entry<S>>>>,
     /// One arena per worker, behind a lock so a worker whose free-list ran
     /// dry can take from a sibling's. Lock order: no thread ever holds two
     /// arena locks at once.
     arenas: Vec<Mutex<Arena<S::Spare>>>,
+    /// Finished jobs' stores and suspension states, cleared, for the next
+    /// submissions. A pair is created only when none is spare, so the pool
+    /// holds no more pairs than it ever had jobs alive at once (bounded by
+    /// the service's dispatch window), each with one job's arrays.
+    spare_state: Mutex<Vec<JobScoped<S>>>,
     coord: Mutex<Coord>,
     cv: Condvar,
     jobs_submitted: AtomicU64,
@@ -619,6 +674,13 @@ struct Shared<S: Suspension> {
 impl<S: Suspension> Shared<S> {
     fn lock_coord(&self) -> std::sync::MutexGuard<'_, Coord> {
         locked(self.coord.lock(), "coord")
+    }
+
+    /// A store and suspension state for a new job: a finished job's, or new
+    /// ones if none is spare. The one place the pool creates a store.
+    fn job_state(&self) -> JobScoped<S> {
+        let spare = locked(self.spare_state.lock(), "spare state").pop();
+        spare.unwrap_or_else(|| (SharedArrayStore::new(), S::JobState::default()))
     }
 
     /// A spare frame and spare for worker `w`: from its own arena, else
@@ -904,6 +966,11 @@ impl<S: Suspension> Shared<S> {
             }
             if let Some(entry) = self.pop(w) {
                 self.run_task(&entry.job, entry.task, w, &mut ctx);
+                // Before the entry (perhaps the job's last reference) drops:
+                // the memo is the only holder of a job's arrays outside its
+                // store. Kept, it would stop the store's recycle from
+                // reusing them, and hand a stale array to the next job,
+                // whose array ids start again at 0.
                 ctx.cache.entries.clear();
                 continue;
             }
@@ -958,19 +1025,18 @@ impl<S: Suspension> ArrayOps for Ctx<'_, S> {
         &mut self,
         dst: SlotId,
         name: &Arc<str>,
-        dims: Vec<usize>,
+        dims: &[usize],
         distributed: bool,
     ) -> Result<(), String> {
         let job = self.job;
         let id = ArrayId(job.next_array.fetch_add(1, Ordering::Relaxed));
-        let total: usize = dims.iter().product();
-        let partitioning = if distributed {
-            Partitioning::new(total, job.page_size, job.workers)
-        } else {
-            Partitioning::single_owner(total, job.page_size, job.workers, PeId(self.inst.pe))
+        let partitioning = PartitionSpec {
+            page_size: job.page_size,
+            num_pes: self.pool.workers,
+            owner: (!distributed).then_some(PeId(self.inst.pe)),
         };
         job.store
-            .allocate(id, Arc::clone(name), ArrayShape::new(dims), partitioning)
+            .allocate_dims(id, name, dims, partitioning)
             .map_err(|e| e.to_string())?;
         self.inst.frame.set_slot(dst, Value::ArrayRef(id));
         Ok(())
@@ -1076,7 +1142,7 @@ impl<S: Suspension> ExecCtx for Ctx<'_, S> {
         // A distributed spawn creates one instance per PE; only the one on
         // the spawner's own PE returns a value.
         let pes = if distributed {
-            0..self.job.workers
+            0..self.pool.workers
         } else {
             here..here + 1
         };
@@ -1128,6 +1194,7 @@ impl<S: Suspension> Pool<S> {
             workers,
             queues: (0..workers).map(|_| Mutex::default()).collect(),
             arenas: (0..workers).map(|_| Mutex::default()).collect(),
+            spare_state: Mutex::default(),
             coord: Mutex::new(Coord {
                 ready: 0,
                 shutdown: false,
@@ -1173,10 +1240,11 @@ pub(crate) trait Pooled: Send + Sync {
     fn id(&self) -> u64;
 
     /// Submits one prepared program for execution and returns a handle to
-    /// wait on. The program state in the [`JobSpec`] is `Arc`-shared, so a
-    /// warm submission allocates only per-job state (store, suspension
-    /// state, counters). The entry instance is placed on a rotating home
-    /// worker so that concurrent jobs spread across the pool.
+    /// wait on. The program state in the [`JobSpec`] is `Arc`-shared and
+    /// the store and suspension state are a finished job's, so a warm
+    /// submission allocates only the job record. The entry instance is
+    /// placed on a rotating home worker so that concurrent jobs spread
+    /// across the pool.
     fn submit(&self, spec: JobSpec, args: &[Value]) -> PoolHandle;
 }
 
@@ -1204,25 +1272,25 @@ impl<S: Suspension> Pooled for Pool<S> {
             t.emit(t.service_lane(), 0, TraceEventKind::JobStarted);
         }
         let entry_template = program.entry();
+        let (store, sched) = shared.job_state();
         let job = Arc::new(Job::<S> {
             seq,
-            pool_id: shared.id,
+            pool: Arc::clone(shared),
             program,
             read_slots,
-            store: SharedArrayStore::new(),
-            sched: S::JobState::default(),
+            store,
+            sched,
             counts: Mutex::default(),
             stop: AtomicBool::new(false),
             error: Mutex::new(None),
             result: Mutex::new(None),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
-            workers: shared.workers,
             page_size,
             max_tasks,
             delivery_batch: delivery_batch.max(1),
             chunks_autotuned,
-            on_done,
+            on_done: Mutex::new(on_done),
             trace,
             finished: AtomicBool::new(false),
             next_instance: AtomicU64::new(0),

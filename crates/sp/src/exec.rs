@@ -348,8 +348,9 @@ pub enum Loaded {
 pub trait ArrayOps {
     /// Allocates an array and routes its [`Value::ArrayRef`] to `dst`. The
     /// core has already validated the dimensions (non-empty extents) and
-    /// hands them over by value, with the template's shared copy of the
-    /// name, so an implementation need not copy either.
+    /// resolved them on its stack (up to rank four), and hands over the
+    /// template's shared copy of the name, so an implementation that keeps
+    /// neither need not allocate.
     /// Implementations choose the delivery mechanics: the pooled engines
     /// set the slot synchronously, the simulator clears it and delivers the
     /// reference asynchronously from the Array Manager.
@@ -361,7 +362,7 @@ pub trait ArrayOps {
         &mut self,
         dst: SlotId,
         name: &Arc<str>,
-        dims: Vec<usize>,
+        dims: &[usize],
         distributed: bool,
     ) -> Result<(), String>;
 
@@ -568,9 +569,43 @@ fn expect_array(v: Value) -> Result<ArrayId, String> {
         .ok_or_else(|| format!("expected an array reference, found {v}"))
 }
 
-/// Ranks up to this many dimensions resolve their index operands on the
-/// stack; higher ranks spill to the heap, so the language has no rank limit.
+/// Ranks up to this many dimensions resolve their index and extent operands
+/// on the stack; higher ranks spill to the heap, so the language has no
+/// rank limit.
 const INLINE_RANK: usize = 4;
+
+/// Operands resolved by [`resolve_all`]: on the stack up to
+/// [`INLINE_RANK`], on the heap above it.
+enum Resolved<T> {
+    Inline([T; INLINE_RANK], usize),
+    Spilled(Vec<T>),
+}
+
+impl<T> std::ops::Deref for Resolved<T> {
+    type Target = [T];
+
+    #[inline(always)]
+    fn deref(&self) -> &[T] {
+        match self {
+            Resolved::Inline(buf, len) => &buf[..*len],
+            Resolved::Spilled(v) => v,
+        }
+    }
+}
+
+/// Resolves every operand of an instruction's index or extent list.
+#[inline(always)]
+fn resolve_all<I, T: Copy + Default>(items: &[I], resolve: impl Fn(&I) -> T) -> Resolved<T> {
+    if items.len() <= INLINE_RANK {
+        let mut buf = [T::default(); INLINE_RANK];
+        for (slot, i) in buf.iter_mut().zip(items) {
+            *slot = resolve(i);
+        }
+        Resolved::Inline(buf, items.len())
+    } else {
+        Resolved::Spilled(items.iter().map(resolve).collect())
+    }
+}
 
 /// Resolves the index operands of an array access (non-integers read as
 /// `-1`, which is out of bounds for every shape) and folds them into the
@@ -584,19 +619,8 @@ fn resolve_offset<C: ExecCtx, I>(
     indices: &[I],
     resolve: impl Fn(&C, &I) -> Value,
 ) -> Result<usize, String> {
-    let index = |i: &I| resolve(ctx, i).as_i64().unwrap_or(-1);
-    let mut inline = [0; INLINE_RANK];
-    let spilled: Vec<i64>;
-    let idx: &[i64] = if indices.len() <= INLINE_RANK {
-        for (slot, i) in inline.iter_mut().zip(indices) {
-            *slot = index(i);
-        }
-        &inline[..indices.len()]
-    } else {
-        spilled = indices.iter().map(index).collect();
-        &spilled
-    };
-    ctx.with_header(id, |h| element_offset(h, idx))?
+    let idx = resolve_all(indices, |i| resolve(ctx, i).as_i64().unwrap_or(-1));
+    ctx.with_header(id, |h| element_offset(h, &idx))?
 }
 
 /// Executes one instruction against the context. This is the single
@@ -662,15 +686,14 @@ pub fn execute_instr<C: ExecCtx>(ctx: &mut C, instr: &Instr) -> Result<Step, Str
             dims,
             distributed,
         } => {
-            let dim_values: Vec<usize> = dims
-                .iter()
-                .map(|d| ctx.operand(d).as_i64().unwrap_or(0).max(0) as usize)
-                .collect();
-            if dim_values.is_empty() || dim_values.contains(&0) {
+            let extents = resolve_all(dims, |d| {
+                ctx.operand(d).as_i64().unwrap_or(0).max(0) as usize
+            });
+            if extents.is_empty() || extents.contains(&0) {
                 return Err(format!("array `{name}` allocated with a zero dimension"));
             }
             ctx.charge(Cost::ArrayAlloc);
-            ctx.alloc_array(*dst, name, dim_values, *distributed)?;
+            ctx.alloc_array(*dst, name, &extents, *distributed)?;
             Ok(Step::Next)
         }
         Instr::ArrayLoad {
@@ -1117,7 +1140,7 @@ mod tests {
 
         /// Allocates a test array directly and returns a ref to slot it in.
         fn with_array(mut self, slot: usize, dims: &[usize], page: usize) -> TestCtx {
-            let shape = ArrayShape::new(dims.to_vec());
+            let shape = ArrayShape::from_dims(dims);
             let part = Partitioning::new(shape.len(), page, self.pes);
             let id = ArrayId(self.arrays.len());
             let len = shape.len();
@@ -1137,10 +1160,10 @@ mod tests {
             &mut self,
             dst: SlotId,
             name: &Arc<str>,
-            dims: Vec<usize>,
+            dims: &[usize],
             distributed: bool,
         ) -> Result<(), String> {
-            let shape = ArrayShape::new(dims);
+            let shape = ArrayShape::from_dims(dims);
             let part = if distributed {
                 Partitioning::new(shape.len(), 8, self.pes)
             } else {

@@ -1103,3 +1103,72 @@ fn store_stats_flow_from_jobs_into_engine_and_service_metrics() {
     assert!(stats.store.peak_arrays >= 1);
     assert!(async_rt.metrics().peak_live_arrays >= 1);
 }
+
+#[test]
+fn recycled_stores_serve_failed_cancelled_and_reshaped_jobs_like_new_ones() {
+    // A pool keeps each finished job's I-structure store and reuses its
+    // arrays for the next job. On one runtime per pooled engine, in order:
+    // a job that fails mid-run with readers still parked, a job cancelled
+    // while in flight, then SIMPLE at n = 16, 8, 16, so the array lengths
+    // change between jobs. Every result must equal the oracle's, and every
+    // job's store statistics must describe that job alone.
+    let double_write = pods::compile(
+        "def main(n) { a = array(n); b = array(n); \
+         for i = 0 to n - 1 { a[0] = i; } \
+         for i = 0 to n - 1 { b[i] = a[i] + 1; } return b; }",
+    )
+    .unwrap();
+    let fill = pods::compile(pods_workloads::FILL).unwrap();
+    let simple = pods::compile(pods_workloads::simple::SIMPLE).unwrap();
+    let oracle_err = Runtime::with_options(EngineKind::Seq, RunOptions::default())
+        .run(&double_write, &[Value::Int(8)])
+        .expect_err("the oracle rejects the double write");
+    let violation = "single-assignment violation";
+    assert!(oracle_err.to_string().contains(violation), "{oracle_err}");
+    let simple_oracles: Vec<_> = [16, 8]
+        .iter()
+        .map(|&n| oracle_for(&simple, &[Value::Int(n)]))
+        .collect();
+
+    for kind in [EngineKind::Native, EngineKind::AsyncCoop] {
+        let runtime = Runtime::builder(kind).workers(2).build();
+        let err = runtime
+            .run(&double_write, &[Value::Int(8)])
+            .expect_err("the double write fails the job");
+        assert!(
+            matches!(
+                err,
+                pods::PodsError::Simulation(pods::SimulationError::Runtime(_))
+            ) && err.to_string().contains(violation),
+            "{kind}: {err}"
+        );
+
+        let args = [Value::Int(256)];
+        let handle = runtime.submit(&fill, &args).unwrap();
+        handle.cancel();
+        match handle.wait() {
+            Ok(outcome) => assert_matches_oracle(
+                "job that beat its cancel",
+                &outcome,
+                &oracle_for(&fill, &args),
+            ),
+            Err(e) => assert!(e.to_string().contains("cancelled"), "{kind}: {e}"),
+        }
+
+        for n in [16, 8, 16] {
+            let outcome = runtime.run(&simple, &[Value::Int(n)]).unwrap();
+            let oracle = &simple_oracles[usize::from(n == 8)];
+            assert_matches_oracle(&format!("{kind} SIMPLE n={n}"), &outcome, oracle);
+            let store = match &outcome.stats {
+                EngineStats::Native { stats, .. } => stats.store,
+                EngineStats::AsyncCoop { stats, .. } => stats.store,
+                other => panic!("pooled stats expected, got {other:?}"),
+            };
+            assert_eq!(
+                (store.live_arrays, store.peak_arrays),
+                (22, 22),
+                "{kind} SIMPLE n={n}: one job's arrays"
+            );
+        }
+    }
+}
