@@ -20,7 +20,7 @@
 //!   the Pingali & Rogers static-compilation comparator of Figure 10.
 
 use pods_dataflow::{analyze_loops, LoopInfo, LoopKey};
-use pods_idlang::{BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, UnaryOp};
+use pods_idlang::{BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, Name, UnaryOp};
 use pods_istructure::{ArrayId, ArrayShape, Value};
 use pods_machine::{eval_binary, eval_unary, TimingModel};
 use std::collections::HashMap;
@@ -262,7 +262,7 @@ impl<'a> Interp<'a> {
         self.charge(
             2.0 * self.timing.context_switch + args.len() as f64 * self.timing.memory_write,
         );
-        let mut env: HashMap<String, Value> = HashMap::new();
+        let mut env: HashMap<Name, Value> = HashMap::new();
         for (p, v) in function.params.iter().zip(args) {
             env.insert(p.clone(), v);
         }
@@ -284,7 +284,7 @@ impl<'a> Interp<'a> {
         &mut self,
         function: &str,
         stmts: &[HirStmt],
-        env: &mut HashMap<String, Value>,
+        env: &mut HashMap<Name, Value>,
     ) -> Result<Flow, BaselineError> {
         let mut loop_ordinal_iter = OrdinalTracker::new(self.loops, function);
         for stmt in stmts {
@@ -300,7 +300,7 @@ impl<'a> Interp<'a> {
         &mut self,
         function: &str,
         stmt: &HirStmt,
-        env: &mut HashMap<String, Value>,
+        env: &mut HashMap<Name, Value>,
         ordinals: &mut OrdinalTracker,
     ) -> Result<Flow, BaselineError> {
         self.steps += 1;
@@ -328,7 +328,7 @@ impl<'a> Interp<'a> {
                 self.charge(self.timing.array_allocate);
                 let id = ArrayId(self.arrays.len());
                 self.arrays.push(ArrayState {
-                    name: name.clone(),
+                    name: name.to_string(),
                     shape: shape.clone(),
                     values: vec![None; shape.len()],
                 });
@@ -381,7 +381,7 @@ impl<'a> Interp<'a> {
                         .entry((function.to_string(), ordinal))
                         .or_insert_with(|| NestProfile {
                             key: LoopKey {
-                                function: function.to_string(),
+                                function: Name::from(function),
                                 ordinal,
                             },
                             time_us: 0.0,
@@ -420,7 +420,7 @@ impl<'a> Interp<'a> {
                     ordinals.next_counter = inner_ordinals.next_counter;
                     i += if *descending { -1 } else { 1 };
                 }
-                env.remove(var);
+                env.remove(var.as_str());
 
                 if is_top_level {
                     if let Some((f, o, start)) = self.nest_stack.pop() {
@@ -490,7 +490,7 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn array_id(&self, name: &str, env: &HashMap<String, Value>) -> Result<ArrayId, BaselineError> {
+    fn array_id(&self, name: &str, env: &HashMap<Name, Value>) -> Result<ArrayId, BaselineError> {
         match env.get(name) {
             Some(Value::ArrayRef(id)) => Ok(*id),
             _ => Err(BaselineError::Runtime(format!("`{name}` is not an array"))),
@@ -502,7 +502,7 @@ impl<'a> Interp<'a> {
         function: &str,
         array: &str,
         indices: &[HirExpr],
-        env: &mut HashMap<String, Value>,
+        env: &mut HashMap<Name, Value>,
     ) -> Result<usize, BaselineError> {
         let mut idx = Vec::new();
         for e in indices {
@@ -527,14 +527,14 @@ impl<'a> Interp<'a> {
         &mut self,
         function: &str,
         expr: &HirExpr,
-        env: &mut HashMap<String, Value>,
+        env: &mut HashMap<Name, Value>,
     ) -> Result<Value, BaselineError> {
         Ok(match expr {
             HirExpr::Int(v) => Value::Int(*v),
             HirExpr::Float(v) => Value::Float(*v),
             HirExpr::Bool(v) => Value::Bool(*v),
             HirExpr::Var(name) => *env
-                .get(name)
+                .get(name.as_str())
                 .ok_or_else(|| BaselineError::Runtime(format!("unknown variable `{name}`")))?,
             HirExpr::Load { array, indices } => {
                 let offset = self.element_offset(function, array, indices, env)?;

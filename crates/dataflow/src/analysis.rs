@@ -9,7 +9,7 @@
 //! dependency cannot affect correctness, only performance, because the
 //! I-structure memory still synchronises every read with its write.
 
-use pods_idlang::{HirExpr, HirProgram, HirStmt};
+use pods_idlang::{HirExpr, HirProgram, HirStmt, Name};
 
 /// Identifies a loop level across the compilation pipeline: the enclosing
 /// function plus the loop's preorder ordinal within that function.
@@ -20,7 +20,7 @@ use pods_idlang::{HirExpr, HirProgram, HirStmt};
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopKey {
     /// Name of the function containing the loop.
-    pub function: String,
+    pub function: Name,
     /// Preorder ordinal of the loop within the function.
     pub ordinal: usize,
 }
@@ -35,7 +35,7 @@ impl std::fmt::Display for LoopKey {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteAccess {
     /// Name of the written array.
-    pub array: String,
+    pub array: Name,
     /// Dimension position whose index expression is exactly the loop
     /// variable, when there is one.
     pub var_dim: Option<usize>,
@@ -47,7 +47,7 @@ pub struct LoopInfo {
     /// The loop's identity.
     pub key: LoopKey,
     /// The loop index variable.
-    pub var: String,
+    pub var: Name,
     /// Nesting depth within the function (0 = outermost loop).
     pub depth: usize,
     /// `true` for descending (`downto`) loops.
@@ -109,7 +109,7 @@ pub fn find_loop<'a>(
 }
 
 fn analyze_block(
-    function: &str,
+    function: &Name,
     stmts: &[HirStmt],
     parent: Option<usize>,
     depth: usize,
@@ -134,7 +134,7 @@ fn analyze_block(
 
                 out.push(LoopInfo {
                     key: LoopKey {
-                        function: function.to_string(),
+                        function: function.clone(),
                         ordinal,
                     },
                     var: var.clone(),

@@ -12,7 +12,7 @@
 
 use crate::graph::{BlockId, BlockKind, DataflowProgram, NodeId};
 use crate::op::{Literal, Operator};
-use pods_idlang::{HirExpr, HirFunction, HirProgram, HirStmt};
+use pods_idlang::{HirExpr, HirFunction, HirProgram, HirStmt, Name};
 use std::collections::HashMap;
 
 /// Builds the dataflow graph of an entire HIR program.
@@ -60,8 +60,8 @@ struct BlockBuilder<'a> {
     program: &'a mut DataflowProgram,
     block: BlockId,
     /// Mapping from visible variable names to the node producing them.
-    env: HashMap<String, NodeId>,
-    function: String,
+    env: HashMap<Name, NodeId>,
+    function: Name,
     /// Preorder loop counter within the enclosing function (shared across
     /// nesting levels so every loop gets a unique ordinal).
     loop_counter: usize,
@@ -75,17 +75,12 @@ impl BlockBuilder<'_> {
 
     /// Returns the node holding the value of `name`, creating a `Param` node
     /// when the name is imported from an enclosing scope.
-    fn lookup(&mut self, name: &str) -> NodeId {
+    fn lookup(&mut self, name: &Name) -> NodeId {
         if let Some(&node) = self.env.get(name) {
             return node;
         }
-        let node = self.add(
-            Operator::Param {
-                name: name.to_string(),
-            },
-            vec![],
-        );
-        self.env.insert(name.to_string(), node);
+        let node = self.add(Operator::Param { name: name.clone() }, vec![]);
+        self.env.insert(name.clone(), node);
         node
     }
 
@@ -187,7 +182,7 @@ impl BlockBuilder<'_> {
 
     fn build_loop(
         &mut self,
-        var: &str,
+        var: &Name,
         from: &HirExpr,
         to: &HirExpr,
         descending: bool,
@@ -208,9 +203,9 @@ impl BlockBuilder<'_> {
         free.retain(|name| name != var);
 
         let child = self.program.add_block(
-            format!("{}.{}", self.function, var),
+            format!("{}.{}", self.function, var).into(),
             BlockKind::LoopLevel {
-                var: var.to_string(),
+                var: var.clone(),
                 descending,
                 depth: self.depth,
                 ordinal,
@@ -238,14 +233,14 @@ impl BlockBuilder<'_> {
         let from_param = self.program.add_node(
             child,
             Operator::Param {
-                name: format!("{var}__init"),
+                name: format!("{var}__init").into(),
             },
             vec![],
         );
         let to_param = self.program.add_node(
             child,
             Operator::Param {
-                name: format!("{var}__limit"),
+                name: format!("{var}__limit").into(),
             },
             vec![],
         );
@@ -266,7 +261,7 @@ impl BlockBuilder<'_> {
         let index = self
             .program
             .add_node(child, Operator::Switch, vec![test, from_param]);
-        child_env.insert(var.to_string(), index);
+        child_env.insert(var.clone(), index);
 
         let loop_count = self.loop_counter;
         let mut child_builder = BlockBuilder {
@@ -331,11 +326,11 @@ impl BlockBuilder<'_> {
 
 /// Collects the free variable names of a statement list (variables referenced
 /// before being defined inside the list).
-pub fn collect_free_vars_stmts(stmts: &[HirStmt], out: &mut Vec<String>) {
-    let mut defined: Vec<String> = Vec::new();
+pub fn collect_free_vars_stmts(stmts: &[HirStmt], out: &mut Vec<Name>) {
+    let mut defined: Vec<Name> = Vec::new();
     collect(stmts, &mut defined, out);
 
-    fn note_expr(expr: &HirExpr, defined: &[String], out: &mut Vec<String>) {
+    fn note_expr(expr: &HirExpr, defined: &[Name], out: &mut Vec<Name>) {
         let mut vars = Vec::new();
         expr.free_vars(&mut vars);
         for v in vars {
@@ -345,7 +340,7 @@ pub fn collect_free_vars_stmts(stmts: &[HirStmt], out: &mut Vec<String>) {
         }
     }
 
-    fn collect(stmts: &[HirStmt], defined: &mut Vec<String>, out: &mut Vec<String>) {
+    fn collect(stmts: &[HirStmt], defined: &mut Vec<Name>, out: &mut Vec<Name>) {
         for stmt in stmts {
             match stmt {
                 HirStmt::Let { name, value } => {
@@ -514,9 +509,9 @@ mod tests {
             HirStmt::For { body, .. } => {
                 let mut free = Vec::new();
                 collect_free_vars_stmts(body, &mut free);
-                assert!(free.contains(&"a".to_string()));
-                assert!(free.contains(&"n".to_string()));
-                assert!(!free.contains(&"t".to_string()), "t is bound in the body");
+                assert!(free.iter().any(|v| v == "a"));
+                assert!(free.iter().any(|v| v == "n"));
+                assert!(!free.iter().any(|v| v == "t"), "t is bound in the body");
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -8,6 +8,7 @@
 //! block to its children, exactly as in Figure 2 of the paper.
 
 use crate::op::Operator;
+use pods_idlang::Name;
 use std::collections::HashMap;
 
 /// Identifier of a code block within a [`DataflowProgram`].
@@ -38,12 +39,12 @@ pub enum BlockKind {
     /// The body of a user function.
     FunctionBody {
         /// Function name.
-        function: String,
+        function: Name,
     },
     /// One level of a loop nest.
     LoopLevel {
         /// The loop index variable.
-        var: String,
+        var: Name,
         /// `true` for `downto` loops.
         descending: bool,
         /// Nesting depth within the enclosing function (0 = outermost loop).
@@ -71,7 +72,7 @@ pub struct CodeBlock {
     /// The block identifier.
     pub id: BlockId,
     /// Human-readable name (function name or `function.loop_var`).
-    pub name: String,
+    pub name: Name,
     /// What the block corresponds to.
     pub kind: BlockKind,
     /// The parent block, if any (function bodies have no parent).
@@ -149,7 +150,7 @@ pub struct GraphStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataflowProgram {
     blocks: Vec<CodeBlock>,
-    functions: HashMap<String, BlockId>,
+    functions: HashMap<Name, BlockId>,
 }
 
 impl DataflowProgram {
@@ -164,7 +165,7 @@ impl DataflowProgram {
     /// Adds a block and returns its identifier.
     pub(crate) fn add_block(
         &mut self,
-        name: String,
+        name: Name,
         kind: BlockKind,
         parent: Option<BlockId>,
     ) -> BlockId {

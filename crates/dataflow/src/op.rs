@@ -5,7 +5,7 @@
 //! switch, increment, `D`), I-structure array operators, and the Range-Filter
 //! bound operators inserted by the partitioner (Figure 5).
 
-use pods_idlang::{BinaryOp, UnaryOp};
+use pods_idlang::{BinaryOp, Name, UnaryOp};
 
 /// A literal constant embedded in the graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,7 +35,7 @@ pub enum Operator {
     /// parameter of the block).
     Param {
         /// Name of the imported value.
-        name: String,
+        name: Name,
     },
     /// A literal constant.
     Constant(Literal),
@@ -64,7 +64,7 @@ pub enum Operator {
     /// Allocation of an I-structure array.
     ArrayAllocate {
         /// Source-level array name.
-        name: String,
+        name: Name,
         /// Number of dimensions.
         ndims: usize,
         /// `true` once the partitioner has converted this into the
@@ -82,7 +82,7 @@ pub enum Operator {
     /// A user-function application (spawns the callee's body block).
     Apply {
         /// Callee function name.
-        function: String,
+        function: Name,
     },
     /// The value returned from a code block to its parent.
     Return,

@@ -4,6 +4,7 @@
 //! reporting. Semantic analysis validates it and the lowering pass converts
 //! it into the span-free [`crate::hir`] consumed by the rest of the pipeline.
 
+use crate::name::Name;
 use crate::token::Span;
 
 /// A parsed program: a list of function definitions.
@@ -24,9 +25,9 @@ impl Program {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionDef {
     /// The function name.
-    pub name: String,
+    pub name: Name,
     /// Parameter names.
-    pub params: Vec<String>,
+    pub params: Vec<Name>,
     /// The function body.
     pub body: Vec<Stmt>,
     /// Span of the `def` keyword and name.
@@ -39,7 +40,7 @@ pub enum Stmt {
     /// Scalar binding: `x = expr;` or `let x = expr;`.
     Let {
         /// Bound name.
-        name: String,
+        name: Name,
         /// Bound value.
         value: Expr,
         /// Statement span.
@@ -49,7 +50,7 @@ pub enum Stmt {
     /// `a = tensor(n, m, k);` (`tensor` takes three or more extents).
     Alloc {
         /// Array name.
-        name: String,
+        name: Name,
         /// Dimension extents (one, two, or at least three expressions).
         dims: Vec<Expr>,
         /// Statement span.
@@ -58,7 +59,7 @@ pub enum Stmt {
     /// I-structure element write: `a[i, j] = expr;`.
     Store {
         /// Array name.
-        array: String,
+        array: Name,
         /// Element indices.
         indices: Vec<Expr>,
         /// Value to store.
@@ -69,7 +70,7 @@ pub enum Stmt {
     /// Counted loop: `for i = lo to hi { ... }` (or `downto`).
     For {
         /// Loop index variable.
-        var: String,
+        var: Name,
         /// Initial index value.
         from: Expr,
         /// Final index value (inclusive).
@@ -102,7 +103,7 @@ pub enum Stmt {
     /// A function call executed for effect: `fill(a, n);`.
     Call {
         /// Callee name.
-        function: String,
+        function: Name,
         /// Argument expressions.
         args: Vec<Expr>,
         /// Statement span.
@@ -175,11 +176,11 @@ pub enum Expr {
     /// Boolean literal.
     Bool(bool, Span),
     /// Variable reference.
-    Var(String, Span),
+    Var(Name, Span),
     /// Array element read: `a[i, j]`.
     Index {
         /// Array name.
-        array: String,
+        array: Name,
         /// Element indices.
         indices: Vec<Expr>,
         /// Expression span.
@@ -208,7 +209,7 @@ pub enum Expr {
     /// Function or builtin call: `f(a, b)`.
     Call {
         /// Callee name.
-        function: String,
+        function: Name,
         /// Argument expressions.
         args: Vec<Expr>,
         /// Expression span.

@@ -9,6 +9,7 @@
 
 use crate::ast;
 use crate::error::CompileError;
+use crate::name::Name;
 
 /// Binary operators available in the HIR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -177,9 +178,9 @@ impl HirProgram {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HirFunction {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Parameter names.
-    pub params: Vec<String>,
+    pub params: Vec<Name>,
     /// Function body.
     pub body: Vec<HirStmt>,
 }
@@ -190,21 +191,21 @@ pub enum HirStmt {
     /// Scalar binding.
     Let {
         /// Bound name.
-        name: String,
+        name: Name,
         /// Bound value.
         value: HirExpr,
     },
     /// I-structure array allocation.
     Alloc {
         /// Array name.
-        name: String,
+        name: Name,
         /// Dimension extents.
         dims: Vec<HirExpr>,
     },
     /// I-structure element write.
     Store {
         /// Array name.
-        array: String,
+        array: Name,
         /// Element indices.
         indices: Vec<HirExpr>,
         /// Stored value.
@@ -213,7 +214,7 @@ pub enum HirStmt {
     /// Counted loop (inclusive bounds).
     For {
         /// Loop variable.
-        var: String,
+        var: Name,
         /// Initial index.
         from: HirExpr,
         /// Final index (inclusive).
@@ -240,7 +241,7 @@ pub enum HirStmt {
     /// A user-function call executed for effect (its result is discarded).
     Call {
         /// Callee name.
-        function: String,
+        function: Name,
         /// Arguments.
         args: Vec<HirExpr>,
     },
@@ -256,11 +257,11 @@ pub enum HirExpr {
     /// Boolean literal.
     Bool(bool),
     /// Variable reference.
-    Var(String),
+    Var(Name),
     /// Array element read.
     Load {
         /// Array name.
-        array: String,
+        array: Name,
         /// Element indices.
         indices: Vec<HirExpr>,
     },
@@ -283,7 +284,7 @@ pub enum HirExpr {
     /// User-function call.
     Call {
         /// Callee name.
-        function: String,
+        function: Name,
         /// Arguments.
         args: Vec<HirExpr>,
     },
@@ -300,7 +301,7 @@ pub enum HirExpr {
 
 impl HirExpr {
     /// Collects the names of variables referenced by this expression.
-    pub fn free_vars(&self, out: &mut Vec<String>) {
+    pub fn free_vars(&self, out: &mut Vec<Name>) {
         match self {
             HirExpr::Int(_) | HirExpr::Float(_) | HirExpr::Bool(_) => {}
             HirExpr::Var(name) => {

@@ -1,6 +1,7 @@
 //! Hand-written lexer for `idlang`.
 
 use crate::error::CompileError;
+use crate::name::Interner;
 use crate::token::{Span, Token, TokenKind};
 
 /// Converts source text into a vector of tokens terminated by [`TokenKind::Eof`].
@@ -18,6 +19,8 @@ struct Lexer<'a> {
     pos: usize,
     line: u32,
     tokens: Vec<Token>,
+    /// One shared [`crate::Name`] per distinct identifier of the source.
+    names: Interner,
 }
 
 impl<'a> Lexer<'a> {
@@ -27,6 +30,7 @@ impl<'a> Lexer<'a> {
             pos: 0,
             line: 1,
             tokens: Vec::new(),
+            names: Interner::default(),
         }
     }
 
@@ -209,7 +213,7 @@ impl<'a> Lexer<'a> {
             "and" => TokenKind::And,
             "or" => TokenKind::Or,
             "not" => TokenKind::Not,
-            _ => TokenKind::Ident(text.to_string()),
+            _ => TokenKind::Ident(self.names.intern(text)),
         };
         self.push(kind, start, line);
     }

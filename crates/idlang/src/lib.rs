@@ -45,12 +45,14 @@ pub mod ast;
 pub mod error;
 pub mod hir;
 pub mod lexer;
+pub mod name;
 pub mod parser;
 pub mod sema;
 pub mod token;
 
 pub use error::{CompileError, ErrorPhase};
 pub use hir::{BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, UnaryOp};
+pub use name::Name;
 
 /// Compiles source text all the way to the HIR: lex, parse, semantic checks,
 /// and lowering.

@@ -3,6 +3,7 @@
 use crate::ast::{BinOp, Expr, FunctionDef, Program, Stmt, UnOp};
 use crate::error::CompileError;
 use crate::lexer::tokenize;
+use crate::name::Name;
 use crate::token::{Span, Token, TokenKind};
 
 /// Parses source text into an AST [`Program`].
@@ -74,7 +75,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Span), CompileError> {
+    fn expect_ident(&mut self) -> Result<(Name, Span), CompileError> {
         match self.peek_kind().clone() {
             TokenKind::Ident(name) => {
                 let span = self.bump().span;

@@ -72,19 +72,22 @@ pub fn check(program: &Program) -> Result<(), CompileError> {
     }
 }
 
+/// The names visible at a point of a function body, borrowed from the AST.
+type Scope<'a> = HashMap<&'a str, Symbol>;
+
 struct Checker<'a> {
     signatures: &'a HashMap<&'a str, usize>,
     errors: &'a mut Vec<CompileError>,
 }
 
-fn check_function(
-    f: &FunctionDef,
-    signatures: &HashMap<&str, usize>,
-    errors: &mut Vec<CompileError>,
+fn check_function<'a>(
+    f: &'a FunctionDef,
+    signatures: &'a HashMap<&'a str, usize>,
+    errors: &'a mut Vec<CompileError>,
 ) {
-    let mut scope: HashMap<String, Symbol> = HashMap::new();
+    let mut scope: Scope<'a> = HashMap::new();
     for p in &f.params {
-        if scope.insert(p.clone(), Symbol::Param).is_some() {
+        if scope.insert(p, Symbol::Param).is_some() {
             errors.push(CompileError::sema(
                 format!("parameter `{p}` of `{}` is repeated", f.name),
                 Some(f.span),
@@ -95,14 +98,14 @@ fn check_function(
     checker.check_block(&f.body, &mut scope);
 }
 
-impl Checker<'_> {
-    fn check_block(&mut self, stmts: &[Stmt], scope: &mut HashMap<String, Symbol>) {
+impl<'a> Checker<'a> {
+    fn check_block(&mut self, stmts: &'a [Stmt], scope: &mut Scope<'a>) {
         for stmt in stmts {
             self.check_stmt(stmt, scope);
         }
     }
 
-    fn bind(&mut self, name: &str, sym: Symbol, span: Span, scope: &mut HashMap<String, Symbol>) {
+    fn bind(&mut self, name: &'a str, sym: Symbol, span: Span, scope: &mut Scope<'a>) {
         match scope.get(name) {
             Some(Symbol::Param) => self.errors.push(CompileError::sema(
                 format!("`{name}` re-binds a function parameter (single assignment)"),
@@ -117,12 +120,12 @@ impl Checker<'_> {
                 Some(span),
             )),
             None => {
-                scope.insert(name.to_string(), sym);
+                scope.insert(name, sym);
             }
         }
     }
 
-    fn check_stmt(&mut self, stmt: &Stmt, scope: &mut HashMap<String, Symbol>) {
+    fn check_stmt(&mut self, stmt: &'a Stmt, scope: &mut Scope<'a>) {
         match stmt {
             Stmt::Let { name, value, span } => {
                 self.check_expr(value, scope);
@@ -144,7 +147,7 @@ impl Checker<'_> {
                     self.check_expr(idx, scope);
                 }
                 self.check_expr(value, scope);
-                match scope.get(array) {
+                match scope.get(array.as_str()) {
                     None => self.errors.push(CompileError::sema(
                         format!("array `{array}` is not defined"),
                         Some(*span),
@@ -182,14 +185,14 @@ impl Checker<'_> {
             } => {
                 self.check_expr(from, scope);
                 self.check_expr(to, scope);
-                if scope.contains_key(var) {
+                if scope.contains_key(var.as_str()) {
                     self.errors.push(CompileError::sema(
                         format!("loop variable `{var}` shadows an existing binding"),
                         Some(*span),
                     ));
                 }
                 let mut inner = scope.clone();
-                inner.insert(var.clone(), Symbol::LoopVar);
+                inner.insert(var, Symbol::LoopVar);
                 self.check_block(body, &mut inner);
             }
             Stmt::If {
@@ -241,11 +244,11 @@ impl Checker<'_> {
         }
     }
 
-    fn check_expr(&mut self, expr: &Expr, scope: &HashMap<String, Symbol>) {
+    fn check_expr(&mut self, expr: &Expr, scope: &Scope<'a>) {
         match expr {
             Expr::Int(..) | Expr::Float(..) | Expr::Bool(..) => {}
             Expr::Var(name, span) => {
-                if !scope.contains_key(name) {
+                if !scope.contains_key(name.as_str()) {
                     self.errors.push(CompileError::sema(
                         format!("variable `{name}` is not defined"),
                         Some(*span),
@@ -260,7 +263,7 @@ impl Checker<'_> {
                 for idx in indices {
                     self.check_expr(idx, scope);
                 }
-                match scope.get(array) {
+                match scope.get(array.as_str()) {
                     None => self.errors.push(CompileError::sema(
                         format!("array `{array}` is not defined"),
                         Some(*span),

@@ -1,5 +1,7 @@
 //! Tokens and source spans for the `idlang` front end.
 
+use crate::name::Name;
+
 /// A half-open byte range into the source text, used for error reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct Span {
@@ -37,7 +39,7 @@ impl std::fmt::Display for Span {
 #[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind {
     /// An identifier or keyword candidate.
-    Ident(String),
+    Ident(Name),
     /// An integer literal.
     Int(i64),
     /// A floating-point literal.

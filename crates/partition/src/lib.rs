@@ -39,7 +39,9 @@
 #![warn(missing_docs)]
 
 use pods_dataflow::{LoopInfo, LoopKey};
-use pods_sp::{chunk_loop_spawns, Instr, LoopMeta, Operand, SpId, SpKind, SpProgram, SpTemplate};
+use pods_sp::{
+    chunk_loop_spawns, Instr, LoopMeta, Name, Operand, SpId, SpKind, SpProgram, SpTemplate,
+};
 
 pub use pods_sp::{ChunkPolicy, ChunkSummary};
 
@@ -103,7 +105,7 @@ pub enum LoopDecision {
     /// Filter wired to the given array/dimension.
     Distributed {
         /// The array whose header drives the Range Filter.
-        array: String,
+        array: Name,
         /// The filtered dimension of the index space.
         dim: usize,
     },
@@ -507,7 +509,7 @@ fn insert_range_filter(
     true
 }
 
-fn slot_base_name(template: &SpTemplate) -> String {
+fn slot_base_name(template: &SpTemplate) -> Name {
     match &template.kind {
         SpKind::Loop { var, .. } => var.clone(),
         SpKind::Function { name } => name.clone(),

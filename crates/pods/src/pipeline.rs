@@ -17,6 +17,7 @@ use pods_istructure::Value;
 use pods_machine::{MachineConfig, SimulationResult};
 use pods_partition::{partition_with_chunk_boost, PartitionConfig, PartitionReport};
 use pods_sp::{translate, SpProgram};
+use std::sync::{Arc, OnceLock};
 
 /// Options controlling a PODS run.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,14 +107,26 @@ impl RunOptions {
 
 /// A compiled PODS program, ready to be partitioned and run on any machine
 /// size.
+///
+/// The program is compiled once and afterwards only referenced: it is a
+/// handle to stages shared behind one `Arc`, so a clone (the one every
+/// prepared program keeps of its source, say) copies a pointer. The
+/// dataflow graph, which nothing on the way to execution reads, is built on
+/// the first [`CompiledProgram::graph`] call.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
+    stages: Arc<Stages>,
+}
+
+/// The pipeline stages behind a [`CompiledProgram`].
+#[derive(Debug)]
+struct Stages {
     /// Process-unique identity assigned at [`compile`] time; clones share
     /// it (their pipeline stages are identical by construction). This is
     /// the interning key for [`crate::Runtime`]'s prepared-program cache.
     identity: u64,
     hir: HirProgram,
-    graph: DataflowProgram,
+    graph: OnceLock<DataflowProgram>,
     loops: Vec<LoopInfo>,
     sp: SpProgram,
 }
@@ -127,32 +140,35 @@ impl CompiledProgram {
     /// distinct identities; use [`pods_sp::SpProgram::fingerprint`] for
     /// structural comparison.
     pub fn identity(&self) -> u64 {
-        self.identity
+        self.stages.identity
     }
 
     /// The lowered HIR.
     pub fn hir(&self) -> &HirProgram {
-        &self.hir
+        &self.stages.hir
     }
 
-    /// The dataflow graphs (one code block per function and loop level).
+    /// The dataflow graphs (one code block per function and loop level),
+    /// built from the HIR on the first call and shared by every clone.
     pub fn graph(&self) -> &DataflowProgram {
-        &self.graph
+        self.stages
+            .graph
+            .get_or_init(|| build_program(&self.stages.hir))
     }
 
     /// The loop-nest analysis (LCDs, distribution targets).
     pub fn loops(&self) -> &[LoopInfo] {
-        &self.loops
+        &self.stages.loops
     }
 
     /// The untransformed SP program (before partitioning).
     pub fn sp_program(&self) -> &SpProgram {
-        &self.sp
+        &self.stages.sp
     }
 
     /// Number of parameters of `main`.
     pub fn main_arity(&self) -> Option<usize> {
-        self.hir.entry().map(|f| f.params.len())
+        self.hir().entry().map(|f| f.params.len())
     }
 
     /// Partitions the SP program for the given options and returns it
@@ -169,9 +185,9 @@ impl CompiledProgram {
         options: &RunOptions,
         boost: usize,
     ) -> (SpProgram, PartitionReport) {
-        let mut program = self.sp.clone();
+        let mut program = self.stages.sp.clone();
         let mut report =
-            partition_with_chunk_boost(&mut program, &self.loops, &options.partition, boost);
+            partition_with_chunk_boost(&mut program, &self.stages.loops, &options.partition, boost);
         if options.specialize {
             // Specialization runs after partitioning so the plans cover the
             // partitioned code exactly (RF prologues, chunked bodies). Every
@@ -269,23 +285,25 @@ impl RunOutcome {
     }
 }
 
-/// Compiles `source` through the full front half of the pipeline (compile,
-/// graph construction, loop analysis, SP translation).
+/// Compiles `source` through the front half of the pipeline (compile, loop
+/// analysis, SP translation). The dataflow graph is built later, on the
+/// first [`CompiledProgram::graph`] call.
 ///
 /// # Errors
 ///
 /// Returns a [`PodsError`] describing the first failing stage.
 pub fn compile(source: &str) -> Result<CompiledProgram, PodsError> {
     let hir = pods_idlang::compile(source)?;
-    let graph = build_program(&hir);
     let loops = analyze_loops(&hir);
     let sp = translate(&hir)?;
     Ok(CompiledProgram {
-        identity: NEXT_PROGRAM_IDENTITY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        hir,
-        graph,
-        loops,
-        sp,
+        stages: Arc::new(Stages {
+            identity: NEXT_PROGRAM_IDENTITY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            hir,
+            graph: OnceLock::new(),
+            loops,
+            sp,
+        }),
     })
 }
 

@@ -121,6 +121,15 @@ impl ServiceInner {
         }
     }
 
+    /// Resolves a job that never reached the pool as cancelled. The service
+    /// books the cancellation before it wakes the waiter, so a `wait()` that
+    /// returns always reads metrics that already count its job.
+    fn cancel_undispatched(&self, ticket: &Ticket, kind: CancelKind, err: PodsError) {
+        ticket.set_cancel_kind(kind);
+        self.metrics.note_cancelled();
+        ticket.cancelled(err);
+    }
+
     /// Admits one job under the given admission mode. Returns its ticket,
     /// or `QueueFull` if the job was rejected (already counted).
     pub(crate) fn submit(
@@ -144,9 +153,11 @@ impl ServiceInner {
             if st.shutdown {
                 // Unreachable through the public API (shutdown needs `&mut
                 // Runtime`), but terminal rather than hanging if reached.
-                ticket.set_cancel_kind(CancelKind::Shutdown);
-                ticket.cancelled(cancellation_error().into());
-                self.metrics.note_cancelled();
+                self.cancel_undispatched(
+                    &ticket,
+                    CancelKind::Shutdown,
+                    cancellation_error().into(),
+                );
                 return Ok(ticket);
             }
             if st.queue.is_empty() && st.in_flight.len() < self.window {
@@ -209,9 +220,7 @@ impl ServiceInner {
         } = qj;
         let Some(pool) = self.pool.upgrade() else {
             // The runtime is tearing down; terminal, like shutdown.
-            ticket.set_cancel_kind(CancelKind::Shutdown);
-            ticket.cancelled(cancellation_error().into());
-            self.metrics.note_cancelled();
+            self.cancel_undispatched(&ticket, CancelKind::Shutdown, cancellation_error().into());
             return;
         };
         let mut spec = prepared.job_spec(&self.opts);
@@ -262,11 +271,9 @@ impl ServiceInner {
         let mut st = self.state.lock().expect("service state poisoned");
         let removed = st.queue.purge(|qj| Arc::ptr_eq(&qj.ticket, ticket));
         if !removed.is_empty() {
-            ticket.set_cancel_kind(CancelKind::User);
-            ticket.cancelled(user_cancel_error().into());
-            self.trace_job_event(ticket.trace_job, TraceEventKind::JobCancelled);
-            self.metrics.note_cancelled();
             self.metrics.set_depth(st.queue.len());
+            self.trace_job_event(ticket.trace_job, TraceEventKind::JobCancelled);
+            self.cancel_undispatched(ticket, CancelKind::User, user_cancel_error().into());
             drop(st);
             self.slot_cv.notify_all();
             return;
@@ -327,16 +334,15 @@ fn dispatcher_loop(inner: Arc<ServiceInner>) {
                 .queue
                 .purge(|qj| qj.ticket.deadline.is_some_and(|d| d <= now));
             if !expired.is_empty() {
+                inner.metrics.set_depth(st.queue.len());
                 for qj in &expired {
-                    qj.ticket.set_cancel_kind(CancelKind::Deadline);
                     inner.trace_job_event(qj.ticket.trace_job, TraceEventKind::JobDeadline);
-                    qj.ticket.cancelled(PodsError::DeadlineExceeded {
+                    let err = PodsError::DeadlineExceeded {
                         deadline: qj.ticket.deadline_dur.unwrap_or_default(),
                         breakdown: inner.job_breakdown(qj.ticket.trace_job),
-                    });
-                    inner.metrics.note_cancelled();
+                    };
+                    inner.cancel_undispatched(&qj.ticket, CancelKind::Deadline, err);
                 }
-                inner.metrics.set_depth(st.queue.len());
                 inner.slot_cv.notify_all();
             }
             for entry in &st.in_flight {
@@ -459,11 +465,13 @@ impl JobService {
             let drained = st.queue.purge(|_| true);
             self.inner.metrics.set_depth(0);
             for qj in &drained {
-                qj.ticket.set_cancel_kind(CancelKind::Shutdown);
                 self.inner
                     .trace_job_event(qj.ticket.trace_job, TraceEventKind::JobCancelled);
-                qj.ticket.cancelled(cancellation_error().into());
-                self.inner.metrics.note_cancelled();
+                self.inner.cancel_undispatched(
+                    &qj.ticket,
+                    CancelKind::Shutdown,
+                    cancellation_error().into(),
+                );
             }
             for entry in &st.in_flight {
                 if !entry.canceller.is_done() {

@@ -28,7 +28,7 @@
 
 use crate::instr::{Instr, Operand, SlotId, SpId};
 use crate::template::{ChunkMeta, SpKind, SpProgram};
-use pods_idlang::BinaryOp;
+use pods_idlang::{BinaryOp, Name};
 
 /// How many iterations one child instance should execute before the auto
 /// policy considers the scheduling overhead amortised.
@@ -373,11 +373,12 @@ fn rewrite_child(program: &mut SpProgram, site: &Site) {
         SpKind::Loop { var, .. } => var.clone(),
         SpKind::Function { name } => name.clone(),
     };
-    child.params.push(format!("{var}__chunk_limit"));
-    child.slot_names.insert(p, format!("{var}__chunk_limit"));
+    let limit = Name::from(format!("{var}__chunk_limit"));
+    child.params.push(limit.clone());
+    child.slot_names.insert(p, limit);
     child
         .slot_names
-        .insert(p + 1, format!("{var}__chunk_taken"));
+        .insert(p + 1, format!("{var}__chunk_taken").into());
     child.num_slots += 2;
     child.chunk_meta = Some(ChunkMeta {
         cursor: SlotId(site.cursor_pos),

@@ -46,6 +46,8 @@ pub mod translate;
 
 pub use chunk::{chunk_loop_spawns, ChunkPolicy, ChunkSummary};
 pub use instr::{Instr, Operand, SlotId, SpId};
+/// The identifier type of template, parameter and slot names.
+pub use pods_idlang::Name;
 pub use specialize::{specialize_program, SpecializeSummary, TemplatePlan};
 pub use template::{ChunkMeta, LoopMeta, SpKind, SpProgram, SpTemplate};
 pub use translate::{translate, TranslateError};

@@ -8,6 +8,7 @@
 
 use crate::instr::{Instr, Operand, SlotId, SpId};
 use crate::specialize::TemplatePlan;
+use pods_idlang::Name;
 use std::collections::HashMap;
 
 /// What a template was generated from.
@@ -16,17 +17,17 @@ pub enum SpKind {
     /// The body of a user function.
     Function {
         /// Function name.
-        name: String,
+        name: Name,
     },
     /// One level of a loop nest.
     Loop {
         /// The enclosing function.
-        function: String,
+        function: Name,
         /// Preorder ordinal of the loop within its function (matches
         /// `pods_dataflow::LoopKey`).
         ordinal: usize,
         /// The loop index variable.
-        var: String,
+        var: Name,
         /// `true` for descending loops.
         descending: bool,
         /// Nesting depth within the function (0 = outermost loop).
@@ -93,16 +94,16 @@ pub struct SpTemplate {
     /// The template's identifier within its program.
     pub id: SpId,
     /// Human-readable name (`main`, `main.loop0.i`, ...).
-    pub name: String,
+    pub name: Name,
     /// What the template was generated from.
     pub kind: SpKind,
     /// Names of the parameter slots, in order. Parameters occupy slots
     /// `0..params.len()` of the frame and are filled by the spawn message.
-    pub params: Vec<String>,
+    pub params: Vec<Name>,
     /// Total number of frame slots.
     pub num_slots: usize,
     /// Debug names of all slots.
-    pub slot_names: Vec<String>,
+    pub slot_names: Vec<Name>,
     /// The instruction sequence.
     pub code: Vec<Instr>,
     /// Loop metadata for loop-level templates.
@@ -159,7 +160,7 @@ impl SpTemplate {
     }
 
     /// Adds a fresh slot (used by the partitioner) and returns its id.
-    pub fn add_slot(&mut self, name: impl Into<String>) -> SlotId {
+    pub fn add_slot(&mut self, name: impl Into<Name>) -> SlotId {
         let id = SlotId(self.num_slots);
         self.num_slots += 1;
         self.slot_names.push(name.into());
@@ -260,14 +261,14 @@ impl SpTemplate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpProgram {
     templates: Vec<SpTemplate>,
-    functions: HashMap<String, SpId>,
+    functions: HashMap<Name, SpId>,
     entry: SpId,
 }
 
 impl SpProgram {
     /// Assembles a program from templates. `entry` is the template executed
     /// first (normally `main`'s).
-    pub fn new(templates: Vec<SpTemplate>, functions: HashMap<String, SpId>, entry: SpId) -> Self {
+    pub fn new(templates: Vec<SpTemplate>, functions: HashMap<Name, SpId>, entry: SpId) -> Self {
         SpProgram {
             templates,
             functions,
@@ -529,7 +530,7 @@ mod tests {
             plan: None,
         };
         let mut functions = HashMap::new();
-        functions.insert("main".to_string(), SpId(1));
+        functions.insert("main".into(), SpId(1));
         let program = SpProgram::new(vec![loop_t, main_t], functions, SpId(1));
         assert_eq!(program.entry(), SpId(1));
         assert_eq!(program.function("main"), Some(SpId(1)));
@@ -545,7 +546,7 @@ mod tests {
     fn fingerprint_tracks_structural_identity() {
         let make = || {
             let loop_t = tiny_loop_template();
-            let functions = HashMap::from([("main".to_string(), SpId(0))]);
+            let functions = HashMap::from([("main".into(), SpId(0))]);
             SpProgram::new(vec![loop_t], functions, SpId(0))
         };
         let a = make();
@@ -598,7 +599,7 @@ mod tests {
         };
         let program = SpProgram::new(
             vec![loop_t, main_t],
-            HashMap::from([("main".to_string(), SpId(1))]),
+            HashMap::from([("main".into(), SpId(1))]),
             SpId(1),
         );
         assert_eq!(program.validate().len(), 1);

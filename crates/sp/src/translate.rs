@@ -12,7 +12,7 @@
 use crate::instr::{Instr, Operand, SlotId, SpId};
 use crate::template::{LoopMeta, SpKind, SpProgram, SpTemplate};
 use pods_dataflow::collect_free_vars_stmts;
-use pods_idlang::{BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt};
+use pods_idlang::{BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, Name};
 use std::collections::HashMap;
 
 /// Errors produced by the translator.
@@ -61,6 +61,7 @@ pub fn translate(hir: &HirProgram) -> Result<SpProgram, TranslateError> {
     let mut translator = Translator {
         templates: Vec::new(),
         functions: HashMap::new(),
+        temps: Vec::new(),
     };
     // Pass 1: reserve an SpId per function so calls can be resolved while
     // bodies are being generated.
@@ -81,13 +82,11 @@ pub fn translate(hir: &HirProgram) -> Result<SpProgram, TranslateError> {
     ))
 }
 
-fn placeholder(id: SpId, name: &str) -> SpTemplate {
+fn placeholder(id: SpId, name: &Name) -> SpTemplate {
     SpTemplate {
         id,
-        name: name.to_string(),
-        kind: SpKind::Function {
-            name: name.to_string(),
-        },
+        name: name.clone(),
+        kind: SpKind::Function { name: name.clone() },
         params: Vec::new(),
         num_slots: 0,
         slot_names: Vec::new(),
@@ -100,7 +99,10 @@ fn placeholder(id: SpId, name: &str) -> SpTemplate {
 
 struct Translator {
     templates: Vec<SpTemplate>,
-    functions: HashMap<String, SpId>,
+    functions: HashMap<Name, SpId>,
+    /// The names of temporaries: `temps[n]` is `%t{n}`, shared by every
+    /// template that has an `n`-th temporary.
+    temps: Vec<Name>,
 }
 
 impl Translator {
@@ -125,22 +127,34 @@ impl Translator {
         Ok(())
     }
 
+    /// The name of the `n`-th temporary of a template.
+    fn temp_name(&mut self, n: usize) -> Name {
+        while self.temps.len() <= n {
+            let next = Name::from(format!("%t{}", self.temps.len()));
+            self.temps.push(next);
+        }
+        self.temps[n].clone()
+    }
+
     /// Builds a loop-level template and returns its id.
     #[allow(clippy::too_many_arguments)]
     fn build_loop(
         &mut self,
-        function: &str,
+        function: &Name,
         ordinal: usize,
         depth: usize,
-        var: &str,
+        var: &Name,
         descending: bool,
-        free_vars: &[String],
+        free_vars: &[Name],
         body: &[HirStmt],
         counter: &mut usize,
     ) -> Result<SpId, TranslateError> {
         let id = SpId(self.templates.len());
-        let name = format!("{function}.loop{ordinal}.{var}");
-        let mut params = vec![format!("{var}__init"), format!("{var}__limit")];
+        let name = Name::from(format!("{function}.loop{ordinal}.{var}"));
+        let init_name = Name::from(format!("{var}__init"));
+        let limit_name = Name::from(format!("{var}__limit"));
+        let mut params = Vec::with_capacity(2 + free_vars.len());
+        params.extend([init_name.clone(), limit_name.clone()]);
         params.extend(free_vars.iter().cloned());
         self.templates.push(placeholder(id, &name));
 
@@ -148,22 +162,22 @@ impl Translator {
             id,
             name,
             SpKind::Loop {
-                function: function.to_string(),
+                function: function.clone(),
                 ordinal,
-                var: var.to_string(),
+                var: var.clone(),
                 descending,
                 depth,
             },
             params,
-            function.to_string(),
+            function.clone(),
         );
 
-        let init_param = builder.env[&format!("{var}__init")];
-        let limit_param = builder.env[&format!("{var}__limit")];
-        let index_slot = builder.alloc_slot(var);
-        builder.env.insert(var.to_string(), index_slot);
-        let limit_slot = builder.alloc_slot(format!("{var}__limit_eff"));
-        let cont_slot = builder.alloc_slot(format!("{var}__continue"));
+        let init_param = builder.env[&init_name];
+        let limit_param = builder.env[&limit_name];
+        let index_slot = builder.alloc_slot(var.clone());
+        builder.env.insert(var.clone(), index_slot);
+        let limit_slot = builder.alloc_slot(format!("{var}__limit_eff").into());
+        let cont_slot = builder.alloc_slot(format!("{var}__continue").into());
 
         // Index circulation skeleton (Figure 2 / Figure 5 of the paper).
         builder.code.push(Instr::Move {
@@ -228,20 +242,20 @@ impl Translator {
 
 struct TemplateBuilder {
     id: SpId,
-    name: String,
+    name: Name,
     kind: SpKind,
-    params: Vec<String>,
-    slot_names: Vec<String>,
-    env: HashMap<String, SlotId>,
+    params: Vec<Name>,
+    slot_names: Vec<Name>,
+    env: HashMap<Name, SlotId>,
     code: Vec<Instr>,
     loop_meta: Option<LoopMeta>,
     /// The function this template belongs to (for loop ordinals).
-    function: String,
+    function: Name,
     temp_counter: usize,
 }
 
 impl TemplateBuilder {
-    fn new(id: SpId, name: String, kind: SpKind, params: Vec<String>, function: String) -> Self {
+    fn new(id: SpId, name: Name, kind: SpKind, params: Vec<Name>, function: Name) -> Self {
         let mut builder = TemplateBuilder {
             id,
             name,
@@ -255,22 +269,22 @@ impl TemplateBuilder {
             temp_counter: 0,
         };
         for p in params {
-            let slot = builder.alloc_slot(&p);
+            let slot = builder.alloc_slot(p.clone());
             builder.env.insert(p, slot);
         }
         builder
     }
 
-    fn alloc_slot(&mut self, name: impl Into<String>) -> SlotId {
+    fn alloc_slot(&mut self, name: Name) -> SlotId {
         let id = SlotId(self.slot_names.len());
-        self.slot_names.push(name.into());
+        self.slot_names.push(name);
         id
     }
 
-    fn temp(&mut self) -> SlotId {
-        let n = self.temp_counter;
+    fn temp(&mut self, translator: &mut Translator) -> SlotId {
+        let name = translator.temp_name(self.temp_counter);
         self.temp_counter += 1;
-        self.alloc_slot(format!("%t{n}"))
+        self.alloc_slot(name)
     }
 
     fn lookup(&self, name: &str) -> Result<SlotId, TranslateError> {
@@ -279,7 +293,7 @@ impl TemplateBuilder {
             .copied()
             .ok_or_else(|| TranslateError::UndefinedVariable {
                 name: name.to_string(),
-                context: self.name.clone(),
+                context: self.name.to_string(),
             })
     }
 
@@ -322,7 +336,7 @@ impl TemplateBuilder {
                 let dst = match self.env.get(name) {
                     Some(slot) => *slot,
                     None => {
-                        let slot = self.alloc_slot(name);
+                        let slot = self.alloc_slot(name.clone());
                         self.env.insert(name.clone(), slot);
                         slot
                     }
@@ -334,11 +348,11 @@ impl TemplateBuilder {
                     .iter()
                     .map(|d| self.compile_expr(d, translator))
                     .collect::<Result<Vec<_>, _>>()?;
-                let dst = self.alloc_slot(name);
+                let dst = self.alloc_slot(name.clone());
                 self.env.insert(name.clone(), dst);
                 self.code.push(Instr::ArrayAlloc {
                     dst,
-                    name: name.as_str().into(),
+                    name: name.as_arc().clone(),
                     dims: dim_ops,
                     distributed: false,
                 });
@@ -431,7 +445,7 @@ impl TemplateBuilder {
             HirStmt::Call { function, args } => {
                 let target = *translator.functions.get(function).ok_or_else(|| {
                     TranslateError::UnknownFunction {
-                        name: function.clone(),
+                        name: function.to_string(),
                     }
                 })?;
                 let arg_ops = args
@@ -465,7 +479,7 @@ impl TemplateBuilder {
                     .iter()
                     .map(|i| self.compile_expr(i, translator))
                     .collect::<Result<Vec<_>, _>>()?;
-                let dst = self.temp();
+                let dst = self.temp(translator);
                 self.code.push(Instr::ArrayLoad {
                     dst,
                     array: array_op,
@@ -475,14 +489,14 @@ impl TemplateBuilder {
             }
             HirExpr::Unary { op, operand } => {
                 let src = self.compile_expr(operand, translator)?;
-                let dst = self.temp();
+                let dst = self.temp(translator);
                 self.code.push(Instr::Unary { op: *op, dst, src });
                 Operand::Slot(dst)
             }
             HirExpr::Binary { op, lhs, rhs } => {
                 let l = self.compile_expr(lhs, translator)?;
                 let r = self.compile_expr(rhs, translator)?;
-                let dst = self.temp();
+                let dst = self.temp(translator);
                 self.code.push(Instr::Binary {
                     op: *op,
                     dst,
@@ -494,14 +508,14 @@ impl TemplateBuilder {
             HirExpr::Call { function, args } => {
                 let target = *translator.functions.get(function).ok_or_else(|| {
                     TranslateError::UnknownFunction {
-                        name: function.clone(),
+                        name: function.to_string(),
                     }
                 })?;
                 let arg_ops = args
                     .iter()
                     .map(|a| self.compile_expr(a, translator))
                     .collect::<Result<Vec<_>, _>>()?;
-                let dst = self.temp();
+                let dst = self.temp(translator);
                 self.code.push(Instr::Spawn {
                     target,
                     args: arg_ops,
@@ -516,7 +530,7 @@ impl TemplateBuilder {
                 else_value,
             } => {
                 let cond_op = self.compile_expr(cond, translator)?;
-                let dst = self.temp();
+                let dst = self.temp(translator);
                 let branch_pc = self.code.len();
                 self.code.push(Instr::BranchIfFalse {
                     cond: cond_op,
@@ -628,10 +642,10 @@ mod tests {
         let i_loop = program.loop_template("main", 0).unwrap();
         assert_eq!(i_loop.params[0], "i__init");
         assert_eq!(i_loop.params[1], "i__limit");
-        assert!(i_loop.params.contains(&"a".to_string()));
+        assert!(i_loop.params.iter().any(|p| p == "a"));
         let j_loop = program.loop_template("main", 1).unwrap();
-        assert!(j_loop.params.contains(&"a".to_string()));
-        assert!(j_loop.params.contains(&"i".to_string()));
+        assert!(j_loop.params.iter().any(|p| p == "a"));
+        assert!(j_loop.params.iter().any(|p| p == "i"));
     }
 
     #[test]

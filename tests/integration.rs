@@ -200,3 +200,88 @@ fn run_options_and_reports_are_exposed_through_the_facade() {
         .unwrap();
     assert_eq!(outcome.result.return_value, Some(pods_repro::Value::Int(2)));
 }
+
+/// The benchmark's gather (`gather_wake`'s shape at 16 probes): a
+/// right-nested sum of split-phase `probe` calls.
+fn gather16_source() -> String {
+    let mut expr = "probe(a, 15)".to_string();
+    for i in (0..15).rev() {
+        expr = format!("probe(a, {i}) + ({expr})");
+    }
+    format!(
+        "def main(n) {{\n    a = array(n);\n    for i = 0 to n - 1 {{ a[i] = i * 3; }}\n    \
+         return {expr};\n}}\ndef probe(a, i) {{ return a[i] + 1; }}\n"
+    )
+}
+
+/// A degree-6 Horner polynomial per element: the shape prepare-time
+/// specialization fuses into super-ops.
+const POLY: &str = "def main(n) {
+    a = array(n);
+    for i = 0 to n - 1 {
+        a[i] = (((((i * 3 + 1) * i + 7) * i + 11) * i + 13) * i + 17) * i + 19;
+    }
+    return a;
+}";
+
+#[test]
+fn compiled_programs_share_their_stages_and_build_the_graph_once() {
+    let program = pods::compile(pods_workloads::simple::SIMPLE).unwrap();
+    let copy = program.clone();
+    assert!(std::ptr::eq(program.hir(), copy.hir()));
+    assert!(std::ptr::eq(program.sp_program(), copy.sp_program()));
+    assert!(std::ptr::eq(program.loops(), copy.loops()));
+
+    // The graph is built on the first call, from the HIR, and then shared
+    // by every clone.
+    let graph = copy.graph();
+    assert!(std::ptr::eq(graph, program.graph()));
+    assert!(std::ptr::eq(graph, copy.graph()));
+    let rebuilt = pods_dataflow::build_program(program.hir());
+    assert_eq!(graph.num_blocks(), rebuilt.num_blocks());
+    assert_eq!(graph.stats(), rebuilt.stats());
+    assert_eq!(*graph, rebuilt);
+}
+
+#[test]
+fn cold_mix_programs_translate_and_partition_to_pinned_shapes() {
+    // Templates, instructions, planned super-ops and distributed loops of
+    // SIMPLE and the other programs the cold path compiles: a change to the
+    // front end that means to move none of them (sharing or interning, say)
+    // must leave every number here as it is.
+    let gather = gather16_source();
+    let cases: [(&str, &str, [usize; 4]); 8] = [
+        ("FILL", pods_workloads::FILL, [3, 25, 8, 1]),
+        ("MATMUL", pods_workloads::MATMUL, [6, 68, 22, 2]),
+        ("STENCIL", pods_workloads::STENCIL, [8, 98, 34, 3]),
+        ("RECURRENCE", pods_workloads::RECURRENCE, [3, 32, 10, 1]),
+        ("GATHER16", &gather, [3, 47, 8, 1]),
+        ("SIMPLE", pods_workloads::simple::SIMPLE, [29, 575, 151, 10]),
+        (
+            "PAPER_EXAMPLE",
+            pods_workloads::PAPER_EXAMPLE,
+            [4, 23, 7, 1],
+        ),
+        ("POLY", POLY, [2, 24, 4, 1]),
+    ];
+    let runtime = pods::Runtime::builder(pods::EngineKind::Native)
+        .workers(1)
+        .specialize(true)
+        .build();
+    for (name, source, want) in cases {
+        let program = pods::compile(source).unwrap();
+        let sp = program.sp_program();
+        let prepared = runtime.prepare(&program);
+        let report = prepared.partition_report();
+        let got = [
+            sp.len(),
+            sp.total_instructions(),
+            report.super_ops,
+            report.distributed_loops().count(),
+        ];
+        assert_eq!(
+            got, want,
+            "{name}: [templates, instructions, super-ops, distributed loops]"
+        );
+    }
+}
