@@ -3,10 +3,14 @@
 //! page-size sweep (the paper cites [Bic89] that page size is not critical).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pods::{PartitionConfig, RunOptions, Value};
+use pods::{EngineKind, PartitionConfig, RunOptions, Runtime, Value};
 
 fn options(pes: usize) -> RunOptions {
     RunOptions::with_pes(pes)
+}
+
+fn simulator(opts: RunOptions) -> Runtime {
+    Runtime::builder(EngineKind::Sim).options(opts).build()
 }
 
 fn bench_ablations(c: &mut Criterion) {
@@ -21,7 +25,8 @@ fn bench_ablations(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &cache, |b, &cache| {
             let mut opts = options(8);
             opts.remote_page_cache = cache;
-            b.iter(|| stencil.run(&[n], &opts).unwrap())
+            let runtime = simulator(opts);
+            b.iter(|| runtime.run(&stencil, &[n]).unwrap())
         });
     }
     group.finish();
@@ -35,7 +40,8 @@ fn bench_ablations(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &partition, |b, part| {
             let mut opts = options(pes);
             opts.partition = *part;
-            b.iter(|| stencil.run(&[n], &opts).unwrap())
+            let runtime = simulator(opts);
+            b.iter(|| runtime.run(&stencil, &[n]).unwrap())
         });
     }
     group.finish();
@@ -46,7 +52,8 @@ fn bench_ablations(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(page), &page, |b, &page| {
             let mut opts = options(8);
             opts.page_size = page;
-            b.iter(|| stencil.run(&[n], &opts).unwrap())
+            let runtime = simulator(opts);
+            b.iter(|| runtime.run(&stencil, &[n]).unwrap())
         });
     }
     group.finish();

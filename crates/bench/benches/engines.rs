@@ -1,10 +1,10 @@
-//! Engine comparison: SimEngine vs NativeParallelEngine wall-clock on the
-//! FILL and SIMPLE workloads at 1/2/4/8 workers, through the shared
-//! `Engine` trait — plus three warm-path groups:
+//! Engine comparison: the `sim` vs the `native` engine's wall-clock on the
+//! FILL and SIMPLE workloads at 1/2/4/8 workers, one fresh `pods::Runtime`
+//! per run — plus the warm-path groups:
 //!
 //! * `runtime_reuse` — a persistent `pods::Runtime` (one warm worker pool
-//!   across N back-to-back runs) vs N cold `run_on` calls (a fresh pool
-//!   spawned and joined per run);
+//!   across N back-to-back runs) vs N cold runtimes (a fresh pool spawned
+//!   and joined per run);
 //! * `prepared_reuse` — warm runs submitting a `PreparedProgram` handle
 //!   (clone/partition/read-slot tables amortised to one `prepare`) vs warm
 //!   runs on a cache-disabled runtime that re-prepares every submission
@@ -56,7 +56,7 @@
 //! with N up to the host's core count).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pods::{ChunkPolicy, EngineKind, EngineStats, RunOptions, Runtime, Value};
+use pods::{ChunkPolicy, CompiledProgram, EngineKind, EngineStats, RunOptions, Runtime, Value};
 
 /// A read-heavy gather with `k` split-phase probe calls: every probe
 /// instance parks on an unwritten element, then the producer loop's writes
@@ -107,7 +107,17 @@ fn fine_fill_source() -> String {
 }
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const ENGINES: [&str; 2] = ["sim", "native"];
+const ENGINES: [EngineKind; 2] = [EngineKind::Sim, EngineKind::Native];
+
+/// One run on a runtime of its own, so a pooled engine spawns and joins its
+/// workers inside the measurement.
+fn cold_run(kind: EngineKind, program: &CompiledProgram, n: i64, opts: &RunOptions) {
+    Runtime::builder(kind)
+        .options(opts.clone())
+        .build()
+        .run(program, &[Value::Int(n)])
+        .expect("bench run");
+}
 
 fn bench_engines(c: &mut Criterion) {
     let host_parallelism = std::thread::available_parallelism()
@@ -133,16 +143,12 @@ fn bench_engines(c: &mut Criterion) {
                 // timing every configuration a second time.
                 let mut mean_us = 0.0;
                 group.bench_with_input(
-                    BenchmarkId::new(engine, workers),
+                    BenchmarkId::new(engine.name(), workers),
                     &workers,
                     |b, &workers| {
                         let mut opts = RunOptions::with_pes(workers);
                         opts.partition.chunk = env_chunk;
-                        b.iter(|| {
-                            program
-                                .run_on(engine, &[Value::Int(n)], &opts)
-                                .expect("bench run")
-                        });
+                        b.iter(|| cold_run(engine, &program, n, &opts));
                         mean_us = b.mean_ns / 1e3;
                     },
                 );
@@ -159,7 +165,7 @@ fn bench_engines(c: &mut Criterion) {
     }
 
     // runtime_reuse: N back-to-back native runs of one workload, warm
-    // (one persistent Runtime, pool reused) vs cold (one run_on call per
+    // (one persistent Runtime, pool reused) vs cold (one fresh Runtime per
     // run, each spawning and joining its own pool). Reported per run so
     // the numbers are comparable with the engine points above.
     const REUSE_RUNS: usize = 8;
@@ -167,7 +173,7 @@ fn bench_engines(c: &mut Criterion) {
     let (workload, n) = ("fill", 48i64);
     let program = pods::compile(pods_workloads::FILL).expect("workload compiles");
     let mut group = c.benchmark_group(format!("runtime_reuse_{workload}_{n}"));
-    for mode in ["warm-runtime", "cold-run_on"] {
+    for mode in ["warm-runtime", "cold-runtime"] {
         let mut mean_us = 0.0;
         group.bench_with_input(
             BenchmarkId::new(mode, reuse_workers),
@@ -190,9 +196,7 @@ fn bench_engines(c: &mut Criterion) {
                         opts.partition.chunk = env_chunk;
                         b.iter(|| {
                             for _ in 0..REUSE_RUNS {
-                                program
-                                    .run_on("native", &[Value::Int(n)], &opts)
-                                    .expect("bench run");
+                                cold_run(EngineKind::Native, &program, n, &opts);
                             }
                         });
                     }

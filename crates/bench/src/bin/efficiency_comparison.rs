@@ -11,19 +11,14 @@
 //! engine has no modelled clock, so comparing it against the oracle's
 //! modelled 1988 microseconds would be meaningless).
 
-use pods::{report, RunOptions, Value};
+use pods::{report, EngineKind};
 
 fn main() {
-    let n: i64 = 32;
+    let n = 32;
     let engine = pods_bench::engine_kind();
     let program = pods_bench::compile_simple();
-    let outcome = program
-        .run_on(engine.name(), &[Value::Int(n)], &RunOptions::with_pes(1))
-        .expect("PODS single-PE run");
-
-    let seq = program
-        .run_on("seq", &[Value::Int(n)], &RunOptions::default())
-        .expect("sequential baseline");
+    let outcome = pods_bench::run_simple_on(engine, &program, n, 1);
+    let seq = pods_bench::run_simple_on(EngineKind::Seq, &program, n, 1);
 
     let (clock, parallel_us, baseline_us) = match outcome.modelled_us {
         Some(us) => ("modelled time", us, seq.elapsed_us()),

@@ -15,8 +15,8 @@ fn main() {
     let engine = pods_bench::engine_kind();
 
     for &n in &sizes {
-        let points = pods::speedup_sweep_on(
-            engine.name(),
+        let points = pods::speedup_sweep(
+            engine,
             &program,
             &[Value::Int(n as i64)],
             &pes,

@@ -11,7 +11,7 @@ fn main() {
     let n = 16;
     let runs: Vec<(usize, SimulationStats)> = pods_bench::pe_counts()
         .into_iter()
-        .map(|pes| (pes, pods_bench::run_simple(&program, n, pes).result.stats))
+        .map(|pes| (pes, pods_bench::run_simple(&program, n, pes)))
         .collect();
 
     println!("Figure 8: functional-unit utilization, SIMPLE {n}x{n}");

@@ -16,8 +16,7 @@ fn main() {
     let mut rows = vec![vec![0.0f64; sizes.len()]; pes.len()];
     for (col, &n) in sizes.iter().enumerate() {
         for (row, &p) in pes.iter().enumerate() {
-            let outcome = pods_bench::run_simple(&program, n, p);
-            rows[row][col] = outcome.result.stats.utilization(Unit::Execution);
+            rows[row][col] = pods_bench::run_simple(&program, n, p).utilization(Unit::Execution);
         }
     }
     for (row, &p) in pes.iter().enumerate() {

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pods::{CompiledProgram, EngineKind, EngineOutcome, RunOptions, Value};
+use pods::{CompiledProgram, EngineKind, EngineOutcome, Runtime, SimulationStats, Value};
 
 /// Mesh sizes used by the SIMPLE experiments. Honours the
 /// `PODS_MESH_SIZES` environment variable (comma-separated) so slow machines
@@ -45,17 +45,18 @@ pub fn compile_simple() -> CompiledProgram {
     pods::compile(pods_workloads::simple::SIMPLE).expect("SIMPLE compiles")
 }
 
-/// Runs SIMPLE on the given mesh size and PE count with paper-default
-/// options.
+/// Runs SIMPLE on the machine simulator at the given mesh size and PE count
+/// with paper-default options, and returns the simulator's statistics.
 ///
 /// # Panics
 ///
 /// Panics if the simulation fails; the harness treats that as a fatal
 /// reproduction error.
-pub fn run_simple(program: &CompiledProgram, n: usize, pes: usize) -> pods::RunOutcome {
-    program
-        .run(&[Value::Int(n as i64)], &RunOptions::with_pes(pes))
-        .unwrap_or_else(|e| panic!("SIMPLE {n}x{n} on {pes} PEs failed: {e}"))
+pub fn run_simple(program: &CompiledProgram, n: usize, pes: usize) -> SimulationStats {
+    run_simple_on(EngineKind::Sim, program, n, pes)
+        .simulation_stats()
+        .expect("the simulator reports simulation statistics")
+        .clone()
 }
 
 /// The engine the harness binaries should use, from the `PODS_ENGINE`
@@ -73,21 +74,24 @@ pub fn engine_kind() -> EngineKind {
     EngineKind::from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Runs SIMPLE on the named engine.
+/// Runs SIMPLE on engine `kind` with `pes` workers and paper-default
+/// options.
 ///
 /// # Panics
 ///
 /// Panics if the run fails; the harness treats that as a fatal reproduction
 /// error.
 pub fn run_simple_on(
-    engine: &str,
+    kind: EngineKind,
     program: &CompiledProgram,
     n: usize,
     pes: usize,
 ) -> EngineOutcome {
-    program
-        .run_on(engine, &[Value::Int(n as i64)], &RunOptions::with_pes(pes))
-        .unwrap_or_else(|e| panic!("SIMPLE {n}x{n} on {pes} PEs (engine {engine}) failed: {e}"))
+    Runtime::builder(kind)
+        .workers(pes)
+        .build()
+        .run(program, &[Value::Int(n as i64)])
+        .unwrap_or_else(|e| panic!("SIMPLE {n}x{n} on {pes} PEs (engine {kind}) failed: {e}"))
 }
 
 #[cfg(test)]
@@ -108,8 +112,9 @@ mod tests {
     #[test]
     fn simple_compiles_and_runs_small() {
         let program = compile_simple();
-        let outcome = run_simple(&program, 8, 2);
-        assert!(outcome.result.array("s").unwrap().is_complete());
+        let outcome = run_simple_on(EngineKind::Sim, &program, 8, 2);
+        assert!(outcome.array("s").unwrap().is_complete());
+        assert!(run_simple(&program, 8, 2).elapsed_us > 0.0);
     }
 
     #[test]
@@ -118,7 +123,7 @@ mod tests {
             assert_eq!(engine_kind(), EngineKind::Sim);
         }
         let program = compile_simple();
-        let outcome = run_simple_on("native", &program, 8, 2);
+        let outcome = run_simple_on(EngineKind::Native, &program, 8, 2);
         assert!(outcome.array("s").unwrap().is_complete());
     }
 }

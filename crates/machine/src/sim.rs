@@ -287,23 +287,6 @@ pub fn simulate(
     Simulation::new(program.clone(), config.clone()).run(main_args)
 }
 
-/// [`simulate`] with a flight-recorder sink attached (see
-/// [`Simulation::with_trace_sink`]).
-///
-/// # Errors
-///
-/// Same as [`simulate`].
-pub fn simulate_with_sink(
-    program: &SpProgram,
-    main_args: &[Value],
-    config: &MachineConfig,
-    sink: Box<dyn TraceSink>,
-) -> Result<SimulationResult, SimulationError> {
-    Simulation::new(program.clone(), config.clone())
-        .with_trace_sink(sink)
-        .run(main_args)
-}
-
 impl Simulation {
     /// Creates a simulation of `program` on the configured machine.
     pub fn new(program: SpProgram, config: MachineConfig) -> Self {

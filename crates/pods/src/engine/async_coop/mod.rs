@@ -2,7 +2,7 @@
 //! [`super::pool`] scheduler with the *task-owned frame + waker* suspension
 //! strategy.
 //!
-//! The native engine ([`super::NativeParallelEngine`]) parks a blocked
+//! The native engine ([`super::native`]) parks a blocked
 //! instance in a job-wide registry, so every park, wake and mailbox
 //! delivery takes one job-wide lock. This engine keeps each SP instance's
 //! suspension state in the instance itself, the way async runtimes do: an
@@ -20,27 +20,14 @@
 
 mod task;
 
-use super::pool::{self, locked, Frame, Instance, PoolStats, Suspension};
-use super::{Engine, EngineOutcome, EngineStats};
-use crate::error::PodsError;
-use crate::pipeline::{CompiledProgram, RunOptions};
+use super::pool::{locked, Frame, Instance, PoolStats, Suspension};
+use super::EngineStats;
 use pods_istructure::{StoreStats, Value};
 use pods_machine::InstanceId;
 use pods_partition::PartitionReport;
 use pods_sp::{SlotId, SpId, SpProgram};
 use std::sync::{Arc, Mutex};
 use task::{AsyncWaiter, TaskHandle};
-
-/// Executes the partitioned SP program on a cooperative executor with
-/// `opts.num_pes` worker threads: suspended instances are resumed by
-/// I-structure wakers instead of a parked-instance registry. Reports
-/// wall-clock time — the only honest clock for native execution.
-///
-/// This is the *cold* path: every `run` spins up a fresh executor and
-/// tears it down afterwards. To reuse one executor across many runs, use
-/// [`crate::Runtime`] with [`crate::EngineKind::AsyncCoop`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AsyncCoopEngine;
 
 /// Counters reported by the cooperative executor for one job. The shape
 /// mirrors [`super::NativeStats`] (pool identity, job sequencing, wake-up
@@ -311,25 +298,6 @@ impl Suspension for Wakers {
             store: c.store,
         };
         EngineStats::AsyncCoop { stats, partition }
-    }
-}
-
-impl Engine for AsyncCoopEngine {
-    fn name(&self) -> &'static str {
-        "async"
-    }
-
-    fn description(&self) -> &'static str {
-        "cooperative executor: futures-style instance suspension with I-structure wakers (wall-clock time on N threads)"
-    }
-
-    fn run(
-        &self,
-        program: &CompiledProgram,
-        args: &[Value],
-        opts: &RunOptions,
-    ) -> Result<EngineOutcome, PodsError> {
-        pool::run_cold::<Wakers>(program, args, opts)
     }
 }
 

@@ -1,50 +1,41 @@
-//! The execution layer of PODS: one [`Engine`] abstraction, five engines.
+//! The execution layer of PODS: five engines behind one [`EngineOutcome`].
 //!
-//! Historically the repository had three unrelated ways to execute a
-//! compiled program — the discrete-event machine simulator, the sequential
-//! baseline interpreter, and the Pingali & Rogers cost model — each with its
-//! own entry point and result type, wired ad hoc through the pipeline. This
-//! module unifies them behind a single trait (in the spirit of Timely
-//! Dataflow's `execute` layer): every engine consumes the same
-//! [`CompiledProgram`] and [`RunOptions`] and produces the same
-//! [`EngineOutcome`], so correctness can be cross-checked differentially and
-//! speed-up sweeps can compare simulated PEs against real hardware threads
-//! from one code path.
+//! Every engine consumes the same [`CompiledProgram`] and
+//! [`RunOptions`](crate::RunOptions) and produces the same
+//! [`EngineOutcome`], so correctness can be cross-checked differentially
+//! and speed-up sweeps can compare simulated PEs against real hardware
+//! threads from one code path. A [`crate::Runtime`] is the one way to run
+//! them: it runs the modelled engines on the calling thread and submits to
+//! the pool of the pooled ones.
 //!
-//! The engines:
+//! The engines, by [`EngineKind`]:
 //!
-//! * [`SimEngine`] — the paper-faithful instruction-level simulator
-//!   (`pods_machine::simulate`); reports *simulated* time on N virtual PEs.
-//! * [`SequentialEngine`] — the control-driven sequential interpreter
+//! * [`EngineKind::Sim`] — the paper-faithful instruction-level simulator
+//!   ([`pods_machine::Simulation`]); reports *simulated* time on N virtual
+//!   PEs.
+//! * [`EngineKind::Seq`] — the control-driven sequential interpreter
 //!   (`pods_baseline::run_sequential`); the correctness oracle.
-//! * [`PrEstimateEngine`] — the static-compilation cost model
-//!   (`pods_baseline::PrModel`) driven by a sequential profile.
-//! * [`NativeParallelEngine`] — executes the partitioned SP program on a
-//!   real work-stealing thread pool with a thread-safe I-structure store,
+//! * [`EngineKind::Pr`] — the static-compilation cost model
+//!   ([`pods_baseline::PrModel`]) driven by a sequential profile.
+//! * [`EngineKind::Native`] — the partitioned SP program on a real
+//!   work-stealing thread pool with a thread-safe I-structure store,
 //!   reporting *wall-clock* time on N OS threads.
-//! * [`AsyncCoopEngine`] — the same partitioned program on a cooperative
-//!   executor: instances are futures-style resumable state machines,
-//!   suspended reads register *wakers* with the I-structure store, and a
-//!   per-worker run-queue scheduler with work stealing over tasks resumes
-//!   them — the scheduling-overhead comparison the paper's evaluation is
-//!   about.
+//! * [`EngineKind::AsyncCoop`] — the same partitioned program on the same
+//!   pool, but instances are futures-style resumable state machines whose
+//!   suspended reads register *wakers* with the I-structure store — the
+//!   scheduling-overhead comparison the paper's evaluation is about.
 //!
-//! Engine selection is *typed*: [`EngineKind`] is the enum of the five
-//! engines, parses every historical name and alias (`FromStr`), and maps to
-//! a `&'static` engine instance without allocation. The preferred way to
-//! execute programs is a [`crate::Runtime`] built from an `EngineKind`;
-//! the example below drives the static registry directly:
+//! `EngineKind` parses every historical name and alias (`FromStr`):
 //!
 //! ```
-//! use pods::{compile, EngineKind, RunOptions, Value};
+//! use pods::{compile, EngineKind, Runtime, Value};
 //!
 //! let program = compile(
 //!     "def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i * i; } return a; }",
 //! )?;
 //! for kind in EngineKind::ALL {
-//!     let outcome = kind
-//!         .engine()
-//!         .run(&program, &[Value::Int(8)], &RunOptions::with_pes(2))?;
+//!     let runtime = Runtime::builder(kind).workers(2).build();
+//!     let outcome = runtime.run(&program, &[Value::Int(8)])?;
 //!     assert_eq!(outcome.returned_array().unwrap().get(&[3]), Some(Value::Int(9)));
 //! }
 //! assert_eq!("threads".parse::<EngineKind>()?, EngineKind::Native);
@@ -54,52 +45,21 @@
 mod async_coop;
 mod native;
 mod pool;
-mod pr;
-mod seq;
-mod sim;
+pub(crate) mod pr;
+pub(crate) mod seq;
+pub(crate) mod sim;
 
-pub use async_coop::{AsyncCoopEngine, AsyncStats};
-pub use native::{NativeParallelEngine, NativeStats};
+pub use async_coop::AsyncStats;
+pub use native::NativeStats;
 pub(crate) use pool::{build_read_slots, JobSpec, PoolCanceller, PoolHandle, Pooled, ReadSlots};
-pub use pr::PrEstimateEngine;
-pub use seq::SequentialEngine;
-pub use sim::SimEngine;
 
 use crate::error::PodsError;
-use crate::pipeline::{CompiledProgram, RunOptions};
+use crate::pipeline::CompiledProgram;
 use pods_baseline::PrPoint;
 use pods_istructure::Value;
 use pods_machine::{ArraySnapshot, SimulationStats, Unit};
 use pods_partition::PartitionReport;
-use std::sync::{Arc, LazyLock};
-
-/// A uniform executor of compiled PODS programs.
-///
-/// Engines are stateless and cheap to construct; configuration that varies
-/// per run (machine size, page size, partitioning switches) travels in
-/// [`RunOptions`].
-pub trait Engine: Send + Sync {
-    /// Short stable name used for engine selection (`"sim"`, `"seq"`,
-    /// `"pr"`, `"native"`).
-    fn name(&self) -> &'static str;
-
-    /// One-line human description of what the engine measures.
-    fn description(&self) -> &'static str;
-
-    /// Executes `program` with `args` under `opts`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PodsError`] for malformed invocations (missing `main`,
-    /// argument-count mismatch) and for run-time failures (deadlock,
-    /// single-assignment violations, out-of-bounds accesses).
-    fn run(
-        &self,
-        program: &CompiledProgram,
-        args: &[Value],
-        opts: &RunOptions,
-    ) -> Result<EngineOutcome, PodsError>;
-}
+use std::sync::Arc;
 
 /// Per-engine statistics attached to an [`EngineOutcome`].
 #[derive(Debug, Clone)]
@@ -141,7 +101,7 @@ pub enum EngineStats {
     },
 }
 
-/// The uniform result of running a program on any [`Engine`].
+/// The uniform result of running a program on any engine.
 #[derive(Debug, Clone)]
 pub struct EngineOutcome {
     /// Name of the engine that produced this outcome.
@@ -186,12 +146,19 @@ impl EngineOutcome {
         }
     }
 
-    /// Execution-Unit utilization, for engines that simulate the machine.
-    pub fn eu_utilization(&self) -> Option<f64> {
+    /// The machine simulator's statistics, for engines that simulate the
+    /// machine.
+    pub fn simulation_stats(&self) -> Option<&SimulationStats> {
         match &self.stats {
-            EngineStats::Simulated { stats, .. } => Some(stats.utilization(Unit::Execution)),
+            EngineStats::Simulated { stats, .. } => Some(stats),
             _ => None,
         }
+    }
+
+    /// Execution-Unit utilization, for engines that simulate the machine.
+    pub fn eu_utilization(&self) -> Option<f64> {
+        self.simulation_stats()
+            .map(|stats| stats.utilization(Unit::Execution))
     }
 
     /// Effective grain — average loop iterations executed per spawned SP
@@ -248,39 +215,27 @@ impl EngineStats {
     }
 }
 
-/// Names of all built-in engines, in canonical order.
-pub const ENGINE_NAMES: [&str; 5] = ["sim", "seq", "pr", "native", "async"];
-
 /// The typed identity of an execution engine.
 ///
-/// This replaces stringly engine selection: parse a name (or alias) once
-/// into an `EngineKind`, then build a [`crate::Runtime`] from it or fetch
-/// the `&'static` engine instance with [`EngineKind::engine`]. Parsing is
-/// case-insensitive and accepts every name the string-based API ever
-/// accepted.
+/// Parse a name (or alias) once into an `EngineKind`, then build a
+/// [`crate::Runtime`] from it. Parsing is case-insensitive and accepts every
+/// name the string-based API ever accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// The instruction-level iPSC/2 machine simulator ([`SimEngine`]).
+    /// The instruction-level iPSC/2 machine simulator.
     Sim,
-    /// The sequential oracle interpreter ([`SequentialEngine`]).
+    /// The sequential oracle interpreter.
     Seq,
-    /// The Pingali & Rogers static-compilation cost model
-    /// ([`PrEstimateEngine`]).
+    /// The Pingali & Rogers static-compilation cost model.
     Pr,
-    /// The native work-stealing thread pool ([`NativeParallelEngine`]).
+    /// The native work-stealing thread pool.
     Native,
-    /// The cooperative futures-style executor ([`AsyncCoopEngine`]).
+    /// The cooperative futures-style executor.
     AsyncCoop,
 }
 
-static SIM_ENGINE: SimEngine = SimEngine;
-static SEQ_ENGINE: SequentialEngine = SequentialEngine;
-static NATIVE_ENGINE: NativeParallelEngine = NativeParallelEngine;
-static ASYNC_ENGINE: AsyncCoopEngine = AsyncCoopEngine;
-static PR_ENGINE: LazyLock<PrEstimateEngine> = LazyLock::new(PrEstimateEngine::default);
-
 impl EngineKind {
-    /// All engine kinds, in canonical order (matching [`ENGINE_NAMES`]).
+    /// All engine kinds, in canonical order.
     pub const ALL: [EngineKind; 5] = [
         EngineKind::Sim,
         EngineKind::Seq,
@@ -298,6 +253,29 @@ impl EngineKind {
             EngineKind::Pr => "pr",
             EngineKind::Native => "native",
             EngineKind::AsyncCoop => "async",
+        }
+    }
+
+    /// One-line human description of what the engine measures.
+    pub fn description(self) -> &'static str {
+        match self {
+            EngineKind::Sim => {
+                "instruction-level discrete-event simulator (simulated time on N virtual PEs)"
+            }
+            EngineKind::Seq => {
+                "control-driven sequential interpreter (modelled time, correctness oracle)"
+            }
+            EngineKind::Pr => {
+                "Pingali & Rogers static-compilation cost model (modelled time on N PEs)"
+            }
+            EngineKind::Native => {
+                "work-stealing thread pool over the shared I-structure store \
+                 (wall-clock time on N threads)"
+            }
+            EngineKind::AsyncCoop => {
+                "cooperative executor: futures-style instance suspension with I-structure \
+                 wakers (wall-clock time on N threads)"
+            }
         }
     }
 
@@ -336,17 +314,6 @@ impl EngineKind {
         EngineKind::ALL
             .into_iter()
             .find(|k| k.aliases().iter().any(|a| a.eq_ignore_ascii_case(name)))
-    }
-
-    /// The shared, statically-allocated engine instance of this kind.
-    pub fn engine(self) -> &'static dyn Engine {
-        match self {
-            EngineKind::Sim => &SIM_ENGINE,
-            EngineKind::Seq => &SEQ_ENGINE,
-            EngineKind::Pr => &*PR_ENGINE,
-            EngineKind::Native => &NATIVE_ENGINE,
-            EngineKind::AsyncCoop => &ASYNC_ENGINE,
-        }
     }
 
     /// The engine kind selected by the `PODS_ENGINE` environment variable
@@ -397,16 +364,6 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// Looks an engine up by name (case-insensitive; a few aliases accepted).
-///
-/// Allocation-free: backed by [`EngineKind::parse`] and the static engine
-/// registry. Returns `None` for unknown names;
-/// [`crate::pipeline::CompiledProgram::run_on`] converts that into
-/// [`PodsError::UnknownEngine`].
-pub fn engine_by_name(name: &str) -> Option<&'static dyn Engine> {
-    Some(EngineKind::parse(name)?.engine())
-}
-
 /// The error every job cut short by pool teardown reports (tests match on
 /// "cancelled").
 pub(crate) fn cancellation_error() -> pods_machine::SimulationError {
@@ -415,7 +372,8 @@ pub(crate) fn cancellation_error() -> pods_machine::SimulationError {
     )
 }
 
-/// Shared argument validation used by every engine.
+/// Argument validation, run on every submission before any engine sees the
+/// job.
 pub(crate) fn check_invocation(program: &CompiledProgram, args: &[Value]) -> Result<(), PodsError> {
     let Some(entry) = program.hir().entry() else {
         return Err(PodsError::MissingEntry);
@@ -433,32 +391,30 @@ pub(crate) fn check_invocation(program: &CompiledProgram, args: &[Value]) -> Res
 mod tests {
     use super::*;
     use crate::pipeline::compile;
+    use crate::runtime::Runtime;
+
+    /// The canonical names, in [`EngineKind::ALL`] order.
+    const NAMES: [&str; 5] = ["sim", "seq", "pr", "native", "async"];
 
     #[test]
     fn registry_resolves_names_and_aliases() {
-        for name in ENGINE_NAMES {
-            let engine = engine_by_name(name).unwrap();
-            assert_eq!(engine.name(), name);
-            assert!(!engine.description().is_empty());
+        for (kind, name) in EngineKind::ALL.into_iter().zip(NAMES) {
+            assert_eq!(EngineKind::parse(name), Some(kind));
+            assert!(!kind.description().is_empty());
         }
-        assert_eq!(engine_by_name("SIMULATOR").unwrap().name(), "sim");
-        assert_eq!(engine_by_name("threads").unwrap().name(), "native");
-        assert!(engine_by_name("warp-drive").is_none());
+        assert_eq!(EngineKind::parse("SIMULATOR"), Some(EngineKind::Sim));
+        assert_eq!(EngineKind::parse("threads"), Some(EngineKind::Native));
+        assert_eq!(EngineKind::parse("warp-drive"), None);
     }
 
     #[test]
     fn engine_kind_is_typed_and_static() {
-        for (kind, name) in EngineKind::ALL.into_iter().zip(ENGINE_NAMES) {
+        for (kind, name) in EngineKind::ALL.into_iter().zip(NAMES) {
             assert_eq!(kind.name(), name);
             assert_eq!(kind.to_string(), name);
-            assert_eq!(kind.engine().name(), name);
             assert_eq!(name.parse::<EngineKind>().unwrap(), kind);
             assert_eq!(kind.aliases()[0], name);
         }
-        // The registry hands out the same static instance every time.
-        let a = engine_by_name("sim").unwrap() as *const dyn Engine;
-        let b = engine_by_name("simulator").unwrap() as *const dyn Engine;
-        assert!(std::ptr::addr_eq(a, b));
         assert!(matches!(
             "warp-drive".parse::<EngineKind>(),
             Err(PodsError::UnknownEngine { name }) if name == "warp-drive"
@@ -491,7 +447,7 @@ mod tests {
             matches!(err, PodsError::UnknownEngine { ref name } if name == "hypercube"),
             "{err:?}"
         );
-        for name in ENGINE_NAMES {
+        for name in NAMES {
             assert!(
                 message.contains(name),
                 "from_env error must list `{name}`: {message}"
@@ -515,17 +471,17 @@ mod tests {
     fn every_engine_validates_invocations() {
         let program = compile("def main(n) { return n; }").unwrap();
         let no_main = compile("def helper(x) { return x; }").unwrap();
-        for name in ENGINE_NAMES {
-            let engine = engine_by_name(name).unwrap();
+        for kind in EngineKind::ALL {
+            let runtime = Runtime::builder(kind).workers(1).build();
             assert!(matches!(
-                engine.run(&program, &[], &RunOptions::default()),
+                runtime.run(&program, &[]),
                 Err(PodsError::ArgumentMismatch {
                     expected: 1,
                     got: 0
                 })
             ));
             assert!(matches!(
-                engine.run(&no_main, &[], &RunOptions::default()),
+                runtime.run(&no_main, &[]),
                 Err(PodsError::MissingEntry)
             ));
         }
@@ -534,13 +490,11 @@ mod tests {
     #[test]
     fn scalar_program_agrees_across_all_engines() {
         let program = compile("def main(n) { return n * 3 + 1; }").unwrap();
-        for name in ENGINE_NAMES {
-            let engine = engine_by_name(name).unwrap();
-            let outcome = engine
-                .run(&program, &[Value::Int(4)], &RunOptions::with_pes(2))
-                .unwrap();
-            assert_eq!(outcome.return_value, Some(Value::Int(13)), "{name}");
-            assert_eq!(outcome.engine, engine.name());
+        for kind in EngineKind::ALL {
+            let runtime = Runtime::builder(kind).workers(2).build();
+            let outcome = runtime.run(&program, &[Value::Int(4)]).unwrap();
+            assert_eq!(outcome.return_value, Some(Value::Int(13)), "{kind}");
+            assert_eq!(outcome.engine, kind.name());
             assert!(outcome.elapsed_us() >= 0.0);
         }
     }

@@ -10,13 +10,11 @@
 //! mailbox and is drained into the frame when the instance next tries to
 //! park, which closes the race between a firing-rule miss and the write.
 //! Every delivery therefore takes the job-wide registry lock; the async
-//! engine ([`super::AsyncCoopEngine`]) replaces exactly this with per-task
+//! engine ([`super::async_coop`]) replaces exactly this with per-task
 //! wakers.
 
-use super::pool::{self, locked, Frame, Instance, PoolStats, Suspension};
-use super::{Engine, EngineOutcome, EngineStats};
-use crate::error::PodsError;
-use crate::pipeline::{CompiledProgram, RunOptions};
+use super::pool::{locked, Frame, Instance, PoolStats, Suspension};
+use super::EngineStats;
 use pods_istructure::{StoreStats, Value};
 use pods_machine::InstanceId;
 use pods_partition::PartitionReport;
@@ -24,17 +22,6 @@ use pods_sp::{SlotId, SpId, SpProgram};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
-
-/// Executes the partitioned SP program on a real work-stealing thread pool
-/// with `opts.num_pes` workers. Reports wall-clock time — the only honest
-/// clock for native execution.
-///
-/// This is the *cold* path: every `run` spins up a fresh pool and tears it
-/// down afterwards. To reuse one pool across many runs (amortising thread
-/// spawn and warm-up, the whole point of iteration-level parallelism), use
-/// [`crate::Runtime`] with [`crate::EngineKind::Native`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NativeParallelEngine;
 
 /// Counters reported by the native thread pool for one job.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,8 +38,8 @@ pub struct NativeStats {
     pub steals: u64,
     /// Process-unique identity of the worker pool that executed the job.
     /// Two runs on the same [`crate::Runtime`] report the same `pool_id`
-    /// (the worker threads were reused); two cold
-    /// [`CompiledProgram::run_on`] calls report different ones.
+    /// (the worker threads were reused); runs on two runtimes report
+    /// different ones.
     pub pool_id: u64,
     /// 1-based sequence number of this job on its pool. A reused pool
     /// reports 1, 2, 3, … across successive submissions.
@@ -286,25 +273,6 @@ impl Suspension for Registry {
             store: c.store,
         };
         EngineStats::Native { stats, partition }
-    }
-}
-
-impl Engine for NativeParallelEngine {
-    fn name(&self) -> &'static str {
-        "native"
-    }
-
-    fn description(&self) -> &'static str {
-        "work-stealing thread pool over the shared I-structure store (wall-clock time on N threads)"
-    }
-
-    fn run(
-        &self,
-        program: &CompiledProgram,
-        args: &[Value],
-        opts: &RunOptions,
-    ) -> Result<EngineOutcome, PodsError> {
-        pool::run_cold::<Registry>(program, args, opts)
     }
 }
 

@@ -1,8 +1,8 @@
 //! The pooled scheduler both parallel engines run on: one work-stealing
 //! worker pool, generic over how a blocked SP instance waits.
 //!
-//! Where [`super::SimEngine`] *models* iteration-level parallelism on
-//! simulated PEs, a [`Pool`] *runs* it: the partitioned SP program executes
+//! Where the simulator ([`super::sim`]) *models* iteration-level parallelism
+//! on simulated PEs, a [`Pool`] *runs* it: the partitioned SP program executes
 //! on real OS threads (one "virtual PE" per worker), iteration instances are
 //! spawned per the partitioner's distribution decisions (distributing
 //! allocate, `LD`, Range Filters), and instances synchronise through the
@@ -125,9 +125,8 @@
 //! | `tiny_burst` (FILL n=6..10) | 100 → 18.4 → 16.4 → 9.8 | 7.6 → 5.8 → 5.5 → 5.1 |
 //! | `cold_mix` (compiles every job; the front end is the bulk) | 4,101 → 3,167 → 3,163 → 3,145 | 379 → 335 → 332 → 328 |
 
-use super::{cancellation_error, check_invocation, EngineOutcome, EngineStats};
+use super::{cancellation_error, EngineOutcome, EngineStats};
 use crate::error::PodsError;
-use crate::pipeline::{CompiledProgram, RunOptions};
 use crate::trace::{TraceEventKind, TraceHandle};
 use pods_istructure::{
     ArrayHeader, ArrayId, PartitionSpec, PeId, SharedArray, SharedArrayStore, SharedReadResult,
@@ -299,7 +298,7 @@ pub(crate) struct JobSpec {
     /// failure, or cancellation), with the final allocation statistics of
     /// the job's I-structure store, and dropped once it has fired.
     /// Installed by the `Runtime`'s service layer to drive its metrics and
-    /// dispatch window; `None` on the cold `Engine`-trait path.
+    /// dispatch window.
     pub on_done: Option<JobNotifier>,
     /// Flight-recorder handle: when present, the scheduler and the exec
     /// core emit trace events for this job (see [`crate::trace`]). `None`
@@ -310,27 +309,6 @@ pub(crate) struct JobSpec {
 /// The completion callback a [`JobSpec`] can carry (see
 /// [`JobSpec::on_done`]).
 pub(crate) type JobNotifier = Arc<dyn Fn(StoreStats) + Send + Sync>;
-
-impl JobSpec {
-    /// The cold-path constructor: partitions the program and builds the
-    /// read-slot tables for this one submission (the `Engine`-trait path;
-    /// [`crate::Runtime`] amortises this via [`crate::PreparedProgram`]).
-    pub(crate) fn from_options(program: &CompiledProgram, opts: &RunOptions) -> JobSpec {
-        let (partitioned, partition) = program.partitioned(opts);
-        let read_slots = build_read_slots(&partitioned);
-        JobSpec {
-            program: Arc::new(partitioned),
-            read_slots: Arc::new(read_slots),
-            partition: Arc::new(partition),
-            page_size: opts.page_size,
-            max_tasks: opts.max_events,
-            delivery_batch: opts.delivery_batch.max(1),
-            chunks_autotuned: 0,
-            on_done: None,
-            trace: None,
-        }
-    }
-}
 
 /// One job's counters, read out once at `wait`; each strategy names them
 /// in its own public stats type.
@@ -1425,25 +1403,6 @@ impl PoolCanceller {
     }
 }
 
-/// The cold `Engine::run` of both parallel engines: a transient pool, one
-/// job, teardown. [`crate::Runtime`] is the amortised path.
-pub(crate) fn run_cold<S: Suspension>(
-    program: &CompiledProgram,
-    args: &[Value],
-    opts: &RunOptions,
-) -> Result<EngineOutcome, PodsError> {
-    check_invocation(program, args)?;
-    let start = Instant::now();
-    let pool = Pool::<S>::new(opts.num_pes);
-    let mut outcome = pool
-        .submit(JobSpec::from_options(program, opts), args)
-        .wait()?;
-    // The cold path owns the pool, so its wall clock honestly includes
-    // pool spawn, measured from entry.
-    outcome.wall_us = start.elapsed().as_secs_f64() * 1e6;
-    Ok(outcome)
-}
-
 /// Declares, in a strategy's test module, one `#[test]` per `test => case`
 /// pair: each case body is written once, in [`cases`], and runs on both
 /// strategies under the name that engine's test always had.
@@ -1466,14 +1425,36 @@ pub(crate) use pool_cases;
 #[cfg(test)]
 pub(crate) mod cases {
     use super::*;
-    use crate::pipeline::compile;
+    use crate::pipeline::{compile, CompiledProgram, RunOptions};
 
+    /// Partitions the program and builds its read-slot tables for one
+    /// submission (a `Runtime` shares them through its prepared programs).
+    fn spec(program: &CompiledProgram, opts: &RunOptions) -> JobSpec {
+        let (partitioned, partition) = program.partitioned(opts);
+        let read_slots = build_read_slots(&partitioned);
+        JobSpec {
+            program: Arc::new(partitioned),
+            read_slots: Arc::new(read_slots),
+            partition: Arc::new(partition),
+            page_size: opts.page_size,
+            max_tasks: opts.max_events,
+            delivery_batch: opts.delivery_batch,
+            chunks_autotuned: 0,
+            on_done: None,
+            trace: None,
+        }
+    }
+
+    /// One job on a pool of its own, `opts.num_pes` workers.
     fn run<S: Suspension>(
         src: &str,
         n: i64,
         opts: &RunOptions,
     ) -> Result<EngineOutcome, PodsError> {
-        run_cold::<S>(&compile(src).unwrap(), &[Value::Int(n)], opts)
+        let program = compile(src).unwrap();
+        Pool::<S>::new(opts.num_pes)
+            .submit(spec(&program, opts), &[Value::Int(n)])
+            .wait()
     }
 
     fn run_ok<S: Suspension>(src: &str, n: i64, workers: usize) -> EngineOutcome {
@@ -1658,7 +1639,7 @@ pub(crate) mod cases {
             } else {
                 (&scalar, k)
             };
-            let spec = JobSpec::from_options(program, &opts);
+            let spec = spec(program, &opts);
             handles.push((k, pool.submit(spec, &[Value::Int(n)])));
         }
         let mut seqs = Vec::new();
@@ -1684,8 +1665,7 @@ pub(crate) mod cases {
         let good = compile("def main(n) { return n + 1; }").unwrap();
         let pool = Pool::<S>::new(2);
         let opts = RunOptions::with_pes(2);
-        let submit =
-            |program, n| pool.submit(JobSpec::from_options(program, &opts), &[Value::Int(n)]);
+        let submit = |program, n| pool.submit(spec(program, &opts), &[Value::Int(n)]);
         let bad_handle = submit(&bad, 4);
         let good_handle = submit(&good, 4);
         assert!(bad_handle.wait().is_err());

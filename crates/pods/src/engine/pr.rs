@@ -1,67 +1,33 @@
 //! The Pingali & Rogers static-compilation estimator engine.
 
-use super::seq::{baseline_snapshots, map_baseline_error};
-use super::{check_invocation, Engine, EngineOutcome, EngineStats};
+use super::seq::run_modelled;
+use super::{EngineKind, EngineOutcome, EngineStats};
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
-use pods_baseline::{run_sequential_bounded, PrModel};
+use pods_baseline::PrModel;
 use pods_istructure::Value;
-use pods_machine::TimingModel;
-use std::time::Instant;
 
 /// Models the execution of the program under a statically-scheduled,
 /// bulk-synchronous SPMD system (the "P&R" comparator of Figure 10). The
 /// estimate is driven by a real sequential run, so the outcome carries the
 /// oracle's arrays and return value together with the modelled parallel
 /// time on `opts.num_pes` PEs.
-#[derive(Debug, Clone, Default)]
-pub struct PrEstimateEngine {
-    /// The underlying cost model (timing constants, halo width).
-    pub model: PrModel,
-}
-
-impl Engine for PrEstimateEngine {
-    fn name(&self) -> &'static str {
-        "pr"
-    }
-
-    fn description(&self) -> &'static str {
-        "Pingali & Rogers static-compilation cost model (modelled time on N PEs)"
-    }
-
-    fn run(
-        &self,
-        program: &CompiledProgram,
-        args: &[Value],
-        opts: &RunOptions,
-    ) -> Result<EngineOutcome, PodsError> {
-        check_invocation(program, args)?;
-        let start = Instant::now();
-        let run = run_sequential_bounded(
-            program.hir(),
-            args,
-            &TimingModel::default(),
-            opts.max_events,
-        )
-        .map_err(|e| map_baseline_error(e, opts.max_events))?;
-        let point = self.model.estimate(&run, opts.num_pes);
-        let wall_us = start.elapsed().as_secs_f64() * 1e6;
-        Ok(EngineOutcome {
-            engine: self.name(),
-            return_value: run.return_value,
-            arrays: baseline_snapshots(&run),
-            modelled_us: Some(point.elapsed_us),
-            wall_us,
-            stats: EngineStats::Estimated { point },
-            diagnostics: None,
-        })
-    }
+pub(crate) fn run(
+    program: &CompiledProgram,
+    args: &[Value],
+    opts: &RunOptions,
+) -> Result<EngineOutcome, PodsError> {
+    run_modelled(EngineKind::Pr, program, args, opts, |run| {
+        let point = PrModel::default().estimate(run, opts.num_pes);
+        (point.elapsed_us, EngineStats::Estimated { point })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::compile;
+    use crate::runtime::Runtime;
 
     #[test]
     fn estimate_speeds_up_parallel_loops() {
@@ -77,13 +43,14 @@ mod tests {
             "#,
         )
         .unwrap();
-        let engine = PrEstimateEngine::default();
-        let one = engine
-            .run(&program, &[Value::Int(32)], &RunOptions::with_pes(1))
-            .unwrap();
-        let eight = engine
-            .run(&program, &[Value::Int(32)], &RunOptions::with_pes(8))
-            .unwrap();
+        let estimate = |pes| {
+            Runtime::builder(EngineKind::Pr)
+                .workers(pes)
+                .build()
+                .run(&program, &[Value::Int(32)])
+                .unwrap()
+        };
+        let (one, eight) = (estimate(1), estimate(8));
         assert!(eight.modelled_us.unwrap() < one.modelled_us.unwrap());
         assert!(matches!(
             eight.stats,

@@ -1,9 +1,10 @@
-//! The sequential-interpreter engine (the correctness oracle).
+//! The sequential-interpreter engine (the correctness oracle), and the
+//! bounded sequential run it shares with the `pr` estimator.
 
-use super::{check_invocation, Engine, EngineOutcome, EngineStats};
+use super::{EngineKind, EngineOutcome, EngineStats};
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
-use pods_baseline::{run_sequential_bounded, BaselineError, SequentialRun};
+use pods_baseline::{run_sequential_bounded, SequentialRun};
 use pods_istructure::{ArrayId, Value};
 use pods_machine::{ArraySnapshot, SimulationError, TimingModel};
 use std::time::Instant;
@@ -12,23 +13,48 @@ use std::time::Instant;
 /// ([`pods_baseline::run_sequential`]) — no SPs, no I-structure run-time,
 /// just program order with the iPSC/2 cost model. The differential tests use
 /// this engine as the oracle the parallel engines must agree with.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialEngine;
-
-/// Maps the interpreter's step-budget exhaustion onto the engines' shared
-/// event-limit error, so `RunOptions::max_events` reports uniformly across
-/// `sim`, `native`, `seq`, and `pr`.
-pub(crate) fn map_baseline_error(err: BaselineError, limit: u64) -> PodsError {
-    if err.is_step_limit() {
-        PodsError::Simulation(SimulationError::EventLimitExceeded { limit })
-    } else {
-        PodsError::Baseline(err)
-    }
+pub(crate) fn run(
+    program: &CompiledProgram,
+    args: &[Value],
+    opts: &RunOptions,
+) -> Result<EngineOutcome, PodsError> {
+    run_modelled(EngineKind::Seq, program, args, opts, |run| {
+        let stats = EngineStats::Sequential {
+            nests: run.nests.len(),
+            serial_us: run.serial_us,
+        };
+        (run.elapsed_us, stats)
+    })
 }
 
-/// Converts the interpreter's array states into the uniform snapshot form.
-pub(crate) fn baseline_snapshots(run: &SequentialRun) -> Vec<ArraySnapshot> {
-    run.arrays
+/// Runs the interpreter within `opts.max_events` statements and builds the
+/// outcome of engine `kind` from the run: `model` gives the modelled time
+/// and the statistics, and the arrays and return value are the run's own.
+/// Exhausting the statement budget reports the engines' shared event-limit
+/// error, so `RunOptions::max_events` reports uniformly across `sim`,
+/// `native`, `seq` and `pr`.
+pub(super) fn run_modelled(
+    kind: EngineKind,
+    program: &CompiledProgram,
+    args: &[Value],
+    opts: &RunOptions,
+    model: impl FnOnce(&SequentialRun) -> (f64, EngineStats),
+) -> Result<EngineOutcome, PodsError> {
+    let start = Instant::now();
+    let limit = opts.max_events;
+    let run = run_sequential_bounded(program.hir(), args, &TimingModel::default(), limit).map_err(
+        |err| {
+            if err.is_step_limit() {
+                PodsError::Simulation(SimulationError::EventLimitExceeded { limit })
+            } else {
+                PodsError::Baseline(err)
+            }
+        },
+    )?;
+    let (modelled_us, stats) = model(&run);
+    let wall_us = start.elapsed().as_secs_f64() * 1e6;
+    let arrays = run
+        .arrays
         .iter()
         .enumerate()
         .map(|(i, a)| ArraySnapshot {
@@ -37,61 +63,35 @@ pub(crate) fn baseline_snapshots(run: &SequentialRun) -> Vec<ArraySnapshot> {
             shape: a.shape.clone(),
             values: a.values.clone(),
         })
-        .collect()
-}
-
-impl Engine for SequentialEngine {
-    fn name(&self) -> &'static str {
-        "seq"
-    }
-
-    fn description(&self) -> &'static str {
-        "control-driven sequential interpreter (modelled time, correctness oracle)"
-    }
-
-    fn run(
-        &self,
-        program: &CompiledProgram,
-        args: &[Value],
-        opts: &RunOptions,
-    ) -> Result<EngineOutcome, PodsError> {
-        check_invocation(program, args)?;
-        let start = Instant::now();
-        let run = run_sequential_bounded(
-            program.hir(),
-            args,
-            &TimingModel::default(),
-            opts.max_events,
-        )
-        .map_err(|e| map_baseline_error(e, opts.max_events))?;
-        let wall_us = start.elapsed().as_secs_f64() * 1e6;
-        Ok(EngineOutcome {
-            engine: self.name(),
-            return_value: run.return_value,
-            arrays: baseline_snapshots(&run),
-            modelled_us: Some(run.elapsed_us),
-            wall_us,
-            stats: EngineStats::Sequential {
-                nests: run.nests.len(),
-                serial_us: run.serial_us,
-            },
-            diagnostics: None,
-        })
-    }
+        .collect();
+    Ok(EngineOutcome {
+        engine: kind.name(),
+        return_value: run.return_value,
+        arrays,
+        modelled_us: Some(modelled_us),
+        wall_us,
+        stats,
+        diagnostics: None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::compile;
+    use crate::runtime::Runtime;
+
+    fn sequential(opts: RunOptions) -> Runtime {
+        Runtime::builder(EngineKind::Seq).options(opts).build()
+    }
 
     #[test]
     fn sequential_outcome_exposes_arrays_and_profile() {
         let program =
             compile("def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i * 2; } return a; }")
                 .unwrap();
-        let outcome = SequentialEngine
-            .run(&program, &[Value::Int(6)], &RunOptions::default())
+        let outcome = sequential(RunOptions::default())
+            .run(&program, &[Value::Int(6)])
             .unwrap();
         assert_eq!(
             outcome.returned_array().unwrap().get(&[5]),
@@ -108,8 +108,8 @@ mod tests {
     #[test]
     fn runtime_errors_surface_as_baseline_errors() {
         let program = compile("def main(n) { a = array(n); return a[0]; }").unwrap();
-        let err = SequentialEngine
-            .run(&program, &[Value::Int(3)], &RunOptions::default())
+        let err = sequential(RunOptions::default())
+            .run(&program, &[Value::Int(3)])
             .unwrap_err();
         assert!(matches!(err, PodsError::Baseline(_)), "{err}");
     }
@@ -123,8 +123,8 @@ mod tests {
             max_events: 4,
             ..RunOptions::default()
         };
-        let err = SequentialEngine
-            .run(&program, &[Value::Int(64)], &opts)
+        let err = sequential(opts)
+            .run(&program, &[Value::Int(64)])
             .unwrap_err();
         assert!(
             matches!(
@@ -136,8 +136,8 @@ mod tests {
             "{err}"
         );
         // Unlimited by default.
-        assert!(SequentialEngine
-            .run(&program, &[Value::Int(64)], &RunOptions::default())
+        assert!(sequential(RunOptions::default())
+            .run(&program, &[Value::Int(64)])
             .is_ok());
     }
 }

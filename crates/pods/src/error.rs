@@ -20,7 +20,7 @@ pub enum PodsError {
     Simulation(SimulationError),
     /// The sequential interpreter (or the cost model driven by it) failed.
     Baseline(BaselineError),
-    /// No engine is registered under the requested name.
+    /// No engine answers to the requested name.
     UnknownEngine {
         /// The name that failed to resolve.
         name: String,
@@ -78,15 +78,17 @@ impl std::fmt::Display for PodsError {
             PodsError::Simulation(e) => write!(f, "{e}"),
             PodsError::Baseline(e) => write!(f, "{e}"),
             PodsError::UnknownEngine { name } => {
+                let kinds = crate::engine::EngineKind::ALL;
+                let names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
+                let aliases: Vec<_> = kinds
+                    .iter()
+                    .flat_map(|k| k.aliases()[1..].iter().copied())
+                    .collect();
                 write!(
                     f,
                     "unknown engine `{name}` (valid engines: {}; aliases: {})",
-                    crate::engine::ENGINE_NAMES.join(", "),
-                    crate::engine::EngineKind::ALL
-                        .into_iter()
-                        .flat_map(|k| k.aliases().iter().skip(1).copied())
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    names.join(", "),
+                    aliases.join(", "),
                 )
             }
             PodsError::PreparedMismatch => write!(

@@ -47,10 +47,6 @@
 //! }
 //! # Ok::<(), pods::PodsError>(())
 //! ```
-//!
-//! The pre-`Runtime` entry points ([`CompiledProgram::run`],
-//! [`CompiledProgram::run_on`], [`compile_and_run_on`]) remain as thin
-//! compatibility wrappers; each call builds a throwaway runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,15 +59,9 @@ mod runtime;
 mod service;
 pub mod trace;
 
-pub use engine::{
-    engine_by_name, AsyncCoopEngine, AsyncStats, Engine, EngineKind, EngineOutcome, EngineStats,
-    NativeParallelEngine, NativeStats, PrEstimateEngine, SequentialEngine, SimEngine, ENGINE_NAMES,
-};
+pub use engine::{AsyncStats, EngineKind, EngineOutcome, EngineStats, NativeStats};
 pub use error::PodsError;
-pub use pipeline::{
-    compile, compile_and_run, compile_and_run_on, speedup_sweep, speedup_sweep_on,
-    speedup_sweep_with, CompiledProgram, RunOptions, RunOutcome, SpeedupPoint,
-};
+pub use pipeline::{compile, speedup_sweep, CompiledProgram, RunOptions, SpeedupPoint};
 pub use runtime::{JobHandle, PreparedProgram, ProgramSource, Runtime, RuntimeBuilder};
 pub use service::{ClientId, ServiceMetrics};
 pub use trace::{JobBreakdown, JobTrace, TraceConfig, TraceEvent, TraceEventKind};

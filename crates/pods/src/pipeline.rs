@@ -1,20 +1,13 @@
 //! The end-to-end PODS pipeline: source → HIR → dataflow graphs → SPs →
-//! partitioned SPs → execution (paper Figure 3).
-//!
-//! Execution goes through the [`crate::Runtime`] layer: the historical
-//! simulator entry points ([`CompiledProgram::run`], [`compile_and_run`],
-//! [`speedup_sweep`]) are thin wrappers over [`SimEngine`], and the
-//! `*_on` variants parse the name into an [`EngineKind`] and run on a
-//! throwaway [`crate::Runtime`]. New code should build one `Runtime` and
-//! reuse it — the native engine's worker pool is only amortised that way.
+//! partitioned SPs (paper Figure 3). Execution is the [`Runtime`]'s.
 
-use crate::engine::{Engine, EngineKind, EngineOutcome, EngineStats, SimEngine};
+use crate::engine::EngineKind;
 use crate::error::PodsError;
 use crate::runtime::Runtime;
 use pods_dataflow::{analyze_loops, build_program, DataflowProgram, LoopInfo};
 use pods_idlang::HirProgram;
 use pods_istructure::Value;
-use pods_machine::{MachineConfig, SimulationResult};
+use pods_machine::MachineConfig;
 use pods_partition::{partition_with_chunk_boost, PartitionConfig, PartitionReport};
 use pods_sp::{translate, SpProgram};
 use std::sync::{Arc, OnceLock};
@@ -200,89 +193,6 @@ impl CompiledProgram {
         }
         (program, report)
     }
-
-    /// Runs the program on the simulated machine (the [`SimEngine`] path,
-    /// kept as the historical simulator-shaped API).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PodsError::MissingEntry`] / [`PodsError::ArgumentMismatch`]
-    /// for malformed invocations and [`PodsError::Simulation`] for run-time
-    /// failures.
-    pub fn run(&self, args: &[Value], options: &RunOptions) -> Result<RunOutcome, PodsError> {
-        let outcome = SimEngine.run(self, args, options)?;
-        let EngineOutcome {
-            return_value,
-            arrays,
-            stats: EngineStats::Simulated { stats, partition },
-            ..
-        } = outcome
-        else {
-            unreachable!("SimEngine always produces Simulated stats");
-        };
-        Ok(RunOutcome {
-            result: SimulationResult {
-                return_value,
-                arrays,
-                stats,
-            },
-            partition,
-        })
-    }
-
-    /// Runs the program on the engine registered under `engine` (`"sim"`,
-    /// `"seq"`, `"pr"`, `"native"`), returning the uniform
-    /// [`EngineOutcome`].
-    ///
-    /// Compatibility wrapper: parses the name into an [`EngineKind`] and
-    /// runs on a throwaway [`Runtime`] — for `"native"` that means a fresh
-    /// worker pool per call. Build one [`Runtime`] and reuse it to amortise
-    /// the pool across runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PodsError::UnknownEngine`] for unregistered names, plus
-    /// whatever the engine itself reports.
-    pub fn run_on(
-        &self,
-        engine: &str,
-        args: &[Value],
-        options: &RunOptions,
-    ) -> Result<EngineOutcome, PodsError> {
-        let kind: EngineKind = engine.parse()?;
-        let start = std::time::Instant::now();
-        let runtime = Runtime::with_options(kind, options.clone());
-        let mut outcome = runtime.run(self, args)?;
-        if kind.is_pooled() {
-            // The throwaway runtime's pool spawn is part of this call's cost;
-            // report it, as the cold path always has (the modelled engines
-            // measure their own wall-clock and have no pool).
-            outcome.wall_us = start.elapsed().as_secs_f64() * 1e6;
-        }
-        Ok(outcome)
-    }
-}
-
-/// The outcome of a PODS run: the simulation result plus the partitioning
-/// decisions that produced it.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Final arrays, return value, and machine statistics.
-    pub result: SimulationResult,
-    /// The partitioner's per-loop decisions.
-    pub partition: PartitionReport,
-}
-
-impl RunOutcome {
-    /// Elapsed simulated time in microseconds.
-    pub fn elapsed_us(&self) -> f64 {
-        self.result.elapsed_us()
-    }
-
-    /// Elapsed simulated time in seconds.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.result.stats.elapsed_seconds()
-    }
 }
 
 /// Compiles `source` through the front half of the pipeline (compile, loop
@@ -307,42 +217,12 @@ pub fn compile(source: &str) -> Result<CompiledProgram, PodsError> {
     })
 }
 
-/// Convenience wrapper: compile and run on the machine simulator in one
-/// call.
-///
-/// # Errors
-///
-/// Returns a [`PodsError`] from whichever stage fails.
-pub fn compile_and_run(
-    source: &str,
-    args: &[Value],
-    options: &RunOptions,
-) -> Result<RunOutcome, PodsError> {
-    compile(source)?.run(args, options)
-}
-
-/// Convenience wrapper: compile and run on a named engine in one call
-/// (a throwaway [`Runtime`] per call — see [`CompiledProgram::run_on`]).
-///
-/// # Errors
-///
-/// Returns a [`PodsError`] from whichever stage fails, including
-/// [`PodsError::UnknownEngine`] for unregistered engine names.
-pub fn compile_and_run_on(
-    engine: &str,
-    source: &str,
-    args: &[Value],
-    options: &RunOptions,
-) -> Result<EngineOutcome, PodsError> {
-    compile(source)?.run_on(engine, args, options)
-}
-
 /// A measured point of a speed-up curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupPoint {
     /// Number of PEs.
     pub pes: usize,
-    /// Elapsed simulated time in microseconds.
+    /// Elapsed time in microseconds, on the engine's preferred clock.
     pub elapsed_us: f64,
     /// Speed-up relative to the single-PE run of the same sweep.
     pub speedup: f64,
@@ -350,53 +230,20 @@ pub struct SpeedupPoint {
     pub eu_utilization: f64,
 }
 
-/// Runs the program once per PE count on the machine simulator and reports
-/// elapsed simulated time, speed-up relative to the first (usually
+/// Runs the program once per PE count on engine `kind` and reports each
+/// point's elapsed time, its speed-up relative to the first (usually
 /// single-PE) configuration, and EU utilization — the measurements behind
-/// Figures 9 and 10 of the paper.
+/// Figures 9 and 10 of the paper. Each point compares the engine's preferred
+/// clock ([`crate::EngineOutcome::elapsed_us`]): modelled time on `sim` and
+/// `pr`, wall-clock time on the pooled engines. Each point builds its
+/// [`Runtime`] before the run, so a pooled point times execution, not the
+/// spawn of its workers.
 ///
 /// # Errors
 ///
 /// Propagates the first failing run.
 pub fn speedup_sweep(
-    program: &CompiledProgram,
-    args: &[Value],
-    pe_counts: &[usize],
-    base_options: &RunOptions,
-) -> Result<Vec<SpeedupPoint>, PodsError> {
-    speedup_sweep_with(&SimEngine, program, args, pe_counts, base_options)
-}
-
-/// [`speedup_sweep`] on the engine registered under `engine`. With
-/// `"native"` the sweep measures real hardware-thread speed-up (wall-clock
-/// per worker count); with `"sim"` / `"pr"` it measures modelled speed-up —
-/// one code path for both curves.
-///
-/// # Errors
-///
-/// Returns [`PodsError::UnknownEngine`] for unregistered names and
-/// propagates the first failing run.
-pub fn speedup_sweep_on(
-    engine: &str,
-    program: &CompiledProgram,
-    args: &[Value],
-    pe_counts: &[usize],
-    base_options: &RunOptions,
-) -> Result<Vec<SpeedupPoint>, PodsError> {
-    let kind: EngineKind = engine.parse()?;
-    speedup_sweep_with(kind.engine(), program, args, pe_counts, base_options)
-}
-
-/// [`speedup_sweep`] generalised over any [`Engine`]. Each point compares
-/// the engine's preferred clock ([`EngineOutcome::elapsed_us`]: modelled
-/// time where the engine models one, wall-clock otherwise) against the
-/// sweep's first configuration.
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-pub fn speedup_sweep_with(
-    engine: &dyn Engine,
+    kind: EngineKind,
     program: &CompiledProgram,
     args: &[Value],
     pe_counts: &[usize],
@@ -409,7 +256,8 @@ pub fn speedup_sweep_with(
             num_pes: pes,
             ..base_options.clone()
         };
-        let outcome = engine.run(program, args, &options)?;
+        let runtime = Runtime::builder(kind).options(options).build();
+        let outcome = runtime.run(program, args)?;
         let elapsed = outcome.elapsed_us();
         let base = *base_time.get_or_insert(elapsed);
         points.push(SpeedupPoint {
@@ -447,24 +295,26 @@ mod tests {
         assert_eq!(program.sp_program().len(), 3);
     }
 
+    fn simulator(pes: usize) -> Runtime {
+        Runtime::builder(EngineKind::Sim).workers(pes).build()
+    }
+
     #[test]
     fn run_produces_complete_results() {
         let program = compile(MATRIX_FILL).unwrap();
-        let outcome = program
-            .run(&[Value::Int(8)], &RunOptions::with_pes(4))
-            .unwrap();
-        let array = outcome.result.returned_array().unwrap();
+        let outcome = simulator(4).run(&program, &[Value::Int(8)]).unwrap();
+        let array = outcome.returned_array().unwrap();
         assert!(array.is_complete());
-        assert_eq!(outcome.partition.distributed_loops().count(), 1);
+        assert_eq!(outcome.partition().unwrap().distributed_loops().count(), 1);
         assert!(outcome.elapsed_us() > 0.0);
-        assert!(outcome.elapsed_seconds() > 0.0);
+        assert!(outcome.simulation_stats().unwrap().elapsed_seconds() > 0.0);
     }
 
     #[test]
     fn argument_and_entry_validation() {
         let program = compile(MATRIX_FILL).unwrap();
         assert!(matches!(
-            program.run(&[], &RunOptions::default()),
+            simulator(1).run(&program, &[]),
             Err(PodsError::ArgumentMismatch {
                 expected: 1,
                 got: 0
@@ -472,7 +322,7 @@ mod tests {
         ));
         let no_main = compile("def helper(x) { return x; }").unwrap();
         assert!(matches!(
-            no_main.run(&[], &RunOptions::default()),
+            simulator(1).run(&no_main, &[]),
             Err(PodsError::MissingEntry)
         ));
     }
@@ -481,6 +331,7 @@ mod tests {
     fn speedup_sweep_is_monotone_for_parallel_work() {
         let program = compile(MATRIX_FILL).unwrap();
         let points = speedup_sweep(
+            EngineKind::Sim,
             &program,
             &[Value::Int(16)],
             &[1, 2, 4],
@@ -517,16 +368,5 @@ mod tests {
             sp.fingerprint(),
             "specialization is part of structural identity"
         );
-    }
-
-    #[test]
-    fn compile_and_run_convenience() {
-        let outcome = compile_and_run(
-            "def main(n) { return n + 1; }",
-            &[Value::Int(41)],
-            &RunOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(outcome.result.return_value, Some(Value::Int(42)));
     }
 }

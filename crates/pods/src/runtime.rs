@@ -2,12 +2,11 @@
 //! [`RuntimeBuilder`].
 //!
 //! The paper's thesis is that iteration-level parallelism pays off when
-//! spawn overhead is amortised — yet a cold
-//! [`CompiledProgram::run_on`] call spins up a brand-new thread pool, runs
-//! one program, and tears everything down. A `Runtime` separates program
-//! construction from execution the way Timely Dataflow's `execute` layer
-//! does: build it once, then `run` any number of compiled programs (or
-//! argument sets) against the *same* persistent worker pool.
+//! spawn overhead is amortised. A `Runtime` is the one way to run a
+//! program, and it separates program construction from execution the way
+//! Timely Dataflow's `execute` layer does: build it once, then `run` any
+//! number of compiled programs (or argument sets) against the *same*
+//! persistent worker pool.
 //!
 //! * [`Runtime::run`] — one program, blocking, on the warm pool.
 //! * [`Runtime::submit`] / [`JobHandle::wait`] — asynchronous submission;
@@ -57,8 +56,8 @@
 //! match the preparing runtime's.
 
 use crate::engine::{
-    build_read_slots, check_invocation, EngineKind, EngineOutcome, EngineStats, JobSpec, Pooled,
-    ReadSlots, SimEngine,
+    build_read_slots, check_invocation, pr, seq, sim, EngineKind, EngineOutcome, EngineStats,
+    JobSpec, Pooled, ReadSlots,
 };
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
@@ -257,7 +256,7 @@ impl RuntimeBuilder {
     }
 
     /// Replaces the whole option block at once (for callers that already
-    /// hold a [`RunOptions`], e.g. the compatibility wrappers).
+    /// hold a [`RunOptions`]).
     pub fn options(mut self, opts: RunOptions) -> Self {
         self.opts = opts;
         self
@@ -303,9 +302,8 @@ impl RuntimeBuilder {
 /// For [`EngineKind::Native`] the runtime owns a work-stealing worker pool
 /// that stays alive across `run` calls — per-run cost is one job
 /// submission, not a pool spawn. For the modelled engines (`sim`, `seq`,
-/// `pr`) the runtime is a thin, allocation-free front over the static
-/// engine registry (those engines are single-threaded models with no pool
-/// to keep warm).
+/// `pr`) the runtime runs the engine on the calling thread (those engines
+/// are single-threaded models with no pool to keep warm).
 ///
 /// Dropping the runtime joins the worker threads; outstanding jobs —
 /// queued or in flight — are cut short at the next instruction boundary
@@ -365,12 +363,6 @@ impl Runtime {
     /// Starts a [`RuntimeBuilder`] for the given kind.
     pub fn builder(kind: EngineKind) -> RuntimeBuilder {
         RuntimeBuilder::new(kind)
-    }
-
-    /// A runtime that executes with exactly the given options (the
-    /// compatibility path used by [`CompiledProgram::run_on`]).
-    pub fn with_options(kind: EngineKind, opts: RunOptions) -> Runtime {
-        RuntimeBuilder::new(kind).options(opts).build()
     }
 
     /// The engine kind this runtime executes on.
@@ -727,19 +719,22 @@ impl Runtime {
             rec.emit(lane, job, 0, TraceEventKind::JobDispatched);
             (Arc::clone(rec), job)
         });
-        let mut outcome = match (&trace_job, self.kind) {
+        let (compiled, opts) = (program.compiled(), &self.opts);
+        let mut outcome = match self.kind {
             // The simulator reaches the shared exec core too, so a traced
             // run records the same core events as the pooled engines.
-            (Some((rec, job)), EngineKind::Sim) => SimEngine.run_traced(
-                program.compiled(),
-                args,
-                &self.opts,
-                TraceHandle {
+            EngineKind::Sim => {
+                let trace = trace_job.as_ref().map(|(rec, job)| TraceHandle {
                     rec: Arc::clone(rec),
                     job: *job,
-                },
-            ),
-            _ => self.kind.engine().run(program.compiled(), args, &self.opts),
+                });
+                sim::run(compiled, args, opts, trace)
+            }
+            EngineKind::Seq => seq::run(compiled, args, opts),
+            EngineKind::Pr => pr::run(compiled, args, opts),
+            EngineKind::Native | EngineKind::AsyncCoop => {
+                unreachable!("pooled kinds submit through their service")
+            }
         };
         if let Some((rec, job)) = &trace_job {
             rec.emit(rec.service_lane(), *job, 0, TraceEventKind::JobFinished);

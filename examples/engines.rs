@@ -39,7 +39,7 @@ fn main() -> Result<(), pods::PodsError> {
     }
     println!();
     for kind in EngineKind::ALL {
-        println!("{:>8}: {}", kind.name(), kind.engine().description());
+        println!("{:>8}: {}", kind.name(), kind.description());
     }
     Ok(())
 }

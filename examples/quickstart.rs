@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use pods::{compile, ChunkPolicy, EngineKind, EngineStats, RunOptions, Runtime, Unit, Value};
+use pods::{compile, ChunkPolicy, EngineKind, EngineStats, Runtime, Value};
 
 fn main() -> Result<(), pods::PodsError> {
     // The running example of §3 of the paper, slightly enlarged: fill a
@@ -35,8 +35,9 @@ fn main() -> Result<(), pods::PodsError> {
         program.loops().len()
     );
 
-    let outcome = program.run(&[Value::Int(16)], &RunOptions::with_pes(4))?;
-    let array = outcome.result.returned_array().expect("array result");
+    let simulator = Runtime::builder(EngineKind::Sim).workers(4).build();
+    let outcome = simulator.run(&program, &[Value::Int(16)])?;
+    let array = outcome.returned_array().expect("array result");
     println!(
         "ran on 4 PEs: {} of {} elements written, a[3,5] = {:?}",
         array.written(),
@@ -46,10 +47,13 @@ fn main() -> Result<(), pods::PodsError> {
     println!(
         "simulated time: {:.3} ms, EU utilization {:.1}%, {} messages",
         outcome.elapsed_us() / 1000.0,
-        outcome.result.stats.utilization(Unit::Execution) * 100.0,
-        outcome.result.stats.total_messages()
+        outcome.eu_utilization().expect("simulated") * 100.0,
+        outcome
+            .simulation_stats()
+            .expect("simulated")
+            .total_messages()
     );
-    for loop_report in &outcome.partition.loops {
+    for loop_report in &outcome.partition().expect("partitioned").loops {
         println!("  loop {}: {:?}", loop_report.key, loop_report.decision);
     }
 

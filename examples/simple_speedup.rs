@@ -2,9 +2,10 @@
 //! on a sweep of machine sizes and prints the speed-up curve — a scaled-down
 //! interactive version of Figure 10.
 //!
-//! The sweep goes through the engine layer, so the same command reports
-//! simulated-PE speed-up (`sim`, the default), modelled static-compilation
-//! speed-up (`pr`), or real hardware-thread speed-up (`native`).
+//! The sweep runs on a `Runtime` per machine size, so the same command
+//! reports simulated-PE speed-up (`sim`, the default), modelled
+//! static-compilation speed-up (`pr`), or real hardware-thread speed-up
+//! (`native`, `async`).
 //!
 //! Run with: `cargo run --release --example simple_speedup [mesh] [max_pes] [engine]`
 
@@ -24,8 +25,8 @@ fn main() -> Result<(), pods::PodsError> {
     }
 
     println!("SIMPLE {mesh}x{mesh}: one Lagrangian time step (velocity/position, hydrodynamics, conduction)");
-    let points = pods::speedup_sweep_on(
-        engine.name(),
+    let points = pods::speedup_sweep(
+        engine,
         &program,
         &[Value::Int(mesh as i64)],
         &pe_counts,

@@ -54,7 +54,9 @@ fn engines_under_test() -> Vec<EngineKind> {
 /// checks full agreement with the sequential oracle.
 fn assert_engines_agree(name: &str, source: &str, args: &[Value], pe_counts: &[usize]) {
     let program = pods::compile(source).unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
-    let oracle = Runtime::with_options(EngineKind::Seq, RunOptions::default())
+    let oracle = Runtime::builder(EngineKind::Seq)
+        .options(RunOptions::default())
+        .build()
         .run(&program, args)
         .unwrap_or_else(|e| panic!("{name}: oracle run failed: {e}"));
 
@@ -237,31 +239,28 @@ fn out_of_bounds_above_the_inline_index_capacity_is_reported_alike() {
 
 #[test]
 fn unknown_engine_names_are_rejected() {
-    let program = pods::compile("def main() { return 1; }").unwrap();
-    let err = program
-        .run_on("warp-drive", &[], &RunOptions::default())
-        .unwrap_err();
+    let err = "warp-drive".parse::<EngineKind>().unwrap_err();
     assert!(matches!(err, pods::PodsError::UnknownEngine { .. }));
     assert!(err.to_string().contains("native"));
 }
 
 #[test]
 fn parallel_engines_agree_on_partitioning_decisions() {
-    // All three parallel engines run the same partitioned program; their
-    // reports must be identical for identical options.
+    // The three engines that run the partitioned program (sim, native,
+    // async) must report identical decisions for identical options.
     let program = pods::compile(pods_workloads::FILL).unwrap();
-    let opts = RunOptions::with_pes(4);
-    let sim = program.run_on("sim", &[Value::Int(8)], &opts).unwrap();
-    let native = program.run_on("native", &[Value::Int(8)], &opts).unwrap();
-    let coop = program.run_on("async", &[Value::Int(8)], &opts).unwrap();
-    assert_eq!(
-        sim.partition().unwrap().loops,
-        native.partition().unwrap().loops
-    );
-    assert_eq!(
-        sim.partition().unwrap().loops,
-        coop.partition().unwrap().loops
-    );
+    let reports: Vec<_> = EngineKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let runtime = Runtime::builder(kind)
+                .options(RunOptions::with_pes(4))
+                .build();
+            runtime.run(&program, &[Value::Int(8)]).unwrap()
+        })
+        .filter_map(|outcome| Some(outcome.partition()?.loops.clone()))
+        .collect();
+    assert_eq!(reports.len(), 3);
+    assert!(reports.iter().all(|loops| *loops == reports[0]));
 }
 
 #[test]
@@ -272,7 +271,9 @@ fn async_engine_agrees_on_prepared_and_raw_submissions() {
     // unbatched.
     let program = pods::compile(pods_workloads::STENCIL).unwrap();
     let args = [Value::Int(12)];
-    let oracle = Runtime::with_options(EngineKind::Seq, RunOptions::default())
+    let oracle = Runtime::builder(EngineKind::Seq)
+        .options(RunOptions::default())
+        .build()
         .run(&program, &args)
         .unwrap();
     let expected = oracle.returned_array().unwrap().to_f64(f64::NAN);

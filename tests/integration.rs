@@ -2,9 +2,18 @@
 //! dataflow analysis, SP translation, partitioning, machine simulation)
 //! validated end to end against the independent sequential interpreter.
 
-use pods::{RunOptions, Value};
+use pods::{CompiledProgram, EngineKind, EngineOutcome, RunOptions, Runtime, Value};
 use pods_baseline::run_sequential;
 use pods_machine::TimingModel;
+
+/// Runs `program` on the machine simulator with `opts`.
+fn simulate(program: &CompiledProgram, args: &[Value], opts: RunOptions) -> EngineOutcome {
+    Runtime::builder(EngineKind::Sim)
+        .options(opts)
+        .build()
+        .run(program, args)
+        .unwrap_or_else(|e| panic!("simulation failed: {e}"))
+}
 
 /// Runs a workload through PODS on `pes` PEs and through the sequential
 /// interpreter, and asserts that a named array matches element-wise.
@@ -18,11 +27,8 @@ fn assert_matches_reference(source: &str, args: &[Value], array: &str, pes: &[us
 
     let program = pods::compile(source).expect("pipeline compile");
     for &p in pes {
-        let outcome = program
-            .run(args, &RunOptions::with_pes(p))
-            .unwrap_or_else(|e| panic!("simulation on {p} PEs failed: {e}"));
+        let outcome = simulate(&program, args, RunOptions::with_pes(p));
         let got = outcome
-            .result
             .array(array)
             .unwrap_or_else(|| panic!("array `{array}` missing on {p} PEs"))
             .to_f64(f64::NAN);
@@ -83,23 +89,42 @@ fn simple_benchmark_matches_reference_across_machine_sizes() {
 #[test]
 fn simple_speedup_appears_on_larger_meshes() {
     let program = pods::compile(pods_workloads::simple::SIMPLE).unwrap();
-    let points =
-        pods::speedup_sweep(&program, &[Value::Int(16)], &[1, 8], &RunOptions::default()).unwrap();
+    let args = [Value::Int(16)];
+    let sweep =
+        |kind| pods::speedup_sweep(kind, &program, &args, &[1, 8], &RunOptions::default()).unwrap();
+    let points = sweep(EngineKind::Sim);
     assert!(
         points[1].speedup > 1.2,
         "8 PEs should beat 1 PE on a 16x16 mesh, got {:.2}x",
         points[1].speedup
     );
+    // A simulated point is exactly the simulated time of one run.
+    for point in &points {
+        let run = simulate(&program, &args, RunOptions::with_pes(point.pes));
+        assert_eq!(
+            point.elapsed_us,
+            run.modelled_us.unwrap(),
+            "{} PEs",
+            point.pes
+        );
+        assert_eq!(point.eu_utilization, run.eu_utilization().unwrap());
+    }
+
+    // The same sweep on real threads: one point per worker count, against
+    // the first point's wall clock.
+    let points = sweep(EngineKind::Native);
+    let pes: Vec<usize> = points.iter().map(|p| p.pes).collect();
+    assert_eq!(pes, [1, 8]);
+    assert_eq!(points[0].speedup, 1.0);
+    assert!(points.iter().all(|p| p.elapsed_us > 0.0 && p.speedup > 0.0));
 }
 
 #[test]
 fn simple_partitioning_decisions_follow_the_paper() {
     use pods::LoopDecision;
     let program = pods::compile(pods_workloads::simple::SIMPLE).unwrap();
-    let outcome = program
-        .run(&[Value::Int(8)], &RunOptions::with_pes(4))
-        .unwrap();
-    let report = &outcome.partition;
+    let outcome = simulate(&program, &[Value::Int(8)], RunOptions::with_pes(4));
+    let report = outcome.partition().unwrap();
 
     // velocity_position and hydrodynamics outer loops distribute.
     for function in ["init_state", "velocity_position", "hydrodynamics"] {
@@ -127,9 +152,7 @@ fn single_pe_pods_is_within_a_small_factor_of_the_sequential_baseline() {
     let hir = pods_idlang::compile(source).unwrap();
     let seq = run_sequential(&hir, &[Value::Int(16)], &TimingModel::default()).unwrap();
     let program = pods::compile(source).unwrap();
-    let outcome = program
-        .run(&[Value::Int(16)], &RunOptions::with_pes(1))
-        .unwrap();
+    let outcome = simulate(&program, &[Value::Int(16)], RunOptions::with_pes(1));
     let ratio = outcome.elapsed_us() / seq.elapsed_us;
     assert!(
         ratio > 1.0 && ratio < 4.0,
@@ -142,10 +165,8 @@ fn execution_unit_dominates_the_other_functional_units() {
     // Figure 8's headline observation.
     use pods::Unit;
     let program = pods::compile(pods_workloads::simple::SIMPLE).unwrap();
-    let outcome = program
-        .run(&[Value::Int(16)], &RunOptions::with_pes(8))
-        .unwrap();
-    let stats = &outcome.result.stats;
+    let outcome = simulate(&program, &[Value::Int(16)], RunOptions::with_pes(8));
+    let stats = outcome.simulation_stats().unwrap();
     let eu = stats.utilization(Unit::Execution);
     for unit in [Unit::Matching, Unit::MemoryManager, Unit::ArrayManager] {
         assert!(
@@ -182,23 +203,26 @@ fn ablation_disabling_the_page_cache_increases_remote_traffic() {
     with_cache.remote_page_cache = true;
     let mut without_cache = RunOptions::with_pes(8);
     without_cache.remote_page_cache = false;
-    let a = program.run(&[Value::Int(24)], &with_cache).unwrap();
-    let b = program.run(&[Value::Int(24)], &without_cache).unwrap();
+    let a = simulate(&program, &[Value::Int(24)], with_cache);
+    let b = simulate(&program, &[Value::Int(24)], without_cache);
+    let remote_reads = |o: &EngineOutcome| o.simulation_stats().unwrap().total_remote_reads();
     assert!(
-        b.result.stats.total_remote_reads() >= a.result.stats.total_remote_reads(),
+        remote_reads(&b) >= remote_reads(&a),
         "disabling the cache should not reduce remote reads"
     );
-    assert!(b.result.array("next").unwrap().is_complete());
+    assert!(b.array("next").unwrap().is_complete());
 }
 
 #[test]
 fn run_options_and_reports_are_exposed_through_the_facade() {
     // Exercise the umbrella crate re-exports.
     let program = pods_repro::compile("def main() { return 1 + 1; }").unwrap();
-    let outcome = program
-        .run(&[], &pods_repro::RunOptions::default())
+    let outcome = pods_repro::Runtime::builder(pods_repro::EngineKind::Sim)
+        .options(pods_repro::RunOptions::default())
+        .build()
+        .run(&program, &[])
         .unwrap();
-    assert_eq!(outcome.result.return_value, Some(pods_repro::Value::Int(2)));
+    assert_eq!(outcome.return_value, Some(pods_repro::Value::Int(2)));
 }
 
 /// The benchmark's gather (`gather_wake`'s shape at 16 probes): a

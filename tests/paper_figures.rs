@@ -8,7 +8,7 @@
 //! rounded down). The paper's values at 32 PEs are 8.1 / 12.4 / 18.9
 //! (16×16 / 32×32 / 64×64); see the README's "Remote reads and Figure 10".
 
-use pods::{RunOptions, Value};
+use pods::{EngineKind, Runtime, Value};
 use pods_baseline::{run_sequential, PrModel};
 use pods_machine::{MessageKind, SimulationStats, TimingModel, Unit};
 use std::collections::HashMap;
@@ -29,10 +29,12 @@ fn runs() -> &'static HashMap<(usize, usize), SimulationStats> {
                 .chain([(32, 1), (32, 2), (32, 32)]);
         configs
             .map(|(n, pes)| {
-                let outcome = program
-                    .run(&[Value::Int(n as i64)], &RunOptions::with_pes(pes))
+                let outcome = Runtime::builder(EngineKind::Sim)
+                    .workers(pes)
+                    .build()
+                    .run(&program, &[Value::Int(n as i64)])
                     .unwrap_or_else(|e| panic!("SIMPLE {n}x{n} on {pes} PEs: {e}"));
-                ((n, pes), outcome.result.stats)
+                ((n, pes), outcome.simulation_stats().unwrap().clone())
             })
             .collect()
     })

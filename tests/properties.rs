@@ -163,10 +163,12 @@ proptest! {
         );
         let program = pods::compile(&src).unwrap();
         for pes in [1usize, 4] {
-            let outcome = program
-                .run(&[], &pods::RunOptions::with_pes(pes))
+            let outcome = pods::Runtime::builder(pods::EngineKind::Sim)
+                .workers(pes)
+                .build()
+                .run(&program, &[])
                 .unwrap();
-            let a = outcome.result.returned_array().unwrap();
+            let a = outcome.returned_array().unwrap();
             prop_assert!(a.is_complete());
             for i in 0..n {
                 prop_assert_eq!(

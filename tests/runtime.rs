@@ -1,7 +1,7 @@
 //! Integration tests of the persistent `pods::Runtime` API: pool reuse
 //! across sequential runs, concurrent batched submission, many OS threads
 //! sharing one runtime, job-scoped failures, and the amortisation win of a
-//! warm pool over cold `run_on` calls.
+//! warm pool over a fresh runtime per run.
 
 use pods::{
     AsyncStats, CompiledProgram, EngineKind, EngineOutcome, EngineStats, NativeStats,
@@ -63,8 +63,20 @@ fn assert_matches_oracle(label: &str, outcome: &EngineOutcome, oracle: &EngineOu
     }
 }
 
+/// One run on a fresh native runtime of `workers` workers: a pool of its
+/// own, spawned for this run and joined after it.
+fn cold_native_run(program: &CompiledProgram, args: &[Value], workers: usize) -> EngineOutcome {
+    Runtime::builder(EngineKind::Native)
+        .options(RunOptions::with_pes(workers))
+        .build()
+        .run(program, args)
+        .expect("cold run")
+}
+
 fn oracle_for(program: &CompiledProgram, args: &[Value]) -> EngineOutcome {
-    Runtime::with_options(EngineKind::Seq, RunOptions::default())
+    Runtime::builder(EngineKind::Seq)
+        .options(RunOptions::default())
+        .build()
         .run(program, args)
         .expect("oracle run")
 }
@@ -89,16 +101,12 @@ fn two_sequential_runs_reuse_the_same_worker_pool() {
     );
 
     // Cold runs, by contrast, get a fresh pool each time.
-    let cold1 = program
-        .run_on("native", &[Value::Int(16)], &RunOptions::with_pes(2))
-        .unwrap();
-    let cold2 = program
-        .run_on("native", &[Value::Int(16)], &RunOptions::with_pes(2))
-        .unwrap();
+    let cold1 = cold_native_run(&program, &[Value::Int(16)], 2);
+    let cold2 = cold_native_run(&program, &[Value::Int(16)], 2);
     let (c1, c2) = (native_stats(&cold1), native_stats(&cold2));
     assert_ne!(
         c1.pool_id, c2.pool_id,
-        "cold run_on calls must not share a pool"
+        "cold runtimes must not share a pool"
     );
     assert_ne!(c1.pool_id, s1.pool_id);
     assert_eq!((c1.job_seq, c2.job_seq), (1, 1));
@@ -222,12 +230,12 @@ fn failures_are_job_scoped_and_do_not_poison_the_pool() {
 }
 
 #[test]
-fn warm_runtime_amortises_pool_spawn_over_cold_run_on() {
-    // N back-to-back runs on one Runtime vs N cold run_on calls. What the
-    // warm path saves is counted, not clocked: every warm run lands on the
-    // runtime's one pool and, after the first, reuses the prepared program
-    // from the cache (the outcome shares the prepared partition report);
-    // every cold call spawns a pool and prepares afresh. The times are
+fn warm_runtime_amortises_pool_spawn_over_cold_runtimes() {
+    // N back-to-back runs on one Runtime vs N runs on a fresh Runtime each.
+    // What the warm path saves is counted, not clocked: every warm run
+    // lands on the runtime's one pool and, after the first, reuses the
+    // prepared program from the cache (the outcome shares the prepared
+    // partition report); every cold run spawns a pool and prepares afresh. The times are
     // printed for context only.
     const RUNS: usize = 6;
     let program = pods::compile(pods_workloads::FILL).unwrap();
@@ -245,16 +253,12 @@ fn warm_runtime_amortises_pool_spawn_over_cold_run_on() {
 
     let start = std::time::Instant::now();
     let cold: Vec<EngineOutcome> = (0..RUNS)
-        .map(|_| {
-            program
-                .run_on("native", &args, &RunOptions::with_pes(workers))
-                .unwrap()
-        })
+        .map(|_| cold_native_run(&program, &args, workers))
         .collect();
     let cold_us = start.elapsed().as_secs_f64() * 1e6;
     eprintln!(
         "{RUNS} runs on {workers} workers: warm runtime {warm_us:.0} us, \
-         cold run_on {cold_us:.0} us ({:.2}x)",
+         cold runtimes {cold_us:.0} us ({:.2}x)",
         cold_us / warm_us
     );
 
@@ -273,7 +277,7 @@ fn warm_runtime_amortises_pool_spawn_over_cold_run_on() {
     assert_eq!(
         cold_pools.len(),
         RUNS,
-        "every cold run_on spawns its own pool"
+        "every cold runtime spawns its own pool"
     );
     assert!(!cold_pools.contains(&pool_id));
     for (i, outcome) in cold.iter().enumerate().skip(1) {
@@ -1124,7 +1128,9 @@ fn recycled_stores_serve_failed_cancelled_and_reshaped_jobs_like_new_ones() {
     .unwrap();
     let fill = pods::compile(pods_workloads::FILL).unwrap();
     let simple = pods::compile(pods_workloads::simple::SIMPLE).unwrap();
-    let oracle_err = Runtime::with_options(EngineKind::Seq, RunOptions::default())
+    let oracle_err = Runtime::builder(EngineKind::Seq)
+        .options(RunOptions::default())
+        .build()
         .run(&double_write, &[Value::Int(8)])
         .expect_err("the oracle rejects the double write");
     let violation = "single-assignment violation";

@@ -4,9 +4,21 @@
 //! the simulator agrees with the sequential oracle across machine sizes, page
 //! sizes and the page cache on and off.
 
-use pods::{CompiledProgram, RunOptions, Value};
+use pods::{CompiledProgram, EngineKind, EngineOutcome, PodsError, RunOptions, Runtime, Value};
 use pods_baseline::{run_sequential, SequentialRun};
-use pods_machine::{MessageKind, SimulationResult, TimingModel};
+use pods_machine::{MessageKind, TimingModel};
+
+/// Runs `program` on the machine simulator with `opts`.
+fn simulate(
+    program: &CompiledProgram,
+    args: &[Value],
+    opts: RunOptions,
+) -> Result<EngineOutcome, PodsError> {
+    Runtime::builder(EngineKind::Sim)
+        .options(opts)
+        .build()
+        .run(program, args)
+}
 
 fn options(pes: usize, page_size: usize, cache: bool) -> RunOptions {
     RunOptions {
@@ -27,7 +39,7 @@ fn close(a: f64, b: f64) -> bool {
 
 /// Asserts that a simulated run returned what the oracle returned and left
 /// every array the oracle allocated with the same contents.
-fn assert_matches(label: &str, expected: &SequentialRun, got: &SimulationResult) {
+fn assert_matches(label: &str, expected: &SequentialRun, got: &EngineOutcome) {
     match (&expected.return_value, &got.return_value) {
         (Some(Value::ArrayRef(_)), Some(Value::ArrayRef(_))) => {}
         (Some(a), Some(b)) => match (a.as_f64(), b.as_f64()) {
@@ -84,12 +96,9 @@ fn two_reads_of_one_remote_page_send_one_request_and_one_reply() {
     let args = [Value::Int(64)];
     let expected = oracle(&source, &args);
     for (cache, requests) in [(true, 1), (false, 2)] {
-        let got = program
-            .run(&args, &options(2, 32, cache))
-            .expect("simulation")
-            .result;
+        let got = simulate(&program, &args, options(2, 32, cache)).expect("simulation");
         assert_matches(&format!("cache {cache}"), &expected, &got);
-        let stats = &got.stats;
+        let stats = got.simulation_stats().unwrap();
         assert_eq!(stats.total_remote_reads(), 2, "cache {cache}");
         assert_eq!(
             stats.total_messages_of(MessageKind::ReadRequest),
@@ -122,12 +131,11 @@ fn reads_queued_behind_a_deferred_request_are_reissued() {
             let expected = oracle(source, &args);
             for pes in [2, 8, 32] {
                 let label = format!("n={n} on {pes} PEs");
-                let got = program
-                    .run(&args, &RunOptions::with_pes(pes))
-                    .unwrap_or_else(|e| panic!("{label}: {e}"))
-                    .result;
+                let got = simulate(&program, &args, RunOptions::with_pes(pes))
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
                 assert_matches(&label, &expected, &got);
-                notices += got.stats.total_messages_of(MessageKind::ReadDeferred);
+                let stats = got.simulation_stats().unwrap();
+                notices += stats.total_messages_of(MessageKind::ReadDeferred);
             }
         }
     }
@@ -140,11 +148,8 @@ fn reads_queued_behind_a_deferred_request_are_reissued() {
 #[test]
 fn page_cache_off_keeps_one_request_per_miss() {
     let program = pods::compile(pods_workloads::simple::SIMPLE).expect("compile");
-    let got = program
-        .run(&[Value::Int(8)], &options(4, 32, false))
-        .expect("simulation")
-        .result;
-    let stats = &got.stats;
+    let got = simulate(&program, &[Value::Int(8)], options(4, 32, false)).expect("simulation");
+    let stats = got.simulation_stats().unwrap();
     assert_eq!(stats.elapsed_us, 152_109.859_999_998_76);
     assert_eq!(stats.total_messages(), 665);
     assert_eq!(stats.total_remote_reads(), 248);
@@ -217,10 +222,8 @@ fn simulator_matches_the_oracle_across_machine_and_page_sizes() {
             for page in [1, 2, 4, 32, 256] {
                 for cache in [true, false] {
                     let label = format!("{name} on {pes} PEs, page {page}, cache {cache}");
-                    let got = program
-                        .run(args, &options(pes, page, cache))
-                        .unwrap_or_else(|e| panic!("{label}: {e}"))
-                        .result;
+                    let got = simulate(&program, args, options(pes, page, cache))
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
                     assert_matches(&label, &expected, &got);
                 }
             }
