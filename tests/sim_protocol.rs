@@ -6,7 +6,7 @@
 
 use pods::{CompiledProgram, EngineKind, EngineOutcome, PodsError, RunOptions, Runtime, Value};
 use pods_baseline::{run_sequential, SequentialRun};
-use pods_machine::{MessageKind, TimingModel};
+use pods_machine::{MessageKind, SimulationStats, TimingModel};
 
 /// Runs `program` on the machine simulator with `opts`.
 fn simulate(
@@ -183,6 +183,49 @@ fn gather(probes: impl Iterator<Item = usize>) -> String {
     )
 }
 
+/// FNV-1a 64 over little-endian words: a dependency-free fingerprint of a
+/// run's simulated timing.
+struct Fnv(u64);
+
+impl Fnv {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Folds in the numbers that pin a run's timing: simulated time, event
+    /// count, and each PE's unit busy times and messages by kind.
+    fn stats(&mut self, stats: &SimulationStats) {
+        self.word(stats.elapsed_us.to_bits());
+        self.word(stats.events_processed);
+        for pe in &stats.per_pe {
+            for busy in pe.unit_busy {
+                self.word(busy.to_bits());
+            }
+            for &sent in &pe.messages_by_kind {
+                self.word(sent);
+            }
+        }
+    }
+}
+
+/// Each workload's fingerprint of all 60 configurations of the sweep below,
+/// in sweep order. Any change to simulated timing changes one of them.
+const SWEEP_DIGESTS: [(&str, u64); 8] = [
+    ("paper_example", 0x3c84_b839_7b5d_ac89),
+    ("fill", 0x784b_8fac_8e65_2829),
+    ("matmul", 0x9bbe_f6d3_aba4_e683),
+    ("stencil", 0xb624_f7da_adce_3eb4),
+    ("recurrence", 0x40ec_1870_c597_364d),
+    ("simple", 0xc5c0_864b_ddbd_4e6f),
+    ("gather", 0xca6d_483b_49ea_0b98),
+    ("gather_reversed", 0x5f61_4591_0e8a_8929),
+];
+
 #[test]
 fn simulator_matches_the_oracle_across_machine_and_page_sizes() {
     let workloads: Vec<(&str, String, Vec<Value>)> = vec![
@@ -215,9 +258,11 @@ fn simulator_matches_the_oracle_across_machine_and_page_sizes() {
             vec![Value::Int(16)],
         ),
     ];
+    let mut digests = Vec::new();
     for (name, source, args) in &workloads {
         let program: CompiledProgram = pods::compile(source).expect("compile");
         let expected = oracle(source, args);
+        let mut digest = Fnv(Fnv::OFFSET);
         for pes in [2, 3, 5, 8, 16, 32] {
             for page in [1, 2, 4, 32, 256] {
                 for cache in [true, false] {
@@ -225,8 +270,17 @@ fn simulator_matches_the_oracle_across_machine_and_page_sizes() {
                     let got = simulate(&program, args, options(pes, page, cache))
                         .unwrap_or_else(|e| panic!("{label}: {e}"));
                     assert_matches(&label, &expected, &got);
+                    digest.stats(got.simulation_stats().unwrap());
                 }
             }
         }
+        digests.push((*name, digest.0));
+    }
+    for ((name, got), (pinned_name, pinned)) in digests.iter().zip(SWEEP_DIGESTS) {
+        assert_eq!(*name, pinned_name);
+        assert_eq!(
+            *got, pinned,
+            "{name}: simulated timing changed (digest {got:#018x}, pinned {pinned:#018x})"
+        );
     }
 }
