@@ -1,7 +1,6 @@
 //! Error type for I-structure operations.
 
 use crate::header::ArrayId;
-use crate::PeId;
 
 /// Errors reported by the I-structure memory.
 ///
@@ -47,15 +46,6 @@ pub enum IStructureError {
         /// The unknown identifier.
         array: ArrayId,
     },
-    /// A PE touched an element that its local segment does not own.
-    NotLocal {
-        /// The array that was accessed.
-        array: ArrayId,
-        /// Row-major offset of the attempted access.
-        offset: usize,
-        /// The PE that attempted the access.
-        pe: PeId,
-    },
     /// An array identifier was allocated twice.
     DuplicateArray {
         /// The identifier that was re-used.
@@ -96,13 +86,6 @@ impl std::fmt::Display for IStructureError {
             IStructureError::UnknownArray { array } => {
                 write!(f, "unknown array identifier array#{}", array.index())
             }
-            IStructureError::NotLocal { array, offset, pe } => write!(
-                f,
-                "element {} of array#{} is not local to {}",
-                offset,
-                array.index(),
-                pe
-            ),
             IStructureError::DuplicateArray { array } => {
                 write!(
                     f,
@@ -130,11 +113,9 @@ mod tests {
         assert!(text.contains("single-assignment"));
         assert!(text.contains('9'));
 
-        let e = IStructureError::NotLocal {
-            array: ArrayId::from(0usize),
-            offset: 5,
-            pe: PeId(3),
+        let e = IStructureError::UnknownArray {
+            array: ArrayId::from(4usize),
         };
-        assert!(e.to_string().contains("PE3"));
+        assert_eq!(e.to_string(), "unknown array identifier array#4");
     }
 }

@@ -1,13 +1,13 @@
-//! A thread-safe I-structure store for native parallel execution.
+//! The I-structure store: every engine's one place for array values.
 //!
-//! The per-PE [`crate::ArrayMemory`] models the paper's distributed Array
-//! Managers for the discrete-event simulator, where all accesses happen on
-//! one simulation thread. The native execution engine instead runs iteration
-//! instances on real OS threads, so it needs a store that many threads can
-//! hit concurrently while preserving I-structure semantics:
+//! The pooled engines run iteration instances on real OS threads, so many
+//! threads hit the store at once. The discrete-event simulator keeps its
+//! values here too, on one thread; each simulated PE adds only a residency
+//! model that decides what an access costs (local, cached page or remote).
+//! Either way the store preserves I-structure semantics:
 //!
 //! * **write-once cells** — a second write to an element is a
-//!   single-assignment violation, exactly as in the sequential stores,
+//!   single-assignment violation,
 //! * **deferred readers** — a read of an absent element enqueues a
 //!   caller-supplied waiter tag on the cell; the write that eventually fills
 //!   the element hands all queued tags back to the writer so the caller can

@@ -7,7 +7,7 @@
 //!
 //! * [`TimingModel`] / [`MachineConfig`] — the published timing constants and
 //!   machine parameters (32-element pages, Dunigan message times, ...),
-//! * [`Simulation`] / [`simulate`] — a discrete-event simulation that
+//! * [`Simulation`] — a discrete-event simulation that
 //!   executes a partitioned [`pods_sp::SpProgram`] on `N` PEs, modelling
 //!   split-phase array access, deferred reads, remote page caching, `LD`
 //!   spawning, Range Filters, and blocking/re-activation of SP instances,
@@ -18,7 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use pods_machine::{simulate, MachineConfig};
+//! use pods_machine::{MachineConfig, Simulation};
 //! use pods_istructure::Value;
 //!
 //! let hir = pods_idlang::compile(
@@ -28,7 +28,9 @@
 //! let mut program = pods_sp::translate(&hir).unwrap();
 //! pods_partition::partition(&mut program, &loops, &Default::default());
 //!
-//! let result = simulate(&program, &[Value::Int(16)], &MachineConfig::with_pes(4)).unwrap();
+//! let result = Simulation::new(program, MachineConfig::with_pes(4))
+//!     .run(&[Value::Int(16)])
+//!     .unwrap();
 //! assert!(result.returned_array().unwrap().is_complete());
 //! ```
 
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod instance;
+mod residency;
 pub mod result;
 pub mod sim;
 pub mod stats;
@@ -46,6 +49,6 @@ pub mod timing;
 pub use instance::{Instance, InstanceId, InstanceStatus, Waiter};
 pub use pods_sp::exec::{eval_binary, eval_unary, EvalError};
 pub use result::{ArraySnapshot, SimulationResult};
-pub use sim::{simulate, Simulation, SimulationError};
+pub use sim::{Simulation, SimulationError};
 pub use stats::{MessageKind, PeStats, SimulationStats, Unit, UnitState};
 pub use timing::{MachineConfig, TimingModel};

@@ -11,13 +11,26 @@
 //! writes, allocation broadcasts) flows through the Routing Units and the
 //! network model.
 //!
+//! Every value lives once, in one [`SharedArrayStore`]: a local write, or a
+//! forwarded write when it reaches the owner, stores it there. What is per
+//! PE is only what an access *costs*, decided by the PE's residency: the
+//! arrays whose allocation it has seen, and the remote pages it holds.
+//!
 //! # Remote reads
 //!
 //! A read that misses the page cache sends a `ReadRequest` to the element's
 //! owner, which answers with a `PageReply` carrying the whole page once the
-//! element is present. With the cache on, each PE keeps an **in-flight
-//! table** keyed by `(array, page)`, so it has at most one outstanding
-//! request per remote page:
+//! element is present. The requester installs the copy, so later reads of
+//! nearby elements hit locally (§4, "remote data caching"). Because of
+//! single assignment a copied value never goes stale, so there is no
+//! invalidation protocol. But a copy may hold *absent* elements, ones not
+//! yet written when the owner copied the page: a read of one misses on a
+//! *stale copy* and asks again. A copy is therefore kept as the page's
+//! presence bits at copy time; the values are read from the store.
+//!
+//! With the cache on, each PE also keeps an **in-flight table** keyed by
+//! `(array, page)`, so it has at most one outstanding request per remote
+//! page:
 //!
 //! * the read whose request is on the wire is the entry's *lead*; a later
 //!   miss on the same page sends nothing and queues as a *follower*, charged
@@ -38,12 +51,13 @@
 //! request and no notice is sent.
 
 use crate::instance::{Instance, InstanceId, InstanceStatus, Waiter};
+use crate::residency::{Bits, Lookup, Residency};
 use crate::result::{ArraySnapshot, SimulationResult};
 use crate::stats::{MessageKind, PeStats, SimulationStats, UnitState};
 use crate::timing::{MachineConfig, TimingModel};
 use pods_istructure::{
-    ArrayHeader, ArrayId, ArrayMemory, ArrayShape, PageCopy, Partitioning, PeId, ReadOutcome,
-    ReadResult, Value, WriteOutcome,
+    ArrayHeader, ArrayId, IStructureError, PartitionSpec, PeId, SharedArray, SharedArrayStore,
+    SharedReadResult, Value,
 };
 use pods_sp::exec::{self, ArrayOps, Cost, ExecCtx, Loaded, ReadSlots, RunExit, TraceSink};
 use pods_sp::{Operand, SlotId, SpId, SpProgram};
@@ -117,22 +131,19 @@ enum Message {
         return_to: Option<Waiter>,
     },
     /// Broadcast half of the distributing allocate.
-    RemoteAlloc {
-        array: ArrayId,
-        name: String,
-        dims: Vec<usize>,
-        distributed: bool,
-        origin: usize,
-    },
+    RemoteAlloc { array: ArrayId },
     /// Request for a remote element; the owner replies with the whole page.
     ReadRequest {
         array: ArrayId,
         offset: usize,
         waiter: Waiter,
     },
-    /// Page copy plus the requested element value.
+    /// Page copy plus the requested element value. The copy's values are
+    /// the store's; `present` says which of them had been written.
     PageReply {
-        copy: PageCopy,
+        array: ArrayId,
+        page: usize,
+        present: Bits,
         value: Value,
         waiter: Waiter,
     },
@@ -217,9 +228,10 @@ impl Ord for Event {
 }
 
 /// Per-PE mutable state.
+#[derive(Default)]
 struct PeState {
     units: [UnitState; 5],
-    memory: ArrayMemory<Waiter>,
+    residency: Residency,
     instances: HashMap<InstanceId, Instance>,
     ready: VecDeque<InstanceId>,
     eu_event_pending: bool,
@@ -231,25 +243,9 @@ struct PeState {
     in_flight: HashMap<(ArrayId, usize), InFlight>,
 }
 
-impl PeState {
-    fn new(pe: usize) -> Self {
-        PeState {
-            units: [UnitState::default(); 5],
-            memory: ArrayMemory::new(PeId(pe)),
-            instances: HashMap::new(),
-            ready: VecDeque::new(),
-            eu_event_pending: false,
-            stats: PeStats::default(),
-            pending_remote: HashMap::new(),
-            in_flight: HashMap::new(),
-        }
-    }
-}
-
 /// The machine simulator.
 ///
-/// Construct one with [`Simulation::new`] and call [`Simulation::run`]; or
-/// use the convenience function [`simulate`].
+/// Construct one with [`Simulation::new`] and call [`Simulation::run`].
 pub struct Simulation {
     config: MachineConfig,
     program: Rc<SpProgram>,
@@ -257,13 +253,15 @@ pub struct Simulation {
     /// firing-rule check (no per-instruction allocation).
     read_slots: Rc<ReadSlots>,
     pes: Vec<PeState>,
+    /// Every array's values, held once for all PEs; each PE's residency
+    /// decides only what an access costs.
+    store: SharedArrayStore<Waiter>,
     events: BinaryHeap<Reverse<Event>>,
     seq: u64,
     horizon: f64,
     events_processed: u64,
     next_instance: u64,
     next_array: usize,
-    arrays: Vec<(ArrayId, String, ArrayShape)>,
     entry_instance: InstanceId,
     result: Option<Value>,
     error: Option<SimulationError>,
@@ -271,20 +269,6 @@ pub struct Simulation {
     /// deferred-load / chunk events are reported here, attributed to the
     /// simulated PE that produced them.
     sink: Option<Box<dyn TraceSink>>,
-}
-
-/// Runs `program` with the given `main` arguments on the configured machine.
-///
-/// # Errors
-///
-/// Returns a [`SimulationError`] on deadlock, run-time errors, or when the
-/// configured event limit is exceeded.
-pub fn simulate(
-    program: &SpProgram,
-    main_args: &[Value],
-    config: &MachineConfig,
-) -> Result<SimulationResult, SimulationError> {
-    Simulation::new(program.clone(), config.clone()).run(main_args)
 }
 
 impl Simulation {
@@ -296,14 +280,14 @@ impl Simulation {
             config,
             program: Rc::new(program),
             read_slots,
-            pes: (0..num_pes).map(PeState::new).collect(),
+            pes: (0..num_pes).map(|_| PeState::default()).collect(),
+            store: SharedArrayStore::new(),
             events: BinaryHeap::new(),
             seq: 0,
             horizon: 0.0,
             events_processed: 0,
             next_instance: 0,
             next_array: 0,
-            arrays: Vec::new(),
             entry_instance: InstanceId(0),
             result: None,
             error: None,
@@ -390,23 +374,17 @@ impl Simulation {
             stats.per_pe[i] = pe.stats.clone();
         }
 
-        let mut arrays = Vec::new();
-        for (id, name, shape) in &self.arrays {
-            let mut values = vec![None; shape.len()];
-            for pe in &self.pes {
-                for (offset, v) in pe.memory.local_written(*id) {
-                    if offset < values.len() {
-                        values[offset] = Some(v);
-                    }
-                }
-            }
-            arrays.push(ArraySnapshot {
-                id: *id,
-                name: name.clone(),
-                shape: shape.clone(),
+        let arrays = self
+            .store
+            .snapshots()
+            .into_iter()
+            .map(|(id, name, shape, values)| ArraySnapshot {
+                id,
+                name,
+                shape,
                 values,
-            });
-        }
+            })
+            .collect();
 
         SimulationResult {
             return_value: self.result,
@@ -526,7 +504,7 @@ impl Simulation {
             Message::Spawn { args, .. } => t.token_route * (1 + args.len()) as f64,
             Message::RemoteAlloc { .. } => t.token_route * 2.0,
             Message::ReadRequest { .. } => t.token_route,
-            Message::PageReply { copy, .. } => t.page_message_time(copy.len()),
+            Message::PageReply { present, .. } => t.page_message_time(present.len()),
             Message::WriteForward { .. } => t.token_route,
             Message::ReadDeferred { .. } => t.token_route,
         }
@@ -544,6 +522,18 @@ impl Simulation {
     }
 
     fn process_net_arrive(&mut self, pe: usize, msg: Message, time: f64) {
+        // A request that raced ahead of its array's allocation broadcast
+        // waits for it.
+        if let Message::ReadRequest { array, .. } | Message::WriteForward { array, .. } = msg {
+            if !self.pes[pe].residency.knows(array) {
+                self.pes[pe]
+                    .pending_remote
+                    .entry(array)
+                    .or_default()
+                    .push(msg);
+                return;
+            }
+        }
         let t = self.config.timing.clone();
         match msg {
             Message::Token {
@@ -572,15 +562,9 @@ impl Simulation {
                 let finish = self.schedule_unit(pe, MU, time, t.matching_unit);
                 self.create_instance(pe, template, args, return_to, finish);
             }
-            Message::RemoteAlloc {
-                array,
-                name,
-                dims,
-                distributed,
-                origin,
-            } => {
+            Message::RemoteAlloc { array } => {
                 let finish = self.schedule_unit(pe, AM, time, t.array_allocate);
-                self.register_array(pe, array, &name, &dims, distributed, origin);
+                self.pes[pe].residency.know(array);
                 // Serve any remote requests that raced ahead of the
                 // allocation broadcast.
                 if let Some(pending) = self.pes[pe].pending_remote.remove(&array) {
@@ -594,42 +578,27 @@ impl Simulation {
                 offset,
                 waiter,
             } => {
-                if self.pes[pe].memory.header(array).is_none() {
-                    self.pes[pe].pending_remote.entry(array).or_default().push(
-                        Message::ReadRequest {
-                            array,
-                            offset,
-                            waiter,
-                        },
-                    );
-                    return;
-                }
-                let page = self.pes[pe]
-                    .memory
-                    .header(array)
-                    .map(|h| h.partitioning().page_of(offset))
-                    .unwrap_or(0);
-                match self.pes[pe].memory.read_as_owner(array, offset, waiter) {
-                    Ok(ReadResult::Present(value)) => {
-                        match self.pes[pe].memory.extract_page(array, page) {
-                            Ok(copy) => {
-                                let service = t.send_page(copy.len());
-                                let finish = self.schedule_unit(pe, AM, time, service);
-                                self.send_message(
-                                    pe,
-                                    waiter.pe,
-                                    Message::PageReply {
-                                        copy,
-                                        value,
-                                        waiter,
-                                    },
-                                    finish,
-                                );
-                            }
-                            Err(e) => self.fail(e.to_string()),
-                        }
+                let shared = self.stored(array);
+                let page = shared.header().partitioning().page_of(offset);
+                match shared.read(offset, waiter) {
+                    Ok(SharedReadResult::Present(value)) => {
+                        let present = page_copy(&shared, page);
+                        let service = t.send_page(present.len());
+                        let finish = self.schedule_unit(pe, AM, time, service);
+                        self.send_message(
+                            pe,
+                            waiter.pe,
+                            Message::PageReply {
+                                array,
+                                page,
+                                present,
+                                value,
+                                waiter,
+                            },
+                            finish,
+                        );
                     }
-                    Ok(ReadResult::Deferred) => {
+                    Ok(SharedReadResult::Deferred) => {
                         let finish = self.schedule_unit(pe, AM, time, t.enqueue_read);
                         // The requester may have followers waiting on this
                         // request's page; tell it none is coming.
@@ -650,11 +619,13 @@ impl Simulation {
                 }
             }
             Message::PageReply {
-                copy,
+                array,
+                page,
+                present,
                 value,
                 waiter,
             } => {
-                let service = t.receive_page(copy.len());
+                let service = t.receive_page(present.len());
                 let finish = self.schedule_unit(pe, AM, time, service);
                 self.push_event(
                     finish,
@@ -666,13 +637,16 @@ impl Simulation {
                     },
                 );
                 if self.config.remote_page_cache {
-                    let key = (copy.array, copy.page);
+                    let key = (array, page);
                     if let Some(entry) = self.take_in_flight(pe, key, waiter) {
                         // Serve the followers the copy can; the rest missed
                         // on a stale copy and ask again.
+                        let shared = self.stored(array);
+                        let page_size = shared.header().partitioning().page_size();
                         let mut missing = Vec::new();
                         for (offset, follower) in entry.followers {
-                            match copy.get(offset) {
+                            let copied = present.get(offset % page_size);
+                            match copied.then(|| shared.peek(offset)).flatten() {
                                 Some(v) => {
                                     let served = self.schedule_unit(
                                         pe,
@@ -695,7 +669,7 @@ impl Simulation {
                         }
                         self.reissue(pe, key, entry.owner, missing, finish);
                     }
-                    self.pes[pe].memory.install_page(copy);
+                    self.pes[pe].residency.install(array, page, present);
                 }
             }
             Message::ReadDeferred {
@@ -713,43 +687,10 @@ impl Simulation {
                 array,
                 offset,
                 value,
-            } => {
-                if self.pes[pe].memory.header(array).is_none() {
-                    self.pes[pe].pending_remote.entry(array).or_default().push(
-                        Message::WriteForward {
-                            array,
-                            offset,
-                            value,
-                        },
-                    );
-                    return;
-                }
-                match self.pes[pe].memory.write(array, offset, value) {
-                    Ok(WriteOutcome::Local { woken }) => {
-                        self.pes[pe].stats.local_writes += 1;
-                        let service = t.memory_write + woken.len() as f64 * t.unit_signal;
-                        let finish = self.schedule_unit(pe, AM, time, service);
-                        for waiter in woken {
-                            self.send_to_waiter(pe, waiter, value, finish);
-                        }
-                    }
-                    Ok(WriteOutcome::Remote { owner }) => {
-                        // Ownership disagreement should be impossible; route
-                        // onwards to stay safe.
-                        self.send_message(
-                            pe,
-                            owner.index(),
-                            Message::WriteForward {
-                                array,
-                                offset,
-                                value,
-                            },
-                            time,
-                        );
-                    }
-                    Err(e) => self.fail(e.to_string()),
-                }
-            }
+            } => match self.stored(array).write(offset, value) {
+                Ok(woken) => self.land_write(pe, woken, value, time),
+                Err(e) => self.fail(e.to_string()),
+            },
         }
     }
 
@@ -829,28 +770,46 @@ impl Simulation {
         }
     }
 
-    fn register_array(
-        &mut self,
+    // ----- the I-structure store -----
+
+    /// Array `id`, which some PE has seen allocated.
+    fn stored(&self, id: ArrayId) -> Arc<SharedArray<Waiter>> {
+        self.store
+            .array(id)
+            .expect("a PE learns only of arrays already in the store")
+    }
+
+    /// Array `id` as PE `pe` accesses element `offset` of it: the PE must
+    /// have seen its allocation, and the offset must be in bounds.
+    fn array_on(
+        &self,
         pe: usize,
         id: ArrayId,
-        name: &str,
-        dims: &[usize],
-        distributed: bool,
-        origin: usize,
-    ) {
-        let shape = ArrayShape::from_dims(dims);
-        let partitioning = if distributed {
-            Partitioning::new(shape.len(), self.config.page_size, self.pes.len())
-        } else {
-            Partitioning::single_owner(
-                shape.len(),
-                self.config.page_size,
-                self.pes.len(),
-                PeId(origin),
-            )
-        };
-        if let Err(e) = self.pes[pe].memory.allocate(id, name, shape, partitioning) {
-            self.fail(e.to_string());
+        offset: usize,
+    ) -> Result<Arc<SharedArray<Waiter>>, IStructureError> {
+        if !self.pes[pe].residency.knows(id) {
+            return Err(IStructureError::UnknownArray { array: id });
+        }
+        let array = self.stored(id);
+        if offset >= array.len() {
+            return Err(IStructureError::OutOfBounds {
+                array: id,
+                offset,
+                len: array.len(),
+            });
+        }
+        Ok(array)
+    }
+
+    /// A write landed on its owner `pe`: the Array Manager stores the value
+    /// and signals each reader that was waiting on the element, in order.
+    fn land_write(&mut self, pe: usize, woken: Vec<Waiter>, value: Value, now: f64) {
+        let t = &self.config.timing;
+        let service = t.memory_write + woken.len() as f64 * t.unit_signal;
+        self.pes[pe].stats.local_writes += 1;
+        let finish = self.schedule_unit(pe, AM, now, service);
+        for waiter in woken {
+            self.send_to_waiter(pe, waiter, value, finish);
         }
     }
 
@@ -936,12 +895,25 @@ impl Simulation {
     }
 }
 
+/// The presence bits of `page` of `array` as its owner copies the page for a
+/// remote reader: set for each element written so far.
+fn page_copy(array: &SharedArray<Waiter>, page: usize) -> Bits {
+    let elements = array.header().partitioning().page_elements(page);
+    let mut present = Bits::new(elements.len());
+    for (i, offset) in elements.enumerate() {
+        if array.peek(offset).is_some() {
+            present.set(i);
+        }
+    }
+    present
+}
+
 /// The simulator's execution context for the shared instruction core
 /// (`pods_sp::exec`): one EU slice of one instance on one PE. The semantics
 /// live in the core; this adapter supplies the simulator's *mechanics* —
-/// the §5.1 timing model (`charge`), the per-PE [`ArrayMemory`] with page
-/// caching and remote messages ([`ArrayOps`]), asynchronous Array-Manager
-/// deliveries, and inter-PE spawn routing.
+/// the §5.1 timing model (`charge`), the per-PE residency that prices each
+/// array access as local, cached or remote ([`ArrayOps`]), asynchronous
+/// Array-Manager deliveries, and inter-PE spawn routing.
 struct SimCtx<'a> {
     sim: &'a mut Simulation,
     pe: usize,
@@ -966,10 +938,16 @@ impl ArrayOps for SimCtx<'_> {
         self.inst.clear_slot(dst);
         let id = ArrayId(self.sim.next_array);
         self.sim.next_array += 1;
+        let partitioning = PartitionSpec {
+            page_size: self.sim.config.page_size,
+            num_pes: self.sim.pes.len(),
+            owner: (!distributed).then_some(PeId(pe)),
+        };
         self.sim
-            .arrays
-            .push((id, name.to_string(), ArrayShape::from_dims(dims)));
-        self.sim.register_array(pe, id, name, dims, distributed, pe);
+            .store
+            .allocate_dims(id, name, dims, partitioning)
+            .map_err(|e| e.to_string())?;
+        self.sim.pes[pe].residency.know(id);
         let finish = self
             .sim
             .schedule_unit(pe, AM, *self.t, self.timing.array_allocate);
@@ -986,18 +964,8 @@ impl ArrayOps for SimCtx<'_> {
         if distributed {
             for q in 0..self.sim.pes.len() {
                 if q != pe {
-                    self.sim.send_message(
-                        pe,
-                        q,
-                        Message::RemoteAlloc {
-                            array: id,
-                            name: name.to_string(),
-                            dims: dims.to_vec(),
-                            distributed: true,
-                            origin: pe,
-                        },
-                        finish,
-                    );
+                    self.sim
+                        .send_message(pe, q, Message::RemoteAlloc { array: id }, finish);
                 }
             }
         }
@@ -1010,10 +978,10 @@ impl ArrayOps for SimCtx<'_> {
         f: impl FnOnce(&ArrayHeader) -> R,
     ) -> Result<R, String> {
         let pe = self.pe;
-        match self.sim.pes[pe].memory.header(id) {
-            Some(header) => Ok(f(header)),
-            None => Err(format!("array {id} has no header on PE{pe}")),
+        if !self.sim.pes[pe].residency.knows(id) {
+            return Err(format!("array {id} has no header on PE{pe}"));
         }
+        Ok(f(self.sim.stored(id).header()))
     }
 
     fn load_element(&mut self, id: ArrayId, offset: usize, dst: SlotId) -> Result<Loaded, String> {
@@ -1023,80 +991,81 @@ impl ArrayOps for SimCtx<'_> {
             instance: self.inst.id,
             slot: dst,
         };
-        match self.sim.pes[pe].memory.read(id, offset, waiter) {
-            Ok(ReadOutcome::LocalPresent(v)) => {
-                self.sim.pes[pe].stats.local_reads += 1;
-                Ok(Loaded::Ready(v))
-            }
-            Ok(ReadOutcome::CacheHit(v)) => {
-                self.sim.pes[pe].stats.cache_hit_reads += 1;
-                Ok(Loaded::Ready(v))
-            }
-            Ok(ReadOutcome::LocalDeferred) => {
-                self.sim.pes[pe].stats.deferred_reads += 1;
-                self.sim
-                    .schedule_unit(pe, AM, *self.t, self.timing.enqueue_read);
-                Ok(Loaded::Deferred)
-            }
-            Ok(ReadOutcome::RemoteMiss {
-                owner,
-                page,
-                cached,
-            }) => {
-                let sim = &mut *self.sim;
-                let key = (id, page);
-                let in_flight = sim.pes[pe].in_flight.contains_key(&key);
-                let stats = &mut sim.pes[pe].stats;
-                stats.remote_reads += 1;
-                if in_flight {
-                    stats.in_flight_misses += 1;
-                } else if cached {
-                    stats.stale_misses += 1;
-                } else {
-                    stats.cold_misses += 1;
+        let sim = &mut *self.sim;
+        let array = sim.array_on(pe, id, offset).map_err(|e| e.to_string())?;
+        let partitioning = array.header().partitioning();
+        let owner = partitioning.owner_of(offset).index();
+        if owner == pe {
+            return match array.read(offset, waiter).map_err(|e| e.to_string())? {
+                SharedReadResult::Present(v) => {
+                    sim.pes[pe].stats.local_reads += 1;
+                    Ok(Loaded::Ready(v))
                 }
-                sim.request_element(pe, key, offset, owner.index(), waiter, *self.t);
-                Ok(Loaded::Deferred)
-            }
-            Err(e) => Err(e.to_string()),
+                SharedReadResult::Deferred => {
+                    sim.pes[pe].stats.deferred_reads += 1;
+                    sim.schedule_unit(pe, AM, *self.t, self.timing.enqueue_read);
+                    Ok(Loaded::Deferred)
+                }
+            };
         }
+        let page = partitioning.page_of(offset);
+        let index = offset % partitioning.page_size();
+        let cached = match sim.pes[pe].residency.lookup(id, page, index) {
+            Lookup::Hit => {
+                let v = array
+                    .peek(offset)
+                    .expect("a page copy marks only written elements present");
+                sim.pes[pe].stats.cache_hit_reads += 1;
+                return Ok(Loaded::Ready(v));
+            }
+            Lookup::Miss { cached } => cached,
+        };
+        let key = (id, page);
+        let in_flight = sim.pes[pe].in_flight.contains_key(&key);
+        let stats = &mut sim.pes[pe].stats;
+        stats.remote_reads += 1;
+        if in_flight {
+            stats.in_flight_misses += 1;
+        } else if cached {
+            stats.stale_misses += 1;
+        } else {
+            stats.cold_misses += 1;
+        }
+        sim.request_element(pe, key, offset, owner, waiter, *self.t);
+        Ok(Loaded::Deferred)
     }
 
     fn store_element(&mut self, id: ArrayId, offset: usize, value: Value) -> Result<(), String> {
         let pe = self.pe;
-        match self.sim.pes[pe].memory.write(id, offset, value) {
-            Ok(WriteOutcome::Local { woken }) => {
-                self.sim.pes[pe].stats.local_writes += 1;
-                let service =
-                    self.timing.memory_write + woken.len() as f64 * self.timing.unit_signal;
-                let finish = self.sim.schedule_unit(pe, AM, *self.t, service);
-                for waiter in woken {
-                    self.sim.send_to_waiter(pe, waiter, value, finish);
-                }
-                Ok(())
-            }
-            Ok(WriteOutcome::Remote { owner }) => {
-                self.sim.pes[pe].stats.remote_writes += 1;
-                let finish = self.sim.schedule_unit(
-                    pe,
-                    AM,
-                    *self.t,
-                    self.timing.memory_write + self.timing.unit_signal,
-                );
-                self.sim.send_message(
-                    pe,
-                    owner.index(),
-                    Message::WriteForward {
-                        array: id,
-                        offset,
-                        value,
-                    },
-                    finish,
-                );
-                Ok(())
-            }
-            Err(e) => Err(e.to_string()),
+        let array = self
+            .sim
+            .array_on(pe, id, offset)
+            .map_err(|e| e.to_string())?;
+        let owner = array.header().owner_of(offset).index();
+        if owner == pe {
+            let woken = array.write(offset, value).map_err(|e| e.to_string())?;
+            self.sim.land_write(pe, woken, value, *self.t);
+            return Ok(());
         }
+        // The value lands in the store when the forward reaches the owner.
+        self.sim.pes[pe].stats.remote_writes += 1;
+        let finish = self.sim.schedule_unit(
+            pe,
+            AM,
+            *self.t,
+            self.timing.memory_write + self.timing.unit_signal,
+        );
+        self.sim.send_message(
+            pe,
+            owner,
+            Message::WriteForward {
+                array: id,
+                offset,
+                value,
+            },
+            finish,
+        );
+        Ok(())
     }
 }
 
@@ -1213,7 +1182,9 @@ mod tests {
 
     fn run(src: &str, args: &[Value], pes: usize) -> SimulationResult {
         let program = compile_and_partition(src);
-        simulate(&program, args, &MachineConfig::with_pes(pes)).unwrap()
+        Simulation::new(program, MachineConfig::with_pes(pes))
+            .run(args)
+            .unwrap()
     }
 
     #[test]
@@ -1320,7 +1291,9 @@ mod tests {
             }
         "#;
         let program = compile_and_partition(src);
-        let err = simulate(&program, &[Value::Int(4)], &MachineConfig::with_pes(1)).unwrap_err();
+        let err = Simulation::new(program, MachineConfig::with_pes(1))
+            .run(&[Value::Int(4)])
+            .unwrap_err();
         assert!(matches!(err, SimulationError::Runtime(_)), "{err}");
     }
 
@@ -1334,7 +1307,9 @@ mod tests {
             }
         "#;
         let program = compile_and_partition(src);
-        let err = simulate(&program, &[Value::Int(4)], &MachineConfig::with_pes(1)).unwrap_err();
+        let err = Simulation::new(program, MachineConfig::with_pes(1))
+            .run(&[Value::Int(4)])
+            .unwrap_err();
         assert_eq!(
             err.to_string(),
             "deadlock: 1 SP instances stuck (inst0 of main blocked at pc 3 (Blocked(SlotId(2))))"
@@ -1350,7 +1325,9 @@ mod tests {
             }
         "#;
         let program = compile_and_partition(src);
-        let err = simulate(&program, &[Value::Int(64)], &MachineConfig::with_pes(4)).unwrap_err();
+        let err = Simulation::new(program, MachineConfig::with_pes(4))
+            .run(&[Value::Int(64)])
+            .unwrap_err();
         assert_eq!(
             err.to_string(),
             "deadlock: 2 SP instances stuck (inst1 of main.loop0.i blocked at pc 7 (Blocked(SlotId(7))))"
@@ -1361,7 +1338,9 @@ mod tests {
     fn out_of_bounds_access_is_reported() {
         let src = "def main(n) { a = array(n); a[n + 5] = 1; return 0; }";
         let program = compile_and_partition(src);
-        let err = simulate(&program, &[Value::Int(4)], &MachineConfig::with_pes(1)).unwrap_err();
+        let err = Simulation::new(program, MachineConfig::with_pes(1))
+            .run(&[Value::Int(4)])
+            .unwrap_err();
         assert!(matches!(err, SimulationError::Runtime(_)));
     }
 
@@ -1380,7 +1359,9 @@ mod tests {
             max_events: 10,
             ..MachineConfig::default()
         };
-        let err = simulate(&program, &[Value::Int(8)], &config).unwrap_err();
+        let err = Simulation::new(program, config)
+            .run(&[Value::Int(8)])
+            .unwrap_err();
         assert!(matches!(err, SimulationError::EventLimitExceeded { .. }));
     }
 
@@ -1427,6 +1408,94 @@ mod tests {
         assert!(
             stats.total_cache_hits() > 0,
             "expected the page cache to serve repeated reads"
+        );
+    }
+
+    /// A simulation on 2 PEs whose store holds a 4 x 8 array with 8-element
+    /// pages (PE0 owns offsets 0..16, PE1 16..32) that both PEs know.
+    fn two_pes_sharing_an_array() -> (Simulation, Arc<SharedArray<Waiter>>) {
+        let program = compile_and_partition("def main(n) { return n; }");
+        let mut sim = Simulation::new(program, MachineConfig::with_pes(2));
+        let spec = PartitionSpec {
+            page_size: 8,
+            num_pes: 2,
+            owner: None,
+        };
+        sim.store
+            .allocate_dims(ArrayId(0), &Arc::from("a"), &[4, 8], spec)
+            .unwrap();
+        for pe in &mut sim.pes {
+            pe.residency.know(ArrayId(0));
+        }
+        let array = sim.store.require(ArrayId(0)).unwrap();
+        (sim, array)
+    }
+
+    fn waiter(pe: usize) -> Waiter {
+        Waiter {
+            pe,
+            instance: InstanceId(0),
+            slot: SlotId(0),
+        }
+    }
+
+    #[test]
+    fn page_copies_mark_only_the_elements_written_so_far() {
+        let (_, a) = two_pes_sharing_an_array();
+        a.write(1, Value::Int(10)).unwrap();
+        let copy = page_copy(&a, 0);
+        assert_eq!(copy.len(), 8);
+        assert_eq!((0..8).filter(|&i| copy.get(i)).collect::<Vec<_>>(), [1]);
+        // A read parked on an element does not make it present.
+        a.read(19, waiter(0)).unwrap();
+        assert!(!page_copy(&a, 2).get(3));
+    }
+
+    #[test]
+    fn a_page_copy_serves_reads_of_elements_written_before_it() {
+        let (mut sim, a) = two_pes_sharing_an_array();
+        // Offset 20 is on PE1's page 2: PE0 has never seen the page.
+        assert_eq!(a.header().owner_of(20), PeId(1));
+        let reader = &mut sim.pes[0].residency;
+        assert_eq!(
+            reader.lookup(ArrayId(0), 2, 4),
+            Lookup::Miss { cached: false }
+        );
+        // The owner writes the element and copies the page for PE0.
+        a.write(20, Value::Int(42)).unwrap();
+        reader.install(ArrayId(0), 2, page_copy(&a, 2));
+        assert_eq!(reader.lookup(ArrayId(0), 2, 4), Lookup::Hit);
+        // An element of the same page still absent when it was copied
+        // misses again, on a stale copy, even once it is written.
+        a.write(21, Value::Int(43)).unwrap();
+        assert_eq!(
+            reader.lookup(ArrayId(0), 2, 5),
+            Lookup::Miss { cached: true }
+        );
+    }
+
+    #[test]
+    fn an_access_needs_a_known_array_and_an_in_bounds_offset() {
+        let (mut sim, _) = two_pes_sharing_an_array();
+        assert!(sim.array_on(1, ArrayId(0), 31).is_ok());
+        assert_eq!(
+            sim.array_on(0, ArrayId(0), 32).unwrap_err().to_string(),
+            "offset 32 out of bounds for array#0 of 32 elements"
+        );
+        // PE1 has not seen array 1's allocation, though the store holds it.
+        let spec = PartitionSpec {
+            page_size: 8,
+            num_pes: 2,
+            owner: Some(PeId(0)),
+        };
+        sim.store
+            .allocate_dims(ArrayId(1), &Arc::from("b"), &[4], spec)
+            .unwrap();
+        sim.pes[0].residency.know(ArrayId(1));
+        assert!(sim.array_on(0, ArrayId(1), 3).is_ok());
+        assert_eq!(
+            sim.array_on(1, ArrayId(1), 0).unwrap_err().to_string(),
+            "unknown array identifier array#1"
         );
     }
 

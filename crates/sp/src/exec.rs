@@ -14,9 +14,9 @@
 //! clamping, spawn argument marshalling, and return routing. Engines differ
 //! only in *mechanics*, expressed through two small traits:
 //!
-//! * [`ArrayOps`] — how I-structure storage is reached: the simulator's
-//!   per-PE [`pods_istructure::ArrayMemory`] (with page caching and remote
-//!   messages) vs the pooled engines' [`pods_istructure::SharedArrayStore`].
+//! * [`ArrayOps`] — how I-structure storage is reached. Every engine keeps
+//!   its values in a [`pods_istructure::SharedArrayStore`]; the simulator
+//!   also prices each access (local, cached page, or remote message).
 //! * [`ExecCtx`] — the suspension strategy and everything else scheduler
 //!   shaped: frame slots, the program counter, cost accounting (the
 //!   simulator's timing model), spawning, and the stop signal. When the
@@ -338,10 +338,11 @@ pub enum Loaded {
     Deferred,
 }
 
-/// I-structure access as seen by the instruction core: the abstraction over
-/// the simulator's per-PE [`pods_istructure::ArrayMemory`] (page cache,
-/// remote read/write messages, allocation broadcasts) and the pooled
-/// engines' process-wide [`pods_istructure::SharedArrayStore`].
+/// I-structure access as seen by the instruction core. Both the simulator
+/// and the pooled engines keep their values in a
+/// [`pods_istructure::SharedArrayStore`]; the simulator adds each PE's
+/// residency (page cache, remote read/write messages, allocation
+/// broadcasts) to decide what an access costs.
 ///
 /// All methods take `&mut self` because implementations update statistics,
 /// schedule events, or memoise directory lookups.
