@@ -1431,14 +1431,6 @@ mod tests {
         (sim, array)
     }
 
-    fn waiter(pe: usize) -> Waiter {
-        Waiter {
-            pe,
-            instance: InstanceId(0),
-            slot: SlotId(0),
-        }
-    }
-
     #[test]
     fn page_copies_mark_only_the_elements_written_so_far() {
         let (_, a) = two_pes_sharing_an_array();
@@ -1447,7 +1439,12 @@ mod tests {
         assert_eq!(copy.len(), 8);
         assert_eq!((0..8).filter(|&i| copy.get(i)).collect::<Vec<_>>(), [1]);
         // A read parked on an element does not make it present.
-        a.read(19, waiter(0)).unwrap();
+        let reader = Waiter {
+            pe: 0,
+            instance: InstanceId(0),
+            slot: SlotId(0),
+        };
+        a.read(19, reader).unwrap();
         assert!(!page_copy(&a, 2).get(3));
     }
 
