@@ -5,11 +5,12 @@
 use pods::{report, RunOptions, Value};
 use pods_baseline::{run_sequential, PrModel};
 use pods_machine::TimingModel;
+use pods_workloads::simple::{PAPER_MESH_SIZES, PAPER_PE_COUNTS, PAPER_SPEEDUP_AT_32};
 
 fn main() {
     let program = pods_bench::compile_simple();
-    let pes = pods_bench::pe_counts();
-    let sizes = pods_bench::mesh_sizes();
+    let pes = PAPER_PE_COUNTS;
+    let sizes = PAPER_MESH_SIZES;
     // PODS_ENGINE=native reports real hardware-thread speed-up through the
     // same sweep code path; the default reports simulated-PE speed-up.
     let engine = pods_bench::engine_kind();
@@ -50,5 +51,12 @@ fn main() {
     }
 
     println!("linear reference: speedup = number of PEs");
-    println!("paper reference points at 32 PEs: 16x16 = 8.1, 32x32 = 12.4, 64x64 = 18.9 (PODS)");
+    let paper: Vec<String> = PAPER_SPEEDUP_AT_32
+        .iter()
+        .map(|(n, speedup)| format!("{n}x{n} = {speedup}"))
+        .collect();
+    println!(
+        "paper reference points at 32 PEs: {} (PODS)",
+        paper.join(", ")
+    );
 }

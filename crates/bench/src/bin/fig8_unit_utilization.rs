@@ -5,11 +5,12 @@
 
 use pods::report;
 use pods_machine::{MessageKind, SimulationStats};
+use pods_workloads::simple::PAPER_PE_COUNTS;
 
 fn main() {
     let program = pods_bench::compile_simple();
     let n = 16;
-    let runs: Vec<(usize, SimulationStats)> = pods_bench::pe_counts()
+    let runs: Vec<(usize, SimulationStats)> = PAPER_PE_COUNTS
         .into_iter()
         .map(|pes| (pes, pods_bench::run_simple(&program, n, pes)))
         .collect();

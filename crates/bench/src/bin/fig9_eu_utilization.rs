@@ -2,11 +2,12 @@
 //! 32x32, and 64x64 as the number of PEs grows.
 
 use pods::Unit;
+use pods_workloads::simple::{PAPER_MESH_SIZES, PAPER_PE_COUNTS};
 
 fn main() {
     let program = pods_bench::compile_simple();
-    let sizes = pods_bench::mesh_sizes();
-    let pes = pods_bench::pe_counts();
+    let sizes = PAPER_MESH_SIZES;
+    let pes = PAPER_PE_COUNTS;
     println!("Figure 9: Execution-Unit utilization for SIMPLE");
     print!("{:>5}", "PEs");
     for n in &sizes {

@@ -1,40 +1,16 @@
-//! Shared helpers for the figure-regeneration binaries and Criterion
-//! benchmarks of the PODS reproduction.
+//! Shared helpers for the figure-regeneration binaries of the PODS
+//! reproduction.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation section; see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! evaluation section over the paper's sweeps
+//! ([`pods_workloads::simple::PAPER_MESH_SIZES`] and
+//! [`pods_workloads::simple::PAPER_PE_COUNTS`]); `tests/paper_figures.rs`
+//! at the workspace root holds their numbers as floors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use pods::{CompiledProgram, EngineKind, EngineOutcome, Runtime, SimulationStats, Value};
-
-/// Mesh sizes used by the SIMPLE experiments. Honours the
-/// `PODS_MESH_SIZES` environment variable (comma-separated) so slow machines
-/// can run reduced sweeps, and defaults to the paper's 16/32/64.
-pub fn mesh_sizes() -> Vec<usize> {
-    match std::env::var("PODS_MESH_SIZES") {
-        Ok(s) => s
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&n: &usize| n >= 4)
-            .collect(),
-        Err(_) => pods_workloads::simple::PAPER_MESH_SIZES.to_vec(),
-    }
-}
-
-/// PE counts used by the sweeps (the paper's 1, 2, 4, 8, 16, 32).
-pub fn pe_counts() -> Vec<usize> {
-    match std::env::var("PODS_PE_COUNTS") {
-        Ok(s) => s
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&n: &usize| n >= 1)
-            .collect(),
-        Err(_) => pods_workloads::simple::PAPER_PE_COUNTS.to_vec(),
-    }
-}
 
 /// Compiles the SIMPLE benchmark once.
 ///
@@ -97,17 +73,6 @@ pub fn run_simple_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_match_the_paper() {
-        // The environment is not set during tests, so the defaults apply.
-        if std::env::var("PODS_MESH_SIZES").is_err() {
-            assert_eq!(mesh_sizes(), vec![16, 32, 64]);
-        }
-        if std::env::var("PODS_PE_COUNTS").is_err() {
-            assert_eq!(pe_counts(), vec![1, 2, 4, 8, 16, 32]);
-        }
-    }
 
     #[test]
     fn simple_compiles_and_runs_small() {

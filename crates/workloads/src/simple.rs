@@ -275,8 +275,8 @@ pub const PAPER_MESH_SIZES: [usize; 3] = [16, 32, 64];
 /// The PE counts evaluated in the paper (Figures 8-10).
 pub const PAPER_PE_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
-/// The speed-ups reported by the paper at 32 PEs for each mesh size, used by
-/// `EXPERIMENTS.md` and the benchmark harness for side-by-side reporting.
+/// The speed-ups reported by the paper at 32 PEs for each mesh size, printed
+/// by the `fig10_speedup` binary beside the measured sweep.
 pub const PAPER_SPEEDUP_AT_32: [(usize, f64); 3] = [(16, 8.1), (32, 12.4), (64, 18.9)];
 
 #[cfg(test)]
