@@ -85,8 +85,8 @@ pub struct NestProfile {
 /// A final array produced by the sequential run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineArray {
-    /// Source-level name.
-    pub name: String,
+    /// Source-level name, shared with the program's HIR.
+    pub name: Name,
     /// Shape of the array.
     pub shape: ArrayShape,
     /// Element values (row-major); `None` if never written.
@@ -211,7 +211,7 @@ pub fn run_sequential_bounded(
 }
 
 struct ArrayState {
-    name: String,
+    name: Name,
     shape: ArrayShape,
     values: Vec<Option<Value>>,
 }
@@ -328,7 +328,7 @@ impl<'a> Interp<'a> {
                 self.charge(self.timing.array_allocate);
                 let id = ArrayId(self.arrays.len());
                 self.arrays.push(ArrayState {
-                    name: name.to_string(),
+                    name: name.clone(),
                     shape: shape.clone(),
                     values: vec![None; shape.len()],
                 });

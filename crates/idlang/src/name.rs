@@ -81,6 +81,13 @@ impl From<String> for Name {
     }
 }
 
+/// Takes over a shared string without copying it (no allocation).
+impl From<Arc<str>> for Name {
+    fn from(text: Arc<str>) -> Self {
+        Name(text)
+    }
+}
+
 impl PartialEq<str> for Name {
     fn eq(&self, other: &str) -> bool {
         self.as_str() == other
@@ -187,5 +194,13 @@ mod tests {
         assert!(Arc::ptr_eq(a.as_arc(), b.as_arc()));
         assert!(!Arc::ptr_eq(a.as_arc(), c.as_arc()));
         assert_eq!(Arc::strong_count(a.as_arc()), 3, "the interner holds one");
+    }
+
+    #[test]
+    fn a_name_from_a_shared_string_shares_it() {
+        let text: Arc<str> = Arc::from("grid");
+        let name = Name::from(Arc::clone(&text));
+        assert!(Arc::ptr_eq(name.as_arc(), &text));
+        assert_eq!(name, "grid");
     }
 }

@@ -91,6 +91,12 @@ impl ArrayHeader {
         &self.name
     }
 
+    /// The shared string behind [`Self::name`]; cloning it allocates
+    /// nothing, so a result snapshot can name the array without a copy.
+    pub fn shared_name(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// The array shape.
     pub fn shape(&self) -> &ArrayShape {
         &self.shape

@@ -32,9 +32,9 @@
 //!
 //! A store serves one job at a time but may serve many in turn:
 //! [`SharedArrayStore::recycle`] empties it for the next job and keeps the
-//! finished job's arrays as spares, so an allocation of the same length
-//! rewrites a spare's header and cells in place instead of calling the
-//! allocator.
+//! finished job's arrays as spares, so an allocation that a spare has the
+//! cell capacity for rewrites the spare's header and resizes its cells in
+//! place instead of calling the allocator.
 
 use crate::error::IStructureError;
 use crate::header::{ArrayHeader, ArrayId};
@@ -112,6 +112,15 @@ impl<T> SharedArray<T> {
                 .map(|_| Mutex::new(SharedCell::default()))
                 .collect(),
         }
+    }
+
+    /// Resizes a spare's cells, all empty, to `len`. A spare is taken only
+    /// when its cells have the capacity, so this never calls the allocator.
+    fn refit(&mut self, len: usize) {
+        debug_assert!(len <= self.cells.capacity());
+        self.cells.truncate(len);
+        self.cells
+            .resize_with(len, || Mutex::new(SharedCell::Empty));
     }
 
     /// Empties every cell, dropping any waiters still queued on it;
@@ -282,7 +291,8 @@ pub struct SharedArrayStore<T> {
     /// order: `order`, then a shard.
     order: Mutex<Vec<ArrayId>>,
     /// The previous job's arrays, emptied, that nothing else holds:
-    /// `allocate` takes one of the right length before it builds an array.
+    /// `allocate` takes one with enough cell capacity before it builds an
+    /// array.
     spares: Mutex<Vec<Arc<SharedArray<T>>>>,
     /// Arrays currently allocated (see [`StoreStats`]).
     live_arrays: AtomicUsize,
@@ -339,9 +349,12 @@ impl<T> SharedArrayStore<T> {
             });
         }
         let header = ArrayHeader::new(id, name, shape, partitioning);
-        let array = match self.take_spare(header.len()) {
+        let len = header.len();
+        let array = match self.take_spare(len) {
             Some(mut spare) => {
-                unique(&mut spare).header = header;
+                let reused = unique(&mut spare);
+                reused.header = header;
+                reused.refit(len);
                 spare
             }
             None => Arc::new(SharedArray::new(header)),
@@ -351,9 +364,10 @@ impl<T> SharedArrayStore<T> {
 
     /// Allocates an array of extents `dims`, partitioned by `partitioning`,
     /// with the allocating instruction's shared copy of its name. This is
-    /// the pooled engines' path: a spare array of the same length is reused
-    /// whole — header storage, record and cells — so it calls the
-    /// allocator only when no spare fits (or for ranks above four).
+    /// the pooled engines' path: a spare array with enough cell capacity is
+    /// reused whole — header storage, record and cells — so it calls the
+    /// allocator only when no spare has the capacity (or for ranks above
+    /// four).
     ///
     /// # Errors
     ///
@@ -373,9 +387,9 @@ impl<T> SharedArrayStore<T> {
         let len = dims.iter().product();
         let array = match self.take_spare(len) {
             Some(mut spare) => {
-                unique(&mut spare)
-                    .header
-                    .reset(id, name, dims, partitioning);
+                let reused = unique(&mut spare);
+                reused.header.reset(id, name, dims, partitioning);
+                reused.refit(len);
                 spare
             }
             None => {
@@ -387,10 +401,20 @@ impl<T> SharedArrayStore<T> {
         self.insert(array)
     }
 
-    /// A spare array with `len` cells, if the previous job left one.
+    /// A spare array that holds `len` cells without growing, if the
+    /// previous job left one: one of exactly that length, else the one with
+    /// the least cell capacity that suffices, so the larger spares stay for
+    /// the larger arrays. A job whose array sizes vary from run to run (a
+    /// mesh size in the arguments) thus rebuilds an array only when no
+    /// spare has the cells for it.
     fn take_spare(&self, len: usize) -> Option<Arc<SharedArray<T>>> {
         let mut spares = self.spares.lock().expect("shared store poisoned");
-        let i = spares.iter().position(|a| a.len() == len)?;
+        let exact = spares.iter().position(|a| a.len() == len);
+        let i = exact.or_else(|| {
+            (0..spares.len())
+                .filter(|&i| spares[i].cells.capacity() >= len)
+                .min_by_key(|&i| spares[i].cells.capacity())
+        })?;
         Some(spares.swap_remove(i))
     }
 
@@ -494,23 +518,21 @@ impl<T> SharedArrayStore<T> {
         self.order.lock().expect("shared store poisoned").len()
     }
 
-    /// Snapshots of every array in allocation order:
-    /// `(id, name, shape, values)`.
-    pub fn snapshots(&self) -> Vec<(ArrayId, String, ArrayShape, Vec<Option<Value>>)> {
-        self.order
-            .lock()
-            .expect("shared store poisoned")
-            .iter()
-            .filter_map(|id| self.array(*id))
-            .map(|a| {
-                (
-                    a.header.id(),
-                    a.header.name().to_string(),
-                    a.header.shape().clone(),
-                    a.snapshot(),
-                )
-            })
-            .collect()
+    /// Snapshots of every array in allocation order, each made by `snap`
+    /// from the array's header and its values (`None` = never written).
+    /// The result is sized once, for every array allocated; `snap` can name
+    /// its array with [`ArrayHeader::shared_name`] without copying text, so
+    /// the values are the one allocation per array.
+    pub fn snapshots<R>(
+        &self,
+        mut snap: impl FnMut(&ArrayHeader, Vec<Option<Value>>) -> R,
+    ) -> Vec<R> {
+        let order = self.order.lock().expect("shared store poisoned");
+        let mut snapshots = Vec::with_capacity(order.len());
+        for a in order.iter().filter_map(|id| self.array(*id)) {
+            snapshots.push(snap(&a.header, a.snapshot()));
+        }
+        snapshots
     }
 }
 
@@ -711,7 +733,7 @@ mod tests {
             Err(IStructureError::DuplicateArray { .. })
         ));
         assert_eq!(s.num_arrays(), 1);
-        assert_eq!(s.snapshots().len(), 1);
+        assert_eq!(s.snapshots(|h, _| h.id()), [ArrayId(0)]);
     }
 
     #[test]
@@ -728,11 +750,11 @@ mod tests {
             .unwrap()
             .write(0, Value::Bool(true))
             .unwrap();
-        let snaps = s.snapshots();
+        let snaps = s.snapshots(|h, values| (h.name().to_string(), values));
         assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[0].1, "a");
-        assert_eq!(snaps[1].1, "b");
-        assert_eq!(snaps[1].3[0], Some(Value::Bool(true)));
+        assert_eq!(snaps[0].0, "a");
+        assert_eq!(snaps[1].0, "b");
+        assert_eq!(snaps[1].1[0], Some(Value::Bool(true)));
         assert_eq!(s.num_arrays(), 2);
     }
 
@@ -783,9 +805,8 @@ mod tests {
         }
         // Snapshots follow the recorded allocation order exactly and cover
         // every array once.
-        let snaps = s.snapshots();
-        assert_eq!(snaps.len(), total);
-        let mut seen: Vec<usize> = snaps.iter().map(|(id, ..)| id.0).collect();
+        let mut seen = s.snapshots(|h, _| h.id().0);
+        assert_eq!(seen.len(), total);
         seen.sort_unstable();
         assert_eq!(seen, (0..total).collect::<Vec<_>>());
     }
@@ -913,7 +934,7 @@ mod tests {
         let (s, record) = recycled();
         assert_eq!(s.stats(), StoreStats::default());
         assert_eq!(s.num_arrays(), 0);
-        assert!(s.snapshots().is_empty());
+        assert!(s.snapshots(|h, _| h.id()).is_empty());
         assert!(s.require(ArrayId(0)).is_err());
         // 8 x 4 has the 4 x 8 array's length: its record is reused, with a
         // header rewritten for the new name, shape and partitioning.
@@ -974,24 +995,76 @@ mod tests {
             ),
             Err(IStructureError::DuplicateArray { .. })
         ));
-        let names: Vec<String> = s.snapshots().into_iter().map(|(_, n, ..)| n).collect();
+        let names = s.snapshots(|h, _| h.name().to_string());
         assert_eq!(names, ["y", "x"]);
         assert_eq!(s.num_arrays(), 2);
         assert_eq!(s.stats().live_arrays, 2);
     }
 
     #[test]
-    fn a_length_mismatch_builds_a_fresh_array() {
+    fn an_array_longer_than_every_spare_builds_a_fresh_one() {
         let (s, record) = recycled();
-        s.allocate_dims(ArrayId(0), &Arc::from("v"), &[16], spread(2))
+        s.allocate_dims(ArrayId(0), &Arc::from("v"), &[33], spread(2))
             .unwrap();
         let v = s.require(ArrayId(0)).unwrap();
         assert_ne!(Arc::as_ptr(&v), record);
-        assert_eq!(v.len(), 16);
+        assert_eq!(v.len(), 33);
         assert!(matches!(
             s.allocate_dims(ArrayId(1), &Arc::from("z"), &[4, 0], spread(2)),
             Err(IStructureError::InvalidShape { .. })
         ));
+    }
+
+    #[test]
+    fn a_shorter_array_reuses_a_spare_within_its_capacity() {
+        // The recycled job left one 32-cell spare; the next job's array of
+        // 16 takes it, and so does the 32-cell array of the job after.
+        let (mut s, record) = recycled();
+        s.allocate_dims(ArrayId(0), &Arc::from("v"), &[4, 4], spread(2))
+            .unwrap();
+        let v = s.require(ArrayId(0)).unwrap();
+        assert_eq!(Arc::as_ptr(&v), record);
+        assert_eq!((v.len(), v.header().len()), (16, 16));
+        assert_eq!(v.header().partitioning(), &Partitioning::new(16, 8, 2));
+        assert!(v.snapshot().iter().all(Option::is_none));
+        assert!(matches!(
+            v.write(16, Value::Int(0)),
+            Err(IStructureError::OutOfBounds { len: 16, .. })
+        ));
+        v.write(15, Value::Int(1)).unwrap();
+        drop(v);
+        assert!(s.recycle());
+        s.allocate_dims(ArrayId(0), &Arc::from("w"), &[32], spread(2))
+            .unwrap();
+        let w = s.require(ArrayId(0)).unwrap();
+        assert_eq!(Arc::as_ptr(&w), record);
+        assert_eq!(w.len(), 32);
+        assert!(w.snapshot().iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn an_exact_length_spare_is_taken_before_a_larger_one() {
+        let mut s = SharedArrayStore::<usize>::new();
+        for (id, len) in [(0, 40), (1, 24), (2, 30)] {
+            s.allocate_dims(ArrayId(id), &Arc::from("a"), &[len], spread(2))
+                .unwrap();
+        }
+        let record =
+            |s: &SharedArrayStore<usize>, id| Arc::as_ptr(&s.require(ArrayId(id)).unwrap());
+        let (forty, twenty_four, thirty) = (record(&s, 0), record(&s, 1), record(&s, 2));
+        assert!(s.recycle());
+        // 24 cells: the 24-cell spare, not the 30- or 40-cell one.
+        s.allocate_dims(ArrayId(0), &Arc::from("b"), &[24], spread(2))
+            .unwrap();
+        assert_eq!(record(&s, 0), twenty_four);
+        // 25 cells: the least capacity that suffices, the 30-cell spare.
+        s.allocate_dims(ArrayId(1), &Arc::from("c"), &[25], spread(2))
+            .unwrap();
+        assert_eq!(record(&s, 1), thirty);
+        // 41 cells: no spare has them.
+        s.allocate_dims(ArrayId(2), &Arc::from("d"), &[41], spread(2))
+            .unwrap();
+        assert!(![forty, twenty_four, thirty].contains(&record(&s, 2)));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Results returned by a simulation run.
 
 use crate::stats::SimulationStats;
-use pods_istructure::{ArrayId, ArrayShape, Value};
+use pods_idlang::Name;
+use pods_istructure::{ArrayHeader, ArrayId, ArrayShape, Value};
 
 /// The final contents of one I-structure array, gathered from the owning
 /// segments of all PEs after the simulation finished.
@@ -9,8 +10,11 @@ use pods_istructure::{ArrayId, ArrayShape, Value};
 pub struct ArraySnapshot {
     /// The array identifier.
     pub id: ArrayId,
-    /// The source-level name the array was allocated under.
-    pub name: String,
+    /// The source-level name the array was allocated under. A [`Name`]
+    /// shares the allocating instruction's string, so a snapshot copies no
+    /// text; it derefs to `str` and compares with `&str`, and
+    /// [`Name::as_str`] gives the text.
+    pub name: Name,
     /// The array shape.
     pub shape: ArrayShape,
     /// Element values in row-major order; `None` for elements never written.
@@ -18,6 +22,17 @@ pub struct ArraySnapshot {
 }
 
 impl ArraySnapshot {
+    /// The snapshot of an array with the given header and values; the name
+    /// is the header's shared string, not a copy of it.
+    pub fn from_header(header: &ArrayHeader, values: Vec<Option<Value>>) -> Self {
+        ArraySnapshot {
+            id: header.id(),
+            name: Name::from(std::sync::Arc::clone(header.shared_name())),
+            shape: header.shape().clone(),
+            values,
+        }
+    }
+
     /// Number of elements that were written.
     pub fn written(&self) -> usize {
         self.values.iter().filter(|v| v.is_some()).count()

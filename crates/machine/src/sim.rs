@@ -374,17 +374,7 @@ impl Simulation {
             stats.per_pe[i] = pe.stats.clone();
         }
 
-        let arrays = self
-            .store
-            .snapshots()
-            .into_iter()
-            .map(|(id, name, shape, values)| ArraySnapshot {
-                id,
-                name,
-                shape,
-                values,
-            })
-            .collect();
+        let arrays = self.store.snapshots(ArraySnapshot::from_header);
 
         SimulationResult {
             return_value: self.result,

@@ -51,7 +51,9 @@ pub(crate) mod sim;
 
 pub use async_coop::AsyncStats;
 pub use native::NativeStats;
-pub(crate) use pool::{build_read_slots, JobSpec, PoolCanceller, PoolHandle, Pooled, ReadSlots};
+pub(crate) use pool::{
+    build_read_slots, JobNotifier, JobSpec, PoolCanceller, PoolHandle, Pooled, ReadSlots,
+};
 
 use crate::error::PodsError;
 use crate::pipeline::CompiledProgram;

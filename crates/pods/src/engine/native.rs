@@ -130,11 +130,19 @@ pub(crate) struct Blocked {
     slot: SlotId,
 }
 
+/// One instance's undelivered values, in arrival order.
+type Mail = Vec<(SlotId, Value)>;
+
 /// Parked-instance registry plus the mailbox.
 #[derive(Default)]
 pub(crate) struct Sched {
     blocked: HashMap<InstanceId, Blocked>,
-    mailbox: HashMap<InstanceId, Vec<(SlotId, Value)>>,
+    mailbox: HashMap<InstanceId, Mail>,
+    /// Emptied mailboxes of the pool's earlier jobs, each keeping its
+    /// capacity: an instance that first gets mail takes one, so the returns
+    /// that reach a busy caller do not regrow a buffer on every job. There
+    /// are never more than the most mailboxes one job had at once.
+    spare_mail: Vec<Mail>,
 }
 
 impl Suspension for Registry {
@@ -180,15 +188,23 @@ impl Suspension for Registry {
         woken: &mut Vec<Instance<Registry>>,
     ) {
         let mut sched = locked(sched.lock(), "sched");
+        let Sched {
+            blocked,
+            mailbox,
+            spare_mail,
+        } = &mut *sched;
         for ((target, slot), value) in wakeups.drain(..) {
-            if let Some(b) = sched.blocked.get_mut(&target) {
+            if let Some(b) = blocked.get_mut(&target) {
                 b.inst.frame.set_slot(slot, value);
                 if b.slot == slot {
-                    let b = sched.blocked.remove(&target).expect("checked above");
+                    let b = blocked.remove(&target).expect("checked above");
                     woken.push(b.inst);
                 }
             } else {
-                sched.mailbox.entry(target).or_default().push((slot, value));
+                mailbox
+                    .entry(target)
+                    .or_insert_with(|| spare_mail.pop().unwrap_or_default())
+                    .push((slot, value));
             }
         }
     }
@@ -245,13 +261,19 @@ impl Suspension for Registry {
     }
 
     /// The registry and the mailbox keep their capacity, which a SIMPLE
-    /// job would otherwise regrow, rehashing, several times over.
+    /// job would otherwise regrow, rehashing, several times over, and each
+    /// instance's mail buffer is kept, emptied, for the next job's.
     fn clear(sched: &mut Mutex<Sched>) -> bool {
         let Ok(sched) = sched.get_mut() else {
             return false;
         };
         sched.blocked.clear();
-        sched.mailbox.clear();
+        sched
+            .spare_mail
+            .extend(sched.mailbox.drain().map(|(_, mut mail)| {
+                mail.clear();
+                mail
+            }));
         true
     }
 

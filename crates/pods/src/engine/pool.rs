@@ -79,28 +79,34 @@
 //!   ([`Suspension::clear`]) and hands both back to the pool, the way the
 //!   paper's Memory Manager serves frames from a free list (§5.1). The next
 //!   submission takes them: the directory maps, the allocation order and
-//!   the native registry keep their capacity, and every array of the
-//!   previous job is a spare that an allocation of the same length reuses
-//!   whole — record, header storage and cells. A pool creates a store only
-//!   when none is spare, so it holds no more than it ever had jobs alive at
-//!   once, each with one job's arrays, until the pool is dropped.
+//!   the native registry and mailboxes keep their capacity, and every array
+//!   of the previous job is a spare that an allocation with no more cells
+//!   than its capacity reuses whole — record, header storage and cells. A
+//!   pool creates a store only when none is spare, so it holds no more than
+//!   it ever had jobs alive at once, each with one job's arrays, until the
+//!   pool is dropped. A waiter's [`PoolHandle::wait`] returns a succeeded
+//!   job only once its worker has let go of it, so the waiter's own handle
+//!   hands the state back, and its next submission finds it spare.
 //!
 //! ## The allocation budget
 //!
-//! With those in place a warm job's steady state is allocation-free, and so
-//! is most of its setup. The allocator may be called
+//! With those in place a warm job allocates only its own record and its
+//! result. The allocator may be called
 //!
-//! * **per job** — the job record and the outcome's result snapshots (name
-//!   and values of every array; a shape of rank up to four is inline);
-//! * **per array** — only when the store's previous job left no spare of the
-//!   same length: then three calls, the partitioning's segment table, the
-//!   shared array record and its cells, plus the extents above rank four (the
-//!   name is the allocating instruction's `Arc<str>`). A reused array makes
-//!   none;
+//! * **per job** — the service's ticket, the job record, the outcome's
+//!   vector of snapshots (sized once) and one values vector per array (a
+//!   snapshot's name shares the array's `Arc<str>`, a shape of rank up to
+//!   four is inline, and the ticket itself is the completion hook). A job
+//!   that waits in the admission queue also copies its arguments;
+//! * **per array** — only when no spare array the store's previous job left
+//!   has the cell capacity for it: then three calls, the partitioning's
+//!   segment table, the shared array record and its cells, plus the extents
+//!   above rank four (the name is the allocating instruction's `Arc<str>`).
+//!   A reused array makes none, whatever its new length;
 //! * **per new store** — the directory maps, the allocation order and the
-//!   suspension state (the native registry, and its mailbox, which is
-//!   drained in place so a busy caller keeps its capacity) as they first
-//!   grow, until they have the capacity the pool's jobs need;
+//!   suspension state (the native registry, and the mailboxes, which are
+//!   kept, emptied, across jobs) as they first grow, until they have the
+//!   capacity the pool's jobs need;
 //! * **per arena miss** — a frame that neither the spawning worker nor any
 //!   sibling had spare, or a spare frame too small for the template reusing
 //!   it; on the async engine also a task handle the spawning worker had
@@ -116,14 +122,19 @@
 //! a 90th percentile on two. On the standing benchmark (`benchmark/`, two
 //! workers, 15-second runs on a 2-vCPU host) the budget reads, from before
 //! it was enforced, to after, to the one pool with sibling refill, to
-//! recycled stores:
+//! recycled stores, to a job that allocates only its record and its result
+//! (shared snapshot names, spares fitted by capacity, kept mailboxes, the
+//! ticket as the hook):
 //!
 //! | workload | allocator calls per job | KiB requested per job |
 //! |---|---|---|
-//! | `simple_solo` (SIMPLE n=32, 67,746 super-op firings, 22 arrays) | 83,644 → 321 → 193 → 53 | 2,785 → 1,219 → 1,120 → 344 |
-//! | `gather_wake` (130 instances, 128 deferred reads) | 531 → 76–110 → 23 → 12 | 42.0 → 23.0 → 11.7 → 7.1 |
-//! | `tiny_burst` (FILL n=6..10) | 100 → 18.4 → 16.4 → 9.8 | 7.6 → 5.8 → 5.5 → 5.1 |
-//! | `cold_mix` (compiles every job; the front end is the bulk) | 4,101 → 3,167 → 3,163 → 3,145 | 379 → 335 → 332 → 328 |
+//! | `simple_solo` (SIMPLE n=32, 67,746 super-op firings, 22 arrays) | 83,644 → 321 → 193 → 53 → 26.6 | 2,785 → 1,219 → 1,120 → 344 → 341 |
+//! | `gather_wake` (130 instances, 128 deferred reads) | 531 → 76–110 → 23 → 12 → 4.0 | 42.0 → 23.0 → 11.7 → 7.1 → 3.8 |
+//! | `tiny_burst` (FILL n=6..10) | 100 → 18.4 → 16.4 → 9.8 → 5.2 | 7.6 → 5.8 → 5.5 → 5.1 → 2.9 |
+//! | `cold_mix` (compiles every job; the front end is the bulk) | 4,101 → 3,167 → 3,163 → 3,145 → 968 | 379 → 335 → 332 → 328 → 220 |
+//!
+//! (`cold_mix` read 977 calls and 222 KiB just before the last step: the
+//! front end had meanwhile stopped copying identifier text.)
 
 use super::{cancellation_error, EngineOutcome, EngineStats};
 use crate::error::PodsError;
@@ -294,21 +305,27 @@ pub(crate) struct JobSpec {
     /// with a larger chunk before this submission (reported in the stats;
     /// 0 for cold runs and fixed chunk policies).
     pub chunks_autotuned: u64,
-    /// Completion hook: fired exactly once when the job finishes (success,
-    /// failure, or cancellation), with the final allocation statistics of
-    /// the job's I-structure store, and dropped once it has fired.
-    /// Installed by the `Runtime`'s service layer to drive its metrics and
-    /// dispatch window.
-    pub on_done: Option<JobNotifier>,
+    /// Completion hook: told exactly once when the job finishes (success,
+    /// failure, or cancellation) and dropped once it has been told. The
+    /// `Runtime`'s service layer installs the job's ticket here, to drive
+    /// its metrics and dispatch window.
+    pub on_done: Option<Arc<dyn JobNotifier>>,
     /// Flight-recorder handle: when present, the scheduler and the exec
     /// core emit trace events for this job (see [`crate::trace`]). `None`
     /// (tracing disabled) costs one branch per would-be event.
     pub trace: Option<TraceHandle>,
 }
 
-/// The completion callback a [`JobSpec`] can carry (see
-/// [`JobSpec::on_done`]).
-pub(crate) type JobNotifier = Arc<dyn Fn(StoreStats) + Send + Sync>;
+/// What a [`JobSpec`] can carry to hear of its job's end (see
+/// [`JobSpec::on_done`]). The submitter's own record of the job implements
+/// it, so a job is submitted with a hook without allocating one.
+pub(crate) trait JobNotifier: Send + Sync {
+    /// The job finished: `failed` if it ended in an error (a cancellation
+    /// included), with the final allocation statistics of its I-structure
+    /// store. Runs on the thread that finished the job, with no pool lock
+    /// held.
+    fn job_finished(&self, failed: bool, store: StoreStats);
+}
 
 /// One job's counters, read out once at `wait`; each strategy names them
 /// in its own public stats type.
@@ -439,10 +456,10 @@ struct Job<S: Suspension> {
     chunks_autotuned: u64,
     /// Completion hook (see [`JobSpec::on_done`]); taken and fired exactly
     /// once, by whichever of normal completion / failure / cancellation
-    /// wins. Dropping it then matters: the service's hook holds the job's
+    /// wins. Dropping it then matters: the service's hook is the job's
     /// ticket, which holds the job until its handle is claimed, so a hook
     /// kept alive would leak a detached job — and its store — for good.
-    on_done: Mutex<Option<JobNotifier>>,
+    on_done: Mutex<Option<Arc<dyn JobNotifier>>>,
     trace: Option<TraceHandle>,
     /// First-wins claim on the terminal transition, separate from `done` so
     /// the hook can run *before* `done` is published (waiters must never
@@ -478,13 +495,14 @@ impl<S: Suspension> Job<S> {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
+        let failed = err.is_some();
         if let Some(e) = err {
             *locked(self.error.lock(), "error") = Some(e);
         }
         // No locks are held here, so the hook may take the service locks.
         let hook = locked(self.on_done.lock(), "on_done").take();
         if let Some(hook) = hook {
-            hook(self.store.stats());
+            hook.job_finished(failed, self.store.stats());
         }
         *locked(self.done.lock(), "done") = true;
         self.done_cv.notify_all();
@@ -1331,17 +1349,7 @@ impl<S: Suspension> JobControl for Job<S> {
             return Err(err.into());
         }
         let wall_us = started.elapsed().as_secs_f64() * 1e6;
-        let arrays = self
-            .store
-            .snapshots()
-            .into_iter()
-            .map(|(id, name, shape, values)| ArraySnapshot {
-                id,
-                name,
-                shape,
-                values,
-            })
-            .collect();
+        let arrays = self.store.snapshots(ArraySnapshot::from_header);
         let return_value = locked(self.result.lock(), "result").take();
         Ok(EngineOutcome {
             engine: S::NAME,
@@ -1377,9 +1385,22 @@ impl PoolHandle {
         }
     }
 
-    /// Blocks until the job completes and returns its outcome.
+    /// Blocks until the job completes and returns its outcome. A job that
+    /// succeeded is also torn down by then: the worker that completed it
+    /// lets go of it a moment after waking this waiter, and the wait lasts
+    /// until it has, so that this handle holds the last reference and its
+    /// drop hands the store, the suspension state and every frame back to
+    /// the pool. A caller that submits again at once thus finds them spare
+    /// instead of building a store of its own. (A failed job may still
+    /// have tasks queued, which let go of it only when a worker pops them.)
     pub(crate) fn wait(self) -> Result<EngineOutcome, PodsError> {
-        self.job.outcome(self.partition, self.started)
+        let outcome = self.job.outcome(self.partition, self.started);
+        if outcome.is_ok() {
+            while Arc::strong_count(&self.job) > 1 {
+                std::thread::yield_now();
+            }
+        }
+        outcome
     }
 }
 

@@ -55,13 +55,13 @@ pub(super) fn run_modelled(
     let wall_us = start.elapsed().as_secs_f64() * 1e6;
     let arrays = run
         .arrays
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(i, a)| ArraySnapshot {
             id: ArrayId(i),
-            name: a.name.clone(),
-            shape: a.shape.clone(),
-            values: a.values.clone(),
+            name: a.name,
+            shape: a.shape,
+            values: a.values,
         })
         .collect();
     Ok(EngineOutcome {

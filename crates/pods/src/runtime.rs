@@ -313,9 +313,8 @@ pub struct Runtime {
     opts: RunOptions,
     /// The strong owner of the worker pool (`None` for the modelled
     /// engines, which run eagerly on the calling thread). The job service
-    /// holds only a `Weak` reference (completion hooks keep the service
-    /// alive, and a strong reference there would keep the pool alive in a
-    /// cycle).
+    /// holds only a `Weak` reference: job handles keep the service alive,
+    /// and dropping the runtime must still tear the pool down.
     pool: Option<Arc<dyn Pooled>>,
     /// LRU cache of auto-prepared programs, most recently used last, keyed
     /// by [`CompiledProgram::identity`].
@@ -697,9 +696,7 @@ impl Runtime {
         program.check_compatible(self)?;
         if let Some(service) = &self.service {
             let prepared = program.prepared(self)?;
-            let ticket = service
-                .inner
-                .submit(client, prepared, args.to_vec(), mode)?;
+            let ticket = service.inner.submit(client, prepared, args, mode)?;
             return Ok(JobHandle {
                 inner: JobInner::Service {
                     svc: Arc::clone(&service.inner),

@@ -172,7 +172,7 @@ mod tests {
         let program = crate::pipeline::compile("def main() { return 1; }").unwrap();
         let runtime = crate::Runtime::builder(crate::EngineKind::Seq).build();
         QueuedJob {
-            ticket: Arc::new(Ticket::new(client, None, 0)),
+            ticket: Arc::new(Ticket::new(client, None, 0, std::sync::Weak::new())),
             prepared: runtime.prepare(&program),
             args: Vec::new(),
         }

@@ -26,10 +26,10 @@
 //!
 //! The service state lock nests *outside* pool and ticket locks: the
 //! dispatcher submits to the pool and transitions tickets while holding it.
-//! Completion hooks (fired by pool workers with no pool locks held) take
-//! metrics locks and then the state lock. Cancellation of an in-flight job
-//! re-enters the completion hook, so cancellers are always invoked with the
-//! state lock released.
+//! A job's completion hook is its ticket ([`JobNotifier`]); fired by a pool
+//! worker with no pool locks held, it takes metrics locks and then the
+//! state lock. Cancellation of an in-flight job re-enters the completion
+//! hook, so cancellers are always invoked with the state lock released.
 
 pub(crate) mod fairness;
 pub(crate) mod metrics;
@@ -38,9 +38,10 @@ pub(crate) mod queue;
 pub use fairness::ClientId;
 pub use metrics::ServiceMetrics;
 
-use crate::engine::{cancellation_error, PoolCanceller, Pooled};
+use crate::engine::{cancellation_error, JobNotifier, PoolCanceller, Pooled};
 use crate::error::PodsError;
 use crate::pipeline::RunOptions;
+use crate::runtime::PreparedProgram;
 use crate::trace::{TraceEventKind, TraceHandle, TraceRecorder};
 use fairness::FairQueue;
 use metrics::MetricsRegistry;
@@ -90,7 +91,7 @@ struct ServiceState {
 pub(crate) struct ServiceInner {
     /// The worker pool, held weakly: the `Runtime` owns the strong
     /// reference, so dropping the runtime tears the pool down even while
-    /// completion hooks (which hold `Arc<ServiceInner>`) are alive.
+    /// job handles (which hold `Arc<ServiceInner>`) are alive.
     pool: Weak<dyn Pooled>,
     opts: RunOptions,
     /// Admission queue capacity (0 = unbounded).
@@ -131,23 +132,20 @@ impl ServiceInner {
     }
 
     /// Admits one job under the given admission mode. Returns its ticket,
-    /// or `QueueFull` if the job was rejected (already counted).
+    /// or `QueueFull` if the job was rejected (already counted). Only a job
+    /// that waits in the queue copies its arguments.
     pub(crate) fn submit(
         self: &Arc<Self>,
         client: ClientId,
-        prepared: crate::runtime::PreparedProgram,
-        args: Vec<Value>,
+        prepared: PreparedProgram,
+        args: &[Value],
         mode: Admission,
     ) -> Result<Arc<Ticket>, PodsError> {
         self.metrics.note_submitted();
         let trace_job = self.trace.as_ref().map_or(0, |rec| rec.next_job_id());
-        let ticket = Arc::new(Ticket::new(client, self.opts.deadline, trace_job));
+        let service = Arc::downgrade(self);
+        let ticket = Arc::new(Ticket::new(client, self.opts.deadline, trace_job, service));
         self.trace_job_event(trace_job, TraceEventKind::JobAdmitted);
-        let mut job = Some(QueuedJob {
-            ticket: Arc::clone(&ticket),
-            prepared,
-            args,
-        });
         let mut st = self.state.lock().expect("service state poisoned");
         loop {
             if st.shutdown {
@@ -163,8 +161,7 @@ impl ServiceInner {
             if st.queue.is_empty() && st.in_flight.len() < self.window {
                 // Fast path: an idle slot and no queue to be fair against —
                 // dispatch inline, keeping the warm path at pool-submit cost.
-                let qj = job.take().expect("job admitted twice");
-                self.dispatch_locked(&mut st, qj);
+                self.dispatch_locked(&mut st, Arc::clone(&ticket), &prepared, args);
                 drop(st);
                 if self.opts.deadline.is_some() {
                     // Re-arm the dispatcher's deadline watchdog.
@@ -173,8 +170,11 @@ impl ServiceInner {
                 return Ok(ticket);
             }
             if self.capacity == 0 || st.queue.len() < self.capacity {
-                let qj = job.take().expect("job admitted twice");
-                st.queue.push(qj);
+                st.queue.push(QueuedJob {
+                    ticket: Arc::clone(&ticket),
+                    prepared,
+                    args: args.to_vec(),
+                });
                 self.metrics.set_depth(st.queue.len());
                 drop(st);
                 self.work_cv.notify_all();
@@ -211,24 +211,22 @@ impl ServiceInner {
         }
     }
 
-    /// Submits one queued job to the pool. Caller holds the state lock.
-    fn dispatch_locked(self: &Arc<Self>, st: &mut ServiceState, qj: QueuedJob) {
-        let QueuedJob {
-            ticket,
-            prepared,
-            args,
-        } = qj;
+    /// Submits one admitted job to the pool, with its ticket as the
+    /// completion hook. Caller holds the state lock.
+    fn dispatch_locked(
+        &self,
+        st: &mut ServiceState,
+        ticket: Arc<Ticket>,
+        prepared: &PreparedProgram,
+        args: &[Value],
+    ) {
         let Some(pool) = self.pool.upgrade() else {
             // The runtime is tearing down; terminal, like shutdown.
             self.cancel_undispatched(&ticket, CancelKind::Shutdown, cancellation_error().into());
             return;
         };
         let mut spec = prepared.job_spec(&self.opts);
-        let hook_self = Arc::clone(self);
-        let hook_ticket = Arc::clone(&ticket);
-        spec.on_done = Some(Arc::new(move |store: StoreStats| {
-            hook_self.job_finished(&hook_ticket, store);
-        }));
+        spec.on_done = Some(Arc::clone(&ticket) as Arc<dyn JobNotifier>);
         if let Some(rec) = &self.trace {
             if ticket.trace_job != 0 {
                 spec.trace = Some(TraceHandle {
@@ -238,27 +236,29 @@ impl ServiceInner {
                 self.trace_job_event(ticket.trace_job, TraceEventKind::JobDispatched);
             }
         }
-        let handle = pool.submit(spec, &args);
+        let handle = pool.submit(spec, args);
         let canceller = handle.canceller();
         ticket.dispatched(handle);
         st.in_flight.push(InFlight { ticket, canceller });
         self.metrics.set_in_flight(st.in_flight.len());
     }
 
-    /// Completion hook: runs on a pool worker thread, exactly once per
-    /// dispatched job, with no pool locks held.
-    fn job_finished(&self, ticket: &Arc<Ticket>, store: StoreStats) {
-        match ticket.cancel_kind() {
-            Some(_) => self.metrics.note_cancelled(),
-            None => {
-                self.trace_job_event(ticket.trace_job, TraceEventKind::JobFinished);
-                self.metrics
-                    .note_completed(ticket.client, ticket.submitted.elapsed());
-            }
+    /// Books a dispatched job's end, for its ticket's [`JobNotifier`] hook.
+    /// A job counts as cancelled only if it failed with a cancellation
+    /// recorded: one the watchdog or `JobHandle::cancel` marked but that
+    /// finished first returns `Ok` from `wait`, and counts as completed.
+    fn job_finished(&self, ticket: &Ticket, failed: bool, store: StoreStats) {
+        if failed && ticket.cancel_kind().is_some() {
+            self.metrics.note_cancelled();
+        } else {
+            self.trace_job_event(ticket.trace_job, TraceEventKind::JobFinished);
+            self.metrics
+                .note_completed(ticket.client, ticket.submitted.elapsed());
         }
         self.metrics.absorb_store(store);
         let mut st = self.state.lock().expect("service state poisoned");
-        st.in_flight.retain(|e| !Arc::ptr_eq(&e.ticket, ticket));
+        st.in_flight
+            .retain(|e| !std::ptr::eq(Arc::as_ptr(&e.ticket), ticket));
         self.metrics.set_in_flight(st.in_flight.len());
         drop(st);
         self.work_cv.notify_all();
@@ -301,6 +301,17 @@ impl ServiceInner {
         }
         let rec = self.trace.as_ref()?;
         Some(rec.peek().breakdown(trace_job)?.to_string())
+    }
+}
+
+/// A job's ticket is its completion hook: a pool worker calls it exactly
+/// once per dispatched job, with no pool locks held, and it books the job
+/// with the service that admitted it (if that service is still alive).
+impl JobNotifier for Ticket {
+    fn job_finished(&self, failed: bool, store: StoreStats) {
+        if let Some(service) = self.service.upgrade() {
+            service.job_finished(self, failed, store);
+        }
     }
 }
 
@@ -368,7 +379,7 @@ fn dispatcher_loop(inner: Arc<ServiceInner>) {
         while st.in_flight.len() < inner.window {
             match st.queue.pop() {
                 Some(qj) => {
-                    inner.dispatch_locked(&mut st, qj);
+                    inner.dispatch_locked(&mut st, qj.ticket, &qj.prepared, &qj.args);
                     dispatched = true;
                 }
                 None => break,
@@ -484,5 +495,75 @@ impl JobService {
         if let Some(t) = self.dispatcher.take() {
             t.join().expect("service dispatcher panicked");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{JobSpec, PoolHandle};
+
+    /// Stands in for a pool: these tests drive the completion hook alone.
+    struct NoPool;
+
+    impl Pooled for NoPool {
+        fn id(&self) -> u64 {
+            0
+        }
+
+        fn submit(&self, _spec: JobSpec, _args: &[Value]) -> PoolHandle {
+            unreachable!("no job is dispatched")
+        }
+    }
+
+    fn idle_service() -> Arc<ServiceInner> {
+        Arc::new(ServiceInner {
+            pool: Weak::<NoPool>::new(),
+            opts: RunOptions::default(),
+            capacity: 0,
+            window: 1,
+            state: Mutex::new(ServiceState {
+                queue: FairQueue::new(HashMap::new()),
+                in_flight: Vec::new(),
+                shutdown: false,
+            }),
+            work_cv: Condvar::new(),
+            slot_cv: Condvar::new(),
+            metrics: Arc::new(MetricsRegistry::new(0)),
+            trace: None,
+        })
+    }
+
+    #[test]
+    fn a_job_counts_as_cancelled_only_if_it_failed_with_a_cancel_recorded() {
+        let service = idle_service();
+        let finish = |kind: Option<CancelKind>, failed: bool| {
+            let ticket = Ticket::new(ClientId(1), None, 0, Arc::downgrade(&service));
+            if let Some(kind) = kind {
+                ticket.set_cancel_kind(kind);
+            }
+            ticket.job_finished(failed, StoreStats::default());
+            let m = service.metrics.snapshot();
+            (m.completed, m.cancelled)
+        };
+        // Marked overdue by the watchdog, but the job won the race: `wait`
+        // returns `Ok`, so it is a completed job.
+        assert_eq!(finish(Some(CancelKind::Deadline), false), (1, 0));
+        // Stopped by the cancellation.
+        assert_eq!(finish(Some(CancelKind::Deadline), true), (1, 1));
+        assert_eq!(finish(Some(CancelKind::User), true), (1, 2));
+        // Failed on its own (a runtime error): finished, not cancelled.
+        assert_eq!(finish(None, true), (2, 2));
+        assert_eq!(finish(None, false), (3, 2));
+    }
+
+    #[test]
+    fn a_ticket_outliving_its_service_books_nothing() {
+        let service = idle_service();
+        let ticket = Ticket::new(ClientId(1), None, 0, Arc::downgrade(&service));
+        let metrics = Arc::clone(&service.metrics);
+        drop(service);
+        ticket.job_finished(false, StoreStats::default());
+        assert_eq!(metrics.snapshot().completed, 0);
     }
 }

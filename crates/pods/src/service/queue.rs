@@ -18,12 +18,13 @@
 //! [`PodsError::DeadlineExceeded`]).
 
 use super::fairness::ClientId;
+use super::ServiceInner;
 use crate::engine::PoolHandle;
 use crate::error::PodsError;
 use crate::runtime::PreparedProgram;
 use pods_istructure::Value;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Why the service cancelled a job. Recorded first-wins: a deadline and an
@@ -74,10 +75,19 @@ pub(crate) struct Ticket {
     /// Flight-recorder job id (0 when tracing is disabled), used to tag
     /// lifecycle events and to look up the job's breakdown on wait.
     pub(crate) trace_job: u64,
+    /// The service that admitted the job. The ticket is its job's
+    /// completion hook, and tells the service through this reference; it
+    /// is weak because the service's queue and in-flight list hold tickets.
+    pub(crate) service: Weak<ServiceInner>,
 }
 
 impl Ticket {
-    pub(crate) fn new(client: ClientId, deadline_dur: Option<Duration>, trace_job: u64) -> Ticket {
+    pub(crate) fn new(
+        client: ClientId,
+        deadline_dur: Option<Duration>,
+        trace_job: u64,
+        service: Weak<ServiceInner>,
+    ) -> Ticket {
         let submitted = Instant::now();
         Ticket {
             client,
@@ -88,6 +98,7 @@ impl Ticket {
             cv: Condvar::new(),
             cancel_kind: AtomicU8::new(0),
             trace_job,
+            service,
         }
     }
 

@@ -11,10 +11,9 @@
 use pods::{EngineKind, Runtime, Value};
 use pods_baseline::{run_sequential, PrModel};
 use pods_machine::{MessageKind, SimulationStats, TimingModel, Unit};
+use pods_workloads::simple::PAPER_PE_COUNTS;
 use std::collections::HashMap;
 use std::sync::OnceLock;
-
-const PE_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
 /// Simulated SIMPLE runs, keyed by `(mesh, pes)`, shared by every test in
 /// this file so each configuration runs once.
@@ -22,11 +21,10 @@ fn runs() -> &'static HashMap<(usize, usize), SimulationStats> {
     static RUNS: OnceLock<HashMap<(usize, usize), SimulationStats>> = OnceLock::new();
     RUNS.get_or_init(|| {
         let program = pods::compile(pods_workloads::simple::SIMPLE).expect("SIMPLE compiles");
-        let configs =
-            PE_COUNTS
-                .iter()
-                .flat_map(|&p| [(16, p), (64, p)])
-                .chain([(32, 1), (32, 2), (32, 32)]);
+        let configs = PAPER_PE_COUNTS
+            .iter()
+            .flat_map(|&p| [(16, p), (64, p)])
+            .chain([(32, 1), (32, 2), (32, 32)]);
         configs
             .map(|(n, pes)| {
                 let outcome = Runtime::builder(EngineKind::Sim)
@@ -70,7 +68,7 @@ fn simulated_speedups_stay_at_or_above_their_floors() {
 
 #[test]
 fn execution_unit_is_busier_than_routing_unit_at_every_machine_size() {
-    for pes in PE_COUNTS {
+    for pes in PAPER_PE_COUNTS {
         let stats = &runs()[&(16, pes)];
         let (eu, ru) = (
             stats.utilization(Unit::Execution),
