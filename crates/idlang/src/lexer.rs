@@ -11,25 +11,29 @@ use crate::token::{Span, Token, TokenKind};
 /// Returns a [`CompileError`] on unknown characters or malformed numeric
 /// literals.
 pub fn tokenize(source: &str) -> Result<Vec<Token>, CompileError> {
-    Lexer::new(source).run()
+    Lexer::new(source).collect()
 }
 
-struct Lexer<'a> {
+/// The token stream of one source text: an iterator that yields each token
+/// as it is lexed, ends with one [`TokenKind::Eof`] token, and stops after
+/// the first error it yields.
+pub(crate) struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
     line: u32,
-    tokens: Vec<Token>,
+    /// Set once the `Eof` token or an error has been yielded.
+    done: bool,
     /// One shared [`crate::Name`] per distinct identifier of the source.
     names: Interner,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(source: &'a str) -> Self {
+    pub(crate) fn new(source: &'a str) -> Self {
         Lexer {
             src: source.as_bytes(),
             pos: 0,
             line: 1,
-            tokens: Vec::new(),
+            done: false,
             names: Interner::default(),
         }
     }
@@ -53,20 +57,23 @@ impl<'a> Lexer<'a> {
         c
     }
 
-    fn push(&mut self, kind: TokenKind, start: usize, line: u32) {
-        self.tokens.push(Token {
+    fn token(&self, kind: TokenKind, start: usize, line: u32) -> Token {
+        Token {
             kind,
             span: Span::new(start, self.pos, line),
-        });
+        }
     }
 
-    fn run(mut self) -> Result<Vec<Token>, CompileError> {
+    /// Lexes the next token, skipping whitespace and comments; `Eof` at the
+    /// end of the source.
+    fn lex(&mut self) -> Result<Token, CompileError> {
         while let Some(c) = self.peek() {
             let start = self.pos;
             let line = self.line;
-            match c {
+            let kind = match c {
                 b' ' | b'\t' | b'\r' | b'\n' => {
                     self.bump();
+                    continue;
                 }
                 b'#' => {
                     // Comment to end of line.
@@ -76,6 +83,7 @@ impl<'a> Lexer<'a> {
                         }
                         self.bump();
                     }
+                    continue;
                 }
                 b'(' => self.single(TokenKind::LParen),
                 b')' => self.single(TokenKind::RParen),
@@ -90,69 +98,51 @@ impl<'a> Lexer<'a> {
                 b'*' => self.single(TokenKind::Star),
                 b'/' => self.single(TokenKind::Slash),
                 b'%' => self.single(TokenKind::Percent),
-                b'=' => {
-                    self.bump();
-                    if self.peek() == Some(b'=') {
-                        self.bump();
-                        self.push(TokenKind::Eq, start, line);
-                    } else {
-                        self.push(TokenKind::Assign, start, line);
-                    }
-                }
+                b'=' => self.with_eq(TokenKind::Eq, TokenKind::Assign),
                 b'!' => {
                     self.bump();
-                    if self.peek() == Some(b'=') {
-                        self.bump();
-                        self.push(TokenKind::Ne, start, line);
-                    } else {
+                    if self.peek() != Some(b'=') {
                         return Err(CompileError::lex(
                             "expected `!=`, found lone `!` (use `not` for negation)",
                             Span::new(start, self.pos, line),
                         ));
                     }
-                }
-                b'<' => {
                     self.bump();
-                    if self.peek() == Some(b'=') {
-                        self.bump();
-                        self.push(TokenKind::Le, start, line);
-                    } else {
-                        self.push(TokenKind::Lt, start, line);
-                    }
+                    TokenKind::Ne
                 }
-                b'>' => {
-                    self.bump();
-                    if self.peek() == Some(b'=') {
-                        self.bump();
-                        self.push(TokenKind::Ge, start, line);
-                    } else {
-                        self.push(TokenKind::Gt, start, line);
-                    }
-                }
+                b'<' => self.with_eq(TokenKind::Le, TokenKind::Lt),
+                b'>' => self.with_eq(TokenKind::Ge, TokenKind::Gt),
                 b'0'..=b'9' => self.number(start, line)?,
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(start, line),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(start),
                 other => {
                     return Err(CompileError::lex(
                         format!("unexpected character `{}`", other as char),
                         Span::new(start, start + 1, line),
                     ));
                 }
-            }
+            };
+            return Ok(self.token(kind, start, line));
         }
-        let end = self.pos;
-        let line = self.line;
-        self.push(TokenKind::Eof, end, line);
-        Ok(self.tokens)
+        Ok(self.token(TokenKind::Eof, self.pos, self.line))
     }
 
-    fn single(&mut self, kind: TokenKind) {
-        let start = self.pos;
-        let line = self.line;
+    fn single(&mut self, kind: TokenKind) -> TokenKind {
         self.bump();
-        self.push(kind, start, line);
+        kind
     }
 
-    fn number(&mut self, start: usize, line: u32) -> Result<(), CompileError> {
+    /// A one-character operator, or its two-character form ending in `=`.
+    fn with_eq(&mut self, with: TokenKind, without: TokenKind) -> TokenKind {
+        self.bump();
+        if self.peek() == Some(b'=') {
+            self.bump();
+            with
+        } else {
+            without
+        }
+    }
+
+    fn number(&mut self, start: usize, line: u32) -> Result<TokenKind, CompileError> {
         let mut is_float = false;
         while let Some(c) = self.peek() {
             match c {
@@ -179,17 +169,16 @@ impl<'a> Lexer<'a> {
             let value: f64 = text.parse().map_err(|_| {
                 CompileError::lex(format!("malformed float literal `{text}`"), span)
             })?;
-            self.push(TokenKind::Float(value), start, line);
+            Ok(TokenKind::Float(value))
         } else {
             let value: i64 = text.parse().map_err(|_| {
                 CompileError::lex(format!("malformed integer literal `{text}`"), span)
             })?;
-            self.push(TokenKind::Int(value), start, line);
+            Ok(TokenKind::Int(value))
         }
-        Ok(())
     }
 
-    fn ident(&mut self, start: usize, line: u32) {
+    fn ident(&mut self, start: usize) -> TokenKind {
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || c == b'_' {
                 self.bump();
@@ -198,7 +187,7 @@ impl<'a> Lexer<'a> {
             }
         }
         let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii ident");
-        let kind = match text {
+        match text {
             "def" => TokenKind::Def,
             "for" => TokenKind::For,
             "to" => TokenKind::To,
@@ -214,8 +203,20 @@ impl<'a> Lexer<'a> {
             "or" => TokenKind::Or,
             "not" => TokenKind::Not,
             _ => TokenKind::Ident(self.names.intern(text)),
-        };
-        self.push(kind, start, line);
+        }
+    }
+}
+
+impl Iterator for Lexer<'_> {
+    type Item = Result<Token, CompileError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let token = self.lex();
+        self.done = !matches!(&token, Ok(t) if t.kind != TokenKind::Eof);
+        Some(token)
     }
 }
 

@@ -107,6 +107,13 @@ mod tests {
             compile("def main() { x = ; }").unwrap_err().phase,
             ErrorPhase::Parse
         );
+        // The parser pulls tokens from the lexer and stops at its first
+        // error, but a lexical error later in the source still wins.
+        let err = compile("def main() { x = ; }\ndef f() { y = $; }").unwrap_err();
+        assert_eq!(
+            (err.phase, err.span.map(|s| s.line)),
+            (ErrorPhase::Lex, Some(2))
+        );
         assert_eq!(
             compile("def main() { return y; }").unwrap_err().phase,
             ErrorPhase::Sema

@@ -2,7 +2,7 @@
 
 use crate::ast::{BinOp, Expr, FunctionDef, Program, Stmt, UnOp};
 use crate::error::CompileError;
-use crate::lexer::tokenize;
+use crate::lexer::Lexer;
 use crate::name::Name;
 use crate::token::{Span, Token, TokenKind};
 
@@ -10,24 +10,65 @@ use crate::token::{Span, Token, TokenKind};
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
+/// Returns the first lexical or syntactic error encountered. A lexical error
+/// anywhere in the source wins over a syntax error before it, as if the
+/// whole source were lexed first.
 pub fn parse(source: &str) -> Result<Program, CompileError> {
-    let tokens = tokenize(source)?;
-    Parser::new(tokens).program()
+    let mut parser = Parser::new(Lexer::new(source));
+    let parsed = parser.program();
+    // The parser stops at its first error: lex the rest, so that the first
+    // lexical error of the source is the one reported.
+    if let Some(Err(e)) = parser.lexer.find(Result::is_err) {
+        return Err(e);
+    }
+    match parser.lex_error.take() {
+        Some(e) => Err(e),
+        None => parsed,
+    }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// A recursive-descent parser over a two-token window of the lexer's
+/// stream: the grammar looks at most two tokens ahead.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token and the one after it.
+    window: [Token; 2],
+    /// The lexer's error, if it failed: the stream reads as ended from
+    /// there, and [`parse`] reports this error.
+    lex_error: Option<CompileError>,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+impl<'a> Parser<'a> {
+    fn new(lexer: Lexer<'a>) -> Self {
+        let eof = Token {
+            kind: TokenKind::Eof,
+            span: Span::default(),
+        };
+        let mut parser = Parser {
+            lexer,
+            window: [eof.clone(), eof],
+            lex_error: None,
+        };
+        parser.window = [parser.pull(), parser.pull()];
+        parser
+    }
+
+    /// The lexer's next token. Past the end of the stream, or after a
+    /// lexical error, this is an `Eof` token.
+    fn pull(&mut self) -> Token {
+        match self.lexer.next() {
+            Some(Ok(token)) => return token,
+            Some(Err(e)) => self.lex_error = Some(e),
+            None => {}
+        }
+        Token {
+            kind: TokenKind::Eof,
+            span: self.window[1].span,
+        }
     }
 
     fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+        &self.window[0]
     }
 
     fn peek_kind(&self) -> &TokenKind {
@@ -35,16 +76,16 @@ impl Parser {
     }
 
     fn peek2_kind(&self) -> &TokenKind {
-        let idx = (self.pos + 1).min(self.tokens.len() - 1);
-        &self.tokens[idx].kind
+        &self.window[1].kind
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        if self.window[0].kind == TokenKind::Eof {
+            return self.window[0].clone();
         }
-        t
+        let next = self.pull();
+        let second = std::mem::replace(&mut self.window[1], next);
+        std::mem::replace(&mut self.window[0], second)
     }
 
     fn at(&self, kind: &TokenKind) -> bool {

@@ -20,6 +20,7 @@
 //! ```
 //! use pods_machine::{MachineConfig, Simulation};
 //! use pods_istructure::Value;
+//! use std::sync::Arc;
 //!
 //! let hir = pods_idlang::compile(
 //!     "def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i * i; } return a; }",
@@ -27,8 +28,9 @@
 //! let loops = pods_dataflow::analyze_loops(&hir);
 //! let mut program = pods_sp::translate(&hir).unwrap();
 //! pods_partition::partition(&mut program, &loops, &Default::default());
+//! let read_slots = Arc::new(pods_sp::exec::build_read_slots(&program));
 //!
-//! let result = Simulation::new(program, MachineConfig::with_pes(4))
+//! let result = Simulation::new(Arc::new(program), read_slots, MachineConfig::with_pes(4))
 //!     .run(&[Value::Int(16)])
 //!     .unwrap();
 //! assert!(result.returned_array().unwrap().is_complete());

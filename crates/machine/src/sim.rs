@@ -64,7 +64,6 @@ use pods_sp::{Operand, SlotId, SpId, SpProgram};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::rc::Rc;
 use std::sync::Arc;
 
 const EU: usize = 0;
@@ -248,10 +247,10 @@ struct PeState {
 /// Construct one with [`Simulation::new`] and call [`Simulation::run`].
 pub struct Simulation {
     config: MachineConfig,
-    program: Rc<SpProgram>,
-    /// Precomputed per-template read-slot tables for the shared core's
-    /// firing-rule check (no per-instruction allocation).
-    read_slots: Rc<ReadSlots>,
+    program: Arc<SpProgram>,
+    /// The program's read-slot table for the shared core's firing-rule
+    /// check, built once with the program ([`exec::build_read_slots`]).
+    read_slots: Arc<ReadSlots>,
     pes: Vec<PeState>,
     /// Every array's values, held once for all PEs; each PE's residency
     /// decides only what an access costs.
@@ -272,13 +271,14 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Creates a simulation of `program` on the configured machine.
-    pub fn new(program: SpProgram, config: MachineConfig) -> Self {
+    /// Creates a simulation of `program`, whose read-slot table is
+    /// `read_slots` ([`exec::build_read_slots`]), on the configured machine.
+    /// Both are shared, so a prepared program runs without a copy.
+    pub fn new(program: Arc<SpProgram>, read_slots: Arc<ReadSlots>, config: MachineConfig) -> Self {
         let num_pes = config.num_pes.max(1);
-        let read_slots = Rc::new(exec::build_read_slots(&program));
         Simulation {
             config,
-            program: Rc::new(program),
+            program,
             read_slots,
             pes: (0..num_pes).map(|_| PeState::default()).collect(),
             store: SharedArrayStore::new(),
@@ -818,10 +818,10 @@ impl Simulation {
         inst.status = InstanceStatus::Running;
         let start = self.pes[pe].units[EU].next_free.max(time);
         let mut t = start;
-        let program = Rc::clone(&self.program);
+        let program = Arc::clone(&self.program);
         let template = program.template(inst.template);
-        let read_slots = Rc::clone(&self.read_slots);
-        let slot_table = &read_slots[inst.template.index()];
+        let read_slots = Arc::clone(&self.read_slots);
+        let slot_table = read_slots.template(inst.template);
         let timing = self.config.timing.clone();
 
         // Run the instance on the shared instruction core; this simulator
@@ -1170,9 +1170,15 @@ mod tests {
         program
     }
 
+    /// A simulation of `program` with its own read-slot table.
+    fn simulation(program: SpProgram, config: MachineConfig) -> Simulation {
+        let read_slots = Arc::new(exec::build_read_slots(&program));
+        Simulation::new(Arc::new(program), read_slots, config)
+    }
+
     fn run(src: &str, args: &[Value], pes: usize) -> SimulationResult {
         let program = compile_and_partition(src);
-        Simulation::new(program, MachineConfig::with_pes(pes))
+        simulation(program, MachineConfig::with_pes(pes))
             .run(args)
             .unwrap()
     }
@@ -1281,7 +1287,7 @@ mod tests {
             }
         "#;
         let program = compile_and_partition(src);
-        let err = Simulation::new(program, MachineConfig::with_pes(1))
+        let err = simulation(program, MachineConfig::with_pes(1))
             .run(&[Value::Int(4)])
             .unwrap_err();
         assert!(matches!(err, SimulationError::Runtime(_)), "{err}");
@@ -1297,7 +1303,7 @@ mod tests {
             }
         "#;
         let program = compile_and_partition(src);
-        let err = Simulation::new(program, MachineConfig::with_pes(1))
+        let err = simulation(program, MachineConfig::with_pes(1))
             .run(&[Value::Int(4)])
             .unwrap_err();
         assert_eq!(
@@ -1315,7 +1321,7 @@ mod tests {
             }
         "#;
         let program = compile_and_partition(src);
-        let err = Simulation::new(program, MachineConfig::with_pes(4))
+        let err = simulation(program, MachineConfig::with_pes(4))
             .run(&[Value::Int(64)])
             .unwrap_err();
         assert_eq!(
@@ -1328,7 +1334,7 @@ mod tests {
     fn out_of_bounds_access_is_reported() {
         let src = "def main(n) { a = array(n); a[n + 5] = 1; return 0; }";
         let program = compile_and_partition(src);
-        let err = Simulation::new(program, MachineConfig::with_pes(1))
+        let err = simulation(program, MachineConfig::with_pes(1))
             .run(&[Value::Int(4)])
             .unwrap_err();
         assert!(matches!(err, SimulationError::Runtime(_)));
@@ -1349,7 +1355,7 @@ mod tests {
             max_events: 10,
             ..MachineConfig::default()
         };
-        let err = Simulation::new(program, config)
+        let err = simulation(program, config)
             .run(&[Value::Int(8)])
             .unwrap_err();
         assert!(matches!(err, SimulationError::EventLimitExceeded { .. }));
@@ -1405,7 +1411,7 @@ mod tests {
     /// pages (PE0 owns offsets 0..16, PE1 16..32) that both PEs know.
     fn two_pes_sharing_an_array() -> (Simulation, Arc<SharedArray<Waiter>>) {
         let program = compile_and_partition("def main(n) { return n; }");
-        let mut sim = Simulation::new(program, MachineConfig::with_pes(2));
+        let mut sim = simulation(program, MachineConfig::with_pes(2));
         let spec = PartitionSpec {
             page_size: 8,
             num_pes: 2,

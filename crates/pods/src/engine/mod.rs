@@ -70,8 +70,9 @@ pub enum EngineStats {
     Simulated {
         /// Per-unit utilizations, counters, elapsed simulated time.
         stats: SimulationStats,
-        /// The partitioner's per-loop decisions.
-        partition: PartitionReport,
+        /// The partitioner's per-loop decisions, shared with the prepared
+        /// program.
+        partition: Arc<PartitionReport>,
     },
     /// Sequential-interpreter profile summary.
     Sequential {

@@ -55,7 +55,7 @@
 //! tokens per message — for exactly this reason):
 //!
 //! * **Shared program state** ([`JobSpec`]): the partitioned SP program and
-//!   the per-template read-slot tables travel as `Arc`s, built once by
+//!   its read-slot table travel as `Arc`s, built once by
 //!   [`crate::Runtime::prepare`] (or its internal cache) and shared by every
 //!   job.
 //! * **Batched wake-up delivery**: a writer that fills many I-structure
@@ -97,7 +97,8 @@
 //!   vector of snapshots (sized once) and one values vector per array (a
 //!   snapshot's name shares the array's `Arc<str>`, a shape of rank up to
 //!   four is inline, and the ticket itself is the completion hook). A job
-//!   that waits in the admission queue also copies its arguments;
+//!   that waits in the admission queue also copies its arguments, into a
+//!   vector an earlier queued job left spare once the service has one;
 //! * **per array** — only when no spare array the store's previous job left
 //!   has the cell capacity for it: then three calls, the partitioning's
 //!   segment table, the shared array record and its cells, plus the extents
@@ -119,22 +120,33 @@
 //! and is cleared, not rebuilt), per deferred read or per wake-up flush
 //! (the woken instances pass through a worker-owned scratch vector).
 //! `tests/alloc_budget.rs` fences this with exact counts on one worker and
-//! a 90th percentile on two. On the standing benchmark (`benchmark/`, two
+//! a 90th percentile on two.
+//!
+//! A job that is not warm first pays the cold path: `compile` and a prepare
+//! miss. Preparing allocates per program (the read-slot table is one flat
+//! table of every template's per-pc reads), per template (its code and its
+//! plan: the op table and the pools of firing lists, fused ops and store
+//! indices, sized before the pass runs) and per instruction only for the
+//! copied operand lists of the compiled program; no super-op, firing list
+//! or read-slot list is an allocation of its own. On the standing benchmark (`benchmark/`, two
 //! workers, 15-second runs on a 2-vCPU host) the budget reads, from before
 //! it was enforced, to after, to the one pool with sibling refill, to
 //! recycled stores, to a job that allocates only its record and its result
 //! (shared snapshot names, spares fitted by capacity, kept mailboxes, the
-//! ticket as the hook):
+//! ticket as the hook), to a cold path that allocates per template (and
+//! queued jobs' arguments in spare vectors):
 //!
 //! | workload | allocator calls per job | KiB requested per job |
 //! |---|---|---|
 //! | `simple_solo` (SIMPLE n=32, 67,746 super-op firings, 22 arrays) | 83,644 → 321 → 193 → 53 → 26.6 | 2,785 → 1,219 → 1,120 → 344 → 341 |
 //! | `gather_wake` (130 instances, 128 deferred reads) | 531 → 76–110 → 23 → 12 → 4.0 | 42.0 → 23.0 → 11.7 → 7.1 → 3.8 |
-//! | `tiny_burst` (FILL n=6..10) | 100 → 18.4 → 16.4 → 9.8 → 5.2 | 7.6 → 5.8 → 5.5 → 5.1 → 2.9 |
-//! | `cold_mix` (compiles every job; the front end is the bulk) | 4,101 → 3,167 → 3,163 → 3,145 → 968 | 379 → 335 → 332 → 328 → 220 |
+//! | `tiny_burst` (FILL n=6..10) | 100 → 18.4 → 16.4 → 9.8 → 5.2 → 4.4 | 7.6 → 5.8 → 5.5 → 5.1 → 2.9 → 2.9 |
+//! | `cold_mix` (compiles every job; the front end is the bulk) | 4,101 → 3,167 → 3,163 → 3,145 → 968 → 682 | 379 → 335 → 332 → 328 → 220 → 139 |
 //!
-//! (`cold_mix` read 977 calls and 222 KiB just before the last step: the
-//! front end had meanwhile stopped copying identifier text.)
+//! (`cold_mix` read 977 calls and 222 KiB just before the fifth step: the
+//! front end had meanwhile stopped copying identifier text. Its last step is
+//! the cold path's: a prepare miss per template, not per instruction, and a
+//! parser that pulls its tokens from the lexer instead of a token vector.)
 
 use super::{cancellation_error, EngineOutcome, EngineStats};
 use crate::error::PodsError;
@@ -288,7 +300,7 @@ pub(crate) trait Suspension: Sized + Send + Sync + 'static {
 
 /// Everything program-shaped a job needs, in `Arc`-shared form so warm
 /// submissions of the same prepared program pay zero setup: the partitioned
-/// SP program, its read-slot tables, the partition report (for the
+/// SP program, its read-slot table, the partition report (for the
 /// outcome), and the per-job execution knobs. One [`crate::PreparedProgram`]
 /// serves either strategy.
 pub(crate) struct JobSpec {
@@ -897,7 +909,7 @@ impl<S: Suspension> Shared<S> {
         }
         let program = Arc::clone(&job.program);
         let template = program.template(inst.template);
-        let slot_table = &job.read_slots[inst.template.index()];
+        let slot_table = job.read_slots.template(inst.template);
         job.emit(w, inst.id, TraceEventKind::RunBegin);
         loop {
             let exit = {
@@ -1448,7 +1460,7 @@ pub(crate) mod cases {
     use super::*;
     use crate::pipeline::{compile, CompiledProgram, RunOptions};
 
-    /// Partitions the program and builds its read-slot tables for one
+    /// Partitions the program and builds its read-slot table for one
     /// submission (a `Runtime` shares them through its prepared programs).
     fn spec(program: &CompiledProgram, opts: &RunOptions) -> JobSpec {
         let (partitioned, partition) = program.partitioned(opts);

@@ -2,28 +2,31 @@
 
 use super::{EngineKind, EngineOutcome, EngineStats};
 use crate::error::PodsError;
-use crate::pipeline::{CompiledProgram, RunOptions};
+use crate::pipeline::RunOptions;
+use crate::runtime::PreparedProgram;
 use crate::trace::{RecorderExecSink, TraceHandle};
 use pods_istructure::Value;
 use pods_machine::Simulation;
 use std::time::Instant;
 
-/// Executes the partitioned program on the instruction-level iPSC/2
-/// simulator ([`pods_machine::Simulation`]). Reports *simulated* elapsed
-/// time on `opts.num_pes` virtual PEs — the paper's own measurement
-/// methodology. With a `trace` handle the shared exec core's events
-/// (suspensions, deferred loads, chunk advances) are recorded on the lane of
-/// the simulated PE that produced them, exactly as the pooled engines
-/// record theirs.
+/// Executes the prepared program on the instruction-level iPSC/2
+/// simulator ([`pods_machine::Simulation`]): the partitioned SP program and
+/// its read-slot table are the ones every pooled job of the same
+/// preparation runs, shared, not rebuilt. Reports *simulated* elapsed time
+/// on `opts.num_pes` virtual PEs — the paper's own measurement methodology.
+/// With a `trace` handle the shared exec core's events (suspensions,
+/// deferred loads, chunk advances) are recorded on the lane of the
+/// simulated PE that produced them, exactly as the pooled engines record
+/// theirs.
 pub(crate) fn run(
-    program: &CompiledProgram,
+    prepared: &PreparedProgram,
     args: &[Value],
     opts: &RunOptions,
     trace: Option<TraceHandle>,
 ) -> Result<EngineOutcome, PodsError> {
     let start = Instant::now();
-    let (partitioned, partition) = program.partitioned(opts);
-    let mut simulation = Simulation::new(partitioned, opts.machine_config());
+    let (program, read_slots, partition) = prepared.parts();
+    let mut simulation = Simulation::new(program, read_slots, opts.machine_config());
     if let Some(handle) = trace {
         simulation = simulation.with_trace_sink(Box::new(RecorderExecSink { handle }));
     }

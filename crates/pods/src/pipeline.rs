@@ -345,6 +345,39 @@ mod tests {
     }
 
     #[test]
+    fn read_slot_tables_match_every_partitioned_workload() {
+        // The flat table a prepare builds, over every workload partitioned
+        // at the default configuration (Range-Filter prologues included),
+        // lists each instruction's reads at its (template, pc).
+        let mut range_filters = 0;
+        for source in [
+            pods_workloads::PAPER_EXAMPLE,
+            pods_workloads::FILL,
+            pods_workloads::MATMUL,
+            pods_workloads::STENCIL,
+            pods_workloads::RECURRENCE,
+            pods_workloads::simple::SIMPLE,
+        ] {
+            let (sp, _) = compile(source).unwrap().partitioned(&RunOptions::default());
+            let table = pods_sp::exec::build_read_slots(&sp);
+            assert_eq!(table.len(), sp.len());
+            for template in sp.templates() {
+                let reads = table.template(template.id);
+                assert_eq!(reads.len(), template.code.len());
+                for (pc, instr) in template.code.iter().enumerate() {
+                    let expected: Vec<_> = instr.reads().collect();
+                    assert_eq!(reads.at(pc), expected, "{} pc {pc}", template.name);
+                    range_filters += usize::from(matches!(
+                        instr,
+                        pods_sp::Instr::RangeLo { .. } | pods_sp::Instr::RangeHi { .. }
+                    ));
+                }
+            }
+        }
+        assert!(range_filters > 0, "the partitioner inserted Range Filters");
+    }
+
+    #[test]
     fn partitioning_attaches_specialization_plans() {
         let program = compile(MATRIX_FILL).unwrap();
         let on = RunOptions {

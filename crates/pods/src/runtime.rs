@@ -21,14 +21,14 @@
 //! # The warm path: prepared programs
 //!
 //! Submitting a raw [`CompiledProgram`] still has to clone its SP program,
-//! run the partitioner over it, and build the per-template read-slot
-//! tables. All three are pure functions of `(program, partition config)`,
-//! so the runtime amortises them: [`Runtime::prepare`] produces an
-//! `Arc`-shared, immutable [`PreparedProgram`], and `run`/`submit`/
-//! `run_many` accept either form. Raw programs are auto-prepared through a
-//! small LRU cache keyed by the program's interned identity, so even
-//! callers that never touch `prepare` pay the setup once per program, not
-//! once per run.
+//! run the partitioner over it, and build its read-slot table (one flat
+//! table for every template). All three are pure functions of `(program,
+//! partition config)`, so the runtime amortises them: [`Runtime::prepare`]
+//! produces an `Arc`-shared, immutable [`PreparedProgram`], and
+//! `run`/`submit`/`run_many` accept either form. Raw programs are
+//! auto-prepared through a small LRU cache keyed by the program's interned
+//! identity, so even callers that never touch `prepare` pay the setup once
+//! per program, not once per run.
 //!
 //! ```
 //! use pods::{compile, EngineKind, Runtime, Value};
@@ -394,9 +394,9 @@ impl Runtime {
 
     /// Prepares a program for repeated execution on this runtime: clones
     /// the SP program, partitions it under this runtime's configuration,
-    /// and builds the per-template read-slot tables — once. The returned
-    /// handle is `Arc`-shared and immutable; cloning it is two reference
-    /// bumps, and submitting it skips every per-run setup step.
+    /// and builds its read-slot table — once. The returned handle is
+    /// `Arc`-shared and immutable; cloning it is two reference bumps, and
+    /// submitting it skips every per-run setup step.
     ///
     /// Raw-program submissions consult the same LRU cache this method
     /// feeds, so `prepare` is about *control* (pin a program's prepared
@@ -725,7 +725,7 @@ impl Runtime {
                     rec: Arc::clone(rec),
                     job: *job,
                 });
-                sim::run(compiled, args, opts, trace)
+                sim::run(&program.prepared(self)?, args, opts, trace)
             }
             EngineKind::Seq => seq::run(compiled, args, opts),
             EngineKind::Pr => pr::run(compiled, args, opts),
@@ -766,7 +766,7 @@ impl Runtime {
 }
 
 /// An immutable, `Arc`-shared program prepared for execution: the cloned
-/// and partitioned SP program, its read-slot tables, and the partition
+/// and partitioned SP program, its read-slot table, and the partition
 /// report, ready for any number of submissions. Produced by
 /// [`Runtime::prepare`]; accepted anywhere a raw [`CompiledProgram`] is
 /// (`run`, `submit`, `run_many`). Cloning shares the underlying state.
@@ -790,10 +790,9 @@ struct PreparedInner {
     /// runtimes with the same setting).
     specialize: bool,
     /// The compiled program this was prepared from, retained so the same
-    /// handle also runs on modelled-engine runtimes (which partition
-    /// internally) and so invocations can be validated. This is a full
-    /// clone, made once per `prepare` (never per run) and bounded by the
-    /// LRU cache capacity; callers keep their own original regardless.
+    /// handle also runs on the `seq` and `pr` runtimes (which interpret the
+    /// HIR) and so invocations can be validated. A clone of a compiled
+    /// program shares its stages.
     source: CompiledProgram,
     sp: Arc<SpProgram>,
     read_slots: Arc<ReadSlots>,
@@ -840,6 +839,17 @@ impl PreparedProgram {
     /// prepare-time grain; each retune doubled the auto-sized chunk).
     pub fn chunks_autotuned(&self) -> u64 {
         self.inner.autotuned
+    }
+
+    /// The partitioned program, its read-slot table and its partition
+    /// report, shared: what the simulator runs.
+    pub(crate) fn parts(&self) -> (Arc<SpProgram>, Arc<ReadSlots>, Arc<PartitionReport>) {
+        let inner = &self.inner;
+        (
+            Arc::clone(&inner.sp),
+            Arc::clone(&inner.read_slots),
+            Arc::clone(&inner.partition),
+        )
     }
 
     /// The per-job spec handed to the pooled backends: `Arc` bumps only, no

@@ -84,6 +84,11 @@ struct InFlight {
 struct ServiceState {
     queue: FairQueue,
     in_flight: Vec<InFlight>,
+    /// Emptied argument vectors of dispatched jobs, for the next jobs that
+    /// queue. A vector is made only when none is spare, that is when every
+    /// one made so far is queued, so there are never more than the most
+    /// jobs ever queued at once.
+    spare_args: Vec<Vec<Value>>,
     shutdown: bool,
 }
 
@@ -133,7 +138,8 @@ impl ServiceInner {
 
     /// Admits one job under the given admission mode. Returns its ticket,
     /// or `QueueFull` if the job was rejected (already counted). Only a job
-    /// that waits in the queue copies its arguments.
+    /// that waits in the queue copies its arguments, into a spare vector
+    /// when there is one.
     pub(crate) fn submit(
         self: &Arc<Self>,
         client: ClientId,
@@ -170,10 +176,12 @@ impl ServiceInner {
                 return Ok(ticket);
             }
             if self.capacity == 0 || st.queue.len() < self.capacity {
+                let mut queued_args = st.spare_args.pop().unwrap_or_default();
+                queued_args.extend_from_slice(args);
                 st.queue.push(QueuedJob {
                     ticket: Arc::clone(&ticket),
                     prepared,
-                    args: args.to_vec(),
+                    args: queued_args,
                 });
                 self.metrics.set_depth(st.queue.len());
                 drop(st);
@@ -378,8 +386,10 @@ fn dispatcher_loop(inner: Arc<ServiceInner>) {
         let mut dispatched = false;
         while st.in_flight.len() < inner.window {
             match st.queue.pop() {
-                Some(qj) => {
+                Some(mut qj) => {
                     inner.dispatch_locked(&mut st, qj.ticket, &qj.prepared, &qj.args);
+                    qj.args.clear();
+                    st.spare_args.push(qj.args);
                     dispatched = true;
                 }
                 None => break,
@@ -444,6 +454,7 @@ impl JobService {
             state: Mutex::new(ServiceState {
                 queue: FairQueue::new(weights),
                 in_flight: Vec::new(),
+                spare_args: Vec::new(),
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -525,6 +536,7 @@ mod tests {
             state: Mutex::new(ServiceState {
                 queue: FairQueue::new(HashMap::new()),
                 in_flight: Vec::new(),
+                spare_args: Vec::new(),
                 shutdown: false,
             }),
             work_cv: Condvar::new(),

@@ -275,7 +275,7 @@ fn eligible_site(
             Instr::Binary { .. } | Instr::Unary { .. } | Instr::Move { .. } => {
                 if instr.written_slot() == Some(lm.index_slot)
                     || instr.written_slot() == Some(lm.limit_slot)
-                    || instr.read_slots().contains(&lm.index_slot)
+                    || instr.reads().any(|s| s == lm.index_slot)
                 {
                     return None;
                 }

@@ -256,18 +256,109 @@ pub enum Cost {
 }
 
 /// Precomputed read-slot lists per `(template, pc)`: the firing-rule check
-/// runs for every executed instruction, and rebuilding the list (a heap
-/// allocation) each time is measurable across millions of instructions.
-/// Built once per (prepared) program and shared by every execution.
-pub type ReadSlots = Vec<Vec<Vec<SlotId>>>;
+/// runs for every executed instruction, and rebuilding the list each time is
+/// measurable across millions of instructions. Built once per (prepared)
+/// program and shared by every execution.
+///
+/// One flat table for the whole program — the slots of every `(template,
+/// pc)` in one vector, delimited by per-pc offsets — so building it makes
+/// three allocator calls however many instructions the program has.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadSlots {
+    /// Every instruction's read slots, template by template, pc by pc.
+    slots: Vec<SlotId>,
+    /// `slots[offsets[i]..offsets[i + 1]]` are the reads of the `i`-th
+    /// instruction of the program (counted across templates).
+    offsets: Vec<u32>,
+    /// Template `t`'s instructions are `starts[t]..starts[t + 1]` of the
+    /// instruction numbering `offsets` uses.
+    starts: Vec<u32>,
+}
+
+impl ReadSlots {
+    /// Builds the table for a sequence of templates' code, sizing every
+    /// vector exactly up front.
+    pub(crate) fn new<'a>(templates: impl Iterator<Item = &'a [Instr]> + Clone) -> Self {
+        let (count, instrs) = templates.clone().fold((0, 0), |(count, instrs), code| {
+            let reads: usize = code.iter().map(|i| i.reads().count()).sum();
+            (count + reads, instrs + code.len())
+        });
+        let index = |n: usize| u32::try_from(n).expect("read-slot table exceeds u32 indices");
+        let mut table = ReadSlots {
+            slots: Vec::with_capacity(count),
+            offsets: Vec::with_capacity(instrs + 1),
+            starts: Vec::with_capacity(templates.clone().count() + 1),
+        };
+        table.offsets.push(0);
+        table.starts.push(0);
+        for code in templates {
+            for instr in code {
+                table.slots.extend(instr.reads());
+                table.offsets.push(index(table.slots.len()));
+            }
+            table.starts.push(index(table.offsets.len() - 1));
+        }
+        table
+    }
+
+    /// Number of templates in the table.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Returns `true` when the table covers no template.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The read slots of one template, indexed by pc.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `template` is out of range.
+    pub fn template(&self, template: SpId) -> TemplateReads<'_> {
+        let (lo, hi) = (
+            self.starts[template.index()] as usize,
+            self.starts[template.index() + 1] as usize,
+        );
+        TemplateReads {
+            slots: &self.slots,
+            offsets: &self.offsets[lo..=hi],
+        }
+    }
+}
+
+/// One template's view of a [`ReadSlots`] table: what [`run_instance`]
+/// checks the firing rule against.
+#[derive(Debug, Clone, Copy)]
+pub struct TemplateReads<'a> {
+    slots: &'a [SlotId],
+    /// `code.len() + 1` offsets into `slots`.
+    offsets: &'a [u32],
+}
+
+impl<'a> TemplateReads<'a> {
+    /// Number of instructions covered.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Returns `true` when the template has no instructions.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The slots the instruction at `pc` reads, each once, in operand order
+    /// ([`Instr::reads`]).
+    #[inline(always)]
+    pub fn at(&self, pc: usize) -> &'a [SlotId] {
+        &self.slots[self.offsets[pc] as usize..self.offsets[pc + 1] as usize]
+    }
+}
 
 /// Builds the [`ReadSlots`] table for a (partitioned) SP program.
 pub fn build_read_slots(program: &SpProgram) -> ReadSlots {
-    program
-        .templates()
-        .iter()
-        .map(|t| t.code.iter().map(|i| i.read_slots()).collect())
-        .collect()
+    ReadSlots::new(program.templates().iter().map(|t| t.code.as_slice()))
 }
 
 /// Row-major element offset of `idx` in the array described by `header`,
@@ -521,7 +612,7 @@ pub trait ExecCtx: ArrayOps {
 
     /// Resolves an operand against the frame. Absent slots read as
     /// [`Value::Unit`]; the firing rule makes that unobservable for slots
-    /// an instruction declares in [`Instr::read_slots`].
+    /// an instruction declares in [`Instr::reads`].
     #[inline(always)]
     fn operand(&self, op: &Operand) -> Value {
         match op {
@@ -871,7 +962,7 @@ fn advance_chunk<C: ExecCtx>(ctx: &mut C, meta: &ChunkMeta) -> Result<bool, Stri
 pub fn run_instance<C: ExecCtx>(
     ctx: &mut C,
     code: &[Instr],
-    read_slots: &[Vec<SlotId>],
+    read_slots: TemplateReads<'_>,
     chunk: Option<&ChunkMeta>,
     plan: Option<&TemplatePlan>,
 ) -> Result<RunExit, String> {
@@ -887,7 +978,7 @@ pub fn run_instance<C: ExecCtx>(
 fn run_interpreted<C: ExecCtx>(
     ctx: &mut C,
     code: &[Instr],
-    read_slots: &[Vec<SlotId>],
+    read_slots: TemplateReads<'_>,
     chunk: Option<&ChunkMeta>,
 ) -> Result<RunExit, String> {
     loop {
@@ -905,7 +996,8 @@ fn run_interpreted<C: ExecCtx>(
         };
         // Dataflow firing rule: every operand the instruction reads must be
         // present; otherwise the instance blocks on the first missing slot.
-        if let Some(missing) = read_slots[pc]
+        if let Some(missing) = read_slots
+            .at(pc)
             .iter()
             .copied()
             .find(|s| ctx.slot(*s).is_none())
@@ -956,10 +1048,14 @@ fn fetch<C: ExecCtx>(ctx: &C, f: &Fetch, last: Value) -> Value {
 /// own optimization context, exactly like the standalone [`execute_instr`]
 /// the interpreter loop calls into.
 #[inline(never)]
-fn execute_super<C: ExecCtx>(ctx: &mut C, sup: &SuperOp) -> Result<(), String> {
+fn execute_super<C: ExecCtx>(
+    ctx: &mut C,
+    plan: &TemplatePlan,
+    sup: &SuperOp,
+) -> Result<(), String> {
     let mut last = Value::Unit;
-    for op in &sup.ops {
-        last = execute_fused(ctx, op, last)?;
+    for op in plan.fused(sup) {
+        last = execute_fused(ctx, plan, op, last)?;
     }
     Ok(())
 }
@@ -970,7 +1066,12 @@ fn execute_super<C: ExecCtx>(ctx: &mut C, sup: &SuperOp) -> Result<(), String> {
 /// arm — only the operand resolution (already done at prepare time)
 /// differs.
 #[inline(always)]
-fn execute_fused<C: ExecCtx>(ctx: &mut C, op: &FusedOp, last: Value) -> Result<Value, String> {
+fn execute_fused<C: ExecCtx>(
+    ctx: &mut C,
+    plan: &TemplatePlan,
+    op: &FusedOp,
+    last: Value,
+) -> Result<Value, String> {
     match op {
         FusedOp::Binary { op, dst, lhs, rhs } => {
             let a = fetch(ctx, lhs, last);
@@ -1006,7 +1107,7 @@ fn execute_fused<C: ExecCtx>(ctx: &mut C, op: &FusedOp, last: Value) -> Result<V
         } => {
             let id = expect_array(fetch(ctx, array, last))?;
             let v = fetch(ctx, value, last);
-            let offset = resolve_offset(ctx, id, indices, |c, i| fetch(c, i, last))?;
+            let offset = resolve_offset(ctx, id, plan.indices(*indices), |c, i| fetch(c, i, last))?;
             ctx.charge(Cost::ArrayAccess);
             ctx.store_element(id, offset, v)?;
             Ok(Value::Unit)
@@ -1028,7 +1129,7 @@ fn execute_fused<C: ExecCtx>(ctx: &mut C, op: &FusedOp, last: Value) -> Result<V
 fn run_specialized<C: ExecCtx>(
     ctx: &mut C,
     code: &[Instr],
-    read_slots: &[Vec<SlotId>],
+    read_slots: TemplateReads<'_>,
     chunk: Option<&ChunkMeta>,
     plan: &TemplatePlan,
 ) -> Result<RunExit, String> {
@@ -1046,7 +1147,12 @@ fn run_specialized<C: ExecCtx>(
             return Ok(RunExit::Finished(None));
         }
         if let Some(PlanOp::Super(sup)) = plan.ops.get(pc) {
-            if let Some(missing) = sup.firing.iter().copied().find(|s| ctx.slot(*s).is_none()) {
+            if let Some(missing) = plan
+                .firing(sup)
+                .iter()
+                .copied()
+                .find(|s| ctx.slot(*s).is_none())
+            {
                 ctx.charge(Cost::ContextSwitch);
                 let pe = ctx.pe();
                 if let Some(sink) = ctx.trace_sink() {
@@ -1055,13 +1161,14 @@ fn run_specialized<C: ExecCtx>(
                 return Ok(RunExit::Blocked(missing));
             }
             ctx.super_op_fired();
-            execute_super(ctx, sup)?;
+            execute_super(ctx, plan, sup)?;
             ctx.set_pc(pc + sup.ops.len());
             continue;
         }
         // Interpreter fallback for unspecializable instructions (and any
         // mid-run pc a resume could conceivably land on).
-        if let Some(missing) = read_slots[pc]
+        if let Some(missing) = read_slots
+            .at(pc)
             .iter()
             .copied()
             .find(|s| ctx.slot(*s).is_none())
@@ -1832,9 +1939,10 @@ mod tests {
                 rhs: slot_op(3),
             },
         ];
-        let read_slots: Vec<Vec<SlotId>> = code.iter().map(|i| i.read_slots()).collect();
+        let table = ReadSlots::new(std::iter::once(code.as_slice()));
+        let read_slots = table.template(SpId(0));
         let mut ctx = TestCtx::new(4).with_array(0, &[4], 8);
-        let exit = run_instance(&mut ctx, &code, &read_slots, None, None).unwrap();
+        let exit = run_instance(&mut ctx, &code, read_slots, None, None).unwrap();
         assert_eq!(exit, RunExit::Blocked(s(1)));
         assert_eq!(ctx.pc, 2, "blocked at the consumer, past the issued load");
         assert_eq!(ctx.waiters.len(), 1, "the load registered its waiter");
@@ -1845,7 +1953,7 @@ mod tests {
 
         // Delivering the value and re-entering finishes the instance.
         ctx.set_slot(s(1), Value::Int(41));
-        let exit = run_instance(&mut ctx, &code, &read_slots, None, None).unwrap();
+        let exit = run_instance(&mut ctx, &code, read_slots, None, None).unwrap();
         assert_eq!(exit, RunExit::Finished(None));
         assert_eq!(ctx.slot(s(2)), Some(Value::Int(42)));
     }
@@ -1856,16 +1964,17 @@ mod tests {
             dst: s(0),
             src: Operand::Int(1),
         }];
-        let read_slots: Vec<Vec<SlotId>> = code.iter().map(|i| i.read_slots()).collect();
+        let table = ReadSlots::new(std::iter::once(code.as_slice()));
+        let read_slots = table.template(SpId(0));
         let mut ctx = TestCtx::new(1);
         ctx.stop = true;
         assert_eq!(
-            run_instance(&mut ctx, &code, &read_slots, None, None).unwrap(),
+            run_instance(&mut ctx, &code, read_slots, None, None).unwrap(),
             RunExit::Stopped
         );
         ctx.stop = false;
         assert_eq!(
-            run_instance(&mut ctx, &code, &read_slots, None, None).unwrap(),
+            run_instance(&mut ctx, &code, read_slots, None, None).unwrap(),
             RunExit::Finished(None),
             "running off the end finishes with no value"
         );
@@ -1905,12 +2014,13 @@ mod tests {
     #[test]
     fn chunk_driver_runs_consecutive_iterations_in_one_instance() {
         let (code, meta) = chunked_store_template();
-        let read_slots: Vec<Vec<SlotId>> = code.iter().map(|i| i.read_slots()).collect();
+        let table = ReadSlots::new(std::iter::once(code.as_slice()));
+        let read_slots = table.template(SpId(0));
         let mut ctx = TestCtx::new(5)
             .with_array(0, &[8], 8)
             .with_slot(1, Value::Int(2))
             .with_slot(2, Value::Int(7));
-        let exit = run_instance(&mut ctx, &code, &read_slots, Some(&meta), None).unwrap();
+        let exit = run_instance(&mut ctx, &code, read_slots, Some(&meta), None).unwrap();
         assert_eq!(exit, RunExit::Finished(None));
         // Chunk budget 3 starting at cursor 2: iterations 2, 3, 4.
         for (i, cell) in ctx.arrays[0].1.iter().enumerate() {
@@ -1923,13 +2033,14 @@ mod tests {
     #[test]
     fn chunk_driver_stops_at_the_loop_limit() {
         let (code, meta) = chunked_store_template();
-        let read_slots: Vec<Vec<SlotId>> = code.iter().map(|i| i.read_slots()).collect();
+        let table = ReadSlots::new(std::iter::once(code.as_slice()));
+        let read_slots = table.template(SpId(0));
         // Cursor 6, limit 7, budget 3: only iterations 6 and 7 run.
         let mut ctx = TestCtx::new(5)
             .with_array(0, &[8], 8)
             .with_slot(1, Value::Int(6))
             .with_slot(2, Value::Int(7));
-        let exit = run_instance(&mut ctx, &code, &read_slots, Some(&meta), None).unwrap();
+        let exit = run_instance(&mut ctx, &code, read_slots, Some(&meta), None).unwrap();
         assert_eq!(exit, RunExit::Finished(None));
         assert_eq!(ctx.arrays[0].1[6], Some(Value::Int(60)));
         assert_eq!(ctx.arrays[0].1[7], Some(Value::Int(70)));
@@ -1942,12 +2053,13 @@ mod tests {
         // (Int-vs-Float comparison promotes); the chunk driver must agree.
         let (code, mut meta) = chunked_store_template();
         meta.chunk = 10;
-        let read_slots: Vec<Vec<SlotId>> = code.iter().map(|i| i.read_slots()).collect();
+        let table = ReadSlots::new(std::iter::once(code.as_slice()));
+        let read_slots = table.template(SpId(0));
         let mut ctx = TestCtx::new(5)
             .with_array(0, &[8], 8)
             .with_slot(1, Value::Int(0))
             .with_slot(2, Value::Float(2.5));
-        let exit = run_instance(&mut ctx, &code, &read_slots, Some(&meta), None).unwrap();
+        let exit = run_instance(&mut ctx, &code, read_slots, Some(&meta), None).unwrap();
         assert_eq!(exit, RunExit::Finished(None));
         let written: Vec<usize> = ctx.arrays[0]
             .1
@@ -1962,13 +2074,14 @@ mod tests {
     fn chunk_driver_descends_and_clears_scratch_between_iterations() {
         let (code, mut meta) = chunked_store_template();
         meta.descending = true;
-        let read_slots: Vec<Vec<SlotId>> = code.iter().map(|i| i.read_slots()).collect();
+        let table = ReadSlots::new(std::iter::once(code.as_slice()));
+        let read_slots = table.template(SpId(0));
         // Cursor 5 descending to limit 4, budget 3: iterations 5 and 4.
         let mut ctx = TestCtx::new(5)
             .with_array(0, &[8], 8)
             .with_slot(1, Value::Int(5))
             .with_slot(2, Value::Int(4));
-        let exit = run_instance(&mut ctx, &code, &read_slots, Some(&meta), None).unwrap();
+        let exit = run_instance(&mut ctx, &code, read_slots, Some(&meta), None).unwrap();
         assert_eq!(exit, RunExit::Finished(None));
         assert_eq!(ctx.arrays[0].1[5], Some(Value::Int(50)));
         assert_eq!(ctx.arrays[0].1[4], Some(Value::Int(40)));
@@ -2003,16 +2116,17 @@ mod tests {
             },
             Instr::Return { value: None },
         ];
-        let read_slots: Vec<Vec<SlotId>> = code.iter().map(|i| i.read_slots()).collect();
-        let (plan, _) = crate::specialize::build_plan(&code);
+        let table = ReadSlots::new(std::iter::once(code.as_slice()));
+        let read_slots = table.template(SpId(0));
+        let (plan, _) = crate::specialize::build_plan(&code, &mut Vec::new());
         assert_eq!(plan.super_ops(), 1);
 
         let mut interp = TestCtx::new(5).with_slot(0, Value::Int(8));
-        let exit = run_instance(&mut interp, &code, &read_slots, None, None).unwrap();
+        let exit = run_instance(&mut interp, &code, read_slots, None, None).unwrap();
         assert_eq!(exit, RunExit::Finished(None));
 
         let mut spec = TestCtx::new(5).with_slot(0, Value::Int(8));
-        let exit = run_instance(&mut spec, &code, &read_slots, None, Some(&plan)).unwrap();
+        let exit = run_instance(&mut spec, &code, read_slots, None, Some(&plan)).unwrap();
         assert_eq!(exit, RunExit::Finished(None));
 
         assert_eq!(spec.slots, interp.slots);
@@ -2044,12 +2158,13 @@ mod tests {
             },
             Instr::Return { value: None },
         ];
-        let read_slots: Vec<Vec<SlotId>> = code.iter().map(|i| i.read_slots()).collect();
-        let (plan, _) = crate::specialize::build_plan(&code);
+        let table = ReadSlots::new(std::iter::once(code.as_slice()));
+        let read_slots = table.template(SpId(0));
+        let (plan, _) = crate::specialize::build_plan(&code, &mut Vec::new());
         assert_eq!(plan.super_ops(), 1);
 
         let mut ctx = TestCtx::new(6).with_array(0, &[4], 8);
-        let exit = run_instance(&mut ctx, &code, &read_slots, None, Some(&plan)).unwrap();
+        let exit = run_instance(&mut ctx, &code, read_slots, None, Some(&plan)).unwrap();
         assert_eq!(exit, RunExit::Blocked(s(1)), "same blocked slot as interp");
         assert_eq!(ctx.pc, 0, "blocked at the run head, ready to re-fire");
         assert_eq!(ctx.slot(s(4)), None, "no partial side effects");
@@ -2059,7 +2174,7 @@ mod tests {
         // Delivering the operand re-fires the whole run: the store lands
         // exactly once (a replay would fault the single-assignment cell).
         ctx.set_slot(s(1), Value::Int(35));
-        let exit = run_instance(&mut ctx, &code, &read_slots, None, Some(&plan)).unwrap();
+        let exit = run_instance(&mut ctx, &code, read_slots, None, Some(&plan)).unwrap();
         assert_eq!(exit, RunExit::Finished(None));
         assert_eq!(ctx.arrays[0].1[0], Some(Value::Int(7)));
         assert_eq!(ctx.slot(s(5)), Some(Value::Int(42)));
@@ -2071,15 +2186,16 @@ mod tests {
         // driver resets pc to 0 between iterations, which re-enters the
         // super-op at its head — the plan and the chunk cursor compose.
         let (code, meta) = chunked_store_template();
-        let read_slots: Vec<Vec<SlotId>> = code.iter().map(|i| i.read_slots()).collect();
-        let (plan, _) = crate::specialize::build_plan(&code);
+        let table = ReadSlots::new(std::iter::once(code.as_slice()));
+        let read_slots = table.template(SpId(0));
+        let (plan, _) = crate::specialize::build_plan(&code, &mut Vec::new());
         assert_eq!(plan.super_ops(), 1);
 
         let mut ctx = TestCtx::new(5)
             .with_array(0, &[8], 8)
             .with_slot(1, Value::Int(2))
             .with_slot(2, Value::Int(7));
-        let exit = run_instance(&mut ctx, &code, &read_slots, Some(&meta), Some(&plan)).unwrap();
+        let exit = run_instance(&mut ctx, &code, read_slots, Some(&meta), Some(&plan)).unwrap();
         assert_eq!(exit, RunExit::Finished(None));
         for (i, cell) in ctx.arrays[0].1.iter().enumerate() {
             let expected = (2..=4).contains(&i).then(|| Value::Int(i as i64 * 10));
@@ -2142,20 +2258,105 @@ mod tests {
         assert!(eval_binary(BinaryOp::Add, arr, Value::Int(1)).is_err());
     }
 
-    #[test]
-    fn build_read_slots_matches_per_instruction_lists() {
-        let hir = pods_idlang::compile(
-            "def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i; } return a; }",
-        )
-        .unwrap();
-        let program = crate::translate(&hir).unwrap();
-        let table = build_read_slots(&program);
-        assert_eq!(table.len(), program.len());
-        for (t, template) in program.templates().iter().enumerate() {
-            assert_eq!(table[t].len(), template.code.len());
-            for (pc, instr) in template.code.iter().enumerate() {
-                assert_eq!(table[t][pc], instr.read_slots());
+    /// The per-instruction read list as the firing rule defines it, built
+    /// the plain way (a vector, deduplicated by search): the reference the
+    /// flat table is checked against.
+    fn read_list(instr: &Instr) -> Vec<SlotId> {
+        let operands: Vec<&Operand> = match instr {
+            Instr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
+            Instr::Unary { src, .. } | Instr::Move { src, .. } => vec![src],
+            Instr::BranchIfFalse { cond, .. } => vec![cond],
+            Instr::Jump { .. } => vec![],
+            Instr::ArrayAlloc { dims, .. } => dims.iter().collect(),
+            Instr::ArrayLoad { array, indices, .. } => {
+                std::iter::once(array).chain(indices).collect()
+            }
+            Instr::ArrayStore {
+                array,
+                indices,
+                value,
+            } => std::iter::once(array)
+                .chain(indices)
+                .chain(std::iter::once(value))
+                .collect(),
+            Instr::Spawn { args, .. } => args.iter().collect(),
+            Instr::RangeLo {
+                array,
+                default,
+                outer,
+                ..
+            }
+            | Instr::RangeHi {
+                array,
+                default,
+                outer,
+                ..
+            } => [array, default].into_iter().chain(outer).collect(),
+            Instr::Return { value } => value.iter().collect(),
+        };
+        let mut out = Vec::new();
+        for s in operands.into_iter().filter_map(Operand::slot) {
+            if !out.contains(&s) {
+                out.push(s);
             }
         }
+        out
+    }
+
+    #[test]
+    fn build_read_slots_matches_per_instruction_lists() {
+        // A loop, every workload program, and each of them chunked, so every
+        // instruction kind the translator and the chunk transform emit is
+        // covered; the partitioner's Range-Filter prologues are added by a
+        // hand-built template (the partitioned workloads are checked where
+        // the partitioner is available, in the `pods` crate).
+        let sources = [
+            "def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i; } return a; }",
+            pods_workloads::PAPER_EXAMPLE,
+            pods_workloads::FILL,
+            pods_workloads::MATMUL,
+            pods_workloads::STENCIL,
+            pods_workloads::RECURRENCE,
+            pods_workloads::simple::SIMPLE,
+        ];
+        let mut programs = Vec::new();
+        for source in sources {
+            let program = crate::translate(&pods_idlang::compile(source).unwrap()).unwrap();
+            let mut chunked = program.clone();
+            crate::chunk_loop_spawns(&mut chunked, crate::ChunkPolicy::Auto, 1);
+            programs.push(program);
+            programs.push(chunked);
+        }
+        let prologue = [
+            Instr::RangeLo {
+                dst: s(3),
+                array: slot_op(0),
+                dim: 1,
+                default: slot_op(1),
+                outer: Some(slot_op(2)),
+            },
+            Instr::RangeHi {
+                dst: s(4),
+                array: slot_op(0),
+                dim: 0,
+                default: Operand::Int(7),
+                outer: Some(slot_op(0)),
+            },
+        ];
+        for program in &programs {
+            let table = build_read_slots(program);
+            assert_eq!(table.len(), program.len());
+            for template in program.templates() {
+                let reads = table.template(template.id);
+                assert_eq!(reads.len(), template.code.len());
+                for (pc, instr) in template.code.iter().enumerate() {
+                    assert_eq!(reads.at(pc), read_list(instr), "{} pc {pc}", template.name);
+                }
+            }
+        }
+        let table = ReadSlots::new(std::iter::once(&prologue[..]));
+        let reads = table.template(SpId(0));
+        assert_eq!(reads.at(0), [s(0), s(1), s(2)]);
+        assert_eq!(reads.at(1), [s(0)], "a repeated slot is listed once");
     }
 }

@@ -236,52 +236,23 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// The slots this instruction *reads* (and therefore needs present).
-    pub fn read_slots(&self) -> Vec<SlotId> {
-        let mut out = Vec::new();
-        let mut push = |op: &Operand| {
-            if let Some(s) = op.slot() {
-                if !out.contains(&s) {
-                    out.push(s);
-                }
-            }
-        };
-        match self {
-            Instr::Binary { lhs, rhs, .. } => {
-                push(lhs);
-                push(rhs);
-            }
-            Instr::Unary { src, .. } => push(src),
-            Instr::Move { src, .. } => push(src),
-            Instr::BranchIfFalse { cond, .. } => push(cond),
-            Instr::Jump { .. } => {}
-            Instr::ArrayAlloc { dims, .. } => {
-                for d in dims {
-                    push(d);
-                }
-            }
-            Instr::ArrayLoad { array, indices, .. } => {
-                push(array);
-                for i in indices {
-                    push(i);
-                }
-            }
+    /// The operands this instruction reads, in operand order: the leading
+    /// fixed operands, then the operand list (`dims`, `indices`, `args`),
+    /// then the trailing ones.
+    fn read_operands(&self) -> impl Iterator<Item = &Operand> + Clone {
+        let (head, list, tail): ([Option<&Operand>; 2], &[Operand], Option<&Operand>) = match self {
+            Instr::Binary { lhs, rhs, .. } => ([Some(lhs), Some(rhs)], &[], None),
+            Instr::Unary { src, .. } | Instr::Move { src, .. } => ([Some(src), None], &[], None),
+            Instr::BranchIfFalse { cond, .. } => ([Some(cond), None], &[], None),
+            Instr::Jump { .. } => ([None, None], &[], None),
+            Instr::ArrayAlloc { dims, .. } => ([None, None], dims, None),
+            Instr::ArrayLoad { array, indices, .. } => ([Some(array), None], indices, None),
             Instr::ArrayStore {
                 array,
                 indices,
                 value,
-            } => {
-                push(array);
-                for i in indices {
-                    push(i);
-                }
-                push(value);
-            }
-            Instr::Spawn { args, .. } => {
-                for a in args {
-                    push(a);
-                }
-            }
+            } => ([Some(array), None], indices, Some(value)),
+            Instr::Spawn { args, .. } => ([None, None], args, None),
             Instr::RangeLo {
                 array,
                 default,
@@ -293,20 +264,22 @@ impl Instr {
                 default,
                 outer,
                 ..
-            } => {
-                push(array);
-                push(default);
-                if let Some(o) = outer {
-                    push(o);
-                }
-            }
-            Instr::Return { value } => {
-                if let Some(v) = value {
-                    push(v);
-                }
-            }
-        }
-        out
+            } => ([Some(array), Some(default)], &[], outer.as_ref()),
+            Instr::Return { value } => ([value.as_ref(), None], &[], None),
+        };
+        head.into_iter().flatten().chain(list).chain(tail)
+    }
+
+    /// The slots this instruction *reads* (and therefore needs present),
+    /// each once, in operand order. Allocates nothing: a repeated slot is
+    /// recognised by scanning the operands before it.
+    pub fn reads(&self) -> impl Iterator<Item = SlotId> + '_ {
+        let operands = self.read_operands();
+        operands.clone().enumerate().filter_map(move |(k, op)| {
+            let s = op.slot()?;
+            let seen = operands.clone().take(k).any(|o| o.slot() == Some(s));
+            (!seen).then_some(s)
+        })
     }
 
     /// The slot this instruction writes, if any.
@@ -447,7 +420,7 @@ mod tests {
             lhs: Operand::Slot(SlotId(0)),
             rhs: Operand::Int(1),
         };
-        assert_eq!(i.read_slots(), vec![SlotId(0)]);
+        assert_eq!(i.reads().collect::<Vec<_>>(), vec![SlotId(0)]);
         assert_eq!(i.written_slot(), Some(SlotId(2)));
 
         let store = Instr::ArrayStore {
@@ -455,8 +428,44 @@ mod tests {
             indices: vec![Operand::Slot(SlotId(1)), Operand::Slot(SlotId(1))],
             value: Operand::Slot(SlotId(3)),
         };
-        assert_eq!(store.read_slots(), vec![SlotId(0), SlotId(1), SlotId(3)]);
+        assert_eq!(
+            store.reads().collect::<Vec<_>>(),
+            vec![SlotId(0), SlotId(1), SlotId(3)]
+        );
         assert_eq!(store.written_slot(), None);
+    }
+
+    #[test]
+    fn reads_list_each_slot_once_in_operand_order() {
+        let reads = |i: Instr| i.reads().collect::<Vec<_>>();
+        let spawn = Instr::Spawn {
+            target: SpId(1),
+            args: vec![
+                Operand::Slot(SlotId(4)),
+                Operand::Int(5),
+                Operand::Slot(SlotId(2)),
+                Operand::Slot(SlotId(4)),
+            ],
+            distributed: true,
+            ret: Some(SlotId(7)),
+        };
+        assert_eq!(reads(spawn), vec![SlotId(4), SlotId(2)]);
+        let hi = Instr::RangeHi {
+            dst: SlotId(0),
+            array: Operand::Slot(SlotId(3)),
+            dim: 1,
+            default: Operand::Float(2.5),
+            outer: Some(Operand::Slot(SlotId(3))),
+        };
+        assert_eq!(reads(hi), vec![SlotId(3)]);
+        let load = Instr::ArrayLoad {
+            dst: SlotId(1),
+            array: Operand::Slot(SlotId(6)),
+            indices: vec![Operand::Slot(SlotId(2)), Operand::Slot(SlotId(6))],
+        };
+        assert_eq!(reads(load), vec![SlotId(6), SlotId(2)]);
+        assert_eq!(reads(Instr::Return { value: None }), vec![]);
+        assert_eq!(reads(Instr::Jump { target: 0 }), vec![]);
     }
 
     #[test]
@@ -548,7 +557,10 @@ mod tests {
         };
         rl.map_slots(bump);
         assert_eq!(rl.written_slot(), Some(SlotId(10)));
-        assert_eq!(rl.read_slots(), vec![SlotId(11), SlotId(12), SlotId(13)]);
+        assert_eq!(
+            rl.reads().collect::<Vec<_>>(),
+            vec![SlotId(11), SlotId(12), SlotId(13)]
+        );
     }
 
     #[test]

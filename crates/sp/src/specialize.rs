@@ -41,9 +41,15 @@
 //! Runs never extend across a jump target: every pc reachable by a jump,
 //! branch, chunk re-entry (pc 0), or fall-through from an interpreter op is
 //! the head of a plan op, so the driver can always dispatch on `ops[pc]`.
+//!
+//! A plan is a handful of flat vectors per template, never one per
+//! instruction: the super-ops' firing lists, their fused ops and the element
+//! stores' index fetches each live in one pool of the [`TemplatePlan`],
+//! sized before the pass runs, and a [`SuperOp`] holds [`PoolRange`]s into
+//! them.
 
 use crate::instr::{Instr, Operand, SlotId};
-use crate::template::SpProgram;
+use crate::template::{SpProgram, SpTemplate};
 use pods_idlang::{BinaryOp, UnaryOp};
 use pods_istructure::Value;
 
@@ -102,25 +108,60 @@ pub enum FusedOp {
     ArrayStore {
         /// The array reference fetch.
         array: Fetch,
-        /// Element index fetches (zero-based).
-        indices: Vec<Fetch>,
+        /// Element index fetches (zero-based), in the plan's index pool
+        /// ([`TemplatePlan::indices`]).
+        indices: PoolRange,
         /// The value fetch.
         value: Fetch,
     },
 }
 
+/// A contiguous range of one of a [`TemplatePlan`]'s pools.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolRange {
+    start: u32,
+    end: u32,
+}
+
+impl PoolRange {
+    fn new(start: usize, end: usize) -> Self {
+        let index = |n: usize| u32::try_from(n).expect("plan pool exceeds u32 indices");
+        PoolRange {
+            start: index(start),
+            end: index(end),
+        }
+    }
+
+    /// Number of pool entries in the range.
+    pub fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// Returns `true` when the range is empty.
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    #[inline(always)]
+    fn of<T>(self, pool: &[T]) -> &[T] {
+        &pool[self.start as usize..self.end as usize]
+    }
+}
+
 /// A maximal straight-line run of fused instructions, executed with one
-/// firing-rule check for the whole run.
-#[derive(Debug, Clone, PartialEq)]
+/// firing-rule check for the whole run. Both fields index pools of the
+/// owning [`TemplatePlan`] ([`TemplatePlan::firing`],
+/// [`TemplatePlan::fused`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperOp {
     /// Slots that must be present before the run fires: the union of the
     /// run's read slots minus slots a strictly earlier fused instruction of
     /// the same run writes, in instruction-then-operand order — so the
     /// first missing entry is the slot the per-instruction firing rule
     /// would have blocked on.
-    pub firing: Vec<SlotId>,
+    pub firing: PoolRange,
     /// The fused instructions, in original code order.
-    pub ops: Vec<FusedOp>,
+    pub ops: PoolRange,
 }
 
 /// What the specialized driver does at one program counter.
@@ -137,14 +178,39 @@ pub enum PlanOp {
 }
 
 /// The pre-resolved execution plan of one template: one [`PlanOp`] per
-/// instruction, indexed by program counter (`ops.len() == code.len()`).
+/// instruction, indexed by program counter (`ops.len() == code.len()`),
+/// and the pools its super-ops index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TemplatePlan {
     /// The plan ops, indexed by pc.
     pub ops: Vec<PlanOp>,
+    /// Every super-op's firing list, run after run.
+    firing: Vec<SlotId>,
+    /// Every super-op's fused ops, run after run.
+    fused: Vec<FusedOp>,
+    /// Every fused element store's index fetches, store after store.
+    indices: Vec<Fetch>,
 }
 
 impl TemplatePlan {
+    /// The firing list of `sup`.
+    #[inline(always)]
+    pub fn firing(&self, sup: &SuperOp) -> &[SlotId] {
+        sup.firing.of(&self.firing)
+    }
+
+    /// The fused ops of `sup`, in code order.
+    #[inline(always)]
+    pub fn fused(&self, sup: &SuperOp) -> &[FusedOp] {
+        sup.ops.of(&self.fused)
+    }
+
+    /// The index fetches of a fused element store.
+    #[inline(always)]
+    pub fn indices(&self, range: PoolRange) -> &[Fetch] {
+        range.of(&self.indices)
+    }
+
     /// Number of super-ops (fused runs) in the plan.
     pub fn super_ops(&self) -> usize {
         self.ops
@@ -210,7 +276,14 @@ fn resolve(op: &Operand, prev_dst: Option<SlotId>, consts: &mut usize) -> Fetch 
     }
 }
 
-fn fuse(instr: &Instr, prev_dst: Option<SlotId>, consts: &mut usize) -> FusedOp {
+/// Fuses one instruction, appending an element store's index fetches to the
+/// `indices` pool.
+fn fuse(
+    instr: &Instr,
+    prev_dst: Option<SlotId>,
+    consts: &mut usize,
+    pool: &mut Vec<Fetch>,
+) -> FusedOp {
     match instr {
         Instr::Binary { op, dst, lhs, rhs } => FusedOp::Binary {
             op: *op,
@@ -231,14 +304,15 @@ fn fuse(instr: &Instr, prev_dst: Option<SlotId>, consts: &mut usize) -> FusedOp 
             array,
             indices,
             value,
-        } => FusedOp::ArrayStore {
-            array: resolve(array, prev_dst, consts),
-            indices: indices
-                .iter()
-                .map(|i| resolve(i, prev_dst, consts))
-                .collect(),
-            value: resolve(value, prev_dst, consts),
-        },
+        } => {
+            let start = pool.len();
+            pool.extend(indices.iter().map(|i| resolve(i, prev_dst, consts)));
+            FusedOp::ArrayStore {
+                array: resolve(array, prev_dst, consts),
+                indices: PoolRange::new(start, pool.len()),
+                value: resolve(value, prev_dst, consts),
+            }
+        }
         _ => unreachable!("fuse() is only called on fusible instructions"),
     }
 }
@@ -254,12 +328,24 @@ fn fuse(instr: &Instr, prev_dst: Option<SlotId>, consts: &mut usize) -> FusedOp 
 /// external reads are a handful of loop variables — still fuse whole.
 const MAX_FIRING: usize = 8;
 
+/// `true` when `slot` joins a run's firing list as this instruction's read:
+/// no earlier instruction of the run (`run`) writes it and the list does not
+/// hold it yet.
+fn is_fresh(slot: SlotId, run: &[Instr], firing: &[SlotId]) -> bool {
+    !run.iter().any(|i| i.written_slot() == Some(slot)) && !firing.contains(&slot)
+}
+
 /// Builds the plan for one instruction sequence. Returns the plan and the
-/// number of immediates fused into it.
-pub(crate) fn build_plan(code: &[Instr]) -> (TemplatePlan, usize) {
+/// number of immediates fused into it. `is_target` is scratch space, shared
+/// by the templates of a program.
+pub(crate) fn build_plan(code: &[Instr], is_target: &mut Vec<bool>) -> (TemplatePlan, usize) {
     // Every jump target must stay a plan-op head: a run absorbing one would
-    // make the target unreachable by indexed dispatch.
-    let mut is_target = vec![false; code.len() + 1];
+    // make the target unreachable by indexed dispatch. The same pass sizes
+    // the pools: every fusible instruction is fused once, with all of its
+    // store indices, and adds at most its reads to a firing list.
+    is_target.clear();
+    is_target.resize(code.len() + 1, false);
+    let (mut fusible_count, mut reads, mut store_indices) = (0, 0, 0);
     for instr in code {
         match instr {
             Instr::Jump { target } | Instr::BranchIfFalse { target, .. } => {
@@ -267,56 +353,66 @@ pub(crate) fn build_plan(code: &[Instr]) -> (TemplatePlan, usize) {
                     *t = true;
                 }
             }
+            Instr::ArrayStore { indices, .. } => store_indices += indices.len(),
             _ => {}
+        }
+        if fusible(instr) {
+            fusible_count += 1;
+            reads += instr.reads().count();
         }
     }
 
     let mut consts = 0usize;
-    let mut ops: Vec<PlanOp> = Vec::with_capacity(code.len());
+    let mut plan = TemplatePlan {
+        ops: Vec::with_capacity(code.len()),
+        firing: Vec::with_capacity(reads),
+        fused: Vec::with_capacity(fusible_count),
+        indices: Vec::with_capacity(store_indices),
+    };
     let mut pc = 0;
     while pc < code.len() {
         if !fusible(&code[pc]) {
-            ops.push(PlanOp::Interp);
+            plan.ops.push(PlanOp::Interp);
             pc += 1;
             continue;
         }
         let start = pc;
-        let mut firing: Vec<SlotId> = Vec::new();
-        let mut written: Vec<SlotId> = Vec::new();
-        let mut fused = Vec::new();
+        let (firing_start, fused_start) = (plan.firing.len(), plan.fused.len());
         let mut prev_dst: Option<SlotId> = None;
         let mut end = start;
         while end < code.len() && fusible(&code[end]) && (end == start || !is_target[end]) {
             let instr = &code[end];
-            let fresh: Vec<SlotId> = instr
-                .read_slots()
-                .into_iter()
-                .filter(|s| !written.contains(s) && !firing.contains(s))
-                .collect();
+            let run = &code[start..end];
+            let firing = &plan.firing[firing_start..];
+            let fresh = instr.reads().filter(|s| is_fresh(*s, run, firing)).count();
             // A run's firing list is bounded: absorbing this instruction
             // must not push it past MAX_FIRING (the head instruction always
             // joins — a one-op run can't be subdivided further).
-            if !fused.is_empty() && firing.len() + fresh.len() > MAX_FIRING {
+            if end > start && firing.len() + fresh > MAX_FIRING {
                 break;
             }
-            firing.extend(fresh);
-            fused.push(fuse(instr, prev_dst, &mut consts));
-            if let Some(d) = instr.written_slot() {
-                if !written.contains(&d) {
-                    written.push(d);
+            for s in instr.reads() {
+                if is_fresh(s, run, &plan.firing[firing_start..]) {
+                    plan.firing.push(s);
                 }
             }
+            let op = fuse(instr, prev_dst, &mut consts, &mut plan.indices);
+            plan.fused.push(op);
             prev_dst = instr.written_slot();
             end += 1;
         }
-        ops.push(PlanOp::Super(SuperOp { firing, ops: fused }));
+        plan.ops.push(PlanOp::Super(SuperOp {
+            firing: PoolRange::new(firing_start, plan.firing.len()),
+            ops: PoolRange::new(fused_start, plan.fused.len()),
+        }));
         // Interior pcs of the run are unreachable (no jump lands there and
         // the run is executed whole); give them interpreter entries so even
         // an unexpected resume stays semantically correct.
-        ops.extend(std::iter::repeat_with(|| PlanOp::Interp).take(end - start - 1));
+        plan.ops
+            .extend(std::iter::repeat_with(|| PlanOp::Interp).take(end - start - 1));
         pc = end;
     }
-    (TemplatePlan { ops }, consts)
+    (plan, consts)
 }
 
 /// Specializes every template of a (partitioned) program in place,
@@ -325,8 +421,10 @@ pub(crate) fn build_plan(code: &[Instr]) -> (TemplatePlan, usize) {
 /// stream, so Range-Filter prologues and chunk rewrites are already in it.
 pub fn specialize_program(program: &mut SpProgram) -> SpecializeSummary {
     let mut summary = SpecializeSummary::default();
+    let longest = program.templates().iter().map(SpTemplate::len).max();
+    let mut is_target = Vec::with_capacity(longest.unwrap_or(0) + 1);
     for t in program.templates_mut() {
-        let (plan, consts) = build_plan(&t.code);
+        let (plan, consts) = build_plan(&t.code, &mut is_target);
         let supers = plan.super_ops();
         if supers > 0 {
             summary.specialized_templates += 1;
@@ -344,7 +442,7 @@ mod tests {
     use crate::template::slot;
 
     fn plan_of(code: Vec<Instr>) -> TemplatePlan {
-        build_plan(&code).0
+        build_plan(&code, &mut Vec::new()).0
     }
 
     #[test]
@@ -370,7 +468,7 @@ mod tests {
                 value: slot(4),
             },
         ];
-        let (plan, consts) = build_plan(&code);
+        let (plan, consts) = build_plan(&code, &mut Vec::new());
         assert_eq!(plan.ops.len(), 3);
         assert_eq!(plan.super_ops(), 1);
         assert_eq!(consts, 1, "the literal 2 is fused");
@@ -380,7 +478,7 @@ mod tests {
         assert_eq!(s.ops.len(), 3);
         // s3 and s4 are written before they are read; s0, s1, s2 must be
         // present at fire time — in interpreter discovery order.
-        assert_eq!(s.firing, vec![SlotId(0), SlotId(1), SlotId(2)]);
+        assert_eq!(plan.firing(s), [SlotId(0), SlotId(1), SlotId(2)]);
         assert!(matches!(plan.ops[1], PlanOp::Interp));
         assert!(matches!(plan.ops[2], PlanOp::Interp));
     }
@@ -472,7 +570,7 @@ mod tests {
         let PlanOp::Super(s) = &plan.ops[0] else {
             panic!("expected a super-op")
         };
-        assert_eq!(s.firing, vec![SlotId(0)]);
+        assert_eq!(plan.firing(s), [SlotId(0)]);
     }
 
     #[test]
@@ -508,8 +606,9 @@ mod tests {
         let PlanOp::Super(s) = &plan.ops[0] else {
             panic!("expected a super-op")
         };
+        let fused = plan.fused(s);
         assert_eq!(
-            s.ops[1],
+            fused[1],
             FusedOp::Binary {
                 op: BinaryOp::Mul,
                 dst: SlotId(2),
@@ -518,11 +617,11 @@ mod tests {
             },
             "both reads of the just-written s1 chain"
         );
-        let FusedOp::ArrayStore { value, .. } = &s.ops[2] else {
+        let FusedOp::ArrayStore { value, .. } = &fused[2] else {
             panic!("expected the store")
         };
         assert_eq!(*value, Fetch::Prev, "the stored value chains from the Mul");
-        let FusedOp::Move { src, .. } = &s.ops[3] else {
+        let FusedOp::Move { src, .. } = &fused[3] else {
             panic!("expected the move")
         };
         assert_eq!(
@@ -558,12 +657,46 @@ mod tests {
                 assert!(
                     s.firing.len() <= MAX_FIRING,
                     "firing list exceeds the cap: {:?}",
-                    s.firing
+                    plan.firing(s)
                 );
                 covered += s.ops.len();
             }
         }
         assert_eq!(covered, 25, "every instruction still lives in some run");
+    }
+
+    #[test]
+    fn pools_are_sized_before_the_pass_and_never_grow() {
+        // Every fusible instruction of SIMPLE lands in the fused-op pool
+        // once, with its store indices, and the pools were allocated at
+        // their final size (a growth reallocation would leave spare
+        // capacity behind in the exact-sized pools).
+        let hir = pods_idlang::compile(pods_workloads::simple::SIMPLE).unwrap();
+        let program = crate::translate(&hir).unwrap();
+        let mut scratch = Vec::new();
+        for t in program.templates() {
+            let (plan, _) = build_plan(&t.code, &mut scratch);
+            let fusible_count = t.code.iter().filter(|i| fusible(i)).count();
+            assert_eq!(plan.ops.len(), t.code.len());
+            assert_eq!(plan.ops.capacity(), t.code.len(), "{}", t.name);
+            assert_eq!(plan.fused.len(), fusible_count, "{}", t.name);
+            assert_eq!(plan.fused.capacity(), fusible_count, "{}", t.name);
+            assert_eq!(plan.indices.len(), plan.indices.capacity(), "{}", t.name);
+            assert!(plan.firing.len() <= plan.firing.capacity());
+            for (pc, op) in plan.ops.iter().enumerate() {
+                let PlanOp::Super(sup) = op else { continue };
+                let run = &t.code[pc..pc + sup.ops.len()];
+                for (instr, fused) in run.iter().zip(plan.fused(sup)) {
+                    if let (
+                        Instr::ArrayStore { indices, .. },
+                        FusedOp::ArrayStore { indices: range, .. },
+                    ) = (instr, fused)
+                    {
+                        assert_eq!(plan.indices(*range).len(), indices.len());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

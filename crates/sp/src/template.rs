@@ -189,7 +189,7 @@ impl SpTemplate {
             ));
         }
         for (pc, instr) in self.code.iter().enumerate() {
-            for slot in instr.read_slots() {
+            for slot in instr.reads() {
                 if slot.index() >= self.num_slots {
                     problems.push(format!("{}@{pc}: reads out-of-range {slot}", self.name));
                 }

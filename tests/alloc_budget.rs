@@ -4,11 +4,15 @@
 //! The cold path — `compile`, then a prepare miss — may call the allocator
 //! **per distinct name** of the source (the lexer interns each identifier
 //! once; every later stage copies pointers to it), **per template** (its
-//! name, parameter and slot tables, code, plan and read-slot table) and
-//! **per instruction** (operand lists, super-ops), but never per *use* of a
-//! name. A prepare hit and a clone of a compiled program make no call at
-//! all: the compiled stages sit behind one shared pointer, and the
-//! dataflow graph is built only when asked for.
+//! name, parameter and slot tables, code, and its plan's op table and
+//! pools) and **per program** (the read-slot table, one flat table for all
+//! templates), and **per instruction** only for an instruction's operand
+//! lists (`dims`, `indices`, `args`) — never for a super-op, a firing list
+//! or a read-slot list, and never per *use* of a name. The parser pulls
+//! its tokens from the lexer, two at a time, so no token vector is built.
+//! A prepare hit and a clone of a compiled program make no call at all:
+//! the compiled stages sit behind one shared pointer, and the dataflow
+//! graph is built only when asked for.
 //!
 //! A warm job on a pooled engine may call the allocator **per job** (its
 //! ticket, its job record, the outcome's vector of snapshots and one values
@@ -153,13 +157,16 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
     // identifiers as owned strings, the compiled program was cloned deep
     // into the prepared one and the dataflow graph was built eagerly,
     // SIMPLE took 10,257 calls to compile, 6,712 to prepare and 3,530 to
-    // clone (now 2,808, 1,925 and 0); FILL took 343, 285 and 136 (now 136,
-    // 104 and 0).
+    // clone; FILL took 343, 285 and 136. While a prepare miss built one
+    // read-slot vector per instruction and a plan kept two growing vectors
+    // per super-op, SIMPLE took 2,808 and 1,925, FILL 136 and 104. Now
+    // SIMPLE takes 2,797 and 456, FILL 131 and 43, and both make 0 to hit
+    // or clone.
     let runtime = Runtime::builder(EngineKind::Native).workers(1).build();
     compile(pods_workloads::FILL).expect("FILL compiles");
     for (name, source, compile_budget, miss_budget) in [
-        ("SIMPLE", pods_workloads::simple::SIMPLE, 2950, 2020),
-        ("FILL", pods_workloads::FILL, 143, 110),
+        ("SIMPLE", pods_workloads::simple::SIMPLE, 2930, 478),
+        ("FILL", pods_workloads::FILL, 137, 45),
     ] {
         let (compiled, program) = counted(|| compile(source).expect("compiles"));
         let (missed, pinned) = counted(|| runtime.prepare(&program));
@@ -181,6 +188,31 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
         assert!(
             missed <= miss_budget,
             "{name}: a prepare miss made {missed} allocator calls (budget {miss_budget})"
+        );
+    }
+
+    // A prepare miss of every workload program, per template of the
+    // program: 11.8 (PAPER_EXAMPLE) to 17.0 (RECURRENCE) calls, most of
+    // them the copy of the compiled SP program the prepared one starts
+    // from. While a prepare miss allocated per instruction it was 24.5 to
+    // 66.3 (SIMPLE: 1,924 calls for 29 templates).
+    for (name, source) in [
+        ("PAPER_EXAMPLE", pods_workloads::PAPER_EXAMPLE),
+        ("FILL", pods_workloads::FILL),
+        ("MATMUL", pods_workloads::MATMUL),
+        ("STENCIL", pods_workloads::STENCIL),
+        ("RECURRENCE", pods_workloads::RECURRENCE),
+        ("SIMPLE", pods_workloads::simple::SIMPLE),
+    ] {
+        let program = compile(source).expect("compiles");
+        let templates = program.sp_program().len();
+        let (missed, _) = counted(|| runtime.prepare(&program));
+        let per_template = missed as f64 / templates as f64;
+        eprintln!("{name}: prepare miss {missed} allocs for {templates} templates");
+        assert!(
+            per_template <= 17.8,
+            "{name}: a prepare miss made {missed} allocator calls for {templates} templates \
+             ({per_template:.2} per template, budget 17.8)"
         );
     }
     drop(runtime);
@@ -288,6 +320,46 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
         assert!(
             counts.iter().all(|&allocs| allocs == 4),
             "{kind}: a rotated FILL job must reuse its spare array whatever its n: {counts:?}"
+        );
+    }
+
+    // Bursts of 16 FILL jobs (n=8) on one worker, submitted together as
+    // the benchmark's `tiny_burst` submits them: all but the first few wait
+    // in the admission queue, which copies their arguments. After one
+    // warm-up round every copy goes into an argument vector an earlier
+    // queued job left spare, so a burst makes 4 calls per job (ticket, job
+    // record, snapshot vector, values) plus 5 per burst, however many of
+    // its jobs queued. While each queued job copied its arguments into a
+    // vector of its own, a burst made one call more per queued job: 84, as
+    // 15 of the 16 jobs queued. A round may pay more than the floor once:
+    // when more of its jobs queue than ever before (new spare vectors, a
+    // longer queue), or when the dispatcher submits a job before the
+    // previous job's worker has let go of its store, so that the job
+    // builds a store of its own. So the floor is read as the least of five
+    // rounds.
+    for kind in [EngineKind::Native, EngineKind::AsyncCoop] {
+        let runtime = Runtime::builder(kind).workers(1).build();
+        let pinned = runtime.prepare(&fill);
+        let burst = || {
+            counted(|| {
+                let handles: Vec<_> = (0..16)
+                    .map(|_| runtime.submit(&pinned, &[Value::Int(8)]).expect("admitted"))
+                    .collect();
+                for handle in handles {
+                    handle.wait().expect("job succeeds");
+                }
+            })
+            .0
+        };
+        burst();
+        let rounds: Vec<u64> = (0..5).map(|_| burst()).collect();
+        eprintln!(
+            "{kind}: 16-job bursts on one worker after a warm-up round: {rounds:?} allocator calls"
+        );
+        assert_eq!(
+            rounds.iter().min(),
+            Some(&69),
+            "{kind}: a queued job's arguments must reuse a spare vector: {rounds:?}"
         );
     }
 
