@@ -12,6 +12,7 @@
 
 use crate::graph::{BlockId, BlockKind, DataflowProgram, NodeId};
 use crate::op::{Literal, Operator};
+use pods_idlang::hir::collect_free_vars_stmts;
 use pods_idlang::{HirExpr, HirFunction, HirProgram, HirStmt, Name};
 use std::collections::HashMap;
 
@@ -319,89 +320,6 @@ impl BlockBuilder<'_> {
                 let t = self.build_expr(then_value);
                 let e = self.build_expr(else_value);
                 self.add(Operator::Merge, vec![switch, t, e])
-            }
-        }
-    }
-}
-
-/// Collects the free variable names of a statement list (variables referenced
-/// before being defined inside the list).
-pub fn collect_free_vars_stmts(stmts: &[HirStmt], out: &mut Vec<Name>) {
-    let mut defined: Vec<Name> = Vec::new();
-    collect(stmts, &mut defined, out);
-
-    fn note_expr(expr: &HirExpr, defined: &[Name], out: &mut Vec<Name>) {
-        let mut vars = Vec::new();
-        expr.free_vars(&mut vars);
-        for v in vars {
-            if !defined.contains(&v) && !out.contains(&v) {
-                out.push(v);
-            }
-        }
-    }
-
-    fn collect(stmts: &[HirStmt], defined: &mut Vec<Name>, out: &mut Vec<Name>) {
-        for stmt in stmts {
-            match stmt {
-                HirStmt::Let { name, value } => {
-                    note_expr(value, defined, out);
-                    defined.push(name.clone());
-                }
-                HirStmt::Alloc { name, dims } => {
-                    for d in dims {
-                        note_expr(d, defined, out);
-                    }
-                    defined.push(name.clone());
-                }
-                HirStmt::Store {
-                    array,
-                    indices,
-                    value,
-                } => {
-                    if !defined.contains(array) && !out.contains(array) {
-                        out.push(array.clone());
-                    }
-                    for idx in indices {
-                        note_expr(idx, defined, out);
-                    }
-                    note_expr(value, defined, out);
-                }
-                HirStmt::For {
-                    var,
-                    from,
-                    to,
-                    body,
-                    ..
-                } => {
-                    note_expr(from, defined, out);
-                    note_expr(to, defined, out);
-                    let mut inner_defined = defined.clone();
-                    inner_defined.push(var.clone());
-                    collect(body, &mut inner_defined, out);
-                }
-                HirStmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    note_expr(cond, defined, out);
-                    let mut then_defined = defined.clone();
-                    collect(then_body, &mut then_defined, out);
-                    let mut else_defined = defined.clone();
-                    collect(else_body, &mut else_defined, out);
-                    // Names defined in both arms are defined afterwards.
-                    for name in then_defined {
-                        if else_defined.contains(&name) && !defined.contains(&name) {
-                            defined.push(name);
-                        }
-                    }
-                }
-                HirStmt::Return { value } => note_expr(value, defined, out),
-                HirStmt::Call { args, .. } => {
-                    for a in args {
-                        note_expr(a, defined, out);
-                    }
-                }
             }
         }
     }

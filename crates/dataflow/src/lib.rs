@@ -35,7 +35,7 @@ pub mod graph;
 pub mod op;
 
 pub use analysis::{analyze_loops, find_loop, LoopInfo, LoopKey, WriteAccess};
-pub use build::{build_program, collect_free_vars_stmts};
+pub use build::build_program;
 pub use dot::to_dot;
 pub use graph::{BlockId, BlockKind, CodeBlock, DataflowProgram, GraphStats, Node, NodeId};
 pub use op::{Literal, Operator};

@@ -300,41 +300,126 @@ pub enum HirExpr {
 }
 
 impl HirExpr {
-    /// Collects the names of variables referenced by this expression.
+    /// Collects the names of variables referenced by this expression, each
+    /// once, in order of first use.
     pub fn free_vars(&self, out: &mut Vec<Name>) {
-        match self {
-            HirExpr::Int(_) | HirExpr::Float(_) | HirExpr::Bool(_) => {}
-            HirExpr::Var(name) => {
-                if !out.contains(name) {
-                    out.push(name.clone());
-                }
+        note_expr(self, &[], out);
+    }
+}
+
+/// Collects the free variable names of a statement list: the variables it
+/// references before defining them, each once, in order of first use.
+///
+/// One scratch list of the names defined so far serves the whole walk: a
+/// loop body's definitions are dropped by truncating the list back to the
+/// loop's mark, and an expression's variables are checked as they are met.
+pub fn collect_free_vars_stmts(stmts: &[HirStmt], out: &mut Vec<Name>) {
+    let mut defined = Vec::new();
+    note_stmts(stmts, &mut defined, out);
+}
+
+/// Notes `name` as free unless it is defined or already noted.
+fn note(name: &Name, defined: &[Name], out: &mut Vec<Name>) {
+    if !defined.contains(name) && !out.contains(name) {
+        out.push(name.clone());
+    }
+}
+
+fn note_expr(expr: &HirExpr, defined: &[Name], out: &mut Vec<Name>) {
+    match expr {
+        HirExpr::Int(_) | HirExpr::Float(_) | HirExpr::Bool(_) => {}
+        HirExpr::Var(name) => note(name, defined, out),
+        HirExpr::Load { array, indices } => {
+            note(array, defined, out);
+            for idx in indices {
+                note_expr(idx, defined, out);
             }
-            HirExpr::Load { array, indices } => {
-                if !out.contains(array) {
-                    out.push(array.clone());
-                }
-                for idx in indices {
-                    idx.free_vars(out);
-                }
+        }
+        HirExpr::Unary { operand, .. } => note_expr(operand, defined, out),
+        HirExpr::Binary { lhs, rhs, .. } => {
+            note_expr(lhs, defined, out);
+            note_expr(rhs, defined, out);
+        }
+        HirExpr::Call { args, .. } => {
+            for a in args {
+                note_expr(a, defined, out);
             }
-            HirExpr::Unary { operand, .. } => operand.free_vars(out),
-            HirExpr::Binary { lhs, rhs, .. } => {
-                lhs.free_vars(out);
-                rhs.free_vars(out);
+        }
+        HirExpr::Select {
+            cond,
+            then_value,
+            else_value,
+        } => {
+            note_expr(cond, defined, out);
+            note_expr(then_value, defined, out);
+            note_expr(else_value, defined, out);
+        }
+    }
+}
+
+fn note_stmts(stmts: &[HirStmt], defined: &mut Vec<Name>, out: &mut Vec<Name>) {
+    for stmt in stmts {
+        match stmt {
+            HirStmt::Let { name, value } => {
+                note_expr(value, defined, out);
+                defined.push(name.clone());
             }
-            HirExpr::Call { args, .. } => {
-                for a in args {
-                    a.free_vars(out);
+            HirStmt::Alloc { name, dims } => {
+                for d in dims {
+                    note_expr(d, defined, out);
                 }
+                defined.push(name.clone());
             }
-            HirExpr::Select {
-                cond,
-                then_value,
-                else_value,
+            HirStmt::Store {
+                array,
+                indices,
+                value,
             } => {
-                cond.free_vars(out);
-                then_value.free_vars(out);
-                else_value.free_vars(out);
+                note(array, defined, out);
+                for idx in indices {
+                    note_expr(idx, defined, out);
+                }
+                note_expr(value, defined, out);
+            }
+            HirStmt::For {
+                var,
+                from,
+                to,
+                body,
+                ..
+            } => {
+                note_expr(from, defined, out);
+                note_expr(to, defined, out);
+                let mark = defined.len();
+                defined.push(var.clone());
+                note_stmts(body, defined, out);
+                defined.truncate(mark);
+            }
+            HirStmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                note_expr(cond, defined, out);
+                let mark = defined.len();
+                note_stmts(then_body, defined, out);
+                let then_defined: Vec<Name> = defined.drain(mark..).collect();
+                note_stmts(else_body, defined, out);
+                // Names defined in both arms are defined afterwards.
+                let mut kept = mark;
+                for at in mark..defined.len() {
+                    if then_defined.contains(&defined[at]) {
+                        defined.swap(kept, at);
+                        kept += 1;
+                    }
+                }
+                defined.truncate(kept);
+            }
+            HirStmt::Return { value } => note_expr(value, defined, out),
+            HirStmt::Call { args, .. } => {
+                for a in args {
+                    note_expr(a, defined, out);
+                }
             }
         }
     }
@@ -590,6 +675,23 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn free_vars_of_statements_respect_loop_and_branch_scopes() {
+        let hir = lower_src(
+            "def main(n, a, b) {
+                 for i = 0 to n { t = i; a[i] = t; }
+                 for j = 0 to n { b[j] = t + i; }
+                 if n > 0 { x = 1; y = 2; } else { y = 3; z = 4; }
+                 return y + x + z + n;
+             }",
+        );
+        let mut free = Vec::new();
+        collect_free_vars_stmts(&hir.function("main").unwrap().body, &mut free);
+        // `i` and `t` are defined only inside the first loop, `y` in both
+        // arms of the branch, `x` and `z` in one arm each.
+        assert_eq!(free, ["n", "a", "b", "t", "i", "x", "z"]);
     }
 
     #[test]

@@ -26,6 +26,33 @@ impl Name {
         Name(Arc::from(text))
     }
 
+    /// A new name holding the formatted text of `args`, with one
+    /// allocation: the text is formatted on the stack first, and only a
+    /// name longer than [`Name::INLINE`] bytes goes through a `String`.
+    ///
+    /// ```
+    /// # use pods_idlang::Name;
+    /// let var = Name::from("i");
+    /// assert_eq!(Name::from_fmt(format_args!("{var}__limit")), "i__limit");
+    /// ```
+    pub fn from_fmt(args: fmt::Arguments<'_>) -> Self {
+        let mut text = StackText {
+            bytes: [0; Self::INLINE],
+            len: 0,
+            spilled: None,
+        };
+        fmt::Write::write_fmt(&mut text, args).expect("formatting a name cannot fail");
+        match text.spilled {
+            Some(spilled) => Name::from(spilled),
+            None => {
+                Name::new(std::str::from_utf8(&text.bytes[..text.len]).expect("whole `str` pieces"))
+            }
+        }
+    }
+
+    /// How long a name [`Name::from_fmt`] formats on the stack may be.
+    pub const INLINE: usize = 64;
+
     /// The name's text.
     pub fn as_str(&self) -> &str {
         &self.0
@@ -118,6 +145,33 @@ impl PartialEq<Name> for &str {
     }
 }
 
+/// The text of [`Name::from_fmt`]: on the stack while it fits, in a
+/// `String` once it does not.
+struct StackText {
+    bytes: [u8; Name::INLINE],
+    len: usize,
+    spilled: Option<String>,
+}
+
+impl fmt::Write for StackText {
+    fn write_str(&mut self, piece: &str) -> fmt::Result {
+        if let Some(spilled) = &mut self.spilled {
+            spilled.push_str(piece);
+        } else if let Some(room) = self.bytes.get_mut(self.len..self.len + piece.len()) {
+            room.copy_from_slice(piece.as_bytes());
+            self.len += piece.len();
+        } else {
+            let mut spilled = String::with_capacity(self.len + piece.len());
+            spilled.push_str(
+                std::str::from_utf8(&self.bytes[..self.len]).expect("whole `str` pieces"),
+            );
+            spilled.push_str(piece);
+            self.spilled = Some(spilled);
+        }
+        Ok(())
+    }
+}
+
 /// Hands out one shared [`Name`] per distinct text: the first request for a
 /// text allocates it, every later one clones the pointer.
 #[derive(Debug, Default)]
@@ -194,6 +248,21 @@ mod tests {
         assert!(Arc::ptr_eq(a.as_arc(), b.as_arc()));
         assert!(!Arc::ptr_eq(a.as_arc(), c.as_arc()));
         assert_eq!(Arc::strong_count(a.as_arc()), 3, "the interner holds one");
+    }
+
+    #[test]
+    fn formatted_names_match_format_on_and_off_the_stack() {
+        let var = Name::from("rho");
+        assert_eq!(Name::from_fmt(format_args!("{var}__init")), "rho__init");
+        assert_eq!(Name::from_fmt(format_args!("%t{}", 17)), "%t17");
+        assert_eq!(Name::from_fmt(format_args!("")), "");
+        let long = "x".repeat(Name::INLINE - 2);
+        for tail in ["ab", "abc"] {
+            let name = Name::from_fmt(format_args!("{long}{tail}"));
+            assert_eq!(name, format!("{long}{tail}"));
+        }
+        let name = Name::from_fmt(format_args!("{long}.{long}.{var}"));
+        assert_eq!(name, format!("{long}.{long}.{var}"));
     }
 
     #[test]

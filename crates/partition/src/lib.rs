@@ -219,7 +219,10 @@ fn partition_unchunked(
     loops: &[LoopInfo],
     config: &PartitionConfig,
 ) -> PartitionReport {
-    let mut report = PartitionReport::default();
+    let mut report = PartitionReport {
+        loops: Vec::with_capacity(loops.len()),
+        ..PartitionReport::default()
+    };
 
     if config.distribute_allocations {
         for template in program.templates_mut() {
@@ -455,8 +458,8 @@ fn insert_range_filter(
     };
 
     let base = slot_base_name(template);
-    let rf_lo = template.add_slot(format!("{base}__rf_lo"));
-    let rf_hi = template.add_slot(format!("{base}__rf_hi"));
+    let rf_lo = template.add_slot(Name::from_fmt(format_args!("{base}__rf_lo")));
+    let rf_hi = template.add_slot(Name::from_fmt(format_args!("{base}__rf_hi")));
 
     // Ascending loops: index starts at max(init, range_start) and runs to
     // min(limit, range_end). Descending loops swap the roles (§4.2.2).
@@ -495,7 +498,7 @@ fn insert_range_filter(
             },
         )
     };
-    template.insert_prologue(vec![init_rf, limit_rf]);
+    template.insert_prologue([init_rf, limit_rf]);
 
     // Re-read the (shifted) metadata and point the initialisation moves at
     // the filtered bounds.

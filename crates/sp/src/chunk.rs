@@ -344,7 +344,11 @@ fn rewrite_parent(program: &mut SpProgram, site: &Site) {
         *rhs = Operand::Int(site.chunk as i64);
     }
     if let Instr::Spawn { args, .. } = &mut parent.code[site.spawn_pc] {
-        args.push(Operand::Slot(limit_slot));
+        *args = args
+            .iter()
+            .copied()
+            .chain([Operand::Slot(limit_slot)])
+            .collect();
     }
 }
 
@@ -373,12 +377,12 @@ fn rewrite_child(program: &mut SpProgram, site: &Site) {
         SpKind::Loop { var, .. } => var.clone(),
         SpKind::Function { name } => name.clone(),
     };
-    let limit = Name::from(format!("{var}__chunk_limit"));
+    let limit = Name::from_fmt(format_args!("{var}__chunk_limit"));
     child.params.push(limit.clone());
     child.slot_names.insert(p, limit);
     child
         .slot_names
-        .insert(p + 1, format!("{var}__chunk_taken").into());
+        .insert(p + 1, Name::from_fmt(format_args!("{var}__chunk_taken")));
     child.num_slots += 2;
     child.chunk_meta = Some(ChunkMeta {
         cursor: SlotId(site.cursor_pos),

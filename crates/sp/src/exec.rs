@@ -1504,7 +1504,7 @@ mod tests {
                 instr: || Instr::ArrayAlloc {
                     dst: s(1),
                     name: "a".into(),
-                    dims: vec![slot_op(0), Operand::Int(2)],
+                    dims: [slot_op(0), Operand::Int(2)].into(),
                     distributed: true,
                 },
                 check: |n, _, ctx| {
@@ -1523,7 +1523,7 @@ mod tests {
                 instr: || Instr::ArrayLoad {
                     dst: s(2),
                     array: slot_op(0),
-                    indices: vec![slot_op(1)],
+                    indices: [slot_op(1)].into(),
                 },
                 check: |n, step, ctx| {
                     assert_eq!(step, Step::Next, "{n}");
@@ -1544,7 +1544,7 @@ mod tests {
                 instr: || Instr::ArrayLoad {
                     dst: s(1),
                     array: slot_op(0),
-                    indices: vec![Operand::Int(3)],
+                    indices: [Operand::Int(3)].into(),
                 },
                 check: |n, step, ctx| {
                     assert_eq!(step, Step::Next, "{n}: split-phase loads keep running");
@@ -1557,7 +1557,7 @@ mod tests {
                 ctx: || TestCtx::new(2).with_array(0, &[4], 8),
                 instr: || Instr::ArrayStore {
                     array: slot_op(0),
-                    indices: vec![Operand::Int(1)],
+                    indices: [Operand::Int(1)].into(),
                     value: Operand::Int(5),
                 },
                 check: |n, _, ctx| assert_eq!(ctx.arrays[0].1[1], Some(Value::Int(5)), "{n}"),
@@ -1569,7 +1569,7 @@ mod tests {
                 ctx: || TestCtx::new(2).with_array(0, &[2, 2, 2, 2, 3], 8),
                 instr: || Instr::ArrayStore {
                     array: slot_op(0),
-                    indices: [1, 0, 1, 1, 2].map(Operand::Int).to_vec(),
+                    indices: [1, 0, 1, 1, 2].map(Operand::Int).into(),
                     value: Operand::Int(5),
                 },
                 check: |n, _, ctx| {
@@ -1587,7 +1587,7 @@ mod tests {
                 },
                 instr: || Instr::Spawn {
                     target: SpId(3),
-                    args: vec![slot_op(0)],
+                    args: [slot_op(0)].into(),
                     distributed: false,
                     ret: Some(s(1)),
                 },
@@ -1605,7 +1605,7 @@ mod tests {
                 ctx: || TestCtx::new(2).with_pes(1, 3).with_slot(0, Value::Int(4)),
                 instr: || Instr::Spawn {
                     target: SpId(2),
-                    args: vec![slot_op(0)],
+                    args: [slot_op(0)].into(),
                     distributed: true,
                     ret: Some(s(1)),
                 },
@@ -1768,7 +1768,7 @@ mod tests {
                 instr: || Instr::ArrayAlloc {
                     dst: s(0),
                     name: "z".into(),
-                    dims: vec![Operand::Int(0)],
+                    dims: [Operand::Int(0)].into(),
                     distributed: false,
                 },
                 msg: "zero dimension",
@@ -1779,7 +1779,7 @@ mod tests {
                 instr: || Instr::ArrayAlloc {
                     dst: s(0),
                     name: "z".into(),
-                    dims: vec![Operand::Int(-3)],
+                    dims: [Operand::Int(-3)].into(),
                     distributed: false,
                 },
                 msg: "zero dimension",
@@ -1790,7 +1790,7 @@ mod tests {
                 instr: || Instr::ArrayLoad {
                     dst: s(1),
                     array: slot_op(0),
-                    indices: vec![Operand::Int(9)],
+                    indices: [Operand::Int(9)].into(),
                 },
                 msg: "index [9] out of bounds for 4 array `t`",
             },
@@ -1800,7 +1800,7 @@ mod tests {
                 instr: || Instr::ArrayLoad {
                     dst: s(1),
                     array: slot_op(0),
-                    indices: [1, 0, 1, 1, 3].map(Operand::Int).to_vec(),
+                    indices: [1, 0, 1, 1, 3].map(Operand::Int).into(),
                 },
                 msg: "index [1, 0, 1, 1, 3] out of bounds for 2x2x2x2x3 array `t`",
             },
@@ -1814,7 +1814,7 @@ mod tests {
                 instr: || Instr::ArrayLoad {
                     dst: s(1),
                     array: slot_op(0),
-                    indices: vec![slot_op(1)],
+                    indices: [slot_op(1)].into(),
                 },
                 msg: "out of bounds",
             },
@@ -1827,7 +1827,7 @@ mod tests {
                 },
                 instr: || Instr::ArrayStore {
                     array: slot_op(0),
-                    indices: vec![Operand::Int(1)],
+                    indices: [Operand::Int(1)].into(),
                     value: Operand::Int(2),
                 },
                 msg: "single-assignment",
@@ -1838,7 +1838,7 @@ mod tests {
                 instr: || Instr::ArrayLoad {
                     dst: s(1),
                     array: slot_op(0),
-                    indices: vec![Operand::Int(0)],
+                    indices: [Operand::Int(0)].into(),
                 },
                 msg: "expected an array reference",
             },
@@ -1926,7 +1926,7 @@ mod tests {
             Instr::ArrayLoad {
                 dst: s(1),
                 array: slot_op(0),
-                indices: vec![Operand::Int(0)],
+                indices: [Operand::Int(0)].into(),
             },
             Instr::Move {
                 dst: s(3),
@@ -1994,7 +1994,7 @@ mod tests {
             },
             Instr::ArrayStore {
                 array: slot_op(0),
-                indices: vec![slot_op(1)],
+                indices: [slot_op(1)].into(),
                 value: slot_op(4),
             },
             Instr::Return { value: None },
@@ -2147,7 +2147,7 @@ mod tests {
             },
             Instr::ArrayStore {
                 array: slot_op(0),
-                indices: vec![Operand::Int(0)],
+                indices: [Operand::Int(0)].into(),
                 value: slot_op(4),
             },
             Instr::Binary {
@@ -2269,14 +2269,14 @@ mod tests {
             Instr::Jump { .. } => vec![],
             Instr::ArrayAlloc { dims, .. } => dims.iter().collect(),
             Instr::ArrayLoad { array, indices, .. } => {
-                std::iter::once(array).chain(indices).collect()
+                std::iter::once(array).chain(indices.iter()).collect()
             }
             Instr::ArrayStore {
                 array,
                 indices,
                 value,
             } => std::iter::once(array)
-                .chain(indices)
+                .chain(indices.iter())
                 .chain(std::iter::once(value))
                 .collect(),
             Instr::Spawn { args, .. } => args.iter().collect(),

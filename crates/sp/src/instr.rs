@@ -159,8 +159,9 @@ pub enum Instr {
         /// Source-level array name (diagnostics and headers). Shared, so
         /// every array the instruction allocates reuses the one copy.
         name: Arc<str>,
-        /// Dimension extents.
-        dims: Vec<Operand>,
+        /// Dimension extents. Shared, like every operand list, so a copy of
+        /// the instruction copies a pointer.
+        dims: Arc<[Operand]>,
         /// `true` once the partitioner converted this into the distributing
         /// allocate operator.
         distributed: bool,
@@ -175,14 +176,14 @@ pub enum Instr {
         /// The array reference operand.
         array: Operand,
         /// Element indices (zero-based).
-        indices: Vec<Operand>,
+        indices: Arc<[Operand]>,
     },
     /// I-structure element write.
     ArrayStore {
         /// The array reference operand.
         array: Operand,
         /// Element indices (zero-based).
-        indices: Vec<Operand>,
+        indices: Arc<[Operand]>,
         /// The value to store.
         value: Operand,
     },
@@ -192,7 +193,7 @@ pub enum Instr {
         /// The template to instantiate.
         target: SpId,
         /// Argument operands copied into the child's parameter slots.
-        args: Vec<Operand>,
+        args: Arc<[Operand]>,
         /// `true` for the distributing `LD` form.
         distributed: bool,
         /// Slot of *this* frame that receives the child's return value, for
@@ -310,11 +311,17 @@ impl Instr {
 
     /// Rewrites every slot reference — destinations, operands, and return
     /// slots — with the provided function. Used by the chunking transform
-    /// when it inserts slots into the middle of a frame layout.
+    /// when it inserts slots into the middle of a frame layout. A shared
+    /// operand list is copied only when one of its slots changes.
     pub fn map_slots(&mut self, f: impl Fn(SlotId) -> SlotId) {
         let map_op = |op: &mut Operand| {
             if let Operand::Slot(s) = op {
                 *s = f(*s);
+            }
+        };
+        let map_list = |list: &mut Arc<[Operand]>| {
+            if list.iter().any(|op| op.slot().is_some_and(|s| f(s) != s)) {
+                Arc::make_mut(list).iter_mut().for_each(map_op);
             }
         };
         match self {
@@ -335,9 +342,7 @@ impl Instr {
             Instr::Jump { .. } => {}
             Instr::ArrayAlloc { dst, dims, .. } => {
                 *dst = f(*dst);
-                for d in dims {
-                    map_op(d);
-                }
+                map_list(dims);
             }
             Instr::ArrayLoad {
                 dst,
@@ -346,9 +351,7 @@ impl Instr {
             } => {
                 *dst = f(*dst);
                 map_op(array);
-                for i in indices {
-                    map_op(i);
-                }
+                map_list(indices);
             }
             Instr::ArrayStore {
                 array,
@@ -356,15 +359,11 @@ impl Instr {
                 value,
             } => {
                 map_op(array);
-                for i in indices {
-                    map_op(i);
-                }
+                map_list(indices);
                 map_op(value);
             }
             Instr::Spawn { args, ret, .. } => {
-                for a in args {
-                    map_op(a);
-                }
+                map_list(args);
                 if let Some(r) = ret {
                     *r = f(*r);
                 }
@@ -425,7 +424,7 @@ mod tests {
 
         let store = Instr::ArrayStore {
             array: Operand::Slot(SlotId(0)),
-            indices: vec![Operand::Slot(SlotId(1)), Operand::Slot(SlotId(1))],
+            indices: [Operand::Slot(SlotId(1)), Operand::Slot(SlotId(1))].into(),
             value: Operand::Slot(SlotId(3)),
         };
         assert_eq!(
@@ -440,12 +439,13 @@ mod tests {
         let reads = |i: Instr| i.reads().collect::<Vec<_>>();
         let spawn = Instr::Spawn {
             target: SpId(1),
-            args: vec![
+            args: [
                 Operand::Slot(SlotId(4)),
                 Operand::Int(5),
                 Operand::Slot(SlotId(2)),
                 Operand::Slot(SlotId(4)),
-            ],
+            ]
+            .into(),
             distributed: true,
             ret: Some(SlotId(7)),
         };
@@ -461,7 +461,7 @@ mod tests {
         let load = Instr::ArrayLoad {
             dst: SlotId(1),
             array: Operand::Slot(SlotId(6)),
-            indices: vec![Operand::Slot(SlotId(2)), Operand::Slot(SlotId(6))],
+            indices: [Operand::Slot(SlotId(2)), Operand::Slot(SlotId(6))].into(),
         };
         assert_eq!(reads(load), vec![SlotId(6), SlotId(2)]);
         assert_eq!(reads(Instr::Return { value: None }), vec![]);
@@ -473,20 +473,20 @@ mod tests {
         assert!(Instr::ArrayLoad {
             dst: SlotId(0),
             array: Operand::Slot(SlotId(1)),
-            indices: vec![]
+            indices: [].into()
         }
         .is_split_phase());
         assert!(!Instr::Jump { target: 3 }.is_split_phase());
         assert!(Instr::Spawn {
             target: SpId(1),
-            args: vec![],
+            args: [].into(),
             distributed: false,
             ret: Some(SlotId(4))
         }
         .is_split_phase());
         assert!(!Instr::Spawn {
             target: SpId(1),
-            args: vec![],
+            args: [].into(),
             distributed: false,
             ret: None
         }
@@ -534,7 +534,7 @@ mod tests {
         );
         let mut sp = Instr::Spawn {
             target: SpId(1),
-            args: vec![Operand::Slot(SlotId(2)), Operand::Bool(true)],
+            args: [Operand::Slot(SlotId(2)), Operand::Bool(true)].into(),
             distributed: true,
             ret: Some(SlotId(5)),
         };
@@ -543,7 +543,7 @@ mod tests {
             sp,
             Instr::Spawn {
                 target: SpId(1),
-                args: vec![Operand::Slot(SlotId(12)), Operand::Bool(true)],
+                args: [Operand::Slot(SlotId(12)), Operand::Bool(true)].into(),
                 distributed: true,
                 ret: Some(SlotId(15)),
             }

@@ -464,7 +464,7 @@ mod tests {
             },
             Instr::ArrayStore {
                 array: slot(2),
-                indices: vec![slot(0)],
+                indices: [slot(0)].into(),
                 value: slot(4),
             },
         ];
@@ -521,17 +521,17 @@ mod tests {
             Instr::ArrayAlloc {
                 dst: SlotId(0),
                 name: "a".into(),
-                dims: vec![Operand::Int(4)],
+                dims: [Operand::Int(4)].into(),
                 distributed: true,
             },
             Instr::ArrayLoad {
                 dst: SlotId(1),
                 array: slot(0),
-                indices: vec![Operand::Int(0)],
+                indices: [Operand::Int(0)].into(),
             },
             Instr::Spawn {
                 target: crate::instr::SpId(1),
-                args: vec![],
+                args: [].into(),
                 distributed: false,
                 ret: Some(SlotId(2)),
             },
@@ -594,7 +594,7 @@ mod tests {
             },
             Instr::ArrayStore {
                 array: slot(4),
-                indices: vec![slot(3)],
+                indices: [slot(3)].into(),
                 value: slot(2),
             },
             Instr::Move {

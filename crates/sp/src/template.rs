@@ -140,8 +140,14 @@ impl SpTemplate {
 
     /// Inserts `prologue` instructions at the start of the code, shifting
     /// every jump target and the loop metadata accordingly. Used by the
-    /// partitioner to prepend Range-Filter bound computations.
-    pub fn insert_prologue(&mut self, prologue: Vec<Instr>) {
+    /// partitioner to prepend Range-Filter bound computations. The
+    /// instructions are spliced into the code vector in place.
+    pub fn insert_prologue<I>(&mut self, prologue: I)
+    where
+        I: IntoIterator<Item = Instr>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let prologue = prologue.into_iter();
         let shift = prologue.len();
         if shift == 0 {
             return;
@@ -154,9 +160,7 @@ impl SpTemplate {
             meta.limit_init_instr += shift;
             meta.test_instr += shift;
         }
-        let mut new_code = prologue;
-        new_code.append(&mut self.code);
-        self.code = new_code;
+        self.code.splice(0..0, prologue);
     }
 
     /// Adds a fresh slot (used by the partitioner) and returns its id.
@@ -517,7 +521,7 @@ mod tests {
             code: vec![
                 Instr::Spawn {
                     target: SpId(0),
-                    args: vec![Operand::Int(0), Operand::Int(3)],
+                    args: [Operand::Int(0), Operand::Int(3)].into(),
                     distributed: false,
                     ret: None,
                 },
@@ -589,7 +593,7 @@ mod tests {
             slot_names: vec![],
             code: vec![Instr::Spawn {
                 target: SpId(0),
-                args: vec![Operand::Int(0)],
+                args: [Operand::Int(0)].into(),
                 distributed: false,
                 ret: None,
             }],

@@ -11,9 +11,10 @@
 
 use crate::instr::{Instr, Operand, SlotId, SpId};
 use crate::template::{LoopMeta, SpKind, SpProgram, SpTemplate};
-use pods_dataflow::collect_free_vars_stmts;
+use pods_idlang::hir::collect_free_vars_stmts;
 use pods_idlang::{BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, Name};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Errors produced by the translator.
 ///
@@ -60,8 +61,12 @@ impl std::error::Error for TranslateError {}
 pub fn translate(hir: &HirProgram) -> Result<SpProgram, TranslateError> {
     let mut translator = Translator {
         templates: Vec::new(),
-        functions: HashMap::new(),
+        functions: HashMap::with_capacity(hir.functions.len()),
         temps: Vec::new(),
+        loop_names: Vec::new(),
+        scratch: Vec::new(),
+        operands: Vec::with_capacity(16),
+        free: Vec::new(),
     };
     // Pass 1: reserve an SpId per function so calls can be resolved while
     // bodies are being generated.
@@ -103,12 +108,58 @@ struct Translator {
     /// The names of temporaries: `temps[n]` is `%t{n}`, shared by every
     /// template that has an `n`-th temporary.
     temps: Vec<Name>,
+    /// The names a loop over each variable adds, shared by every loop over
+    /// the same variable.
+    loop_names: Vec<LoopNames>,
+    /// The working buffers of templates not open right now. A loop template
+    /// is built while its parent is open, so each nesting depth takes one
+    /// from here and gives it back, capacity kept, when it finishes.
+    scratch: Vec<Scratch>,
+    /// The operands of the lists being compiled, innermost last: a list
+    /// waits here until it is complete and is then copied out once, sized
+    /// exactly.
+    operands: Vec<Operand>,
+    /// The free variables of the loop statement being compiled. They are
+    /// copied into the loop's parameters before its body is compiled, so
+    /// one list serves every nesting depth.
+    free: Vec<Name>,
+}
+
+/// The names a loop over `var` adds to its template: the two bound
+/// parameters, the effective limit and the continuation flag.
+#[derive(Clone)]
+struct LoopNames {
+    var: Name,
+    init: Name,
+    limit: Name,
+    limit_eff: Name,
+    cont: Name,
+}
+
+/// The working buffers of one open template.
+struct Scratch {
+    code: Vec<Instr>,
+    slot_names: Vec<Name>,
+    env: HashMap<Name, SlotId>,
+}
+
+impl Scratch {
+    /// Buffers with room for a typical template, so that most templates
+    /// never regrow them.
+    fn new() -> Self {
+        Scratch {
+            code: Vec::with_capacity(32),
+            slot_names: Vec::with_capacity(32),
+            env: HashMap::with_capacity(32),
+        }
+    }
 }
 
 impl Translator {
     fn build_function(&mut self, function: &HirFunction) -> Result<(), TranslateError> {
         let id = self.functions[&function.name];
         let mut builder = TemplateBuilder::new(
+            self,
             id,
             function.name.clone(),
             SpKind::Function {
@@ -120,45 +171,77 @@ impl Translator {
         let mut counter = 0usize;
         builder.compile_stmts(&function.body, self, &mut counter)?;
         // A function that falls off the end returns no value.
-        if !matches!(builder.code.last(), Some(Instr::Return { .. })) {
-            builder.code.push(Instr::Return { value: None });
+        if !matches!(builder.scratch.code.last(), Some(Instr::Return { .. })) {
+            builder.scratch.code.push(Instr::Return { value: None });
         }
-        self.templates[id.index()] = builder.finish();
+        self.templates[id.index()] = builder.finish(self);
         Ok(())
+    }
+
+    /// The template of the function called `name`.
+    fn function(&self, name: &Name) -> Result<SpId, TranslateError> {
+        self.functions
+            .get(name)
+            .copied()
+            .ok_or_else(|| TranslateError::UnknownFunction {
+                name: name.to_string(),
+            })
+    }
+
+    /// Takes the operands above `mark` off the operand stack as one list,
+    /// allocated at its exact length.
+    fn take_operands(&mut self, mark: usize) -> Arc<[Operand]> {
+        let list = Arc::from(&self.operands[mark..]);
+        self.operands.truncate(mark);
+        list
     }
 
     /// The name of the `n`-th temporary of a template.
     fn temp_name(&mut self, n: usize) -> Name {
         while self.temps.len() <= n {
-            let next = Name::from(format!("%t{}", self.temps.len()));
+            let next = Name::from_fmt(format_args!("%t{}", self.temps.len()));
             self.temps.push(next);
         }
         self.temps[n].clone()
     }
 
-    /// Builds a loop-level template and returns its id.
+    /// The names a loop over `var` adds, made on the first loop over it.
+    fn loop_names(&mut self, var: &Name) -> LoopNames {
+        if let Some(names) = self.loop_names.iter().find(|names| names.var == *var) {
+            return names.clone();
+        }
+        let names = LoopNames {
+            var: var.clone(),
+            init: Name::from_fmt(format_args!("{var}__init")),
+            limit: Name::from_fmt(format_args!("{var}__limit")),
+            limit_eff: Name::from_fmt(format_args!("{var}__limit_eff")),
+            cont: Name::from_fmt(format_args!("{var}__continue")),
+        };
+        self.loop_names.push(names.clone());
+        names
+    }
+
+    /// Builds a loop-level template over `names.var` and returns its id.
+    /// `params` are the two bounds and then the free variables.
     #[allow(clippy::too_many_arguments)]
     fn build_loop(
         &mut self,
         function: &Name,
         ordinal: usize,
         depth: usize,
-        var: &Name,
+        names: LoopNames,
         descending: bool,
-        free_vars: &[Name],
+        params: Vec<Name>,
         body: &[HirStmt],
         counter: &mut usize,
     ) -> Result<SpId, TranslateError> {
         let id = SpId(self.templates.len());
-        let name = Name::from(format!("{function}.loop{ordinal}.{var}"));
-        let init_name = Name::from(format!("{var}__init"));
-        let limit_name = Name::from(format!("{var}__limit"));
-        let mut params = Vec::with_capacity(2 + free_vars.len());
-        params.extend([init_name.clone(), limit_name.clone()]);
-        params.extend(free_vars.iter().cloned());
+        let var = &names.var;
+        let name = Name::from_fmt(format_args!("{function}.loop{ordinal}.{var}"));
         self.templates.push(placeholder(id, &name));
 
         let mut builder = TemplateBuilder::new(
+            self,
             id,
             name,
             SpKind::Loop {
@@ -172,24 +255,25 @@ impl Translator {
             function.clone(),
         );
 
-        let init_param = builder.env[&init_name];
-        let limit_param = builder.env[&limit_name];
+        let init_param = builder.scratch.env[&names.init];
+        let limit_param = builder.scratch.env[&names.limit];
         let index_slot = builder.alloc_slot(var.clone());
-        builder.env.insert(var.clone(), index_slot);
-        let limit_slot = builder.alloc_slot(format!("{var}__limit_eff").into());
-        let cont_slot = builder.alloc_slot(format!("{var}__continue").into());
+        builder.scratch.env.insert(var.clone(), index_slot);
+        let limit_slot = builder.alloc_slot(names.limit_eff);
+        let cont_slot = builder.alloc_slot(names.cont);
 
         // Index circulation skeleton (Figure 2 / Figure 5 of the paper).
-        builder.code.push(Instr::Move {
+        let code = &mut builder.scratch.code;
+        code.push(Instr::Move {
             dst: index_slot,
             src: Operand::Slot(init_param),
         });
-        builder.code.push(Instr::Move {
+        code.push(Instr::Move {
             dst: limit_slot,
             src: Operand::Slot(limit_param),
         });
-        let test_pc = builder.code.len();
-        builder.code.push(Instr::Binary {
+        let test_pc = code.len();
+        code.push(Instr::Binary {
             op: if descending {
                 BinaryOp::Ge
             } else {
@@ -199,8 +283,8 @@ impl Translator {
             lhs: Operand::Slot(index_slot),
             rhs: Operand::Slot(limit_slot),
         });
-        let exit_branch_pc = builder.code.len();
-        builder.code.push(Instr::BranchIfFalse {
+        let exit_branch_pc = code.len();
+        code.push(Instr::BranchIfFalse {
             cond: Operand::Slot(cont_slot),
             target: usize::MAX, // patched below
         });
@@ -218,7 +302,8 @@ impl Translator {
         builder.compile_stmts(body, self, counter)?;
 
         // Increment (or decrement) and loop back to the test.
-        builder.code.push(Instr::Binary {
+        let code = &mut builder.scratch.code;
+        code.push(Instr::Binary {
             op: if descending {
                 BinaryOp::Sub
             } else {
@@ -228,14 +313,14 @@ impl Translator {
             lhs: Operand::Slot(index_slot),
             rhs: Operand::Int(1),
         });
-        builder.code.push(Instr::Jump { target: test_pc });
-        let end_pc = builder.code.len();
-        builder.code.push(Instr::Return { value: None });
-        if let Instr::BranchIfFalse { target, .. } = &mut builder.code[exit_branch_pc] {
+        code.push(Instr::Jump { target: test_pc });
+        let end_pc = code.len();
+        code.push(Instr::Return { value: None });
+        if let Instr::BranchIfFalse { target, .. } = &mut code[exit_branch_pc] {
             *target = end_pc;
         }
 
-        self.templates[id.index()] = builder.finish();
+        self.templates[id.index()] = builder.finish(self);
         Ok(id)
     }
 }
@@ -245,9 +330,7 @@ struct TemplateBuilder {
     name: Name,
     kind: SpKind,
     params: Vec<Name>,
-    slot_names: Vec<Name>,
-    env: HashMap<Name, SlotId>,
-    code: Vec<Instr>,
+    scratch: Scratch,
     loop_meta: Option<LoopMeta>,
     /// The function this template belongs to (for loop ordinals).
     function: Name,
@@ -255,29 +338,37 @@ struct TemplateBuilder {
 }
 
 impl TemplateBuilder {
-    fn new(id: SpId, name: Name, kind: SpKind, params: Vec<Name>, function: Name) -> Self {
+    /// Opens a template on a set of working buffers taken from `translator`;
+    /// the parameters take the first slots.
+    fn new(
+        translator: &mut Translator,
+        id: SpId,
+        name: Name,
+        kind: SpKind,
+        params: Vec<Name>,
+        function: Name,
+    ) -> Self {
         let mut builder = TemplateBuilder {
             id,
             name,
             kind,
-            params: params.clone(),
-            slot_names: Vec::new(),
-            env: HashMap::new(),
-            code: Vec::new(),
+            params: Vec::new(),
+            scratch: translator.scratch.pop().unwrap_or_else(Scratch::new),
             loop_meta: None,
             function,
             temp_counter: 0,
         };
-        for p in params {
+        for p in &params {
             let slot = builder.alloc_slot(p.clone());
-            builder.env.insert(p, slot);
+            builder.scratch.env.insert(p.clone(), slot);
         }
+        builder.params = params;
         builder
     }
 
     fn alloc_slot(&mut self, name: Name) -> SlotId {
-        let id = SlotId(self.slot_names.len());
-        self.slot_names.push(name);
+        let id = SlotId(self.scratch.slot_names.len());
+        self.scratch.slot_names.push(name);
         id
     }
 
@@ -288,7 +379,8 @@ impl TemplateBuilder {
     }
 
     fn lookup(&self, name: &str) -> Result<SlotId, TranslateError> {
-        self.env
+        self.scratch
+            .env
             .get(name)
             .copied()
             .ok_or_else(|| TranslateError::UndefinedVariable {
@@ -297,19 +389,40 @@ impl TemplateBuilder {
             })
     }
 
-    fn finish(self) -> SpTemplate {
+    /// Closes the template: its code and slot names move out sized exactly,
+    /// and the working buffers go back to `translator`.
+    fn finish(mut self, translator: &mut Translator) -> SpTemplate {
+        let slot_names: Vec<Name> = self.scratch.slot_names.drain(..).collect();
+        let code: Vec<Instr> = self.scratch.code.drain(..).collect();
+        self.scratch.env.clear();
+        translator.scratch.push(self.scratch);
         SpTemplate {
             id: self.id,
             name: self.name,
             kind: self.kind,
             params: self.params,
-            num_slots: self.slot_names.len(),
-            slot_names: self.slot_names,
-            code: self.code,
+            num_slots: slot_names.len(),
+            slot_names,
+            code,
             loop_meta: self.loop_meta,
             chunk_meta: None,
             plan: None,
         }
+    }
+
+    /// Compiles `exprs` into one operand list, allocated once at its exact
+    /// length.
+    fn compile_list(
+        &mut self,
+        exprs: &[HirExpr],
+        translator: &mut Translator,
+    ) -> Result<Arc<[Operand]>, TranslateError> {
+        let mark = translator.operands.len();
+        for expr in exprs {
+            let op = self.compile_expr(expr, translator)?;
+            translator.operands.push(op);
+        }
+        Ok(translator.take_operands(mark))
     }
 
     fn compile_stmts(
@@ -333,27 +446,24 @@ impl TemplateBuilder {
         match stmt {
             HirStmt::Let { name, value } => {
                 let src = self.compile_expr(value, translator)?;
-                let dst = match self.env.get(name) {
+                let dst = match self.scratch.env.get(name) {
                     Some(slot) => *slot,
                     None => {
                         let slot = self.alloc_slot(name.clone());
-                        self.env.insert(name.clone(), slot);
+                        self.scratch.env.insert(name.clone(), slot);
                         slot
                     }
                 };
-                self.code.push(Instr::Move { dst, src });
+                self.scratch.code.push(Instr::Move { dst, src });
             }
             HirStmt::Alloc { name, dims } => {
-                let dim_ops = dims
-                    .iter()
-                    .map(|d| self.compile_expr(d, translator))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let dims = self.compile_list(dims, translator)?;
                 let dst = self.alloc_slot(name.clone());
-                self.env.insert(name.clone(), dst);
-                self.code.push(Instr::ArrayAlloc {
+                self.scratch.env.insert(name.clone(), dst);
+                self.scratch.code.push(Instr::ArrayAlloc {
                     dst,
                     name: name.as_arc().clone(),
-                    dims: dim_ops,
+                    dims,
                     distributed: false,
                 });
             }
@@ -362,16 +472,13 @@ impl TemplateBuilder {
                 indices,
                 value,
             } => {
-                let array_op = Operand::Slot(self.lookup(array)?);
-                let index_ops = indices
-                    .iter()
-                    .map(|i| self.compile_expr(i, translator))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let value_op = self.compile_expr(value, translator)?;
-                self.code.push(Instr::ArrayStore {
-                    array: array_op,
-                    indices: index_ops,
-                    value: value_op,
+                let array = Operand::Slot(self.lookup(array)?);
+                let indices = self.compile_list(indices, translator)?;
+                let value = self.compile_expr(value, translator)?;
+                self.scratch.code.push(Instr::ArrayStore {
+                    array,
+                    indices,
+                    value,
                 });
             }
             HirStmt::For {
@@ -389,25 +496,33 @@ impl TemplateBuilder {
                 };
                 let from_op = self.compile_expr(from, translator)?;
                 let to_op = self.compile_expr(to, translator)?;
-                let mut free = Vec::new();
-                collect_free_vars_stmts(body, &mut free);
+                let free = &mut translator.free;
+                free.clear();
+                collect_free_vars_stmts(body, free);
                 free.retain(|name| name != var);
-                // Arguments: bounds first, then the free variables in order.
-                let mut args = vec![from_op, to_op];
-                for name in &free {
-                    args.push(Operand::Slot(self.lookup(name)?));
+                // Arguments: bounds first, then the free variables in order,
+                // as the child's parameters name them.
+                let names = translator.loop_names(var);
+                let mut params = Vec::with_capacity(2 + translator.free.len());
+                params.extend([names.init.clone(), names.limit.clone()]);
+                params.extend(translator.free.iter().cloned());
+                let mark = translator.operands.len();
+                translator.operands.extend([from_op, to_op]);
+                for name in &translator.free {
+                    translator.operands.push(Operand::Slot(self.lookup(name)?));
                 }
+                let args = translator.take_operands(mark);
                 let child = translator.build_loop(
                     &self.function,
                     ordinal,
                     depth,
-                    var,
+                    names,
                     *descending,
-                    &free,
+                    params,
                     body,
                     counter,
                 )?;
-                self.code.push(Instr::Spawn {
+                self.scratch.code.push(Instr::Spawn {
                     target: child,
                     args,
                     distributed: false,
@@ -420,47 +535,46 @@ impl TemplateBuilder {
                 else_body,
             } => {
                 let cond_op = self.compile_expr(cond, translator)?;
-                let branch_pc = self.code.len();
-                self.code.push(Instr::BranchIfFalse {
+                let branch_pc = self.scratch.code.len();
+                self.scratch.code.push(Instr::BranchIfFalse {
                     cond: cond_op,
                     target: usize::MAX,
                 });
                 self.compile_stmts(then_body, translator, counter)?;
-                let jump_pc = self.code.len();
-                self.code.push(Instr::Jump { target: usize::MAX });
-                let else_start = self.code.len();
+                let jump_pc = self.scratch.code.len();
+                self.scratch.code.push(Instr::Jump { target: usize::MAX });
+                let else_start = self.scratch.code.len();
                 self.compile_stmts(else_body, translator, counter)?;
-                let end = self.code.len();
-                if let Instr::BranchIfFalse { target, .. } = &mut self.code[branch_pc] {
-                    *target = else_start;
-                }
-                if let Instr::Jump { target } = &mut self.code[jump_pc] {
-                    *target = end;
-                }
+                self.patch_branch(branch_pc, else_start, jump_pc);
             }
             HirStmt::Return { value } => {
                 let op = self.compile_expr(value, translator)?;
-                self.code.push(Instr::Return { value: Some(op) });
+                self.scratch.code.push(Instr::Return { value: Some(op) });
             }
             HirStmt::Call { function, args } => {
-                let target = *translator.functions.get(function).ok_or_else(|| {
-                    TranslateError::UnknownFunction {
-                        name: function.to_string(),
-                    }
-                })?;
-                let arg_ops = args
-                    .iter()
-                    .map(|a| self.compile_expr(a, translator))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.code.push(Instr::Spawn {
+                let target = translator.function(function)?;
+                let args = self.compile_list(args, translator)?;
+                self.scratch.code.push(Instr::Spawn {
                     target,
-                    args: arg_ops,
+                    args,
                     distributed: false,
                     ret: None,
                 });
             }
         }
         Ok(())
+    }
+
+    /// Points the branch at `branch_pc` to `else_start` and the jump at
+    /// `jump_pc` past the end of the code so far.
+    fn patch_branch(&mut self, branch_pc: usize, else_start: usize, jump_pc: usize) {
+        let end = self.scratch.code.len();
+        if let Instr::BranchIfFalse { target, .. } = &mut self.scratch.code[branch_pc] {
+            *target = else_start;
+        }
+        if let Instr::Jump { target } = &mut self.scratch.code[jump_pc] {
+            *target = end;
+        }
     }
 
     fn compile_expr(
@@ -474,30 +588,27 @@ impl TemplateBuilder {
             HirExpr::Bool(v) => Operand::Bool(*v),
             HirExpr::Var(name) => Operand::Slot(self.lookup(name)?),
             HirExpr::Load { array, indices } => {
-                let array_op = Operand::Slot(self.lookup(array)?);
-                let index_ops = indices
-                    .iter()
-                    .map(|i| self.compile_expr(i, translator))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let array = Operand::Slot(self.lookup(array)?);
+                let indices = self.compile_list(indices, translator)?;
                 let dst = self.temp(translator);
-                self.code.push(Instr::ArrayLoad {
+                self.scratch.code.push(Instr::ArrayLoad {
                     dst,
-                    array: array_op,
-                    indices: index_ops,
+                    array,
+                    indices,
                 });
                 Operand::Slot(dst)
             }
             HirExpr::Unary { op, operand } => {
                 let src = self.compile_expr(operand, translator)?;
                 let dst = self.temp(translator);
-                self.code.push(Instr::Unary { op: *op, dst, src });
+                self.scratch.code.push(Instr::Unary { op: *op, dst, src });
                 Operand::Slot(dst)
             }
             HirExpr::Binary { op, lhs, rhs } => {
                 let l = self.compile_expr(lhs, translator)?;
                 let r = self.compile_expr(rhs, translator)?;
                 let dst = self.temp(translator);
-                self.code.push(Instr::Binary {
+                self.scratch.code.push(Instr::Binary {
                     op: *op,
                     dst,
                     lhs: l,
@@ -506,19 +617,12 @@ impl TemplateBuilder {
                 Operand::Slot(dst)
             }
             HirExpr::Call { function, args } => {
-                let target = *translator.functions.get(function).ok_or_else(|| {
-                    TranslateError::UnknownFunction {
-                        name: function.to_string(),
-                    }
-                })?;
-                let arg_ops = args
-                    .iter()
-                    .map(|a| self.compile_expr(a, translator))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let target = translator.function(function)?;
+                let args = self.compile_list(args, translator)?;
                 let dst = self.temp(translator);
-                self.code.push(Instr::Spawn {
+                self.scratch.code.push(Instr::Spawn {
                     target,
-                    args: arg_ops,
+                    args,
                     distributed: false,
                     ret: Some(dst),
                 });
@@ -531,25 +635,19 @@ impl TemplateBuilder {
             } => {
                 let cond_op = self.compile_expr(cond, translator)?;
                 let dst = self.temp(translator);
-                let branch_pc = self.code.len();
-                self.code.push(Instr::BranchIfFalse {
+                let branch_pc = self.scratch.code.len();
+                self.scratch.code.push(Instr::BranchIfFalse {
                     cond: cond_op,
                     target: usize::MAX,
                 });
                 let t = self.compile_expr(then_value, translator)?;
-                self.code.push(Instr::Move { dst, src: t });
-                let jump_pc = self.code.len();
-                self.code.push(Instr::Jump { target: usize::MAX });
-                let else_start = self.code.len();
+                self.scratch.code.push(Instr::Move { dst, src: t });
+                let jump_pc = self.scratch.code.len();
+                self.scratch.code.push(Instr::Jump { target: usize::MAX });
+                let else_start = self.scratch.code.len();
                 let e = self.compile_expr(else_value, translator)?;
-                self.code.push(Instr::Move { dst, src: e });
-                let end = self.code.len();
-                if let Instr::BranchIfFalse { target, .. } = &mut self.code[branch_pc] {
-                    *target = else_start;
-                }
-                if let Instr::Jump { target } = &mut self.code[jump_pc] {
-                    *target = end;
-                }
+                self.scratch.code.push(Instr::Move { dst, src: e });
+                self.patch_branch(branch_pc, else_start, jump_pc);
                 Operand::Slot(dst)
             }
         })

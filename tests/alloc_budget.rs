@@ -3,12 +3,15 @@
 //!
 //! The cold path — `compile`, then a prepare miss — may call the allocator
 //! **per distinct name** of the source (the lexer interns each identifier
-//! once; every later stage copies pointers to it), **per template** (its
-//! name, parameter and slot tables, code, and its plan's op table and
-//! pools) and **per program** (the read-slot table, one flat table for all
-//! templates), and **per instruction** only for an instruction's operand
-//! lists (`dims`, `indices`, `args`) — never for a super-op, a firing list
-//! or a read-slot list, and never per *use* of a name. The parser pulls
+//! once; every later stage copies pointers to it; the translator makes each
+//! temporary's and each loop variable's derived names once), **per
+//! template** (its name, parameter and slot tables, code, and its plan's op
+//! table and pools) and **per program** (the read-slot table, one flat
+//! table for all templates). Compile allocates once **per operand list**
+//! (`dims`, `indices`, `args`), at its exact length; a prepare miss shares
+//! those lists with the compiled program and allocates nothing per
+//! instruction — not for a copied instruction, a super-op, a firing list or
+//! a read-slot list — and nothing per *use* of a name. The parser pulls
 //! its tokens from the lexer, two at a time, so no token vector is built.
 //! A prepare hit and a clone of a compiled program make no call at all:
 //! the compiled stages sit behind one shared pointer, and the dataflow
@@ -30,6 +33,7 @@
 //! percentile.
 
 use pods::{compile, EngineKind, EngineOutcome, EngineStats, PreparedProgram, Runtime, Value};
+use pods_sp::Instr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -159,14 +163,16 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
     // SIMPLE took 10,257 calls to compile, 6,712 to prepare and 3,530 to
     // clone; FILL took 343, 285 and 136. While a prepare miss built one
     // read-slot vector per instruction and a plan kept two growing vectors
-    // per super-op, SIMPLE took 2,808 and 1,925, FILL 136 and 104. Now
-    // SIMPLE takes 2,797 and 456, FILL 131 and 43, and both make 0 to hit
-    // or clone.
+    // per super-op, SIMPLE took 2,808 and 1,925, FILL 136 and 104. While
+    // the translator grew fresh buffers per template and a prepare miss
+    // copied every operand list, SIMPLE took 2,797 and 456, FILL 131 and
+    // 43. Now SIMPLE takes 1,910 and 240, FILL 98 and 36, and both make 0
+    // to hit or clone.
     let runtime = Runtime::builder(EngineKind::Native).workers(1).build();
     compile(pods_workloads::FILL).expect("FILL compiles");
     for (name, source, compile_budget, miss_budget) in [
-        ("SIMPLE", pods_workloads::simple::SIMPLE, 2930, 478),
-        ("FILL", pods_workloads::FILL, 137, 45),
+        ("SIMPLE", pods_workloads::simple::SIMPLE, 2000, 252),
+        ("FILL", pods_workloads::FILL, 102, 37),
     ] {
         let (compiled, program) = counted(|| compile(source).expect("compiles"));
         let (missed, pinned) = counted(|| runtime.prepare(&program));
@@ -191,28 +197,69 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
         );
     }
 
-    // A prepare miss of every workload program, per template of the
-    // program: 11.8 (PAPER_EXAMPLE) to 17.0 (RECURRENCE) calls, most of
-    // them the copy of the compiled SP program the prepared one starts
-    // from. While a prepare miss allocated per instruction it was 24.5 to
-    // 66.3 (SIMPLE: 1,924 calls for 29 templates).
-    for (name, source) in [
+    let programs = [
         ("PAPER_EXAMPLE", pods_workloads::PAPER_EXAMPLE),
         ("FILL", pods_workloads::FILL),
         ("MATMUL", pods_workloads::MATMUL),
         ("STENCIL", pods_workloads::STENCIL),
         ("RECURRENCE", pods_workloads::RECURRENCE),
         ("SIMPLE", pods_workloads::simple::SIMPLE),
-    ] {
+    ];
+
+    // The translation of every workload program, per template, once the
+    // one call per operand list is set aside: 8.97 (SIMPLE) to 13.3 (FILL)
+    // calls, the template's name, parameter and slot tables and code, the
+    // names of its temporaries and loop variable the first time they are
+    // met, and the translator's working buffers, which every template at
+    // the same nesting depth reuses. While each template grew buffers of
+    // its own and every list was collected, then copied, it was 17.25
+    // (PAPER_EXAMPLE) to 39.6 (SIMPLE).
+    for (name, source) in programs {
+        let hir = pods_idlang::compile(source).expect("compiles");
+        let (calls, sp) = counted(|| pods_sp::translate(&hir).expect("translates"));
+        let lists = sp
+            .templates()
+            .iter()
+            .flat_map(|t| &t.code)
+            .filter(|i| {
+                matches!(
+                    i,
+                    Instr::ArrayAlloc { .. }
+                        | Instr::ArrayLoad { .. }
+                        | Instr::ArrayStore { .. }
+                        | Instr::Spawn { .. }
+                )
+            })
+            .count() as u64;
+        let templates = sp.len();
+        let per_template = (calls - lists) as f64 / templates as f64;
+        eprintln!(
+            "{name}: translate {calls} allocs for {lists} operand lists, {templates} templates"
+        );
+        assert!(
+            per_template <= 14.0,
+            "{name}: translating made {calls} allocator calls for {lists} operand lists and \
+             {templates} templates ({per_template:.2} per template, budget 14.0)"
+        );
+    }
+
+    // A prepare miss of every workload program, per template of the
+    // program: 8.2 (SIMPLE) to 12.7 (RECURRENCE) calls — the copy of each
+    // template's tables the prepared program starts from, its plan, and
+    // the Range-Filter slots and prologue of a distributed loop. While the
+    // copy also copied every operand list it was 11.8 to 17.0, and while a
+    // prepare miss allocated per instruction 24.5 to 66.3 (SIMPLE: 1,924
+    // calls for 29 templates).
+    for (name, source) in programs {
         let program = compile(source).expect("compiles");
         let templates = program.sp_program().len();
         let (missed, _) = counted(|| runtime.prepare(&program));
         let per_template = missed as f64 / templates as f64;
         eprintln!("{name}: prepare miss {missed} allocs for {templates} templates");
         assert!(
-            per_template <= 17.8,
+            per_template <= 13.3,
             "{name}: a prepare miss made {missed} allocator calls for {templates} templates \
-             ({per_template:.2} per template, budget 17.8)"
+             ({per_template:.2} per template, budget 13.3)"
         );
     }
     drop(runtime);

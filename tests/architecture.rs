@@ -44,9 +44,13 @@ fn source_files() -> Vec<SourceFile> {
     files
 }
 
+/// `true` for the characters of an identifier.
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
 /// `true` when `word` occurs in `line` as a whole identifier.
 fn contains_word(line: &str, word: &str) -> bool {
-    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
     line.match_indices(word).any(|(at, _)| {
         let before = line[..at].chars().next_back();
         let after = line[at + word.len()..].chars().next();
@@ -55,17 +59,25 @@ fn contains_word(line: &str, word: &str) -> bool {
 }
 
 /// The `path:line:text` of every line outside `allowed` (a path prefix)
-/// that names one of `words` as a whole identifier.
-fn lines_naming(files: &[SourceFile], words: &[String], allowed: &str) -> Vec<String> {
+/// for which `breaks` holds.
+fn lines_where(files: &[SourceFile], allowed: &str, breaks: impl Fn(&str) -> bool) -> Vec<String> {
     let mut found = Vec::new();
     for file in files.iter().filter(|f| !f.path.starts_with(allowed)) {
         for (n, line) in file.text.lines().enumerate() {
-            if words.iter().any(|w| contains_word(line, w)) {
+            if breaks(line) {
                 found.push(format!("{}:{}:{line}", file.path, n + 1));
             }
         }
     }
     found
+}
+
+/// The `path:line:text` of every line outside `allowed` (a path prefix)
+/// that names one of `words` as a whole identifier.
+fn lines_naming(files: &[SourceFile], words: &[String], allowed: &str) -> Vec<String> {
+    lines_where(files, allowed, |line| {
+        words.iter().any(|w| contains_word(line, w))
+    })
 }
 
 /// The super-op dispatch loop and fused-op execution. Spelled in pieces so
@@ -142,4 +154,174 @@ fn super_op_dispatch_guard_fires_on_a_planted_violation() {
         "only whole identifiers count: {message}"
     );
     assert!(super_op_dispatch_guard(&planted[..1]).is_none());
+}
+
+/// The keyword an instruction dispatch starts with. Spelled in pieces so
+/// that this file does not break the rule itself.
+fn match_keyword() -> String {
+    ["mat", "ch"].concat()
+}
+
+/// `true` when `line` dispatches on an instruction: `match`, whitespace,
+/// an optional `&` or `*`, then `instr` or `instruction` ending a word —
+/// the rule `match\s+[&*]?instr(uction)?\b`.
+fn dispatches_on_instr(line: &str) -> bool {
+    let is_space = |c: char| c.is_ascii_whitespace() || c == '\x0b';
+    line.match_indices(match_keyword().as_str())
+        .any(|(at, keyword)| {
+            let rest = &line[at + keyword.len()..];
+            let operand = rest.trim_start_matches(is_space);
+            if operand.len() == rest.len() {
+                return false;
+            }
+            let operand = operand.strip_prefix(['&', '*']).unwrap_or(operand);
+            ["instruction", "instr"].iter().any(|word| {
+                operand
+                    .strip_prefix(word)
+                    .is_some_and(|after| !after.starts_with(is_ident))
+            })
+        })
+}
+
+/// The single-interpreter guard. The SP instruction semantics live in
+/// exactly one place, `crates/sp/src/exec.rs`: a dispatch on an
+/// instruction anywhere else means a second interpreter, with hand-copied
+/// semantics, has started.
+fn single_interpreter_guard(files: &[SourceFile]) -> Option<String> {
+    let found = lines_where(files, "crates/sp/src/", dispatches_on_instr);
+    if found.is_empty() {
+        return None;
+    }
+    Some(format!(
+        "Per-instruction '{} instr' interpreter loop found outside crates/sp/src/:\n{}\n\
+         Execute instructions through pods_sp::exec (ExecCtx/ArrayOps) instead.",
+        match_keyword(),
+        found.join("\n")
+    ))
+}
+
+#[test]
+fn instructions_are_interpreted_only_in_the_sp_crate() {
+    let files = source_files();
+    assert!(
+        files.iter().any(|f| f.path == "crates/sp/src/exec.rs"),
+        "the guard reads the source tree"
+    );
+    if let Some(message) = single_interpreter_guard(&files) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn single_interpreter_guard_fires_on_a_planted_violation() {
+    let keyword = match_keyword();
+    let file = |path: &str, text: String| SourceFile {
+        path: path.to_string(),
+        text,
+    };
+    let planted = [
+        file("crates/sp/src/exec.rs", format!("{keyword} instr {{")),
+        file(
+            "crates/machine/src/sim.rs",
+            format!("fn step() {{\n    {keyword}  &instruction {{"),
+        ),
+        file(
+            "crates/pods/src/engine/pool.rs",
+            format!("{keyword}\t*instr.kind {{"),
+        ),
+        file(
+            "tests/runtime.rs",
+            format!("{keyword} instrs {{}}\n{keyword} instruct {{}}\n{keyword}instr {{}}"),
+        ),
+    ];
+    let message = single_interpreter_guard(&planted).expect("the guard fires");
+    assert!(
+        message.contains(&format!(
+            "crates/machine/src/sim.rs:2:    {keyword}  &instruction {{"
+        )),
+        "{message}"
+    );
+    assert!(
+        message.contains(&format!(
+            "crates/pods/src/engine/pool.rs:1:{keyword}\t*instr.kind {{"
+        )),
+        "{message}"
+    );
+    assert!(
+        !message.contains("crates/sp/src/exec.rs:"),
+        "crates/sp/src/ may dispatch: {message}"
+    );
+    assert!(
+        !message.contains("tests/runtime.rs"),
+        "only `instr` or `instruction` after whitespace counts: {message}"
+    );
+    assert!(single_interpreter_guard(&planted[..1]).is_none());
+}
+
+/// The chunk driver: the cursor-advance and scratch-reset loop that runs a
+/// chunked instance's iterations. Spelled in pieces so that this file does
+/// not name it itself.
+fn chunk_driver_name() -> String {
+    ["advance", "_chunk"].concat()
+}
+
+/// The chunk-driver guard. The chunk driver lives only in `crates/sp/`: an
+/// engine reimplementing it would fork the chunk semantics the fuzz suite
+/// pins.
+fn chunk_driver_guard(files: &[SourceFile]) -> Option<String> {
+    let name = chunk_driver_name();
+    let found = lines_naming(files, std::slice::from_ref(&name), "crates/sp/src/");
+    if found.is_empty() {
+        return None;
+    }
+    Some(format!(
+        "Chunk driver ({name}) referenced outside crates/sp/src/:\n{}\n\
+         Chunked iteration must go through pods_sp::exec::run_instance.",
+        found.join("\n")
+    ))
+}
+
+#[test]
+fn the_chunk_driver_lives_only_in_the_sp_crate() {
+    let files = source_files();
+    assert!(
+        files.iter().any(|f| f.path == "crates/sp/src/exec.rs"),
+        "the guard reads the source tree"
+    );
+    if let Some(message) = chunk_driver_guard(&files) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn chunk_driver_guard_fires_on_a_planted_violation() {
+    let name = chunk_driver_name();
+    let file = |path: &str, text: String| SourceFile {
+        path: path.to_string(),
+        text,
+    };
+    let planted = [
+        file("crates/sp/src/exec.rs", format!("fn {name}() {{}}")),
+        file(
+            "crates/pods/src/engine/pool.rs",
+            format!("use pods_sp::exec;\nexec::{name}(frame);"),
+        ),
+        file("examples/engines.rs", format!("let {name}s = 0;")),
+    ];
+    let message = chunk_driver_guard(&planted).expect("the guard fires");
+    assert!(
+        message.contains(&format!(
+            "crates/pods/src/engine/pool.rs:2:exec::{name}(frame);"
+        )),
+        "{message}"
+    );
+    assert!(
+        !message.contains("crates/sp/src/exec.rs:"),
+        "crates/sp/src/ may name it: {message}"
+    );
+    assert!(
+        !message.contains("examples/engines.rs"),
+        "only whole identifiers count: {message}"
+    );
+    assert!(chunk_driver_guard(&planted[..1]).is_none());
 }
