@@ -1,14 +1,12 @@
-//! The high-level intermediate representation (HIR) and the AST → HIR
-//! lowering pass.
+//! The high-level intermediate representation (HIR): the one syntax tree.
 //!
-//! The HIR is the structured, span-free program form consumed by the rest of
-//! the PODS pipeline: the dataflow-graph builder, the SP translator, and the
-//! baseline executors. Lowering desugars built-in math calls (`sqrt`, `min`,
-//! `pow`, ...) into dedicated operators so that downstream consumers never
-//! have to special-case callee names.
+//! The parser builds the HIR straight from the source text, and it is the
+//! structured, span-free program form consumed by the rest of the PODS
+//! pipeline: the semantic checks, the dataflow-graph builder, the SP
+//! translator, and the baseline executors. The parser turns built-in math
+//! calls (`sqrt`, `min`, `pow`, ...) into dedicated operators so that
+//! downstream consumers never have to special-case callee names.
 
-use crate::ast;
-use crate::error::CompileError;
 use crate::name::Name;
 
 /// Binary operators available in the HIR.
@@ -130,14 +128,14 @@ impl std::fmt::Display for UnaryOp {
     }
 }
 
-/// Names of binary builtins recognised by the lowering pass.
+/// Names of binary builtins, which the parser turns into operators.
 pub const BINARY_BUILTINS: &[(&str, BinaryOp)] = &[
     ("min", BinaryOp::Min),
     ("max", BinaryOp::Max),
     ("pow", BinaryOp::Pow),
 ];
 
-/// Names of unary builtins recognised by the lowering pass.
+/// Names of unary builtins, which the parser turns into operators.
 pub const UNARY_BUILTINS: &[(&str, UnaryOp)] = &[
     ("sqrt", UnaryOp::Sqrt),
     ("abs", UnaryOp::Abs),
@@ -155,10 +153,10 @@ pub fn is_builtin(name: &str) -> bool {
         || UNARY_BUILTINS.iter().any(|(n, _)| *n == name)
 }
 
-/// A lowered program.
+/// A program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HirProgram {
-    /// Lowered functions in source order.
+    /// Functions in source order.
     pub functions: Vec<HirFunction>,
 }
 
@@ -174,7 +172,7 @@ impl HirProgram {
     }
 }
 
-/// A lowered function.
+/// A function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HirFunction {
     /// Function name.
@@ -185,7 +183,7 @@ pub struct HirFunction {
     pub body: Vec<HirStmt>,
 }
 
-/// A lowered statement.
+/// A statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HirStmt {
     /// Scalar binding.
@@ -247,7 +245,7 @@ pub enum HirStmt {
     },
 }
 
-/// A lowered expression.
+/// An expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HirExpr {
     /// Integer literal.
@@ -425,194 +423,17 @@ fn note_stmts(stmts: &[HirStmt], defined: &mut Vec<Name>, out: &mut Vec<Name>) {
     }
 }
 
-/// Lowers a parsed and semantically valid AST into the HIR.
-///
-/// # Errors
-///
-/// Returns an error when a built-in is called with the wrong number of
-/// arguments (other semantic errors are caught earlier by
-/// [`crate::sema::check`]).
-pub fn lower(program: &ast::Program) -> Result<HirProgram, CompileError> {
-    let functions = program
-        .functions
-        .iter()
-        .map(lower_function)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(HirProgram { functions })
-}
-
-fn lower_function(f: &ast::FunctionDef) -> Result<HirFunction, CompileError> {
-    Ok(HirFunction {
-        name: f.name.clone(),
-        params: f.params.clone(),
-        body: lower_block(&f.body)?,
-    })
-}
-
-fn lower_block(stmts: &[ast::Stmt]) -> Result<Vec<HirStmt>, CompileError> {
-    stmts.iter().map(lower_stmt).collect()
-}
-
-fn lower_stmt(stmt: &ast::Stmt) -> Result<HirStmt, CompileError> {
-    Ok(match stmt {
-        ast::Stmt::Let { name, value, .. } => HirStmt::Let {
-            name: name.clone(),
-            value: lower_expr(value)?,
-        },
-        ast::Stmt::Alloc { name, dims, .. } => HirStmt::Alloc {
-            name: name.clone(),
-            dims: dims.iter().map(lower_expr).collect::<Result<_, _>>()?,
-        },
-        ast::Stmt::Store {
-            array,
-            indices,
-            value,
-            ..
-        } => HirStmt::Store {
-            array: array.clone(),
-            indices: indices.iter().map(lower_expr).collect::<Result<_, _>>()?,
-            value: lower_expr(value)?,
-        },
-        ast::Stmt::For {
-            var,
-            from,
-            to,
-            descending,
-            body,
-            ..
-        } => HirStmt::For {
-            var: var.clone(),
-            from: lower_expr(from)?,
-            to: lower_expr(to)?,
-            descending: *descending,
-            body: lower_block(body)?,
-        },
-        ast::Stmt::If {
-            cond,
-            then_body,
-            else_body,
-            ..
-        } => HirStmt::If {
-            cond: lower_expr(cond)?,
-            then_body: lower_block(then_body)?,
-            else_body: lower_block(else_body)?,
-        },
-        ast::Stmt::Return { value, .. } => HirStmt::Return {
-            value: lower_expr(value)?,
-        },
-        ast::Stmt::Call { function, args, .. } => HirStmt::Call {
-            function: function.clone(),
-            args: args.iter().map(lower_expr).collect::<Result<_, _>>()?,
-        },
-    })
-}
-
-fn lower_binop(op: ast::BinOp) -> BinaryOp {
-    match op {
-        ast::BinOp::Add => BinaryOp::Add,
-        ast::BinOp::Sub => BinaryOp::Sub,
-        ast::BinOp::Mul => BinaryOp::Mul,
-        ast::BinOp::Div => BinaryOp::Div,
-        ast::BinOp::Rem => BinaryOp::Rem,
-        ast::BinOp::Eq => BinaryOp::Eq,
-        ast::BinOp::Ne => BinaryOp::Ne,
-        ast::BinOp::Lt => BinaryOp::Lt,
-        ast::BinOp::Le => BinaryOp::Le,
-        ast::BinOp::Gt => BinaryOp::Gt,
-        ast::BinOp::Ge => BinaryOp::Ge,
-        ast::BinOp::And => BinaryOp::And,
-        ast::BinOp::Or => BinaryOp::Or,
-    }
-}
-
-fn lower_expr(expr: &ast::Expr) -> Result<HirExpr, CompileError> {
-    Ok(match expr {
-        ast::Expr::Int(v, _) => HirExpr::Int(*v),
-        ast::Expr::Float(v, _) => HirExpr::Float(*v),
-        ast::Expr::Bool(v, _) => HirExpr::Bool(*v),
-        ast::Expr::Var(name, _) => HirExpr::Var(name.clone()),
-        ast::Expr::Index { array, indices, .. } => HirExpr::Load {
-            array: array.clone(),
-            indices: indices.iter().map(lower_expr).collect::<Result<_, _>>()?,
-        },
-        ast::Expr::Unary { op, operand, .. } => HirExpr::Unary {
-            op: match op {
-                ast::UnOp::Neg => UnaryOp::Neg,
-                ast::UnOp::Not => UnaryOp::Not,
-            },
-            operand: Box::new(lower_expr(operand)?),
-        },
-        ast::Expr::Binary { op, lhs, rhs, .. } => HirExpr::Binary {
-            op: lower_binop(*op),
-            lhs: Box::new(lower_expr(lhs)?),
-            rhs: Box::new(lower_expr(rhs)?),
-        },
-        ast::Expr::Call {
-            function,
-            args,
-            span,
-        } => {
-            if let Some((_, op)) = UNARY_BUILTINS.iter().find(|(n, _)| n == function) {
-                if args.len() != 1 {
-                    return Err(CompileError::sema(
-                        format!(
-                            "builtin `{function}` takes 1 argument, found {}",
-                            args.len()
-                        ),
-                        Some(*span),
-                    ));
-                }
-                HirExpr::Unary {
-                    op: *op,
-                    operand: Box::new(lower_expr(&args[0])?),
-                }
-            } else if let Some((_, op)) = BINARY_BUILTINS.iter().find(|(n, _)| n == function) {
-                if args.len() != 2 {
-                    return Err(CompileError::sema(
-                        format!(
-                            "builtin `{function}` takes 2 arguments, found {}",
-                            args.len()
-                        ),
-                        Some(*span),
-                    ));
-                }
-                HirExpr::Binary {
-                    op: *op,
-                    lhs: Box::new(lower_expr(&args[0])?),
-                    rhs: Box::new(lower_expr(&args[1])?),
-                }
-            } else {
-                HirExpr::Call {
-                    function: function.clone(),
-                    args: args.iter().map(lower_expr).collect::<Result<_, _>>()?,
-                }
-            }
-        }
-        ast::Expr::Select {
-            cond,
-            then_value,
-            else_value,
-            ..
-        } => HirExpr::Select {
-            cond: Box::new(lower_expr(cond)?),
-            then_value: Box::new(lower_expr(then_value)?),
-            else_value: Box::new(lower_expr(else_value)?),
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
 
-    fn lower_src(src: &str) -> HirProgram {
-        lower(&parse(src).unwrap()).unwrap()
+    fn parse_hir(src: &str) -> HirProgram {
+        crate::parser::parse(src).unwrap().0
     }
 
     #[test]
     fn builtins_become_operators() {
-        let hir = lower_src("def main(x) { a = sqrt(x); b = min(x, 2); return pow(a, b); }");
+        let hir = parse_hir("def main(x) { a = sqrt(x); b = min(x, 2); return pow(a, b); }");
         let body = &hir.function("main").unwrap().body;
         assert!(matches!(
             &body[0],
@@ -647,15 +468,20 @@ mod tests {
 
     #[test]
     fn builtin_arity_is_checked() {
-        let ast = parse("def main(x) { return sqrt(x, x); }").unwrap();
-        assert!(lower(&ast).is_err());
-        let ast = parse("def main(x) { return min(x); }").unwrap();
-        assert!(lower(&ast).is_err());
+        let message = |src| crate::compile(src).unwrap_err().message;
+        assert_eq!(
+            message("def main(x) { return sqrt(x, x); }"),
+            "builtin `sqrt` takes 1 argument, found 2"
+        );
+        assert_eq!(
+            message("def main(x) { return min(x); }"),
+            "builtin `min` takes 2 arguments, found 1"
+        );
     }
 
     #[test]
     fn user_calls_are_preserved() {
-        let hir = lower_src("def main(x) { return f(x, 1); } def f(a, b) { return a + b; }");
+        let hir = parse_hir("def main(x) { return f(x, 1); } def f(a, b) { return a + b; }");
         assert!(matches!(
             &hir.function("main").unwrap().body[0],
             HirStmt::Return { value: HirExpr::Call { function, args } }
@@ -666,7 +492,7 @@ mod tests {
 
     #[test]
     fn free_vars_are_collected_once() {
-        let hir = lower_src("def main(a, i) { return a[i, i] + i; }");
+        let hir = parse_hir("def main(a, i) { return a[i, i] + i; }");
         match &hir.function("main").unwrap().body[0] {
             HirStmt::Return { value } => {
                 let mut vars = Vec::new();
@@ -679,7 +505,7 @@ mod tests {
 
     #[test]
     fn free_vars_of_statements_respect_loop_and_branch_scopes() {
-        let hir = lower_src(
+        let hir = parse_hir(
             "def main(n, a, b) {
                  for i = 0 to n { t = i; a[i] = t; }
                  for j = 0 to n { b[j] = t + i; }
@@ -697,7 +523,7 @@ mod tests {
     #[test]
     fn loops_and_stores_lower_structurally() {
         let hir =
-            lower_src("def main() { a = array(4); for i = 0 to 3 { a[i] = i * 2; } return a; }");
+            parse_hir("def main() { a = array(4); for i = 0 to 3 { a[i] = i * 2; } return a; }");
         let body = &hir.function("main").unwrap().body;
         assert!(matches!(&body[0], HirStmt::Alloc { dims, .. } if dims.len() == 1));
         match &body[1] {

@@ -5,8 +5,10 @@
 //! declarative, single-assignment language featuring exactly the constructs
 //! the paper's workloads need — nested counted loops (ascending and
 //! descending), I-structure arrays of one to three dimensions, conditionals,
-//! function calls, and floating-point math — and lowers it to a structured
-//! HIR consumed by the dataflow-graph builder and the SP translator.
+//! function calls, and floating-point math — straight into a structured
+//! HIR consumed by the dataflow-graph builder and the SP translator. The
+//! HIR is the one syntax tree: the semantic checks run over it too, with
+//! the source spans of their diagnostics kept beside it.
 //!
 //! # Syntax overview
 //!
@@ -41,25 +43,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
 pub mod error;
 pub mod hir;
 pub mod lexer;
 pub mod name;
-pub mod parser;
-pub mod sema;
+mod parser;
+mod sema;
 pub mod token;
 
 pub use error::{CompileError, ErrorPhase};
 pub use hir::{BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, UnaryOp};
 pub use name::Name;
 
-/// Compiles source text all the way to the HIR: lex, parse, semantic checks,
-/// and lowering.
+/// Compiles source text to the HIR: lex, parse, and semantic checks.
 ///
 /// # Errors
 ///
-/// Returns the first error from any phase.
+/// Returns the first error from any phase: the first of
+/// [`compile_with_diagnostics`]' errors.
 ///
 /// # Example
 ///
@@ -69,9 +70,7 @@ pub use name::Name;
 /// # Ok::<(), pods_idlang::CompileError>(())
 /// ```
 pub fn compile(source: &str) -> Result<hir::HirProgram, CompileError> {
-    let ast = parser::parse(source)?;
-    sema::check(&ast)?;
-    hir::lower(&ast)
+    compile_with_diagnostics(source).map_err(|mut errors| errors.swap_remove(0))
 }
 
 /// Parses and checks source text, returning *all* diagnostics instead of just
@@ -79,12 +78,12 @@ pub fn compile(source: &str) -> Result<hir::HirProgram, CompileError> {
 ///
 /// The result is `Ok(hir)` when there are no errors, otherwise `Err(errors)`.
 pub fn compile_with_diagnostics(source: &str) -> Result<hir::HirProgram, Vec<CompileError>> {
-    let ast = parser::parse(source).map_err(|e| vec![e])?;
-    let errors = sema::analyze(&ast);
+    let (program, spans) = parser::parse(source).map_err(|e| vec![e])?;
+    let errors = sema::analyze(&program, &spans);
     if !errors.is_empty() {
         return Err(errors);
     }
-    hir::lower(&ast).map_err(|e| vec![e])
+    Ok(program)
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Interned identifiers.
 //!
 //! A [`Name`] is a shared, immutable identifier: cloning one bumps a
-//! reference count instead of copying text, so the AST, the HIR and every
-//! stage downstream of them (loop keys, SP templates, the partitioner's
-//! copies) hold pointers to the same few strings. The lexer interns each
+//! reference count instead of copying text, so the HIR and every stage
+//! downstream of it (loop keys, SP templates, the partitioner's copies)
+//! hold pointers to the same few strings. The lexer interns each
 //! distinct identifier of a source text once.
 
 use std::borrow::Borrow;

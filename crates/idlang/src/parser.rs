@@ -1,19 +1,49 @@
-//! Recursive-descent parser for `idlang`.
+//! Recursive-descent parser for `idlang`: source text straight to the HIR.
+//!
+//! The parser builds the [`HirProgram`] itself, turning a call of a
+//! built-in of the right arity into its operator; a call of a built-in with
+//! the wrong arity stays a [`HirExpr::Call`], which [`crate::sema`]
+//! reports. The HIR carries no spans: they live beside it, in [`Spans`].
 
-use crate::ast::{BinOp, Expr, FunctionDef, Program, Stmt, UnOp};
 use crate::error::CompileError;
+use crate::hir::{
+    BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, UnaryOp, BINARY_BUILTINS, UNARY_BUILTINS,
+};
 use crate::lexer::Lexer;
 use crate::name::Name;
 use crate::token::{Span, Token, TokenKind};
 
-/// Parses source text into an AST [`Program`].
+/// The source spans of a parsed program, kept beside its HIR: each
+/// function's `def` span, and one span per statement and per `Var`, `Load`
+/// and `Call` expression, in preorder — a node before its children, the
+/// children in source order — which is the order [`crate::sema`] walks the
+/// HIR in. Operator nodes have none, since no diagnostic points at one.
+#[derive(Debug, Default)]
+pub(crate) struct Spans {
+    /// Per function, in source order: its `def` span and the end of its
+    /// node spans in `nodes`.
+    functions: Vec<(Span, usize)>,
+    /// The node spans of every function, function after function.
+    nodes: Vec<Span>,
+}
+
+impl Spans {
+    /// Function `index`'s `def` span and its node spans in preorder.
+    pub(crate) fn function(&self, index: usize) -> (Span, &[Span]) {
+        let (def, end) = self.functions[index];
+        let start = index.checked_sub(1).map_or(0, |i| self.functions[i].1);
+        (def, &self.nodes[start..end])
+    }
+}
+
+/// Parses source text into the HIR and the spans beside it.
 ///
 /// # Errors
 ///
 /// Returns the first lexical or syntactic error encountered. A lexical error
 /// anywhere in the source wins over a syntax error before it, as if the
 /// whole source were lexed first.
-pub fn parse(source: &str) -> Result<Program, CompileError> {
+pub(crate) fn parse(source: &str) -> Result<(HirProgram, Spans), CompileError> {
     let mut parser = Parser::new(Lexer::new(source));
     let parsed = parser.program();
     // The parser stops at its first error: lex the rest, so that the first
@@ -23,7 +53,7 @@ pub fn parse(source: &str) -> Result<Program, CompileError> {
     }
     match parser.lex_error.take() {
         Some(e) => Err(e),
-        None => parsed,
+        None => parsed.map(|program| (program, parser.spans)),
     }
 }
 
@@ -36,6 +66,7 @@ struct Parser<'a> {
     /// The lexer's error, if it failed: the stream reads as ended from
     /// there, and [`parse`] reports this error.
     lex_error: Option<CompileError>,
+    spans: Spans,
 }
 
 impl<'a> Parser<'a> {
@@ -48,6 +79,7 @@ impl<'a> Parser<'a> {
             lexer,
             window: [eof.clone(), eof],
             lex_error: None,
+            spans: Spans::default(),
         };
         parser.window = [parser.pull(), parser.pull()];
         parser
@@ -129,15 +161,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn program(&mut self) -> Result<Program, CompileError> {
+    /// Reserves the span slot of a node whose span is known only once its
+    /// children, whose spans follow it, are parsed.
+    fn reserve_span(&mut self) -> usize {
+        self.spans.nodes.push(Span::default());
+        self.spans.nodes.len() - 1
+    }
+
+    fn program(&mut self) -> Result<HirProgram, CompileError> {
         let mut functions = Vec::new();
         while !self.at(&TokenKind::Eof) {
             functions.push(self.function()?);
         }
-        Ok(Program { functions })
+        Ok(HirProgram { functions })
     }
 
-    fn function(&mut self) -> Result<FunctionDef, CompileError> {
+    fn function(&mut self) -> Result<HirFunction, CompileError> {
         let def = self.expect(TokenKind::Def)?;
         let (name, name_span) = self.expect_ident()?;
         self.expect(TokenKind::LParen)?;
@@ -153,15 +192,12 @@ impl<'a> Parser<'a> {
         }
         self.expect(TokenKind::RParen)?;
         let body = self.block()?;
-        Ok(FunctionDef {
-            name,
-            params,
-            body,
-            span: def.span.merge(name_span),
-        })
+        let end = self.spans.nodes.len();
+        self.spans.functions.push((def.span.merge(name_span), end));
+        Ok(HirFunction { name, params, body })
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, CompileError> {
+    fn block(&mut self) -> Result<Vec<HirStmt>, CompileError> {
         self.expect(TokenKind::LBrace)?;
         let mut stmts = Vec::new();
         while !self.at(&TokenKind::RBrace) {
@@ -177,73 +213,57 @@ impl<'a> Parser<'a> {
         Ok(stmts)
     }
 
-    fn statement(&mut self) -> Result<Stmt, CompileError> {
-        match self.peek_kind().clone() {
-            TokenKind::For => self.for_stmt(),
-            TokenKind::If => self.if_stmt(),
+    fn statement(&mut self) -> Result<HirStmt, CompileError> {
+        let slot = self.reserve_span();
+        let (stmt, span) = match self.peek_kind().clone() {
+            TokenKind::For => self.for_stmt()?,
+            TokenKind::If => self.if_stmt()?,
             TokenKind::Return => {
                 let start = self.bump().span;
                 let value = self.expr()?;
                 let end = self.expect(TokenKind::Semicolon)?.span;
-                Ok(Stmt::Return {
-                    value,
-                    span: start.merge(end),
-                })
+                (HirStmt::Return { value }, start.merge(end))
             }
             TokenKind::Let => {
                 self.bump();
-                self.binding_stmt()
+                self.binding_stmt()?
             }
-            TokenKind::Ident(_) => self.binding_stmt(),
-            other => Err(CompileError::parse(
-                format!("expected a statement, found {}", other.describe()),
-                self.peek().span,
-            )),
-        }
+            TokenKind::Ident(_) => self.binding_stmt()?,
+            other => {
+                return Err(CompileError::parse(
+                    format!("expected a statement, found {}", other.describe()),
+                    self.peek().span,
+                ))
+            }
+        };
+        self.spans.nodes[slot] = span;
+        Ok(stmt)
     }
 
     /// Parses `name = expr;`, `name = array(...);`, `name[...] = expr;`, or a
-    /// call-for-effect `name(args);`.
-    fn binding_stmt(&mut self) -> Result<Stmt, CompileError> {
+    /// call-for-effect `name(args);`, with the statement's span.
+    fn binding_stmt(&mut self) -> Result<(HirStmt, Span), CompileError> {
         let (name, start) = self.expect_ident()?;
         if self.at(&TokenKind::LParen) {
-            self.bump();
-            let mut args = Vec::new();
-            if !self.at(&TokenKind::RParen) {
-                loop {
-                    args.push(self.expr()?);
-                    if !self.eat(&TokenKind::Comma) {
-                        break;
-                    }
-                }
-            }
-            self.expect(TokenKind::RParen)?;
+            let (args, _) = self.list(TokenKind::LParen, TokenKind::RParen, true)?;
             let end = self.expect(TokenKind::Semicolon)?.span;
-            return Ok(Stmt::Call {
+            let call = HirStmt::Call {
                 function: name,
                 args,
-                span: start.merge(end),
-            });
+            };
+            return Ok((call, start.merge(end)));
         }
         if self.at(&TokenKind::LBracket) {
-            self.bump();
-            let mut indices = Vec::new();
-            loop {
-                indices.push(self.expr()?);
-                if !self.eat(&TokenKind::Comma) {
-                    break;
-                }
-            }
-            self.expect(TokenKind::RBracket)?;
+            let (indices, _) = self.list(TokenKind::LBracket, TokenKind::RBracket, false)?;
             self.expect(TokenKind::Assign)?;
             let value = self.expr()?;
             let end = self.expect(TokenKind::Semicolon)?.span;
-            return Ok(Stmt::Store {
+            let store = HirStmt::Store {
                 array: name,
                 indices,
                 value,
-                span: start.merge(end),
-            });
+            };
+            return Ok((store, start.merge(end)));
         }
         self.expect(TokenKind::Assign)?;
         // Array allocations are recognised syntactically by their callee name.
@@ -252,15 +272,7 @@ impl<'a> Parser<'a> {
                 && *self.peek2_kind() == TokenKind::LParen
             {
                 self.bump(); // callee
-                self.bump(); // (
-                let mut dims = Vec::new();
-                loop {
-                    dims.push(self.expr()?);
-                    if !self.eat(&TokenKind::Comma) {
-                        break;
-                    }
-                }
-                self.expect(TokenKind::RParen)?;
+                let (dims, _) = self.list(TokenKind::LParen, TokenKind::RParen, false)?;
                 let end = self.expect(TokenKind::Semicolon)?.span;
                 // `tensor` is the rank-3-and-up form: nothing after the
                 // parser depends on a maximum rank.
@@ -278,23 +290,37 @@ impl<'a> Parser<'a> {
                         start,
                     ));
                 }
-                return Ok(Stmt::Alloc {
-                    name,
-                    dims,
-                    span: start.merge(end),
-                });
+                return Ok((HirStmt::Alloc { name, dims }, start.merge(end)));
             }
         }
         let value = self.expr()?;
         let end = self.expect(TokenKind::Semicolon)?.span;
-        Ok(Stmt::Let {
-            name,
-            value,
-            span: start.merge(end),
-        })
+        Ok((HirStmt::Let { name, value }, start.merge(end)))
     }
 
-    fn for_stmt(&mut self) -> Result<Stmt, CompileError> {
+    /// Parses `open`, then expressions separated by commas, then `close`,
+    /// returning the expressions and the span of `close`.
+    fn list(
+        &mut self,
+        open: TokenKind,
+        close: TokenKind,
+        may_be_empty: bool,
+    ) -> Result<(Vec<HirExpr>, Span), CompileError> {
+        self.expect(open)?;
+        let mut items = Vec::new();
+        if !(may_be_empty && self.at(&close)) {
+            loop {
+                items.push(self.expr()?);
+                if !self.eat(&TokenKind::Comma) {
+                    break;
+                }
+            }
+        }
+        let end = self.expect(close)?.span;
+        Ok((items, end))
+    }
+
+    fn for_stmt(&mut self) -> Result<(HirStmt, Span), CompileError> {
         let start = self.expect(TokenKind::For)?.span;
         let (var, _) = self.expect_ident()?;
         self.expect(TokenKind::Assign)?;
@@ -314,251 +340,151 @@ impl<'a> Parser<'a> {
         };
         let to = self.expr()?;
         let body = self.block()?;
-        Ok(Stmt::For {
+        let stmt = HirStmt::For {
             var,
             from,
             to,
             descending,
             body,
-            span: start,
-        })
+        };
+        Ok((stmt, start))
     }
 
-    fn if_stmt(&mut self) -> Result<Stmt, CompileError> {
+    fn if_stmt(&mut self) -> Result<(HirStmt, Span), CompileError> {
         let start = self.expect(TokenKind::If)?.span;
         let cond = self.expr()?;
         let then_body = self.block()?;
         let else_body = if self.eat(&TokenKind::Else) {
             if self.at(&TokenKind::If) {
                 // `else if` chains desugar into a nested if statement.
-                vec![self.if_stmt()?]
+                vec![self.statement()?]
             } else {
                 self.block()?
             }
         } else {
             Vec::new()
         };
-        Ok(Stmt::If {
+        let stmt = HirStmt::If {
             cond,
             then_body,
             else_body,
-            span: start,
-        })
+        };
+        Ok((stmt, start))
     }
 
     // ----- expressions (precedence climbing) -----
 
-    fn expr(&mut self) -> Result<Expr, CompileError> {
-        if self.at(&TokenKind::If) {
+    fn expr(&mut self) -> Result<HirExpr, CompileError> {
+        if self.eat(&TokenKind::If) {
             // Conditional expression: `if c then a else b`.
-            let start = self.bump().span;
             let cond = self.expr()?;
             self.expect(TokenKind::Then)?;
             let then_value = self.expr()?;
             self.expect(TokenKind::Else)?;
             let else_value = self.expr()?;
-            let span = start.merge(else_value.span());
-            return Ok(Expr::Select {
+            return Ok(HirExpr::Select {
                 cond: Box::new(cond),
                 then_value: Box::new(then_value),
                 else_value: Box::new(else_value),
-                span,
             });
         }
         self.or_expr()
     }
 
-    fn or_expr(&mut self) -> Result<Expr, CompileError> {
+    fn or_expr(&mut self) -> Result<HirExpr, CompileError> {
         let mut lhs = self.and_expr()?;
-        while self.at(&TokenKind::Or) {
-            self.bump();
-            let rhs = self.and_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+        while self.eat(&TokenKind::Or) {
+            lhs = binary(BinaryOp::Or, lhs, self.and_expr()?);
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, CompileError> {
+    fn and_expr(&mut self) -> Result<HirExpr, CompileError> {
         let mut lhs = self.not_expr()?;
-        while self.at(&TokenKind::And) {
-            self.bump();
-            let rhs = self.not_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+        while self.eat(&TokenKind::And) {
+            lhs = binary(BinaryOp::And, lhs, self.not_expr()?);
         }
         Ok(lhs)
     }
 
-    fn not_expr(&mut self) -> Result<Expr, CompileError> {
-        if self.at(&TokenKind::Not) {
-            let start = self.bump().span;
-            let operand = self.not_expr()?;
-            let span = start.merge(operand.span());
-            return Ok(Expr::Unary {
-                op: UnOp::Not,
-                operand: Box::new(operand),
-                span,
-            });
+    fn not_expr(&mut self) -> Result<HirExpr, CompileError> {
+        if self.eat(&TokenKind::Not) {
+            return Ok(unary(UnaryOp::Not, self.not_expr()?));
         }
         self.comparison()
     }
 
-    fn comparison(&mut self) -> Result<Expr, CompileError> {
+    fn comparison(&mut self) -> Result<HirExpr, CompileError> {
         let lhs = self.additive()?;
         let op = match self.peek_kind() {
-            TokenKind::Eq => Some(BinOp::Eq),
-            TokenKind::Ne => Some(BinOp::Ne),
-            TokenKind::Lt => Some(BinOp::Lt),
-            TokenKind::Le => Some(BinOp::Le),
-            TokenKind::Gt => Some(BinOp::Gt),
-            TokenKind::Ge => Some(BinOp::Ge),
-            _ => None,
+            TokenKind::Eq => BinaryOp::Eq,
+            TokenKind::Ne => BinaryOp::Ne,
+            TokenKind::Lt => BinaryOp::Lt,
+            TokenKind::Le => BinaryOp::Le,
+            TokenKind::Gt => BinaryOp::Gt,
+            TokenKind::Ge => BinaryOp::Ge,
+            _ => return Ok(lhs),
         };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.additive()?;
-            let span = lhs.span().merge(rhs.span());
-            Ok(Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            })
-        } else {
-            Ok(lhs)
-        }
+        self.bump();
+        Ok(binary(op, lhs, self.additive()?))
     }
 
-    fn additive(&mut self) -> Result<Expr, CompileError> {
+    fn additive(&mut self) -> Result<HirExpr, CompileError> {
         let mut lhs = self.multiplicative()?;
         loop {
             let op = match self.peek_kind() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
+                TokenKind::Plus => BinaryOp::Add,
+                TokenKind::Minus => BinaryOp::Sub,
+                _ => return Ok(lhs),
             };
             self.bump();
-            let rhs = self.multiplicative()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = binary(op, lhs, self.multiplicative()?);
         }
-        Ok(lhs)
     }
 
-    fn multiplicative(&mut self) -> Result<Expr, CompileError> {
+    fn multiplicative(&mut self) -> Result<HirExpr, CompileError> {
         let mut lhs = self.unary()?;
         loop {
             let op = match self.peek_kind() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
+                TokenKind::Star => BinaryOp::Mul,
+                TokenKind::Slash => BinaryOp::Div,
+                TokenKind::Percent => BinaryOp::Rem,
+                _ => return Ok(lhs),
             };
             self.bump();
-            let rhs = self.unary()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            lhs = binary(op, lhs, self.unary()?);
         }
-        Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, CompileError> {
-        if self.at(&TokenKind::Minus) {
-            let start = self.bump().span;
-            let operand = self.unary()?;
-            let span = start.merge(operand.span());
-            return Ok(Expr::Unary {
-                op: UnOp::Neg,
-                operand: Box::new(operand),
-                span,
-            });
+    fn unary(&mut self) -> Result<HirExpr, CompileError> {
+        if self.eat(&TokenKind::Minus) {
+            return Ok(unary(UnaryOp::Neg, self.unary()?));
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Expr, CompileError> {
-        let token = self.peek().clone();
+    fn primary(&mut self) -> Result<HirExpr, CompileError> {
+        let token = self.bump();
         match token.kind {
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::Int(v, token.span))
-            }
-            TokenKind::Float(v) => {
-                self.bump();
-                Ok(Expr::Float(v, token.span))
-            }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::Bool(true, token.span))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::Bool(false, token.span))
-            }
+            TokenKind::Int(v) => Ok(HirExpr::Int(v)),
+            TokenKind::Float(v) => Ok(HirExpr::Float(v)),
+            TokenKind::True => Ok(HirExpr::Bool(true)),
+            TokenKind::False => Ok(HirExpr::Bool(false)),
             TokenKind::LParen => {
-                self.bump();
                 let e = self.expr()?;
                 self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
+            TokenKind::Ident(name) if self.at(&TokenKind::LParen) => self.call(name, token.span),
+            TokenKind::Ident(array) if self.at(&TokenKind::LBracket) => {
+                let slot = self.reserve_span();
+                let (indices, end) = self.list(TokenKind::LBracket, TokenKind::RBracket, false)?;
+                self.spans.nodes[slot] = token.span.merge(end);
+                Ok(HirExpr::Load { array, indices })
+            }
             TokenKind::Ident(name) => {
-                self.bump();
-                if self.at(&TokenKind::LParen) {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !self.at(&TokenKind::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    let end = self.expect(TokenKind::RParen)?.span;
-                    Ok(Expr::Call {
-                        function: name,
-                        args,
-                        span: token.span.merge(end),
-                    })
-                } else if self.at(&TokenKind::LBracket) {
-                    self.bump();
-                    let mut indices = Vec::new();
-                    loop {
-                        indices.push(self.expr()?);
-                        if !self.eat(&TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                    let end = self.expect(TokenKind::RBracket)?.span;
-                    Ok(Expr::Index {
-                        array: name,
-                        indices,
-                        span: token.span.merge(end),
-                    })
-                } else {
-                    Ok(Expr::Var(name, token.span))
-                }
+                self.spans.nodes.push(token.span);
+                Ok(HirExpr::Var(name))
             }
             other => Err(CompileError::parse(
                 format!("expected an expression, found {}", other.describe()),
@@ -566,11 +492,64 @@ impl<'a> Parser<'a> {
             )),
         }
     }
+
+    /// Parses the arguments of a call of `function`, whose name spans
+    /// `start`. A built-in of the right arity becomes its operator, which
+    /// has no span; anything else stays a call.
+    fn call(&mut self, function: Name, start: Span) -> Result<HirExpr, CompileError> {
+        let unary_op = UNARY_BUILTINS.iter().find(|(n, _)| *n == function);
+        let binary_op = BINARY_BUILTINS.iter().find(|(n, _)| *n == function);
+        let builtin = unary_op.is_some() || binary_op.is_some();
+        let slot = self.spans.nodes.len();
+        if !builtin {
+            self.reserve_span();
+        }
+        let (mut args, end) = self.list(TokenKind::LParen, TokenKind::RParen, true)?;
+        match (unary_op, binary_op, args.len()) {
+            (Some(&(_, op)), _, 1) => return Ok(unary(op, args.pop().expect("one argument"))),
+            (_, Some(&(_, op)), 2) => {
+                let rhs = args.pop().expect("two arguments");
+                return Ok(binary(op, args.pop().expect("two arguments"), rhs));
+            }
+            _ => {}
+        }
+        let span = start.merge(end);
+        if builtin {
+            // A built-in of the wrong arity: `sema` reports it at this span.
+            self.spans.nodes.insert(slot, span);
+        } else {
+            self.spans.nodes[slot] = span;
+        }
+        Ok(HirExpr::Call { function, args })
+    }
+}
+
+fn unary(op: UnaryOp, operand: HirExpr) -> HirExpr {
+    HirExpr::Unary {
+        op,
+        operand: Box::new(operand),
+    }
+}
+
+fn binary(op: BinaryOp, lhs: HirExpr, rhs: HirExpr) -> HirExpr {
+    HirExpr::Binary {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_ok(src: &str) -> HirProgram {
+        parse(src).unwrap().0
+    }
+
+    fn main_body(program: &HirProgram) -> &[HirStmt] {
+        &program.function("main").unwrap().body
+    }
 
     #[test]
     fn parses_the_paper_example() {
@@ -589,14 +568,14 @@ mod tests {
                 return i * 10 + j;
             }
         "#;
-        let program = parse(src).unwrap();
+        let program = parse_ok(src);
         assert_eq!(program.functions.len(), 2);
-        let main = program.function("main").unwrap();
-        assert_eq!(main.body.len(), 3);
-        assert!(matches!(&main.body[0], Stmt::Alloc { dims, .. } if dims.len() == 2));
+        let main = main_body(&program);
+        assert_eq!(main.len(), 3);
+        assert!(matches!(&main[0], HirStmt::Alloc { dims, .. } if dims.len() == 2));
         assert!(matches!(
-            &main.body[1],
-            Stmt::For {
+            &main[1],
+            HirStmt::For {
                 descending: false,
                 ..
             }
@@ -604,31 +583,64 @@ mod tests {
     }
 
     #[test]
+    fn records_a_span_per_statement_variable_load_and_call_in_preorder() {
+        let src =
+            "def main(a) {\n  x = -a[1] + f(a, 2) * 3;\n  return x;\n}\ndef f(p, q) { return p; }";
+        let (_, spans) = parse(src).unwrap();
+        let (def, nodes) = spans.function(0);
+        assert_eq!((def.start, def.end), (0, 8));
+        let text: Vec<&str> = nodes.iter().map(|s| &src[s.start..s.end]).collect();
+        assert_eq!(
+            text,
+            [
+                "x = -a[1] + f(a, 2) * 3;",
+                "a[1]",
+                "f(a, 2)",
+                "a",
+                "return x;",
+                "x"
+            ]
+        );
+        let (def, nodes) = spans.function(1);
+        let text: Vec<&str> = nodes.iter().map(|s| &src[s.start..s.end]).collect();
+        assert_eq!(
+            (&src[def.start..def.end], text),
+            ("def f", vec!["return p;", "p"])
+        );
+    }
+
+    #[test]
     fn parses_descending_loops() {
-        let src = "def main() { for i = 9 downto 0 { x = i; } return 0; }";
-        let p = parse(src).unwrap();
-        match &p.function("main").unwrap().body[0] {
-            Stmt::For { descending, .. } => assert!(descending),
-            other => panic!("expected for, got {other:?}"),
-        }
+        let p = parse_ok("def main() { for i = 9 downto 0 { x = i; } return 0; }");
+        assert!(matches!(
+            &main_body(&p)[0],
+            HirStmt::For {
+                descending: true,
+                ..
+            }
+        ));
     }
 
     #[test]
     fn operator_precedence_is_conventional() {
-        let src = "def main() { x = 1 + 2 * 3; return x; }";
-        let p = parse(src).unwrap();
-        match &p.function("main").unwrap().body[0] {
-            Stmt::Let { value, .. } => match value {
-                Expr::Binary {
-                    op: BinOp::Add,
-                    rhs,
+        let p = parse_ok("def main() { x = 1 + 2 * 3; return x; }");
+        match &main_body(&p)[0] {
+            HirStmt::Let {
+                value:
+                    HirExpr::Binary {
+                        op: BinaryOp::Add,
+                        rhs,
+                        ..
+                    },
+                ..
+            } => assert!(matches!(
+                **rhs,
+                HirExpr::Binary {
+                    op: BinaryOp::Mul,
                     ..
-                } => {
-                    assert!(matches!(**rhs, Expr::Binary { op: BinOp::Mul, .. }));
                 }
-                other => panic!("expected +, got {other:?}"),
-            },
-            other => panic!("expected let, got {other:?}"),
+            )),
+            other => panic!("expected a let of a sum, got {other:?}"),
         }
     }
 
@@ -647,19 +659,19 @@ mod tests {
                 return z;
             }
         "#;
-        let p = parse(src).unwrap();
-        let body = &p.function("main").unwrap().body;
+        let p = parse_ok(src);
+        let body = main_body(&p);
         assert!(matches!(
             &body[0],
-            Stmt::Let {
-                value: Expr::Select { .. },
+            HirStmt::Let {
+                value: HirExpr::Select { .. },
                 ..
             }
         ));
         match &body[1] {
-            Stmt::If { else_body, .. } => {
+            HirStmt::If { else_body, .. } => {
                 assert_eq!(else_body.len(), 1);
-                assert!(matches!(&else_body[0], Stmt::If { .. }));
+                assert!(matches!(&else_body[0], HirStmt::If { .. }));
             }
             other => panic!("expected if, got {other:?}"),
         }
@@ -673,16 +685,11 @@ mod tests {
 
     #[test]
     fn parses_tensor_allocations() {
-        let src = "def main() { t = tensor(2, 3, 4); t[0, 1, 2] = 5.0; return t; }";
-        let p = parse(src).unwrap();
-        assert!(
-            matches!(&p.function("main").unwrap().body[0], Stmt::Alloc { dims, .. } if dims.len() == 3)
-        );
-        let src = "def main() { t = tensor(2, 2, 2, 2, 3); t[1, 0, 1, 1, 2] = 5; return t; }";
-        let p = parse(src).unwrap();
-        assert!(
-            matches!(&p.function("main").unwrap().body[0], Stmt::Alloc { dims, .. } if dims.len() == 5)
-        );
+        let p = parse_ok("def main() { t = tensor(2, 3, 4); t[0, 1, 2] = 5.0; return t; }");
+        assert!(matches!(&main_body(&p)[0], HirStmt::Alloc { dims, .. } if dims.len() == 3));
+        let p =
+            parse_ok("def main() { t = tensor(2, 2, 2, 2, 3); t[1, 0, 1, 1, 2] = 5; return t; }");
+        assert!(matches!(&main_body(&p)[0], HirStmt::Alloc { dims, .. } if dims.len() == 5));
     }
 
     #[test]
@@ -690,6 +697,7 @@ mod tests {
         assert!(parse("def main() { a = matrix(3); return a; }").is_err());
         assert!(parse("def main() { a = array(3, 4); return a; }").is_err());
         assert!(parse("def main() { a = tensor(3, 4); return a; }").is_err());
+        assert!(parse("def main() { a = array(); return a; }").is_err());
     }
 
     #[test]
@@ -701,10 +709,10 @@ mod tests {
 
     #[test]
     fn call_with_no_arguments() {
-        let p = parse("def main() { x = g(); return x; } def g() { return 1; }").unwrap();
-        match &p.function("main").unwrap().body[0] {
-            Stmt::Let {
-                value: Expr::Call { args, .. },
+        let p = parse_ok("def main() { x = g(); return x; } def g() { return 1; }");
+        match &main_body(&p)[0] {
+            HirStmt::Let {
+                value: HirExpr::Call { args, .. },
                 ..
             } => assert!(args.is_empty()),
             other => panic!("expected call, got {other:?}"),
@@ -713,12 +721,29 @@ mod tests {
 
     #[test]
     fn let_keyword_is_optional() {
-        let a = parse("def main() { let x = 1; return x; }").unwrap();
-        let b = parse("def main() { x = 1; return x; }").unwrap();
-        // Same structure apart from spans.
-        assert_eq!(a.functions.len(), b.functions.len());
-        assert!(
-            matches!(&a.function("main").unwrap().body[0], Stmt::Let { name, .. } if name == "x")
-        );
+        let a = parse_ok("def main() { let x = 1; return x; }");
+        let b = parse_ok("def main() { x = 1; return x; }");
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn builtin_calls_of_the_wrong_arity_stay_calls() {
+        let p = parse_ok("def main(x) { a = sqrt(x); return min(x); }");
+        assert!(matches!(
+            &main_body(&p)[0],
+            HirStmt::Let {
+                value: HirExpr::Unary {
+                    op: UnaryOp::Sqrt,
+                    ..
+                },
+                ..
+            }
+        ));
+        assert!(matches!(
+            &main_body(&p)[1],
+            HirStmt::Return {
+                value: HirExpr::Call { function, args }
+            } if function == "min" && args.len() == 1
+        ));
     }
 }

@@ -8,16 +8,20 @@
 //! * loop variables and parameters cannot be re-bound,
 //! * array element writes must target allocated arrays (or array parameters)
 //!   with the correct number of indices,
-//! * called functions must exist with matching arity (built-ins are checked
-//!   during lowering).
+//! * called functions must exist with matching arity, and a built-in is
+//!   called with its own arity.
 //!
 //! Note that *element-level* single assignment (writing the same array
 //! element twice) is a run-time property enforced by the I-structure memory;
 //! the static checks here only cover what is decidable from the program text.
+//!
+//! The checks walk the HIR the parser built, and find each diagnostic's
+//! span in the [`Spans`] beside it, through a cursor that moves in the
+//! order the parser recorded them.
 
-use crate::ast::{Expr, FunctionDef, Program, Stmt};
 use crate::error::CompileError;
-use crate::hir::is_builtin;
+use crate::hir::{is_builtin, HirExpr, HirFunction, HirProgram, HirStmt, BINARY_BUILTINS};
+use crate::parser::Spans;
 use crate::token::Span;
 use std::collections::HashMap;
 
@@ -34,54 +38,47 @@ enum Symbol {
     LoopVar,
 }
 
-/// Checks a parsed program; returns the list of all semantic errors found.
+/// Checks a parsed program against the spans the parser recorded beside
+/// it; returns the list of all semantic errors found, in walk order.
 ///
 /// An empty list means the program is valid.
-pub fn analyze(program: &Program) -> Vec<CompileError> {
+pub(crate) fn analyze(program: &HirProgram, spans: &Spans) -> Vec<CompileError> {
     let mut errors = Vec::new();
     let mut signatures: HashMap<&str, usize> = HashMap::new();
-    for f in &program.functions {
+    for (index, f) in program.functions.iter().enumerate() {
+        let def = Some(spans.function(index).0);
         if signatures.insert(&f.name, f.params.len()).is_some() {
             errors.push(CompileError::sema(
                 format!("function `{}` is defined more than once", f.name),
-                Some(f.span),
+                def,
             ));
         }
         if is_builtin(&f.name) {
             errors.push(CompileError::sema(
                 format!("function `{}` shadows a builtin", f.name),
-                Some(f.span),
+                def,
             ));
         }
     }
-    for f in &program.functions {
-        check_function(f, &signatures, &mut errors);
+    for (index, f) in program.functions.iter().enumerate() {
+        check_function(f, spans.function(index), &signatures, &mut errors);
     }
     errors
 }
 
-/// Checks a parsed program and fails on the first error.
-///
-/// # Errors
-///
-/// Returns the first semantic error when the program is invalid.
-pub fn check(program: &Program) -> Result<(), CompileError> {
-    match analyze(program).into_iter().next() {
-        Some(err) => Err(err),
-        None => Ok(()),
-    }
-}
-
-/// The names visible at a point of a function body, borrowed from the AST.
+/// The names visible at a point of a function body, borrowed from the HIR.
 type Scope<'a> = HashMap<&'a str, Symbol>;
 
 struct Checker<'a> {
     signatures: &'a HashMap<&'a str, usize>,
     errors: &'a mut Vec<CompileError>,
+    /// The spans of the function's nodes not yet entered, in preorder.
+    spans: std::slice::Iter<'a, Span>,
 }
 
 fn check_function<'a>(
-    f: &'a FunctionDef,
+    f: &'a HirFunction,
+    (def, spans): (Span, &'a [Span]),
     signatures: &'a HashMap<&'a str, usize>,
     errors: &'a mut Vec<CompileError>,
 ) {
@@ -90,116 +87,143 @@ fn check_function<'a>(
         if scope.insert(p, Symbol::Param).is_some() {
             errors.push(CompileError::sema(
                 format!("parameter `{p}` of `{}` is repeated", f.name),
-                Some(f.span),
+                Some(def),
             ));
         }
     }
-    let mut checker = Checker { signatures, errors };
+    let mut checker = Checker {
+        signatures,
+        errors,
+        spans: spans.iter(),
+    };
     checker.check_block(&f.body, &mut scope);
+    debug_assert!(
+        checker.spans.len() == 0,
+        "`{}` has a span for each node the walk entered, and no more",
+        f.name
+    );
 }
 
 impl<'a> Checker<'a> {
-    fn check_block(&mut self, stmts: &'a [Stmt], scope: &mut Scope<'a>) {
+    /// The span of the node the walk enters: the next in preorder.
+    fn enter(&mut self) -> Span {
+        *self
+            .spans
+            .next()
+            .expect("the parser records a span per node")
+    }
+
+    fn error(&mut self, message: String, span: Span) {
+        self.errors.push(CompileError::sema(message, Some(span)));
+    }
+
+    fn check_block(&mut self, stmts: &'a [HirStmt], scope: &mut Scope<'a>) {
         for stmt in stmts {
             self.check_stmt(stmt, scope);
         }
     }
 
     fn bind(&mut self, name: &'a str, sym: Symbol, span: Span, scope: &mut Scope<'a>) {
-        match scope.get(name) {
-            Some(Symbol::Param) => self.errors.push(CompileError::sema(
-                format!("`{name}` re-binds a function parameter (single assignment)"),
-                Some(span),
-            )),
-            Some(Symbol::LoopVar) => self.errors.push(CompileError::sema(
-                format!("`{name}` re-binds a loop index variable (single assignment)"),
-                Some(span),
-            )),
-            Some(_) => self.errors.push(CompileError::sema(
-                format!("`{name}` is bound more than once (single assignment)"),
-                Some(span),
-            )),
+        let message = match scope.get(name) {
+            Some(Symbol::Param) => {
+                format!("`{name}` re-binds a function parameter (single assignment)")
+            }
+            Some(Symbol::LoopVar) => {
+                format!("`{name}` re-binds a loop index variable (single assignment)")
+            }
+            Some(_) => format!("`{name}` is bound more than once (single assignment)"),
             None => {
                 scope.insert(name, sym);
+                return;
             }
-        }
+        };
+        self.error(message, span);
     }
 
-    fn check_stmt(&mut self, stmt: &'a Stmt, scope: &mut Scope<'a>) {
-        match stmt {
-            Stmt::Let { name, value, span } => {
-                self.check_expr(value, scope);
-                self.bind(name, Symbol::Scalar, *span, scope);
+    /// Checks that `array` names an array that takes `indices` indices;
+    /// `access` is "read" or "written".
+    fn check_indexing(
+        &mut self,
+        array: &str,
+        indices: usize,
+        access: &str,
+        span: Span,
+        scope: &Scope<'a>,
+    ) {
+        let message = match scope.get(array) {
+            None => format!("array `{array}` is not defined"),
+            Some(Symbol::Scalar) | Some(Symbol::LoopVar) => {
+                format!("`{array}` is not an array and cannot be indexed")
             }
-            Stmt::Alloc { name, dims, span } => {
+            Some(&Symbol::Array(ndims)) if ndims != indices => format!(
+                "array `{array}` has {ndims} dimension(s) but is {access} with {indices} indices"
+            ),
+            // Arrays received as parameters have unknown rank; the run-time
+            // bounds check covers them.
+            Some(_) => return,
+        };
+        self.error(message, span);
+    }
+
+    /// Checks that `function` is defined and takes `args` arguments.
+    fn check_call(&mut self, function: &str, args: usize, span: Span) {
+        let message = match self.signatures.get(function) {
+            None => format!("function `{function}` is not defined"),
+            Some(&arity) if arity != args => {
+                format!("function `{function}` takes {arity} argument(s), found {args}")
+            }
+            Some(_) => return,
+        };
+        self.error(message, span);
+    }
+
+    fn check_stmt(&mut self, stmt: &'a HirStmt, scope: &mut Scope<'a>) {
+        let span = self.enter();
+        match stmt {
+            HirStmt::Let { name, value } => {
+                self.check_expr(value, scope);
+                self.bind(name, Symbol::Scalar, span, scope);
+            }
+            HirStmt::Alloc { name, dims } => {
                 for d in dims {
                     self.check_expr(d, scope);
                 }
-                self.bind(name, Symbol::Array(dims.len()), *span, scope);
+                self.bind(name, Symbol::Array(dims.len()), span, scope);
             }
-            Stmt::Store {
+            HirStmt::Store {
                 array,
                 indices,
                 value,
-                span,
             } => {
                 for idx in indices {
                     self.check_expr(idx, scope);
                 }
                 self.check_expr(value, scope);
-                match scope.get(array.as_str()) {
-                    None => self.errors.push(CompileError::sema(
-                        format!("array `{array}` is not defined"),
-                        Some(*span),
-                    )),
-                    Some(Symbol::Scalar) | Some(Symbol::LoopVar) => {
-                        self.errors.push(CompileError::sema(
-                            format!("`{array}` is not an array and cannot be indexed"),
-                            Some(*span),
-                        ))
-                    }
-                    Some(Symbol::Array(ndims)) => {
-                        if *ndims != indices.len() {
-                            self.errors.push(CompileError::sema(
-                                format!(
-                                    "array `{array}` has {ndims} dimension(s) but is written with {} indices",
-                                    indices.len()
-                                ),
-                                Some(*span),
-                            ));
-                        }
-                    }
-                    Some(Symbol::Param) => {
-                        // Arrays received as parameters have unknown rank; the
-                        // run-time bounds check covers them.
-                    }
-                }
+                self.check_indexing(array, indices.len(), "written", span, scope);
             }
-            Stmt::For {
+            HirStmt::For {
                 var,
                 from,
                 to,
                 body,
-                span,
                 ..
             } => {
                 self.check_expr(from, scope);
                 self.check_expr(to, scope);
                 if scope.contains_key(var.as_str()) {
-                    self.errors.push(CompileError::sema(
+                    self.error(
                         format!("loop variable `{var}` shadows an existing binding"),
-                        Some(*span),
-                    ));
+                        span,
+                    );
                 }
                 let mut inner = scope.clone();
                 inner.insert(var, Symbol::LoopVar);
                 self.check_block(body, &mut inner);
             }
-            Stmt::If {
+            HirStmt::If {
                 cond,
                 then_body,
                 else_body,
-                ..
             } => {
                 self.check_expr(cond, scope);
                 let mut then_scope = scope.clone();
@@ -215,115 +239,64 @@ impl<'a> Checker<'a> {
                     scope.entry(name).or_insert(sym);
                 }
             }
-            Stmt::Return { value, .. } => self.check_expr(value, scope),
-            Stmt::Call {
-                function,
-                args,
-                span,
-            } => {
+            HirStmt::Return { value } => self.check_expr(value, scope),
+            HirStmt::Call { function, args } => {
                 for a in args {
                     self.check_expr(a, scope);
                 }
-                match self.signatures.get(function.as_str()) {
-                    None => self.errors.push(CompileError::sema(
-                        format!("function `{function}` is not defined"),
-                        Some(*span),
-                    )),
-                    Some(&arity) if arity != args.len() => {
-                        self.errors.push(CompileError::sema(
-                            format!(
-                                "function `{function}` takes {arity} argument(s), found {}",
-                                args.len()
-                            ),
-                            Some(*span),
-                        ));
-                    }
-                    Some(_) => {}
-                }
+                self.check_call(function, args.len(), span);
             }
         }
     }
 
-    fn check_expr(&mut self, expr: &Expr, scope: &Scope<'a>) {
+    fn check_expr(&mut self, expr: &HirExpr, scope: &Scope<'a>) {
         match expr {
-            Expr::Int(..) | Expr::Float(..) | Expr::Bool(..) => {}
-            Expr::Var(name, span) => {
+            HirExpr::Int(..) | HirExpr::Float(..) | HirExpr::Bool(..) => {}
+            HirExpr::Var(name) => {
+                let span = self.enter();
                 if !scope.contains_key(name.as_str()) {
-                    self.errors.push(CompileError::sema(
-                        format!("variable `{name}` is not defined"),
-                        Some(*span),
-                    ));
+                    self.error(format!("variable `{name}` is not defined"), span);
                 }
             }
-            Expr::Index {
-                array,
-                indices,
-                span,
-            } => {
+            HirExpr::Load { array, indices } => {
+                let span = self.enter();
                 for idx in indices {
                     self.check_expr(idx, scope);
                 }
-                match scope.get(array.as_str()) {
-                    None => self.errors.push(CompileError::sema(
-                        format!("array `{array}` is not defined"),
-                        Some(*span),
-                    )),
-                    Some(Symbol::Scalar) | Some(Symbol::LoopVar) => {
-                        self.errors.push(CompileError::sema(
-                            format!("`{array}` is not an array and cannot be indexed"),
-                            Some(*span),
-                        ))
-                    }
-                    Some(Symbol::Array(ndims)) if *ndims != indices.len() => {
-                        self.errors.push(CompileError::sema(
-                            format!(
-                                "array `{array}` has {ndims} dimension(s) but is read with {} indices",
-                                indices.len()
-                            ),
-                            Some(*span),
-                        ));
-                    }
-                    _ => {}
-                }
+                self.check_indexing(array, indices.len(), "read", span, scope);
             }
-            Expr::Unary { operand, .. } => self.check_expr(operand, scope),
-            Expr::Binary { lhs, rhs, .. } => {
+            HirExpr::Unary { operand, .. } => self.check_expr(operand, scope),
+            HirExpr::Binary { lhs, rhs, .. } => {
                 self.check_expr(lhs, scope);
                 self.check_expr(rhs, scope);
             }
-            Expr::Call {
-                function,
-                args,
-                span,
-            } => {
+            HirExpr::Call { function, args } => {
+                let span = self.enter();
                 for a in args {
                     self.check_expr(a, scope);
                 }
-                if is_builtin(function) {
-                    return;
-                }
-                match self.signatures.get(function.as_str()) {
-                    None => self.errors.push(CompileError::sema(
-                        format!("function `{function}` is not defined"),
-                        Some(*span),
-                    )),
-                    Some(&arity) if arity != args.len() => {
-                        self.errors.push(CompileError::sema(
-                            format!(
-                                "function `{function}` takes {arity} argument(s), found {}",
-                                args.len()
-                            ),
-                            Some(*span),
-                        ));
-                    }
-                    Some(_) => {}
+                if !is_builtin(function) {
+                    self.check_call(function, args.len(), span);
+                } else if BINARY_BUILTINS.iter().any(|(n, _)| n == function) {
+                    // The parser made every call of a built-in with the
+                    // right arity its operator.
+                    let message = format!(
+                        "builtin `{function}` takes 2 arguments, found {}",
+                        args.len()
+                    );
+                    self.error(message, span);
+                } else {
+                    let message = format!(
+                        "builtin `{function}` takes 1 argument, found {}",
+                        args.len()
+                    );
+                    self.error(message, span);
                 }
             }
-            Expr::Select {
+            HirExpr::Select {
                 cond,
                 then_value,
                 else_value,
-                ..
             } => {
                 self.check_expr(cond, scope);
                 self.check_expr(then_value, scope);
@@ -339,7 +312,8 @@ mod tests {
     use crate::parser::parse;
 
     fn errors_of(src: &str) -> Vec<String> {
-        analyze(&parse(src).unwrap())
+        let (program, spans) = parse(src).unwrap();
+        analyze(&program, &spans)
             .into_iter()
             .map(|e| e.message)
             .collect()
@@ -363,7 +337,6 @@ mod tests {
             }
         "#;
         assert!(errors_of(src).is_empty());
-        assert!(check(&parse(src).unwrap()).is_ok());
     }
 
     #[test]

@@ -40,29 +40,15 @@
 
 use pods_dataflow::{LoopInfo, LoopKey};
 use pods_sp::{
-    chunk_loop_spawns, Instr, LoopMeta, Name, Operand, SpId, SpKind, SpProgram, SpTemplate,
+    chunk_loop_spawns, Instr, LoopMeta, Name, Operand, SlotId, SpId, SpKind, SpProgram, SpTemplate,
 };
 
 pub use pods_sp::{ChunkPolicy, ChunkSummary};
 
-/// Configuration of the partitioning pass, mostly useful for ablation
-/// studies (every switch defaults to the paper's behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Configuration of the partitioning pass. Distribution always follows
+/// the paper; only the grain is configurable.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct PartitionConfig {
-    /// Convert array allocations into distributing allocates.
-    pub distribute_allocations: bool,
-    /// Distribute loop levels (insert `LD` operators).
-    pub distribute_loops: bool,
-    /// Insert Range Filters into distributed loops. Disabling this while
-    /// keeping `distribute_loops` makes every PE execute every iteration —
-    /// the degenerate configuration the RF exists to avoid; it is exposed
-    /// only so the ablation benchmark can quantify the filter's value, and
-    /// it breaks run-time single assignment for real workloads.
-    pub insert_range_filters: bool,
-    /// Distribute a loop even when a loop-carried dependency was detected
-    /// (ablation of the LCD heuristic; determinism is preserved by the
-    /// I-structure memory, only performance changes).
-    pub ignore_lcd: bool,
     /// Grain-size control: group this many consecutive inner-loop
     /// iterations into one SP instance (see
     /// [`pods_sp::chunk_loop_spawns`]). `Fixed(1)` — the default — leaves
@@ -70,32 +56,6 @@ pub struct PartitionConfig {
     /// Applied after distribution, so Range-Filter responsibility
     /// partitioning stays exact under chunking.
     pub chunk: ChunkPolicy,
-}
-
-impl Default for PartitionConfig {
-    fn default() -> Self {
-        PartitionConfig {
-            distribute_allocations: true,
-            distribute_loops: true,
-            insert_range_filters: true,
-            ignore_lcd: false,
-            chunk: ChunkPolicy::Fixed(1),
-        }
-    }
-}
-
-impl PartitionConfig {
-    /// A configuration that leaves the program entirely sequential (no
-    /// distribution at all); used for single-PE baselines.
-    pub fn sequential() -> Self {
-        PartitionConfig {
-            distribute_allocations: false,
-            distribute_loops: false,
-            insert_range_filters: false,
-            ignore_lcd: false,
-            chunk: ChunkPolicy::Fixed(1),
-        }
-    }
 }
 
 /// Why a loop level was or was not distributed.
@@ -124,8 +84,6 @@ pub enum LoopDecision {
         /// Ordinal of the distributed ancestor.
         ancestor: usize,
     },
-    /// Loop distribution was disabled by configuration.
-    Disabled,
 }
 
 /// One entry of the partition report.
@@ -200,7 +158,7 @@ pub fn partition_with_chunk_boost(
     config: &PartitionConfig,
     boost: usize,
 ) -> PartitionReport {
-    let mut report = partition_unchunked(program, loops, config);
+    let mut report = partition_unchunked(program, loops);
     // Chunking runs after distribution so the chunk driver circulates the
     // Range-Filtered (per-PE) bounds, never the raw ones.
     let summary = chunk_loop_spawns(program, config.chunk, boost.max(1));
@@ -214,48 +172,31 @@ pub fn partition_with_chunk_boost(
 }
 
 /// The distribution passes (§4 of the paper), without grain-size control.
-fn partition_unchunked(
-    program: &mut SpProgram,
-    loops: &[LoopInfo],
-    config: &PartitionConfig,
-) -> PartitionReport {
+fn partition_unchunked(program: &mut SpProgram, loops: &[LoopInfo]) -> PartitionReport {
     let mut report = PartitionReport {
         loops: Vec::with_capacity(loops.len()),
         ..PartitionReport::default()
     };
 
-    if config.distribute_allocations {
-        for template in program.templates_mut() {
-            for instr in &mut template.code {
-                if let Instr::ArrayAlloc { distributed, .. } = instr {
-                    if !*distributed {
-                        *distributed = true;
-                        report.distributed_allocations += 1;
-                    }
+    for template in program.templates_mut() {
+        for instr in &mut template.code {
+            if let Instr::ArrayAlloc { distributed, .. } = instr {
+                if !*distributed {
+                    *distributed = true;
+                    report.distributed_allocations += 1;
                 }
             }
         }
     }
 
-    if !config.distribute_loops {
-        for info in loops {
-            report.loops.push(LoopReport {
-                key: info.key.clone(),
-                decision: LoopDecision::Disabled,
-            });
-        }
-        return report;
-    }
-
     // Walk each function's loop forest: distribute the outermost level that
     // qualifies; below a distributed level everything stays local; above it
     // (LCD levels) everything stays centralized.
-    let decisions = decide(loops, config);
+    let decisions = decide(loops);
     for (info, decision) in loops.iter().zip(decisions.iter()) {
         let mut decision = decision.clone();
         if let LoopDecision::Distributed { array, dim } = &decision {
-            let applied =
-                apply_distribution(program, loops, info, array, *dim, config, &mut report);
+            let applied = apply_distribution(program, loops, info, array, *dim, &mut report);
             if !applied {
                 // The template cannot be filtered safely (e.g. the written
                 // array does not flow into the loop as a parameter); leave
@@ -272,7 +213,7 @@ fn partition_unchunked(
 }
 
 /// Chooses a decision for every loop (in the same order as `loops`).
-fn decide(loops: &[LoopInfo], config: &PartitionConfig) -> Vec<LoopDecision> {
+fn decide(loops: &[LoopInfo]) -> Vec<LoopDecision> {
     let mut decisions: Vec<Option<LoopDecision>> = vec![None; loops.len()];
     // Process loops grouped by function, from outermost depth inwards, so a
     // parent's decision exists before its children are examined.
@@ -291,7 +232,7 @@ fn decide(loops: &[LoopInfo], config: &PartitionConfig) -> Vec<LoopDecision> {
             decisions[idx] = Some(LoopDecision::LocalUnderDistributed { ancestor });
             continue;
         }
-        let decision = if info.has_lcd && !config.ignore_lcd {
+        let decision = if info.has_lcd {
             LoopDecision::CentralizedLcd
         } else if info.escapes_to_call {
             LoopDecision::CentralizedEscape
@@ -350,7 +291,6 @@ fn apply_distribution(
     info: &LoopInfo,
     array: &str,
     dim: usize,
-    config: &PartitionConfig,
     report: &mut PartitionReport,
 ) -> bool {
     let Some(loop_template_id) = program
@@ -368,24 +308,19 @@ fn apply_distribution(
     });
 
     // Capability check before touching anything: the written array must be a
-    // parameter of the loop template, and an inner-dimension filter needs the
-    // enclosing index as a parameter too. Replicating the loop without a
-    // working Range Filter would duplicate iterations.
-    if config.insert_range_filters {
-        let template = &program.templates()[loop_template_id.index()];
-        if template.loop_meta.is_none() || template.param_slot(array).is_none() {
-            return false;
-        }
-        if dim > 0 {
-            let has_outer = parent_var
-                .as_deref()
-                .and_then(|v| template.param_slot(v))
-                .is_some();
-            if !has_outer {
-                return false;
-            }
-        }
-    }
+    // parameter of the loop template (it is not when, say, it is written
+    // through a call), and an inner-dimension filter needs the enclosing
+    // index as a parameter too. Replicating the loop without a working Range
+    // Filter would duplicate iterations.
+    let template = &program.templates()[loop_template_id.index()];
+    let (Some(meta), Some(array_slot)) = (template.loop_meta, template.param_slot(array)) else {
+        return false;
+    };
+    let outer = match parent_var.as_deref().and_then(|v| template.param_slot(v)) {
+        _ if dim == 0 => None,
+        Some(slot) => Some(Operand::Slot(slot)),
+        None => return false,
+    };
 
     // 1. Convert the parent's Spawn of this loop into the LD form.
     if let Some(parent_id) = parent_template_id(program, info) {
@@ -406,13 +341,9 @@ fn apply_distribution(
     }
 
     // 2. Insert the Range Filter into the loop template.
-    if !config.insert_range_filters {
-        return true;
-    }
     let template = &mut program.templates_mut()[loop_template_id.index()];
-    if insert_range_filter(template, array, dim, parent_var.as_deref(), info.descending) {
-        report.range_filters += 1;
-    }
+    insert_range_filter(template, meta, array_slot, dim, outer, info.descending);
+    report.range_filters += 1;
     true
 }
 
@@ -428,35 +359,16 @@ fn parent_template_id(program: &SpProgram, info: &LoopInfo) -> Option<SpId> {
 }
 
 /// Rewrites a loop template so that its bounds pass through Range-Filter
-/// operators consulting the header of `array`. Returns `false` when the
-/// template lacks the metadata or parameters required (in which case it is
-/// left untouched).
+/// operators consulting the header of the array in `array_slot`, narrowed
+/// by the enclosing index in `outer` for an inner dimension.
 fn insert_range_filter(
     template: &mut SpTemplate,
-    array: &str,
+    meta: LoopMeta,
+    array_slot: SlotId,
     dim: usize,
-    parent_var: Option<&str>,
+    outer: Option<Operand>,
     descending: bool,
-) -> bool {
-    let Some(meta) = template.loop_meta else {
-        return false;
-    };
-    let Some(array_slot) = template.param_slot(array) else {
-        // The written array must flow into the loop as a parameter; if it
-        // does not (e.g. it is written through a call), distribution is not
-        // safe and we skip the filter.
-        return false;
-    };
-    // The outer index is required to narrow an inner dimension; fall back to
-    // filtering without it (full ranges) when it is not available.
-    let outer = if dim > 0 {
-        parent_var
-            .and_then(|v| template.param_slot(v))
-            .map(Operand::Slot)
-    } else {
-        None
-    };
-
+) {
     let base = slot_base_name(template);
     let rf_lo = template.add_slot(Name::from_fmt(format_args!("{base}__rf_lo")));
     let rf_hi = template.add_slot(Name::from_fmt(format_args!("{base}__rf_hi")));
@@ -509,7 +421,6 @@ fn insert_range_filter(
     if let Instr::Move { src, .. } = &mut template.code[meta.limit_init_instr] {
         *src = Operand::Slot(rf_hi);
     }
-    true
 }
 
 fn slot_base_name(template: &SpTemplate) -> Name {
@@ -649,33 +560,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_config_disables_everything() {
-        let (program, report) = partitioned(PAPER_EXAMPLE, &PartitionConfig::sequential());
-        assert_eq!(report.distributed_allocations, 0);
-        assert_eq!(report.distributed_spawns, 0);
-        assert_eq!(report.range_filters, 0);
-        assert!(report
-            .loops
-            .iter()
-            .all(|l| l.decision == LoopDecision::Disabled));
-        assert!(!program
-            .templates()
-            .iter()
-            .flat_map(|t| &t.code)
-            .any(|i| matches!(
-                i,
-                Instr::Spawn {
-                    distributed: true,
-                    ..
-                } | Instr::ArrayAlloc {
-                    distributed: true,
-                    ..
-                }
-            )));
-    }
-
-    #[test]
-    fn ignore_lcd_ablation_distributes_the_sweep_level() {
+    fn a_carried_sweep_stays_centralized() {
         let src = r#"
             def main(n, b) {
                 a = array(n);
@@ -684,18 +569,9 @@ mod tests {
                 return a;
             }
         "#;
-        let config = PartitionConfig {
-            ignore_lcd: true,
-            ..PartitionConfig::default()
-        };
-        let (_, report) = partitioned(src, &config);
+        let (_, report) = partitioned(src, &PartitionConfig::default());
         assert!(matches!(
             report.decision_for("main", 0),
-            Some(LoopDecision::Distributed { .. })
-        ));
-        let (_, default_report) = partitioned(src, &PartitionConfig::default());
-        assert!(matches!(
-            default_report.decision_for("main", 0),
             Some(LoopDecision::CentralizedLcd)
         ));
     }
@@ -734,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn chunking_composes_with_distribution_and_with_its_absence() {
+    fn chunking_composes_with_distribution() {
         // Default (chunk = Fixed(1)) must leave the program byte-identical.
         let (unchunked, baseline) = partitioned(PAPER_EXAMPLE, &PartitionConfig::default());
         assert_eq!(baseline.chunked_spawns, 0);
@@ -744,7 +620,6 @@ mod tests {
         // usual distribution decisions.
         let config = PartitionConfig {
             chunk: ChunkPolicy::Fixed(4),
-            ..PartitionConfig::default()
         };
         let (program, report) = partitioned(PAPER_EXAMPLE, &config);
         assert!(program.validate().is_empty(), "{:?}", program.validate());
@@ -756,24 +631,12 @@ mod tests {
         // The chunk driver lives in the *inner* (j) template.
         let j_loop = program.loop_template("main", 1).unwrap();
         assert!(j_loop.chunk_meta.is_some());
-
-        // Chunking also applies when distribution is disabled entirely
-        // (the early-return path).
-        let seq = PartitionConfig {
-            chunk: ChunkPolicy::Fixed(4),
-            ..PartitionConfig::sequential()
-        };
-        let (program, report) = partitioned(PAPER_EXAMPLE, &seq);
-        assert!(program.validate().is_empty());
-        assert_eq!(report.chunked_spawns, 1);
-        assert_eq!(report.distributed_spawns, 0);
     }
 
     #[test]
     fn chunk_boost_coarsens_auto_grain_without_touching_fixed() {
         let auto = PartitionConfig {
             chunk: ChunkPolicy::Auto,
-            ..PartitionConfig::default()
         };
         let hir = pods_idlang::compile(PAPER_EXAMPLE).unwrap();
         let loops = analyze_loops(&hir);
@@ -786,7 +649,6 @@ mod tests {
 
         let fixed = PartitionConfig {
             chunk: ChunkPolicy::Fixed(4),
-            ..PartitionConfig::default()
         };
         let mut fixed_boosted = translate(&hir).unwrap();
         let fixed_report = partition_with_chunk_boost(&mut fixed_boosted, &loops, &fixed, 8);

@@ -21,8 +21,7 @@ pub struct RunOptions {
     pub page_size: usize,
     /// Enable the software cache for remote pages.
     pub remote_page_cache: bool,
-    /// Partitioner configuration (distribution, Range Filters, LCD
-    /// handling).
+    /// Partitioner configuration: the chunk grain.
     pub partition: PartitionConfig,
     /// Safety limit on run-time work (0 = unlimited). Every engine
     /// enforces it against its own unit of progress: `sim` counts
@@ -136,7 +135,7 @@ impl CompiledProgram {
         self.stages.identity
     }
 
-    /// The lowered HIR.
+    /// The HIR.
     pub fn hir(&self) -> &HirProgram {
         &self.stages.hir
     }

@@ -136,13 +136,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Partitioner configuration (distribution, Range Filters, LCD
-    /// handling).
-    pub fn partition(mut self, partition: PartitionConfig) -> Self {
-        self.opts.partition = partition;
-        self
-    }
-
     /// Grain-size control with a fixed chunk: group `chunk` consecutive
     /// inner-loop iterations into one SP instance (clamped to at least 1;
     /// `1` is the untouched fine-grained program). Shorthand for

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// Errors produced by the translator.
 ///
-/// Programs that pass [`pods_idlang::sema::check`] never trigger these, but
+/// Programs that [`pods_idlang::compile`] accepts never trigger these, but
 /// the translator still validates its inputs so that hand-constructed HIR is
 /// diagnosed cleanly.
 #[derive(Debug, Clone, PartialEq)]

@@ -118,8 +118,7 @@ def edge_rows(grid, next, j, n) {
 "#;
 
 /// A first-order linear recurrence (prefix computation). The single loop
-/// carries a dependency, so PODS keeps it centralized — used by tests and
-/// the ablation benchmarks.
+/// carries a dependency, so PODS keeps it centralized.
 pub const RECURRENCE: &str = r#"
 def main(n) {
     src = array(n);

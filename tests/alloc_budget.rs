@@ -12,7 +12,10 @@
 //! those lists with the compiled program and allocates nothing per
 //! instruction — not for a copied instruction, a super-op, a firing list or
 //! a read-slot list — and nothing per *use* of a name. The parser pulls
-//! its tokens from the lexer, two at a time, so no token vector is built.
+//! its tokens from the lexer, two at a time, and builds the HIR itself,
+//! with the spans of its diagnostics in a table beside it, so neither a
+//! token vector nor a second syntax tree is built: the front end calls the
+//! allocator at most twice per heap block of the HIR.
 //! A prepare hit and a clone of a compiled program make no call at all:
 //! the compiled stages sit behind one shared pointer, and the dataflow
 //! graph is built only when asked for.
@@ -33,8 +36,12 @@
 //! percentile.
 
 use pods::{compile, EngineKind, EngineOutcome, EngineStats, PreparedProgram, Runtime, Value};
+use pods_idlang::lexer::tokenize;
+use pods_idlang::token::TokenKind;
+use pods_idlang::{HirExpr, HirProgram, HirStmt};
 use pods_sp::Instr;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Forwards to the system allocator, counting every call that can obtain
@@ -145,6 +152,63 @@ fn arrays_source(arrays: usize) -> String {
     format!("def main(n) {{\n{allocs}    for i = 0 to n - 1 {{{stores} }}\n    return a0;\n}}\n")
 }
 
+/// The heap blocks of `program`: each `Box` and each non-empty `Vec`.
+fn hir_blocks(program: &HirProgram) -> u64 {
+    fn list<T>(items: &[T]) -> u64 {
+        u64::from(!items.is_empty())
+    }
+    fn expr(e: &HirExpr) -> u64 {
+        match e {
+            HirExpr::Int(_) | HirExpr::Float(_) | HirExpr::Bool(_) | HirExpr::Var(_) => 0,
+            HirExpr::Load { indices: items, .. } | HirExpr::Call { args: items, .. } => {
+                exprs(items)
+            }
+            HirExpr::Unary { operand, .. } => 1 + expr(operand),
+            HirExpr::Binary { lhs, rhs, .. } => 2 + expr(lhs) + expr(rhs),
+            HirExpr::Select {
+                cond,
+                then_value,
+                else_value,
+            } => 3 + expr(cond) + expr(then_value) + expr(else_value),
+        }
+    }
+    fn exprs(items: &[HirExpr]) -> u64 {
+        list(items) + items.iter().map(expr).sum::<u64>()
+    }
+    fn stmts(body: &[HirStmt]) -> u64 {
+        let nested = body.iter().map(|stmt| match stmt {
+            HirStmt::Let { value, .. } | HirStmt::Return { value } => expr(value),
+            HirStmt::Alloc { dims: items, .. } | HirStmt::Call { args: items, .. } => exprs(items),
+            HirStmt::Store { indices, value, .. } => exprs(indices) + expr(value),
+            HirStmt::For { from, to, body, .. } => expr(from) + expr(to) + stmts(body),
+            HirStmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => expr(cond) + stmts(then_body) + stmts(else_body),
+        });
+        list(body) + nested.sum::<u64>()
+    }
+    let functions = program.functions.iter();
+    list(&program.functions)
+        + functions
+            .map(|f| list(&f.params) + stmts(&f.body))
+            .sum::<u64>()
+}
+
+/// The number of distinct identifiers in `source`.
+fn distinct_identifiers(source: &str) -> u64 {
+    let tokens = tokenize(source).expect("lexes");
+    let names: HashSet<&str> = tokens
+        .iter()
+        .filter_map(|t| match &t.kind {
+            TokenKind::Ident(name) => Some(name.as_str()),
+            _ => None,
+        })
+        .collect();
+    names.len() as u64
+}
+
 /// Allocator calls made by `f`, and its result.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = CALLS.load(Ordering::SeqCst);
@@ -166,13 +230,14 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
     // per super-op, SIMPLE took 2,808 and 1,925, FILL 136 and 104. While
     // the translator grew fresh buffers per template and a prepare miss
     // copied every operand list, SIMPLE took 2,797 and 456, FILL 131 and
-    // 43. Now SIMPLE takes 1,910 and 240, FILL 98 and 36, and both make 0
-    // to hit or clone.
+    // 43. While the parser built a syntax tree that a lowering pass copied
+    // into the HIR, SIMPLE took 1,910 to compile and FILL 98. Now SIMPLE
+    // takes 1,299 and 240, FILL 85 and 36, and both make 0 to hit or clone.
     let runtime = Runtime::builder(EngineKind::Native).workers(1).build();
     compile(pods_workloads::FILL).expect("FILL compiles");
     for (name, source, compile_budget, miss_budget) in [
-        ("SIMPLE", pods_workloads::simple::SIMPLE, 2000, 252),
-        ("FILL", pods_workloads::FILL, 102, 37),
+        ("SIMPLE", pods_workloads::simple::SIMPLE, 1360, 252),
+        ("FILL", pods_workloads::FILL, 89, 37),
     ] {
         let (compiled, program) = counted(|| compile(source).expect("compiles"));
         let (missed, pinned) = counted(|| runtime.prepare(&program));
@@ -205,6 +270,29 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
         ("RECURRENCE", pods_workloads::RECURRENCE),
         ("SIMPLE", pods_workloads::simple::SIMPLE),
     ];
+
+    // The front end of every workload program, per heap block of the HIR
+    // it returns (each `Box` and each non-empty `Vec`), once the calls for
+    // its distinct identifiers are set aside: the parser builds the HIR
+    // itself, so a block costs its own call, the regrowth of a list as it
+    // is parsed, and a share of the span table and the semantic checks'
+    // scopes. While the parser built a syntax tree of its own that a
+    // lowering pass then rebuilt as the HIR, it was 2.20 (SIMPLE) to 2.54
+    // (PAPER_EXAMPLE).
+    for (name, source) in programs {
+        let identifiers = distinct_identifiers(source);
+        let (calls, hir) = counted(|| pods_idlang::compile(source).expect("compiles"));
+        let blocks = hir_blocks(&hir);
+        let per_block = (calls - identifiers) as f64 / blocks as f64;
+        eprintln!(
+            "{name}: front end {calls} allocs for {identifiers} identifiers, {blocks} HIR blocks"
+        );
+        assert!(
+            per_block <= 2.0,
+            "{name}: the front end made {calls} allocator calls for {identifiers} identifiers \
+             and {blocks} HIR blocks ({per_block:.2} per block, budget 2.0)"
+        );
+    }
 
     // The translation of every workload program, per template, once the
     // one call per operand list is set aside: 8.97 (SIMPLE) to 13.3 (FILL)

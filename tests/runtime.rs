@@ -4,8 +4,8 @@
 //! warm pool over a fresh runtime per run.
 
 use pods::{
-    AsyncStats, CompiledProgram, EngineKind, EngineOutcome, EngineStats, NativeStats,
-    PartitionConfig, RunOptions, Runtime, Value,
+    AsyncStats, CompiledProgram, EngineKind, EngineOutcome, EngineStats, NativeStats, RunOptions,
+    Runtime, Value,
 };
 use std::collections::HashSet;
 
@@ -363,47 +363,6 @@ fn prepared_handles_cross_runtimes_with_different_worker_counts() {
 }
 
 #[test]
-fn prepared_handles_reject_mismatched_partition_configs() {
-    // A handle prepared under the paper's partitioning must not silently
-    // run on a runtime configured for sequential partitioning — that would
-    // execute a differently-rewritten program than the runtime promises.
-    let program = pods::compile(pods_workloads::FILL).unwrap();
-    let default_rt = Runtime::builder(EngineKind::Native).workers(2).build();
-    let prepared = default_rt.prepare(&program);
-    let sequential_rt = Runtime::builder(EngineKind::Native)
-        .workers(2)
-        .partition(PartitionConfig::sequential())
-        .build();
-    let err = sequential_rt
-        .run(&prepared, &[Value::Int(8)])
-        .expect_err("mismatched partition config must be rejected");
-    assert!(
-        matches!(err, pods::PodsError::PreparedMismatch),
-        "unexpected error: {err:?}"
-    );
-    assert!(
-        err.to_string().contains("partition"),
-        "error must explain the mismatch: {err}"
-    );
-    // The sequential runtime still runs the raw program (it prepares its
-    // own), and the default runtime still accepts its own handle.
-    assert!(sequential_rt.run(&program, &[Value::Int(8)]).is_ok());
-    assert!(default_rt.run(&prepared, &[Value::Int(8)]).is_ok());
-
-    // The rejection is uniform across engines: a modelled runtime with a
-    // mismatched partitioner config refuses the handle just like the
-    // native runtime does, instead of silently running its own rewrite.
-    let sim_sequential = Runtime::builder(EngineKind::Sim)
-        .workers(2)
-        .partition(PartitionConfig::sequential())
-        .build();
-    assert!(matches!(
-        sim_sequential.run(&prepared, &[Value::Int(8)]),
-        Err(pods::PodsError::PreparedMismatch)
-    ));
-}
-
-#[test]
 fn prepared_handles_reject_mismatched_chunk_grains() {
     // The chunk grain is part of the partitioning a handle was prepared
     // under: a handle chunked at grain 4 must not silently run on a
@@ -425,6 +384,10 @@ fn prepared_handles_reject_mismatched_chunk_grains() {
         matches!(err, pods::PodsError::PreparedMismatch),
         "unexpected error: {err:?}"
     );
+    assert!(
+        err.to_string().contains("partition"),
+        "error must explain the mismatch: {err}"
+    );
     let auto = Runtime::builder(EngineKind::Native)
         .workers(2)
         .chunk_policy(pods::ChunkPolicy::Auto)
@@ -433,6 +396,16 @@ fn prepared_handles_reject_mismatched_chunk_grains() {
         auto.run(&prepared, &[Value::Int(16)]),
         Err(pods::PodsError::PreparedMismatch)
     ));
+    // The rejection is uniform across engines: a modelled runtime with a
+    // mismatched grain refuses the handle just like the native runtime
+    // does, instead of silently running its own rewrite, and still runs
+    // the raw program, which it prepares itself.
+    let sim_fine = Runtime::builder(EngineKind::Sim).workers(2).build();
+    assert!(matches!(
+        sim_fine.run(&prepared, &[Value::Int(16)]),
+        Err(pods::PodsError::PreparedMismatch)
+    ));
+    assert!(sim_fine.run(&program, &[Value::Int(16)]).is_ok());
 
     // A *matching* grain is engine-portable: the same chunked handle runs
     // on native, sim, and async runtimes configured for grain 4, matching
