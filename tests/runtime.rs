@@ -363,6 +363,48 @@ fn prepared_handles_cross_runtimes_with_different_worker_counts() {
 }
 
 #[test]
+fn prepared_handles_reject_mismatched_partition_configs() {
+    // A handle prepared under the default partition configuration must not
+    // silently run on a runtime configured for another one — that would
+    // execute a differently-rewritten program than the runtime promises.
+    let program = pods::compile(pods_workloads::FILL).unwrap();
+    let default_rt = Runtime::builder(EngineKind::Native).workers(2).build();
+    let prepared = default_rt.prepare(&program);
+    assert_eq!(prepared.partition_config(), pods::PartitionConfig::default());
+    let chunked_rt = Runtime::builder(EngineKind::Native)
+        .workers(2)
+        .chunk_size(4)
+        .build();
+    let err = chunked_rt
+        .run(&prepared, &[Value::Int(8)])
+        .expect_err("mismatched partition config must be rejected");
+    assert!(
+        matches!(err, pods::PodsError::PreparedMismatch),
+        "unexpected error: {err:?}"
+    );
+    assert!(
+        err.to_string().contains("partition"),
+        "error must explain the mismatch: {err}"
+    );
+    // The chunked runtime still runs the raw program (it prepares its
+    // own), and the default runtime still accepts its own handle.
+    assert!(chunked_rt.run(&program, &[Value::Int(8)]).is_ok());
+    assert!(default_rt.run(&prepared, &[Value::Int(8)]).is_ok());
+
+    // The rejection is uniform across engines: a modelled runtime with a
+    // mismatched partitioner config refuses the handle just like the
+    // native runtime does, instead of silently running its own rewrite.
+    let sim_chunked = Runtime::builder(EngineKind::Sim)
+        .workers(2)
+        .chunk_size(4)
+        .build();
+    assert!(matches!(
+        sim_chunked.run(&prepared, &[Value::Int(8)]),
+        Err(pods::PodsError::PreparedMismatch)
+    ));
+}
+
+#[test]
 fn prepared_handles_reject_mismatched_chunk_grains() {
     // The chunk grain is part of the partitioning a handle was prepared
     // under: a handle chunked at grain 4 must not silently run on a
