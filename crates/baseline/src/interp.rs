@@ -19,8 +19,11 @@
 //!   which the [`crate::pr`] module combines with the loop analysis to model
 //!   the Pingali & Rogers static-compilation comparator of Figure 10.
 
-use pods_dataflow::{analyze_loops, LoopInfo, LoopKey};
-use pods_idlang::{BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, Name, UnaryOp};
+use pods_idlang::hir::walk;
+use pods_idlang::{
+    analyze_loops, find_loop, HirExpr, HirFunction, HirNode, HirProgram, HirStmt, LoopInfo,
+    LoopKey, Name, UnaryOp,
+};
 use pods_istructure::{ArrayId, ArrayShape, Value};
 use pods_machine::{eval_binary, eval_unary, TimingModel};
 use std::collections::HashMap;
@@ -286,7 +289,7 @@ impl<'a> Interp<'a> {
         stmts: &[HirStmt],
         env: &mut HashMap<Name, Value>,
     ) -> Result<Flow, BaselineError> {
-        let mut loop_ordinal_iter = OrdinalTracker::new(self.loops, function);
+        let mut loop_ordinal_iter = OrdinalTracker::at(0);
         for stmt in stmts {
             match self.exec_stmt(function, stmt, env, &mut loop_ordinal_iter)? {
                 Flow::Normal => {}
@@ -364,19 +367,9 @@ impl<'a> Interp<'a> {
                 body,
             } => {
                 let ordinal = ordinals.next_for_this_loop();
-                let is_top_level = self
-                    .loops
-                    .iter()
-                    .find(|l| l.key.function == function && l.key.ordinal == ordinal)
-                    .map(|l| l.depth == 0)
-                    .unwrap_or(false);
-                if is_top_level {
-                    let parallelizable = self
-                        .loops
-                        .iter()
-                        .find(|l| l.key.function == function && l.key.ordinal == ordinal)
-                        .map(|l| l.is_distributable())
-                        .unwrap_or(false);
+                let top_level = find_loop(self.loops, function, ordinal).filter(|l| l.depth == 0);
+                if let Some(info) = top_level {
+                    let parallelizable = info.is_distributable();
                     self.nests
                         .entry((function.to_string(), ordinal))
                         .or_insert_with(|| NestProfile {
@@ -422,7 +415,7 @@ impl<'a> Interp<'a> {
                 }
                 env.remove(var.as_str());
 
-                if is_top_level {
+                if top_level.is_some() {
                     if let Some((f, o, start)) = self.nest_stack.pop() {
                         let elapsed = self.time - start;
                         if let Some(nest) = self.nests.get_mut(&(f, o)) {
@@ -613,10 +606,6 @@ struct OrdinalTracker {
 }
 
 impl OrdinalTracker {
-    fn new(_loops: &[LoopInfo], _function: &str) -> Self {
-        OrdinalTracker { next_counter: 0 }
-    }
-
     fn at(counter: usize) -> Self {
         OrdinalTracker {
             next_counter: counter,
@@ -632,34 +621,24 @@ impl OrdinalTracker {
     /// Number of loops (recursively) contained in a statement list,
     /// matching the preorder numbering of the loop analysis.
     fn count_loops(stmts: &[HirStmt]) -> usize {
-        stmts
-            .iter()
-            .map(|s| match s {
-                HirStmt::For { body, .. } => 1 + OrdinalTracker::count_loops(body),
-                HirStmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    OrdinalTracker::count_loops(then_body) + OrdinalTracker::count_loops(else_body)
-                }
-                _ => 0,
-            })
-            .sum()
+        let mut loops = 0;
+        walk(stmts, &mut |node| {
+            loops += usize::from(matches!(node, HirNode::Stmt(HirStmt::For { .. })));
+        });
+        loops
     }
-}
-
-/// A check against the cost-free semantics: binary ops over ints never charge
-/// float times. (Used by unit tests.)
-#[allow(dead_code)]
-fn int_op_cost(timing: &TimingModel) -> f64 {
-    timing.binary_op(BinaryOp::Add, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pods_idlang::compile;
+    use pods_idlang::{compile, BinaryOp};
+
+    /// A check against the cost-free semantics: binary ops over ints never
+    /// charge float times.
+    fn int_op_cost(timing: &TimingModel) -> f64 {
+        timing.binary_op(BinaryOp::Add, false)
+    }
 
     fn run(src: &str, args: &[Value]) -> SequentialRun {
         run_sequential(&compile(src).unwrap(), args, &TimingModel::default()).unwrap()

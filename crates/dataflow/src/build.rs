@@ -7,8 +7,8 @@
 //! The graphs are faithful to the *structure* the paper works with: they
 //! capture data dependencies between operators and the nesting of loop
 //! levels. The operational semantics (program counters, blocking) live in the
-//! SP translation; this graph form serves loop analysis, statistics, and
-//! visualisation.
+//! SP translation; the standing benchmark times this build as a probe of the
+//! graph stage the SP translator skips.
 
 use crate::graph::{BlockId, BlockKind, DataflowProgram, NodeId};
 use crate::op::{Literal, Operator};

@@ -1,16 +1,19 @@
-//! Dataflow-graph IR and loop analysis for the PODS reproduction.
+//! Dataflow graphs of the HIR, kept only for the standing benchmark.
 //!
 //! This crate plays the role of the `.graph` stage of the paper's pipeline
 //! (Figure 3): it turns the HIR produced by [`pods_idlang`] into per-code-block
-//! dataflow graphs (one block per function body and per loop level, exactly
-//! the granularity at which PODS later creates Subcompact Processes), and it
-//! provides the loop-nest analysis — loop-carried-dependency detection and
-//! distribution-target selection — that drives the PODS Partitioner.
+//! dataflow graphs, one block per function body and per loop level, exactly
+//! the granularity at which PODS later creates Subcompact Processes. The
+//! pipeline itself lowers the HIR straight to SP templates
+//! (`pods_sp::translate`) and reads no graph; the standing benchmark
+//! (`benchmark/`) still times this build (`dataflow.build_us`) and the loop
+//! analysis (`dataflow.analyze_us`) under this crate's name. This crate and
+//! its re-export of the analysis go when the benchmark retires that probe.
 //!
 //! # Example
 //!
 //! ```
-//! use pods_dataflow::{build_program, analyze_loops};
+//! use pods_dataflow::build_program;
 //!
 //! let hir = pods_idlang::compile(
 //!     "def main(n) { a = matrix(n, n);
@@ -19,23 +22,19 @@
 //! )?;
 //! let graph = build_program(&hir);
 //! assert_eq!(graph.stats().loop_blocks, 2);
-//!
-//! let loops = analyze_loops(&hir);
-//! assert!(loops[0].is_distributable());
 //! # Ok::<(), pods_idlang::CompileError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod build;
-pub mod dot;
 pub mod graph;
 pub mod op;
 
-pub use analysis::{analyze_loops, find_loop, LoopInfo, LoopKey, WriteAccess};
 pub use build::build_program;
-pub use dot::to_dot;
 pub use graph::{BlockId, BlockKind, CodeBlock, DataflowProgram, GraphStats, Node, NodeId};
 pub use op::{Literal, Operator};
+/// The loop analysis, which lives in [`pods_idlang`]; re-exported under the
+/// name the benchmark's `dataflow.analyze_us` probe calls.
+pub use pods_idlang::analyze_loops;

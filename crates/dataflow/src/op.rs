@@ -89,7 +89,7 @@ pub enum Operator {
 }
 
 impl Operator {
-    /// Short label used by the DOT exporter.
+    /// A short human-readable label of the operator.
     pub fn label(&self) -> String {
         match self {
             Operator::Param { name } => format!("param {name}"),

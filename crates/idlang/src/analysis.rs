@@ -9,14 +9,14 @@
 //! dependency cannot affect correctness, only performance, because the
 //! I-structure memory still synchronises every read with its write.
 
-use pods_idlang::{HirExpr, HirProgram, HirStmt, Name};
+use crate::hir::{walk, HirExpr, HirNode, HirProgram, HirStmt};
+use crate::name::Name;
 
 /// Identifies a loop level across the compilation pipeline: the enclosing
 /// function plus the loop's preorder ordinal within that function.
 ///
-/// The dataflow builder, the SP translator, and the partitioner all number
-/// loops the same way, so a `LoopKey` ties together the graph block, the SP
-/// template, and this analysis.
+/// The SP translator and the partitioner number loops the same way, so a
+/// `LoopKey` ties the SP template of a loop level to its analysis.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopKey {
     /// Name of the function containing the loop.
@@ -164,35 +164,24 @@ fn analyze_block(
 /// Collects every array written in `stmts` (recursively) together with the
 /// dimension indexed by `var`, if any.
 fn collect_writes(stmts: &[HirStmt], var: &str, out: &mut Vec<WriteAccess>) {
-    for stmt in stmts {
-        match stmt {
-            HirStmt::Store { array, indices, .. } => {
-                let var_dim = indices
-                    .iter()
-                    .position(|idx| matches!(idx, HirExpr::Var(name) if name == var));
-                if let Some(existing) = out.iter_mut().find(|w| &w.array == array) {
-                    if existing.var_dim.is_none() {
-                        existing.var_dim = var_dim;
-                    }
-                } else {
-                    out.push(WriteAccess {
-                        array: array.clone(),
-                        var_dim,
-                    });
-                }
+    walk(stmts, &mut |node| {
+        let HirNode::Stmt(HirStmt::Store { array, indices, .. }) = node else {
+            return;
+        };
+        let var_dim = indices
+            .iter()
+            .position(|idx| matches!(idx, HirExpr::Var(name) if name == var));
+        if let Some(existing) = out.iter_mut().find(|w| &w.array == array) {
+            if existing.var_dim.is_none() {
+                existing.var_dim = var_dim;
             }
-            HirStmt::For { body, .. } => collect_writes(body, var, out),
-            HirStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_writes(then_body, var, out);
-                collect_writes(else_body, var, out);
-            }
-            _ => {}
+        } else {
+            out.push(WriteAccess {
+                array: array.clone(),
+                var_dim,
+            });
         }
-    }
+    });
 }
 
 /// Detects a loop-carried (flow) dependency for the loop over `var`: some
@@ -200,188 +189,47 @@ fn collect_writes(stmts: &[HirStmt], var: &str, out: &mut Vec<WriteAccess>) {
 /// with an index expression that is not exactly `var` (e.g. `var - 1`, a
 /// constant, or another variable).
 fn detect_lcd(stmts: &[HirStmt], var: &str, writes: &[WriteAccess]) -> bool {
-    let mut lcd = false;
-    for write in writes {
+    writes.iter().any(|write| {
         let Some(dim) = write.var_dim else {
             // The loop variable does not index this array's writes; every
             // iteration writes the same region, which the run-time
             // single-assignment check will flag. It is not an iteration
             // ordering constraint, so it is ignored here.
-            continue;
+            return false;
         };
-        visit_reads(stmts, &mut |array, indices| {
-            if array == write.array {
-                match indices.get(dim) {
-                    Some(HirExpr::Var(name)) if name == var => {}
-                    Some(_) => lcd = true,
-                    None => lcd = true,
-                }
+        let mut lcd = false;
+        walk(stmts, &mut |node| {
+            if let HirNode::Expr(HirExpr::Load { array, indices }) = node {
+                let at_var = matches!(indices.get(dim), Some(HirExpr::Var(name)) if name == var);
+                lcd |= array == &write.array && !at_var;
             }
         });
-        if lcd {
-            return true;
-        }
-    }
-    lcd
+        lcd
+    })
 }
 
 /// Detects whether an array written in the loop body is also passed to a
 /// user-function call inside the body.
 fn detect_escape(stmts: &[HirStmt], writes: &[WriteAccess]) -> bool {
+    let written = |arg: &HirExpr| match arg {
+        HirExpr::Var(name) => writes.iter().any(|w| &w.array == name),
+        _ => false,
+    };
     let mut escapes = false;
-    visit_calls(stmts, &mut |args| {
-        for arg in args {
-            if let HirExpr::Var(name) = arg {
-                if writes.iter().any(|w| &w.array == name) {
-                    escapes = true;
-                }
-            }
+    walk(stmts, &mut |node| {
+        if let HirNode::Stmt(HirStmt::Call { args, .. })
+        | HirNode::Expr(HirExpr::Call { args, .. }) = node
+        {
+            escapes |= args.iter().any(written);
         }
     });
     escapes
 }
 
-fn visit_reads(stmts: &[HirStmt], f: &mut impl FnMut(&str, &[HirExpr])) {
-    fn expr(e: &HirExpr, f: &mut impl FnMut(&str, &[HirExpr])) {
-        match e {
-            HirExpr::Load { array, indices } => {
-                f(array, indices);
-                for idx in indices {
-                    expr(idx, f);
-                }
-            }
-            HirExpr::Unary { operand, .. } => expr(operand, f),
-            HirExpr::Binary { lhs, rhs, .. } => {
-                expr(lhs, f);
-                expr(rhs, f);
-            }
-            HirExpr::Call { args, .. } => {
-                for a in args {
-                    expr(a, f);
-                }
-            }
-            HirExpr::Select {
-                cond,
-                then_value,
-                else_value,
-            } => {
-                expr(cond, f);
-                expr(then_value, f);
-                expr(else_value, f);
-            }
-            _ => {}
-        }
-    }
-    for stmt in stmts {
-        match stmt {
-            HirStmt::Let { value, .. } | HirStmt::Return { value } => expr(value, f),
-            HirStmt::Alloc { dims, .. } => {
-                for d in dims {
-                    expr(d, f);
-                }
-            }
-            HirStmt::Store { indices, value, .. } => {
-                for idx in indices {
-                    expr(idx, f);
-                }
-                expr(value, f);
-            }
-            HirStmt::For { from, to, body, .. } => {
-                expr(from, f);
-                expr(to, f);
-                visit_reads(body, f);
-            }
-            HirStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                expr(cond, f);
-                visit_reads(then_body, f);
-                visit_reads(else_body, f);
-            }
-            HirStmt::Call { args, .. } => {
-                for a in args {
-                    expr(a, f);
-                }
-            }
-        }
-    }
-}
-
-fn visit_calls(stmts: &[HirStmt], f: &mut impl FnMut(&[HirExpr])) {
-    fn expr(e: &HirExpr, f: &mut impl FnMut(&[HirExpr])) {
-        match e {
-            HirExpr::Call { args, .. } => {
-                f(args);
-                for a in args {
-                    expr(a, f);
-                }
-            }
-            HirExpr::Load { indices, .. } => {
-                for idx in indices {
-                    expr(idx, f);
-                }
-            }
-            HirExpr::Unary { operand, .. } => expr(operand, f),
-            HirExpr::Binary { lhs, rhs, .. } => {
-                expr(lhs, f);
-                expr(rhs, f);
-            }
-            HirExpr::Select {
-                cond,
-                then_value,
-                else_value,
-            } => {
-                expr(cond, f);
-                expr(then_value, f);
-                expr(else_value, f);
-            }
-            _ => {}
-        }
-    }
-    for stmt in stmts {
-        match stmt {
-            HirStmt::Let { value, .. } | HirStmt::Return { value } => expr(value, f),
-            HirStmt::Alloc { dims, .. } => {
-                for d in dims {
-                    expr(d, f);
-                }
-            }
-            HirStmt::Store { indices, value, .. } => {
-                for idx in indices {
-                    expr(idx, f);
-                }
-                expr(value, f);
-            }
-            HirStmt::For { from, to, body, .. } => {
-                expr(from, f);
-                expr(to, f);
-                visit_calls(body, f);
-            }
-            HirStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                expr(cond, f);
-                visit_calls(then_body, f);
-                visit_calls(else_body, f);
-            }
-            HirStmt::Call { args, .. } => {
-                f(args);
-                for a in args {
-                    expr(a, f);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pods_idlang::compile;
+    use crate::compile;
 
     fn analyze(src: &str) -> Vec<LoopInfo> {
         analyze_loops(&compile(src).unwrap())

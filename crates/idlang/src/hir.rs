@@ -2,8 +2,8 @@
 //!
 //! The parser builds the HIR straight from the source text, and it is the
 //! structured, span-free program form consumed by the rest of the PODS
-//! pipeline: the semantic checks, the dataflow-graph builder, the SP
-//! translator, and the baseline executors. The parser turns built-in math
+//! pipeline: the semantic checks, the loop analysis, the SP translator, and
+//! the baseline executors. The parser turns built-in math
 //! calls (`sqrt`, `min`, `pow`, ...) into dedicated operators so that
 //! downstream consumers never have to special-case callee names.
 
@@ -303,6 +303,83 @@ impl HirExpr {
     pub fn free_vars(&self, out: &mut Vec<Name>) {
         note_expr(self, &[], out);
     }
+
+    /// Calls `visit` on this expression and on each of its
+    /// sub-expressions, in preorder: a node before its operands, operands
+    /// left to right.
+    pub fn walk<'a>(&'a self, visit: &mut impl FnMut(&'a HirExpr)) {
+        visit(self);
+        match self {
+            HirExpr::Int(_) | HirExpr::Float(_) | HirExpr::Bool(_) | HirExpr::Var(_) => {}
+            HirExpr::Load { indices: items, .. } | HirExpr::Call { args: items, .. } => {
+                for item in items {
+                    item.walk(visit);
+                }
+            }
+            HirExpr::Unary { operand, .. } => operand.walk(visit),
+            HirExpr::Binary { lhs, rhs, .. } => {
+                lhs.walk(visit);
+                rhs.walk(visit);
+            }
+            HirExpr::Select {
+                cond,
+                then_value,
+                else_value,
+            } => {
+                cond.walk(visit);
+                then_value.walk(visit);
+                else_value.walk(visit);
+            }
+        }
+    }
+}
+
+/// A node [`walk`] meets: a statement or an expression.
+#[derive(Debug, Clone, Copy)]
+pub enum HirNode<'a> {
+    /// A statement.
+    Stmt(&'a HirStmt),
+    /// An expression.
+    Expr(&'a HirExpr),
+}
+
+/// Calls `visit` on every statement of `stmts` and on every expression in
+/// them, nested statement lists included, in preorder: a statement, then
+/// its expressions in source order (each as [`HirExpr::walk`] does), then
+/// the statements it contains.
+///
+/// For walks that only look at nodes. A walk that carries scope (which
+/// names are defined where, as [`collect_free_vars_stmts`] does) recurses
+/// itself.
+pub fn walk<'a>(stmts: &'a [HirStmt], visit: &mut impl FnMut(HirNode<'a>)) {
+    for stmt in stmts {
+        visit(HirNode::Stmt(stmt));
+        let mut expr = |e: &'a HirExpr| e.walk(&mut |e| visit(HirNode::Expr(e)));
+        match stmt {
+            HirStmt::Let { value, .. } | HirStmt::Return { value } => expr(value),
+            HirStmt::Alloc { dims: items, .. } | HirStmt::Call { args: items, .. } => {
+                items.iter().for_each(expr)
+            }
+            HirStmt::Store { indices, value, .. } => {
+                indices.iter().for_each(&mut expr);
+                expr(value);
+            }
+            HirStmt::For { from, to, body, .. } => {
+                expr(from);
+                expr(to);
+                walk(body, visit);
+            }
+            HirStmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                expr(cond);
+                walk(then_body, visit);
+                walk(else_body, visit);
+            }
+        }
+    }
 }
 
 /// Collects the free variable names of a statement list: the variables it
@@ -324,35 +401,11 @@ fn note(name: &Name, defined: &[Name], out: &mut Vec<Name>) {
 }
 
 fn note_expr(expr: &HirExpr, defined: &[Name], out: &mut Vec<Name>) {
-    match expr {
-        HirExpr::Int(_) | HirExpr::Float(_) | HirExpr::Bool(_) => {}
-        HirExpr::Var(name) => note(name, defined, out),
-        HirExpr::Load { array, indices } => {
-            note(array, defined, out);
-            for idx in indices {
-                note_expr(idx, defined, out);
-            }
+    expr.walk(&mut |e| {
+        if let HirExpr::Var(name) | HirExpr::Load { array: name, .. } = e {
+            note(name, defined, out);
         }
-        HirExpr::Unary { operand, .. } => note_expr(operand, defined, out),
-        HirExpr::Binary { lhs, rhs, .. } => {
-            note_expr(lhs, defined, out);
-            note_expr(rhs, defined, out);
-        }
-        HirExpr::Call { args, .. } => {
-            for a in args {
-                note_expr(a, defined, out);
-            }
-        }
-        HirExpr::Select {
-            cond,
-            then_value,
-            else_value,
-        } => {
-            note_expr(cond, defined, out);
-            note_expr(then_value, defined, out);
-            note_expr(else_value, defined, out);
-        }
-    }
+    });
 }
 
 fn note_stmts(stmts: &[HirStmt], defined: &mut Vec<Name>, out: &mut Vec<Name>) {
@@ -518,6 +571,39 @@ mod tests {
         // `i` and `t` are defined only inside the first loop, `y` in both
         // arms of the branch, `x` and `z` in one arm each.
         assert_eq!(free, ["n", "a", "b", "t", "i", "x", "z"]);
+    }
+
+    #[test]
+    fn walk_visits_each_statement_before_its_expressions_and_nested_statements() {
+        let hir = parse_hir(
+            "def main(n, a) {
+                 for i = 0 to n { a[i] = f(i + 1); }
+                 if n > 0 { g(n); }
+                 return n;
+             }",
+        );
+        let mut seen = Vec::new();
+        walk(&hir.function("main").unwrap().body, &mut |node| {
+            seen.push(match node {
+                HirNode::Stmt(HirStmt::For { .. }) => "for".to_string(),
+                HirNode::Stmt(HirStmt::Store { .. }) => "store".to_string(),
+                HirNode::Stmt(HirStmt::If { .. }) => "if".to_string(),
+                HirNode::Stmt(HirStmt::Call { .. }) => "call".to_string(),
+                HirNode::Stmt(HirStmt::Return { .. }) => "return".to_string(),
+                HirNode::Expr(HirExpr::Var(name)) => name.to_string(),
+                HirNode::Expr(HirExpr::Int(value)) => value.to_string(),
+                HirNode::Expr(HirExpr::Binary { op, .. }) => op.to_string(),
+                HirNode::Expr(HirExpr::Call { function, .. }) => format!("{function}()"),
+                other => panic!("unexpected {other:?}"),
+            });
+        });
+        assert_eq!(
+            seen,
+            [
+                "for", "0", "n", "store", "i", "f()", "+", "i", "1", "if", ">", "n", "0", "call",
+                "n", "return", "n"
+            ]
+        );
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! the paper's workloads need — nested counted loops (ascending and
 //! descending), I-structure arrays of one to three dimensions, conditionals,
 //! function calls, and floating-point math — straight into a structured
-//! HIR consumed by the dataflow-graph builder and the SP translator. The
-//! HIR is the one syntax tree: the semantic checks run over it too, with
-//! the source spans of their diagnostics kept beside it.
+//! HIR consumed by the loop analysis and the SP translator. The HIR is the
+//! one syntax tree: the semantic checks run over it too, with the source
+//! spans of their diagnostics kept beside it. The loop analysis
+//! ([`analyze_loops`]) finds each loop level's loop-carried dependencies
+//! and distribution target, which drive the PODS Partitioner.
 //!
 //! # Syntax overview
 //!
@@ -43,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod analysis;
 pub mod error;
 pub mod hir;
 pub mod lexer;
@@ -51,8 +54,9 @@ mod parser;
 mod sema;
 pub mod token;
 
+pub use analysis::{analyze_loops, find_loop, LoopInfo, LoopKey, WriteAccess};
 pub use error::{CompileError, ErrorPhase};
-pub use hir::{BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, UnaryOp};
+pub use hir::{BinaryOp, HirExpr, HirFunction, HirNode, HirProgram, HirStmt, UnaryOp};
 pub use name::Name;
 
 /// Compiles source text to the HIR: lex, parse, and semantic checks.

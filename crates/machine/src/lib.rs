@@ -25,7 +25,7 @@
 //! let hir = pods_idlang::compile(
 //!     "def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i * i; } return a; }",
 //! ).unwrap();
-//! let loops = pods_dataflow::analyze_loops(&hir);
+//! let loops = pods_idlang::analyze_loops(&hir);
 //! let mut program = pods_sp::translate(&hir).unwrap();
 //! pods_partition::partition(&mut program, &loops, &Default::default());
 //! let read_slots = Arc::new(pods_sp::exec::build_read_slots(&program));

@@ -1164,7 +1164,7 @@ mod tests {
 
     fn compile_and_partition(src: &str) -> SpProgram {
         let hir = pods_idlang::compile(src).unwrap();
-        let loops = pods_dataflow::analyze_loops(&hir);
+        let loops = pods_idlang::analyze_loops(&hir);
         let mut program = pods_sp::translate(&hir).unwrap();
         partition(&mut program, &loops, &PartitionConfig::default());
         program

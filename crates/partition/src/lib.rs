@@ -1,7 +1,7 @@
 //! The PODS Partitioner: distributing allocate, `LD`, and Range Filters.
 //!
 //! This crate implements §4 of the paper. Given the SP templates produced by
-//! the translator and the loop analysis produced by `pods-dataflow`, it
+//! the translator and the loop analysis of `pods_idlang::analyze_loops`, it
 //! rewrites the program so that execution follows the data distribution
 //! (*Data-Distributed Execution*):
 //!
@@ -29,7 +29,7 @@
 //!        for i = 0 to n - 1 { for j = 0 to n - 1 { a[i, j] = i + j; } }
 //!        return a; }",
 //! ).unwrap();
-//! let loops = pods_dataflow::analyze_loops(&hir);
+//! let loops = pods_idlang::analyze_loops(&hir);
 //! let mut program = pods_sp::translate(&hir).unwrap();
 //! let report = partition(&mut program, &loops, &PartitionConfig::default());
 //! assert_eq!(report.distributed_loops().count(), 1); // the i-loop
@@ -38,7 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pods_dataflow::{LoopInfo, LoopKey};
+use pods_idlang::{LoopInfo, LoopKey};
 use pods_sp::{
     chunk_loop_spawns, Instr, LoopMeta, Name, Operand, SlotId, SpId, SpKind, SpProgram, SpTemplate,
 };
@@ -433,7 +433,7 @@ fn slot_base_name(template: &SpTemplate) -> Name {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pods_dataflow::analyze_loops;
+    use pods_idlang::analyze_loops;
     use pods_sp::translate;
 
     const PAPER_EXAMPLE: &str = r#"

@@ -1,4 +1,4 @@
-//! The execution layer of PODS: five engines behind one [`EngineOutcome`].
+//! The execution layer of PODS: four engines behind one [`EngineOutcome`].
 //!
 //! Every engine consumes the same [`CompiledProgram`] and
 //! [`RunOptions`](crate::RunOptions) and produces the same
@@ -15,8 +15,6 @@
 //!   PEs.
 //! * [`EngineKind::Seq`] — the control-driven sequential interpreter
 //!   (`pods_baseline::run_sequential`); the correctness oracle.
-//! * [`EngineKind::Pr`] — the static-compilation cost model
-//!   ([`pods_baseline::PrModel`]) driven by a sequential profile.
 //! * [`EngineKind::Native`] — the partitioned SP program on a real
 //!   work-stealing thread pool with a thread-safe I-structure store,
 //!   reporting *wall-clock* time on N OS threads.
@@ -45,7 +43,6 @@
 mod async_coop;
 mod native;
 mod pool;
-pub(crate) mod pr;
 pub(crate) mod seq;
 pub(crate) mod sim;
 
@@ -57,7 +54,6 @@ pub(crate) use pool::{
 
 use crate::error::PodsError;
 use crate::pipeline::CompiledProgram;
-use pods_baseline::PrPoint;
 use pods_istructure::Value;
 use pods_machine::{ArraySnapshot, SimulationStats, Unit};
 use pods_partition::PartitionReport;
@@ -80,11 +76,6 @@ pub enum EngineStats {
         nests: usize,
         /// Modelled time spent outside any loop nest (microseconds).
         serial_us: f64,
-    },
-    /// The static-compilation model's estimate.
-    Estimated {
-        /// The modelled point (PEs, time, speed-up).
-        point: PrPoint,
     },
     /// Native thread-pool statistics plus the partitioning decisions.
     Native {
@@ -114,7 +105,7 @@ pub struct EngineOutcome {
     /// Final contents of every allocated array, in allocation order.
     pub arrays: Vec<ArraySnapshot>,
     /// Modelled/simulated elapsed time in microseconds, for engines that
-    /// model time (`sim`, `seq`, `pr`); `None` for the native engine, whose
+    /// model time (`sim`, `seq`); `None` for the pooled engines, whose
     /// only honest clock is the wall.
     pub modelled_us: Option<f64>,
     /// Measured host wall-clock time of the run, in microseconds.
@@ -208,10 +199,6 @@ impl EngineStats {
             EngineStats::Sequential { nests, serial_us } => {
                 format!("seq: {nests} loop nest(s), {serial_us:.0}µs serial")
             }
-            EngineStats::Estimated { point } => format!(
-                "pr: {:.0}µs estimated on {} PE(s), speed-up {:.2}",
-                point.elapsed_us, point.pes, point.speedup
-            ),
             EngineStats::Native { stats, .. } => stats.to_string(),
             EngineStats::AsyncCoop { stats, .. } => stats.to_string(),
         }
@@ -229,8 +216,6 @@ pub enum EngineKind {
     Sim,
     /// The sequential oracle interpreter.
     Seq,
-    /// The Pingali & Rogers static-compilation cost model.
-    Pr,
     /// The native work-stealing thread pool.
     Native,
     /// The cooperative futures-style executor.
@@ -239,21 +224,18 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// All engine kinds, in canonical order.
-    pub const ALL: [EngineKind; 5] = [
+    pub const ALL: [EngineKind; 4] = [
         EngineKind::Sim,
         EngineKind::Seq,
-        EngineKind::Pr,
         EngineKind::Native,
         EngineKind::AsyncCoop,
     ];
 
-    /// The canonical short name (`"sim"`, `"seq"`, `"pr"`, `"native"`,
-    /// `"async"`).
+    /// The canonical short name (`"sim"`, `"seq"`, `"native"`, `"async"`).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Sim => "sim",
             EngineKind::Seq => "seq",
-            EngineKind::Pr => "pr",
             EngineKind::Native => "native",
             EngineKind::AsyncCoop => "async",
         }
@@ -267,9 +249,6 @@ impl EngineKind {
             }
             EngineKind::Seq => {
                 "control-driven sequential interpreter (modelled time, correctness oracle)"
-            }
-            EngineKind::Pr => {
-                "Pingali & Rogers static-compilation cost model (modelled time on N PEs)"
             }
             EngineKind::Native => {
                 "work-stealing thread pool over the shared I-structure store \
@@ -287,7 +266,6 @@ impl EngineKind {
         match self {
             EngineKind::Sim => &["sim", "simulator", "pods"],
             EngineKind::Seq => &["seq", "sequential", "baseline"],
-            EngineKind::Pr => &["pr", "estimate", "pingali-rogers"],
             EngineKind::Native => &["native", "threads", "parallel"],
             EngineKind::AsyncCoop => &["async", "async-coop", "coop", "futures"],
         }
@@ -397,7 +375,7 @@ mod tests {
     use crate::runtime::Runtime;
 
     /// The canonical names, in [`EngineKind::ALL`] order.
-    const NAMES: [&str; 5] = ["sim", "seq", "pr", "native", "async"];
+    const NAMES: [&str; 4] = ["sim", "seq", "native", "async"];
 
     #[test]
     fn registry_resolves_names_and_aliases() {

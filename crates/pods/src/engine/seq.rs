@@ -1,10 +1,9 @@
-//! The sequential-interpreter engine (the correctness oracle), and the
-//! bounded sequential run it shares with the `pr` estimator.
+//! The sequential-interpreter engine: the correctness oracle.
 
 use super::{EngineKind, EngineOutcome, EngineStats};
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
-use pods_baseline::{run_sequential_bounded, SequentialRun};
+use pods_baseline::run_sequential_bounded;
 use pods_istructure::{ArrayId, Value};
 use pods_machine::{ArraySnapshot, SimulationError, TimingModel};
 use std::time::Instant;
@@ -13,32 +12,15 @@ use std::time::Instant;
 /// ([`pods_baseline::run_sequential`]) — no SPs, no I-structure run-time,
 /// just program order with the iPSC/2 cost model. The differential tests use
 /// this engine as the oracle the parallel engines must agree with.
+///
+/// The interpreter runs within `opts.max_events` statements; exhausting
+/// that budget reports the engines' shared event-limit error, so
+/// `RunOptions::max_events` reports uniformly across `sim`, `native` and
+/// `seq`.
 pub(crate) fn run(
     program: &CompiledProgram,
     args: &[Value],
     opts: &RunOptions,
-) -> Result<EngineOutcome, PodsError> {
-    run_modelled(EngineKind::Seq, program, args, opts, |run| {
-        let stats = EngineStats::Sequential {
-            nests: run.nests.len(),
-            serial_us: run.serial_us,
-        };
-        (run.elapsed_us, stats)
-    })
-}
-
-/// Runs the interpreter within `opts.max_events` statements and builds the
-/// outcome of engine `kind` from the run: `model` gives the modelled time
-/// and the statistics, and the arrays and return value are the run's own.
-/// Exhausting the statement budget reports the engines' shared event-limit
-/// error, so `RunOptions::max_events` reports uniformly across `sim`,
-/// `native`, `seq` and `pr`.
-pub(super) fn run_modelled(
-    kind: EngineKind,
-    program: &CompiledProgram,
-    args: &[Value],
-    opts: &RunOptions,
-    model: impl FnOnce(&SequentialRun) -> (f64, EngineStats),
 ) -> Result<EngineOutcome, PodsError> {
     let start = Instant::now();
     let limit = opts.max_events;
@@ -51,7 +33,10 @@ pub(super) fn run_modelled(
             }
         },
     )?;
-    let (modelled_us, stats) = model(&run);
+    let stats = EngineStats::Sequential {
+        nests: run.nests.len(),
+        serial_us: run.serial_us,
+    };
     let wall_us = start.elapsed().as_secs_f64() * 1e6;
     let arrays = run
         .arrays
@@ -65,10 +50,10 @@ pub(super) fn run_modelled(
         })
         .collect();
     Ok(EngineOutcome {
-        engine: kind.name(),
+        engine: EngineKind::Seq.name(),
         return_value: run.return_value,
         arrays,
-        modelled_us: Some(modelled_us),
+        modelled_us: Some(run.elapsed_us),
         wall_us,
         stats,
         diagnostics: None,

@@ -5,13 +5,14 @@
 //! wires together the full pipeline of the paper's Figure 3:
 //!
 //! 1. **`idlang` front end** — a small Id-Nouveau-like declarative,
-//!    single-assignment language ([`pods_idlang`]),
-//! 2. **dataflow graphs and loop analysis** ([`pods_dataflow`]),
-//! 3. **the PODS Translator** — each function and loop level becomes a
-//!    Subcompact Process ([`pods_sp`]),
-//! 4. **the PODS Partitioner** — distributing allocate, `LD` operators, and
+//!    single-assignment language parsed straight to its HIR, and the loop
+//!    analysis over that HIR: LCDs and distribution targets
+//!    ([`pods_idlang`]),
+//! 2. **the PODS Translator** — each function and loop level of the HIR
+//!    becomes a Subcompact Process template ([`pods_sp`]),
+//! 3. **the PODS Partitioner** — distributing allocate, `LD` operators, and
 //!    Range Filters ([`pods_partition`]),
-//! 5. **the machine simulator** — an instruction-level model of an
+//! 4. **the machine simulator** — an instruction-level model of an
 //!    iPSC/2-like distributed-memory multiprocessor with I-structure memory
 //!    ([`pods_machine`], [`pods_istructure`]).
 //!
@@ -68,7 +69,7 @@ pub use trace::{JobBreakdown, JobTrace, TraceConfig, TraceEvent, TraceEventKind}
 
 // Re-export the pieces a downstream user needs to drive runs and interpret
 // results without depending on every sub-crate explicitly.
-pub use pods_baseline::{BaselineError, PrModel, PrPoint, SequentialRun};
+pub use pods_baseline::{BaselineError, SequentialRun};
 pub use pods_istructure::{ArrayId, ArrayShape, SharedArrayStore, StoreStats, Value};
 pub use pods_machine::{
     ArraySnapshot, MachineConfig, SimulationError, SimulationResult, SimulationStats, TimingModel,

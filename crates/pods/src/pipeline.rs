@@ -1,16 +1,15 @@
-//! The end-to-end PODS pipeline: source → HIR → dataflow graphs → SPs →
-//! partitioned SPs (paper Figure 3). Execution is the [`Runtime`]'s.
+//! The end-to-end PODS pipeline: source → HIR → SP templates → partitioned
+//! SPs (paper Figure 3). Execution is the [`Runtime`]'s.
 
 use crate::engine::EngineKind;
 use crate::error::PodsError;
 use crate::runtime::Runtime;
-use pods_dataflow::{analyze_loops, build_program, DataflowProgram, LoopInfo};
-use pods_idlang::HirProgram;
+use pods_idlang::{analyze_loops, HirProgram, LoopInfo};
 use pods_istructure::Value;
 use pods_machine::MachineConfig;
 use pods_partition::{partition_with_chunk_boost, PartitionConfig, PartitionReport};
 use pods_sp::{translate, SpProgram};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Options controlling a PODS run.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +24,8 @@ pub struct RunOptions {
     pub partition: PartitionConfig,
     /// Safety limit on run-time work (0 = unlimited). Every engine
     /// enforces it against its own unit of progress: `sim` counts
-    /// simulation events, `native` counts task executions, and `seq` / `pr`
-    /// count interpreted statements. Exhaustion is always reported as
+    /// simulation events, `native` counts task executions, and `seq` counts
+    /// interpreted statements. Exhaustion is always reported as
     /// [`pods_machine::SimulationError::EventLimitExceeded`].
     pub max_events: u64,
     /// Native engine only: maximum number of I-structure wake-ups a worker
@@ -51,7 +50,7 @@ pub struct RunOptions {
     /// executes directly. Defaults to the `PODS_SPECIALIZE` environment
     /// variable (`0` disables, anything else — including unset — enables);
     /// [`crate::RuntimeBuilder::specialize`] overrides per runtime. The
-    /// `seq` / `pr` engines interpret the HIR and ignore it.
+    /// `seq` engine interprets the HIR and ignores it.
     pub specialize: bool,
 }
 
@@ -102,9 +101,7 @@ impl RunOptions {
 ///
 /// The program is compiled once and afterwards only referenced: it is a
 /// handle to stages shared behind one `Arc`, so a clone (the one every
-/// prepared program keeps of its source, say) copies a pointer. The
-/// dataflow graph, which nothing on the way to execution reads, is built on
-/// the first [`CompiledProgram::graph`] call.
+/// prepared program keeps of its source, say) copies a pointer.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     stages: Arc<Stages>,
@@ -118,7 +115,6 @@ struct Stages {
     /// the interning key for [`crate::Runtime`]'s prepared-program cache.
     identity: u64,
     hir: HirProgram,
-    graph: OnceLock<DataflowProgram>,
     loops: Vec<LoopInfo>,
     sp: SpProgram,
 }
@@ -138,14 +134,6 @@ impl CompiledProgram {
     /// The HIR.
     pub fn hir(&self) -> &HirProgram {
         &self.stages.hir
-    }
-
-    /// The dataflow graphs (one code block per function and loop level),
-    /// built from the HIR on the first call and shared by every clone.
-    pub fn graph(&self) -> &DataflowProgram {
-        self.stages
-            .graph
-            .get_or_init(|| build_program(&self.stages.hir))
     }
 
     /// The loop-nest analysis (LCDs, distribution targets).
@@ -195,8 +183,7 @@ impl CompiledProgram {
 }
 
 /// Compiles `source` through the front half of the pipeline (compile, loop
-/// analysis, SP translation). The dataflow graph is built later, on the
-/// first [`CompiledProgram::graph`] call.
+/// analysis, SP translation).
 ///
 /// # Errors
 ///
@@ -209,7 +196,6 @@ pub fn compile(source: &str) -> Result<CompiledProgram, PodsError> {
         stages: Arc::new(Stages {
             identity: NEXT_PROGRAM_IDENTITY.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             hir,
-            graph: OnceLock::new(),
             loops,
             sp,
         }),
@@ -234,7 +220,7 @@ pub struct SpeedupPoint {
 /// single-PE) configuration, and EU utilization — the measurements behind
 /// Figures 9 and 10 of the paper. Each point compares the engine's preferred
 /// clock ([`crate::EngineOutcome::elapsed_us`]): modelled time on `sim` and
-/// `pr`, wall-clock time on the pooled engines. Each point builds its
+/// `seq`, wall-clock time on the pooled engines. Each point builds its
 /// [`Runtime`] before the run, so a pooled point times execution, not the
 /// spawn of its workers.
 ///
@@ -289,7 +275,6 @@ mod tests {
     fn compile_exposes_all_pipeline_stages() {
         let program = compile(MATRIX_FILL).unwrap();
         assert_eq!(program.main_arity(), Some(1));
-        assert_eq!(program.graph().stats().loop_blocks, 2);
         assert_eq!(program.loops().len(), 2);
         assert_eq!(program.sp_program().len(), 3);
     }

@@ -56,8 +56,8 @@
 //! match the preparing runtime's.
 
 use crate::engine::{
-    build_read_slots, check_invocation, pr, seq, sim, EngineKind, EngineOutcome, EngineStats,
-    JobSpec, Pooled, ReadSlots,
+    build_read_slots, check_invocation, seq, sim, EngineKind, EngineOutcome, EngineStats, JobSpec,
+    Pooled, ReadSlots,
 };
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
@@ -117,7 +117,7 @@ impl RuntimeBuilder {
         }
     }
 
-    /// Number of worker threads (native) or simulated PEs (sim/pr). Clamped
+    /// Number of worker threads (native, async) or simulated PEs (sim). Clamped
     /// to at least one.
     pub fn workers(mut self, workers: usize) -> Self {
         self.opts.num_pes = workers.max(1);
@@ -294,9 +294,9 @@ impl RuntimeBuilder {
 ///
 /// For [`EngineKind::Native`] the runtime owns a work-stealing worker pool
 /// that stays alive across `run` calls — per-run cost is one job
-/// submission, not a pool spawn. For the modelled engines (`sim`, `seq`,
-/// `pr`) the runtime runs the engine on the calling thread (those engines
-/// are single-threaded models with no pool to keep warm).
+/// submission, not a pool spawn. For the modelled engines (`sim`, `seq`)
+/// the runtime runs the engine on the calling thread (those engines are
+/// single-threaded models with no pool to keep warm).
 ///
 /// Dropping the runtime joins the worker threads; outstanding jobs —
 /// queued or in flight — are cut short at the next instruction boundary
@@ -721,7 +721,6 @@ impl Runtime {
                 sim::run(&program.prepared(self)?, args, opts, trace)
             }
             EngineKind::Seq => seq::run(compiled, args, opts),
-            EngineKind::Pr => pr::run(compiled, args, opts),
             EngineKind::Native | EngineKind::AsyncCoop => {
                 unreachable!("pooled kinds submit through their service")
             }
@@ -783,8 +782,8 @@ struct PreparedInner {
     /// runtimes with the same setting).
     specialize: bool,
     /// The compiled program this was prepared from, retained so the same
-    /// handle also runs on the `seq` and `pr` runtimes (which interpret the
-    /// HIR) and so invocations can be validated. A clone of a compiled
+    /// handle also runs on a `seq` runtime (which interprets the HIR) and so
+    /// invocations can be validated. A clone of a compiled
     /// program shares its stages.
     source: CompiledProgram,
     sp: Arc<SpProgram>,
@@ -1116,7 +1115,7 @@ mod tests {
     #[test]
     fn modelled_engines_run_through_the_runtime_too() {
         let program = compile("def main(n) { return n * 3; }").unwrap();
-        for kind in [EngineKind::Sim, EngineKind::Seq, EngineKind::Pr] {
+        for kind in [EngineKind::Sim, EngineKind::Seq] {
             let runtime = Runtime::builder(kind).workers(2).build();
             let handle = runtime.submit(&program, &[Value::Int(5)]).unwrap();
             assert!(handle.is_done(), "{kind}: modelled jobs are eager");

@@ -206,7 +206,7 @@ impl MetricsRegistry {
 /// (no queued or in-flight jobs), `submitted == completed + rejected +
 /// cancelled`.
 ///
-/// On modelled-engine runtimes (`sim`/`seq`/`pr`) jobs run eagerly inside
+/// On modelled-engine runtimes (`sim`/`seq`) jobs run eagerly inside
 /// `submit`, so `submitted`/`completed`/latency are still meaningful but
 /// the queue, fairness, and deadline fields stay at their defaults.
 #[derive(Debug, Clone, PartialEq)]

@@ -24,7 +24,7 @@ pub enum SpKind {
         /// The enclosing function.
         function: Name,
         /// Preorder ordinal of the loop within its function (matches
-        /// `pods_dataflow::LoopKey`).
+        /// `pods_idlang::LoopKey`).
         ordinal: usize,
         /// The loop index variable.
         var: Name,

@@ -818,7 +818,7 @@ mod tests {
     }
 
     #[test]
-    fn loop_ordinals_match_dataflow_analysis_numbering() {
+    fn loop_ordinals_match_analysis_numbering() {
         let src = r#"
             def main(n) {
                 a = array(n);
@@ -832,7 +832,7 @@ mod tests {
         "#;
         let hir = compile(src).unwrap();
         let program = translate(&hir).unwrap();
-        let infos = pods_dataflow::analyze_loops(&hir);
+        let infos = pods_idlang::analyze_loops(&hir);
         for info in &infos {
             let t = program
                 .loop_template(&info.key.function, info.key.ordinal)

@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn paper_example_has_one_loop_nest_of_depth_two() {
         let hir = compile(PAPER_EXAMPLE).unwrap();
-        let loops = pods_dataflow::analyze_loops(&hir);
+        let loops = pods_idlang::analyze_loops(&hir);
         assert_eq!(loops.len(), 2);
         assert!(loops.iter().all(|l| !l.has_lcd));
     }
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn matmul_reduction_is_carried_and_outer_loop_is_parallel() {
         let hir = compile(MATMUL).unwrap();
-        let loops = pods_dataflow::analyze_loops(&hir);
+        let loops = pods_idlang::analyze_loops(&hir);
         // init(i, j) and compute(i, j, k).
         assert_eq!(loops.len(), 5);
         let compute_outer = &loops[2];
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn recurrence_loop_is_detected_as_carried() {
         let hir = compile(RECURRENCE).unwrap();
-        let loops = pods_dataflow::analyze_loops(&hir);
+        let loops = pods_idlang::analyze_loops(&hir);
         assert_eq!(loops.len(), 2);
         assert!(!loops[0].has_lcd, "the fill loop is parallel");
         assert!(loops[1].has_lcd, "the prefix loop carries a dependency");

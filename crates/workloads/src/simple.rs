@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn conduction_recurrences_are_carried_but_row_level_is_parallel() {
         let hir = compile(SIMPLE).unwrap();
-        let loops = pods_dataflow::analyze_loops(&hir);
+        let loops = pods_idlang::analyze_loops(&hir);
         let conduction: Vec<_> = loops
             .iter()
             .filter(|l| l.key.function == "conduction")
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn velocity_position_and_hydrodynamics_are_parallel() {
         let hir = compile(SIMPLE).unwrap();
-        let loops = pods_dataflow::analyze_loops(&hir);
+        let loops = pods_idlang::analyze_loops(&hir);
         for routine in ["velocity_position", "hydrodynamics", "init_state"] {
             let outer = loops
                 .iter()

@@ -1,9 +1,10 @@
-//! The engine matrix: one program, five executors behind one typed enum.
+//! The engine matrix: one program, four executors behind one typed enum.
 //!
 //! Builds a [`pods::Runtime`] per [`pods::EngineKind`], runs the FILL
-//! workload through each, and prints what each engine measured — simulated
-//! time for the machine simulator and the cost models, wall-clock time for
-//! the native thread pool and the cooperative async executor — together
+//! workload through each, and prints what each engine measured — modelled
+//! time for the machine simulator and the sequential interpreter,
+//! wall-clock time for the native thread pool and the cooperative async
+//! executor — together
 //! with a correctness digest so the agreement is visible.
 //!
 //! Run with: `cargo run --release --example engines [n] [pes]`

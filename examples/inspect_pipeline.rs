@@ -1,6 +1,6 @@
 //! Shows the intermediate artifacts of the PODS pipeline for the paper's
-//! running example: the dataflow-graph statistics, the loop analysis, the
-//! disassembled Subcompact Processes, and the partitioning decisions —
+//! running example: the loop analysis, the disassembled Subcompact
+//! Processes, and the partitioning decisions —
 //! useful for understanding how a declarative program becomes distributed
 //! iteration-level work.
 //!
@@ -13,19 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- source ---\n{source}");
 
     let hir = pods_idlang::compile(source)?;
-    let graph = pods_dataflow::build_program(&hir);
-    println!("--- dataflow graph ---");
-    println!("{:?}", graph.stats());
-    for block in graph.blocks() {
-        println!(
-            "  block {:?}: {} nodes ({})",
-            block.id,
-            block.len(),
-            block.name
-        );
-    }
-
-    let loops = pods_dataflow::analyze_loops(&hir);
+    let loops = pods_idlang::analyze_loops(&hir);
     println!("--- loop analysis ---");
     for info in &loops {
         println!(
@@ -48,13 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for template in program.templates() {
         println!("{}", template.disassemble());
     }
-
-    // Graphviz output for the curious.
-    let dot = pods_dataflow::to_dot(&graph);
-    println!(
-        "--- DOT graph ({} bytes, pipe into `dot -Tpng`) ---",
-        dot.len()
-    );
 
     // Hand the same source to the top-level pipeline and execute it on a
     // native Runtime, closing the loop from artifacts to real threads.

@@ -29,8 +29,7 @@ fn main() -> Result<(), pods::PodsError> {
 
     let program = compile(source)?;
     println!(
-        "compiled: {} dataflow blocks, {} SP templates, {} loops analysed",
-        program.graph().num_blocks(),
+        "compiled: {} SP templates, {} loops analysed",
         program.sp_program().len(),
         program.loops().len()
     );

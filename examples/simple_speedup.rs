@@ -3,9 +3,8 @@
 //! interactive version of Figure 10.
 //!
 //! The sweep runs on a `Runtime` per machine size, so the same command
-//! reports simulated-PE speed-up (`sim`, the default), modelled
-//! static-compilation speed-up (`pr`), or real hardware-thread speed-up
-//! (`native`, `async`).
+//! reports simulated-PE speed-up (`sim`, the default) or real
+//! hardware-thread speed-up (`native`, `async`).
 //!
 //! Run with: `cargo run --release --example simple_speedup [mesh] [max_pes] [engine]`
 

@@ -36,9 +36,10 @@
 //! percentile.
 
 use pods::{compile, EngineKind, EngineOutcome, EngineStats, PreparedProgram, Runtime, Value};
+use pods_idlang::hir::walk;
 use pods_idlang::lexer::tokenize;
 use pods_idlang::token::TokenKind;
-use pods_idlang::{HirExpr, HirProgram, HirStmt};
+use pods_idlang::{HirExpr, HirNode, HirProgram, HirStmt};
 use pods_sp::Instr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
@@ -157,43 +158,33 @@ fn hir_blocks(program: &HirProgram) -> u64 {
     fn list<T>(items: &[T]) -> u64 {
         u64::from(!items.is_empty())
     }
-    fn expr(e: &HirExpr) -> u64 {
-        match e {
-            HirExpr::Int(_) | HirExpr::Float(_) | HirExpr::Bool(_) | HirExpr::Var(_) => 0,
-            HirExpr::Load { indices: items, .. } | HirExpr::Call { args: items, .. } => {
-                exprs(items)
+    let mut blocks = list(&program.functions);
+    for f in &program.functions {
+        blocks += list(&f.params) + list(&f.body);
+        walk(&f.body, &mut |node| {
+            blocks += match node {
+                HirNode::Stmt(
+                    HirStmt::Alloc { dims: items, .. }
+                    | HirStmt::Call { args: items, .. }
+                    | HirStmt::Store { indices: items, .. },
+                ) => list(items),
+                HirNode::Stmt(HirStmt::For { body, .. }) => list(body),
+                HirNode::Stmt(HirStmt::If {
+                    then_body,
+                    else_body,
+                    ..
+                }) => list(then_body) + list(else_body),
+                HirNode::Expr(
+                    HirExpr::Load { indices: items, .. } | HirExpr::Call { args: items, .. },
+                ) => list(items),
+                HirNode::Expr(HirExpr::Unary { .. }) => 1,
+                HirNode::Expr(HirExpr::Binary { .. }) => 2,
+                HirNode::Expr(HirExpr::Select { .. }) => 3,
+                HirNode::Stmt(_) | HirNode::Expr(_) => 0,
             }
-            HirExpr::Unary { operand, .. } => 1 + expr(operand),
-            HirExpr::Binary { lhs, rhs, .. } => 2 + expr(lhs) + expr(rhs),
-            HirExpr::Select {
-                cond,
-                then_value,
-                else_value,
-            } => 3 + expr(cond) + expr(then_value) + expr(else_value),
-        }
-    }
-    fn exprs(items: &[HirExpr]) -> u64 {
-        list(items) + items.iter().map(expr).sum::<u64>()
-    }
-    fn stmts(body: &[HirStmt]) -> u64 {
-        let nested = body.iter().map(|stmt| match stmt {
-            HirStmt::Let { value, .. } | HirStmt::Return { value } => expr(value),
-            HirStmt::Alloc { dims: items, .. } | HirStmt::Call { args: items, .. } => exprs(items),
-            HirStmt::Store { indices, value, .. } => exprs(indices) + expr(value),
-            HirStmt::For { from, to, body, .. } => expr(from) + expr(to) + stmts(body),
-            HirStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => expr(cond) + stmts(then_body) + stmts(else_body),
         });
-        list(body) + nested.sum::<u64>()
     }
-    let functions = program.functions.iter();
-    list(&program.functions)
-        + functions
-            .map(|f| list(&f.params) + stmts(&f.body))
-            .sum::<u64>()
+    blocks
 }
 
 /// The number of distinct identifiers in `source`.

@@ -61,21 +61,50 @@ fn is_ident(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// `true` when `word` occurs in `line` as a whole identifier.
-fn contains_word(line: &str, word: &str) -> bool {
-    line.match_indices(word).any(|(at, _)| {
+/// `true` for the characters of the POSIX `[[:space:]]` class.
+fn is_space(c: char) -> bool {
+    c.is_ascii_whitespace() || c == '\x0b'
+}
+
+/// The byte offsets at which `word` occurs in `line` as a whole identifier.
+fn word_starts<'a>(line: &'a str, word: &'a str) -> impl Iterator<Item = usize> + 'a {
+    line.match_indices(word).filter_map(move |(at, _)| {
         let before = line[..at].chars().next_back();
         let after = line[at + word.len()..].chars().next();
-        !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+        (!before.is_some_and(is_ident) && !after.is_some_and(is_ident)).then_some(at)
     })
 }
 
-/// The `path:line:text` of every line outside `allowed` (a path prefix;
-/// empty when no path is exempt) for which `breaks` holds.
-fn lines_where(files: &[SourceFile], allowed: &str, breaks: impl Fn(&str) -> bool) -> Vec<String> {
+/// `true` when `word` occurs in `line` as a whole identifier.
+fn contains_word(line: &str, word: &str) -> bool {
+    word_starts(line, word).next().is_some()
+}
+
+/// `true` when `rest` is whitespace, then `word` ending a word: the rule
+/// `\s+WORD\b`.
+fn spaced_word(rest: &str, word: &str) -> bool {
+    let operand = rest.trim_start_matches(is_space);
+    operand.len() < rest.len()
+        && operand
+            .strip_prefix(word)
+            .is_some_and(|after| !after.starts_with(is_ident))
+}
+
+/// `true` when `name` occurs as a whole identifier at or after byte `from`
+/// of `line`, followed by whitespace and `for`: the rule `\bNAME\s+for\b`.
+fn implemented_after(line: &str, from: usize, name: &str) -> bool {
+    word_starts(line, name)
+        .filter(|at| *at >= from)
+        .any(|at| spaced_word(&line[at + name.len()..], "for"))
+}
+
+/// The `path:line:text` of every line of `files` for which `breaks` holds.
+fn lines_in<'a>(
+    files: impl IntoIterator<Item = &'a SourceFile>,
+    breaks: impl Fn(&str) -> bool,
+) -> Vec<String> {
     let mut found = Vec::new();
-    let exempt = |f: &&SourceFile| !allowed.is_empty() && f.path.starts_with(allowed);
-    for file in files.iter().filter(|f| !exempt(f)) {
+    for file in files {
         for (n, line) in file.text.lines().enumerate() {
             if breaks(line) {
                 found.push(format!("{}:{}:{line}", file.path, n + 1));
@@ -83,6 +112,19 @@ fn lines_where(files: &[SourceFile], allowed: &str, breaks: impl Fn(&str) -> boo
         }
     }
     found
+}
+
+/// The `path:line:text` of every line outside `allowed` (a path prefix;
+/// empty when no path is exempt) for which `breaks` holds.
+fn lines_where(files: &[SourceFile], allowed: &str, breaks: impl Fn(&str) -> bool) -> Vec<String> {
+    let exempt = |f: &&SourceFile| !allowed.is_empty() && f.path.starts_with(allowed);
+    lines_in(files.iter().filter(|f| !exempt(f)), breaks)
+}
+
+/// The `path:line:text` of every line under `scope` (a path prefix) for
+/// which `breaks` holds.
+fn lines_under(files: &[SourceFile], scope: &str, breaks: impl Fn(&str) -> bool) -> Vec<String> {
+    lines_in(files.iter().filter(|f| f.path.starts_with(scope)), breaks)
 }
 
 /// The `path:line:text` of every line outside `allowed` (a path prefix, as
@@ -179,7 +221,6 @@ fn match_keyword() -> String {
 /// an optional `&` or `*`, then `instr` or `instruction` ending a word —
 /// the rule `match\s+[&*]?instr(uction)?\b`.
 fn dispatches_on_instr(line: &str) -> bool {
-    let is_space = |c: char| c.is_ascii_whitespace() || c == '\x0b';
     line.match_indices(match_keyword().as_str())
         .any(|(at, keyword)| {
             let rest = &line[at + keyword.len()..];
@@ -368,18 +409,9 @@ fn defines_lowering(line: &str) -> bool {
 /// expression enum is `HirExpr`, and nothing lowers one tree into another:
 /// a second tree would have every later change made twice.
 fn one_syntax_tree_guard(files: &[SourceFile]) -> Option<String> {
-    let front_end: Vec<&SourceFile> = files
-        .iter()
-        .filter(|f| f.path.starts_with("crates/idlang/src/"))
-        .collect();
-    let mut found = Vec::new();
-    for file in front_end {
-        for (n, line) in file.text.lines().enumerate() {
-            if declares_syntax_enum(line) || defines_lowering(line) {
-                found.push(format!("{}:{}:{line}", file.path, n + 1));
-            }
-        }
-    }
+    let found = lines_under(files, "crates/idlang/src/", |line| {
+        declares_syntax_enum(line) || defines_lowering(line)
+    });
     if found.is_empty() {
         return None;
     }
@@ -606,4 +638,466 @@ fn one_benchmark_guard_fires_on_a_planted_violation() {
         "only whole words and the snapshot's name count: {message}"
     );
     assert!(one_benchmark_guard(&manifests[..0], &texts[1..]).is_none());
+}
+
+/// The two traits an SP execution context implements. Spelled in pieces so
+/// that this file does not name them itself.
+fn exec_trait_names() -> [String; 2] {
+    [["Exec", "Ctx"].concat(), ["Array", "Ops"].concat()]
+}
+
+/// `true` when `line` starts, after whitespace, with an `impl` of `name`
+/// for a type: the rule `^\s*impl\b.*\bNAME\s+for\b`.
+fn implements_at_line_start(line: &str, name: &str) -> bool {
+    let body = line.trim_start_matches(is_space);
+    let from = line.len() - body.len() + "impl".len();
+    body.strip_prefix("impl")
+        .is_some_and(|after| !after.starts_with(is_ident))
+        && implemented_after(line, from, name)
+}
+
+/// The one-pooled-scheduler guard. Both parallel engines run on the one
+/// pool in `crates/pods/src/engine/pool.rs`, generic over the suspension
+/// strategy: a second execution context under `crates/pods/src/` means a
+/// mirrored scheduler started again.
+fn one_pooled_scheduler_guard(files: &[SourceFile]) -> Option<String> {
+    exec_trait_names().into_iter().find_map(|name| {
+        let found = lines_under(files, "crates/pods/src/", |line| {
+            implements_at_line_start(line, &name)
+        });
+        (found.len() > 1).then(|| {
+            format!(
+                "More than one 'impl {name} for' under crates/pods/src/:\n{}\n\
+                 Vary the suspension strategy (engine::pool::Suspension), not the pool.",
+                found.join("\n")
+            )
+        })
+    })
+}
+
+#[test]
+fn both_parallel_engines_run_on_one_pooled_scheduler() {
+    let files = source_files();
+    assert!(
+        files
+            .iter()
+            .any(|f| f.path == "crates/pods/src/engine/pool.rs"),
+        "the guard reads the source tree"
+    );
+    if let Some(message) = one_pooled_scheduler_guard(&files) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn one_pooled_scheduler_guard_fires_on_a_planted_violation() {
+    let [ctx, ops] = exec_trait_names();
+    let file = |path: &str, text: String| SourceFile {
+        path: path.to_string(),
+        text,
+    };
+    let pool = file(
+        "crates/pods/src/engine/pool.rs",
+        format!("impl<S: Suspension> {ops} for Ctx<'_, S> {{}}\nimpl<S> {ctx} for Ctx<S> {{}}"),
+    );
+    let planted = [
+        file(
+            "crates/pods/src/engine/native.rs",
+            format!("\timpl {ctx}\tfor Frame {{}}\n// impl {ctx} for Doc {{}}"),
+        ),
+        file(
+            "crates/pods/src/engine/async_coop/task.rs",
+            format!("impl My{ctx} for Task {{}}\nimpl {ctx} fork {{}}\nimpls {ctx} for T {{}}"),
+        ),
+        file("crates/sp/src/exec.rs", format!("impl {ctx} for Test {{}}")),
+    ];
+    let mut tree = vec![pool];
+    tree.extend(planted);
+    let message = one_pooled_scheduler_guard(&tree).expect("the guard fires");
+    assert!(
+        message.contains(&format!("'impl {ctx} for'"))
+            && message.contains(&format!(
+                "crates/pods/src/engine/native.rs:1:\timpl {ctx}\tfor"
+            ))
+            && message.contains(&format!("crates/pods/src/engine/pool.rs:2:impl<S> {ctx}")),
+        "{message}"
+    );
+    for ignored in ["native.rs:2:", "task.rs", "crates/sp/"] {
+        assert!(
+            !message.contains(ignored),
+            "a comment, a longer name, `fork`, `impls` or crates/sp/ is no second context: \
+             {message}"
+        );
+    }
+    assert!(one_pooled_scheduler_guard(&tree[..1]).is_none());
+}
+
+/// The I-structure store type. Spelled in pieces so that this file does not
+/// name it itself.
+fn store_name() -> String {
+    ["Shared", "ArrayStore"].concat()
+}
+
+/// `true` when `line` creates a store: the rule
+/// `SharedArrayStore(::<[^>]*>)?::(new|default)\b`.
+fn creates_store(line: &str) -> bool {
+    let name = store_name();
+    line.match_indices(name.as_str()).any(|(at, _)| {
+        let rest = &line[at + name.len()..];
+        let rest = match rest.strip_prefix("::<") {
+            Some(generic) => match generic.split_once('>') {
+                Some((_, after)) => after,
+                None => return false,
+            },
+            None => rest,
+        };
+        rest.strip_prefix("::").is_some_and(|call| {
+            ["new", "default"].iter().any(|f| {
+                call.strip_prefix(f)
+                    .is_some_and(|after| !after.starts_with(is_ident))
+            })
+        })
+    })
+}
+
+/// The one-store-recycler guard. A pool hands each finished job's
+/// I-structure store, cleared, to its next job; the one place that creates
+/// a store is the pool's recycling path (`Shared::job_state` in
+/// `engine/pool.rs`). Another store creation under
+/// `crates/pods/src/engine/` means a per-job store, and its per-array
+/// allocations, came back.
+fn one_store_recycler_guard(files: &[SourceFile]) -> Option<String> {
+    let found = lines_under(files, "crates/pods/src/engine", creates_store);
+    let outside = found
+        .iter()
+        .any(|line| !line.starts_with("crates/pods/src/engine/pool.rs:"));
+    if !outside && found.len() <= 1 {
+        return None;
+    }
+    Some(format!(
+        "{} created outside the pool's recycling path:\n{}\n\
+         Take the job's store from the pool's spares (Shared::job_state) instead.",
+        store_name(),
+        found.join("\n")
+    ))
+}
+
+#[test]
+fn jobs_take_their_store_from_one_recycler() {
+    let files = source_files();
+    assert!(
+        files
+            .iter()
+            .any(|f| f.path == "crates/pods/src/engine/pool.rs"),
+        "the guard reads the source tree"
+    );
+    if let Some(message) = one_store_recycler_guard(&files) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn one_store_recycler_guard_fires_on_a_planted_violation() {
+    let store = store_name();
+    let file = |path: &str, text: String| SourceFile {
+        path: path.to_string(),
+        text,
+    };
+    let recycler = || {
+        file(
+            "crates/pods/src/engine/pool.rs",
+            format!("spare.unwrap_or_else(|| ({store}::new(), S::JobState::default()))"),
+        )
+    };
+    let planted = [
+        recycler(),
+        file(
+            "crates/pods/src/engine/native.rs",
+            format!("let s = {store}::<Value>::default();\nlet t = {store}::newer();"),
+        ),
+        file("crates/pods/src/runtime.rs", format!("{store}::new()")),
+    ];
+    let message = one_store_recycler_guard(&planted).expect("the guard fires");
+    assert!(
+        message.contains(&format!(
+            "crates/pods/src/engine/native.rs:1:let s = {store}::<Value>::default();"
+        )),
+        "{message}"
+    );
+    assert!(
+        !message.contains("newer") && !message.contains("runtime.rs"),
+        "only new/default calls under crates/pods/src/engine/ count: {message}"
+    );
+    let second = file(
+        "crates/pods/src/engine/pool.rs",
+        format!("let a = {store}::new();\nlet b = {store}::default();"),
+    );
+    assert!(
+        one_store_recycler_guard(&[second]).is_some(),
+        "a second store in pool.rs counts too"
+    );
+    let runtime = file("crates/pods/src/runtime.rs", format!("{store}::new()"));
+    assert!(one_store_recycler_guard(&[recycler(), runtime]).is_none());
+}
+
+/// The engine trait, the per-call entry point and a pool's type path, which
+/// a second way to run a program would bring back. Spelled in pieces so
+/// that this file does not name them itself.
+fn entry_path_names() -> [String; 3] {
+    [
+        ["Eng", "ine"].concat(),
+        ["run", "_on"].concat(),
+        ["Pool", "::<"].concat(),
+    ]
+}
+
+/// `true` when `line` implements the engine trait or defines the per-call
+/// entry point: the rule `\bimpl\b.*\bEngine\s+for\b|\bfn\s+run_on\b`.
+fn second_entry_path(line: &str) -> bool {
+    let [engine, run_on, _] = entry_path_names();
+    word_starts(line, "impl").any(|at| implemented_after(line, at + "impl".len(), &engine))
+        || word_starts(line, "fn").any(|at| spaced_word(&line[at + "fn".len()..], &run_on))
+}
+
+/// `true` when `line` spawns a pool: the rule `Pool::<[^>]*>::new\(`.
+fn spawns_pool(line: &str) -> bool {
+    let [_, _, pool] = entry_path_names();
+    line.match_indices(pool.as_str()).any(|(at, _)| {
+        line[at + pool.len()..]
+            .split_once('>')
+            .is_some_and(|(_, after)| after.starts_with("::new("))
+    })
+}
+
+/// The line numbers strictly inside `EngineKind::spawn_pool` in `text`:
+/// after its `fn spawn_pool(` line and before the first later line that is
+/// exactly `    }`.
+fn spawn_pool_body(text: &str) -> Option<(usize, usize)> {
+    let lines: Vec<&str> = text.lines().collect();
+    let start = lines.iter().position(|l| l.contains("fn spawn_pool("))? + 1;
+    let end = start + 1 + lines[start..].iter().position(|l| *l == "    }")?;
+    Some((start, end))
+}
+
+/// The one-front-door guard. Every run goes through `pods::Runtime`: the
+/// modelled engines are plain functions it calls, and a pooled engine's
+/// pool is spawned once, by `EngineKind::spawn_pool` (`engine/mod.rs`), and
+/// kept warm by the runtime. An engine-trait impl or a per-call entry point
+/// under `crates/` means a second entry path came back; a pool spawned
+/// elsewhere under `crates/pods/src/` (the `#[cfg(test)]` cases of
+/// `engine/pool.rs` excepted) means a transient per-call pool did.
+fn one_front_door_guard(files: &[SourceFile]) -> Option<String> {
+    let found = lines_under(files, "crates", second_entry_path);
+    if !found.is_empty() {
+        return Some(format!(
+            "A second entry path beside pods::Runtime:\n{}\n\
+             Run programs through Runtime::builder(kind)...build().run(..).",
+            found.join("\n")
+        ));
+    }
+    let text_of = |path: &str| files.iter().find(|f| f.path == path).map(|f| &f.text);
+    let spawn = text_of("crates/pods/src/engine/mod.rs").and_then(|text| spawn_pool_body(text));
+    let tests = text_of("crates/pods/src/engine/pool.rs")
+        .and_then(|text| text.lines().position(|l| l.starts_with("#[cfg(test)]")))
+        .map(|at| at + 1);
+    let outside: Vec<String> = lines_under(files, "crates/pods/src", spawns_pool)
+        .into_iter()
+        .filter(|found| {
+            let mut parts = found.splitn(3, ':');
+            let (path, n) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+            let n: usize = n.parse().expect("a line number");
+            let in_spawn = path == "crates/pods/src/engine/mod.rs"
+                && spawn.is_some_and(|(start, end)| n > start && n < end);
+            let in_tests = path == "crates/pods/src/engine/pool.rs" && tests.is_some_and(|t| n > t);
+            !in_spawn && !in_tests
+        })
+        .collect();
+    if spawn.is_some() && outside.is_empty() {
+        return None;
+    }
+    let found = if outside.is_empty() {
+        "no EngineKind::spawn_pool found in crates/pods/src/engine/mod.rs".to_string()
+    } else {
+        outside.join("\n")
+    };
+    Some(format!(
+        "Worker pool spawned outside EngineKind::spawn_pool:\n{found}\n\
+         Submit to a Runtime, which keeps its one pool warm."
+    ))
+}
+
+#[test]
+fn every_run_goes_through_one_front_door() {
+    let files = source_files();
+    assert!(
+        files
+            .iter()
+            .any(|f| f.path == "crates/pods/src/engine/mod.rs"),
+        "the guard reads the source tree"
+    );
+    if let Some(message) = one_front_door_guard(&files) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn one_front_door_guard_fires_on_a_planted_violation() {
+    let [engine, run_on, pool] = entry_path_names();
+    let file = |path: &str, text: String| SourceFile {
+        path: path.to_string(),
+        text,
+    };
+    let engine_mod = || {
+        file(
+            "crates/pods/src/engine/mod.rs",
+            format!(
+                "impl EngineKind {{\n    fn spawn_pool(self) {{\n        \
+                 {pool}native::Registry>::new(workers)\n    }}\n}}"
+            ),
+        )
+    };
+    let pool_rs = || {
+        file(
+            "crates/pods/src/engine/pool.rs",
+            format!("fn job() {{}}\n#[cfg(test)]\nmod cases {{ {pool}S>::new(4); }}"),
+        )
+    };
+    let tree = [engine_mod(), pool_rs()];
+    assert!(one_front_door_guard(&tree).is_none());
+
+    let entry = file(
+        "crates/baseline/src/lib.rs",
+        format!(
+            "impl<'a> {engine}  for Seq {{}}\npub fn  {run_on}(x: u8) {{}}\n\
+             impl My{engine} for Seq {{}}\nfn {run_on}ce() {{}}"
+        ),
+    );
+    let message = one_front_door_guard(&[engine_mod(), pool_rs(), entry]).expect("the guard fires");
+    for line in [
+        format!("crates/baseline/src/lib.rs:1:impl<'a> {engine}  for Seq {{}}"),
+        format!("crates/baseline/src/lib.rs:2:pub fn  {run_on}(x: u8) {{}}"),
+    ] {
+        assert!(message.contains(&line), "{line} in {message}");
+    }
+    assert!(
+        !message.contains("lib.rs:3:") && !message.contains("lib.rs:4:"),
+        "only whole names count: {message}"
+    );
+
+    let transient = file(
+        "crates/pods/src/runtime.rs",
+        format!("let p = {pool}S>::new(1);"),
+    );
+    let message =
+        one_front_door_guard(&[engine_mod(), pool_rs(), transient]).expect("the guard fires");
+    assert!(
+        message.contains(&format!(
+            "crates/pods/src/runtime.rs:1:let p = {pool}S>::new(1);"
+        )) && !message.contains("engine/mod.rs:")
+            && !message.contains("engine/pool.rs:"),
+        "{message}"
+    );
+    let message = one_front_door_guard(&[pool_rs()]).expect("the guard fires");
+    assert!(
+        message.contains("no EngineKind::spawn_pool found"),
+        "{message}"
+    );
+}
+
+/// The dataflow-graph crate, as a manifest and as Rust code names it.
+/// Spelled in pieces so that this file does not name it itself.
+fn graph_crate_names() -> [String; 2] {
+    [
+        ["pods", "-dataflow"].concat(),
+        ["pods", "_dataflow"].concat(),
+    ]
+}
+
+/// The graph-belongs-to-the-benchmark guard. The pipeline lowers the HIR
+/// straight to SP templates and takes the loop analysis from `pods_idlang`;
+/// the dataflow graph is built only by the standing benchmark's probe. A
+/// workspace manifest outside `crates/dataflow` that lists the graph crate,
+/// or Rust code outside it that names the crate, means the graph came back
+/// into the pipeline.
+fn graph_is_the_benchmarks_guard(
+    manifests: &[SourceFile],
+    sources: &[SourceFile],
+) -> Option<String> {
+    let [package, library] = graph_crate_names();
+    let mut found = lines_where(manifests, "crates/dataflow/", |line| {
+        contains_word(line, &package)
+    });
+    found.extend(lines_where(sources, "crates/dataflow/", |line| {
+        contains_word(line, &library)
+    }));
+    if found.is_empty() {
+        return None;
+    }
+    Some(format!(
+        "The dataflow graph is the benchmark's alone, but {package} is used here:\n{}\n\
+         The pipeline lowers the HIR straight to SP templates; \
+         take the loop analysis from pods_idlang.",
+        found.join("\n")
+    ))
+}
+
+#[test]
+fn the_dataflow_graph_is_the_benchmarks_alone() {
+    let is_manifest = |path: &Path| path.ends_with("Cargo.toml");
+    let manifests: Vec<SourceFile> = ["Cargo.toml", "crates"]
+        .iter()
+        .flat_map(|dir| files_under(dir, &is_manifest))
+        .collect();
+    assert!(
+        manifests.iter().any(|f| f.path == "crates/pods/Cargo.toml"),
+        "the guard reads the workspace's manifests"
+    );
+    if let Some(message) = graph_is_the_benchmarks_guard(&manifests, &source_files()) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn graph_guard_fires_on_a_planted_violation() {
+    let [package, library] = graph_crate_names();
+    let file = |path: &str, text: String| SourceFile {
+        path: path.to_string(),
+        text,
+    };
+    let manifests = [
+        file(
+            "crates/dataflow/Cargo.toml",
+            format!("[package]\nname = \"{package}\""),
+        ),
+        file(
+            "crates/pods/Cargo.toml",
+            format!("[dependencies]\n{package} = {{ workspace = true }}"),
+        ),
+        file(
+            "Cargo.toml",
+            format!("members = [\"crates/dataflow\"]\n{package}s = 1"),
+        ),
+    ];
+    let sources = [
+        file("crates/dataflow/src/lib.rs", format!("//! {library}")),
+        file(
+            "examples/inspect_pipeline.rs",
+            format!("let graph = {library}::build_program(&hir);"),
+        ),
+        file("tests/integration.rs", format!("use {library}x;")),
+    ];
+    let message = graph_is_the_benchmarks_guard(&manifests, &sources).expect("the guard fires");
+    for line in [
+        format!("crates/pods/Cargo.toml:2:{package} = {{ workspace = true }}"),
+        format!("examples/inspect_pipeline.rs:1:let graph = {library}::build_program(&hir);"),
+    ] {
+        assert!(message.contains(&line), "{line} in {message}");
+    }
+    assert!(
+        !message.contains("crates/dataflow/")
+            && !message.contains("\nCargo.toml:")
+            && !message.contains("tests/integration.rs"),
+        "crates/dataflow/ may name itself, and only whole names count: {message}"
+    );
+    assert!(graph_is_the_benchmarks_guard(&manifests[..1], &sources[..1]).is_none());
 }

@@ -217,8 +217,8 @@ fn rank_above_the_inline_index_capacity_agrees_across_all_engines() {
 fn out_of_bounds_above_the_inline_index_capacity_is_reported_alike() {
     // The same program with its last store one past the innermost extent.
     // Every engine running the SP program reports the core's canonical
-    // diagnostic, byte for byte, spilled indices included; the oracle (and
-    // the cost model built on its profile) words the same fault its own way.
+    // diagnostic, byte for byte, spilled indices included; the oracle words
+    // the same fault its own way.
     let program = pods::compile(RANK5).unwrap();
     let args = [Value::Int(3), Value::Int(3)];
     for kind in engines_under_test() {
@@ -226,7 +226,7 @@ fn out_of_bounds_above_the_inline_index_capacity_is_reported_alike() {
             let runtime = Runtime::builder(kind).workers(2).specialize(spec).build();
             let err = runtime.run(&program, &args).unwrap_err().to_string();
             let expected = match kind {
-                EngineKind::Seq | EngineKind::Pr => "index [1, 0, 1, 1, 3] out of bounds for `t`",
+                EngineKind::Seq => "index [1, 0, 1, 1, 3] out of bounds for `t`",
                 _ => "index [1, 0, 1, 1, 3] out of bounds for 2x2x2x2x3 array `t`",
             };
             assert!(

@@ -370,7 +370,10 @@ fn prepared_handles_reject_mismatched_partition_configs() {
     let program = pods::compile(pods_workloads::FILL).unwrap();
     let default_rt = Runtime::builder(EngineKind::Native).workers(2).build();
     let prepared = default_rt.prepare(&program);
-    assert_eq!(prepared.partition_config(), pods::PartitionConfig::default());
+    assert_eq!(
+        prepared.partition_config(),
+        pods::PartitionConfig::default()
+    );
     let chunked_rt = Runtime::builder(EngineKind::Native)
         .workers(2)
         .chunk_size(4)
