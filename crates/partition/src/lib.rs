@@ -146,12 +146,11 @@ pub fn partition(
     partition_with_chunk_boost(program, loops, config, 1)
 }
 
-/// [`partition`] with a multiplier applied to auto-sized chunks: the
-/// adaptive grain-control loop re-partitions a program with `boost` 2, 4, …
-/// to coarsen the grain the auto heuristic picked, without changing the
-/// configured [`PartitionConfig::chunk`] policy (so prepared-handle
-/// compatibility checks still compare the *policy*, not the tuned size).
-/// `boost` has no effect on `Fixed` policies.
+/// [`partition`] with a multiplier applied to auto-sized chunks (no effect
+/// on `Fixed` policies). [`partition`] passes 1, and so does the only other
+/// caller, the standing benchmark's front-end probe
+/// (`benchmark/src/layers.rs`); this function and its `boost` go when that
+/// probe does.
 pub fn partition_with_chunk_boost(
     program: &mut SpProgram,
     loops: &[LoopInfo],

@@ -76,9 +76,6 @@ pub struct AsyncStats {
     /// [`super::NativeStats::super_ops`]): whole fused runs executed in one
     /// dispatch by the specialized driver.
     pub super_ops: u64,
-    /// Chunk-size retunes applied by [`crate::Runtime`]'s adaptive grain
-    /// control before this job ran (0 on first runs and fixed policies).
-    pub chunks_autotuned: u64,
     /// Allocation counters of this job's I-structure store (live/peak
     /// arrays and approximate bytes).
     pub store: StoreStats,
@@ -294,7 +291,6 @@ impl Suspension for Wakers {
             arena_reuses: c.arena_reuses,
             chunk_iterations: c.chunk_iterations,
             super_ops: c.super_ops,
-            chunks_autotuned: c.chunks_autotuned,
             store: c.store,
         };
         EngineStats::AsyncCoop { stats, partition }

@@ -65,12 +65,8 @@ pub struct NativeStats {
     /// Super-op firings: each time the specialized driver passed a hoisted
     /// firing check and executed a whole fused run as one dispatch. `0`
     /// when the program ran without a specialization plan
-    /// (`PODS_SPECIALIZE=0` or [`crate::RuntimeBuilder::specialize`]).
+    /// ([`crate::RuntimeBuilder::specialize`]`(false)`).
     pub super_ops: u64,
-    /// Chunk-size retunes applied by [`crate::Runtime`]'s adaptive grain
-    /// control before this job ran (0 on the first run of a program and
-    /// whenever the chunk policy is fixed).
-    pub chunks_autotuned: u64,
     /// Allocation counters of this job's I-structure store (live/peak
     /// arrays and approximate bytes).
     pub store: StoreStats,
@@ -291,7 +287,6 @@ impl Suspension for Registry {
             arena_reuses: c.arena_reuses,
             chunk_iterations: c.chunk_iterations,
             super_ops: c.super_ops,
-            chunks_autotuned: c.chunks_autotuned,
             store: c.store,
         };
         EngineStats::Native { stats, partition }

@@ -313,10 +313,6 @@ pub(crate) struct JobSpec {
     /// Max wake-ups buffered per worker before a forced flush (>= 1; 1
     /// flushes after every write, i.e. unbatched delivery).
     pub delivery_batch: usize,
-    /// How many times adaptive grain control re-partitioned this program
-    /// with a larger chunk before this submission (reported in the stats;
-    /// 0 for cold runs and fixed chunk policies).
-    pub chunks_autotuned: u64,
     /// Completion hook: told exactly once when the job finishes (success,
     /// failure, or cancellation) and dropped once it has been told. The
     /// `Runtime`'s service layer installs the job's ticket here, to drive
@@ -358,7 +354,6 @@ pub(crate) struct PoolStats {
     pub arena_reuses: u64,
     pub chunk_iterations: u64,
     pub super_ops: u64,
-    pub chunks_autotuned: u64,
     pub store: StoreStats,
 }
 
@@ -465,7 +460,6 @@ struct Job<S: Suspension> {
     /// (the analogue of the simulator's event limit).
     max_tasks: u64,
     delivery_batch: usize,
-    chunks_autotuned: u64,
     /// Completion hook (see [`JobSpec::on_done`]); taken and fired exactly
     /// once, by whichever of normal completion / failure / cancellation
     /// wins. Dropping it then matters: the service's hook is the job's
@@ -572,7 +566,6 @@ impl<S: Suspension> Job<S> {
             arena_reuses: n(&self.arena_reuses),
             chunk_iterations: n(&self.chunk_iterations),
             super_ops: n(&self.super_ops),
-            chunks_autotuned: self.chunks_autotuned,
             store: self.store.stats(),
         }
     }
@@ -1272,7 +1265,6 @@ impl<S: Suspension> Pooled for Pool<S> {
             page_size,
             max_tasks,
             delivery_batch,
-            chunks_autotuned,
             on_done,
             trace,
         } = spec;
@@ -1297,7 +1289,6 @@ impl<S: Suspension> Pooled for Pool<S> {
             page_size,
             max_tasks,
             delivery_batch: delivery_batch.max(1),
-            chunks_autotuned,
             on_done: Mutex::new(on_done),
             trace,
             finished: AtomicBool::new(false),
@@ -1472,7 +1463,6 @@ pub(crate) mod cases {
             page_size: opts.page_size,
             max_tasks: opts.max_events,
             delivery_batch: opts.delivery_batch,
-            chunks_autotuned: 0,
             on_done: None,
             trace: None,
         }

@@ -42,12 +42,11 @@ pub enum PodsError {
     },
     /// The runtime's bounded admission queue was full when the job arrived.
     ///
-    /// Returned by `Runtime::try_submit` immediately and by
-    /// `Runtime::submit_timeout` once the timeout elapses without a slot
-    /// freeing up. Only runtimes built with a non-zero
-    /// `RuntimeBuilder::admission_capacity` ever produce it. The rejected
-    /// job never entered the queue; resubmit later or use the blocking
-    /// `Runtime::submit` to wait for space.
+    /// Returned by `Runtime::submit_within` once its wait elapses without a
+    /// slot freeing up (at once for `Duration::ZERO`). Only runtimes built
+    /// with a non-zero `RuntimeBuilder::admission_capacity` ever produce
+    /// it. The rejected job never entered the queue; resubmit later or use
+    /// the blocking `Runtime::submit` to wait for space.
     QueueFull {
         /// The configured admission capacity the queue was at.
         capacity: usize,

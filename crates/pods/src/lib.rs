@@ -63,7 +63,9 @@ pub mod trace;
 pub use engine::{AsyncStats, EngineKind, EngineOutcome, EngineStats, NativeStats};
 pub use error::PodsError;
 pub use pipeline::{compile, speedup_sweep, CompiledProgram, RunOptions, SpeedupPoint};
-pub use runtime::{JobHandle, PreparedProgram, ProgramSource, Runtime, RuntimeBuilder};
+pub use runtime::{
+    JobHandle, PreparedProgram, ProgramSource, Runtime, RuntimeBuilder, PREPARED_CACHE,
+};
 pub use service::{ClientId, ServiceMetrics};
 pub use trace::{JobBreakdown, JobTrace, TraceConfig, TraceEvent, TraceEventKind};
 

@@ -7,7 +7,7 @@ use crate::runtime::Runtime;
 use pods_idlang::{analyze_loops, HirProgram, LoopInfo};
 use pods_istructure::Value;
 use pods_machine::MachineConfig;
-use pods_partition::{partition_with_chunk_boost, PartitionConfig, PartitionReport};
+use pods_partition::{partition, PartitionConfig, PartitionReport};
 use pods_sp::{translate, SpProgram};
 use std::sync::Arc;
 
@@ -47,17 +47,10 @@ pub struct RunOptions {
     /// Run the prepare-time specialization pass
     /// ([`pods_sp::specialize_program`]) when partitioning: operand fetches
     /// pre-resolved, straight-line runs fused into super-ops the driver
-    /// executes directly. Defaults to the `PODS_SPECIALIZE` environment
-    /// variable (`0` disables, anything else — including unset — enables);
-    /// [`crate::RuntimeBuilder::specialize`] overrides per runtime. The
-    /// `seq` engine interprets the HIR and ignores it.
+    /// executes directly. On by default;
+    /// [`crate::RuntimeBuilder::specialize`] sets it per runtime. The `seq`
+    /// engine interprets the HIR and ignores it.
     pub specialize: bool,
-}
-
-/// Reads the `PODS_SPECIALIZE` escape hatch: specialization is on unless
-/// the variable is exactly `"0"`.
-fn specialize_from_env() -> bool {
-    !matches!(std::env::var("PODS_SPECIALIZE").as_deref(), Ok("0"))
 }
 
 impl Default for RunOptions {
@@ -70,7 +63,7 @@ impl Default for RunOptions {
             max_events: 0,
             delivery_batch: 16,
             deadline: None,
-            specialize: specialize_from_env(),
+            specialize: true,
         }
     }
 }
@@ -154,25 +147,13 @@ impl CompiledProgram {
     /// Partitions the SP program for the given options and returns it
     /// together with the partition report.
     pub fn partitioned(&self, options: &RunOptions) -> (SpProgram, PartitionReport) {
-        self.partitioned_with_chunk_boost(options, 1)
-    }
-
-    /// [`Self::partitioned`] with a grain multiplier on auto-sized chunks
-    /// (the runtime's adaptive grain control re-prepares programs through
-    /// this; `boost` 1 is the plain path and `Fixed` policies ignore it).
-    pub fn partitioned_with_chunk_boost(
-        &self,
-        options: &RunOptions,
-        boost: usize,
-    ) -> (SpProgram, PartitionReport) {
         let mut program = self.stages.sp.clone();
-        let mut report =
-            partition_with_chunk_boost(&mut program, &self.stages.loops, &options.partition, boost);
+        let mut report = partition(&mut program, &self.stages.loops, &options.partition);
         if options.specialize {
             // Specialization runs after partitioning so the plans cover the
             // partitioned code exactly (RF prologues, chunked bodies). Every
-            // prepare path — explicit, cached auto-prepare, grain retune —
-            // funnels through here, so a plan is never stale.
+            // prepare path — explicit or cached auto-prepare — funnels
+            // through here, so a plan is never stale.
             let summary = pods_sp::specialize_program(&mut program);
             report.specialized_templates = summary.specialized_templates;
             report.fused_consts = summary.fused_consts;

@@ -50,20 +50,22 @@
 //! # Ok::<(), pods::PodsError>(())
 //! ```
 //!
-//! A `PreparedProgram` is machine-size-independent (Range Filters compute
-//! per-worker responsibility at run time), so one handle serves runtimes
-//! with different worker counts; only the partitioner configuration must
-//! match the preparing runtime's.
+//! A `PreparedProgram` is a pure function of the program and the runtime's
+//! configuration: once made, it never changes. It is also
+//! machine-size-independent (Range Filters compute per-worker
+//! responsibility at run time), so one handle serves runtimes with
+//! different worker counts; only the partitioner configuration must match
+//! the preparing runtime's.
 
 use crate::engine::{
-    build_read_slots, check_invocation, seq, sim, EngineKind, EngineOutcome, EngineStats, JobSpec,
-    Pooled, ReadSlots,
+    build_read_slots, check_invocation, seq, sim, EngineKind, EngineOutcome, JobSpec, Pooled,
+    ReadSlots,
 };
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
 use crate::service::metrics::MetricsRegistry;
 use crate::service::queue::{CancelKind, Ticket};
-use crate::service::{Admission, ClientId, JobService, ServiceInner, ServiceMetrics};
+use crate::service::{ClientId, JobService, ServiceInner, ServiceMetrics};
 use crate::trace::{JobTrace, TraceConfig, TraceEventKind, TraceHandle, TraceRecorder};
 use pods_istructure::Value;
 use pods_partition::{ChunkPolicy, PartitionConfig, PartitionReport};
@@ -82,21 +84,15 @@ use std::time::{Duration, Instant};
 pub struct RuntimeBuilder {
     kind: EngineKind,
     opts: RunOptions,
-    prepared_cache: usize,
     admission_capacity: usize,
     dispatch_window: Option<usize>,
     client_weights: HashMap<ClientId, u32>,
     trace: Option<TraceConfig>,
 }
 
-/// Default capacity of the runtime's prepared-program LRU cache.
-const DEFAULT_PREPARED_CACHE: usize = 16;
-
-/// Upper bound on adaptive grain retunes per cached program: each retune
-/// doubles the auto-sized chunk, so generation 3 runs at 8× the prepare-time
-/// grain (and the chunk transform itself caps boosted chunks — see
-/// [`pods_sp::chunk`]).
-const MAX_AUTOTUNE: u64 = 3;
+/// Capacity of a runtime's prepared-program LRU cache, in programs: how
+/// many raw [`CompiledProgram`]s stay prepared for warm resubmission.
+pub const PREPARED_CACHE: usize = 16;
 
 impl RuntimeBuilder {
     /// Starts a builder for the given engine kind. Workers default to the
@@ -109,7 +105,6 @@ impl RuntimeBuilder {
         RuntimeBuilder {
             kind,
             opts: RunOptions::with_pes(workers),
-            prepared_cache: DEFAULT_PREPARED_CACHE,
             admission_capacity: 0,
             dispatch_window: None,
             client_weights: HashMap::new(),
@@ -136,22 +131,18 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Grain-size control with a fixed chunk: group `chunk` consecutive
-    /// inner-loop iterations into one SP instance (clamped to at least 1;
-    /// `1` is the untouched fine-grained program). Shorthand for
-    /// [`RuntimeBuilder::chunk_policy`] with [`ChunkPolicy::Fixed`].
-    pub fn chunk_size(mut self, chunk: usize) -> Self {
-        self.opts.partition.chunk = ChunkPolicy::Fixed(chunk.max(1));
-        self
-    }
-
-    /// Grain-size control policy. [`ChunkPolicy::Auto`] sizes each chunk
-    /// from the loop body at prepare time and lets the runtime coarsen the
-    /// grain from first-run statistics (see [`Runtime::run`]); the chunk
-    /// policy is part of the partitioner configuration, so prepared handles
-    /// only run on runtimes with a matching policy.
+    /// Grain-size control policy (default `Fixed(1)`, the untouched
+    /// fine-grained program). [`ChunkPolicy::Fixed`]`(n)` groups `n`
+    /// consecutive inner-loop iterations into one SP instance (`Fixed(0)`
+    /// is clamped to `Fixed(1)`); [`ChunkPolicy::Auto`] sizes each chunk
+    /// from the loop body at prepare time. The chunk policy is part of the
+    /// partitioner configuration, so prepared handles only run on runtimes
+    /// with a matching policy.
     pub fn chunk_policy(mut self, policy: ChunkPolicy) -> Self {
-        self.opts.partition.chunk = policy;
+        self.opts.partition.chunk = match policy {
+            ChunkPolicy::Fixed(n) => ChunkPolicy::Fixed(n.max(1)),
+            ChunkPolicy::Auto => ChunkPolicy::Auto,
+        };
         self
     }
 
@@ -172,9 +163,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables or disables the prepare-time specialization pass (default:
-    /// the `PODS_SPECIALIZE` environment variable, which is on unless set
-    /// to `0`). Specialization pre-resolves operand fetches and fuses
+    /// Enables or disables the prepare-time specialization pass (default
+    /// on). Specialization pre-resolves operand fetches and fuses
     /// straight-line runs into super-ops at prepare time; disabling it
     /// keeps every instruction on the plain interpreter loop — useful for
     /// debugging and A/B benching. Part of prepared identity: a handle
@@ -184,25 +174,13 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Capacity of the prepared-program LRU cache used when raw
-    /// [`CompiledProgram`]s are submitted (default 16 programs). `0`
-    /// disables the cache: every raw submission re-clones and re-partitions
-    /// the program, which is exactly the pre-cache warm path — useful as a
-    /// benchmark control, not for production. Explicit
-    /// [`Runtime::prepare`] handles bypass the cache either way.
-    pub fn prepared_cache_capacity(mut self, programs: usize) -> Self {
-        self.prepared_cache = programs;
-        self
-    }
-
     /// Bounds the admission queue of the pooled runtimes at `jobs` queued
     /// submissions (default `0` = unbounded). At capacity,
-    /// [`Runtime::try_submit`] rejects immediately with
-    /// [`PodsError::QueueFull`], [`Runtime::submit_timeout`] blocks up to
-    /// its timeout, and plain [`Runtime::submit`] blocks until a slot
-    /// frees — bounded admission is how a shared runtime pushes back on
-    /// producers instead of buffering without limit. Modelled engines run
-    /// jobs eagerly and never queue.
+    /// [`Runtime::submit_within`] blocks up to its wait (rejecting with
+    /// [`PodsError::QueueFull`] at once for a zero wait), and plain
+    /// [`Runtime::submit`] blocks until a slot frees — bounded admission is
+    /// how a shared runtime pushes back on producers instead of buffering
+    /// without limit. Modelled engines run jobs eagerly and never queue.
     pub fn admission_capacity(mut self, jobs: usize) -> Self {
         self.admission_capacity = jobs;
         self
@@ -231,7 +209,8 @@ impl RuntimeBuilder {
     /// dispatcher serves them deficit-round-robin, `weight` jobs per visit,
     /// so a weight-2 client receives ~2x the dispatch rate of a weight-1
     /// client while both have work queued. Tag submissions with
-    /// [`Runtime::submit_for`] (and friends) to attribute them to a client.
+    /// [`Runtime::submit_for`] or [`Runtime::submit_within`] to attribute
+    /// them to a client.
     pub fn client_weight(mut self, client: ClientId, weight: u32) -> Self {
         self.client_weights.insert(client, weight.max(1));
         self
@@ -241,8 +220,7 @@ impl RuntimeBuilder {
     /// pooled schedulers, the shared exec core — and the machine simulator,
     /// through the same hook) records timestamped events into bounded
     /// per-worker rings, drained with [`Runtime::take_trace`]. Off by
-    /// default; `PODS_TRACE=1` in the environment enables it without a code
-    /// change (`PODS_TRACE_BUF` sets the ring size). See [`crate::trace`].
+    /// default. See [`crate::trace`].
     pub fn trace(mut self, config: TraceConfig) -> Self {
         self.trace = Some(config);
         self
@@ -264,7 +242,6 @@ impl RuntimeBuilder {
         let window = self.dispatch_window.unwrap_or(self.opts.num_pes).max(1);
         let trace = self
             .trace
-            .or_else(TraceConfig::from_env)
             .map(|cfg| Arc::new(TraceRecorder::new(self.opts.num_pes, cfg.buffer_size)));
         let service = pool.as_ref().map(|pool| {
             JobService::start(
@@ -282,7 +259,6 @@ impl RuntimeBuilder {
             opts: self.opts,
             pool,
             prepared: Mutex::new(Vec::new()),
-            prepared_cap: self.prepared_cache,
             metrics,
             service,
             trace,
@@ -312,14 +288,13 @@ pub struct Runtime {
     /// LRU cache of auto-prepared programs, most recently used last, keyed
     /// by [`CompiledProgram::identity`].
     prepared: Mutex<Vec<PreparedProgram>>,
-    prepared_cap: usize,
     /// Service counters; shared with the dispatcher and completion hooks.
     metrics: Arc<MetricsRegistry>,
     /// The admission/fairness/deadline layer — `Some` exactly for the
     /// pooled engine kinds.
     service: Option<JobService>,
     /// The flight recorder — `Some` when the runtime was built with
-    /// [`RuntimeBuilder::trace`] or `PODS_TRACE=1`.
+    /// [`RuntimeBuilder::trace`].
     trace: Option<Arc<TraceRecorder>>,
 }
 
@@ -346,13 +321,9 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// A runtime of the given kind with default configuration (workers =
-    /// available parallelism, paper-default options).
-    pub fn new(kind: EngineKind) -> Runtime {
-        RuntimeBuilder::new(kind).build()
-    }
-
-    /// Starts a [`RuntimeBuilder`] for the given kind.
+    /// Starts a [`RuntimeBuilder`] for the given kind; `build()` it at once
+    /// for the defaults (workers = available parallelism, paper-default
+    /// options).
     pub fn builder(kind: EngineKind) -> RuntimeBuilder {
         RuntimeBuilder::new(kind)
     }
@@ -403,49 +374,30 @@ impl Runtime {
     /// *different* partitioner configuration fails with
     /// [`PodsError::PreparedMismatch`].
     pub fn prepare(&self, program: &CompiledProgram) -> PreparedProgram {
-        if self.prepared_cap == 0 {
-            return self.prepare_uncached(program);
-        }
         let identity = program.identity();
-        if let Some(hit) = self.cache_lookup(identity) {
+        let mut cache = self.prepared.lock().expect("prepared cache poisoned");
+        if let Some(hit) = touch(&mut cache, identity) {
             return hit;
         }
         // Build outside the lock: preparation clones and partitions the
         // program, and concurrent submitters of *other* programs should not
         // serialise behind it. A racing prepare of the same program is
         // resolved at insert time (first one in wins).
+        drop(cache);
         let fresh = self.prepare_uncached(program);
         let mut cache = self.prepared.lock().expect("prepared cache poisoned");
-        if let Some(i) = cache.iter().position(|p| p.inner.identity == identity) {
-            let hit = cache.remove(i);
-            cache.push(hit.clone());
+        if let Some(hit) = touch(&mut cache, identity) {
             return hit;
         }
-        if cache.len() >= self.prepared_cap {
+        if cache.len() >= PREPARED_CACHE {
             cache.remove(0);
         }
         cache.push(fresh.clone());
         fresh
     }
 
-    fn cache_lookup(&self, identity: u64) -> Option<PreparedProgram> {
-        let mut cache = self.prepared.lock().expect("prepared cache poisoned");
-        let i = cache.iter().position(|p| p.inner.identity == identity)?;
-        let hit = cache.remove(i);
-        cache.push(hit.clone());
-        Some(hit)
-    }
-
     fn prepare_uncached(&self, program: &CompiledProgram) -> PreparedProgram {
-        self.prepare_with_autotune(program, 0)
-    }
-
-    /// Prepares `program` with `autotuned` grain retunes applied: auto-sized
-    /// chunks are multiplied by `2^autotuned` (fixed chunk policies are
-    /// unaffected, so retuning is a no-op for them by construction).
-    fn prepare_with_autotune(&self, program: &CompiledProgram, autotuned: u64) -> PreparedProgram {
-        let boost = 1usize << autotuned.min(usize::BITS as u64 - 1);
-        let (sp, partition) = program.partitioned_with_chunk_boost(&self.opts, boost);
+        let (sp, partition) = program.partitioned(&self.opts);
         let read_slots = build_read_slots(&sp);
         let sp = Arc::new(sp);
         PreparedProgram {
@@ -458,67 +410,7 @@ impl Runtime {
                 sp,
                 read_slots: Arc::new(read_slots),
                 partition: Arc::new(partition),
-                autotuned,
             }),
-        }
-    }
-
-    /// Adaptive grain control: after a successful pooled run under
-    /// [`ChunkPolicy::Auto`], decide from the run's statistics whether the
-    /// auto-sized chunk was too fine, and if so replace the program's
-    /// prepared-cache entry with a re-partitioned one whose chunk is twice
-    /// as coarse. Warm re-runs of the raw program then pick up the tuned
-    /// grain from the cache; prepared handles the caller pinned keep the
-    /// grain they were built with.
-    fn maybe_retune(&self, program: &CompiledProgram, outcome: &EngineOutcome) {
-        if self.prepared_cap == 0
-            || self.opts.partition.chunk != ChunkPolicy::Auto
-            || !self.kind.is_pooled()
-        {
-            return;
-        }
-        // Only retune runs where chunking was actually in effect...
-        if outcome.partition().is_none_or(|p| p.chunked_spawns == 0) {
-            return;
-        }
-        // ...and where instances still comfortably outnumber the workers:
-        // a coarser grain trades scheduling overhead for parallel slack, so
-        // it only pays while there is slack left to spend.
-        let instances = match &outcome.stats {
-            EngineStats::Native { stats, .. } => stats.instances,
-            EngineStats::AsyncCoop { stats, .. } => stats.instances,
-            _ => return,
-        };
-        if instances <= (self.workers() as u64).saturating_mul(2) {
-            return;
-        }
-        let identity = program.identity();
-        let autotuned = {
-            let cache = self.prepared.lock().expect("prepared cache poisoned");
-            match cache.iter().find(|p| p.inner.identity == identity) {
-                Some(entry) if entry.inner.autotuned < MAX_AUTOTUNE => entry.inner.autotuned,
-                _ => return,
-            }
-        };
-        // Re-partition outside the lock (same discipline as `prepare`).
-        let fresh = self.prepare_with_autotune(program, autotuned + 1);
-        let mut cache = self.prepared.lock().expect("prepared cache poisoned");
-        if let Some(i) = cache.iter().position(|p| p.inner.identity == identity) {
-            // A racing retune may have advanced the entry already; only
-            // replace an entry at the generation this retune started from.
-            if cache[i].inner.autotuned == autotuned {
-                cache[i] = fresh;
-                if let Some(rec) = &self.trace {
-                    rec.emit(
-                        rec.service_lane(),
-                        0,
-                        0,
-                        TraceEventKind::ChunkRetuned {
-                            generation: (autotuned + 1) as u32,
-                        },
-                    );
-                }
-            }
         }
     }
 
@@ -535,11 +427,7 @@ impl Runtime {
         program: P,
         args: &[Value],
     ) -> Result<EngineOutcome, PodsError> {
-        let outcome = self.submit(program, args)?.wait();
-        if let Ok(ok) = &outcome {
-            self.maybe_retune(program.compiled(), ok);
-        }
-        outcome
+        self.submit(program, args)?.wait()
     }
 
     /// Submits one program for execution and returns a [`JobHandle`].
@@ -562,14 +450,13 @@ impl Runtime {
     ///
     /// With a bounded [`RuntimeBuilder::admission_capacity`], `submit`
     /// blocks while the admission queue is full; see
-    /// [`Runtime::try_submit`] and [`Runtime::submit_timeout`] for the
-    /// non-blocking and bounded-wait forms.
+    /// [`Runtime::submit_within`] for the bounded-wait form.
     pub fn submit<P: ProgramSource>(
         &self,
         program: P,
         args: &[Value],
     ) -> Result<JobHandle, PodsError> {
-        self.submit_inner(ClientId::ANONYMOUS, program, args, Admission::Wait)
+        self.submit_inner(ClientId::ANONYMOUS, program, args, None)
     }
 
     /// [`Runtime::submit`], attributing the job to `client` for per-client
@@ -584,70 +471,29 @@ impl Runtime {
         program: P,
         args: &[Value],
     ) -> Result<JobHandle, PodsError> {
-        self.submit_inner(client, program, args, Admission::Wait)
+        self.submit_inner(client, program, args, None)
     }
 
-    /// Non-blocking submission: like [`Runtime::submit`], but if the
-    /// admission queue is at capacity the job is rejected immediately.
+    /// Bounded-wait submission: [`Runtime::submit_for`], but while the
+    /// admission queue is at capacity it blocks at most `wait` for a slot
+    /// before rejecting the job. `Duration::ZERO` fails fast: a full queue
+    /// rejects at once.
     ///
     /// # Errors
     ///
-    /// [`PodsError::QueueFull`] when the admission queue is at capacity
-    /// (the rejection is counted in [`ServiceMetrics::rejected`]), plus
+    /// [`PodsError::QueueFull`] when no slot freed within `wait` (the
+    /// rejection is counted in [`ServiceMetrics::rejected`]), plus
     /// everything [`Runtime::submit`] returns.
-    pub fn try_submit<P: ProgramSource>(
-        &self,
-        program: P,
-        args: &[Value],
-    ) -> Result<JobHandle, PodsError> {
-        self.submit_inner(ClientId::ANONYMOUS, program, args, Admission::Try)
-    }
-
-    /// [`Runtime::try_submit`] attributed to `client`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::try_submit`].
-    pub fn try_submit_for<P: ProgramSource>(
+    pub fn submit_within<P: ProgramSource>(
         &self,
         client: ClientId,
         program: P,
         args: &[Value],
+        wait: Duration,
     ) -> Result<JobHandle, PodsError> {
-        self.submit_inner(client, program, args, Admission::Try)
-    }
-
-    /// Bounded-wait submission: like [`Runtime::submit`], but blocks at
-    /// most `timeout` for an admission slot before rejecting.
-    ///
-    /// # Errors
-    ///
-    /// [`PodsError::QueueFull`] when no slot freed within `timeout`, plus
-    /// everything [`Runtime::submit`] returns.
-    pub fn submit_timeout<P: ProgramSource>(
-        &self,
-        program: P,
-        args: &[Value],
-        timeout: Duration,
-    ) -> Result<JobHandle, PodsError> {
-        let limit = Instant::now() + timeout;
-        self.submit_inner(ClientId::ANONYMOUS, program, args, Admission::Until(limit))
-    }
-
-    /// [`Runtime::submit_timeout`] attributed to `client`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runtime::submit_timeout`].
-    pub fn submit_timeout_for<P: ProgramSource>(
-        &self,
-        client: ClientId,
-        program: P,
-        args: &[Value],
-        timeout: Duration,
-    ) -> Result<JobHandle, PodsError> {
-        let limit = Instant::now() + timeout;
-        self.submit_inner(client, program, args, Admission::Until(limit))
+        // A wait too long to express as an instant waits without bound.
+        let until = Instant::now().checked_add(wait);
+        self.submit_inner(client, program, args, until)
     }
 
     /// A point-in-time snapshot of this runtime's service counters: queue
@@ -665,7 +511,7 @@ impl Runtime {
     /// [`JobTrace::chrome_trace`] for `chrome://tracing` / Perfetto, or
     /// inspect per-job timing with [`JobTrace::breakdown`]. Returns an
     /// empty trace when the runtime was built without
-    /// [`RuntimeBuilder::trace`] (and `PODS_TRACE` is unset).
+    /// [`RuntimeBuilder::trace`].
     pub fn take_trace(&self) -> JobTrace {
         match &self.trace {
             Some(rec) => rec.drain(),
@@ -683,13 +529,13 @@ impl Runtime {
         client: ClientId,
         program: P,
         args: &[Value],
-        mode: Admission,
+        until: Option<Instant>,
     ) -> Result<JobHandle, PodsError> {
         check_invocation(program.compiled(), args)?;
         program.check_compatible(self)?;
         if let Some(service) = &self.service {
             let prepared = program.prepared(self)?;
-            let ticket = service.inner.submit(client, prepared, args, mode)?;
+            let ticket = service.inner.submit(client, prepared, args, until)?;
             return Ok(JobHandle {
                 inner: JobInner::Service {
                     svc: Arc::clone(&service.inner),
@@ -757,6 +603,15 @@ impl Runtime {
     }
 }
 
+/// Moves the cached preparation of the program `identity` names to the
+/// most-recently-used end of `cache` and returns it.
+fn touch(cache: &mut Vec<PreparedProgram>, identity: u64) -> Option<PreparedProgram> {
+    let i = cache.iter().position(|p| p.inner.identity == identity)?;
+    let hit = cache.remove(i);
+    cache.push(hit.clone());
+    Some(hit)
+}
+
 /// An immutable, `Arc`-shared program prepared for execution: the cloned
 /// and partitioned SP program, its read-slot table, and the partition
 /// report, ready for any number of submissions. Produced by
@@ -789,9 +644,6 @@ struct PreparedInner {
     sp: Arc<SpProgram>,
     read_slots: Arc<ReadSlots>,
     partition: Arc<PartitionReport>,
-    /// How many adaptive grain retunes produced this preparation (0 = the
-    /// prepare-time grain; each retune doubled the auto-sized chunk).
-    autotuned: u64,
 }
 
 impl PreparedProgram {
@@ -827,12 +679,6 @@ impl PreparedProgram {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// How many adaptive grain retunes produced this preparation (0 = the
-    /// prepare-time grain; each retune doubled the auto-sized chunk).
-    pub fn chunks_autotuned(&self) -> u64 {
-        self.inner.autotuned
-    }
-
     /// The partitioned program, its read-slot table and its partition
     /// report, shared: what the simulator runs.
     pub(crate) fn parts(&self) -> (Arc<SpProgram>, Arc<ReadSlots>, Arc<PartitionReport>) {
@@ -855,7 +701,6 @@ impl PreparedProgram {
             page_size: opts.page_size,
             max_tasks: opts.max_events,
             delivery_batch: opts.delivery_batch.max(1),
-            chunks_autotuned: self.inner.autotuned,
             on_done: None,
             trace: None,
         }
@@ -1148,7 +993,7 @@ mod tests {
     #[test]
     fn invocation_errors_surface_at_submit() {
         let program = compile("def main(n) { return n; }").unwrap();
-        let runtime = Runtime::new(EngineKind::Native);
+        let runtime = Runtime::builder(EngineKind::Native).build();
         assert!(matches!(
             runtime.submit(&program, &[]),
             Err(PodsError::ArgumentMismatch {

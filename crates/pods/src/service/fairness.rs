@@ -16,9 +16,9 @@ use std::time::Instant;
 /// scheduling on a shared [`crate::Runtime`].
 ///
 /// Client ids are caller-assigned opaque numbers: tag submissions with
-/// `Runtime::submit_for` (and friends) and configure per-client weights
-/// with `RuntimeBuilder::client_weight`. Submissions through the plain
-/// `submit`/`try_submit`/`submit_timeout` methods are attributed to
+/// `Runtime::submit_for` or `Runtime::submit_within` and configure
+/// per-client weights with `RuntimeBuilder::client_weight`. Submissions
+/// through the plain `Runtime::submit` are attributed to
 /// [`ClientId::ANONYMOUS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u64);
@@ -49,6 +49,11 @@ struct Lane {
 /// clients in weighted proportion.
 pub(crate) struct FairQueue {
     lanes: Vec<Lane>,
+    /// Emptied job buffers of drained lanes, for the next lanes created. A
+    /// buffer keeps the capacity its lane grew to, so a lane as deep as an
+    /// earlier one allocates nothing; there are never more than the most
+    /// lanes ever live at once.
+    spare: Vec<VecDeque<QueuedJob>>,
     /// Configured jobs-per-visit weights; absent clients weigh 1.
     weights: HashMap<ClientId, u32>,
     /// Lane index currently being served.
@@ -63,6 +68,7 @@ impl FairQueue {
     pub(crate) fn new(weights: HashMap<ClientId, u32>) -> FairQueue {
         FairQueue {
             lanes: Vec::new(),
+            spare: Vec::new(),
             weights,
             cursor: 0,
             credit: 0,
@@ -83,17 +89,25 @@ impl FairQueue {
     }
 
     /// Appends a job to its client's lane (created on demand at the end of
-    /// the round-robin order).
+    /// the round-robin order, on a spare buffer when there is one).
     pub(crate) fn push(&mut self, job: QueuedJob) {
         let client = job.ticket.client;
         match self.lanes.iter_mut().find(|l| l.client == client) {
             Some(lane) => lane.jobs.push_back(job),
-            None => self.lanes.push(Lane {
-                client,
-                jobs: VecDeque::from([job]),
-            }),
+            None => {
+                let mut jobs = self.spare.pop().unwrap_or_default();
+                jobs.push_back(job);
+                self.lanes.push(Lane { client, jobs });
+            }
         }
         self.len += 1;
+    }
+
+    /// Removes the drained lane under the cursor, keeping its buffer.
+    fn retire_cursor_lane(&mut self) {
+        let lane = self.lanes.remove(self.cursor);
+        self.spare.push(lane.jobs);
+        self.credit = 0;
     }
 
     /// Pops the next job in deficit-round-robin order, or `None` when the
@@ -107,10 +121,9 @@ impl FairQueue {
                 self.cursor = 0;
             }
             if self.lanes[self.cursor].jobs.is_empty() {
-                // A lane drained by `purge`: drop it without spending the
+                // A lane drained by `purge`: retire it without spending the
                 // visit (the next lane shifts into the cursor slot).
-                self.lanes.remove(self.cursor);
-                self.credit = 0;
+                self.retire_cursor_lane();
                 continue;
             }
             if self.credit == 0 {
@@ -123,8 +136,7 @@ impl FairQueue {
             self.len -= 1;
             self.credit -= 1;
             if self.lanes[self.cursor].jobs.is_empty() {
-                self.lanes.remove(self.cursor);
-                self.credit = 0;
+                self.retire_cursor_lane();
             } else if self.credit == 0 {
                 self.cursor += 1;
             }

@@ -64,16 +64,6 @@ fn deadline_cancel_error() -> SimulationError {
     SimulationError::Runtime("job cancelled: deadline exceeded".into())
 }
 
-/// How a submission behaves when the admission queue is full.
-pub(crate) enum Admission {
-    /// `submit`: block until a slot frees (unbounded wait).
-    Wait,
-    /// `try_submit`: reject immediately with `QueueFull`.
-    Try,
-    /// `submit_timeout`: block until the given instant, then reject.
-    Until(Instant),
-}
-
 /// A job dispatched to the pool and not yet finished.
 struct InFlight {
     ticket: Arc<Ticket>,
@@ -136,16 +126,17 @@ impl ServiceInner {
         ticket.cancelled(err);
     }
 
-    /// Admits one job under the given admission mode. Returns its ticket,
-    /// or `QueueFull` if the job was rejected (already counted). Only a job
-    /// that waits in the queue copies its arguments, into a spare vector
-    /// when there is one.
+    /// Admits one job. While the admission queue is full the submitter
+    /// waits for a slot until `until` (`None`: without bound), then the job
+    /// is rejected. Returns its ticket, or `QueueFull` if the job was
+    /// rejected (already counted). Only a job that waits in the queue
+    /// copies its arguments, into a spare vector when there is one.
     pub(crate) fn submit(
         self: &Arc<Self>,
         client: ClientId,
         prepared: PreparedProgram,
         args: &[Value],
-        mode: Admission,
+        until: Option<Instant>,
     ) -> Result<Arc<Ticket>, PodsError> {
         self.metrics.note_submitted();
         let trace_job = self.trace.as_ref().map_or(0, |rec| rec.next_job_id());
@@ -188,34 +179,23 @@ impl ServiceInner {
                 self.work_cv.notify_all();
                 return Ok(ticket);
             }
-            let depth = st.queue.len();
-            match mode {
-                Admission::Try => {
-                    self.metrics.note_rejected();
-                    return Err(PodsError::QueueFull {
-                        capacity: self.capacity,
-                        depth,
-                    });
-                }
-                Admission::Wait => {
-                    st = self.slot_cv.wait(st).expect("service state poisoned");
-                }
-                Admission::Until(limit) => {
+            st = match until {
+                None => self.slot_cv.wait(st).expect("service state poisoned"),
+                Some(limit) => {
                     let now = Instant::now();
                     if now >= limit {
                         self.metrics.note_rejected();
                         return Err(PodsError::QueueFull {
                             capacity: self.capacity,
-                            depth,
+                            depth: st.queue.len(),
                         });
                     }
-                    st = self
-                        .slot_cv
+                    self.slot_cv
                         .wait_timeout(st, limit - now)
                         .expect("service state poisoned")
-                        .0;
+                        .0
                 }
-            }
+            };
         }
     }
 

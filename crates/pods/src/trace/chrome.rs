@@ -68,8 +68,7 @@ pub(crate) fn render(trace: &JobTrace) -> String {
                     | TraceEventKind::JobStarted
                     | TraceEventKind::JobFinished
                     | TraceEventKind::JobCancelled
-                    | TraceEventKind::JobDeadline
-                    | TraceEventKind::ChunkRetuned { .. } => "job",
+                    | TraceEventKind::JobDeadline => "job",
                     _ => "sched",
                 };
                 let _ = write!(
@@ -85,9 +84,6 @@ pub(crate) fn render(trace: &JobTrace) -> String {
                     }
                     TraceEventKind::Steal { from } => {
                         let _ = write!(out, ",\"from\":{from}");
-                    }
-                    TraceEventKind::ChunkRetuned { generation } => {
-                        let _ = write!(out, ",\"generation\":{generation}");
                     }
                     _ => {}
                 }

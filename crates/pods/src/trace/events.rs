@@ -60,12 +60,6 @@ pub enum TraceEventKind {
     /// The chunk driver advanced a chunked instance in place (emitted by
     /// the exec core).
     ChunkAdvanced,
-    /// Adaptive grain control re-partitioned the program at a coarser
-    /// chunk (`generation` retunes applied so far).
-    ChunkRetuned {
-        /// The autotune generation after this retune.
-        generation: u32,
-    },
 }
 
 impl TraceEventKind {
@@ -86,7 +80,6 @@ impl TraceEventKind {
             TraceEventKind::Resumed => "resume",
             TraceEventKind::Steal { .. } => "steal",
             TraceEventKind::ChunkAdvanced => "chunk-advance",
-            TraceEventKind::ChunkRetuned { .. } => "chunk-retune",
         }
     }
 

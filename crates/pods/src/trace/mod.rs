@@ -6,9 +6,9 @@
 //! constant `None` (monomorphized away for engines that never trace), and
 //! the pooled engines guard every emission site with one branch on an
 //! `Option` carried by the job. Enable it with
-//! [`crate::RuntimeBuilder::trace`] or `PODS_TRACE=1` (per-worker ring
-//! size via `PODS_TRACE_BUF`); the `tracing_overhead` bench group verifies
-//! the disabled path stays within noise of no recorder at all.
+//! [`crate::RuntimeBuilder::trace`], whose [`TraceConfig`] sets the
+//! per-worker ring size; the standing benchmark's `trace.overhead_ratio`
+//! measures what a traced runtime costs over an untraced one.
 //!
 //! # Anatomy
 //!

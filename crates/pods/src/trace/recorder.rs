@@ -6,9 +6,10 @@
 //! exactly one producer (the worker that owns the lane), so it is
 //! uncontended — the mutex buys the crate-wide `forbid(unsafe_code)`
 //! guarantee at the cost of one uncontended atomic pair per event, which
-//! the `tracing_overhead` bench group keeps honest. When a ring is full the
-//! oldest event is dropped and counted, so a long run degrades to "the most
-//! recent window of events" instead of unbounded memory.
+//! the standing benchmark's `trace.overhead_ratio` keeps honest. When a
+//! ring is full the oldest event is dropped and counted, so a long run
+//! degrades to "the most recent window of events" instead of unbounded
+//! memory.
 
 use super::events::{TraceEvent, TraceEventKind};
 use super::JobTrace;
@@ -22,8 +23,7 @@ use std::time::Instant;
 const DEFAULT_BUFFER: usize = 4096;
 
 /// Configuration of the flight recorder, passed to
-/// `RuntimeBuilder::trace`. The environment equivalent is `PODS_TRACE=1`
-/// with `PODS_TRACE_BUF` overriding the per-worker buffer size.
+/// `RuntimeBuilder::trace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Per-worker ring-buffer capacity in events (clamped to at least 16).
@@ -50,28 +50,6 @@ impl TraceConfig {
     pub fn buffer_size(mut self, events: usize) -> TraceConfig {
         self.buffer_size = events.max(16);
         self
-    }
-
-    /// The configuration requested by the environment: `Some` when
-    /// `PODS_TRACE` is set to a truthy value (anything but `0`, `false`,
-    /// `off`, or empty), with `PODS_TRACE_BUF` overriding the buffer size.
-    pub(crate) fn from_env() -> Option<TraceConfig> {
-        let v = std::env::var("PODS_TRACE").ok()?;
-        if v.is_empty()
-            || v == "0"
-            || v.eq_ignore_ascii_case("false")
-            || v.eq_ignore_ascii_case("off")
-        {
-            return None;
-        }
-        let mut cfg = TraceConfig::default();
-        if let Some(n) = std::env::var("PODS_TRACE_BUF")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            cfg = cfg.buffer_size(n);
-        }
-        Some(cfg)
     }
 }
 

@@ -34,10 +34,11 @@ use pods_idlang::{BinaryOp, Name};
 /// policy considers the scheduling overhead amortised.
 const AUTO_TARGET_INSTRS: usize = 64;
 
-/// Ceiling for the base auto chunk (before retune boosts).
+/// Ceiling for the auto chunk the loop body sizes.
 const AUTO_MAX_CHUNK: usize = 16;
 
-/// Ceiling for a boosted auto chunk (after retuning).
+/// Ceiling for an auto chunk multiplied by a `boost` above 1 (see
+/// [`chunk_loop_spawns`]).
 const AUTO_MAX_BOOSTED: usize = 64;
 
 /// The grain-size policy: how many consecutive outer iterations one SP
@@ -49,8 +50,8 @@ pub enum ChunkPolicy {
     /// translation.
     Fixed(usize),
     /// Pick the chunk per spawn site from the child template's body size
-    /// (small bodies get large chunks), refined after a first run by the
-    /// runtime's prepared-program cache.
+    /// (small bodies get large chunks), once, when the program is
+    /// partitioned.
     Auto,
 }
 
@@ -107,10 +108,12 @@ struct Site {
 
 /// Applies the grain-size transform to every eligible loop-spawn site.
 ///
-/// `boost` multiplies the auto policy's base chunk (the runtime's retune
-/// path doubles it per generation); it has no effect on `Fixed` chunks.
-/// Returns a summary of what was chunked. `ChunkPolicy::Fixed(1)` is a
-/// guaranteed no-op.
+/// `boost` multiplies the auto policy's base chunk; it has no effect on
+/// `Fixed` chunks. Outside tests every caller passes 1: the parameter
+/// remains because the standing benchmark's front-end probe
+/// (`benchmark/src/layers.rs`) passes it, and it goes when that probe
+/// does. Returns a summary of what was chunked.
+/// `ChunkPolicy::Fixed(1)` is a guaranteed no-op.
 pub fn chunk_loop_spawns(
     program: &mut SpProgram,
     policy: ChunkPolicy,

@@ -15,7 +15,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = pods::compile(pods_workloads::MATMUL)?;
 
     // Reference run: the sequential oracle engine.
-    let reference = Runtime::new(EngineKind::Seq).run(&program, &[Value::Int(n)])?;
+    let reference = Runtime::builder(EngineKind::Seq)
+        .build()
+        .run(&program, &[Value::Int(n)])?;
     let expected = reference.array("c").expect("c").to_f64(f64::NAN);
 
     for kind in [EngineKind::Sim, EngineKind::Native] {

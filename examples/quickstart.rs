@@ -3,11 +3,13 @@
 //! then run the same compiled program repeatedly on a persistent native
 //! [`Runtime`] whose worker pool is reused across runs, and once more on
 //! the cooperative async executor to see its suspension/resumption
-//! counters next to the native scheduler's.
+//! counters next to the native scheduler's. The native runtime records
+//! every scheduling event into its flight recorder, which the example
+//! writes to `trace.json` as a Chrome/Perfetto trace.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use pods::{compile, ChunkPolicy, EngineKind, EngineStats, Runtime, Value};
+use pods::{compile, ChunkPolicy, EngineKind, EngineStats, Runtime, TraceConfig, Value};
 
 fn main() -> Result<(), pods::PodsError> {
     // The running example of §3 of the paper, slightly enlarged: fill a
@@ -60,8 +62,12 @@ fn main() -> Result<(), pods::PodsError> {
     // Runtime owns a persistent work-stealing pool, so back-to-back runs
     // (different problem sizes here) reuse the same worker threads. The
     // program is prepared once — the clone/partition/read-slot-table work
-    // is paid here, and every run below is pure job submission.
-    let runtime = Runtime::builder(EngineKind::Native).workers(4).build();
+    // is paid here, and every run below is pure job submission. The
+    // flight recorder is on, so every scheduling event is recorded.
+    let runtime = Runtime::builder(EngineKind::Native)
+        .workers(4)
+        .trace(TraceConfig::new())
+        .build();
     let prepared = runtime.prepare(&program);
     println!("prepared: {prepared:?}");
     // Preparation also specialized the templates: straight-line runs are
@@ -92,27 +98,23 @@ fn main() -> Result<(), pods::PodsError> {
         println!("  {}", native.summary());
     }
 
-    // With `PODS_TRACE=1` the runtime records every scheduling event into
-    // per-worker ring buffers; export them as a Chrome/Perfetto trace.
-    if runtime.tracing_enabled() {
-        let trace = runtime.take_trace();
-        let path = "trace.json";
-        std::fs::write(path, trace.chrome_trace())
-            .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
-        println!(
-            "flight recorder: {} events ({} dropped) -> {path}",
-            trace.events.len(),
-            trace.dropped
-        );
-    }
+    // The recorder kept those runs' events in per-worker ring buffers;
+    // export them as a Chrome/Perfetto trace.
+    let trace = runtime.take_trace();
+    let path = "trace.json";
+    std::fs::write(path, trace.chrome_trace())
+        .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+    println!(
+        "flight recorder: {} events ({} dropped) -> {path}",
+        trace.events.len(),
+        trace.dropped
+    );
 
     // Grain-size control: under `ChunkPolicy::Auto` the runtime picks a
-    // chunk size from each template's body at prepare time (grouping that
-    // many consecutive outer iterations into one SP instance), then
-    // re-tunes the cached preparation from the first run's instance
-    // counts — warm re-runs of the same program spawn fewer, coarser
-    // instances. Visible on a fine-grained fill, where at grain 1 every
-    // two-element row pays a full instance spawn.
+    // chunk size from each template's body at prepare time, grouping that
+    // many consecutive outer iterations into one SP instance. Visible on a
+    // fine-grained fill, where at grain 1 every two-element row pays a full
+    // instance spawn.
     let fine = compile(
         "def main(n) {
              a = matrix(n, 2);
@@ -124,20 +126,18 @@ fn main() -> Result<(), pods::PodsError> {
         ("grain 1   ", ChunkPolicy::Fixed(1)),
         ("auto grain", ChunkPolicy::Auto),
     ] {
-        let tuned = Runtime::builder(EngineKind::Native)
+        let chunked = Runtime::builder(EngineKind::Native)
             .workers(4)
             .chunk_policy(chunk)
             .build();
-        tuned.run(&fine, &[Value::Int(64)])?; // cold run; auto retunes the cache
-        let outcome = tuned.run(&fine, &[Value::Int(64)])?;
+        let outcome = chunked.run(&fine, &[Value::Int(64)])?;
         let EngineStats::Native { stats, .. } = outcome.stats else {
             unreachable!("native runtime reports native stats");
         };
         println!(
-            "{label}: {} instances spawned, {:.1} iterations/instance, retuned {}x, {:.3} ms wall-clock",
+            "{label}: {} instances spawned, {:.1} iterations/instance, {:.3} ms wall-clock",
             stats.instances_spawned(),
             stats.iterations_per_instance(),
-            stats.chunks_autotuned,
             outcome.wall_us / 1000.0
         );
     }

@@ -1101,3 +1101,101 @@ fn graph_guard_fires_on_a_planted_violation() {
     );
     assert!(graph_is_the_benchmarks_guard(&manifests[..1], &sources[..1]).is_none());
 }
+
+/// The environment variables the code may read: `PODS_ENGINE` picks the
+/// engine of the figure binaries and the pooled test suites, and
+/// `PODS_SOAK_SCALE` lengthens the service soak.
+const READABLE_VARIABLES: [&str; 2] = ["PODS_ENGINE", "PODS_SOAK_SCALE"];
+
+/// `std::env`'s two variable readers. Spelled in pieces so that this file
+/// does not name them itself.
+fn variable_reader_names() -> [String; 2] {
+    [["env::", "var"].concat(), ["env::", "var_os"].concat()]
+}
+
+/// `true` when `line` names a variable reader other than in a call that
+/// reads one of [`READABLE_VARIABLES`]: a call of another variable, or an
+/// import that would let a call go unseen.
+fn reads_another_variable(line: &str) -> bool {
+    let allowed = READABLE_VARIABLES
+        .iter()
+        .any(|name| line.contains(&format!("\"{name}\"")));
+    variable_reader_names().iter().any(|reader| {
+        word_starts(line, reader)
+            .any(|at| !allowed || !line[at + reader.len()..].trim_start().starts_with('('))
+    })
+}
+
+/// The environment-variable guard. Every setting of the runtime has one
+/// way to be set, through `RuntimeBuilder`; an environment variable that
+/// changes a default changes it under every test and binary at once. The
+/// only variables read are [`READABLE_VARIABLES`], each in a call that
+/// names it. Returns the failure message, or `None` when the rule holds.
+fn environment_guard(files: &[SourceFile]) -> Option<String> {
+    let found = lines_where(files, "", reads_another_variable);
+    if found.is_empty() {
+        return None;
+    }
+    Some(format!(
+        "Environment read of a variable other than {}:\n{}\n\
+         Configure a runtime through RuntimeBuilder instead.",
+        READABLE_VARIABLES.join(" or "),
+        found.join("\n")
+    ))
+}
+
+#[test]
+fn only_two_environment_variables_are_read() {
+    let files = source_files();
+    assert!(
+        files
+            .iter()
+            .any(|f| f.path == "crates/pods/src/engine/mod.rs"),
+        "the guard reads the source tree"
+    );
+    if let Some(message) = environment_guard(&files) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn environment_guard_fires_on_a_planted_violation() {
+    let [var, var_os] = variable_reader_names();
+    let trace = ["PODS_", "TRACE"].concat();
+    let file = |path: &str, text: String| SourceFile {
+        path: path.to_string(),
+        text,
+    };
+    let planted = [
+        file(
+            "crates/pods/src/engine/mod.rs",
+            format!("EngineKind::from_env_value(std::{var}(\"PODS_ENGINE\"))"),
+        ),
+        file(
+            "tests/service_soak.rs",
+            format!("std::{var} (\"PODS_SOAK_SCALE\")\nlet e: std::env::VarError;"),
+        ),
+        file(
+            "crates/pods/src/trace/recorder.rs",
+            format!("let v = std::{var}(\"{trace}\").ok()?;"),
+        ),
+        file(
+            "examples/quickstart.rs",
+            format!("let v = std::{var_os}(\"PODS_ENGINE_{trace}\");"),
+        ),
+        file("src/lib.rs", format!("use std::{var};")),
+    ];
+    let message = environment_guard(&planted).expect("the guard fires");
+    for line in [
+        format!("crates/pods/src/trace/recorder.rs:1:let v = std::{var}(\"{trace}\").ok()?;"),
+        format!("examples/quickstart.rs:1:let v = std::{var_os}(\"PODS_ENGINE_{trace}\");"),
+        format!("src/lib.rs:1:use std::{var};"),
+    ] {
+        assert!(message.contains(&line), "{line} in {message}");
+    }
+    assert!(
+        !message.contains("engine/mod.rs") && !message.contains("service_soak.rs"),
+        "reads of the two allowed variables pass: {message}"
+    );
+    assert!(environment_guard(&planted[..2]).is_none());
+}

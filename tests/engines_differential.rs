@@ -247,19 +247,22 @@ fn unknown_engine_names_are_rejected() {
 #[test]
 fn parallel_engines_agree_on_partitioning_decisions() {
     // The three engines that run the partitioned program (sim, native,
-    // async) must report identical decisions for identical options.
+    // async) must report identical decisions for identical options, with
+    // and without specialization.
     let program = pods::compile(pods_workloads::FILL).unwrap();
     let reports: Vec<_> = EngineKind::ALL
         .into_iter()
-        .map(|kind| {
+        .flat_map(|kind| [true, false].map(|spec| (kind, spec)))
+        .map(|(kind, spec)| {
             let runtime = Runtime::builder(kind)
                 .options(RunOptions::with_pes(4))
+                .specialize(spec)
                 .build();
             runtime.run(&program, &[Value::Int(8)]).unwrap()
         })
         .filter_map(|outcome| Some(outcome.partition()?.loops.clone()))
         .collect();
-    assert_eq!(reports.len(), 3);
+    assert_eq!(reports.len(), 6);
     assert!(reports.iter().all(|loops| *loops == reports[0]));
 }
 
@@ -268,7 +271,7 @@ fn async_engine_agrees_on_prepared_and_raw_submissions() {
     // The acceptance bar for the cooperative engine: raw programs,
     // prepared handles, and handles prepared on a *native* runtime (the
     // JobSpec is engine-portable) all match the oracle, batched and
-    // unbatched.
+    // unbatched, specialized and interpreted.
     let program = pods::compile(pods_workloads::STENCIL).unwrap();
     let args = [Value::Int(12)];
     let oracle = Runtime::builder(EngineKind::Seq)
@@ -277,13 +280,17 @@ fn async_engine_agrees_on_prepared_and_raw_submissions() {
         .run(&program, &args)
         .unwrap();
     let expected = oracle.returned_array().unwrap().to_f64(f64::NAN);
-    for batch in [1usize, 16] {
+    for (batch, spec) in [(1usize, true), (16, true), (1, false), (16, false)] {
         let runtime = Runtime::builder(EngineKind::AsyncCoop)
             .workers(4)
             .delivery_batch(batch)
+            .specialize(spec)
             .build();
         let prepared = runtime.prepare(&program);
-        let native_rt = Runtime::builder(EngineKind::Native).workers(2).build();
+        let native_rt = Runtime::builder(EngineKind::Native)
+            .workers(2)
+            .specialize(spec)
+            .build();
         let foreign = native_rt.prepare(&program);
         for (label, outcome) in [
             ("raw", runtime.run(&program, &args).unwrap()),
@@ -294,7 +301,7 @@ fn async_engine_agrees_on_prepared_and_raw_submissions() {
             for (i, (a, b)) in expected.iter().zip(&got).enumerate() {
                 assert!(
                     values_close(*a, *b),
-                    "async/{label}/batch{batch}: [{i}] = {b}, oracle {a}"
+                    "async/{label}/batch{batch}/spec{spec}: [{i}] = {b}, oracle {a}"
                 );
             }
         }
@@ -309,8 +316,9 @@ fn native_engine_counts_hold_on_every_worker_count() {
     // was given, a runtime's repeated runs land on its one pool in
     // sequence, and at a fixed grain the instances differ only by the
     // copies a distributed loop sends to the extra workers (fill runs its
-    // one distributed spawn once per job). The wall-clock speed-up is
-    // measured by the standing benchmark (`native.speedup_w`).
+    // one distributed spawn once per job), specialized or interpreted. The
+    // wall-clock speed-up is measured by the standing benchmark
+    // (`native.speedup_w`).
     let program = pods::compile(pods_workloads::FILL).unwrap();
     let args = [Value::Int(96)];
     let oracle = Runtime::builder(EngineKind::Seq)
@@ -322,15 +330,19 @@ fn native_engine_counts_hold_on_every_worker_count() {
         .to_f64(f64::NAN);
 
     let mut on_one_worker = None;
-    for workers in [1, 2, 4] {
+    for (workers, spec) in [1, 2, 4].into_iter().flat_map(|w| [(w, true), (w, false)]) {
         let runtime = Runtime::builder(EngineKind::Native)
             .workers(workers)
+            .specialize(spec)
             .build();
         let pool_id = runtime.pool_id().expect("native runtime owns a pool");
         for job_seq in 1..=3 {
             let outcome = runtime.run(&program, &args).unwrap();
             let got = outcome.returned_array().unwrap().to_f64(f64::NAN);
-            assert_eq!(got, oracle, "{workers} workers, run {job_seq}: values");
+            assert_eq!(
+                got, oracle,
+                "{workers} workers, specialize {spec}, run {job_seq}: values"
+            );
             let stats = match outcome.stats {
                 EngineStats::Native { stats, .. } => stats,
                 other => panic!("expected native stats, got {other:?}"),
@@ -344,7 +356,7 @@ fn native_engine_counts_hold_on_every_worker_count() {
             assert_eq!(
                 stats.instances,
                 base + (workers as u64 - 1) * copies,
-                "{workers} workers, run {job_seq}: instances at grain 1"
+                "{workers} workers, specialize {spec}, run {job_seq}: instances at grain 1"
             );
         }
     }

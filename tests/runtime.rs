@@ -4,10 +4,11 @@
 //! warm pool over a fresh runtime per run.
 
 use pods::{
-    AsyncStats, CompiledProgram, EngineKind, EngineOutcome, EngineStats, NativeStats, RunOptions,
-    Runtime, Value,
+    AsyncStats, ClientId, CompiledProgram, EngineKind, EngineOutcome, EngineStats, NativeStats,
+    RunOptions, Runtime, Value, PREPARED_CACHE,
 };
 use std::collections::HashSet;
+use std::time::Duration;
 
 fn native_stats(outcome: &EngineOutcome) -> NativeStats {
     match &outcome.stats {
@@ -376,7 +377,7 @@ fn prepared_handles_reject_mismatched_partition_configs() {
     );
     let chunked_rt = Runtime::builder(EngineKind::Native)
         .workers(2)
-        .chunk_size(4)
+        .chunk_policy(pods::ChunkPolicy::Fixed(4))
         .build();
     let err = chunked_rt
         .run(&prepared, &[Value::Int(8)])
@@ -399,7 +400,7 @@ fn prepared_handles_reject_mismatched_partition_configs() {
     // native runtime does, instead of silently running its own rewrite.
     let sim_chunked = Runtime::builder(EngineKind::Sim)
         .workers(2)
-        .chunk_size(4)
+        .chunk_policy(pods::ChunkPolicy::Fixed(4))
         .build();
     assert!(matches!(
         sim_chunked.run(&prepared, &[Value::Int(8)]),
@@ -417,7 +418,7 @@ fn prepared_handles_reject_mismatched_chunk_grains() {
     let oracle = oracle_for(&program, &[Value::Int(16)]);
     let coarse = Runtime::builder(EngineKind::Native)
         .workers(2)
-        .chunk_size(4)
+        .chunk_policy(pods::ChunkPolicy::Fixed(4))
         .build();
     let prepared = coarse.prepare(&program);
 
@@ -456,7 +457,10 @@ fn prepared_handles_reject_mismatched_chunk_grains() {
     // on native, sim, and async runtimes configured for grain 4, matching
     // the oracle everywhere.
     for kind in [EngineKind::Native, EngineKind::Sim, EngineKind::AsyncCoop] {
-        let runtime = Runtime::builder(kind).workers(2).chunk_size(4).build();
+        let runtime = Runtime::builder(kind)
+            .workers(2)
+            .chunk_policy(pods::ChunkPolicy::Fixed(4))
+            .build();
         let outcome = runtime.run(&prepared, &[Value::Int(16)]).unwrap();
         assert_matches_oracle(
             &format!("chunked handle on {}", kind.name()),
@@ -467,82 +471,46 @@ fn prepared_handles_reject_mismatched_chunk_grains() {
 }
 
 #[test]
-fn auto_grain_retunes_warm_reruns_from_first_run_stats() {
-    // The adaptive half of ChunkPolicy::Auto: the first raw run under an
-    // auto-grain pooled runtime executes at the template-derived grain and
-    // feeds its instance count back into the prepared-program cache, so a
-    // warm re-run of the same program executes at a coarser grain.
+fn auto_grain_runs_share_one_preparation() {
+    // A preparation is a pure function of (program, configuration): under
+    // ChunkPolicy::Auto on a pooled runtime, raw runs of a program and an
+    // explicit prepare all resolve to one preparation, sized from the loop
+    // body at prepare time, and every run spawns the same instances.
     let program = pods::compile(pods_workloads::FILL).unwrap();
-    let oracle = oracle_for(&program, &[Value::Int(64)]);
+    let args = [Value::Int(64)];
+    let oracle = oracle_for(&program, &args);
     let runtime = Runtime::builder(EngineKind::Native)
         .workers(2)
         .chunk_policy(pods::ChunkPolicy::Auto)
         .build();
 
-    let first = runtime.run(&program, &[Value::Int(64)]).unwrap();
-    assert_matches_oracle("auto grain, cold run", &first, &oracle);
-    let s1 = native_stats(&first);
-    assert_eq!(s1.chunks_autotuned, 0, "the cold run uses the seed grain");
-    assert!(
-        s1.iterations_per_instance() > 1.0,
-        "fill's inner loop must actually be chunked: {:.2} iterations/instance",
-        s1.iterations_per_instance()
-    );
-
-    let second = runtime.run(&program, &[Value::Int(64)]).unwrap();
-    assert_matches_oracle("auto grain, warm run", &second, &oracle);
-    let s2 = native_stats(&second);
-    assert!(
-        s2.chunks_autotuned >= 1,
-        "the warm run must use a retuned preparation"
-    );
-    assert!(
-        s2.instances < s1.instances,
-        "retuning must coarsen the grain: {} instances warm vs {} cold",
-        s2.instances,
-        s1.instances
-    );
-    assert!(s2.iterations_per_instance() > s1.iterations_per_instance());
-
-    // A handle prepared (and pinned) before the retune keeps its grain:
-    // explicit preparation is stable, only the cache entry is retuned.
     let pinned = runtime.prepare(&program);
-    assert!(pinned.chunks_autotuned() >= 1, "prepare follows the cache");
-}
-
-#[test]
-fn retuned_cache_entries_rebuild_the_specialization_plan() {
-    // Regression: the adaptive grain retune re-prepares the cached program
-    // at a boosted grain; the re-prepare must run the specialization pass
-    // again, so warm runs of the retuned entry still execute through
-    // super-ops rather than silently dropping back to the interpreter.
-    let program = pods::compile(pods_workloads::FILL).unwrap();
-    let oracle = oracle_for(&program, &[Value::Int(64)]);
-    let runtime = Runtime::builder(EngineKind::Native)
-        .workers(2)
-        .chunk_policy(pods::ChunkPolicy::Auto)
-        .specialize(true)
-        .build();
-
-    let first = runtime.run(&program, &[Value::Int(64)]).unwrap();
     assert!(
-        native_stats(&first).super_ops > 0,
-        "cold run fires super-ops"
+        pinned.partition_report().chunked_spawns > 0,
+        "fill's inner loop must be chunked"
     );
-
-    let second = runtime.run(&program, &[Value::Int(64)]).unwrap();
-    assert_matches_oracle("retuned warm run", &second, &oracle);
-    let s2 = native_stats(&second);
-    assert!(s2.chunks_autotuned >= 1, "the warm run must be retuned");
+    assert!(pinned.partition_report().super_ops > 0, "and specialized");
+    let instances: Vec<u64> = (0..3)
+        .map(|run| {
+            let outcome = runtime.run(&program, &args).unwrap();
+            assert_matches_oracle(&format!("auto grain, raw run {run}"), &outcome, &oracle);
+            let stats = native_stats(&outcome);
+            assert!(stats.iterations_per_instance() > 1.0);
+            assert!(stats.super_ops > 0);
+            stats.instances
+        })
+        .collect();
+    let again = runtime.prepare(&program);
     assert!(
-        s2.super_ops > 0,
-        "the retuned preparation must carry a rebuilt plan"
+        pinned.same_preparation(&again),
+        "raw runs must leave the cached preparation as it was"
     );
-
-    // The retuned cache entry itself reports its plan.
-    let pinned = runtime.prepare(&program);
-    assert!(pinned.chunks_autotuned() >= 1);
-    assert!(pinned.partition_report().super_ops > 0);
+    assert_eq!(runtime.prepared_cache_size(), 1);
+    let prepared_run = native_stats(&runtime.run(&pinned, &args).unwrap()).instances;
+    assert_eq!(
+        instances, [prepared_run; 3],
+        "every run of one preparation spawns the same instances"
+    );
 }
 
 #[test]
@@ -645,40 +613,39 @@ fn raw_submissions_share_one_cached_preparation() {
     assert_eq!(p1.fingerprint(), p2.fingerprint());
     assert_eq!(p1.identity(), program.identity());
     assert_eq!(runtime.prepared_cache_size(), 1);
+}
 
-    // A cache-disabled runtime re-prepares every time (the benchmark
-    // control): fresh Arcs, identical fingerprints.
-    let uncached = Runtime::builder(EngineKind::Native)
-        .workers(2)
-        .prepared_cache_capacity(0)
-        .build();
-    let u1 = uncached.prepare(&program);
-    let u2 = uncached.prepare(&program);
-    assert!(!u1.same_preparation(&u2));
-    assert_eq!(u1.fingerprint(), u2.fingerprint());
-    assert_eq!(uncached.prepared_cache_size(), 0);
+/// `count` distinct programs; program `k` returns `n + k`.
+fn offset_programs(count: usize) -> Vec<CompiledProgram> {
+    (0..count)
+        .map(|k| pods::compile(&format!("def main(n) {{ return n + {k}; }}")).unwrap())
+        .collect()
 }
 
 #[test]
 fn prepared_cache_evicts_least_recently_used() {
-    let programs: Vec<CompiledProgram> = (0..4)
-        .map(|k| pods::compile(&format!("def main(n) {{ return n + {k}; }}")).unwrap())
-        .collect();
-    let runtime = Runtime::builder(EngineKind::Native)
-        .workers(1)
-        .prepared_cache_capacity(2)
-        .build();
+    // One program more than the cache holds: the program touched last
+    // before the overflow survives, the least recently used one is evicted.
+    let programs = offset_programs(PREPARED_CACHE + 1);
+    let runtime = Runtime::builder(EngineKind::Native).workers(1).build();
     let first = runtime.prepare(&programs[0]);
-    runtime.prepare(&programs[1]);
-    // Touch program 0 so program 1 is the LRU victim when 2 arrives.
+    let second = runtime.prepare(&programs[1]);
+    for program in &programs[2..PREPARED_CACHE] {
+        runtime.prepare(program);
+    }
+    // Touch program 0 so program 1 is the LRU victim when the last arrives.
     let hit = runtime.prepare(&programs[0]);
     assert!(first.same_preparation(&hit));
-    runtime.prepare(&programs[2]);
-    assert_eq!(runtime.prepared_cache_size(), 2);
+    runtime.prepare(&programs[PREPARED_CACHE]);
+    assert_eq!(runtime.prepared_cache_size(), PREPARED_CACHE);
     let again = runtime.prepare(&programs[0]);
     assert!(
         first.same_preparation(&again),
         "recently-used entry must survive eviction"
+    );
+    assert!(
+        !second.same_preparation(&runtime.prepare(&programs[1])),
+        "the least recently used entry is evicted"
     );
     // And everything still runs correctly from whatever cache state.
     for (k, program) in programs.iter().enumerate() {
@@ -688,93 +655,57 @@ fn prepared_cache_evicts_least_recently_used() {
 }
 
 #[test]
-fn prepared_cache_capacity_zero_never_caches_and_handles_stay_valid() {
-    // The benchmark-control configuration: every raw submission re-prepares
-    // (no cache entry is ever created), including under `run_many`, yet
-    // results stay correct and explicitly prepared handles keep working.
-    let program = pods::compile(pods_workloads::FILL).unwrap();
-    let oracle = oracle_for(&program, &[Value::Int(12)]);
-    let runtime = Runtime::builder(EngineKind::Native)
-        .workers(2)
-        .prepared_cache_capacity(0)
-        .build();
-    let args: &[Value] = &[Value::Int(12)];
-    let results = runtime.run_many(&[(&program, args), (&program, args), (&program, args)]);
-    for (i, result) in results.iter().enumerate() {
-        let outcome = result
-            .as_ref()
-            .unwrap_or_else(|e| panic!("uncached run_many job {i} failed: {e}"));
-        assert_matches_oracle(&format!("uncached run_many job {i}"), outcome, &oracle);
-    }
-    assert_eq!(
-        runtime.prepared_cache_size(),
-        0,
-        "capacity 0 must never retain a preparation"
-    );
-    // Explicit prepares bypass the cache but their handles are fully
-    // functional — twice over, and they are never retained either.
-    let handle = runtime.prepare(&program);
-    assert_eq!(runtime.prepared_cache_size(), 0);
-    for _ in 0..2 {
-        let outcome = runtime.run(&handle, &[Value::Int(12)]).unwrap();
-        assert_matches_oracle("uncached prepared handle", &outcome, &oracle);
-    }
-}
-
-#[test]
 fn capacity_one_cache_thrashes_correctly_and_evicted_handles_stay_valid() {
-    // Capacity-1 eviction under `run_many` with alternating programs: the
-    // single slot thrashes (re-prepare per alternation — the documented
-    // cost of an undersized cache), every job still computes the right
-    // result, the survivor is the most recently used program, and a handle
-    // whose cache entry was evicted keeps running (no stale state).
-    let a = pods::compile("def main(n) { return n + 1; }").unwrap();
-    let b = pods::compile("def main(n) { return n * 2; }").unwrap();
-    let runtime = Runtime::builder(EngineKind::Native)
-        .workers(2)
-        .prepared_cache_capacity(1)
-        .build();
-    let pa = runtime.prepare(&a);
+    // Cycling one program more than the cache holds under `run_many`
+    // thrashes it (every submission re-prepares — the documented cost of
+    // an undersized cache), every job still computes the right result,
+    // the survivor is the most recently used program, and a handle whose
+    // cache entry was evicted keeps running (no stale state).
+    let programs = offset_programs(PREPARED_CACHE + 1);
+    let runtime = Runtime::builder(EngineKind::Native).workers(2).build();
+    let first = runtime.prepare(&programs[0]);
     assert_eq!(runtime.prepared_cache_size(), 1);
 
     let args: &[Value] = &[Value::Int(10)];
-    let results = runtime.run_many(&[(&a, args), (&b, args), (&a, args), (&b, args)]);
-    let values: Vec<_> = results
+    let jobs: Vec<(&CompiledProgram, &[Value])> = programs
+        .iter()
+        .chain(&programs)
+        .map(|program| (program, args))
+        .collect();
+    let values: Vec<_> = runtime
+        .run_many(&jobs)
         .into_iter()
         .map(|r| r.unwrap().return_value)
         .collect();
-    assert_eq!(
-        values,
-        vec![
-            Some(Value::Int(11)),
-            Some(Value::Int(20)),
-            Some(Value::Int(11)),
-            Some(Value::Int(20)),
-        ]
-    );
+    let expected: Vec<_> = (0..2 * programs.len())
+        .map(|i| Some(Value::Int(10 + (i % programs.len()) as i64)))
+        .collect();
+    assert_eq!(values, expected);
     assert_eq!(
         runtime.prepared_cache_size(),
-        1,
+        PREPARED_CACHE,
         "the cache never exceeds its capacity"
     );
 
-    // Eviction order: B was submitted last, so B survived. Preparing B is
-    // a cache hit (shared Arc); preparing A must rebuild.
-    let pb1 = runtime.prepare(&b);
-    let pb2 = runtime.prepare(&b);
+    // Eviction order: the last program was submitted last, so it survived.
+    // Preparing it is a cache hit (shared Arc); preparing program 0, the
+    // least recently used, must rebuild.
+    let last = &programs[PREPARED_CACHE];
+    let pl1 = runtime.prepare(last);
+    let pl2 = runtime.prepare(last);
     assert!(
-        pb1.same_preparation(&pb2),
+        pl1.same_preparation(&pl2),
         "most recently used program must still be cached"
     );
-    let pa2 = runtime.prepare(&a);
+    let first_again = runtime.prepare(&programs[0]);
     assert!(
-        !pa.same_preparation(&pa2),
-        "A's cache entry was evicted, so preparing A again rebuilds"
+        !first.same_preparation(&first_again),
+        "program 0's cache entry was evicted, so preparing it again rebuilds"
     );
     // The evicted handle itself is untouched by eviction.
     assert_eq!(
-        runtime.run(&pa, &[Value::Int(5)]).unwrap().return_value,
-        Some(Value::Int(6))
+        runtime.run(&first, &[Value::Int(5)]).unwrap().return_value,
+        Some(Value::Int(5))
     );
 }
 
@@ -1067,7 +998,8 @@ fn cancel_stops_a_queued_job_and_counts_it() {
 #[test]
 fn try_submit_rejects_at_capacity_with_queue_full() {
     // capacity 1 + window 1 + a heavy blocker: the first job dispatches,
-    // the second fills the queue, the third is rejected immediately.
+    // the second fills the queue, and a zero-wait submission is rejected
+    // immediately.
     let program = pods::compile(pods_workloads::FILL).unwrap();
     let runtime = Runtime::builder(EngineKind::Native)
         .workers(2)
@@ -1078,7 +1010,12 @@ fn try_submit_rejects_at_capacity_with_queue_full() {
     let blocker = runtime.submit(&prepared, &[Value::Int(2048)]).unwrap();
     let queued = runtime.submit(&prepared, &[Value::Int(16)]).unwrap();
     let err = runtime
-        .try_submit(&prepared, &[Value::Int(16)])
+        .submit_within(
+            ClientId::ANONYMOUS,
+            &prepared,
+            &[Value::Int(16)],
+            Duration::ZERO,
+        )
         .expect_err("the queue is full");
     assert!(
         matches!(
@@ -1092,10 +1029,11 @@ fn try_submit_rejects_at_capacity_with_queue_full() {
     );
     // A bounded-wait submit times out against the same full queue.
     let err = runtime
-        .submit_timeout(
+        .submit_within(
+            ClientId::ANONYMOUS,
             &prepared,
             &[Value::Int(16)],
-            std::time::Duration::from_millis(10),
+            Duration::from_millis(10),
         )
         .expect_err("no slot frees within the timeout");
     assert!(matches!(err, pods::PodsError::QueueFull { .. }));

@@ -188,13 +188,18 @@ fn bounded_queue_backpressure_accounts_for_every_submission() {
                     for i in 0..per_thread {
                         let result = match i % 3 {
                             0 => runtime.submit_for(client, prepared, &[Value::Int(24)]),
-                            1 => runtime.submit_timeout_for(
+                            1 => runtime.submit_within(
                                 client,
                                 prepared,
                                 &[Value::Int(24)],
                                 Duration::from_millis((i % 5) * 2),
                             ),
-                            _ => runtime.try_submit_for(client, prepared, &[Value::Int(24)]),
+                            _ => runtime.submit_within(
+                                client,
+                                prepared,
+                                &[Value::Int(24)],
+                                Duration::ZERO,
+                            ),
                         };
                         match result {
                             Ok(handle) => handles.push(handle),

@@ -1,8 +1,7 @@
 //! Flight-recorder contract tests, exercised through the public runtime
 //! API on both pooled engines:
 //!
-//! 1. a runtime built without tracing records nothing (and `PODS_TRACE`
-//!    stays an opt-in — these tests never set it),
+//! 1. a runtime built without tracing records nothing,
 //! 2. under a concurrent soak the merged trace is time-ordered and its
 //!    `RunBegin`/`RunEnd` spans are balanced per (lane, instance),
 //! 3. ring overflow degrades to "newest window + exact drop count"
