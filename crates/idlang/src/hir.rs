@@ -172,6 +172,219 @@ impl HirProgram {
     }
 }
 
+/// Prints the program as `idlang` source that compiles back to the same
+/// HIR: four-space indentation, one statement per line, parentheses only
+/// where precedence needs them, built-in operators as the calls they were
+/// written as.
+impl std::fmt::Display for HirProgram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (index, function) in self.functions.iter().enumerate() {
+            if index > 0 {
+                writeln!(f)?;
+            }
+            write!(f, "def {}(", function.name)?;
+            for (at, param) in function.params.iter().enumerate() {
+                let comma = if at > 0 { ", " } else { "" };
+                write!(f, "{comma}{param}")?;
+            }
+            writeln!(f, ") {{")?;
+            print_block(f, &function.body, 1)?;
+            writeln!(f, "}}")?;
+        }
+        Ok(())
+    }
+}
+
+fn print_block(
+    f: &mut std::fmt::Formatter<'_>,
+    stmts: &[HirStmt],
+    depth: usize,
+) -> std::fmt::Result {
+    for stmt in stmts {
+        let indent = depth * 4;
+        write!(f, "{:indent$}", "")?;
+        match stmt {
+            HirStmt::Let { name, value } => {
+                write!(f, "{name} = ")?;
+                print_expr(f, value, 0)?;
+            }
+            HirStmt::Alloc { name, dims } => {
+                let callee = match dims.len() {
+                    1 => "array",
+                    2 => "matrix",
+                    _ => "tensor",
+                };
+                write!(f, "{name} = {callee}")?;
+                print_list(f, "(", dims, ")")?;
+            }
+            HirStmt::Store {
+                array,
+                indices,
+                value,
+            } => {
+                write!(f, "{array}")?;
+                print_list(f, "[", indices, "] = ")?;
+                print_expr(f, value, 0)?;
+            }
+            HirStmt::For {
+                var,
+                from,
+                to,
+                descending,
+                body,
+            } => {
+                write!(f, "for {var} = ")?;
+                print_expr(f, from, 0)?;
+                write!(f, " {} ", if *descending { "downto" } else { "to" })?;
+                print_expr(f, to, 0)?;
+                writeln!(f, " {{")?;
+                print_block(f, body, depth + 1)?;
+                writeln!(f, "{:indent$}}}", "")?;
+                continue;
+            }
+            HirStmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                write!(f, "if ")?;
+                print_expr(f, cond, 0)?;
+                writeln!(f, " {{")?;
+                print_block(f, then_body, depth + 1)?;
+                if else_body.is_empty() {
+                    writeln!(f, "{:indent$}}}", "")?;
+                } else {
+                    writeln!(f, "{:indent$}}} else {{", "")?;
+                    print_block(f, else_body, depth + 1)?;
+                    writeln!(f, "{:indent$}}}", "")?;
+                }
+                continue;
+            }
+            HirStmt::Return { value } => {
+                write!(f, "return ")?;
+                print_expr(f, value, 0)?;
+            }
+            HirStmt::Call { function, args } => {
+                write!(f, "{function}")?;
+                print_list(f, "(", args, ")")?;
+            }
+        }
+        writeln!(f, ";")?;
+    }
+    Ok(())
+}
+
+fn print_list(
+    f: &mut std::fmt::Formatter<'_>,
+    open: &str,
+    items: &[HirExpr],
+    close: &str,
+) -> std::fmt::Result {
+    write!(f, "{open}")?;
+    for (at, item) in items.iter().enumerate() {
+        if at > 0 {
+            write!(f, ", ")?;
+        }
+        print_expr(f, item, 0)?;
+    }
+    write!(f, "{close}")
+}
+
+/// The binding strength of each level of the grammar, loosest first: a
+/// node printed where a level above its own is expected is parenthesised.
+const SELECT: u8 = 0;
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+const COMPARISON: u8 = 4;
+const ADDITIVE: u8 = 5;
+const MULTIPLICATIVE: u8 = 6;
+const NEGATION: u8 = 7;
+const PRIMARY: u8 = 8;
+
+/// Prints `expr` where the grammar expects an operand of strength `at`.
+fn print_expr(f: &mut std::fmt::Formatter<'_>, expr: &HirExpr, at: u8) -> std::fmt::Result {
+    let own = match expr {
+        HirExpr::Select { .. } => SELECT,
+        HirExpr::Binary { op, .. } => match op {
+            BinaryOp::Or => OR,
+            BinaryOp::And => AND,
+            op if op.is_comparison() => COMPARISON,
+            BinaryOp::Add | BinaryOp::Sub => ADDITIVE,
+            BinaryOp::Mul | BinaryOp::Div | BinaryOp::Rem => MULTIPLICATIVE,
+            _ => PRIMARY,
+        },
+        HirExpr::Unary {
+            op: UnaryOp::Not, ..
+        } => NOT,
+        HirExpr::Unary {
+            op: UnaryOp::Neg, ..
+        } => NEGATION,
+        _ => PRIMARY,
+    };
+    if own < at {
+        write!(f, "(")?;
+    }
+    match expr {
+        HirExpr::Int(value) => write!(f, "{value}")?,
+        // `Debug` prints the shortest text that parses back to the same
+        // value, always with a `.` or an exponent.
+        HirExpr::Float(value) => write!(f, "{value:?}")?,
+        HirExpr::Bool(value) => write!(f, "{value}")?,
+        HirExpr::Var(name) => write!(f, "{name}")?,
+        HirExpr::Load { array, indices } => {
+            write!(f, "{array}")?;
+            print_list(f, "[", indices, "]")?;
+        }
+        HirExpr::Unary { op, operand } => {
+            if own == PRIMARY {
+                write!(f, "{op}(")?;
+                print_expr(f, operand, 0)?;
+                write!(f, ")")?;
+            } else {
+                write!(f, "{}", if own == NOT { "not " } else { "-" })?;
+                print_expr(f, operand, own)?;
+            }
+        }
+        HirExpr::Binary { op, lhs, rhs } => {
+            if own == PRIMARY {
+                write!(f, "{op}(")?;
+                print_expr(f, lhs, 0)?;
+                write!(f, ", ")?;
+                print_expr(f, rhs, 0)?;
+                write!(f, ")")?;
+            } else {
+                // Left-associative, but a comparison takes no comparison
+                // operand on either side.
+                let left = if own == COMPARISON { own + 1 } else { own };
+                print_expr(f, lhs, left)?;
+                write!(f, " {op} ")?;
+                print_expr(f, rhs, own + 1)?;
+            }
+        }
+        HirExpr::Call { function, args } => {
+            write!(f, "{function}")?;
+            print_list(f, "(", args, ")")?;
+        }
+        HirExpr::Select {
+            cond,
+            then_value,
+            else_value,
+        } => {
+            write!(f, "if ")?;
+            print_expr(f, cond, 0)?;
+            write!(f, " then ")?;
+            print_expr(f, then_value, 0)?;
+            write!(f, " else ")?;
+            print_expr(f, else_value, 0)?;
+        }
+    }
+    if own < at {
+        write!(f, ")")?;
+    }
+    Ok(())
+}
+
 /// A function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HirFunction {
@@ -621,6 +834,41 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn printing_keeps_what_precedence_needs_and_compiles_back() {
+        let src = "def main(a, b, n) {
+    m = tensor(2, 2, n);
+    x = (a + b) * -(a - b) - (a - (b - 1)) / 2.5e-7;
+    y = not a > b and (a < b or a == b);
+    z = if (if y then a else b) > 0 then sqrt(-a) else min(a, pow(b, 2)) + 1;
+    for i = n downto 0 {
+        m[0, 1, i] = f(i, a % 3);
+        if i == 0 {
+            g(m);
+        } else {
+            if z != 1 {
+                w = 1;
+            } else {
+                w = --z;
+            }
+        }
+    }
+    return x + z;
+}
+
+def f(p, q) {
+    return p * q;
+}
+
+def g(m) {
+    return m[0, 0, 0];
+}
+";
+        let hir = crate::compile(src).unwrap();
+        assert_eq!(hir.to_string(), src);
+        assert_eq!(crate::compile(&hir.to_string()).unwrap(), hir);
     }
 
     #[test]
