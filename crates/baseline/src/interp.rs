@@ -19,7 +19,7 @@
 //!   which the [`crate::pr`] module combines with the loop analysis to model
 //!   the Pingali & Rogers static-compilation comparator of Figure 10.
 
-use pods_idlang::hir::walk;
+use pods_idlang::hir::{ExprId, List, StmtId};
 use pods_idlang::{
     analyze_loops, find_loop, HirExpr, HirFunction, HirNode, HirProgram, HirStmt, LoopInfo,
     LoopKey, Name, UnaryOp,
@@ -269,7 +269,7 @@ impl<'a> Interp<'a> {
         for (p, v) in function.params.iter().zip(args) {
             env.insert(p.clone(), v);
         }
-        let flow = self.exec_block(&function.name, &function.body, &mut env)?;
+        let flow = self.exec_block(&function.name, function.body, &mut env)?;
         self.depth -= 1;
         Ok(match flow {
             Flow::Return(v) => Some(v),
@@ -286,11 +286,11 @@ impl<'a> Interp<'a> {
     fn exec_block(
         &mut self,
         function: &str,
-        stmts: &[HirStmt],
+        stmts: List<StmtId>,
         env: &mut HashMap<Name, Value>,
     ) -> Result<Flow, BaselineError> {
         let mut loop_ordinal_iter = OrdinalTracker::at(0);
-        for stmt in stmts {
+        for stmt in self.hir.stmts(stmts) {
             match self.exec_stmt(function, stmt, env, &mut loop_ordinal_iter)? {
                 Flow::Normal => {}
                 Flow::Return(v) => return Ok(Flow::Return(v)),
@@ -302,7 +302,7 @@ impl<'a> Interp<'a> {
     fn exec_stmt(
         &mut self,
         function: &str,
-        stmt: &HirStmt,
+        stmt: StmtId,
         env: &mut HashMap<Name, Value>,
         ordinals: &mut OrdinalTracker,
     ) -> Result<Flow, BaselineError> {
@@ -310,16 +310,17 @@ impl<'a> Interp<'a> {
         if self.max_steps > 0 && self.steps > self.max_steps {
             return Err(BaselineError::step_limit(self.max_steps));
         }
-        match stmt {
+        let hir = self.hir;
+        match hir.stmt(stmt) {
             HirStmt::Let { name, value } => {
-                let v = self.eval(function, value, env)?;
+                let v = self.eval(function, *value, env)?;
                 self.charge(self.timing.memory_write);
                 env.insert(name.clone(), v);
                 Ok(Flow::Normal)
             }
             HirStmt::Alloc { name, dims } => {
                 let mut extents = Vec::new();
-                for d in dims {
+                for d in hir.exprs(*dims) {
                     let v = self.eval(function, d, env)?;
                     let n = v.as_i64().filter(|&n| n > 0).ok_or_else(|| {
                         BaselineError::Runtime(format!("bad dimension for `{name}`"))
@@ -343,8 +344,8 @@ impl<'a> Interp<'a> {
                 indices,
                 value,
             } => {
-                let v = self.eval(function, value, env)?;
-                let offset = self.element_offset(function, array, indices, env)?;
+                let v = self.eval(function, *value, env)?;
+                let offset = self.element_offset(function, array, *indices, env)?;
                 let id = self.array_id(array, env)?;
                 self.charge(self.timing.memory_write);
                 if let Some(nest) = self.current_nest() {
@@ -387,11 +388,11 @@ impl<'a> Interp<'a> {
                 }
 
                 let from_v = self
-                    .eval(function, from, env)?
+                    .eval(function, *from, env)?
                     .as_i64()
                     .ok_or_else(|| BaselineError::Runtime("non-integer loop bound".into()))?;
                 let to_v = self
-                    .eval(function, to, env)?
+                    .eval(function, *to, env)?
                     .as_i64()
                     .ok_or_else(|| BaselineError::Runtime("non-integer loop bound".into()))?;
                 let mut i = from_v;
@@ -404,7 +405,7 @@ impl<'a> Interp<'a> {
                     }
                     env.insert(var.clone(), Value::Int(i));
                     let mut inner_ordinals = OrdinalTracker::at(ordinals.next_counter);
-                    for stmt in body {
+                    for stmt in hir.stmts(*body) {
                         match self.exec_stmt(function, stmt, env, &mut inner_ordinals)? {
                             Flow::Normal => {}
                             Flow::Return(v) => return Ok(Flow::Return(v)),
@@ -431,7 +432,7 @@ impl<'a> Interp<'a> {
                 else_body,
             } => {
                 let c = self
-                    .eval(function, cond, env)?
+                    .eval(function, *cond, env)?
                     .as_bool()
                     .ok_or_else(|| BaselineError::Runtime("non-boolean condition".into()))?;
                 self.charge(self.timing.int_alu);
@@ -439,17 +440,17 @@ impl<'a> Interp<'a> {
                 // then the else-branch loops, regardless of which branch is
                 // taken.
                 let then_start = ordinals.next_counter;
-                let else_start = then_start + OrdinalTracker::count_loops(then_body);
-                let after = else_start + OrdinalTracker::count_loops(else_body);
+                let else_start = then_start + OrdinalTracker::count_loops(hir, *then_body);
+                let after = else_start + OrdinalTracker::count_loops(hir, *else_body);
                 let (body, start) = if c {
-                    (then_body, then_start)
+                    (*then_body, then_start)
                 } else {
-                    (else_body, else_start)
+                    (*else_body, else_start)
                 };
                 let mut env2 = env.clone();
                 let mut inner = OrdinalTracker::at(start);
                 let mut flow = Flow::Normal;
-                for stmt in body {
+                for stmt in hir.stmts(body) {
                     match self.exec_stmt(function, stmt, &mut env2, &mut inner)? {
                         Flow::Normal => {}
                         Flow::Return(v) => {
@@ -465,7 +466,7 @@ impl<'a> Interp<'a> {
                 Ok(flow)
             }
             HirStmt::Return { value } => {
-                let v = self.eval(function, value, env)?;
+                let v = self.eval(function, *value, env)?;
                 Ok(Flow::Return(v))
             }
             HirStmt::Call {
@@ -473,7 +474,7 @@ impl<'a> Interp<'a> {
                 args,
             } => {
                 let mut arg_values = Vec::new();
-                for a in args {
+                for a in hir.exprs(*args) {
                     arg_values.push(self.eval(function, a, env)?);
                 }
                 let f = self.function(callee)?;
@@ -494,11 +495,11 @@ impl<'a> Interp<'a> {
         &mut self,
         function: &str,
         array: &str,
-        indices: &[HirExpr],
+        indices: List<ExprId>,
         env: &mut HashMap<Name, Value>,
     ) -> Result<usize, BaselineError> {
         let mut idx = Vec::new();
-        for e in indices {
+        for e in self.hir.exprs(indices) {
             let v = self.eval(function, e, env)?;
             idx.push(v.as_i64().unwrap_or(-1));
         }
@@ -519,10 +520,11 @@ impl<'a> Interp<'a> {
     fn eval(
         &mut self,
         function: &str,
-        expr: &HirExpr,
+        expr: ExprId,
         env: &mut HashMap<Name, Value>,
     ) -> Result<Value, BaselineError> {
-        Ok(match expr {
+        let hir = self.hir;
+        Ok(match hir.expr(expr) {
             HirExpr::Int(v) => Value::Int(*v),
             HirExpr::Float(v) => Value::Float(*v),
             HirExpr::Bool(v) => Value::Bool(*v),
@@ -530,7 +532,7 @@ impl<'a> Interp<'a> {
                 .get(name.as_str())
                 .ok_or_else(|| BaselineError::Runtime(format!("unknown variable `{name}`")))?,
             HirExpr::Load { array, indices } => {
-                let offset = self.element_offset(function, array, indices, env)?;
+                let offset = self.element_offset(function, array, *indices, env)?;
                 let id = self.array_id(array, env)?;
                 self.charge(self.timing.memory_read);
                 if let Some(nest) = self.current_nest() {
@@ -543,7 +545,7 @@ impl<'a> Interp<'a> {
                 })?
             }
             HirExpr::Unary { op, operand } => {
-                let v = self.eval(function, operand, env)?;
+                let v = self.eval(function, *operand, env)?;
                 self.charge(
                     self.timing
                         .unary_op(*op, v.is_float() || float_producing(*op)),
@@ -551,8 +553,8 @@ impl<'a> Interp<'a> {
                 eval_unary(*op, v).map_err(|e| BaselineError::Runtime(e.to_string()))?
             }
             HirExpr::Binary { op, lhs, rhs } => {
-                let a = self.eval(function, lhs, env)?;
-                let b = self.eval(function, rhs, env)?;
+                let a = self.eval(function, *lhs, env)?;
+                let b = self.eval(function, *rhs, env)?;
                 self.charge(self.timing.binary_op(*op, a.is_float() || b.is_float()));
                 eval_binary(*op, a, b).map_err(|e| BaselineError::Runtime(e.to_string()))?
             }
@@ -561,7 +563,7 @@ impl<'a> Interp<'a> {
                 args,
             } => {
                 let mut arg_values = Vec::new();
-                for a in args {
+                for a in hir.exprs(*args) {
                     arg_values.push(self.eval(function, a, env)?);
                 }
                 let f = self.function(callee)?;
@@ -575,14 +577,14 @@ impl<'a> Interp<'a> {
                 else_value,
             } => {
                 let c = self
-                    .eval(function, cond, env)?
+                    .eval(function, *cond, env)?
                     .as_bool()
                     .ok_or_else(|| BaselineError::Runtime("non-boolean condition".into()))?;
                 self.charge(self.timing.int_alu);
                 if c {
-                    self.eval(function, then_value, env)?
+                    self.eval(function, *then_value, env)?
                 } else {
-                    self.eval(function, else_value, env)?
+                    self.eval(function, *else_value, env)?
                 }
             }
         })
@@ -620,9 +622,9 @@ impl OrdinalTracker {
 
     /// Number of loops (recursively) contained in a statement list,
     /// matching the preorder numbering of the loop analysis.
-    fn count_loops(stmts: &[HirStmt]) -> usize {
+    fn count_loops(hir: &HirProgram, stmts: List<StmtId>) -> usize {
         let mut loops = 0;
-        walk(stmts, &mut |node| {
+        hir.walk(stmts, &mut |node| {
             loops += usize::from(matches!(node, HirNode::Stmt(HirStmt::For { .. })));
         });
         loops

@@ -12,7 +12,7 @@
 
 use crate::graph::{BlockId, BlockKind, DataflowProgram, NodeId};
 use crate::op::{Literal, Operator};
-use pods_idlang::hir::collect_free_vars_stmts;
+use pods_idlang::hir::{ExprId, List, StmtId};
 use pods_idlang::{HirExpr, HirFunction, HirProgram, HirStmt, Name};
 use std::collections::HashMap;
 
@@ -20,14 +20,18 @@ use std::collections::HashMap;
 pub fn build_program(hir: &HirProgram) -> DataflowProgram {
     let mut program = DataflowProgram::new();
     for function in &hir.functions {
-        build_function(&mut program, function);
+        build_function(&mut program, hir, function);
     }
     program
 }
 
-/// Builds the dataflow graph of a single function (exposed for tests and
-/// tooling that work on fragments).
-pub fn build_function(program: &mut DataflowProgram, function: &HirFunction) -> BlockId {
+/// Builds the dataflow graph of a single function of `hir` (exposed for
+/// tests and tooling that work on fragments).
+pub fn build_function(
+    program: &mut DataflowProgram,
+    hir: &HirProgram,
+    function: &HirFunction,
+) -> BlockId {
     let block = program.add_block(
         function.name.clone(),
         BlockKind::FunctionBody {
@@ -36,6 +40,7 @@ pub fn build_function(program: &mut DataflowProgram, function: &HirFunction) -> 
         None,
     );
     let mut builder = BlockBuilder {
+        hir,
         program,
         block,
         env: HashMap::new(),
@@ -53,11 +58,12 @@ pub fn build_function(program: &mut DataflowProgram, function: &HirFunction) -> 
         );
         builder.env.insert(param.clone(), node);
     }
-    builder.build_stmts(&function.body);
+    builder.build_stmts(function.body);
     block
 }
 
 struct BlockBuilder<'a> {
+    hir: &'a HirProgram,
     program: &'a mut DataflowProgram,
     block: BlockId,
     /// Mapping from visible variable names to the node producing them.
@@ -85,20 +91,26 @@ impl BlockBuilder<'_> {
         node
     }
 
-    fn build_stmts(&mut self, stmts: &[HirStmt]) {
-        for stmt in stmts {
+    fn build_stmts(&mut self, stmts: List<StmtId>) {
+        for stmt in self.hir.stmts(stmts) {
             self.build_stmt(stmt);
         }
     }
 
-    fn build_stmt(&mut self, stmt: &HirStmt) {
-        match stmt {
+    /// Builds the expressions of `list`, in order.
+    fn build_exprs(&mut self, list: List<ExprId>) -> Vec<NodeId> {
+        self.hir.exprs(list).map(|e| self.build_expr(e)).collect()
+    }
+
+    fn build_stmt(&mut self, stmt: StmtId) {
+        let hir = self.hir;
+        match hir.stmt(stmt) {
             HirStmt::Let { name, value } => {
-                let node = self.build_expr(value);
+                let node = self.build_expr(*value);
                 self.env.insert(name.clone(), node);
             }
             HirStmt::Alloc { name, dims } => {
-                let dim_nodes: Vec<NodeId> = dims.iter().map(|d| self.build_expr(d)).collect();
+                let dim_nodes = self.build_exprs(*dims);
                 let node = self.add(
                     Operator::ArrayAllocate {
                         name: name.clone(),
@@ -116,11 +128,11 @@ impl BlockBuilder<'_> {
             } => {
                 let array_node = self.lookup(array);
                 let mut inputs = vec![array_node];
-                for idx in indices {
+                for idx in hir.exprs(*indices) {
                     let n = self.build_expr(idx);
                     inputs.push(n);
                 }
-                let v = self.build_expr(value);
+                let v = self.build_expr(*value);
                 inputs.push(v);
                 self.add(Operator::ArrayWrite, inputs);
             }
@@ -131,21 +143,21 @@ impl BlockBuilder<'_> {
                 descending,
                 body,
             } => {
-                self.build_loop(var, from, to, *descending, body);
+                self.build_loop(var, *from, *to, *descending, *body);
             }
             HirStmt::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                let cond_node = self.build_expr(cond);
+                let cond_node = self.build_expr(*cond);
                 let switch = self.add(Operator::Switch, vec![cond_node]);
                 // Build both arms in the same block. Values bound in the arms
                 // are merged so later statements observe a single definition.
                 let saved = self.env.clone();
-                self.build_stmts(then_body);
+                self.build_stmts(*then_body);
                 let then_env = std::mem::replace(&mut self.env, saved.clone());
-                self.build_stmts(else_body);
+                self.build_stmts(*else_body);
                 let else_env = std::mem::replace(&mut self.env, saved.clone());
                 let mut merged = saved;
                 for (name, then_node) in &then_env {
@@ -166,11 +178,11 @@ impl BlockBuilder<'_> {
                 self.env = merged;
             }
             HirStmt::Return { value } => {
-                let v = self.build_expr(value);
+                let v = self.build_expr(*value);
                 self.add(Operator::Return, vec![v]);
             }
             HirStmt::Call { function, args } => {
-                let arg_nodes: Vec<NodeId> = args.iter().map(|a| self.build_expr(a)).collect();
+                let arg_nodes = self.build_exprs(*args);
                 self.add(
                     Operator::Apply {
                         function: function.clone(),
@@ -184,10 +196,10 @@ impl BlockBuilder<'_> {
     fn build_loop(
         &mut self,
         var: &Name,
-        from: &HirExpr,
-        to: &HirExpr,
+        from: ExprId,
+        to: ExprId,
         descending: bool,
-        body: &[HirStmt],
+        body: List<StmtId>,
     ) {
         let ordinal = self.loop_counter;
         self.loop_counter += 1;
@@ -200,7 +212,7 @@ impl BlockBuilder<'_> {
         // Free variables of the body (other than the loop variable) are also
         // routed through the L operator.
         let mut free = Vec::new();
-        collect_free_vars_stmts(body, &mut free);
+        self.hir.collect_free_vars(body, &mut free);
         free.retain(|name| name != var);
 
         let child = self.program.add_block(
@@ -266,6 +278,7 @@ impl BlockBuilder<'_> {
 
         let loop_count = self.loop_counter;
         let mut child_builder = BlockBuilder {
+            hir: self.hir,
             program: self.program,
             block: child,
             env: child_env,
@@ -277,8 +290,9 @@ impl BlockBuilder<'_> {
         self.loop_counter = child_builder.loop_counter;
     }
 
-    fn build_expr(&mut self, expr: &HirExpr) -> NodeId {
-        match expr {
+    fn build_expr(&mut self, expr: ExprId) -> NodeId {
+        let hir = self.hir;
+        match hir.expr(expr) {
             HirExpr::Int(v) => self.add(Operator::Constant(Literal::Int(*v)), vec![]),
             HirExpr::Float(v) => self.add(Operator::Constant(Literal::Float(*v)), vec![]),
             HirExpr::Bool(v) => self.add(Operator::Constant(Literal::Bool(*v)), vec![]),
@@ -286,23 +300,23 @@ impl BlockBuilder<'_> {
             HirExpr::Load { array, indices } => {
                 let array_node = self.lookup(array);
                 let mut inputs = vec![array_node];
-                for idx in indices {
+                for idx in hir.exprs(*indices) {
                     let n = self.build_expr(idx);
                     inputs.push(n);
                 }
                 self.add(Operator::ArrayRead, inputs)
             }
             HirExpr::Unary { op, operand } => {
-                let o = self.build_expr(operand);
+                let o = self.build_expr(*operand);
                 self.add(Operator::Unary(*op), vec![o])
             }
             HirExpr::Binary { op, lhs, rhs } => {
-                let l = self.build_expr(lhs);
-                let r = self.build_expr(rhs);
+                let l = self.build_expr(*lhs);
+                let r = self.build_expr(*rhs);
                 self.add(Operator::Binary(*op), vec![l, r])
             }
             HirExpr::Call { function, args } => {
-                let arg_nodes: Vec<NodeId> = args.iter().map(|a| self.build_expr(a)).collect();
+                let arg_nodes = self.build_exprs(*args);
                 self.add(
                     Operator::Apply {
                         function: function.clone(),
@@ -315,10 +329,10 @@ impl BlockBuilder<'_> {
                 then_value,
                 else_value,
             } => {
-                let c = self.build_expr(cond);
+                let c = self.build_expr(*cond);
                 let switch = self.add(Operator::Switch, vec![c]);
-                let t = self.build_expr(then_value);
-                let e = self.build_expr(else_value);
+                let t = self.build_expr(*then_value);
+                let e = self.build_expr(*else_value);
                 self.add(Operator::Merge, vec![switch, t, e])
             }
         }
@@ -423,10 +437,14 @@ mod tests {
     fn free_variable_collection_skips_bound_names() {
         let src = "def main(n, a) { for i = 0 to n - 1 { t = i * 2; a[i] = t + n; } return a; }";
         let hir = compile(src).unwrap();
-        match &hir.function("main").unwrap().body[0] {
+        let first = hir
+            .stmts(hir.function("main").unwrap().body)
+            .next()
+            .unwrap();
+        match hir.stmt(first) {
             HirStmt::For { body, .. } => {
                 let mut free = Vec::new();
-                collect_free_vars_stmts(body, &mut free);
+                hir.collect_free_vars(*body, &mut free);
                 assert!(free.iter().any(|v| v == "a"));
                 assert!(free.iter().any(|v| v == "n"));
                 assert!(!free.iter().any(|v| v == "t"), "t is bound in the body");

@@ -9,7 +9,7 @@
 //! dependency cannot affect correctness, only performance, because the
 //! I-structure memory still synchronises every read with its write.
 
-use crate::hir::{walk, HirExpr, HirNode, HirProgram, HirStmt};
+use crate::hir::{ExprId, HirExpr, HirNode, HirProgram, HirStmt, List, StmtId};
 use crate::name::Name;
 
 /// Identifies a loop level across the compilation pipeline: the enclosing
@@ -86,8 +86,9 @@ pub fn analyze_loops(hir: &HirProgram) -> Vec<LoopInfo> {
     for function in &hir.functions {
         let mut counter = 0usize;
         analyze_block(
+            hir,
             &function.name,
-            &function.body,
+            function.body,
             None,
             0,
             &mut counter,
@@ -109,15 +110,16 @@ pub fn find_loop<'a>(
 }
 
 fn analyze_block(
+    hir: &HirProgram,
     function: &Name,
-    stmts: &[HirStmt],
+    stmts: List<StmtId>,
     parent: Option<usize>,
     depth: usize,
     counter: &mut usize,
     out: &mut Vec<LoopInfo>,
 ) {
-    for stmt in stmts {
-        match stmt {
+    for id in hir.stmts(stmts) {
+        match hir.stmt(id) {
             HirStmt::For {
                 var,
                 descending,
@@ -128,9 +130,9 @@ fn analyze_block(
                 *counter += 1;
 
                 let mut writes = Vec::new();
-                collect_writes(body, var, &mut writes);
-                let has_lcd = detect_lcd(body, var, &writes);
-                let escapes_to_call = detect_escape(body, &writes);
+                collect_writes(hir, *body, var, &mut writes);
+                let has_lcd = detect_lcd(hir, *body, var, &writes);
+                let escapes_to_call = detect_escape(hir, *body, &writes);
 
                 out.push(LoopInfo {
                     key: LoopKey {
@@ -146,31 +148,34 @@ fn analyze_block(
                     escapes_to_call,
                 });
 
-                analyze_block(function, body, Some(ordinal), depth + 1, counter, out);
+                analyze_block(hir, function, *body, Some(ordinal), depth + 1, counter, out);
             }
             HirStmt::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                analyze_block(function, then_body, parent, depth, counter, out);
-                analyze_block(function, else_body, parent, depth, counter, out);
+                analyze_block(hir, function, *then_body, parent, depth, counter, out);
+                analyze_block(hir, function, *else_body, parent, depth, counter, out);
             }
             _ => {}
         }
     }
 }
 
+/// `true` when expression `id` is exactly the variable `var`.
+fn is_var(hir: &HirProgram, id: ExprId, var: &str) -> bool {
+    matches!(hir.expr(id), HirExpr::Var(name) if name == var)
+}
+
 /// Collects every array written in `stmts` (recursively) together with the
 /// dimension indexed by `var`, if any.
-fn collect_writes(stmts: &[HirStmt], var: &str, out: &mut Vec<WriteAccess>) {
-    walk(stmts, &mut |node| {
+fn collect_writes(hir: &HirProgram, stmts: List<StmtId>, var: &str, out: &mut Vec<WriteAccess>) {
+    hir.walk(stmts, &mut |node| {
         let HirNode::Stmt(HirStmt::Store { array, indices, .. }) = node else {
             return;
         };
-        let var_dim = indices
-            .iter()
-            .position(|idx| matches!(idx, HirExpr::Var(name) if name == var));
+        let var_dim = hir.exprs(*indices).position(|idx| is_var(hir, idx, var));
         if let Some(existing) = out.iter_mut().find(|w| &w.array == array) {
             if existing.var_dim.is_none() {
                 existing.var_dim = var_dim;
@@ -188,7 +193,7 @@ fn collect_writes(stmts: &[HirStmt], var: &str, out: &mut Vec<WriteAccess>) {
 /// array is written at `var` along dimension `p` and read along dimension `p`
 /// with an index expression that is not exactly `var` (e.g. `var - 1`, a
 /// constant, or another variable).
-fn detect_lcd(stmts: &[HirStmt], var: &str, writes: &[WriteAccess]) -> bool {
+fn detect_lcd(hir: &HirProgram, stmts: List<StmtId>, var: &str, writes: &[WriteAccess]) -> bool {
     writes.iter().any(|write| {
         let Some(dim) = write.var_dim else {
             // The loop variable does not index this array's writes; every
@@ -198,9 +203,12 @@ fn detect_lcd(stmts: &[HirStmt], var: &str, writes: &[WriteAccess]) -> bool {
             return false;
         };
         let mut lcd = false;
-        walk(stmts, &mut |node| {
+        hir.walk(stmts, &mut |node| {
             if let HirNode::Expr(HirExpr::Load { array, indices }) = node {
-                let at_var = matches!(indices.get(dim), Some(HirExpr::Var(name)) if name == var);
+                let at_var = hir
+                    .exprs(*indices)
+                    .nth(dim)
+                    .is_some_and(|idx| is_var(hir, idx, var));
                 lcd |= array == &write.array && !at_var;
             }
         });
@@ -210,17 +218,17 @@ fn detect_lcd(stmts: &[HirStmt], var: &str, writes: &[WriteAccess]) -> bool {
 
 /// Detects whether an array written in the loop body is also passed to a
 /// user-function call inside the body.
-fn detect_escape(stmts: &[HirStmt], writes: &[WriteAccess]) -> bool {
-    let written = |arg: &HirExpr| match arg {
+fn detect_escape(hir: &HirProgram, stmts: List<StmtId>, writes: &[WriteAccess]) -> bool {
+    let written = |arg: ExprId| match hir.expr(arg) {
         HirExpr::Var(name) => writes.iter().any(|w| &w.array == name),
         _ => false,
     };
     let mut escapes = false;
-    walk(stmts, &mut |node| {
+    hir.walk(stmts, &mut |node| {
         if let HirNode::Stmt(HirStmt::Call { args, .. })
         | HirNode::Expr(HirExpr::Call { args, .. }) = node
         {
-            escapes |= args.iter().any(written);
+            escapes |= hir.exprs(*args).any(written);
         }
     });
     escapes

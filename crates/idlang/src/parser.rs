@@ -3,36 +3,71 @@
 //! The parser builds the [`HirProgram`] itself, turning a call of a
 //! built-in of the right arity into its operator; a call of a built-in with
 //! the wrong arity stays a [`HirExpr::Call`], which [`crate::sema`]
-//! reports. The HIR carries no spans: they live beside it, in [`Spans`].
+//! reports. A node goes into its program's pool once its children are
+//! parsed, so children get lower ids than their parent. The ids of an
+//! open list (a block's statements, a call's arguments, a `Load`'s
+//! indices) wait on one scratch stack, shared by every open list, innermost
+//! last, and are copied into the program's id pool when the list closes:
+//! parsing allocates per pool, not per node. The HIR carries no spans:
+//! they live beside it, in [`Spans`], indexed by the same ids.
 
 use crate::error::CompileError;
 use crate::hir::{
-    BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, UnaryOp, BINARY_BUILTINS, UNARY_BUILTINS,
+    BinaryOp, ExprId, HirExpr, HirFunction, HirProgram, HirStmt, List, StmtId, UnaryOp,
+    BINARY_BUILTINS, UNARY_BUILTINS,
 };
 use crate::lexer::Lexer;
 use crate::name::Name;
 use crate::token::{Span, Token, TokenKind};
 
-/// The source spans of a parsed program, kept beside its HIR: each
-/// function's `def` span, and one span per statement and per `Var`, `Load`
-/// and `Call` expression, in preorder — a node before its children, the
-/// children in source order — which is the order [`crate::sema`] walks the
-/// HIR in. Operator nodes have none, since no diagnostic points at one.
+/// A source span as the span tables keep it, in twelve bytes; it is
+/// widened to a [`Span`] only when a diagnostic reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PackedSpan {
+    start: u32,
+    end: u32,
+    line: u32,
+}
+
+impl PackedSpan {
+    fn new(span: Span) -> Self {
+        let narrow = |offset: usize| u32::try_from(offset).unwrap_or(u32::MAX);
+        PackedSpan {
+            start: narrow(span.start),
+            end: narrow(span.end),
+            line: span.line,
+        }
+    }
+
+    fn widen(self) -> Span {
+        Span::new(self.start as usize, self.end as usize, self.line)
+    }
+}
+
+/// The source spans of a parsed program, kept beside its HIR and indexed
+/// like its pools: one per expression (by [`ExprId`]), one per statement
+/// (by [`StmtId`]), and each function's `def` span (by its index).
 #[derive(Debug, Default)]
 pub(crate) struct Spans {
-    /// Per function, in source order: its `def` span and the end of its
-    /// node spans in `nodes`.
-    functions: Vec<(Span, usize)>,
-    /// The node spans of every function, function after function.
-    nodes: Vec<Span>,
+    functions: Vec<PackedSpan>,
+    exprs: Vec<PackedSpan>,
+    stmts: Vec<PackedSpan>,
 }
 
 impl Spans {
-    /// Function `index`'s `def` span and its node spans in preorder.
-    pub(crate) fn function(&self, index: usize) -> (Span, &[Span]) {
-        let (def, end) = self.functions[index];
-        let start = index.checked_sub(1).map_or(0, |i| self.functions[i].1);
-        (def, &self.nodes[start..end])
+    /// Function `index`'s `def` span.
+    pub(crate) fn function(&self, index: usize) -> Span {
+        self.functions[index].widen()
+    }
+
+    /// The span of expression `id`.
+    pub(crate) fn expr(&self, id: ExprId) -> Span {
+        self.exprs[id.index()].widen()
+    }
+
+    /// The span of statement `id`.
+    pub(crate) fn stmt(&self, id: StmtId) -> Span {
+        self.stmts[id.index()].widen()
     }
 }
 
@@ -53,7 +88,7 @@ pub(crate) fn parse(source: &str) -> Result<(HirProgram, Spans), CompileError> {
     }
     match parser.lex_error.take() {
         Some(e) => Err(e),
-        None => parsed.map(|program| (program, parser.spans)),
+        None => parsed.map(|()| (parser.program, parser.spans)),
     }
 }
 
@@ -66,7 +101,10 @@ struct Parser<'a> {
     /// The lexer's error, if it failed: the stream reads as ended from
     /// there, and [`parse`] reports this error.
     lex_error: Option<CompileError>,
+    program: HirProgram,
     spans: Spans,
+    /// The child ids of the lists being parsed, innermost last.
+    open: Vec<u32>,
 }
 
 impl<'a> Parser<'a> {
@@ -79,7 +117,9 @@ impl<'a> Parser<'a> {
             lexer,
             window: [eof.clone(), eof],
             lex_error: None,
+            program: HirProgram::default(),
             spans: Spans::default(),
+            open: Vec::new(),
         };
         parser.window = [parser.pull(), parser.pull()];
         parser
@@ -161,19 +201,39 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Reserves the span slot of a node whose span is known only once its
-    /// children, whose spans follow it, are parsed.
-    fn reserve_span(&mut self) -> usize {
-        self.spans.nodes.push(Span::default());
-        self.spans.nodes.len() - 1
+    /// Adds an expression and its span.
+    fn expr_node(&mut self, expr: HirExpr, span: Span) -> ExprId {
+        self.spans.exprs.push(PackedSpan::new(span));
+        self.program.add_expr(expr)
     }
 
-    fn program(&mut self) -> Result<HirProgram, CompileError> {
-        let mut functions = Vec::new();
+    /// Adds a statement and its span.
+    fn stmt_node(&mut self, stmt: HirStmt, span: Span) -> StmtId {
+        self.spans.stmts.push(PackedSpan::new(span));
+        self.program.add_stmt(stmt)
+    }
+
+    /// The span from the start of expression `first` to the end of `last`.
+    fn covering(&self, first: ExprId, last: ExprId) -> Span {
+        self.spans.expr(first).merge(self.spans.expr(last))
+    }
+
+    /// Takes the last argument off the scratch stack as an operand.
+    fn pop_operand(&mut self) -> ExprId {
+        ExprId(self.open.pop().expect("a parsed argument"))
+    }
+
+    /// Closes the list whose ids sit on the scratch stack above `mark`.
+    fn close_list<T>(&mut self, mark: usize) -> List<T> {
+        self.program.add_list(self.open.drain(mark..))
+    }
+
+    fn program(&mut self) -> Result<(), CompileError> {
         while !self.at(&TokenKind::Eof) {
-            functions.push(self.function()?);
+            let function = self.function()?;
+            self.program.functions.push(function);
         }
-        Ok(HirProgram { functions })
+        Ok(())
     }
 
     fn function(&mut self) -> Result<HirFunction, CompileError> {
@@ -192,14 +252,14 @@ impl<'a> Parser<'a> {
         }
         self.expect(TokenKind::RParen)?;
         let body = self.block()?;
-        let end = self.spans.nodes.len();
-        self.spans.functions.push((def.span.merge(name_span), end));
+        let def = PackedSpan::new(def.span.merge(name_span));
+        self.spans.functions.push(def);
         Ok(HirFunction { name, params, body })
     }
 
-    fn block(&mut self) -> Result<Vec<HirStmt>, CompileError> {
+    fn block(&mut self) -> Result<List<StmtId>, CompileError> {
         self.expect(TokenKind::LBrace)?;
-        let mut stmts = Vec::new();
+        let mark = self.open.len();
         while !self.at(&TokenKind::RBrace) {
             if self.at(&TokenKind::Eof) {
                 return Err(CompileError::parse(
@@ -207,14 +267,14 @@ impl<'a> Parser<'a> {
                     self.peek().span,
                 ));
             }
-            stmts.push(self.statement()?);
+            let stmt = self.statement()?;
+            self.open.push(stmt.0);
         }
         self.expect(TokenKind::RBrace)?;
-        Ok(stmts)
+        Ok(self.close_list(mark))
     }
 
-    fn statement(&mut self) -> Result<HirStmt, CompileError> {
-        let slot = self.reserve_span();
+    fn statement(&mut self) -> Result<StmtId, CompileError> {
         let (stmt, span) = match self.peek_kind().clone() {
             TokenKind::For => self.for_stmt()?,
             TokenKind::If => self.if_stmt()?,
@@ -236,8 +296,7 @@ impl<'a> Parser<'a> {
                 ))
             }
         };
-        self.spans.nodes[slot] = span;
-        Ok(stmt)
+        Ok(self.stmt_node(stmt, span))
     }
 
     /// Parses `name = expr;`, `name = array(...);`, `name[...] = expr;`, or a
@@ -245,7 +304,8 @@ impl<'a> Parser<'a> {
     fn binding_stmt(&mut self) -> Result<(HirStmt, Span), CompileError> {
         let (name, start) = self.expect_ident()?;
         if self.at(&TokenKind::LParen) {
-            let (args, _) = self.list(TokenKind::LParen, TokenKind::RParen, true)?;
+            let (mark, _) = self.list(TokenKind::LParen, TokenKind::RParen, true)?;
+            let args = self.close_list(mark);
             let end = self.expect(TokenKind::Semicolon)?.span;
             let call = HirStmt::Call {
                 function: name,
@@ -254,7 +314,8 @@ impl<'a> Parser<'a> {
             return Ok((call, start.merge(end)));
         }
         if self.at(&TokenKind::LBracket) {
-            let (indices, _) = self.list(TokenKind::LBracket, TokenKind::RBracket, false)?;
+            let (mark, _) = self.list(TokenKind::LBracket, TokenKind::RBracket, false)?;
+            let indices = self.close_list(mark);
             self.expect(TokenKind::Assign)?;
             let value = self.expr()?;
             let end = self.expect(TokenKind::Semicolon)?.span;
@@ -272,7 +333,8 @@ impl<'a> Parser<'a> {
                 && *self.peek2_kind() == TokenKind::LParen
             {
                 self.bump(); // callee
-                let (dims, _) = self.list(TokenKind::LParen, TokenKind::RParen, false)?;
+                let (mark, _) = self.list(TokenKind::LParen, TokenKind::RParen, false)?;
+                let dims = self.close_list::<ExprId>(mark);
                 let end = self.expect(TokenKind::Semicolon)?.span;
                 // `tensor` is the rank-3-and-up form: nothing after the
                 // parser depends on a maximum rank.
@@ -298,26 +360,29 @@ impl<'a> Parser<'a> {
         Ok((HirStmt::Let { name, value }, start.merge(end)))
     }
 
-    /// Parses `open`, then expressions separated by commas, then `close`,
-    /// returning the expressions and the span of `close`.
+    /// Parses `open`, then expressions separated by commas, then `close`.
+    /// The expressions' ids are left on the scratch stack above the
+    /// returned mark, for the caller to close as a list or take as
+    /// operands; the span returned is that of `close`.
     fn list(
         &mut self,
         open: TokenKind,
         close: TokenKind,
         may_be_empty: bool,
-    ) -> Result<(Vec<HirExpr>, Span), CompileError> {
+    ) -> Result<(usize, Span), CompileError> {
         self.expect(open)?;
-        let mut items = Vec::new();
+        let mark = self.open.len();
         if !(may_be_empty && self.at(&close)) {
             loop {
-                items.push(self.expr()?);
+                let item = self.expr()?;
+                self.open.push(item.0);
                 if !self.eat(&TokenKind::Comma) {
                     break;
                 }
             }
         }
         let end = self.expect(close)?.span;
-        Ok((items, end))
+        Ok((mark, end))
     }
 
     fn for_stmt(&mut self) -> Result<(HirStmt, Span), CompileError> {
@@ -357,12 +422,13 @@ impl<'a> Parser<'a> {
         let else_body = if self.eat(&TokenKind::Else) {
             if self.at(&TokenKind::If) {
                 // `else if` chains desugar into a nested if statement.
-                vec![self.statement()?]
+                let nested = self.statement()?;
+                self.program.add_stmts([nested])
             } else {
                 self.block()?
             }
         } else {
-            Vec::new()
+            List::EMPTY
         };
         let stmt = HirStmt::If {
             cond,
@@ -374,47 +440,66 @@ impl<'a> Parser<'a> {
 
     // ----- expressions (precedence climbing) -----
 
-    fn expr(&mut self) -> Result<HirExpr, CompileError> {
-        if self.eat(&TokenKind::If) {
+    fn expr(&mut self) -> Result<ExprId, CompileError> {
+        if self.at(&TokenKind::If) {
             // Conditional expression: `if c then a else b`.
+            let start = self.bump().span;
             let cond = self.expr()?;
             self.expect(TokenKind::Then)?;
             let then_value = self.expr()?;
             self.expect(TokenKind::Else)?;
             let else_value = self.expr()?;
-            return Ok(HirExpr::Select {
-                cond: Box::new(cond),
-                then_value: Box::new(then_value),
-                else_value: Box::new(else_value),
-            });
+            let span = start.merge(self.spans.expr(else_value));
+            let select = HirExpr::Select {
+                cond,
+                then_value,
+                else_value,
+            };
+            return Ok(self.expr_node(select, span));
         }
         self.or_expr()
     }
 
-    fn or_expr(&mut self) -> Result<HirExpr, CompileError> {
+    /// Adds `lhs op rhs`.
+    fn binary(&mut self, op: BinaryOp, lhs: ExprId, rhs: ExprId) -> ExprId {
+        let span = self.covering(lhs, rhs);
+        self.expr_node(HirExpr::Binary { op, lhs, rhs }, span)
+    }
+
+    /// Adds `op operand`, the operator spanning `start`.
+    fn unary(&mut self, op: UnaryOp, start: Span, operand: ExprId) -> ExprId {
+        let span = start.merge(self.spans.expr(operand));
+        self.expr_node(HirExpr::Unary { op, operand }, span)
+    }
+
+    fn or_expr(&mut self) -> Result<ExprId, CompileError> {
         let mut lhs = self.and_expr()?;
         while self.eat(&TokenKind::Or) {
-            lhs = binary(BinaryOp::Or, lhs, self.and_expr()?);
+            let rhs = self.and_expr()?;
+            lhs = self.binary(BinaryOp::Or, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<HirExpr, CompileError> {
+    fn and_expr(&mut self) -> Result<ExprId, CompileError> {
         let mut lhs = self.not_expr()?;
         while self.eat(&TokenKind::And) {
-            lhs = binary(BinaryOp::And, lhs, self.not_expr()?);
+            let rhs = self.not_expr()?;
+            lhs = self.binary(BinaryOp::And, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn not_expr(&mut self) -> Result<HirExpr, CompileError> {
-        if self.eat(&TokenKind::Not) {
-            return Ok(unary(UnaryOp::Not, self.not_expr()?));
+    fn not_expr(&mut self) -> Result<ExprId, CompileError> {
+        if self.at(&TokenKind::Not) {
+            let start = self.bump().span;
+            let operand = self.not_expr()?;
+            return Ok(self.unary(UnaryOp::Not, start, operand));
         }
         self.comparison()
     }
 
-    fn comparison(&mut self) -> Result<HirExpr, CompileError> {
+    fn comparison(&mut self) -> Result<ExprId, CompileError> {
         let lhs = self.additive()?;
         let op = match self.peek_kind() {
             TokenKind::Eq => BinaryOp::Eq,
@@ -426,10 +511,11 @@ impl<'a> Parser<'a> {
             _ => return Ok(lhs),
         };
         self.bump();
-        Ok(binary(op, lhs, self.additive()?))
+        let rhs = self.additive()?;
+        Ok(self.binary(op, lhs, rhs))
     }
 
-    fn additive(&mut self) -> Result<HirExpr, CompileError> {
+    fn additive(&mut self) -> Result<ExprId, CompileError> {
         let mut lhs = self.multiplicative()?;
         loop {
             let op = match self.peek_kind() {
@@ -438,12 +524,13 @@ impl<'a> Parser<'a> {
                 _ => return Ok(lhs),
             };
             self.bump();
-            lhs = binary(op, lhs, self.multiplicative()?);
+            let rhs = self.multiplicative()?;
+            lhs = self.binary(op, lhs, rhs);
         }
     }
 
-    fn multiplicative(&mut self) -> Result<HirExpr, CompileError> {
-        let mut lhs = self.unary()?;
+    fn multiplicative(&mut self) -> Result<ExprId, CompileError> {
+        let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek_kind() {
                 TokenKind::Star => BinaryOp::Mul,
@@ -452,90 +539,80 @@ impl<'a> Parser<'a> {
                 _ => return Ok(lhs),
             };
             self.bump();
-            lhs = binary(op, lhs, self.unary()?);
+            let rhs = self.unary_expr()?;
+            lhs = self.binary(op, lhs, rhs);
         }
     }
 
-    fn unary(&mut self) -> Result<HirExpr, CompileError> {
-        if self.eat(&TokenKind::Minus) {
-            return Ok(unary(UnaryOp::Neg, self.unary()?));
+    fn unary_expr(&mut self) -> Result<ExprId, CompileError> {
+        if self.at(&TokenKind::Minus) {
+            let start = self.bump().span;
+            let operand = self.unary_expr()?;
+            return Ok(self.unary(UnaryOp::Neg, start, operand));
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<HirExpr, CompileError> {
+    fn primary(&mut self) -> Result<ExprId, CompileError> {
         let token = self.bump();
-        match token.kind {
-            TokenKind::Int(v) => Ok(HirExpr::Int(v)),
-            TokenKind::Float(v) => Ok(HirExpr::Float(v)),
-            TokenKind::True => Ok(HirExpr::Bool(true)),
-            TokenKind::False => Ok(HirExpr::Bool(false)),
+        let literal = match token.kind {
+            TokenKind::Int(v) => HirExpr::Int(v),
+            TokenKind::Float(v) => HirExpr::Float(v),
+            TokenKind::True => HirExpr::Bool(true),
+            TokenKind::False => HirExpr::Bool(false),
             TokenKind::LParen => {
                 let e = self.expr()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            TokenKind::Ident(name) if self.at(&TokenKind::LParen) => self.call(name, token.span),
+            TokenKind::Ident(name) if self.at(&TokenKind::LParen) => {
+                return self.call(name, token.span)
+            }
             TokenKind::Ident(array) if self.at(&TokenKind::LBracket) => {
-                let slot = self.reserve_span();
-                let (indices, end) = self.list(TokenKind::LBracket, TokenKind::RBracket, false)?;
-                self.spans.nodes[slot] = token.span.merge(end);
-                Ok(HirExpr::Load { array, indices })
+                let (mark, end) = self.list(TokenKind::LBracket, TokenKind::RBracket, false)?;
+                let indices = self.close_list(mark);
+                let load = HirExpr::Load { array, indices };
+                return Ok(self.expr_node(load, token.span.merge(end)));
             }
-            TokenKind::Ident(name) => {
-                self.spans.nodes.push(token.span);
-                Ok(HirExpr::Var(name))
+            TokenKind::Ident(name) => HirExpr::Var(name),
+            other => {
+                return Err(CompileError::parse(
+                    format!("expected an expression, found {}", other.describe()),
+                    token.span,
+                ))
             }
-            other => Err(CompileError::parse(
-                format!("expected an expression, found {}", other.describe()),
-                token.span,
-            )),
-        }
+        };
+        Ok(self.expr_node(literal, token.span))
     }
 
     /// Parses the arguments of a call of `function`, whose name spans
-    /// `start`. A built-in of the right arity becomes its operator, which
-    /// has no span; anything else stays a call.
-    fn call(&mut self, function: Name, start: Span) -> Result<HirExpr, CompileError> {
+    /// `start`. A built-in of the right arity becomes its operator, its
+    /// arguments the operands; anything else stays a call.
+    fn call(&mut self, function: Name, start: Span) -> Result<ExprId, CompileError> {
         let unary_op = UNARY_BUILTINS.iter().find(|(n, _)| *n == function);
         let binary_op = BINARY_BUILTINS.iter().find(|(n, _)| *n == function);
-        let builtin = unary_op.is_some() || binary_op.is_some();
-        let slot = self.spans.nodes.len();
-        if !builtin {
-            self.reserve_span();
-        }
-        let (mut args, end) = self.list(TokenKind::LParen, TokenKind::RParen, true)?;
-        match (unary_op, binary_op, args.len()) {
-            (Some(&(_, op)), _, 1) => return Ok(unary(op, args.pop().expect("one argument"))),
+        let (mark, end) = self.list(TokenKind::LParen, TokenKind::RParen, true)?;
+        let call = match (unary_op, binary_op, self.open.len() - mark) {
+            (Some(&(_, op)), _, 1) => HirExpr::Unary {
+                op,
+                operand: self.pop_operand(),
+            },
             (_, Some(&(_, op)), 2) => {
-                let rhs = args.pop().expect("two arguments");
-                return Ok(binary(op, args.pop().expect("two arguments"), rhs));
+                let rhs = self.pop_operand();
+                HirExpr::Binary {
+                    op,
+                    lhs: self.pop_operand(),
+                    rhs,
+                }
             }
-            _ => {}
-        }
-        let span = start.merge(end);
-        if builtin {
-            // A built-in of the wrong arity: `sema` reports it at this span.
-            self.spans.nodes.insert(slot, span);
-        } else {
-            self.spans.nodes[slot] = span;
-        }
-        Ok(HirExpr::Call { function, args })
-    }
-}
-
-fn unary(op: UnaryOp, operand: HirExpr) -> HirExpr {
-    HirExpr::Unary {
-        op,
-        operand: Box::new(operand),
-    }
-}
-
-fn binary(op: BinaryOp, lhs: HirExpr, rhs: HirExpr) -> HirExpr {
-    HirExpr::Binary {
-        op,
-        lhs: Box::new(lhs),
-        rhs: Box::new(rhs),
+            // Anything else, a built-in of the wrong arity included: `sema`
+            // reports that at this call's span.
+            _ => HirExpr::Call {
+                function,
+                args: self.close_list(mark),
+            },
+        };
+        Ok(self.expr_node(call, start.merge(end)))
     }
 }
 
@@ -547,8 +624,17 @@ mod tests {
         parse(src).unwrap().0
     }
 
-    fn main_body(program: &HirProgram) -> &[HirStmt] {
-        &program.function("main").unwrap().body
+    fn main_body(program: &HirProgram) -> Vec<&HirStmt> {
+        let body = program.function("main").unwrap().body;
+        program.stmts(body).map(|id| program.stmt(id)).collect()
+    }
+
+    /// The value a `let` or `return` statement computes.
+    fn value<'a>(program: &'a HirProgram, stmt: &HirStmt) -> &'a HirExpr {
+        match stmt {
+            HirStmt::Let { value, .. } | HirStmt::Return { value } => program.expr(*value),
+            other => panic!("no value in {other:?}"),
+        }
     }
 
     #[test]
@@ -572,9 +658,9 @@ mod tests {
         assert_eq!(program.functions.len(), 2);
         let main = main_body(&program);
         assert_eq!(main.len(), 3);
-        assert!(matches!(&main[0], HirStmt::Alloc { dims, .. } if dims.len() == 2));
+        assert!(matches!(main[0], HirStmt::Alloc { dims, .. } if dims.len() == 2));
         assert!(matches!(
-            &main[1],
+            main[1],
             HirStmt::For {
                 descending: false,
                 ..
@@ -583,37 +669,53 @@ mod tests {
     }
 
     #[test]
-    fn records_a_span_per_statement_variable_load_and_call_in_preorder() {
+    fn records_a_span_per_node_indexed_by_its_id() {
         let src =
             "def main(a) {\n  x = -a[1] + f(a, 2) * 3;\n  return x;\n}\ndef f(p, q) { return p; }";
-        let (_, spans) = parse(src).unwrap();
-        let (def, nodes) = spans.function(0);
-        assert_eq!((def.start, def.end), (0, 8));
-        let text: Vec<&str> = nodes.iter().map(|s| &src[s.start..s.end]).collect();
+        let (program, spans) = parse(src).unwrap();
+        let text = |span: Span| &src[span.start..span.end];
+        assert_eq!(text(spans.function(0)), "def main");
+        assert_eq!(text(spans.function(1)), "def f");
+        let [exprs, stmts, _] = program.pool_lens();
+        let exprs: Vec<&str> = (0..exprs as u32)
+            .map(|id| text(spans.expr(ExprId(id))))
+            .collect();
         assert_eq!(
-            text,
+            exprs,
             [
-                "x = -a[1] + f(a, 2) * 3;",
+                "1",
                 "a[1]",
-                "f(a, 2)",
+                "-a[1]",
                 "a",
-                "return x;",
-                "x"
+                "2",
+                "f(a, 2)",
+                "3",
+                "f(a, 2) * 3",
+                "-a[1] + f(a, 2) * 3",
+                "x",
+                "p"
             ]
         );
-        let (def, nodes) = spans.function(1);
-        let text: Vec<&str> = nodes.iter().map(|s| &src[s.start..s.end]).collect();
+        let stmts: Vec<&str> = (0..stmts as u32)
+            .map(|id| text(spans.stmt(StmtId(id))))
+            .collect();
         assert_eq!(
-            (&src[def.start..def.end], text),
-            ("def f", vec!["return p;", "p"])
+            stmts,
+            ["x = -a[1] + f(a, 2) * 3;", "return x;", "return p;"]
         );
+        assert_eq!(spans.stmt(StmtId(1)).line, 3);
+    }
+
+    #[test]
+    fn packed_spans_are_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<PackedSpan>(), 12);
     }
 
     #[test]
     fn parses_descending_loops() {
         let p = parse_ok("def main() { for i = 9 downto 0 { x = i; } return 0; }");
         assert!(matches!(
-            &main_body(&p)[0],
+            main_body(&p)[0],
             HirStmt::For {
                 descending: true,
                 ..
@@ -624,23 +726,19 @@ mod tests {
     #[test]
     fn operator_precedence_is_conventional() {
         let p = parse_ok("def main() { x = 1 + 2 * 3; return x; }");
-        match &main_body(&p)[0] {
-            HirStmt::Let {
-                value:
-                    HirExpr::Binary {
-                        op: BinaryOp::Add,
-                        rhs,
-                        ..
-                    },
+        match value(&p, main_body(&p)[0]) {
+            HirExpr::Binary {
+                op: BinaryOp::Add,
+                rhs,
                 ..
             } => assert!(matches!(
-                **rhs,
+                p.expr(*rhs),
                 HirExpr::Binary {
                     op: BinaryOp::Mul,
                     ..
                 }
             )),
-            other => panic!("expected a let of a sum, got {other:?}"),
+            other => panic!("expected a sum, got {other:?}"),
         }
     }
 
@@ -661,17 +759,12 @@ mod tests {
         "#;
         let p = parse_ok(src);
         let body = main_body(&p);
-        assert!(matches!(
-            &body[0],
-            HirStmt::Let {
-                value: HirExpr::Select { .. },
-                ..
-            }
-        ));
-        match &body[1] {
+        assert!(matches!(value(&p, body[0]), HirExpr::Select { .. }));
+        match body[1] {
             HirStmt::If { else_body, .. } => {
                 assert_eq!(else_body.len(), 1);
-                assert!(matches!(&else_body[0], HirStmt::If { .. }));
+                let nested = p.stmts(*else_body).next().unwrap();
+                assert!(matches!(p.stmt(nested), HirStmt::If { .. }));
             }
             other => panic!("expected if, got {other:?}"),
         }
@@ -686,10 +779,10 @@ mod tests {
     #[test]
     fn parses_tensor_allocations() {
         let p = parse_ok("def main() { t = tensor(2, 3, 4); t[0, 1, 2] = 5.0; return t; }");
-        assert!(matches!(&main_body(&p)[0], HirStmt::Alloc { dims, .. } if dims.len() == 3));
+        assert!(matches!(main_body(&p)[0], HirStmt::Alloc { dims, .. } if dims.len() == 3));
         let p =
             parse_ok("def main() { t = tensor(2, 2, 2, 2, 3); t[1, 0, 1, 1, 2] = 5; return t; }");
-        assert!(matches!(&main_body(&p)[0], HirStmt::Alloc { dims, .. } if dims.len() == 5));
+        assert!(matches!(main_body(&p)[0], HirStmt::Alloc { dims, .. } if dims.len() == 5));
     }
 
     #[test]
@@ -710,11 +803,8 @@ mod tests {
     #[test]
     fn call_with_no_arguments() {
         let p = parse_ok("def main() { x = g(); return x; } def g() { return 1; }");
-        match &main_body(&p)[0] {
-            HirStmt::Let {
-                value: HirExpr::Call { args, .. },
-                ..
-            } => assert!(args.is_empty()),
+        match value(&p, main_body(&p)[0]) {
+            HirExpr::Call { args, .. } => assert!(args.is_empty()),
             other => panic!("expected call, got {other:?}"),
         }
     }
@@ -729,21 +819,17 @@ mod tests {
     #[test]
     fn builtin_calls_of_the_wrong_arity_stay_calls() {
         let p = parse_ok("def main(x) { a = sqrt(x); return min(x); }");
+        let body = main_body(&p);
         assert!(matches!(
-            &main_body(&p)[0],
-            HirStmt::Let {
-                value: HirExpr::Unary {
-                    op: UnaryOp::Sqrt,
-                    ..
-                },
+            value(&p, body[0]),
+            HirExpr::Unary {
+                op: UnaryOp::Sqrt,
                 ..
             }
         ));
         assert!(matches!(
-            &main_body(&p)[1],
-            HirStmt::Return {
-                value: HirExpr::Call { function, args }
-            } if function == "min" && args.len() == 1
+            value(&p, body[1]),
+            HirExpr::Call { function, args } if function == "min" && args.len() == 1
         ));
     }
 }

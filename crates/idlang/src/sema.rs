@@ -16,11 +16,15 @@
 //! the static checks here only cover what is decidable from the program text.
 //!
 //! The checks walk the HIR the parser built, and find each diagnostic's
-//! span in the [`Spans`] beside it, through a cursor that moves in the
-//! order the parser recorded them.
+//! span in the [`Spans`] beside it, by the id of the node it reports.
+//! Every function is checked against one scope table, which a loop body or
+//! a branch changes and then undoes, so a check allocates per program, not
+//! per scope.
 
 use crate::error::CompileError;
-use crate::hir::{is_builtin, HirExpr, HirFunction, HirProgram, HirStmt, BINARY_BUILTINS};
+use crate::hir::{
+    is_builtin, ExprId, HirExpr, HirFunction, HirProgram, HirStmt, List, StmtId, BINARY_BUILTINS,
+};
 use crate::parser::Spans;
 use crate::token::Span;
 use std::collections::HashMap;
@@ -46,7 +50,7 @@ pub(crate) fn analyze(program: &HirProgram, spans: &Spans) -> Vec<CompileError> 
     let mut errors = Vec::new();
     let mut signatures: HashMap<&str, usize> = HashMap::new();
     for (index, f) in program.functions.iter().enumerate() {
-        let def = Some(spans.function(index).0);
+        let def = Some(spans.function(index));
         if signatures.insert(&f.name, f.params.len()).is_some() {
             errors.push(CompileError::sema(
                 format!("function `{}` is defined more than once", f.name),
@@ -60,71 +64,78 @@ pub(crate) fn analyze(program: &HirProgram, spans: &Spans) -> Vec<CompileError> 
             ));
         }
     }
+    let mut checker = Checker {
+        hir: program,
+        spans,
+        signatures: &signatures,
+        errors: &mut errors,
+        scope: HashMap::new(),
+        log: Vec::new(),
+        kept: Vec::new(),
+    };
     for (index, f) in program.functions.iter().enumerate() {
-        check_function(f, spans.function(index), &signatures, &mut errors);
+        checker.check_function(f, spans.function(index));
     }
     errors
 }
 
-/// The names visible at a point of a function body, borrowed from the HIR.
-type Scope<'a> = HashMap<&'a str, Symbol>;
-
 struct Checker<'a> {
+    hir: &'a HirProgram,
+    spans: &'a Spans,
     signatures: &'a HashMap<&'a str, usize>,
     errors: &'a mut Vec<CompileError>,
-    /// The spans of the function's nodes not yet entered, in preorder.
-    spans: std::slice::Iter<'a, Span>,
-}
-
-fn check_function<'a>(
-    f: &'a HirFunction,
-    (def, spans): (Span, &'a [Span]),
-    signatures: &'a HashMap<&'a str, usize>,
-    errors: &'a mut Vec<CompileError>,
-) {
-    let mut scope: Scope<'a> = HashMap::new();
-    for p in &f.params {
-        if scope.insert(p, Symbol::Param).is_some() {
-            errors.push(CompileError::sema(
-                format!("parameter `{p}` of `{}` is repeated", f.name),
-                Some(def),
-            ));
-        }
-    }
-    let mut checker = Checker {
-        signatures,
-        errors,
-        spans: spans.iter(),
-    };
-    checker.check_block(&f.body, &mut scope);
-    debug_assert!(
-        checker.spans.len() == 0,
-        "`{}` has a span for each node the walk entered, and no more",
-        f.name
-    );
+    /// The names visible at the point of the walk, borrowed from the HIR.
+    scope: HashMap<&'a str, Symbol>,
+    /// Every binding made in `scope` since the function's parameters, with
+    /// the symbol it replaced: leaving a loop body or a branch undoes its
+    /// bindings from here.
+    log: Vec<(&'a str, Option<Symbol>)>,
+    /// The bindings of the `then` arms of the open `if` statements,
+    /// innermost last, set aside while their `else` arms are checked.
+    kept: Vec<(&'a str, Symbol)>,
 }
 
 impl<'a> Checker<'a> {
-    /// The span of the node the walk enters: the next in preorder.
-    fn enter(&mut self) -> Span {
-        *self
-            .spans
-            .next()
-            .expect("the parser records a span per node")
-    }
-
     fn error(&mut self, message: String, span: Span) {
         self.errors.push(CompileError::sema(message, Some(span)));
     }
 
-    fn check_block(&mut self, stmts: &'a [HirStmt], scope: &mut Scope<'a>) {
-        for stmt in stmts {
-            self.check_stmt(stmt, scope);
+    fn check_function(&mut self, f: &'a HirFunction, def: Span) {
+        self.scope.clear();
+        self.log.clear();
+        for p in &f.params {
+            if self.scope.insert(p, Symbol::Param).is_some() {
+                self.error(format!("parameter `{p}` of `{}` is repeated", f.name), def);
+            }
+        }
+        self.check_block(f.body);
+    }
+
+    fn check_block(&mut self, stmts: List<StmtId>) {
+        for id in self.hir.stmts(stmts) {
+            self.check_stmt(id);
         }
     }
 
-    fn bind(&mut self, name: &'a str, sym: Symbol, span: Span, scope: &mut Scope<'a>) {
-        let message = match scope.get(name) {
+    /// Binds `name` to `sym`, noting the binding in the log.
+    fn insert(&mut self, name: &'a str, sym: Symbol) {
+        let replaced = self.scope.insert(name, sym);
+        self.log.push((name, replaced));
+    }
+
+    /// Undoes the bindings logged since `mark`, latest first.
+    fn undo_to(&mut self, mark: usize) {
+        while self.log.len() > mark {
+            let (name, replaced) = self.log.pop().expect("above the mark");
+            match replaced {
+                Some(sym) => self.scope.insert(name, sym),
+                None => self.scope.remove(name),
+            };
+        }
+    }
+
+    fn bind(&mut self, name: &'a str, sym: Symbol, span: Span) {
+        let message = match self.scope.get(name) {
             Some(Symbol::Param) => {
                 format!("`{name}` re-binds a function parameter (single assignment)")
             }
@@ -133,7 +144,7 @@ impl<'a> Checker<'a> {
             }
             Some(_) => format!("`{name}` is bound more than once (single assignment)"),
             None => {
-                scope.insert(name, sym);
+                self.insert(name, sym);
                 return;
             }
         };
@@ -142,15 +153,8 @@ impl<'a> Checker<'a> {
 
     /// Checks that `array` names an array that takes `indices` indices;
     /// `access` is "read" or "written".
-    fn check_indexing(
-        &mut self,
-        array: &str,
-        indices: usize,
-        access: &str,
-        span: Span,
-        scope: &Scope<'a>,
-    ) {
-        let message = match scope.get(array) {
+    fn check_indexing(&mut self, array: &str, indices: usize, access: &str, span: Span) {
+        let message = match self.scope.get(array) {
             None => format!("array `{array}` is not defined"),
             Some(Symbol::Scalar) | Some(Symbol::LoopVar) => {
                 format!("`{array}` is not an array and cannot be indexed")
@@ -177,29 +181,31 @@ impl<'a> Checker<'a> {
         self.error(message, span);
     }
 
-    fn check_stmt(&mut self, stmt: &'a HirStmt, scope: &mut Scope<'a>) {
-        let span = self.enter();
-        match stmt {
+    fn check_exprs(&mut self, exprs: List<ExprId>) {
+        for id in self.hir.exprs(exprs) {
+            self.check_expr(id);
+        }
+    }
+
+    fn check_stmt(&mut self, id: StmtId) {
+        let span = self.spans.stmt(id);
+        match self.hir.stmt(id) {
             HirStmt::Let { name, value } => {
-                self.check_expr(value, scope);
-                self.bind(name, Symbol::Scalar, span, scope);
+                self.check_expr(*value);
+                self.bind(name, Symbol::Scalar, span);
             }
             HirStmt::Alloc { name, dims } => {
-                for d in dims {
-                    self.check_expr(d, scope);
-                }
-                self.bind(name, Symbol::Array(dims.len()), span, scope);
+                self.check_exprs(*dims);
+                self.bind(name, Symbol::Array(dims.len()), span);
             }
             HirStmt::Store {
                 array,
                 indices,
                 value,
             } => {
-                for idx in indices {
-                    self.check_expr(idx, scope);
-                }
-                self.check_expr(value, scope);
-                self.check_indexing(array, indices.len(), "written", span, scope);
+                self.check_exprs(*indices);
+                self.check_expr(*value);
+                self.check_indexing(array, indices.len(), "written", span);
             }
             HirStmt::For {
                 var,
@@ -208,73 +214,72 @@ impl<'a> Checker<'a> {
                 body,
                 ..
             } => {
-                self.check_expr(from, scope);
-                self.check_expr(to, scope);
-                if scope.contains_key(var.as_str()) {
+                self.check_expr(*from);
+                self.check_expr(*to);
+                if self.scope.contains_key(var.as_str()) {
                     self.error(
                         format!("loop variable `{var}` shadows an existing binding"),
                         span,
                     );
                 }
-                let mut inner = scope.clone();
-                inner.insert(var, Symbol::LoopVar);
-                self.check_block(body, &mut inner);
+                let mark = self.log.len();
+                self.insert(var, Symbol::LoopVar);
+                self.check_block(*body);
+                self.undo_to(mark);
             }
             HirStmt::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                self.check_expr(cond, scope);
-                let mut then_scope = scope.clone();
-                self.check_block(then_body, &mut then_scope);
-                let mut else_scope = scope.clone();
-                self.check_block(else_body, &mut else_scope);
-                // Names bound in either branch become visible afterwards so
-                // that `if c { z = 1; } else { z = 2; } return z;` works.
-                for (name, sym) in then_scope {
-                    scope.entry(name).or_insert(sym);
+                self.check_expr(*cond);
+                let mark = self.log.len();
+                self.check_block(*then_body);
+                let kept = self.kept.len();
+                for at in mark..self.log.len() {
+                    let name = self.log[at].0;
+                    self.kept.push((name, self.scope[name]));
                 }
-                for (name, sym) in else_scope {
-                    scope.entry(name).or_insert(sym);
+                self.undo_to(mark);
+                self.check_block(*else_body);
+                // Names bound in either branch become visible afterwards so
+                // that `if c { z = 1; } else { z = 2; } return z;` works; a
+                // name bound in both keeps the `then` arm's symbol.
+                while self.kept.len() > kept {
+                    let (name, sym) = self.kept.pop().expect("above the mark");
+                    self.insert(name, sym);
                 }
             }
-            HirStmt::Return { value } => self.check_expr(value, scope),
+            HirStmt::Return { value } => self.check_expr(*value),
             HirStmt::Call { function, args } => {
-                for a in args {
-                    self.check_expr(a, scope);
-                }
+                self.check_exprs(*args);
                 self.check_call(function, args.len(), span);
             }
         }
     }
 
-    fn check_expr(&mut self, expr: &HirExpr, scope: &Scope<'a>) {
-        match expr {
+    fn check_expr(&mut self, id: ExprId) {
+        match self.hir.expr(id) {
             HirExpr::Int(..) | HirExpr::Float(..) | HirExpr::Bool(..) => {}
             HirExpr::Var(name) => {
-                let span = self.enter();
-                if !scope.contains_key(name.as_str()) {
+                if !self.scope.contains_key(name.as_str()) {
+                    let span = self.spans.expr(id);
                     self.error(format!("variable `{name}` is not defined"), span);
                 }
             }
             HirExpr::Load { array, indices } => {
-                let span = self.enter();
-                for idx in indices {
-                    self.check_expr(idx, scope);
-                }
-                self.check_indexing(array, indices.len(), "read", span, scope);
+                self.check_exprs(*indices);
+                let span = self.spans.expr(id);
+                self.check_indexing(array, indices.len(), "read", span);
             }
-            HirExpr::Unary { operand, .. } => self.check_expr(operand, scope),
+            HirExpr::Unary { operand, .. } => self.check_expr(*operand),
             HirExpr::Binary { lhs, rhs, .. } => {
-                self.check_expr(lhs, scope);
-                self.check_expr(rhs, scope);
+                self.check_expr(*lhs);
+                self.check_expr(*rhs);
             }
             HirExpr::Call { function, args } => {
-                let span = self.enter();
-                for a in args {
-                    self.check_expr(a, scope);
-                }
+                self.check_exprs(*args);
+                let span = self.spans.expr(id);
                 if !is_builtin(function) {
                     self.check_call(function, args.len(), span);
                 } else if BINARY_BUILTINS.iter().any(|(n, _)| n == function) {
@@ -298,9 +303,9 @@ impl<'a> Checker<'a> {
                 then_value,
                 else_value,
             } => {
-                self.check_expr(cond, scope);
-                self.check_expr(then_value, scope);
-                self.check_expr(else_value, scope);
+                self.check_expr(*cond);
+                self.check_expr(*then_value);
+                self.check_expr(*else_value);
             }
         }
     }

@@ -11,7 +11,7 @@
 
 use crate::instr::{Instr, Operand, SlotId, SpId};
 use crate::template::{LoopMeta, SpKind, SpProgram, SpTemplate};
-use pods_idlang::hir::collect_free_vars_stmts;
+use pods_idlang::hir::{ExprId, List, StmtId};
 use pods_idlang::{BinaryOp, HirExpr, HirFunction, HirProgram, HirStmt, Name};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -60,6 +60,7 @@ impl std::error::Error for TranslateError {}
 /// (normally prevented by semantic analysis).
 pub fn translate(hir: &HirProgram) -> Result<SpProgram, TranslateError> {
     let mut translator = Translator {
+        hir,
         templates: Vec::new(),
         functions: HashMap::with_capacity(hir.functions.len()),
         temps: Vec::new(),
@@ -102,7 +103,8 @@ fn placeholder(id: SpId, name: &Name) -> SpTemplate {
     }
 }
 
-struct Translator {
+struct Translator<'h> {
+    hir: &'h HirProgram,
     templates: Vec<SpTemplate>,
     functions: HashMap<Name, SpId>,
     /// The names of temporaries: `temps[n]` is `%t{n}`, shared by every
@@ -155,7 +157,7 @@ impl Scratch {
     }
 }
 
-impl Translator {
+impl Translator<'_> {
     fn build_function(&mut self, function: &HirFunction) -> Result<(), TranslateError> {
         let id = self.functions[&function.name];
         let mut builder = TemplateBuilder::new(
@@ -169,7 +171,7 @@ impl Translator {
             function.name.clone(),
         );
         let mut counter = 0usize;
-        builder.compile_stmts(&function.body, self, &mut counter)?;
+        builder.compile_stmts(function.body, self, &mut counter)?;
         // A function that falls off the end returns no value.
         if !matches!(builder.scratch.code.last(), Some(Instr::Return { .. })) {
             builder.scratch.code.push(Instr::Return { value: None });
@@ -232,7 +234,7 @@ impl Translator {
         names: LoopNames,
         descending: bool,
         params: Vec<Name>,
-        body: &[HirStmt],
+        body: List<StmtId>,
         counter: &mut usize,
     ) -> Result<SpId, TranslateError> {
         let id = SpId(self.templates.len());
@@ -341,7 +343,7 @@ impl TemplateBuilder {
     /// Opens a template on a set of working buffers taken from `translator`;
     /// the parameters take the first slots.
     fn new(
-        translator: &mut Translator,
+        translator: &mut Translator<'_>,
         id: SpId,
         name: Name,
         kind: SpKind,
@@ -372,7 +374,7 @@ impl TemplateBuilder {
         id
     }
 
-    fn temp(&mut self, translator: &mut Translator) -> SlotId {
+    fn temp(&mut self, translator: &mut Translator<'_>) -> SlotId {
         let name = translator.temp_name(self.temp_counter);
         self.temp_counter += 1;
         self.alloc_slot(name)
@@ -391,7 +393,7 @@ impl TemplateBuilder {
 
     /// Closes the template: its code and slot names move out sized exactly,
     /// and the working buffers go back to `translator`.
-    fn finish(mut self, translator: &mut Translator) -> SpTemplate {
+    fn finish(mut self, translator: &mut Translator<'_>) -> SpTemplate {
         let slot_names: Vec<Name> = self.scratch.slot_names.drain(..).collect();
         let code: Vec<Instr> = self.scratch.code.drain(..).collect();
         self.scratch.env.clear();
@@ -414,11 +416,11 @@ impl TemplateBuilder {
     /// length.
     fn compile_list(
         &mut self,
-        exprs: &[HirExpr],
-        translator: &mut Translator,
+        exprs: List<ExprId>,
+        translator: &mut Translator<'_>,
     ) -> Result<Arc<[Operand]>, TranslateError> {
         let mark = translator.operands.len();
-        for expr in exprs {
+        for expr in translator.hir.exprs(exprs) {
             let op = self.compile_expr(expr, translator)?;
             translator.operands.push(op);
         }
@@ -427,11 +429,11 @@ impl TemplateBuilder {
 
     fn compile_stmts(
         &mut self,
-        stmts: &[HirStmt],
-        translator: &mut Translator,
+        stmts: List<StmtId>,
+        translator: &mut Translator<'_>,
         counter: &mut usize,
     ) -> Result<(), TranslateError> {
-        for stmt in stmts {
+        for stmt in translator.hir.stmts(stmts) {
             self.compile_stmt(stmt, translator, counter)?;
         }
         Ok(())
@@ -439,13 +441,14 @@ impl TemplateBuilder {
 
     fn compile_stmt(
         &mut self,
-        stmt: &HirStmt,
-        translator: &mut Translator,
+        stmt: StmtId,
+        translator: &mut Translator<'_>,
         counter: &mut usize,
     ) -> Result<(), TranslateError> {
-        match stmt {
+        let hir = translator.hir;
+        match hir.stmt(stmt) {
             HirStmt::Let { name, value } => {
-                let src = self.compile_expr(value, translator)?;
+                let src = self.compile_expr(*value, translator)?;
                 let dst = match self.scratch.env.get(name) {
                     Some(slot) => *slot,
                     None => {
@@ -457,7 +460,7 @@ impl TemplateBuilder {
                 self.scratch.code.push(Instr::Move { dst, src });
             }
             HirStmt::Alloc { name, dims } => {
-                let dims = self.compile_list(dims, translator)?;
+                let dims = self.compile_list(*dims, translator)?;
                 let dst = self.alloc_slot(name.clone());
                 self.scratch.env.insert(name.clone(), dst);
                 self.scratch.code.push(Instr::ArrayAlloc {
@@ -473,8 +476,8 @@ impl TemplateBuilder {
                 value,
             } => {
                 let array = Operand::Slot(self.lookup(array)?);
-                let indices = self.compile_list(indices, translator)?;
-                let value = self.compile_expr(value, translator)?;
+                let indices = self.compile_list(*indices, translator)?;
+                let value = self.compile_expr(*value, translator)?;
                 self.scratch.code.push(Instr::ArrayStore {
                     array,
                     indices,
@@ -494,11 +497,11 @@ impl TemplateBuilder {
                     SpKind::Loop { depth, .. } => depth + 1,
                     SpKind::Function { .. } => 0,
                 };
-                let from_op = self.compile_expr(from, translator)?;
-                let to_op = self.compile_expr(to, translator)?;
+                let from_op = self.compile_expr(*from, translator)?;
+                let to_op = self.compile_expr(*to, translator)?;
                 let free = &mut translator.free;
                 free.clear();
-                collect_free_vars_stmts(body, free);
+                hir.collect_free_vars(*body, free);
                 free.retain(|name| name != var);
                 // Arguments: bounds first, then the free variables in order,
                 // as the child's parameters name them.
@@ -519,7 +522,7 @@ impl TemplateBuilder {
                     names,
                     *descending,
                     params,
-                    body,
+                    *body,
                     counter,
                 )?;
                 self.scratch.code.push(Instr::Spawn {
@@ -534,26 +537,26 @@ impl TemplateBuilder {
                 then_body,
                 else_body,
             } => {
-                let cond_op = self.compile_expr(cond, translator)?;
+                let cond_op = self.compile_expr(*cond, translator)?;
                 let branch_pc = self.scratch.code.len();
                 self.scratch.code.push(Instr::BranchIfFalse {
                     cond: cond_op,
                     target: usize::MAX,
                 });
-                self.compile_stmts(then_body, translator, counter)?;
+                self.compile_stmts(*then_body, translator, counter)?;
                 let jump_pc = self.scratch.code.len();
                 self.scratch.code.push(Instr::Jump { target: usize::MAX });
                 let else_start = self.scratch.code.len();
-                self.compile_stmts(else_body, translator, counter)?;
+                self.compile_stmts(*else_body, translator, counter)?;
                 self.patch_branch(branch_pc, else_start, jump_pc);
             }
             HirStmt::Return { value } => {
-                let op = self.compile_expr(value, translator)?;
+                let op = self.compile_expr(*value, translator)?;
                 self.scratch.code.push(Instr::Return { value: Some(op) });
             }
             HirStmt::Call { function, args } => {
                 let target = translator.function(function)?;
-                let args = self.compile_list(args, translator)?;
+                let args = self.compile_list(*args, translator)?;
                 self.scratch.code.push(Instr::Spawn {
                     target,
                     args,
@@ -579,17 +582,17 @@ impl TemplateBuilder {
 
     fn compile_expr(
         &mut self,
-        expr: &HirExpr,
-        translator: &mut Translator,
+        expr: ExprId,
+        translator: &mut Translator<'_>,
     ) -> Result<Operand, TranslateError> {
-        Ok(match expr {
+        Ok(match translator.hir.expr(expr) {
             HirExpr::Int(v) => Operand::Int(*v),
             HirExpr::Float(v) => Operand::Float(*v),
             HirExpr::Bool(v) => Operand::Bool(*v),
             HirExpr::Var(name) => Operand::Slot(self.lookup(name)?),
             HirExpr::Load { array, indices } => {
                 let array = Operand::Slot(self.lookup(array)?);
-                let indices = self.compile_list(indices, translator)?;
+                let indices = self.compile_list(*indices, translator)?;
                 let dst = self.temp(translator);
                 self.scratch.code.push(Instr::ArrayLoad {
                     dst,
@@ -599,14 +602,14 @@ impl TemplateBuilder {
                 Operand::Slot(dst)
             }
             HirExpr::Unary { op, operand } => {
-                let src = self.compile_expr(operand, translator)?;
+                let src = self.compile_expr(*operand, translator)?;
                 let dst = self.temp(translator);
                 self.scratch.code.push(Instr::Unary { op: *op, dst, src });
                 Operand::Slot(dst)
             }
             HirExpr::Binary { op, lhs, rhs } => {
-                let l = self.compile_expr(lhs, translator)?;
-                let r = self.compile_expr(rhs, translator)?;
+                let l = self.compile_expr(*lhs, translator)?;
+                let r = self.compile_expr(*rhs, translator)?;
                 let dst = self.temp(translator);
                 self.scratch.code.push(Instr::Binary {
                     op: *op,
@@ -618,7 +621,7 @@ impl TemplateBuilder {
             }
             HirExpr::Call { function, args } => {
                 let target = translator.function(function)?;
-                let args = self.compile_list(args, translator)?;
+                let args = self.compile_list(*args, translator)?;
                 let dst = self.temp(translator);
                 self.scratch.code.push(Instr::Spawn {
                     target,
@@ -633,19 +636,19 @@ impl TemplateBuilder {
                 then_value,
                 else_value,
             } => {
-                let cond_op = self.compile_expr(cond, translator)?;
+                let cond_op = self.compile_expr(*cond, translator)?;
                 let dst = self.temp(translator);
                 let branch_pc = self.scratch.code.len();
                 self.scratch.code.push(Instr::BranchIfFalse {
                     cond: cond_op,
                     target: usize::MAX,
                 });
-                let t = self.compile_expr(then_value, translator)?;
+                let t = self.compile_expr(*then_value, translator)?;
                 self.scratch.code.push(Instr::Move { dst, src: t });
                 let jump_pc = self.scratch.code.len();
                 self.scratch.code.push(Instr::Jump { target: usize::MAX });
                 let else_start = self.scratch.code.len();
-                let e = self.compile_expr(else_value, translator)?;
+                let e = self.compile_expr(*else_value, translator)?;
                 self.scratch.code.push(Instr::Move { dst, src: e });
                 self.patch_branch(branch_pc, else_start, jump_pc);
                 Operand::Slot(dst)
@@ -847,30 +850,29 @@ mod tests {
     fn undefined_names_are_reported() {
         // Hand-built HIR with an undefined variable (sema would reject the
         // source form, so construct the HIR directly).
-        use pods_idlang::{HirFunction, HirProgram};
-        let hir = HirProgram {
-            functions: vec![HirFunction {
+        let main = |body: fn(&mut HirProgram) -> HirStmt| {
+            let mut hir = HirProgram::default();
+            let stmt = body(&mut hir);
+            let stmt = hir.add_stmt(stmt);
+            let body = hir.add_stmts([stmt]);
+            hir.functions.push(HirFunction {
                 name: "main".into(),
                 params: vec![],
-                body: vec![HirStmt::Return {
-                    value: HirExpr::Var("ghost".into()),
-                }],
-            }],
+                body,
+            });
+            hir
         };
+        let hir = main(|hir| HirStmt::Return {
+            value: hir.add_expr(HirExpr::Var("ghost".into())),
+        });
         assert!(matches!(
             translate(&hir),
             Err(TranslateError::UndefinedVariable { .. })
         ));
-        let hir = HirProgram {
-            functions: vec![HirFunction {
-                name: "main".into(),
-                params: vec![],
-                body: vec![HirStmt::Call {
-                    function: "nope".into(),
-                    args: vec![],
-                }],
-            }],
-        };
+        let hir = main(|_| HirStmt::Call {
+            function: "nope".into(),
+            args: List::EMPTY,
+        });
         assert!(matches!(
             translate(&hir),
             Err(TranslateError::UnknownFunction { .. })

@@ -36,10 +36,9 @@
 //! percentile.
 
 use pods::{compile, EngineKind, EngineOutcome, EngineStats, PreparedProgram, Runtime, Value};
-use pods_idlang::hir::walk;
 use pods_idlang::lexer::tokenize;
 use pods_idlang::token::TokenKind;
-use pods_idlang::{HirExpr, HirNode, HirProgram, HirStmt};
+use pods_idlang::HirProgram;
 use pods_sp::Instr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
@@ -153,38 +152,20 @@ fn arrays_source(arrays: usize) -> String {
     format!("def main(n) {{\n{allocs}    for i = 0 to n - 1 {{{stores} }}\n    return a0;\n}}\n")
 }
 
-/// The heap blocks of `program`: each `Box` and each non-empty `Vec`.
-fn hir_blocks(program: &HirProgram) -> u64 {
-    fn list<T>(items: &[T]) -> u64 {
-        u64::from(!items.is_empty())
+/// The allocator calls a pool that grows by doubling makes to hold `len`
+/// entries: one for its first block of four, one more per doubling.
+fn doublings(len: usize) -> u64 {
+    if len == 0 {
+        return 0;
     }
-    let mut blocks = list(&program.functions);
-    for f in &program.functions {
-        blocks += list(&f.params) + list(&f.body);
-        walk(&f.body, &mut |node| {
-            blocks += match node {
-                HirNode::Stmt(
-                    HirStmt::Alloc { dims: items, .. }
-                    | HirStmt::Call { args: items, .. }
-                    | HirStmt::Store { indices: items, .. },
-                ) => list(items),
-                HirNode::Stmt(HirStmt::For { body, .. }) => list(body),
-                HirNode::Stmt(HirStmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                }) => list(then_body) + list(else_body),
-                HirNode::Expr(
-                    HirExpr::Load { indices: items, .. } | HirExpr::Call { args: items, .. },
-                ) => list(items),
-                HirNode::Expr(HirExpr::Unary { .. }) => 1,
-                HirNode::Expr(HirExpr::Binary { .. }) => 2,
-                HirNode::Expr(HirExpr::Select { .. }) => 3,
-                HirNode::Stmt(_) | HirNode::Expr(_) => 0,
-            }
-        });
-    }
-    blocks
+    1 + u64::from(len.div_ceil(4).next_power_of_two().trailing_zeros())
+}
+
+/// The growth of the pools behind `program` and its spans: the expression
+/// and statement pools and the span table beside each, and the id pool.
+fn pool_growth(program: &HirProgram) -> u64 {
+    let [exprs, stmts, ids] = program.pool_lens();
+    2 * doublings(exprs) + 2 * doublings(stmts) + doublings(ids)
 }
 
 /// The number of distinct identifiers in `source`.
@@ -227,8 +208,8 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
     let runtime = Runtime::builder(EngineKind::Native).workers(1).build();
     compile(pods_workloads::FILL).expect("FILL compiles");
     for (name, source, compile_budget, miss_budget) in [
-        ("SIMPLE", pods_workloads::simple::SIMPLE, 1360, 252),
-        ("FILL", pods_workloads::FILL, 89, 37),
+        ("SIMPLE", pods_workloads::simple::SIMPLE, 660, 252),
+        ("FILL", pods_workloads::FILL, 84, 37),
     ] {
         let (compiled, program) = counted(|| compile(source).expect("compiles"));
         let (missed, pinned) = counted(|| runtime.prepare(&program));
@@ -262,26 +243,36 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
         ("SIMPLE", pods_workloads::simple::SIMPLE),
     ];
 
-    // The front end of every workload program, per heap block of the HIR
-    // it returns (each `Box` and each non-empty `Vec`), once the calls for
-    // its distinct identifiers are set aside: the parser builds the HIR
-    // itself, so a block costs its own call, the regrowth of a list as it
-    // is parsed, and a share of the span table and the semantic checks'
-    // scopes. While the parser built a syntax tree of its own that a
-    // lowering pass then rebuilt as the HIR, it was 2.20 (SIMPLE) to 2.54
-    // (PAPER_EXAMPLE).
+    // The front end of every workload program, once the calls for its
+    // distinct identifiers are set aside: the parser puts every node of
+    // the HIR into one of the program's pools and every list of children
+    // into its id pool, so what is left is the doublings of those pools
+    // and of the span tables beside them, a few calls per function (its
+    // parameter list) and a few per program (the interner's and the
+    // semantic checks' tables, which one scope serves for every loop and
+    // branch). Measured: 9 (PAPER_EXAMPLE, 2 functions) to 15 (MATMUL, 1)
+    // and 48 (SIMPLE, 10) calls above the doublings; the bound is 12 per
+    // program and 3.85 per function, the least that covers MATMUL and
+    // SIMPLE, plus 5 %. While the HIR was a tree of boxed nodes and
+    // vectors, a heap block of its own per operator node and per list,
+    // the front end made up to 2.0 calls per block (SIMPLE: 830 calls for
+    // 70 identifiers and 624 blocks; it now makes 159).
     for (name, source) in programs {
         let identifiers = distinct_identifiers(source);
         let (calls, hir) = counted(|| pods_idlang::compile(source).expect("compiles"));
-        let blocks = hir_blocks(&hir);
-        let per_block = (calls - identifiers) as f64 / blocks as f64;
+        let growth = pool_growth(&hir);
+        let functions = hir.functions.len() as f64;
+        let budget = growth as f64 + 12.0 + 3.85 * functions;
         eprintln!(
-            "{name}: front end {calls} allocs for {identifiers} identifiers, {blocks} HIR blocks"
+            "{name}: front end {calls} allocs for {identifiers} identifiers, {functions} \
+             functions, pools {:?} ({growth} doublings)",
+            hir.pool_lens()
         );
         assert!(
-            per_block <= 2.0,
-            "{name}: the front end made {calls} allocator calls for {identifiers} identifiers \
-             and {blocks} HIR blocks ({per_block:.2} per block, budget 2.0)"
+            (calls - identifiers) as f64 <= budget,
+            "{name}: the front end made {calls} allocator calls for {identifiers} identifiers, \
+             {functions} functions and pools of {:?} (budget {budget:.1} above the identifiers)",
+            hir.pool_lens()
         );
     }
 
