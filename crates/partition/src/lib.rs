@@ -137,6 +137,21 @@ impl PartitionReport {
     }
 }
 
+/// The slots a Range Filter adds to a distributed loop's template: the
+/// filtered lower and upper bounds.
+pub const RANGE_FILTER_SLOTS: usize = 2;
+
+/// The instructions a Range Filter adds to a distributed loop's template:
+/// its two-instruction prologue.
+pub const RANGE_FILTER_INSTRS: usize = 2;
+
+/// A copy of `program` for [`partition`] to rewrite: every loop template
+/// has room for a Range Filter's slots and prologue, so distributing a
+/// loop regrows neither its slot names nor its code.
+pub fn copy_for_partition(program: &SpProgram) -> SpProgram {
+    program.clone_with_loop_room(RANGE_FILTER_SLOTS, RANGE_FILTER_INSTRS)
+}
+
 /// Runs the partitioner over an SP program, rewriting it in place.
 pub fn partition(
     program: &mut SpProgram,
@@ -490,6 +505,27 @@ mod tests {
             .code
             .iter()
             .any(|i| matches!(i, Instr::RangeLo { .. } | Instr::RangeHi { .. })));
+    }
+
+    #[test]
+    fn the_partition_copy_has_room_for_every_range_filter() {
+        for src in [PAPER_EXAMPLE, pods_workloads::simple::SIMPLE] {
+            let hir = pods_idlang::compile(src).unwrap();
+            let loops = analyze_loops(&hir);
+            let translated = translate(&hir).unwrap();
+            let mut program = copy_for_partition(&translated);
+            assert_eq!(program, translated, "the copy is a copy");
+            let room = |p: &SpProgram| -> Vec<(usize, usize)> {
+                p.templates()
+                    .iter()
+                    .map(|t| (t.slot_names.capacity(), t.code.capacity()))
+                    .collect()
+            };
+            let before = room(&program);
+            let report = partition_unchunked(&mut program, &loops);
+            assert!(report.range_filters > 0);
+            assert_eq!(room(&program), before, "no Range Filter regrew a template");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::runtime::Runtime;
 use pods_idlang::{analyze_loops, HirProgram, LoopInfo};
 use pods_istructure::Value;
 use pods_machine::MachineConfig;
-use pods_partition::{partition, PartitionConfig, PartitionReport};
+use pods_partition::{copy_for_partition, partition, PartitionConfig, PartitionReport};
 use pods_sp::{translate, SpProgram};
 use std::sync::Arc;
 
@@ -147,7 +147,7 @@ impl CompiledProgram {
     /// Partitions the SP program for the given options and returns it
     /// together with the partition report.
     pub fn partitioned(&self, options: &RunOptions) -> (SpProgram, PartitionReport) {
-        let mut program = self.stages.sp.clone();
+        let mut program = copy_for_partition(&self.stages.sp);
         let mut report = partition(&mut program, &self.stages.loops, &options.partition);
         if options.specialize {
             // Specialization runs after partitioning so the plans cover the

@@ -163,6 +163,28 @@ impl SpTemplate {
         self.code.splice(0..0, prologue);
     }
 
+    /// A copy whose slot names and code have room for `slots` more slots
+    /// and `instrs` more instructions, so that the partitioner adding them
+    /// regrows neither.
+    pub fn clone_with_room(&self, slots: usize, instrs: usize) -> SpTemplate {
+        let mut slot_names = Vec::with_capacity(self.slot_names.len() + slots);
+        slot_names.extend_from_slice(&self.slot_names);
+        let mut code = Vec::with_capacity(self.code.len() + instrs);
+        code.extend_from_slice(&self.code);
+        SpTemplate {
+            id: self.id,
+            name: self.name.clone(),
+            kind: self.kind.clone(),
+            params: self.params.clone(),
+            num_slots: self.num_slots,
+            slot_names,
+            code,
+            loop_meta: self.loop_meta,
+            chunk_meta: self.chunk_meta,
+            plan: self.plan.clone(),
+        }
+    }
+
     /// Adds a fresh slot (used by the partitioner) and returns its id.
     pub fn add_slot(&mut self, name: impl Into<Name>) -> SlotId {
         let id = SlotId(self.num_slots);
@@ -283,6 +305,24 @@ impl SpProgram {
     /// All templates, indexed by [`SpId`].
     pub fn templates(&self) -> &[SpTemplate] {
         &self.templates
+    }
+
+    /// A copy in which every loop template has room for `slots` more slots
+    /// and `instrs` more instructions (see [`SpTemplate::clone_with_room`]);
+    /// function templates are copied at their length.
+    pub fn clone_with_loop_room(&self, slots: usize, instrs: usize) -> SpProgram {
+        SpProgram {
+            templates: self
+                .templates
+                .iter()
+                .map(|t| match t.kind {
+                    SpKind::Loop { .. } => t.clone_with_room(slots, instrs),
+                    SpKind::Function { .. } => t.clone(),
+                })
+                .collect(),
+            functions: self.functions.clone(),
+            entry: self.entry,
+        }
     }
 
     /// Mutable access for the partitioner.
