@@ -171,7 +171,7 @@ pub struct ExprId(pub(crate) u32);
 impl ExprId {
     /// The expression's index in its program's pool, for tables kept
     /// beside the program (the parser's spans).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -183,7 +183,7 @@ pub struct StmtId(pub(crate) u32);
 impl StmtId {
     /// The statement's index in its program's pool, for tables kept
     /// beside the program (the parser's spans).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -221,9 +221,11 @@ impl<T> List<T> {
     }
 }
 
-/// The index a pool gives its next entry.
+/// The index a pool gives its next entry. Every node and list entry
+/// takes at least one byte of source, and the parser takes no source of
+/// 4 GiB or more, so the index fits.
 fn next_index(len: usize) -> u32 {
-    u32::try_from(len).expect("a program has fewer than 2^32 nodes")
+    u32::try_from(len).expect("a pool holds fewer entries than its source has bytes")
 }
 
 /// A program: its functions, and the pools their nodes live in. Every
@@ -284,11 +286,6 @@ impl HirProgram {
         let id = StmtId(next_index(self.stmts.len()));
         self.stmts.push(stmt);
         id
-    }
-
-    /// Adds a list of expression ids and returns it.
-    pub fn add_exprs(&mut self, ids: impl IntoIterator<Item = ExprId>) -> List<ExprId> {
-        self.add_list(ids.into_iter().map(|id| id.0))
     }
 
     /// Adds a list of statement ids and returns it.

@@ -31,7 +31,8 @@ pub(crate) struct PackedSpan {
 
 impl PackedSpan {
     fn new(span: Span) -> Self {
-        let narrow = |offset: usize| u32::try_from(offset).unwrap_or(u32::MAX);
+        let narrow =
+            |offset: usize| u32::try_from(offset).expect("the parser takes sources under 4 GiB");
         PackedSpan {
             start: narrow(span.start),
             end: narrow(span.end),
@@ -77,8 +78,16 @@ impl Spans {
 ///
 /// Returns the first lexical or syntactic error encountered. A lexical error
 /// anywhere in the source wins over a syntax error before it, as if the
-/// whole source were lexed first.
+/// whole source were lexed first. A source of 4 GiB or more is rejected
+/// before it is lexed, since its offsets and node ids would not fit the
+/// `u32` fields that hold them.
 pub(crate) fn parse(source: &str) -> Result<(HirProgram, Spans), CompileError> {
+    if u32::try_from(source.len()).is_err() {
+        return Err(CompileError::lex(
+            format!("a source of {} bytes is over the 4 GiB limit", source.len()),
+            Span::default(),
+        ));
+    }
     let mut parser = Parser::new(Lexer::new(source));
     let parsed = parser.program();
     // The parser stops at its first error: lex the rest, so that the first

@@ -13,9 +13,10 @@
 //! instruction — not for a copied instruction, a super-op, a firing list or
 //! a read-slot list — and nothing per *use* of a name. The parser pulls
 //! its tokens from the lexer, two at a time, and builds the HIR itself,
-//! with the spans of its diagnostics in a table beside it, so neither a
-//! token vector nor a second syntax tree is built: the front end calls the
-//! allocator at most twice per heap block of the HIR.
+//! every node into one of the program's pools and every list of children
+//! into its id pool, with the spans of its diagnostics in tables beside
+//! them: the front end calls the allocator per distinct name, per
+//! doubling of a pool and a few times per function, and never per node.
 //! A prepare hit and a clone of a compiled program make no call at all:
 //! the compiled stages sit behind one shared pointer, and the dataflow
 //! graph is built only when asked for.

@@ -417,7 +417,8 @@ fn one_syntax_tree_guard(files: &[SourceFile]) -> Option<String> {
     }
     Some(format!(
         "A second syntax tree or a lowering pass under crates/idlang/src/:\n{}\n\
-         Parse straight to HirStmt/HirExpr, and keep spans beside the tree.",
+         Parse straight into the HIR's pools of HirStmt/HirExpr, and keep spans in tables \
+         indexed by node id.",
         found.join("\n")
     ))
 }
@@ -474,6 +475,118 @@ fn one_syntax_tree_guard_fires_on_a_planted_violation() {
         "only crates/idlang/src/ is the front end: {message}"
     );
     assert!(one_syntax_tree_guard(&planted[..1]).is_none());
+}
+
+/// The HIR node types, whose children are ids into the program's pools.
+const HIR_NODES: [&str; 3] = ["HirExpr", "HirStmt", "HirFunction"];
+
+/// The `line number:text` of every line inside the declaration of a HIR
+/// node type in `text` (from its `enum`/`struct` line to the brace that
+/// closes it) that holds a `Box`, or a `Vec` of nodes.
+fn boxed_or_listed_children(text: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut depth = 0usize;
+    for (n, line) in text.lines().enumerate() {
+        let declares = HIR_NODES.iter().any(|node| {
+            ["enum", "struct"].iter().any(|kind| {
+                word_starts(line, kind).any(|at| spaced_word(&line[at + kind.len()..], node))
+            })
+        });
+        if depth == 0 && !declares {
+            continue;
+        }
+        let holds_nodes = line.match_indices("Vec<").any(|(at, _)| {
+            HIR_NODES
+                .iter()
+                .any(|node| contains_word(&line[at..], node))
+        });
+        if line.contains("Box<") || holds_nodes {
+            found.push(format!("{}:{line}", n + 1));
+        }
+        depth += line.matches('{').count();
+        depth = depth.saturating_sub(line.matches('}').count());
+    }
+    found
+}
+
+/// The pooled-HIR guard. Every expression and statement of a program lives
+/// in one of its pools and names its children by id, so no HIR node type
+/// in `crates/idlang/src/hir.rs` holds a `Box` or a `Vec` of nodes: a
+/// pointer tree would allocate per node again.
+fn pooled_hir_guard(files: &[SourceFile]) -> Option<String> {
+    let found: Vec<String> = files
+        .iter()
+        .filter(|f| f.path == "crates/idlang/src/hir.rs")
+        .flat_map(|f| {
+            boxed_or_listed_children(&f.text)
+                .into_iter()
+                .map(move |line| format!("{}:{line}", f.path))
+        })
+        .collect();
+    if found.is_empty() {
+        return None;
+    }
+    Some(format!(
+        "A HIR node holds a Box or a Vec of nodes:\n{}\n\
+         Name children by ExprId/StmtId and lists by List ranges of the program's pools.",
+        found.join("\n")
+    ))
+}
+
+#[test]
+fn hir_nodes_live_in_the_programs_pools() {
+    let files = source_files();
+    assert!(
+        files.iter().any(|f| f.path == "crates/idlang/src/hir.rs"),
+        "the guard reads the source tree"
+    );
+    if let Some(message) = pooled_hir_guard(&files) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn pooled_hir_guard_fires_on_a_planted_violation() {
+    let file = |path: &str, text: &str| SourceFile {
+        path: path.to_string(),
+        text: text.to_string(),
+    };
+    let planted = [
+        file(
+            "crates/idlang/src/hir.rs",
+            "pub struct HirProgram {\n    pub functions: Vec<HirFunction>,\n    \
+             exprs: Vec<HirExpr>,\n}\n\
+             pub enum HirExpr {\n    Unary {\n        operand: Box<HirExpr>,\n    },\n\
+                 Var(Name),\n}\n\
+             pub struct HirFunction {\n    pub params: Vec<Name>,\n    \
+             pub body: Vec<HirStmt>,\n}\n\
+             pub enum HirStmtKind {\n    Call { args: Vec<HirExpr> },\n}\n\
+             fn helper() -> Box<HirExpr> {}",
+        ),
+        file(
+            "crates/idlang/src/parser.rs",
+            "pub enum HirExpr {\n    Unary(Box<HirExpr>),\n}",
+        ),
+    ];
+    let message = pooled_hir_guard(&planted).expect("the guard fires");
+    for line in [
+        "crates/idlang/src/hir.rs:7:        operand: Box<HirExpr>,",
+        "crates/idlang/src/hir.rs:13:    pub body: Vec<HirStmt>,",
+    ] {
+        assert!(message.contains(line), "{line} in {message}");
+    }
+    for line in [":2:", ":3:", ":12:", ":16:", ":18:"] {
+        assert!(
+            !message.contains(&format!("hir.rs{line}")),
+            "the program's pools, a list of names, a type that is not a node and code \
+             outside the node types may hold them: {message}"
+        );
+    }
+    assert!(
+        !message.contains("crates/idlang/src/parser.rs"),
+        "only hir.rs declares the HIR: {message}"
+    );
+    assert!(pooled_hir_guard(&planted[1..]).is_none());
 }
 
 /// The names of a second I-structure value store. Spelled in pieces so
