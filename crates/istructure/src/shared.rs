@@ -243,13 +243,23 @@ impl<T> SharedArray<T> {
 
     /// Snapshot of every element (`None` = never written), row-major.
     pub fn snapshot(&self) -> Vec<Option<Value>> {
-        self.cells
-            .iter()
-            .map(|c| match &*c.lock().expect("shared cell poisoned") {
-                SharedCell::Full(v) => Some(*v),
-                _ => None,
-            })
-            .collect()
+        let mut values = Vec::with_capacity(self.cells.len());
+        self.snapshot_into(&mut values);
+        values
+    }
+
+    /// Replaces `values` with the snapshot, within its capacity when that
+    /// is large enough.
+    pub fn snapshot_into(&self, values: &mut Vec<Option<Value>>) {
+        values.clear();
+        values.extend(
+            self.cells
+                .iter()
+                .map(|c| match &*c.lock().expect("shared cell poisoned") {
+                    SharedCell::Full(v) => Some(*v),
+                    _ => None,
+                }),
+        );
     }
 
     /// Number of elements.
@@ -516,6 +526,14 @@ impl<T> SharedArrayStore<T> {
     /// Number of arrays allocated so far.
     pub fn num_arrays(&self) -> usize {
         self.order.lock().expect("shared store poisoned").len()
+    }
+
+    /// Calls `visit` with every array, in allocation order.
+    pub fn for_each_array(&self, mut visit: impl FnMut(&SharedArray<T>)) {
+        let order = self.order.lock().expect("shared store poisoned");
+        for a in order.iter().filter_map(|id| self.array(*id)) {
+            visit(&a);
+        }
     }
 
     /// Snapshots of every array in allocation order, each made by `snap`

@@ -26,7 +26,7 @@ use pods_istructure::{StoreStats, Value};
 use pods_machine::InstanceId;
 use pods_partition::PartitionReport;
 use pods_sp::{SlotId, SpId, SpProgram};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use task::{AsyncWaiter, TaskHandle};
 
 /// Counters reported by the cooperative executor for one job. The shape
@@ -254,11 +254,13 @@ impl Suspension for Wakers {
     }
 
     fn deadlock(
-        last: &Mutex<Option<SuspendInfo>>,
+        last: &mut Mutex<Option<SuspendInfo>>,
         program: &SpProgram,
         live: usize,
     ) -> (usize, String) {
-        let detail = locked(last.lock(), "last_suspend")
+        let detail = last
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
             .map(|s| {
                 format!(
                     "inst{} of {} suspended at pc {} awaiting {}",
@@ -318,6 +320,8 @@ mod tests {
         batched_waker_delivery_coalesces_flushes_without_changing_wakeups
             => batched_delivery_coalesces_flushes,
         worker_arena_recycles_task_frames => worker_arena_recycles_frames,
+        a_job_ends_after_its_store_is_back => a_job_ends_after_its_store_is_back,
+        a_panicking_instance_fails_only_its_job => a_panicking_instance_fails_only_its_job,
     );
 
     #[test]

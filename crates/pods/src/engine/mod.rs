@@ -49,7 +49,8 @@ pub(crate) mod sim;
 pub use async_coop::AsyncStats;
 pub use native::NativeStats;
 pub(crate) use pool::{
-    build_read_slots, JobNotifier, JobSpec, PoolCanceller, PoolHandle, Pooled, ReadSlots,
+    build_read_slots, spare_snapshots, CancelKind, Failure, JobNotifier, JobSpec, PoolCanceller,
+    Pooled, ReadSlots,
 };
 
 use crate::error::PodsError;

@@ -21,7 +21,7 @@ use pods_partition::PartitionReport;
 use pods_sp::{SlotId, SpId, SpProgram};
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Counters reported by the native thread pool for one job.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -237,8 +237,8 @@ impl Suspension for Registry {
 
     /// Names the parked instance with the lowest id, so one deadlocked
     /// program reports the same detail on every run.
-    fn deadlock(sched: &Mutex<Sched>, program: &SpProgram, _live: usize) -> (usize, String) {
-        let sched = locked(sched.lock(), "sched");
+    fn deadlock(sched: &mut Mutex<Sched>, program: &SpProgram, _live: usize) -> (usize, String) {
+        let sched = sched.get_mut().unwrap_or_else(PoisonError::into_inner);
         let detail = sched
             .blocked
             .values()
@@ -312,6 +312,8 @@ mod tests {
         a_failing_job_does_not_poison_the_pool => a_failing_job_does_not_poison_the_pool,
         batched_delivery_coalesces_scheduler_transactions => batched_delivery_coalesces_flushes,
         worker_arena_recycles_instance_frames => worker_arena_recycles_frames,
+        a_job_ends_after_its_store_is_back => a_job_ends_after_its_store_is_back,
+        a_panicking_instance_fails_only_its_job => a_panicking_instance_fails_only_its_job,
     );
 
     #[test]

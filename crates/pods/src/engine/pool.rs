@@ -28,11 +28,12 @@
 //!   engine).
 //!
 //! Everything else is written once, here: per-worker deques with stealing,
-//! idle workers on one condvar, per-job liveness counts with exact deadlock
-//! detection, the delivery buffer, first-wins completion, teardown
-//! cancellation, trace events, the task limit, and the instance arenas. The
-//! per-task path is monomorphised per strategy; type erasure happens only at
-//! the per-job boundary ([`Pooled`], [`PoolHandle`], [`PoolCanceller`]).
+//! idle workers on one condvar, per-job liveness with exact deadlock
+//! detection, the delivery buffer, first-wins failure, one completion point
+//! (the job's `Drop`), teardown cancellation, the unwind boundary, trace
+//! events, the task limit, and the instance arenas. The per-task path is
+//! monomorphised per strategy; type erasure happens only at the per-job
+//! boundary ([`Pooled`], [`PoolCanceller`], [`JobNotifier`]).
 //!
 //! # Pool lifecycle vs per-job state
 //!
@@ -84,9 +85,21 @@
 //!   than its capacity reuses whole — record, header storage and cells. A
 //!   pool creates a store only when none is spare, so it holds no more than
 //!   it ever had jobs alive at once, each with one job's arrays, until the
-//!   pool is dropped. A waiter's [`PoolHandle::wait`] returns a succeeded
-//!   job only once its worker has let go of it, so the waiter's own handle
-//!   hands the state back, and its next submission finds it spare.
+//!   pool is dropped. The `Drop` hands the pair back before it tells anyone
+//!   that the job ended, so whoever that wakes finds it spare.
+//!
+//! # One completion point
+//!
+//! A job's queued and running tasks each hold its `Arc`, and nothing else
+//! holds one for long (a [`PoolCanceller`] is weak), so the job ends when
+//! its last task lets go of it: its `Drop` reads the statistics, snapshots
+//! the arrays if every instance finished, recycles the store and the
+//! suspension state, and only then hands the end to the job's
+//! [`JobNotifier`]. The end is the first cause recorded (an error, the
+//! task limit, a panic, a cancellation), else a deadlock if instances are
+//! still suspended with no task left to wake them, else the outcome. A
+//! panic inside a task is caught in the worker loop and recorded as the
+//! job's error; the worker keeps serving.
 //!
 //! ## The allocation budget
 //!
@@ -96,9 +109,11 @@
 //! * **per job** — the service's ticket, the job record, the outcome's
 //!   vector of snapshots (sized once) and one values vector per array (a
 //!   snapshot's name shares the array's `Arc<str>`, a shape of rank up to
-//!   four is inline, and the ticket itself is the completion hook). A job
-//!   that waits in the admission queue also copies its arguments, into a
-//!   vector an earlier queued job left spare once the service has one;
+//!   four is inline, and the ticket itself is the completion hook). The
+//!   waiter makes the snapshots, copying the vectors the job's end filled,
+//!   which go back to the spares. A job that waits in the admission queue
+//!   also copies its arguments, into a vector an earlier queued job left
+//!   spare once the service has one;
 //! * **per array** — only when no spare array the store's previous job left
 //!   has the cell capacity for it: then three calls, the partitioning's
 //!   segment table, the shared array record and its cells, plus the extents
@@ -107,7 +122,7 @@
 //! * **per new store** — the directory maps, the allocation order and the
 //!   suspension state (the native registry, and the mailboxes, which are
 //!   kept, emptied, across jobs) as they first grow, until they have the
-//!   capacity the pool's jobs need;
+//!   capacity the pool's jobs need; likewise the spare snapshot vectors;
 //! * **per arena miss** — a frame that neither the spawning worker nor any
 //!   sibling had spare, or a spare frame too small for the template reusing
 //!   it; on the async engine also a task handle the spawning worker had
@@ -148,8 +163,7 @@
 //! the cold path's: a prepare miss per template, not per instruction, and a
 //! parser that pulls its tokens from the lexer instead of a token vector.)
 
-use super::{cancellation_error, EngineOutcome, EngineStats};
-use crate::error::PodsError;
+use super::{EngineOutcome, EngineStats};
 use crate::trace::{TraceEventKind, TraceHandle};
 use pods_istructure::{
     ArrayHeader, ArrayId, PartitionSpec, PeId, SharedArray, SharedArrayStore, SharedReadResult,
@@ -159,9 +173,11 @@ use pods_machine::{ArraySnapshot, InstanceId, SimulationError};
 use pods_partition::PartitionReport;
 use pods_sp::exec::{self, ArrayOps, ExecCtx, ExecEvent, Loaded, RunExit, TraceSink};
 use pods_sp::{Operand, SlotId, SpId, SpProgram};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, LockResult, Mutex};
+use std::sync::{Arc, Barrier, Condvar, LockResult, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -284,8 +300,9 @@ pub(crate) trait Suspension: Sized + Send + Sync + 'static {
     fn into_spare(shell: Self::Shell) -> Option<Self::Spare>;
 
     /// `(stuck instances, detail)` for a deadlocked job; `live` is the
-    /// job's count of instances not yet finished.
-    fn deadlock(state: &Self::JobState, program: &SpProgram, live: usize) -> (usize, String);
+    /// job's count of instances not yet finished. Runs in the job's `Drop`,
+    /// which owns the state, so it takes no lock and must not panic.
+    fn deadlock(state: &mut Self::JobState, program: &SpProgram, live: usize) -> (usize, String);
 
     /// Empties a dropped job's suspension state in place, for the pool's
     /// next job: whatever a failed job left suspended is dropped, and
@@ -313,26 +330,45 @@ pub(crate) struct JobSpec {
     /// Max wake-ups buffered per worker before a forced flush (>= 1; 1
     /// flushes after every write, i.e. unbatched delivery).
     pub delivery_batch: usize,
-    /// Completion hook: told exactly once when the job finishes (success,
-    /// failure, or cancellation) and dropped once it has been told. The
-    /// `Runtime`'s service layer installs the job's ticket here, to drive
-    /// its metrics and dispatch window.
-    pub on_done: Option<Arc<dyn JobNotifier>>,
+    /// Told the job's end, once. The `Runtime`'s service layer installs
+    /// the job's ticket here, which books the end and wakes the waiter.
+    pub on_done: Arc<dyn JobNotifier>,
     /// Flight-recorder handle: when present, the scheduler and the exec
     /// core emit trace events for this job (see [`crate::trace`]). `None`
     /// (tracing disabled) costs one branch per would-be event.
     pub trace: Option<TraceHandle>,
 }
 
-/// What a [`JobSpec`] can carry to hear of its job's end (see
+/// What a [`JobSpec`] carries to hear of its job's end (see
 /// [`JobSpec::on_done`]). The submitter's own record of the job implements
 /// it, so a job is submitted with a hook without allocating one.
 pub(crate) trait JobNotifier: Send + Sync {
-    /// The job finished: `failed` if it ended in an error (a cancellation
-    /// included), with the final allocation statistics of its I-structure
-    /// store. Runs on the thread that finished the job, with no pool lock
-    /// held.
-    fn job_finished(&self, failed: bool, store: StoreStats);
+    /// The job ended: its outcome, or why it stopped short, with the final
+    /// allocation statistics of its I-structure store. Called once, by the
+    /// job's `Drop`, after the store is back in the pool's spares, on the
+    /// thread that let go of the job last, with no pool lock held.
+    fn job_ended(&self, end: Result<EngineOutcome, Failure>, store: StoreStats);
+}
+
+/// Why a job was cancelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CancelKind {
+    /// The job outlived `RunOptions::deadline`.
+    Deadline,
+    /// `JobHandle::cancel` was called.
+    User,
+    /// Its runtime was dropped before the job ended.
+    Shutdown,
+}
+
+/// Why a job stopped short: the first cause recorded for it.
+#[derive(Debug)]
+pub(crate) enum Failure {
+    /// The job failed by itself: a runtime error, the task limit, a panic
+    /// or a deadlock.
+    Error(SimulationError),
+    /// The job was cancelled.
+    Cancelled(CancelKind),
 }
 
 /// One job's counters, read out once at `wait`; each strategy names them
@@ -420,16 +456,6 @@ impl<P> Arena<P> {
     }
 }
 
-/// Per-job liveness accounting. `live` counts existing instances (queued,
-/// running, or suspended); `in_flight` counts queued-or-running tasks. When
-/// `in_flight` hits zero with instances still live, no future delivery can
-/// wake them: the job is deadlocked.
-#[derive(Default)]
-struct JobCounts {
-    live: usize,
-    in_flight: usize,
-}
-
 /// The entry instance's id (the first instance every job spawns).
 const ENTRY: InstanceId = InstanceId(0);
 
@@ -445,32 +471,28 @@ struct Job<S: Suspension> {
     pool: Arc<Shared<S>>,
     program: Arc<SpProgram>,
     read_slots: Arc<ReadSlots>,
-    store: SharedArrayStore<S::Waiter>,
-    sched: S::JobState,
-    counts: Mutex<JobCounts>,
-    /// Set on first error (or cancellation): workers abandon this job's
-    /// tasks instead of running them.
+    partition: Arc<PartitionReport>,
+    started: Instant,
+    /// The pool's store and suspension state, lent to this job until its
+    /// `Drop` takes them back (`None` only there). Boxed, so the job record
+    /// stays small and the pair moves as one pointer.
+    scoped: Option<Box<JobScoped<S>>>,
+    /// Instances not yet finished: queued, running or suspended. (Queued
+    /// and running *tasks* are counted by the job's `Arc`: each holds one.)
+    live: AtomicUsize,
+    /// Set with the first cause: workers abandon this job's tasks instead
+    /// of running them.
     stop: AtomicBool,
-    error: Mutex<Option<SimulationError>>,
+    /// The first recorded reason the job stops short (see [`Job::fail`]).
+    cause: Mutex<Option<Failure>>,
     result: Mutex<Option<Value>>,
-    done: Mutex<bool>,
-    done_cv: Condvar,
     page_size: usize,
     /// 0 = unlimited; otherwise abort after this many task executions
     /// (the analogue of the simulator's event limit).
     max_tasks: u64,
     delivery_batch: usize,
-    /// Completion hook (see [`JobSpec::on_done`]); taken and fired exactly
-    /// once, by whichever of normal completion / failure / cancellation
-    /// wins. Dropping it then matters: the service's hook is the job's
-    /// ticket, which holds the job until its handle is claimed, so a hook
-    /// kept alive would leak a detached job — and its store — for good.
-    on_done: Mutex<Option<Arc<dyn JobNotifier>>>,
+    on_done: Arc<dyn JobNotifier>,
     trace: Option<TraceHandle>,
-    /// First-wins claim on the terminal transition, separate from `done` so
-    /// the hook can run *before* `done` is published (waiters must never
-    /// observe a finished job whose hook has not fired yet).
-    finished: AtomicBool,
     next_instance: AtomicU64,
     next_array: AtomicUsize,
     tasks: AtomicU64,
@@ -485,33 +507,29 @@ struct Job<S: Suspension> {
 }
 
 impl<S: Suspension> Job<S> {
-    /// Records the error and stops the job (not the pool). A no-op if the
-    /// job already finished: the first of normal completion / failure /
-    /// cancellation wins, so a cancel racing a finished job can neither
-    /// clobber its result nor re-fire the completion hook.
-    fn fail(&self, err: SimulationError) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.finish(Some(err));
+    fn store(&self) -> &SharedArrayStore<S::Waiter> {
+        &self.scoped().store
     }
 
-    /// The single completion point: claims the terminal transition exactly
-    /// once, records the error, fires the `on_done` hook, and only then
-    /// publishes `done` and wakes every `wait`er.
-    fn finish(&self, err: Option<SimulationError>) {
-        if self.finished.swap(true, Ordering::SeqCst) {
-            return;
+    fn sched(&self) -> &S::JobState {
+        &self.scoped().sched
+    }
+
+    fn scoped(&self) -> &JobScoped<S> {
+        self.scoped
+            .as_deref()
+            .expect("a job holds its state until it drops")
+    }
+
+    /// Records `failure` as the job's end and stops it, unless it already
+    /// has one or every instance already finished: the first cause wins,
+    /// and a cancel that comes after the job completed leaves it completed.
+    fn fail(&self, failure: Failure) {
+        let mut cause = locked(self.cause.lock(), "cause");
+        if cause.is_none() && self.live.load(Ordering::SeqCst) > 0 {
+            *cause = Some(failure);
+            self.stop.store(true, Ordering::SeqCst);
         }
-        let failed = err.is_some();
-        if let Some(e) = err {
-            *locked(self.error.lock(), "error") = Some(e);
-        }
-        // No locks are held here, so the hook may take the service locks.
-        let hook = locked(self.on_done.lock(), "on_done").take();
-        if let Some(hook) = hook {
-            hook.job_finished(failed, self.store.stats());
-        }
-        *locked(self.done.lock(), "done") = true;
-        self.done_cv.notify_all();
     }
 
     fn emit(&self, w: usize, inst: InstanceId, kind: TraceEventKind) {
@@ -520,37 +538,7 @@ impl<S: Suspension> Job<S> {
         }
     }
 
-    /// No queued or running task of the job remains but instances are still
-    /// suspended: nothing can ever deliver their operands.
-    fn report_deadlock(&self) {
-        let live = locked(self.counts.lock(), "counts").live;
-        let (stuck, detail) = S::deadlock(&self.sched, &self.program, live);
-        self.fail(SimulationError::Deadlock {
-            stuck_instances: stuck.max(1),
-            detail,
-        });
-    }
-
-    /// Gives up one task's `in_flight` slot (and, for a terminal exit, its
-    /// `live` one), then completes the job or reports a deadlock if this was
-    /// the last one.
-    fn release(&self, terminal: bool) {
-        let mut c = locked(self.counts.lock(), "counts");
-        c.in_flight -= 1;
-        if terminal {
-            c.live -= 1;
-        }
-        let all_done = c.live == 0;
-        let deadlocked = !all_done && c.in_flight == 0 && !self.stop.load(Ordering::Relaxed);
-        drop(c);
-        if all_done {
-            self.finish(None);
-        } else if deadlocked {
-            self.report_deadlock();
-        }
-    }
-
-    fn stats(&self) -> PoolStats {
+    fn stats(&self, store: StoreStats) -> PoolStats {
         let n = |c: &AtomicU64| c.load(Ordering::Relaxed);
         PoolStats {
             workers: self.pool.workers,
@@ -566,25 +554,57 @@ impl<S: Suspension> Job<S> {
             arena_reuses: n(&self.arena_reuses),
             chunk_iterations: n(&self.chunk_iterations),
             super_ops: n(&self.super_ops),
-            store: self.store.stats(),
+            store,
         }
     }
 }
 
 impl<S: Suspension> Drop for Job<S> {
-    /// Hands the store and the suspension state back to the pool, cleared.
-    /// This runs once the last `Arc<Job>` is gone, so no worker, canceller
-    /// or queue entry can reach either any more, and the workers' directory
-    /// memos, cleared after every task, hold none of the store's arrays.
-    /// A drop must not panic, so state a panic poisoned is dropped instead.
+    /// The one place a job ends (see the module docs). It runs once the
+    /// last `Arc<Job>` is gone, so no task of the job is queued or running,
+    /// and the workers' directory memos, cleared after every task, hold
+    /// none of its arrays. In order: the statistics, the snapshot of a job
+    /// whose instances all finished, the store and suspension state back to
+    /// the pool, and only then the end to the notifier. A drop must not
+    /// panic, so it takes no lock, and state that a panic may have torn is
+    /// dropped instead of recycled.
     fn drop(&mut self) {
-        let mut store = std::mem::take(&mut self.store);
-        let mut sched = std::mem::take(&mut self.sched);
-        if store.recycle() && S::clear(&mut sched) {
+        let Some(mut scoped) = self.scoped.take() else {
+            return;
+        };
+        let store = scoped.store.stats();
+        let stats = self.stats(store);
+        let panicking = std::thread::panicking();
+        let live = *self.live.get_mut();
+        let cause = self.cause.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let end = match cause.take() {
+            Some(failure) => Err(failure),
+            None if panicking => Err(Failure::Error(SimulationError::Runtime(
+                "job abandoned by a panicking thread".into(),
+            ))),
+            None if live > 0 => {
+                let (stuck, detail) = S::deadlock(&mut scoped.sched, &self.program, live);
+                Err(Failure::Error(SimulationError::Deadlock {
+                    stuck_instances: stuck.max(1),
+                    detail,
+                }))
+            }
+            None => Ok(EngineOutcome {
+                engine: S::NAME,
+                return_value: self.result.get_mut().ok().and_then(Option::take),
+                arrays: snapshot(&scoped.store),
+                modelled_us: None,
+                wall_us: self.started.elapsed().as_secs_f64() * 1e6,
+                stats: S::stats(stats, Arc::clone(&self.partition)),
+                diagnostics: None,
+            }),
+        };
+        if !panicking && scoped.store.recycle() && S::clear(&mut scoped.sched) {
             if let Ok(mut spares) = self.pool.spare_state.lock() {
-                spares.push((store, sched));
+                spares.push(scoped);
             }
         }
+        self.on_done.job_ended(end, store);
     }
 }
 
@@ -643,10 +663,10 @@ impl<S: Suspension> Default for WorkerCtx<S> {
 }
 
 /// A job's I-structure store and suspension state: what a pool recycles.
-type JobScoped<S> = (
-    SharedArrayStore<<S as Suspension>::Waiter>,
-    <S as Suspension>::JobState,
-);
+struct JobScoped<S: Suspension> {
+    store: SharedArrayStore<S::Waiter>,
+    sched: S::JobState,
+}
 
 struct Shared<S: Suspension> {
     id: u64,
@@ -661,7 +681,7 @@ struct Shared<S: Suspension> {
     /// submissions. A pair is created only when none is spare, so the pool
     /// holds no more pairs than it ever had jobs alive at once (bounded by
     /// the service's dispatch window), each with one job's arrays.
-    spare_state: Mutex<Vec<JobScoped<S>>>,
+    spare_state: Mutex<Vec<Box<JobScoped<S>>>>,
     coord: Mutex<Coord>,
     cv: Condvar,
     jobs_submitted: AtomicU64,
@@ -679,9 +699,12 @@ impl<S: Suspension> Shared<S> {
 
     /// A store and suspension state for a new job: a finished job's, or new
     /// ones if none is spare. The one place the pool creates a store.
-    fn job_state(&self) -> JobScoped<S> {
+    fn job_state(&self) -> Box<JobScoped<S>> {
         let spare = locked(self.spare_state.lock(), "spare state").pop();
-        spare.unwrap_or_else(|| (SharedArrayStore::new(), S::JobState::default()))
+        spare.unwrap_or_else(|| {
+            let (store, sched) = (SharedArrayStore::new(), S::JobState::default());
+            Box::new(JobScoped { store, sched })
+        })
     }
 
     /// A spare frame and spare for worker `w`: from its own arena, else
@@ -732,35 +755,26 @@ impl<S: Suspension> Shared<S> {
         locked(self.arenas[w].lock(), "arena").recycle(inst.frame.slots, spare);
     }
 
-    /// Makes a task runnable on worker `w`'s deque. `new` marks a freshly
-    /// created instance (as opposed to a woken one).
-    fn enqueue(&self, w: usize, job: &Arc<Job<S>>, task: S::Task, new: bool) {
-        {
-            let mut c = locked(job.counts.lock(), "counts");
-            if new {
-                c.live += 1;
-            }
-            c.in_flight += 1;
-        }
+    /// Makes a task runnable on worker `w`'s deque.
+    fn enqueue(&self, w: usize, entry: Entry<S>) {
         self.lock_coord().ready += 1;
-        locked(self.queues[w].lock(), "queue").push_back(Entry {
-            job: Arc::clone(job),
-            task,
-        });
+        locked(self.queues[w].lock(), "queue").push_back(entry);
         self.cv.notify_one();
     }
 
+    /// A new instance of `template` over `args`, counted live, for the
+    /// caller to enqueue.
     #[allow(clippy::too_many_arguments)] // hot path: a params struct would be built per spawn
-    fn spawn(
+    fn new_task(
         &self,
         w: usize,
-        job: &Arc<Job<S>>,
+        job: &Job<S>,
         template: SpId,
         args: &[Value],
         pe: usize,
         return_to: Option<S::Waiter>,
         refill: &mut Arena<S::Spare>,
-    ) {
+    ) -> S::Task {
         let id = InstanceId(job.next_instance.fetch_add(1, Ordering::Relaxed));
         let num_slots = job.program.template(template).num_slots;
         let (frame, spare) = self.take_frame(w, refill);
@@ -779,7 +793,8 @@ impl<S: Suspension> Shared<S> {
         let frame = Frame { pc: 0, slots };
         let task = S::new_task(id, template, pe, frame, return_to, spare);
         job.emit(w, id, TraceEventKind::InstanceSpawned);
-        self.enqueue(w, job, task, true);
+        job.live.fetch_add(1, Ordering::SeqCst);
+        task
     }
 
     /// Pops the next task: own deque first (LIFO end for locality), then
@@ -806,11 +821,10 @@ impl<S: Suspension> Shared<S> {
     }
 
     /// Delivers every buffered wake-up in one transaction and enqueues
-    /// everything that woke with one `counts` + `coord` + deque lock.
-    /// Called when the buffer reaches the job's `delivery_batch` and at
-    /// every task boundary (suspend, finish), so batching changes *when*
-    /// locks are taken, never *whether* a wake-up happens before the
-    /// liveness counters can observe the task as idle.
+    /// everything that woke with one `coord` + deque lock. Called when the
+    /// buffer reaches the job's `delivery_batch` and at every task boundary
+    /// (suspend, finish), so batching changes *when* locks are taken, never
+    /// *whether* a woken task holds the job before this task lets go of it.
     fn flush(&self, w: usize, job: &Arc<Job<S>>, worker: &mut WorkerCtx<S>) {
         if worker.delivery.is_empty() {
             return;
@@ -818,13 +832,12 @@ impl<S: Suspension> Shared<S> {
         let delivered = worker.delivery.len() as u64;
         job.wakeups.fetch_add(delivered, Ordering::Relaxed);
         job.wakeup_flushes.fetch_add(1, Ordering::Relaxed);
-        S::deliver(&job.sched, &mut worker.delivery, &mut worker.woken);
+        S::deliver(job.sched(), &mut worker.delivery, &mut worker.woken);
         let woken = worker.woken.len();
         if woken == 0 {
             return;
         }
         job.resumptions.fetch_add(woken as u64, Ordering::Relaxed);
-        locked(job.counts.lock(), "counts").in_flight += woken;
         self.lock_coord().ready += woken as isize;
         {
             let mut q = locked(self.queues[w].lock(), "queue");
@@ -844,8 +857,7 @@ impl<S: Suspension> Shared<S> {
     }
 
     /// Terminates an instance, routing its return value through the
-    /// delivery buffer and flushing it (a task boundary) before the
-    /// liveness counters give up this task's slots.
+    /// delivery buffer and flushing it (a task boundary).
     fn finish(
         &self,
         w: usize,
@@ -861,7 +873,7 @@ impl<S: Suspension> Shared<S> {
             worker.delivery.push((ret, v));
         }
         self.flush(w, job, worker);
-        job.release(true);
+        job.live.fetch_sub(1, Ordering::SeqCst);
         self.recycle(w, inst);
     }
 
@@ -871,10 +883,7 @@ impl<S: Suspension> Shared<S> {
     fn abandon(&self, w: usize, job: &Job<S>, inst: Instance<S>, worker: &mut WorkerCtx<S>) {
         S::retire(&inst);
         worker.delivery.clear();
-        let mut c = locked(job.counts.lock(), "counts");
-        c.in_flight -= 1;
-        c.live -= 1;
-        drop(c);
+        job.live.fetch_sub(1, Ordering::SeqCst);
         self.recycle(w, inst);
     }
 
@@ -886,22 +895,24 @@ impl<S: Suspension> Shared<S> {
     ///
     /// Delivery-buffer discipline: `ctx.delivery` is empty on entry and on
     /// every return. Progress exits (suspend, finish) *flush* — buffered
-    /// wake-ups must be enqueued before this task's `in_flight` count is
-    /// given up, or deadlock detection could observe a false idle. Failure
-    /// exits *clear* (see [`Self::abandon`]).
+    /// wake-ups must be enqueued before this task lets go of the job, or
+    /// its `Drop` could see a false deadlock. Failure exits *clear* (see
+    /// [`Self::abandon`]).
     fn run_task(&self, job: &Arc<Job<S>>, task: S::Task, w: usize, ctx: &mut WorkerCtx<S>) {
         debug_assert!(ctx.delivery.is_empty(), "delivery buffer leaked a task");
         let mut inst = S::check_out(task);
         let executed = job.tasks.fetch_add(1, Ordering::Relaxed) + 1;
         if job.max_tasks > 0 && executed > job.max_tasks {
-            job.fail(SimulationError::EventLimitExceeded {
+            job.fail(Failure::Error(SimulationError::EventLimitExceeded {
                 limit: job.max_tasks,
-            });
+            }));
             self.abandon(w, job, inst, ctx);
             return;
         }
         let program = Arc::clone(&job.program);
         let template = program.template(inst.template);
+        #[cfg(test)]
+        cases::fault_point(&template.name);
         let slot_table = job.read_slots.template(inst.template);
         job.emit(w, inst.id, TraceEventKind::RunBegin);
         loop {
@@ -928,29 +939,26 @@ impl<S: Suspension> Shared<S> {
                 Ok(RunExit::Blocked(slot)) => {
                     self.flush(w, job, ctx);
                     let id = inst.id;
-                    match S::try_suspend(&job.sched, inst, slot) {
+                    match S::try_suspend(job.sched(), inst, slot) {
                         Some(resumed) => {
                             job.emit(w, id, TraceEventKind::RunBegin);
                             inst = resumed;
                         }
                         None => {
                             job.parks.fetch_add(1, Ordering::Relaxed);
-                            return job.release(false);
+                            return;
                         }
                     }
                 }
                 Ok(RunExit::Stopped) => {
-                    if !job.stop.load(Ordering::Relaxed) {
-                        // The pool is being torn down: cut the job short so
-                        // its waiter gets a cancellation error instead of
-                        // hanging. (Otherwise the job itself already
-                        // failed and this task is simply abandoned.)
-                        job.fail(cancellation_error());
-                    }
+                    // Either the job already failed, and this is a no-op, or
+                    // the pool is being torn down: cut the job short so its
+                    // waiter gets a cancellation error instead of hanging.
+                    job.fail(Failure::Cancelled(CancelKind::Shutdown));
                     return self.abandon(w, job, inst, ctx);
                 }
                 Err(msg) => {
-                    job.fail(SimulationError::Runtime(msg));
+                    job.fail(Failure::Error(SimulationError::Runtime(msg)));
                     return self.abandon(w, job, inst, ctx);
                 }
             }
@@ -965,10 +973,21 @@ impl<S: Suspension> Shared<S> {
                 // their jobs with the cancellation error.
                 return;
             }
-            if let Some(entry) = self.pop(w) {
-                self.run_task(&entry.job, entry.task, w, &mut ctx);
-                // Before the entry (perhaps the job's last reference) drops:
-                // the memo is the only holder of a job's arrays outside its
+            if let Some(Entry { job, task }) = self.pop(w) {
+                // The unwind boundary: a panic inside a task fails its job,
+                // not this worker. The half-run task's buffered wake-ups
+                // must not reach the next task.
+                let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                    self.run_task(&job, task, w, &mut ctx)
+                }));
+                if let Err(payload) = ran {
+                    ctx.delivery.clear();
+                    ctx.woken.clear();
+                    let msg = format!("instance panicked: {}", panic_message(&*payload));
+                    job.fail(Failure::Error(SimulationError::Runtime(msg)));
+                }
+                // Before `job` (perhaps the job's last reference) drops: the
+                // memo is the only holder of a job's arrays outside its
                 // store. Kept, it would stop the store's recycle from
                 // reusing them, and hand a stale array to the next job,
                 // whose array ids start again at 0.
@@ -1036,7 +1055,7 @@ impl<S: Suspension> ArrayOps for Ctx<'_, S> {
             num_pes: self.pool.workers,
             owner: (!distributed).then_some(PeId(self.inst.pe)),
         };
-        job.store
+        job.store()
             .allocate_dims(id, name, dims, partitioning)
             .map_err(|e| e.to_string())?;
         self.inst.frame.set_slot(dst, Value::ArrayRef(id));
@@ -1048,12 +1067,12 @@ impl<S: Suspension> ArrayOps for Ctx<'_, S> {
         id: ArrayId,
         f: impl FnOnce(&ArrayHeader) -> R,
     ) -> Result<R, String> {
-        let shared = self.worker.cache.get(&self.job.store, id)?;
+        let shared = self.worker.cache.get(self.job.store(), id)?;
         Ok(f(shared.header()))
     }
 
     fn load_element(&mut self, id: ArrayId, offset: usize, dst: SlotId) -> Result<Loaded, String> {
-        let shared = self.worker.cache.get(&self.job.store, id)?;
+        let shared = self.worker.cache.get(self.job.store(), id)?;
         match shared
             .read(offset, S::waiter(self.inst, dst))
             .map_err(|e| e.to_string())?
@@ -1069,7 +1088,7 @@ impl<S: Suspension> ArrayOps for Ctx<'_, S> {
     fn store_element(&mut self, id: ArrayId, offset: usize, value: Value) -> Result<(), String> {
         // Wake-ups land in the worker's delivery buffer; they are flushed
         // when the buffer fills or at the next task boundary.
-        let shared = self.worker.cache.get(&self.job.store, id)?;
+        let shared = self.worker.cache.get(self.job.store(), id)?;
         shared
             .write_into(offset, value, &mut self.worker.delivery)
             .map_err(|e| e.to_string())?;
@@ -1152,8 +1171,11 @@ impl<S: Suspension> ExecCtx for Ctx<'_, S> {
                 .filter(|_| pe == here)
                 .map(|slot| S::waiter(self.inst, slot));
             let refill = &mut self.worker.refill;
-            self.pool
-                .spawn(self.w, self.job, target, &buf, pe, ret, refill);
+            let task = self
+                .pool
+                .new_task(self.w, self.job, target, &buf, pe, ret, refill);
+            let job = Arc::clone(self.job);
+            self.pool.enqueue(self.w, Entry { job, task });
         }
         self.worker.spawn_args = buf;
         Ok(())
@@ -1204,15 +1226,22 @@ impl<S: Suspension> Pool<S> {
             jobs_submitted: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
+        // Returns once every worker runs: a thread allocates as it starts,
+        // and one that starts late would do so in the middle of a job.
+        let started = Arc::new(Barrier::new(workers + 1));
         let threads = (0..workers)
             .map(|w| {
-                let s = Arc::clone(&shared);
+                let (s, started) = (Arc::clone(&shared), Arc::clone(&started));
                 std::thread::Builder::new()
                     .name(format!("pods-{}-{}-{w}", S::NAME, shared.id))
-                    .spawn(move || s.worker(w))
+                    .spawn(move || {
+                        started.wait();
+                        s.worker(w)
+                    })
                     .expect("spawn pool worker")
             })
             .collect();
+        started.wait();
         Pool { shared, threads }
     }
 }
@@ -1226,10 +1255,13 @@ impl<S: Suspension> Drop for Pool<S> {
             t.join().expect("pool worker panicked");
         }
         // Jobs still queued when the pool dies would otherwise hang their
-        // waiters; fail them loudly instead.
+        // waiters; fail them loudly instead. The entries leave the deque
+        // first: the last of a job's entries ends it, and its notifier
+        // takes the service's state lock.
         for q in &self.shared.queues {
-            for entry in locked(q.lock(), "queue").drain(..) {
-                entry.job.fail(cancellation_error());
+            let entries = std::mem::take(&mut *locked(q.lock(), "queue"));
+            for entry in entries {
+                entry.job.fail(Failure::Cancelled(CancelKind::Shutdown));
             }
         }
     }
@@ -1240,13 +1272,14 @@ pub(crate) trait Pooled: Send + Sync {
     /// Process-unique identity of this pool.
     fn id(&self) -> u64;
 
-    /// Submits one prepared program for execution and returns a handle to
-    /// wait on. The program state in the [`JobSpec`] is `Arc`-shared and
-    /// the store and suspension state are a finished job's, so a warm
-    /// submission allocates only the job record. The entry instance is
-    /// placed on a rotating home worker so that concurrent jobs spread
-    /// across the pool.
-    fn submit(&self, spec: JobSpec, args: &[Value]) -> PoolHandle;
+    /// Submits one prepared program for execution; its end goes to the
+    /// spec's notifier. The program state in the [`JobSpec`] is
+    /// `Arc`-shared and the store and suspension state are a finished
+    /// job's, so a warm submission allocates only the job record. The entry
+    /// instance is placed on a rotating home worker so that concurrent jobs
+    /// spread across the pool. Only the entry's queue entry holds the job,
+    /// so the caller can never be the one that ends it.
+    fn submit(&self, spec: JobSpec, args: &[Value]) -> PoolCanceller;
 }
 
 impl<S: Suspension> Pooled for Pool<S> {
@@ -1254,7 +1287,7 @@ impl<S: Suspension> Pooled for Pool<S> {
         self.shared.id
     }
 
-    fn submit(&self, spec: JobSpec, args: &[Value]) -> PoolHandle {
+    fn submit(&self, spec: JobSpec, args: &[Value]) -> PoolCanceller {
         let started = Instant::now();
         let shared = &self.shared;
         let seq = shared.jobs_submitted.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1272,26 +1305,23 @@ impl<S: Suspension> Pooled for Pool<S> {
             t.emit(t.service_lane(), 0, TraceEventKind::JobStarted);
         }
         let entry_template = program.entry();
-        let (store, sched) = shared.job_state();
         let job = Arc::new(Job::<S> {
             seq,
             pool: Arc::clone(shared),
             program,
             read_slots,
-            store,
-            sched,
-            counts: Mutex::default(),
+            partition,
+            started,
+            scoped: Some(shared.job_state()),
+            live: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            error: Mutex::new(None),
+            cause: Mutex::new(None),
             result: Mutex::new(None),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
             page_size,
             max_tasks,
             delivery_batch: delivery_batch.max(1),
-            on_done: Mutex::new(on_done),
+            on_done,
             trace,
-            finished: AtomicBool::new(false),
             next_instance: AtomicU64::new(0),
             next_array: AtomicUsize::new(0),
             tasks: AtomicU64::new(0),
@@ -1308,122 +1338,117 @@ impl<S: Suspension> Pooled for Pool<S> {
         // The entry frame comes from the home worker's arena (or a
         // sibling's); an empty scratch arena costs nothing to create.
         let mut refill = Arena::default();
-        shared.spawn(home, &job, entry_template, args, 0, None, &mut refill);
-        PoolHandle {
-            job,
-            partition,
-            started,
+        let task = shared.new_task(home, &job, entry_template, args, 0, None, &mut refill);
+        let canceller = PoolCanceller {
+            job: Arc::downgrade(&job) as Weak<dyn JobControl>,
+        };
+        shared.enqueue(home, Entry { job, task });
+        canceller
+    }
+}
+
+/// The vectors of outcomes whose waiters copied them, emptied, for later
+/// jobs' ends to fill: one set for the whole process, since runtimes come
+/// and go while their outcomes' sizes repeat. A job's end allocates only
+/// what no spare can hold, on the worker that ends it, and its waiter
+/// copies the outcome on its own thread. So the outcomes a caller holds
+/// live in the caller's allocations, and a worker's allocator arena keeps
+/// at most the spares it made, not one copy of every outcome it finished.
+static SPARE_SNAPSHOTS: Mutex<SnapshotSpares> = Mutex::new(SnapshotSpares {
+    lists: Vec::new(),
+    values: Vec::new(),
+});
+
+struct SnapshotSpares {
+    lists: Vec<Vec<ArraySnapshot>>,
+    values: Vec<Vec<Option<Value>>>,
+}
+
+/// The most vectors of either kind kept spare, each as large as the
+/// largest it held: more than a burst of jobs ends before its waiters take
+/// them.
+const SPARE_SNAPSHOTS_MAX: usize = 256;
+
+/// Takes the spare with the least capacity of at least `len`, if any.
+fn best_fit<T>(spares: &mut Vec<Vec<T>>, len: usize) -> Option<Vec<T>> {
+    let fits = spares
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| v.capacity() >= len);
+    let (i, _) = fits.min_by_key(|(_, v)| v.capacity())?;
+    Some(spares.swap_remove(i))
+}
+
+/// The arrays of a completed job, in allocation order, snapshotted into
+/// spare vectors that fit (see [`SPARE_SNAPSHOTS`]). Runs in a job's
+/// `Drop`, so a poisoned spare set is passed over, not a panic.
+fn snapshot<W>(store: &SharedArrayStore<W>) -> Vec<ArraySnapshot> {
+    let spares = || SPARE_SNAPSHOTS.lock().ok();
+    let count = store.num_arrays();
+    let list = spares().and_then(|mut s| best_fit(&mut s.lists, count));
+    let mut arrays = list.unwrap_or_default();
+    store.for_each_array(|a| {
+        let values = spares().and_then(|mut s| best_fit(&mut s.values, a.len()));
+        let mut values = values.unwrap_or_default();
+        a.snapshot_into(&mut values);
+        arrays.push(ArraySnapshot::from_header(a.header(), values));
+    });
+    arrays
+}
+
+/// Takes back the vectors of a completed job's outcome once its waiter has
+/// copied them (see [`SPARE_SNAPSHOTS`]).
+pub(crate) fn spare_snapshots(mut arrays: Vec<ArraySnapshot>) {
+    let mut spares = locked(SPARE_SNAPSHOTS.lock(), "spare snapshots");
+    for mut snap in arrays.drain(..) {
+        if spares.values.len() < SPARE_SNAPSHOTS_MAX {
+            snap.values.clear();
+            spares.values.push(snap.values);
         }
+    }
+    if spares.lists.len() < SPARE_SNAPSHOTS_MAX {
+        spares.lists.push(arrays);
+    }
+}
+
+/// The text of a caught panic's payload.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(msg) => msg,
+        None => payload
+            .downcast_ref::<String>()
+            .map_or("(no message)", String::as_str),
     }
 }
 
 /// A job of either strategy, behind the per-job boundary.
 trait JobControl: Send + Sync {
-    fn is_done(&self) -> bool;
-    fn fail(&self, err: SimulationError);
-    /// Blocks until the job completes and assembles its outcome.
-    fn outcome(
-        &self,
-        partition: Arc<PartitionReport>,
-        started: Instant,
-    ) -> Result<EngineOutcome, PodsError>;
+    fn cancel(&self, kind: CancelKind);
 }
 
 impl<S: Suspension> JobControl for Job<S> {
-    fn is_done(&self) -> bool {
-        *locked(self.done.lock(), "done")
-    }
-
-    fn fail(&self, err: SimulationError) {
-        Job::fail(self, err);
-    }
-
-    fn outcome(
-        &self,
-        partition: Arc<PartitionReport>,
-        started: Instant,
-    ) -> Result<EngineOutcome, PodsError> {
-        let mut done = locked(self.done.lock(), "done");
-        while !*done {
-            done = locked(self.done_cv.wait(done), "done");
-        }
-        drop(done);
-        if let Some(err) = locked(self.error.lock(), "error").take() {
-            return Err(err.into());
-        }
-        let wall_us = started.elapsed().as_secs_f64() * 1e6;
-        let arrays = self.store.snapshots(ArraySnapshot::from_header);
-        let return_value = locked(self.result.lock(), "result").take();
-        Ok(EngineOutcome {
-            engine: S::NAME,
-            return_value,
-            arrays,
-            modelled_us: None,
-            wall_us,
-            stats: S::stats(self.stats(), partition),
-            diagnostics: None,
-        })
+    fn cancel(&self, kind: CancelKind) {
+        self.fail(Failure::Cancelled(kind));
     }
 }
 
-/// A handle to one submitted job. `wait` blocks until the job completes and
-/// assembles the uniform [`EngineOutcome`].
-pub(crate) struct PoolHandle {
-    job: Arc<dyn JobControl>,
-    partition: Arc<PartitionReport>,
-    started: Instant,
-}
-
-impl PoolHandle {
-    /// Whether the job has already completed (successfully or not).
-    pub(crate) fn is_done(&self) -> bool {
-        self.job.is_done()
-    }
-
-    /// A detachable cancel token for this job, usable while (or after)
-    /// `wait` consumes the handle.
-    pub(crate) fn canceller(&self) -> PoolCanceller {
-        PoolCanceller {
-            job: Arc::clone(&self.job),
-        }
-    }
-
-    /// Blocks until the job completes and returns its outcome. A job that
-    /// succeeded is also torn down by then: the worker that completed it
-    /// lets go of it a moment after waking this waiter, and the wait lasts
-    /// until it has, so that this handle holds the last reference and its
-    /// drop hands the store, the suspension state and every frame back to
-    /// the pool. A caller that submits again at once thus finds them spare
-    /// instead of building a store of its own. (A failed job may still
-    /// have tasks queued, which let go of it only when a worker pops them.)
-    pub(crate) fn wait(self) -> Result<EngineOutcome, PodsError> {
-        let outcome = self.job.outcome(self.partition, self.started);
-        if outcome.is_ok() {
-            while Arc::strong_count(&self.job) > 1 {
-                std::thread::yield_now();
-            }
-        }
-        outcome
-    }
-}
-
-/// Cancel token for one job: stops the job at its next instruction boundary
-/// with the supplied error, through the same stop-flag path that pool
-/// teardown uses. A no-op if the job already finished.
+/// Cancel token for one job. It holds the job weakly, so it keeps neither
+/// the job nor its store alive, and a job that has ended cannot be reached
+/// through it.
 #[derive(Clone)]
 pub(crate) struct PoolCanceller {
-    job: Arc<dyn JobControl>,
+    job: Weak<dyn JobControl>,
 }
 
 impl PoolCanceller {
-    /// Whether the job has already completed (successfully or not).
-    pub(crate) fn is_done(&self) -> bool {
-        self.job.is_done()
-    }
-
-    /// Stops the job with `err` unless it already finished.
-    pub(crate) fn cancel(&self, err: SimulationError) {
-        self.job.fail(err);
+    /// Stops the job at its next instruction boundary, with `kind` as its
+    /// end, unless it already has an end (see [`Job::fail`]). If the job's
+    /// last task lets go of it meanwhile, the job ends on this thread, so
+    /// call this with no service lock held.
+    pub(crate) fn cancel(&self, kind: CancelKind) {
+        if let Some(job) = self.job.upgrade() {
+            job.cancel(kind);
+        }
     }
 }
 
@@ -1449,23 +1474,94 @@ pub(crate) use pool_cases;
 #[cfg(test)]
 pub(crate) mod cases {
     use super::*;
+    use crate::engine::cancellation_error;
+    use crate::error::PodsError;
     use crate::pipeline::{compile, CompiledProgram, RunOptions};
+    use std::time::Duration;
 
-    /// Partitions the program and builds its read-slot table for one
-    /// submission (a `Runtime` shares them through its prepared programs).
-    fn spec(program: &CompiledProgram, opts: &RunOptions) -> JobSpec {
+    /// Functions of this name panic when an instance of them starts, in
+    /// test builds: the fault the unwind boundary must contain.
+    const FAULT: &str = "planted_panic";
+
+    pub(crate) fn fault_point(template: &str) {
+        if template == FAULT {
+            panic!("planted fault in {template}");
+        }
+    }
+
+    /// How long a test waits for a job's end before it fails instead of
+    /// hanging.
+    const WAIT_LIMIT: Duration = Duration::from_secs(60);
+
+    /// Holds one job's end until the test takes it, as the service's
+    /// ticket does.
+    #[derive(Default)]
+    struct Ended {
+        end: Mutex<Option<Result<EngineOutcome, PodsError>>>,
+        cv: Condvar,
+    }
+
+    impl JobNotifier for Ended {
+        fn job_ended(&self, end: Result<EngineOutcome, Failure>, _store: StoreStats) {
+            let end = end.map_err(|failure| match failure {
+                Failure::Error(err) => err.into(),
+                Failure::Cancelled(_) => cancellation_error().into(),
+            });
+            *locked(self.end.lock(), "end") = Some(end);
+            self.cv.notify_all();
+        }
+    }
+
+    impl Ended {
+        /// The job's end, once it has ended: `Err` if it did not within
+        /// [`WAIT_LIMIT`].
+        fn wait(&self) -> Result<Result<EngineOutcome, PodsError>, String> {
+            let end = locked(self.end.lock(), "end");
+            let (mut end, _) = locked(
+                self.cv
+                    .wait_timeout_while(end, WAIT_LIMIT, |end| end.is_none()),
+                "end",
+            );
+            end.take()
+                .ok_or_else(|| format!("the job did not end within {WAIT_LIMIT:?}"))
+        }
+    }
+
+    /// Submits `program` to `pool` (partitioning it and building its
+    /// read-slot table, which a `Runtime` shares through its prepared
+    /// programs) and returns where its end will land.
+    fn submit<S: Suspension>(
+        pool: &Pool<S>,
+        program: &CompiledProgram,
+        opts: &RunOptions,
+        n: i64,
+    ) -> Arc<Ended> {
         let (partitioned, partition) = program.partitioned(opts);
         let read_slots = build_read_slots(&partitioned);
-        JobSpec {
+        let ended = Arc::new(Ended::default());
+        let spec = JobSpec {
             program: Arc::new(partitioned),
             read_slots: Arc::new(read_slots),
             partition: Arc::new(partition),
             page_size: opts.page_size,
             max_tasks: opts.max_events,
             delivery_batch: opts.delivery_batch,
-            on_done: None,
+            on_done: Arc::clone(&ended) as Arc<dyn JobNotifier>,
             trace: None,
-        }
+        };
+        pool.submit(spec, &[Value::Int(n)]);
+        ended
+    }
+
+    /// Submits and waits for the end, which must come within
+    /// [`WAIT_LIMIT`].
+    fn end_of<S: Suspension>(
+        pool: &Pool<S>,
+        program: &CompiledProgram,
+        opts: &RunOptions,
+        n: i64,
+    ) -> Result<EngineOutcome, PodsError> {
+        submit(pool, program, opts, n).wait().unwrap()
     }
 
     /// One job on a pool of its own, `opts.num_pes` workers.
@@ -1474,10 +1570,17 @@ pub(crate) mod cases {
         n: i64,
         opts: &RunOptions,
     ) -> Result<EngineOutcome, PodsError> {
-        let program = compile(src).unwrap();
-        Pool::<S>::new(opts.num_pes)
-            .submit(spec(&program, opts), &[Value::Int(n)])
-            .wait()
+        end_of(
+            &Pool::<S>::new(opts.num_pes),
+            &compile(src).unwrap(),
+            opts,
+            n,
+        )
+    }
+
+    /// The stores a pool holds spare.
+    fn spares<S: Suspension>(pool: &Pool<S>) -> usize {
+        locked(pool.shared.spare_state.lock(), "spare state").len()
     }
 
     fn run_ok<S: Suspension>(src: &str, n: i64, workers: usize) -> EngineOutcome {
@@ -1662,12 +1765,11 @@ pub(crate) mod cases {
             } else {
                 (&scalar, k)
             };
-            let spec = spec(program, &opts);
-            handles.push((k, pool.submit(spec, &[Value::Int(n)])));
+            handles.push((k, submit(&pool, program, &opts, n)));
         }
         let mut seqs = Vec::new();
         for (k, handle) in handles {
-            let outcome = handle.wait().unwrap();
+            let outcome = handle.wait().unwrap().unwrap();
             if k % 2 == 0 {
                 let a = outcome.returned_array().unwrap();
                 assert!(a.is_complete(), "job {k} incomplete");
@@ -1688,19 +1790,76 @@ pub(crate) mod cases {
         let good = compile("def main(n) { return n + 1; }").unwrap();
         let pool = Pool::<S>::new(2);
         let opts = RunOptions::with_pes(2);
-        let submit = |program, n| pool.submit(spec(program, &opts), &[Value::Int(n)]);
-        let bad_handle = submit(&bad, 4);
-        let good_handle = submit(&good, 4);
-        assert!(bad_handle.wait().is_err());
+        let bad_handle = submit(&pool, &bad, &opts, 4);
+        let good_handle = submit(&pool, &good, &opts, 4);
+        assert!(bad_handle.wait().unwrap().is_err());
         assert_eq!(
-            good_handle.wait().unwrap().return_value,
+            good_handle.wait().unwrap().unwrap().return_value,
             Some(Value::Int(5))
         );
         // And the pool still accepts new work after a failure.
         assert_eq!(
-            submit(&good, 9).wait().unwrap().return_value,
+            end_of(&pool, &good, &opts, 9).unwrap().return_value,
             Some(Value::Int(10))
         );
+    }
+
+    /// A job ends only after its store is back: whoever its end wakes
+    /// finds the store spare, whether the job completed or failed.
+    pub(crate) fn a_job_ends_after_its_store_is_back<S: Suspension>() {
+        let good = compile("def main(n) { a = array(n); a[0] = n; return a; }").unwrap();
+        let bad = compile("def main(n) { a = array(n); a[0] = 1; a[0] = 2; return a; }").unwrap();
+        for workers in [1, 2] {
+            let pool = Pool::<S>::new(workers);
+            let opts = RunOptions::with_pes(workers);
+            for round in 0..20 {
+                let (program, ok) = if round % 2 == 0 {
+                    (&good, true)
+                } else {
+                    (&bad, false)
+                };
+                let end = end_of(&pool, program, &opts, 4);
+                assert_eq!(end.is_ok(), ok, "{workers} workers, round {round}");
+                assert_eq!(spares(&pool), 1, "{workers} workers, round {round}");
+            }
+        }
+    }
+
+    /// A task that panics fails its job, not its worker: on one worker and
+    /// on two, the waiter gets the panic as a runtime error, the next job on
+    /// the same pool succeeds, and dropping the pool does not panic.
+    pub(crate) fn a_panicking_instance_fails_only_its_job<S: Suspension>() {
+        let faulty = compile(&format!(
+            "def main(n) {{ a = array(n); for i = 0 to n - 1 {{ a[i] = i; }} \
+             return {FAULT}(a, n) + a[0]; }} def {FAULT}(a, n) {{ return a[n - 1]; }}"
+        ))
+        .unwrap();
+        let good = compile("def main(n) { return n + 1; }").unwrap();
+        for workers in [1, 2] {
+            let pool = Pool::<S>::new(workers);
+            let opts = RunOptions::with_pes(workers);
+            for round in 0..3 {
+                let err = submit(&pool, &faulty, &opts, 16)
+                    .wait()
+                    .unwrap_or_else(|hung| panic!("{workers} workers: {hung}"))
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, PodsError::Simulation(SimulationError::Runtime(msg))
+                        if msg == &format!("instance panicked: planted fault in {FAULT}")),
+                    "{workers} workers, round {round}: {err}"
+                );
+                assert_eq!(
+                    end_of(&pool, &good, &opts, 4).unwrap().return_value,
+                    Some(Value::Int(5)),
+                    "{workers} workers, round {round}"
+                );
+            }
+            let dropped = std::thread::spawn(move || drop(pool)).join();
+            assert!(
+                dropped.is_ok(),
+                "{workers} workers: dropping the pool panicked"
+            );
+        }
     }
 
     /// Sixteen split-phase probe calls suspend on unwritten elements, then

@@ -58,13 +58,13 @@
 //! the preparing runtime's.
 
 use crate::engine::{
-    build_read_slots, check_invocation, seq, sim, EngineKind, EngineOutcome, JobSpec, Pooled,
-    ReadSlots,
+    build_read_slots, check_invocation, seq, sim, EngineKind, EngineOutcome, JobNotifier, JobSpec,
+    Pooled, ReadSlots,
 };
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
 use crate::service::metrics::MetricsRegistry;
-use crate::service::queue::{CancelKind, Ticket};
+use crate::service::queue::Ticket;
 use crate::service::{ClientId, JobService, ServiceInner, ServiceMetrics};
 use crate::trace::{JobTrace, TraceConfig, TraceEventKind, TraceHandle, TraceRecorder};
 use pods_istructure::Value;
@@ -690,10 +690,10 @@ impl PreparedProgram {
         )
     }
 
-    /// The per-job spec handed to the pooled backends: `Arc` bumps only, no
-    /// program work and no copy of the partition report. The service
-    /// attaches its completion hook before submission.
-    pub(crate) fn job_spec(&self, opts: &RunOptions) -> JobSpec {
+    /// The per-job spec handed to the pooled backends, with `on_done` as
+    /// its completion hook: `Arc` bumps only, no program work and no copy
+    /// of the partition report.
+    pub(crate) fn job_spec(&self, opts: &RunOptions, on_done: Arc<dyn JobNotifier>) -> JobSpec {
         JobSpec {
             program: Arc::clone(&self.inner.sp),
             read_slots: Arc::clone(&self.inner.read_slots),
@@ -701,7 +701,7 @@ impl PreparedProgram {
             page_size: opts.page_size,
             max_tasks: opts.max_events,
             delivery_batch: opts.delivery_batch.max(1),
-            on_done: None,
+            on_done,
             trace: None,
         }
     }
@@ -855,50 +855,7 @@ impl JobHandle {
     pub fn wait(self) -> Result<EngineOutcome, PodsError> {
         match self.inner {
             JobInner::Ready(outcome) => *outcome,
-            JobInner::Service { svc, ticket } => {
-                let outcome = match ticket.claim() {
-                    Ok(handle) => handle.wait(),
-                    Err(err) => Err(err),
-                };
-                // A deadline cancellation surfaces from the engine as a
-                // generic stop; report it as the typed error instead —
-                // carrying the flight-recorder breakdown when tracing is on.
-                if outcome.is_err() && ticket.cancel_kind() == Some(CancelKind::Deadline) {
-                    return Err(PodsError::DeadlineExceeded {
-                        deadline: ticket.deadline_dur.unwrap_or_default(),
-                        breakdown: svc.job_breakdown(ticket.trace_job),
-                    });
-                }
-                match outcome {
-                    Ok(mut ok) => {
-                        // Attach the slow-job diagnostic to the outcome.
-                        if ticket.trace_job != 0 {
-                            if let Some(rec) = &svc.trace {
-                                ok.diagnostics = rec.peek().breakdown(ticket.trace_job);
-                            }
-                        }
-                        Ok(ok)
-                    }
-                    // Deadlocked jobs get the breakdown folded into the
-                    // error detail, pointing at where the time went.
-                    Err(PodsError::Simulation(pods_machine::SimulationError::Deadlock {
-                        stuck_instances,
-                        detail,
-                    })) => {
-                        let detail = match svc.job_breakdown(ticket.trace_job) {
-                            Some(b) => format!("{detail}; {b}"),
-                            None => detail,
-                        };
-                        Err(PodsError::Simulation(
-                            pods_machine::SimulationError::Deadlock {
-                                stuck_instances,
-                                detail,
-                            },
-                        ))
-                    }
-                    err => err,
-                }
-            }
+            JobInner::Service { ticket, .. } => ticket.wait(),
         }
     }
 }

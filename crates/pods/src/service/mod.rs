@@ -16,7 +16,7 @@
 //! * [`fairness`] — [`ClientId`], client weights, and the deficit-round-
 //!   robin [`fairness::FairQueue`].
 //! * [`queue`] — the per-job [`queue::Ticket`] state machine (queued →
-//!   dispatched/cancelled) that `JobHandle` waits on.
+//!   dispatched → ended, or queued → ended) that `JobHandle` waits on.
 //! * [`metrics`] — the atomic [`metrics::MetricsRegistry`] and the public
 //!   [`ServiceMetrics`] snapshot.
 //! * This module — [`JobService`]: the dispatcher thread, the admission
@@ -26,10 +26,12 @@
 //!
 //! The service state lock nests *outside* pool and ticket locks: the
 //! dispatcher submits to the pool and transitions tickets while holding it.
-//! A job's completion hook is its ticket ([`JobNotifier`]); fired by a pool
-//! worker with no pool locks held, it takes metrics locks and then the
-//! state lock. Cancellation of an in-flight job re-enters the completion
-//! hook, so cancellers are always invoked with the state lock released.
+//! A dispatched job ends in its `Drop`, on whichever thread lets go of it
+//! last, which calls its ticket ([`JobNotifier`]) with no pool lock held;
+//! the ticket frees the job's dispatch slot under the state lock, then
+//! ends. The dispatcher keeps only a weak canceller, so it never holds a
+//! job, and cancellers, which may end a job, run with the state lock
+//! released.
 
 pub(crate) mod fairness;
 pub(crate) mod metrics;
@@ -38,36 +40,34 @@ pub(crate) mod queue;
 pub use fairness::ClientId;
 pub use metrics::ServiceMetrics;
 
-use crate::engine::{cancellation_error, JobNotifier, PoolCanceller, Pooled};
+use crate::engine::{
+    cancellation_error, CancelKind, EngineOutcome, Failure, JobNotifier, PoolCanceller, Pooled,
+};
 use crate::error::PodsError;
 use crate::pipeline::RunOptions;
 use crate::runtime::PreparedProgram;
-use crate::trace::{TraceEventKind, TraceHandle, TraceRecorder};
+use crate::trace::{JobBreakdown, TraceEventKind, TraceHandle, TraceRecorder};
 use fairness::FairQueue;
 use metrics::MetricsRegistry;
 use pods_istructure::{StoreStats, Value};
 use pods_machine::SimulationError;
-use queue::{CancelKind, QueuedJob, Ticket};
+use queue::{QueuedJob, Ticket};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Barrier, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::Instant;
 
-/// The error injected into a pool job stopped by `JobHandle::cancel`.
+/// The error a job stopped by `JobHandle::cancel` reports.
 fn user_cancel_error() -> SimulationError {
     SimulationError::Runtime("job cancelled: JobHandle::cancel was called".into())
 }
 
-/// The error injected into a pool job stopped by the deadline watchdog
-/// (mapped to [`PodsError::DeadlineExceeded`] at `wait`).
-fn deadline_cancel_error() -> SimulationError {
-    SimulationError::Runtime("job cancelled: deadline exceeded".into())
-}
-
-/// A job dispatched to the pool and not yet finished.
+/// A job dispatched to the pool and not yet ended.
 struct InFlight {
     ticket: Arc<Ticket>,
     canceller: PoolCanceller,
+    /// The ticket's deadline, until the watchdog stops the job for it.
+    deadline: Option<Instant>,
 }
 
 /// State guarded by the service lock.
@@ -117,15 +117,6 @@ impl ServiceInner {
         }
     }
 
-    /// Resolves a job that never reached the pool as cancelled. The service
-    /// books the cancellation before it wakes the waiter, so a `wait()` that
-    /// returns always reads metrics that already count its job.
-    fn cancel_undispatched(&self, ticket: &Ticket, kind: CancelKind, err: PodsError) {
-        ticket.set_cancel_kind(kind);
-        self.metrics.note_cancelled();
-        ticket.cancelled(err);
-    }
-
     /// Admits one job. While the admission queue is full the submitter
     /// waits for a slot until `until` (`None`: without bound), then the job
     /// is rejected. Returns its ticket, or `QueueFull` if the job was
@@ -148,11 +139,7 @@ impl ServiceInner {
             if st.shutdown {
                 // Unreachable through the public API (shutdown needs `&mut
                 // Runtime`), but terminal rather than hanging if reached.
-                self.cancel_undispatched(
-                    &ticket,
-                    CancelKind::Shutdown,
-                    cancellation_error().into(),
-                );
+                ticket.end(self, Err(Failure::Cancelled(CancelKind::Shutdown)), None);
                 return Ok(ticket);
             }
             if st.queue.is_empty() && st.in_flight.len() < self.window {
@@ -210,11 +197,11 @@ impl ServiceInner {
     ) {
         let Some(pool) = self.pool.upgrade() else {
             // The runtime is tearing down; terminal, like shutdown.
-            self.cancel_undispatched(&ticket, CancelKind::Shutdown, cancellation_error().into());
+            ticket.end(self, Err(Failure::Cancelled(CancelKind::Shutdown)), None);
             return;
         };
-        let mut spec = prepared.job_spec(&self.opts);
-        spec.on_done = Some(Arc::clone(&ticket) as Arc<dyn JobNotifier>);
+        let hook = Arc::clone(&ticket) as Arc<dyn JobNotifier>;
+        let mut spec = prepared.job_spec(&self.opts, hook);
         if let Some(rec) = &self.trace {
             if ticket.trace_job != 0 {
                 spec.trace = Some(TraceHandle {
@@ -224,32 +211,87 @@ impl ServiceInner {
                 self.trace_job_event(ticket.trace_job, TraceEventKind::JobDispatched);
             }
         }
-        let handle = pool.submit(spec, args);
-        let canceller = handle.canceller();
-        ticket.dispatched(handle);
-        st.in_flight.push(InFlight { ticket, canceller });
+        ticket.dispatched();
+        let canceller = pool.submit(spec, args);
+        st.in_flight.push(InFlight {
+            deadline: ticket.deadline,
+            ticket,
+            canceller,
+        });
         self.metrics.set_in_flight(st.in_flight.len());
     }
 
-    /// Books a dispatched job's end, for its ticket's [`JobNotifier`] hook.
-    /// A job counts as cancelled only if it failed with a cancellation
-    /// recorded: one the watchdog or `JobHandle::cancel` marked but that
-    /// finished first returns `Ok` from `wait`, and counts as completed.
-    fn job_finished(&self, ticket: &Ticket, failed: bool, store: StoreStats) {
-        if failed && ticket.cancel_kind().is_some() {
-            self.metrics.note_cancelled();
-        } else {
-            self.trace_job_event(ticket.trace_job, TraceEventKind::JobFinished);
-            self.metrics
-                .note_completed(ticket.client, ticket.submitted.elapsed());
-        }
-        self.metrics.absorb_store(store);
+    /// A dispatched job's end, from its ticket's [`JobNotifier`] hook: frees
+    /// the job's dispatch slot, then ends the ticket. The job's store is
+    /// already back in the pool's spares, so neither the dispatcher nor the
+    /// waiter, both woken here, can build a store of its own.
+    fn job_ended(&self, ticket: &Ticket, end: Result<EngineOutcome, Failure>, store: StoreStats) {
         let mut st = self.state.lock().expect("service state poisoned");
         st.in_flight
             .retain(|e| !std::ptr::eq(Arc::as_ptr(&e.ticket), ticket));
         self.metrics.set_in_flight(st.in_flight.len());
         drop(st);
         self.work_cv.notify_all();
+        ticket.end(self, end, Some(store));
+    }
+
+    /// Books a job's end and makes it what the job's waiter gets. Called by
+    /// the ticket as it enters `Ended`, and nowhere else. A job counts as
+    /// cancelled if a cancel was its first cause; one that failed by itself
+    /// counts as completed, as one that succeeded does.
+    fn book(
+        &self,
+        ticket: &Ticket,
+        end: Result<EngineOutcome, Failure>,
+        store: Option<StoreStats>,
+    ) -> Result<EngineOutcome, PodsError> {
+        if let Some(store) = store {
+            self.metrics.absorb_store(store);
+        }
+        let finished = || {
+            self.trace_job_event(ticket.trace_job, TraceEventKind::JobFinished);
+            self.metrics
+                .note_completed(ticket.client, ticket.submitted.elapsed());
+        };
+        match end {
+            Ok(mut outcome) => {
+                finished();
+                outcome.diagnostics = self.breakdown(ticket.trace_job);
+                Ok(outcome)
+            }
+            // A deadlock's detail gains the flight-recorder breakdown,
+            // pointing at where the time went.
+            Err(Failure::Error(SimulationError::Deadlock {
+                stuck_instances,
+                detail,
+            })) => {
+                finished();
+                let detail = match self.breakdown(ticket.trace_job) {
+                    Some(b) => format!("{detail}; {b}"),
+                    None => detail,
+                };
+                Err(SimulationError::Deadlock {
+                    stuck_instances,
+                    detail,
+                }
+                .into())
+            }
+            Err(Failure::Error(err)) => {
+                finished();
+                Err(err.into())
+            }
+            Err(Failure::Cancelled(kind)) => {
+                self.metrics.note_cancelled();
+                Err(match kind {
+                    CancelKind::Deadline => PodsError::DeadlineExceeded {
+                        deadline: self.opts.deadline.unwrap_or_default(),
+                        breakdown: self.breakdown(ticket.trace_job).map(|b| b.to_string()),
+                    },
+                    CancelKind::User => user_cancel_error().into(),
+                    CancelKind::Shutdown => cancellation_error().into(),
+                })
+            }
+        }
     }
 
     /// `JobHandle::cancel`: cancels a queued job outright, or stops a
@@ -261,7 +303,7 @@ impl ServiceInner {
         if !removed.is_empty() {
             self.metrics.set_depth(st.queue.len());
             self.trace_job_event(ticket.trace_job, TraceEventKind::JobCancelled);
-            self.cancel_undispatched(ticket, CancelKind::User, user_cancel_error().into());
+            ticket.end(self, Err(Failure::Cancelled(CancelKind::User)), None);
             drop(st);
             self.slot_cv.notify_all();
             return;
@@ -273,32 +315,29 @@ impl ServiceInner {
             .map(|e| e.canceller.clone());
         drop(st);
         if let Some(c) = canceller {
-            if !c.is_done() {
-                ticket.set_cancel_kind(CancelKind::User);
-                self.trace_job_event(ticket.trace_job, TraceEventKind::JobCancelled);
-                c.cancel(user_cancel_error());
-            }
+            self.trace_job_event(ticket.trace_job, TraceEventKind::JobCancelled);
+            c.cancel(CancelKind::User);
         }
     }
 
-    /// Renders the flight-recorder breakdown for one job (for error
-    /// messages); `None` when tracing is off or nothing was recorded.
-    pub(crate) fn job_breakdown(&self, trace_job: u64) -> Option<String> {
+    /// The flight-recorder breakdown for one job; `None` when tracing is
+    /// off or nothing was recorded.
+    fn breakdown(&self, trace_job: u64) -> Option<JobBreakdown> {
         if trace_job == 0 {
             return None;
         }
-        let rec = self.trace.as_ref()?;
-        Some(rec.peek().breakdown(trace_job)?.to_string())
+        self.trace.as_ref()?.peek().breakdown(trace_job)
     }
 }
 
-/// A job's ticket is its completion hook: a pool worker calls it exactly
-/// once per dispatched job, with no pool locks held, and it books the job
-/// with the service that admitted it (if that service is still alive).
+/// A job's ticket is its completion hook: the job's `Drop` calls it exactly
+/// once, with no pool lock held, and it ends the job with the service that
+/// admitted it. A ticket whose service is gone has no waiter left (a
+/// `JobHandle` keeps its service alive), so it books nothing.
 impl JobNotifier for Ticket {
-    fn job_finished(&self, failed: bool, store: StoreStats) {
+    fn job_ended(&self, end: Result<EngineOutcome, Failure>, store: StoreStats) {
         if let Some(service) = self.service.upgrade() {
-            service.job_finished(self, failed, store);
+            service.job_ended(self, end, store);
         }
     }
 }
@@ -336,25 +375,18 @@ fn dispatcher_loop(inner: Arc<ServiceInner>) {
                 inner.metrics.set_depth(st.queue.len());
                 for qj in &expired {
                     inner.trace_job_event(qj.ticket.trace_job, TraceEventKind::JobDeadline);
-                    let err = PodsError::DeadlineExceeded {
-                        deadline: qj.ticket.deadline_dur.unwrap_or_default(),
-                        breakdown: inner.job_breakdown(qj.ticket.trace_job),
-                    };
-                    inner.cancel_undispatched(&qj.ticket, CancelKind::Deadline, err);
+                    let cancelled = Err(Failure::Cancelled(CancelKind::Deadline));
+                    qj.ticket.end(&inner, cancelled, None);
                 }
                 inner.slot_cv.notify_all();
             }
-            for entry in &st.in_flight {
-                match entry.ticket.deadline {
+            for entry in &mut st.in_flight {
+                match entry.deadline {
                     Some(d) if d <= now => {
-                        if entry.ticket.cancel_kind().is_none() && !entry.canceller.is_done() {
-                            entry.ticket.set_cancel_kind(CancelKind::Deadline);
-                            inner.trace_job_event(
-                                entry.ticket.trace_job,
-                                TraceEventKind::JobDeadline,
-                            );
-                            overdue.push(entry.canceller.clone());
-                        }
+                        entry.deadline = None;
+                        let trace_job = entry.ticket.trace_job;
+                        inner.trace_job_event(trace_job, TraceEventKind::JobDeadline);
+                        overdue.push(entry.canceller.clone());
                     }
                     d => next_deadline = earlier(next_deadline, d),
                 }
@@ -380,12 +412,12 @@ fn dispatcher_loop(inner: Arc<ServiceInner>) {
             inner.slot_cv.notify_all();
         }
 
-        // Stop overdue jobs with the lock released: cancellation re-enters
-        // the completion hook, which takes the state lock.
+        // Stop overdue jobs with the lock released: a cancel may end the
+        // job, whose ticket takes the state lock.
         if !overdue.is_empty() {
             drop(st);
             for c in overdue {
-                c.cancel(deadline_cancel_error());
+                c.cancel(CancelKind::Deadline);
             }
             st = inner.state.lock().expect("service state poisoned");
             continue;
@@ -442,13 +474,20 @@ impl JobService {
             metrics,
             trace,
         });
+        // Returns once the dispatcher runs, as `Pool::new` does for its
+        // workers: a thread that starts late allocates in a job's midst.
+        let started = Arc::new(Barrier::new(2));
         let dispatcher = {
-            let inner = Arc::clone(&inner);
+            let (inner, started) = (Arc::clone(&inner), Arc::clone(&started));
             thread::Builder::new()
                 .name("pods-dispatcher".into())
-                .spawn(move || dispatcher_loop(inner))
+                .spawn(move || {
+                    started.wait();
+                    dispatcher_loop(inner)
+                })
                 .expect("failed to spawn service dispatcher")
         };
+        started.wait();
         JobService {
             inner,
             dispatcher: Some(dispatcher),
@@ -457,9 +496,8 @@ impl JobService {
 
     /// Clean drain-on-drop, called from `Runtime::drop` *before* the pool
     /// is dropped: cancels everything still queued (their waiters get a
-    /// cancellation error, not a hang), pre-marks in-flight jobs as
-    /// shutdown-cancelled (the pool's own drop stops them), and joins the
-    /// dispatcher.
+    /// cancellation error, not a hang) and joins the dispatcher. The pool's
+    /// own drop stops the in-flight jobs.
     pub(crate) fn shutdown(&mut self) {
         {
             let mut st = self.inner.state.lock().expect("service state poisoned");
@@ -467,18 +505,9 @@ impl JobService {
             let drained = st.queue.purge(|_| true);
             self.inner.metrics.set_depth(0);
             for qj in &drained {
-                self.inner
-                    .trace_job_event(qj.ticket.trace_job, TraceEventKind::JobCancelled);
-                self.inner.cancel_undispatched(
-                    &qj.ticket,
-                    CancelKind::Shutdown,
-                    cancellation_error().into(),
-                );
-            }
-            for entry in &st.in_flight {
-                if !entry.canceller.is_done() {
-                    entry.ticket.set_cancel_kind(CancelKind::Shutdown);
-                }
+                let (ticket, inner) = (&qj.ticket, &self.inner);
+                inner.trace_job_event(ticket.trace_job, TraceEventKind::JobCancelled);
+                ticket.end(inner, Err(Failure::Cancelled(CancelKind::Shutdown)), None);
             }
         }
         self.inner.work_cv.notify_all();
@@ -492,7 +521,7 @@ impl JobService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{JobSpec, PoolHandle};
+    use crate::engine::{EngineStats, JobSpec};
 
     /// Stands in for a pool: these tests drive the completion hook alone.
     struct NoPool;
@@ -502,15 +531,18 @@ mod tests {
             0
         }
 
-        fn submit(&self, _spec: JobSpec, _args: &[Value]) -> PoolHandle {
+        fn submit(&self, _spec: JobSpec, _args: &[Value]) -> PoolCanceller {
             unreachable!("no job is dispatched")
         }
     }
 
-    fn idle_service() -> Arc<ServiceInner> {
+    fn idle_service(deadline: Option<std::time::Duration>) -> Arc<ServiceInner> {
         Arc::new(ServiceInner {
             pool: Weak::<NoPool>::new(),
-            opts: RunOptions::default(),
+            opts: RunOptions {
+                deadline,
+                ..RunOptions::default()
+            },
             capacity: 0,
             window: 1,
             state: Mutex::new(ServiceState {
@@ -526,36 +558,106 @@ mod tests {
         })
     }
 
-    #[test]
-    fn a_job_counts_as_cancelled_only_if_it_failed_with_a_cancel_recorded() {
-        let service = idle_service();
-        let finish = |kind: Option<CancelKind>, failed: bool| {
-            let ticket = Ticket::new(ClientId(1), None, 0, Arc::downgrade(&service));
-            if let Some(kind) = kind {
-                ticket.set_cancel_kind(kind);
+    /// A cause a job can end for.
+    #[derive(Debug, Clone, Copy)]
+    enum Cause {
+        Completed,
+        RuntimeError,
+        Cancelled(CancelKind),
+    }
+
+    impl Cause {
+        fn end(self) -> Result<EngineOutcome, Failure> {
+            match self {
+                Cause::Completed => Ok(EngineOutcome {
+                    engine: "native",
+                    return_value: Some(Value::Int(1)),
+                    arrays: Vec::new(),
+                    modelled_us: None,
+                    wall_us: 0.0,
+                    stats: EngineStats::Sequential {
+                        nests: 0,
+                        serial_us: 0.0,
+                    },
+                    diagnostics: None,
+                }),
+                Cause::RuntimeError => Err(Failure::Error(SimulationError::Runtime("boom".into()))),
+                Cause::Cancelled(kind) => Err(Failure::Cancelled(kind)),
             }
-            ticket.job_finished(failed, StoreStats::default());
+        }
+    }
+
+    /// What `wait` returns, by class.
+    fn class(end: &Result<EngineOutcome, PodsError>) -> &'static str {
+        match end {
+            Ok(_) => "ok",
+            Err(PodsError::DeadlineExceeded { .. }) => "deadline",
+            Err(e) if e.to_string().contains("JobHandle::cancel") => "cancelled by handle",
+            Err(e) if e.to_string().contains("runtime was dropped") => "cancelled by shutdown",
+            Err(_) => "failed",
+        }
+    }
+
+    /// The ticket's terminal transition: whatever ends a job first is its
+    /// end, and books it once; a later cause changes neither what `wait`
+    /// returns nor the counts. A job counts as cancelled only if a cancel
+    /// came first.
+    #[test]
+    fn a_job_counts_as_cancelled_only_if_a_cancel_came_first() {
+        use CancelKind::{Deadline, Shutdown, User};
+        use Cause::{Cancelled, Completed, RuntimeError};
+        let table = [
+            // A cancel that loses to completion: `Ok`, completed.
+            (Completed, Some(Cancelled(User)), "ok", (1, 0)),
+            (Completed, Some(Cancelled(Deadline)), "ok", (1, 0)),
+            // Between two cancels, the first wins.
+            (
+                Cancelled(Deadline),
+                Some(Cancelled(User)),
+                "deadline",
+                (0, 1),
+            ),
+            (
+                Cancelled(User),
+                Some(Cancelled(Deadline)),
+                "cancelled by handle",
+                (0, 1),
+            ),
+            (
+                Cancelled(Shutdown),
+                Some(Completed),
+                "cancelled by shutdown",
+                (0, 1),
+            ),
+            // A runtime error followed by a cancel: failed, not cancelled.
+            (RuntimeError, Some(Cancelled(Deadline)), "failed", (1, 0)),
+            (RuntimeError, Some(Cancelled(User)), "failed", (1, 0)),
+            (Completed, None, "ok", (1, 0)),
+            (RuntimeError, None, "failed", (1, 0)),
+        ];
+        for (first, later, wait_class, counts) in table {
+            let service = idle_service(Some(std::time::Duration::from_millis(5)));
+            let ticket = Ticket::new(ClientId(1), None, 0, Arc::downgrade(&service));
+            ticket.dispatched();
+            ticket.job_ended(first.end(), StoreStats::default());
+            if let Some(later) = later {
+                ticket.job_ended(later.end(), StoreStats::default());
+            }
+            let row = format!("{first:?} then {later:?}");
+            assert!(ticket.is_done(), "{row}");
+            assert_eq!(class(&ticket.wait()), wait_class, "{row}");
             let m = service.metrics.snapshot();
-            (m.completed, m.cancelled)
-        };
-        // Marked overdue by the watchdog, but the job won the race: `wait`
-        // returns `Ok`, so it is a completed job.
-        assert_eq!(finish(Some(CancelKind::Deadline), false), (1, 0));
-        // Stopped by the cancellation.
-        assert_eq!(finish(Some(CancelKind::Deadline), true), (1, 1));
-        assert_eq!(finish(Some(CancelKind::User), true), (1, 2));
-        // Failed on its own (a runtime error): finished, not cancelled.
-        assert_eq!(finish(None, true), (2, 2));
-        assert_eq!(finish(None, false), (3, 2));
+            assert_eq!((m.completed, m.cancelled), counts, "{row}");
+        }
     }
 
     #[test]
     fn a_ticket_outliving_its_service_books_nothing() {
-        let service = idle_service();
+        let service = idle_service(None);
         let ticket = Ticket::new(ClientId(1), None, 0, Arc::downgrade(&service));
         let metrics = Arc::clone(&service.metrics);
         drop(service);
-        ticket.job_finished(false, StoreStats::default());
+        ticket.job_ended(Cause::Completed.end(), StoreStats::default());
         assert_eq!(metrics.snapshot().completed, 0);
     }
 }

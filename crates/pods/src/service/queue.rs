@@ -1,43 +1,27 @@
-//! Admission tickets: the lifecycle of one submitted job from admission
-//! through dispatch to completion or cancellation.
+//! Admission tickets: the lifecycle of one submitted job, from admission
+//! through dispatch to its end.
 //!
-//! A [`Ticket`] is the service-side identity of a job. It moves through
-//! exactly one of two paths:
+//! A [`Ticket`] is the service-side identity of a job and the one state
+//! machine of its life:
 //!
-//! * `Queued → Dispatched` — the dispatcher handed the job to the pool; the
-//!   pool handle is parked inside the ticket for the (single) waiter to
-//!   claim.
-//! * `Queued → Cancelled` — the job was cancelled before dispatch (explicit
-//!   cancel, deadline, or runtime shutdown) and carries the error its
-//!   waiter receives.
+//! * `Queued → Dispatched` — the dispatcher hands the job to the pool;
+//! * `Dispatched → Ended` — the pool job ends, and tells its ticket (the
+//!   job's [`crate::engine::JobNotifier`]);
+//! * `Queued → Ended` — the job is cancelled before dispatch (explicit
+//!   cancel, deadline, or runtime shutdown).
 //!
-//! Cancellation *after* dispatch does not transition the ticket: the pool
-//! job itself is stopped (via its canceller) and the waiter observes the
-//! failure through the claimed pool handle, with [`Ticket::cancel_kind`]
-//! recording why so the error can be mapped (e.g. to
-//! [`PodsError::DeadlineExceeded`]).
+//! Each transition leaves only the state it expects, so a job ends once and
+//! the first end wins. The end carries its cause, a cancel's kind included,
+//! and entering `Ended` is the one place the service books a job.
 
 use super::fairness::ClientId;
 use super::ServiceInner;
-use crate::engine::PoolHandle;
+use crate::engine::{spare_snapshots, EngineOutcome, Failure};
 use crate::error::PodsError;
 use crate::runtime::PreparedProgram;
-use pods_istructure::Value;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use pods_istructure::{StoreStats, Value};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
-
-/// Why the service cancelled a job. Recorded first-wins: a deadline and an
-/// explicit cancel racing each other report whichever landed first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CancelKind {
-    /// The job outlived `RunOptions::deadline`.
-    Deadline,
-    /// `JobHandle::cancel` was called.
-    User,
-    /// The runtime was dropped while the job was still pending.
-    Shutdown,
-}
 
 /// An admitted job waiting in the fair queue: its ticket plus everything
 /// the dispatcher needs to submit it to the pool.
@@ -47,14 +31,16 @@ pub(crate) struct QueuedJob {
     pub(crate) args: Vec<Value>,
 }
 
+// Inline, a job's end lives in its ticket's allocation; boxed, it would
+// cost one more allocator call per job.
+#[allow(clippy::large_enum_variant)]
 enum TicketState {
     /// Waiting in the admission queue.
     Queued,
-    /// Handed to the pool. The handle is claimed (once) by the waiting
-    /// `JobHandle::wait`; `None` after the claim.
-    Dispatched { handle: Option<PoolHandle> },
-    /// Cancelled before ever reaching the pool.
-    Cancelled(PodsError),
+    /// Handed to the pool.
+    Dispatched,
+    /// The job's end, until its (single) waiter takes it.
+    Ended(Option<Result<EngineOutcome, PodsError>>),
 }
 
 /// The service-side state of one submitted job (see module docs).
@@ -65,15 +51,11 @@ pub(crate) struct Ticket {
     pub(crate) submitted: Instant,
     /// Absolute deadline (`submitted + RunOptions::deadline`), if any.
     pub(crate) deadline: Option<Instant>,
-    /// The configured deadline duration (for error reporting).
-    pub(crate) deadline_dur: Option<Duration>,
     state: Mutex<TicketState>,
-    /// Signalled on every state transition out of `Queued`.
+    /// Signalled when the job ends.
     cv: Condvar,
-    /// `CancelKind` as a first-wins atomic (0 = not cancelled).
-    cancel_kind: AtomicU8,
     /// Flight-recorder job id (0 when tracing is disabled), used to tag
-    /// lifecycle events and to look up the job's breakdown on wait.
+    /// lifecycle events and to look up the job's breakdown at its end.
     pub(crate) trace_job: u64,
     /// The service that admitted the job. The ticket is its job's
     /// completion hook, and tells the service through this reference; it
@@ -84,7 +66,7 @@ pub(crate) struct Ticket {
 impl Ticket {
     pub(crate) fn new(
         client: ClientId,
-        deadline_dur: Option<Duration>,
+        deadline: Option<Duration>,
         trace_job: u64,
         service: Weak<ServiceInner>,
     ) -> Ticket {
@@ -92,83 +74,68 @@ impl Ticket {
         Ticket {
             client,
             submitted,
-            deadline: deadline_dur.map(|d| submitted + d),
-            deadline_dur,
+            deadline: deadline.map(|d| submitted + d),
             state: Mutex::new(TicketState::Queued),
             cv: Condvar::new(),
-            cancel_kind: AtomicU8::new(0),
             trace_job,
             service,
         }
     }
 
-    /// Records why the service cancelled this job. First call wins.
-    pub(crate) fn set_cancel_kind(&self, kind: CancelKind) {
-        let v = match kind {
-            CancelKind::Deadline => 1,
-            CancelKind::User => 2,
-            CancelKind::Shutdown => 3,
-        };
-        let _ = self
-            .cancel_kind
-            .compare_exchange(0, v, Ordering::SeqCst, Ordering::SeqCst);
+    fn state(&self) -> MutexGuard<'_, TicketState> {
+        self.state.lock().expect("ticket poisoned")
     }
 
-    /// The recorded cancellation cause, if any.
-    pub(crate) fn cancel_kind(&self) -> Option<CancelKind> {
-        match self.cancel_kind.load(Ordering::SeqCst) {
-            1 => Some(CancelKind::Deadline),
-            2 => Some(CancelKind::User),
-            3 => Some(CancelKind::Shutdown),
-            _ => None,
-        }
-    }
-
-    /// `Queued → Dispatched`. Called by the dispatcher under the service
-    /// state lock, so it cannot race a pre-dispatch cancellation.
-    pub(crate) fn dispatched(&self, handle: PoolHandle) {
-        let mut st = self.state.lock().expect("ticket poisoned");
-        debug_assert!(matches!(*st, TicketState::Queued));
-        *st = TicketState::Dispatched {
-            handle: Some(handle),
-        };
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// `Queued → Cancelled`. A no-op once dispatched (post-dispatch
-    /// cancellation goes through the pool job's canceller instead).
-    pub(crate) fn cancelled(&self, err: PodsError) {
-        let mut st = self.state.lock().expect("ticket poisoned");
+    /// `Queued → Dispatched`. The dispatcher calls it under the service
+    /// state lock before it submits the job, so the job's end always finds
+    /// the ticket dispatched.
+    pub(crate) fn dispatched(&self) {
+        let mut st = self.state();
         if matches!(*st, TicketState::Queued) {
-            *st = TicketState::Cancelled(err);
+            *st = TicketState::Dispatched;
         }
+    }
+
+    /// `Queued | Dispatched → Ended`, unless the job already ended. Books
+    /// the end with `service` while it holds the ticket, so a waiter never
+    /// sees an end that the metrics do not count yet, then wakes the
+    /// waiter. `store` is the finished job's store statistics (`None` for
+    /// a job that never reached the pool).
+    pub(crate) fn end(
+        &self,
+        service: &ServiceInner,
+        end: Result<EngineOutcome, Failure>,
+        store: Option<StoreStats>,
+    ) {
+        let mut st = self.state();
+        if matches!(*st, TicketState::Ended(_)) {
+            return;
+        }
+        *st = TicketState::Ended(Some(service.book(self, end, store)));
         drop(st);
         self.cv.notify_all();
     }
 
-    /// Blocks until the job leaves the queue, then yields the pool handle
-    /// (exactly once) or the pre-dispatch cancellation error.
-    pub(crate) fn claim(&self) -> Result<PoolHandle, PodsError> {
-        let mut st = self.state.lock().expect("ticket poisoned");
-        loop {
-            match &mut *st {
-                TicketState::Queued => st = self.cv.wait(st).expect("ticket poisoned"),
-                TicketState::Dispatched { handle } => {
-                    return Ok(handle.take().expect("pool handle already claimed"));
-                }
-                TicketState::Cancelled(err) => return Err(err.clone()),
+    /// Blocks until the job ends, then takes its end (exactly once). A
+    /// completed job's arrays are copied on this thread, and the snapshot
+    /// vector its end filled goes back to the spares (see
+    /// [`crate::engine::spare_snapshots`]).
+    pub(crate) fn wait(&self) -> Result<EngineOutcome, PodsError> {
+        let mut st = self.state();
+        let mut outcome = loop {
+            if let TicketState::Ended(end) = &mut *st {
+                break end.take().expect("a job's end is taken once")?;
             }
-        }
+            st = self.cv.wait(st).expect("ticket poisoned");
+        };
+        drop(st);
+        let arrays = outcome.arrays.clone();
+        spare_snapshots(std::mem::replace(&mut outcome.arrays, arrays));
+        Ok(outcome)
     }
 
-    /// Whether the job has reached a terminal state (`JobHandle::is_done`).
+    /// Whether the job has ended (`JobHandle::is_done`).
     pub(crate) fn is_done(&self) -> bool {
-        match &*self.state.lock().expect("ticket poisoned") {
-            TicketState::Queued => false,
-            TicketState::Dispatched { handle: Some(h) } => h.is_done(),
-            TicketState::Dispatched { handle: None } => true,
-            TicketState::Cancelled(_) => true,
-        }
+        matches!(*self.state(), TicketState::Ended(_))
     }
 }

@@ -458,12 +458,14 @@ fn a_warm_job_allocates_per_job_per_array_and_per_arena_miss_only() {
     // for the test's vector of handles: 65, however many of its jobs
     // queued. While each queued job copied its arguments into a vector of
     // its own, a burst made one call more per queued job; while each lane
-    // grew a fresh buffer (capacity 1, 4, 8, 16), up to 4 more. A round
-    // may pay more than the floor, never less: when more of its jobs queue
-    // than ever before (new spare vectors, a deeper lane), or when the
-    // dispatcher submits a job before the previous job's worker has let go
-    // of its store, so that the job builds a store of its own. Only those
-    // rounds are why the floor is read as the least of five.
+    // grew a fresh buffer (capacity 1, 4, 8, 16), up to 4 more. A job ends
+    // only once its store is back in the pool's spares,
+    // so no job of a burst builds a store of its own. A round may still pay
+    // more than the floor, never less: how many jobs wait at once depends
+    // on how fast the worker drains them, and when more wait than in any
+    // round before, each job past that depth copies its arguments into a
+    // new vector (one 64-byte call). That is why the floor is read as the
+    // least of five rounds.
     for kind in [EngineKind::Native, EngineKind::AsyncCoop] {
         let runtime = Runtime::builder(kind).workers(1).build();
         let pinned = runtime.prepare(&fill);

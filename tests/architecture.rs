@@ -1312,3 +1312,210 @@ fn environment_guard_fires_on_a_planted_violation() {
     );
     assert!(environment_guard(&planted[..2]).is_none());
 }
+
+/// The `path:line:text` of every line under `scope` (a path prefix) that a
+/// non-test build compiles, for which `breaks` holds. A file's test code
+/// comes last: its non-test lines are those before its first
+/// `#[cfg(test)]` at column 0.
+fn non_test_lines_under(
+    files: &[SourceFile],
+    scope: &str,
+    breaks: impl Fn(&str) -> bool,
+) -> Vec<String> {
+    let mut found = Vec::new();
+    for file in files.iter().filter(|f| f.path.starts_with(scope)) {
+        let lines = file.text.lines().enumerate();
+        for (n, line) in lines.take_while(|(_, l)| !l.starts_with("#[cfg(test)]")) {
+            if breaks(line) {
+                found.push(format!("{}:{}:{line}", file.path, n + 1));
+            }
+        }
+    }
+    found
+}
+
+/// A thread yield and a reference-count read: what a spin-wait for a job
+/// to be let go of is made of. Spelled in pieces so that this file does
+/// not name them itself.
+fn spin_wait_names() -> [String; 2] {
+    [["yield", "_now"].concat(), ["strong", "_count"].concat()]
+}
+
+/// The one-completion-point guard. A pooled job ends in its `Drop`, when
+/// its last task lets go of it, and only then tells its waiter, so nothing
+/// under `crates/pods/src/` waits for a job by spinning on its reference
+/// count or yielding until it changes. Either, outside tests, means a
+/// second way to learn that a job ended came back.
+fn one_completion_point_guard(files: &[SourceFile]) -> Option<String> {
+    let names = spin_wait_names();
+    let found = non_test_lines_under(files, "crates/pods/src/", |line| {
+        names.iter().any(|name| contains_word(line, name))
+    });
+    if found.is_empty() {
+        return None;
+    }
+    Some(format!(
+        "A spin-wait on a job under crates/pods/src/:\n{}\n\
+         A job's end reaches its waiter through the job's notifier; wait on that.",
+        found.join("\n")
+    ))
+}
+
+#[test]
+fn a_job_ends_in_one_place_and_nothing_spins_for_it() {
+    let files = source_files();
+    assert!(
+        files
+            .iter()
+            .any(|f| f.path == "crates/pods/src/engine/pool.rs"),
+        "the guard reads the source tree"
+    );
+    if let Some(message) = one_completion_point_guard(&files) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn one_completion_point_guard_fires_on_a_planted_violation() {
+    let [yield_now, strong_count] = spin_wait_names();
+    let file = |path: &str, text: String| SourceFile {
+        path: path.to_string(),
+        text,
+    };
+    let planted = [
+        file(
+            "crates/pods/src/engine/pool.rs",
+            format!(
+                "while Arc::{strong_count}(&self.job) > 1 {{\n    std::thread::{yield_now}();\n}}\n\
+                 #[cfg(test)]\nmod cases {{ std::thread::{yield_now}(); }}"
+            ),
+        ),
+        file(
+            "crates/pods/src/service/mod.rs",
+            format!("let n = my_{strong_count}(x);\nthread::{yield_now}();"),
+        ),
+        file("tests/runtime.rs", format!("std::thread::{yield_now}();")),
+    ];
+    let message = one_completion_point_guard(&planted).expect("the guard fires");
+    for line in [
+        format!("crates/pods/src/engine/pool.rs:1:while Arc::{strong_count}(&self.job) > 1 {{"),
+        format!("crates/pods/src/engine/pool.rs:2:    std::thread::{yield_now}();"),
+        format!("crates/pods/src/service/mod.rs:2:thread::{yield_now}();"),
+    ] {
+        assert!(message.contains(&line), "{line} in {message}");
+    }
+    assert!(
+        !message.contains("pool.rs:5:")
+            && !message.contains("mod.rs:1:")
+            && !message.contains("tests/runtime.rs"),
+        "test code, other names and files outside crates/pods/src/ pass: {message}"
+    );
+    assert!(one_completion_point_guard(&planted[2..]).is_none());
+}
+
+/// The scheduler's task runner and the unwind boundary around it. Spelled
+/// in pieces so that this file does not name them itself.
+fn unwind_boundary_names() -> [String; 2] {
+    [["run", "_task"].concat(), ["catch", "_unwind"].concat()]
+}
+
+/// The unwind-boundary guard. A pool worker runs every task inside
+/// `std::panic::catch_unwind`, so a panicking instance fails its job
+/// instead of killing the worker and hanging the job's waiter. Every call
+/// of the task runner under `crates/pods/src/engine/` outside tests must
+/// sit on the line of a `catch_unwind(`, or on the line after it (where
+/// rustfmt puts a closure body), and there must be one.
+fn unwind_boundary_guard(files: &[SourceFile]) -> Option<String> {
+    let [run_task, catch_unwind] = unwind_boundary_names();
+    let (call, boundary) = (format!("{run_task}("), format!("{catch_unwind}("));
+    let definition = format!("fn {run_task}");
+    let mut calls = 0;
+    let mut outside = Vec::new();
+    for file in files
+        .iter()
+        .filter(|f| f.path.starts_with("crates/pods/src/engine/"))
+    {
+        let mut previous = "";
+        for (n, line) in file.text.lines().enumerate() {
+            if line.starts_with("#[cfg(test)]") {
+                break;
+            }
+            if line.contains(&call) && !line.contains(&definition) {
+                calls += 1;
+                if !line.contains(&boundary) && !previous.contains(&boundary) {
+                    outside.push(format!("{}:{}:{line}", file.path, n + 1));
+                }
+            }
+            previous = line;
+        }
+    }
+    if calls > 0 && outside.is_empty() {
+        return None;
+    }
+    let found = if calls == 0 {
+        format!("no call of {run_task} found under crates/pods/src/engine/")
+    } else {
+        outside.join("\n")
+    };
+    Some(format!(
+        "A task run outside the worker's unwind boundary:\n{found}\n\
+         Call it inside `panic::{catch_unwind}(AssertUnwindSafe(|| ..))`."
+    ))
+}
+
+#[test]
+fn pool_workers_run_tasks_inside_the_unwind_boundary() {
+    let files = source_files();
+    assert!(
+        files
+            .iter()
+            .any(|f| f.path == "crates/pods/src/engine/pool.rs"),
+        "the guard reads the source tree"
+    );
+    if let Some(message) = unwind_boundary_guard(&files) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn unwind_boundary_guard_fires_on_a_planted_violation() {
+    let [run_task, catch_unwind] = unwind_boundary_names();
+    let file = |path: &str, text: String| SourceFile {
+        path: path.to_string(),
+        text,
+    };
+    let pool = |body: &str| {
+        file(
+            "crates/pods/src/engine/pool.rs",
+            format!(
+                "fn {run_task}(&self) {{}}\n{body}\n\
+                 #[cfg(test)]\nmod cases {{ fn t() {{ pool.{run_task}(job); }} }}"
+            ),
+        )
+    };
+    let guarded =
+        format!("let ran = panic::{catch_unwind}(AssertUnwindSafe(|| self.{run_task}(&job)));");
+    assert!(unwind_boundary_guard(&[pool(&guarded)]).is_none());
+    let wrapped = format!(
+        "let ran = panic::{catch_unwind}(AssertUnwindSafe(|| {{\n    self.{run_task}(&job)\n}}));"
+    );
+    assert!(unwind_boundary_guard(&[pool(&wrapped)]).is_none());
+
+    let bare = pool(&format!("self.{run_task}(&entry.job, task, w, &mut ctx);"));
+    let message = unwind_boundary_guard(&[bare]).expect("the guard fires");
+    assert!(
+        message.contains(&format!(
+            "crates/pods/src/engine/pool.rs:2:self.{run_task}(&entry.job, task, w, &mut ctx);"
+        )) && !message.contains("pool.rs:1:")
+            && !message.contains("pool.rs:4:"),
+        "{message}"
+    );
+    let elsewhere = file(
+        "crates/pods/src/engine/native.rs",
+        format!("fn step() {{ self.{run_task}(a); }}"),
+    );
+    let message = unwind_boundary_guard(&[pool(&guarded), elsewhere]).expect("the guard fires");
+    assert!(message.contains("native.rs:1:"), "{message}");
+    let message = unwind_boundary_guard(&[pool("")]).expect("a missing call fires too");
+    assert!(message.contains("no call"), "{message}");
+}
