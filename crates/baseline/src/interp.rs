@@ -21,8 +21,7 @@
 
 use pods_idlang::hir::{ExprId, List, StmtId};
 use pods_idlang::{
-    analyze_loops, find_loop, HirExpr, HirFunction, HirNode, HirProgram, HirStmt, LoopInfo,
-    LoopKey, Name, UnaryOp,
+    find_loop, HirExpr, HirFunction, HirNode, HirProgram, HirStmt, LoopInfo, LoopKey, Name, UnaryOp,
 };
 use pods_istructure::{ArrayId, ArrayShape, Value};
 use pods_machine::{eval_binary, eval_unary, TimingModel};
@@ -35,20 +34,20 @@ pub enum BaselineError {
     /// reads of never-written elements, out-of-bounds accesses,
     /// single-assignment violations, …).
     Runtime(String),
-    /// The statement budget of [`run_sequential_bounded`] was exhausted
+    /// The statement budget of [`run_sequential`] was exhausted
     /// (carries the configured limit).
     StepLimit(u64),
 }
 
 impl BaselineError {
-    /// The error raised when [`run_sequential_bounded`]'s statement budget
+    /// The error raised when [`run_sequential`]'s statement budget
     /// is exhausted.
     pub fn step_limit(limit: u64) -> BaselineError {
         BaselineError::StepLimit(limit)
     }
 
     /// Whether this error is the statement-budget exhaustion of
-    /// [`run_sequential_bounded`] (so callers can map it onto their own
+    /// [`run_sequential`] (so callers can map it onto their own
     /// event-limit vocabulary).
     pub fn is_step_limit(&self) -> bool {
         matches!(self, BaselineError::StepLimit(_))
@@ -136,39 +135,29 @@ impl SequentialRun {
 
 /// Runs `main` of the program sequentially with the given arguments.
 ///
+/// `loops` is the program's loop analysis ([`pods_idlang::analyze_loops`]),
+/// which marks the top-level nests the run profiles; a compiled program
+/// already holds it. The run aborts with [`BaselineError::step_limit`]
+/// after `max_steps` interpreted statements (0 = unlimited). This is the
+/// sequential analogue of the simulator's event limit and the native
+/// engine's task limit, so runaway programs are caught on every engine.
+///
 /// # Errors
 ///
 /// Returns a [`BaselineError`] on missing `main`, argument mismatch, reads
-/// of never-written elements, out-of-bounds accesses, or single-assignment
-/// violations.
+/// of never-written elements, out-of-bounds accesses, single-assignment
+/// violations, or an exhausted step budget.
 pub fn run_sequential(
     hir: &HirProgram,
-    args: &[Value],
-    timing: &TimingModel,
-) -> Result<SequentialRun, BaselineError> {
-    run_sequential_bounded(hir, args, timing, 0)
-}
-
-/// [`run_sequential`] with a safety budget: the run aborts with
-/// [`BaselineError::step_limit`] after `max_steps` interpreted statements
-/// (0 = unlimited). This is the sequential analogue of the simulator's
-/// event limit and the native engine's task limit, so runaway programs are
-/// caught on every engine.
-///
-/// # Errors
-///
-/// Everything [`run_sequential`] reports, plus the step-limit error.
-pub fn run_sequential_bounded(
-    hir: &HirProgram,
+    loops: &[LoopInfo],
     args: &[Value],
     timing: &TimingModel,
     max_steps: u64,
 ) -> Result<SequentialRun, BaselineError> {
-    let loops = analyze_loops(hir);
     let mut interp = Interp {
         hir,
         timing,
-        loops: &loops,
+        loops,
         arrays: Vec::new(),
         time: 0.0,
         nests: HashMap::new(),
@@ -634,7 +623,7 @@ impl OrdinalTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pods_idlang::{compile, BinaryOp};
+    use pods_idlang::{analyze_loops, compile, BinaryOp};
 
     /// A check against the cost-free semantics: binary ops over ints never
     /// charge float times.
@@ -643,7 +632,16 @@ mod tests {
     }
 
     fn run(src: &str, args: &[Value]) -> SequentialRun {
-        run_sequential(&compile(src).unwrap(), args, &TimingModel::default()).unwrap()
+        run_bounded(&compile(src).unwrap(), args, 0).unwrap()
+    }
+
+    fn run_bounded(
+        hir: &HirProgram,
+        args: &[Value],
+        max_steps: u64,
+    ) -> Result<SequentialRun, BaselineError> {
+        let loops = analyze_loops(hir);
+        run_sequential(hir, &loops, args, &TimingModel::default(), max_steps)
     }
 
     #[test]
@@ -701,14 +699,14 @@ mod tests {
     #[test]
     fn errors_are_reported() {
         let hir = compile("def main(n) { a = array(n); return a[0]; }").unwrap();
-        let err = run_sequential(&hir, &[Value::Int(3)], &TimingModel::default()).unwrap_err();
+        let err = run_bounded(&hir, &[Value::Int(3)], 0).unwrap_err();
         assert!(err.to_string().contains("read before"));
 
         let hir = compile("def main(n) { a = array(n); a[0] = 1; a[0] = 2; return 0; }").unwrap();
-        assert!(run_sequential(&hir, &[Value::Int(3)], &TimingModel::default()).is_err());
+        assert!(run_bounded(&hir, &[Value::Int(3)], 0).is_err());
 
         let hir = compile("def main(n) { return n; }").unwrap();
-        assert!(run_sequential(&hir, &[], &TimingModel::default()).is_err());
+        assert!(run_bounded(&hir, &[], 0).is_err());
     }
 
     #[test]
@@ -716,18 +714,16 @@ mod tests {
         let hir =
             compile("def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i; } return a; }")
                 .unwrap();
-        let err = run_sequential_bounded(&hir, &[Value::Int(100)], &TimingModel::default(), 5)
-            .unwrap_err();
+        let err = run_bounded(&hir, &[Value::Int(100)], 5).unwrap_err();
         assert!(err.is_step_limit(), "{err}");
         assert_eq!(err, BaselineError::step_limit(5));
         // An unrelated error is not mistaken for the budget.
         let hir = compile("def main(n) { a = array(n); return a[0]; }").unwrap();
-        let other = run_sequential_bounded(&hir, &[Value::Int(3)], &TimingModel::default(), 1000)
-            .unwrap_err();
+        let other = run_bounded(&hir, &[Value::Int(3)], 1000).unwrap_err();
         assert!(!other.is_step_limit());
         // Budget 0 means unlimited.
         let hir = compile("def main(n) { return n; }").unwrap();
-        assert!(run_sequential_bounded(&hir, &[Value::Int(1)], &TimingModel::default(), 0).is_ok());
+        assert!(run_bounded(&hir, &[Value::Int(1)], 0).is_ok());
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! use pods_machine::TimingModel;
 //!
 //! let hir = pods_idlang::compile(pods_workloads::FILL).unwrap();
-//! let seq = run_sequential(&hir, &[Value::Int(16)], &TimingModel::default()).unwrap();
+//! let loops = pods_idlang::analyze_loops(&hir);
+//! let seq = run_sequential(&hir, &loops, &[Value::Int(16)], &TimingModel::default(), 0).unwrap();
 //! let pr = PrModel::default().estimate(&seq, 8);
 //! assert!(pr.speedup >= 1.0);
 //! ```
@@ -31,8 +32,5 @@
 mod interp;
 mod pr;
 
-pub use interp::{
-    run_sequential, run_sequential_bounded, BaselineArray, BaselineError, NestProfile,
-    SequentialRun,
-};
+pub use interp::{run_sequential, BaselineArray, BaselineError, NestProfile, SequentialRun};
 pub use pr::{PrModel, PrPoint};

@@ -106,12 +106,9 @@ mod tests {
     use pods_istructure::Value;
 
     fn profile(src: &str, n: i64) -> SequentialRun {
-        run_sequential(
-            &pods_idlang::compile(src).unwrap(),
-            &[Value::Int(n)],
-            &TimingModel::default(),
-        )
-        .unwrap()
+        let hir = pods_idlang::compile(src).unwrap();
+        let loops = pods_idlang::analyze_loops(&hir);
+        run_sequential(&hir, &loops, &[Value::Int(n)], &TimingModel::default(), 0).unwrap()
     }
 
     #[test]

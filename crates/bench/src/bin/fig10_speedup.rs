@@ -33,9 +33,14 @@ fn main() {
     // The P&R comparator on the largest mesh, derived from the sequential
     // profile of the same program (see pods-baseline::PrModel).
     if let Some(&n) = sizes.last() {
-        let hir = pods_idlang::compile(pods_workloads::simple::SIMPLE).expect("compile");
-        let seq = run_sequential(&hir, &[Value::Int(n as i64)], &TimingModel::default())
-            .expect("sequential profile");
+        let seq = run_sequential(
+            program.hir(),
+            program.loops(),
+            &[Value::Int(n as i64)],
+            &TimingModel::default(),
+            0,
+        )
+        .expect("sequential profile");
         let model = PrModel::default();
         println!("SIMPLE {n}x{n} (Pingali & Rogers static-compilation model)");
         println!("{:>4} | {:>14} | {:>8}", "PEs", "elapsed (ms)", "speedup");

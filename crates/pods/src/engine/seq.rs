@@ -3,7 +3,7 @@
 use super::{EngineKind, EngineOutcome, EngineStats};
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
-use pods_baseline::run_sequential_bounded;
+use pods_baseline::run_sequential;
 use pods_istructure::{ArrayId, Value};
 use pods_machine::{ArraySnapshot, SimulationError, TimingModel};
 use std::time::Instant;
@@ -11,7 +11,9 @@ use std::time::Instant;
 /// Executes the program with the control-driven sequential interpreter
 /// ([`pods_baseline::run_sequential`]) — no SPs, no I-structure run-time,
 /// just program order with the iPSC/2 cost model. The differential tests use
-/// this engine as the oracle the parallel engines must agree with.
+/// this engine as the oracle the parallel engines must agree with. The
+/// interpreter profiles the nests of the loop analysis the program already
+/// holds, so a job does not analyse the program again.
 ///
 /// The interpreter runs within `opts.max_events` statements; exhausting
 /// that budget reports the engines' shared event-limit error, so
@@ -24,15 +26,20 @@ pub(crate) fn run(
 ) -> Result<EngineOutcome, PodsError> {
     let start = Instant::now();
     let limit = opts.max_events;
-    let run = run_sequential_bounded(program.hir(), args, &TimingModel::default(), limit).map_err(
-        |err| {
-            if err.is_step_limit() {
-                PodsError::Simulation(SimulationError::EventLimitExceeded { limit })
-            } else {
-                PodsError::Baseline(err)
-            }
-        },
-    )?;
+    let run = run_sequential(
+        program.hir(),
+        program.loops(),
+        args,
+        &TimingModel::default(),
+        limit,
+    )
+    .map_err(|err| {
+        if err.is_step_limit() {
+            PodsError::Simulation(SimulationError::EventLimitExceeded { limit })
+        } else {
+            PodsError::Baseline(err)
+        }
+    })?;
     let stats = EngineStats::Sequential {
         nests: run.nests.len(),
         serial_us: run.serial_us,

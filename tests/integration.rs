@@ -19,7 +19,9 @@ fn simulate(program: &CompiledProgram, args: &[Value], opts: RunOptions) -> Engi
 /// interpreter, and asserts that a named array matches element-wise.
 fn assert_matches_reference(source: &str, args: &[Value], array: &str, pes: &[usize]) {
     let hir = pods_idlang::compile(source).expect("front end");
-    let reference = run_sequential(&hir, args, &TimingModel::default()).expect("reference run");
+    let loops = pods_idlang::analyze_loops(&hir);
+    let reference =
+        run_sequential(&hir, &loops, args, &TimingModel::default(), 0).expect("reference run");
     let expected = reference
         .array(array)
         .expect("reference array")
@@ -150,7 +152,8 @@ fn single_pe_pods_is_within_a_small_factor_of_the_sequential_baseline() {
     // The §5.3.4 efficiency comparison: the paper measured roughly 2x.
     let source = pods_workloads::simple::SIMPLE;
     let hir = pods_idlang::compile(source).unwrap();
-    let seq = run_sequential(&hir, &[Value::Int(16)], &TimingModel::default()).unwrap();
+    let loops = pods_idlang::analyze_loops(&hir);
+    let seq = run_sequential(&hir, &loops, &[Value::Int(16)], &TimingModel::default(), 0).unwrap();
     let program = pods::compile(source).unwrap();
     let outcome = simulate(&program, &[Value::Int(16)], RunOptions::with_pes(1));
     let ratio = outcome.elapsed_us() / seq.elapsed_us;
@@ -183,7 +186,8 @@ fn pingali_rogers_model_trails_pods_at_scale_on_simple() {
     // moderate mesh to keep test time reasonable.
     let source = pods_workloads::simple::SIMPLE;
     let hir = pods_idlang::compile(source).unwrap();
-    let seq = run_sequential(&hir, &[Value::Int(16)], &TimingModel::default()).unwrap();
+    let loops = pods_idlang::analyze_loops(&hir);
+    let seq = run_sequential(&hir, &loops, &[Value::Int(16)], &TimingModel::default(), 0).unwrap();
     let pr = pods_baseline::PrModel::default();
     let pr32 = pr.estimate(&seq, 32);
     // Both systems speed up; the exact ordering at small meshes is noisy, so

@@ -86,7 +86,9 @@ fn execution_unit_is_busier_than_routing_unit_at_every_machine_size() {
 #[test]
 fn pods_beats_pingali_rogers_on_64x64_at_32_pes() {
     let hir = pods_idlang::compile(pods_workloads::simple::SIMPLE).expect("compile");
-    let seq = run_sequential(&hir, &[Value::Int(64)], &TimingModel::default()).expect("profile");
+    let loops = pods_idlang::analyze_loops(&hir);
+    let seq = run_sequential(&hir, &loops, &[Value::Int(64)], &TimingModel::default(), 0)
+        .expect("profile");
     let pr = PrModel::default().estimate(&seq, 32).speedup;
     let pods = speedup(64, 32);
     assert!(pods >= pr, "PODS {pods:.3} < Pingali & Rogers {pr:.3}");

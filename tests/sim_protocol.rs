@@ -30,7 +30,8 @@ fn options(pes: usize, page_size: usize, cache: bool) -> RunOptions {
 
 fn oracle(source: &str, args: &[Value]) -> SequentialRun {
     let hir = pods_idlang::compile(source).expect("front end");
-    run_sequential(&hir, args, &TimingModel::default()).expect("oracle run")
+    let loops = pods_idlang::analyze_loops(&hir);
+    run_sequential(&hir, &loops, args, &TimingModel::default(), 0).expect("oracle run")
 }
 
 fn close(a: f64, b: f64) -> bool {
