@@ -436,11 +436,13 @@ impl<'a> Interp<'a> {
                 } else {
                     (*else_body, else_start)
                 };
-                let mut env2 = env.clone();
+                // The branch binds in the enclosing environment: a name it
+                // binds holds the value it bound, also when an earlier
+                // iteration of an enclosing loop bound it too.
                 let mut inner = OrdinalTracker::at(start);
                 let mut flow = Flow::Normal;
                 for stmt in hir.stmts(body) {
-                    match self.exec_stmt(function, stmt, &mut env2, &mut inner)? {
+                    match self.exec_stmt(function, stmt, env, &mut inner)? {
                         Flow::Normal => {}
                         Flow::Return(v) => {
                             flow = Flow::Return(v);
@@ -449,9 +451,6 @@ impl<'a> Interp<'a> {
                     }
                 }
                 ordinals.next_counter = after;
-                for (k, v) in env2 {
-                    env.entry(k).or_insert(v);
-                }
                 Ok(flow)
             }
             HirStmt::Return { value } => {
@@ -724,6 +723,24 @@ mod tests {
         // Budget 0 means unlimited.
         let hir = compile("def main(n) { return n; }").unwrap();
         assert!(run_bounded(&hir, &[Value::Int(1)], 0).is_ok());
+    }
+
+    #[test]
+    fn a_branch_binds_this_iterations_value() {
+        let r = run(
+            r#"
+            def main(n) {
+                a = array(n);
+                for i = 0 to n - 1 {
+                    if i == 0 { x = 10; } else { x = i; }
+                    a[i] = x;
+                }
+                return a;
+            }
+            "#,
+            &[Value::Int(4)],
+        );
+        assert_eq!(r.array("a").unwrap().to_f64(-1.0), [10.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]

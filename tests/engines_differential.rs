@@ -213,6 +213,29 @@ fn rank_above_the_inline_index_capacity_agrees_across_all_engines() {
     assert_engines_agree("rank5", RANK5, &args, &[1, 2, 4]);
 }
 
+/// A name bound in both arms of an `if` inside a loop: each iteration
+/// reads the value its own arm bound, on every engine.
+const BRANCH_BINDING: &str = r#"
+    def main(n) {
+        a = array(n);
+        for i = 0 to n - 1 {
+            if i % 3 == 0 { x = 10 * i; } else { x = i; }
+            a[i] = x + 1;
+        }
+        return a;
+    }
+"#;
+
+#[test]
+fn a_branch_binding_inside_a_loop_agrees_across_all_engines() {
+    assert_engines_agree(
+        "branch_binding",
+        BRANCH_BINDING,
+        &[Value::Int(7)],
+        &[1, 2, 4],
+    );
+}
+
 #[test]
 fn out_of_bounds_above_the_inline_index_capacity_is_reported_alike() {
     // The same program with its last store one past the innermost extent.
