@@ -18,14 +18,27 @@
 //! * it profiles every top-level loop nest (time, element reads/writes),
 //!   which the [`crate::pr`] module combines with the loop analysis to model
 //!   the Pingali & Rogers static-compilation comparator of Figure 10.
+//!
+//! # Resolve, then run
+//!
+//! A run first makes one pass over the program's pooled HIR ([`Plan`]). It
+//! gives every parameter, `let`, array and loop variable of a function a
+//! slot in that function's frame, notes the slot on every `Var`, `Load`,
+//! `Store` and binding statement and the callee's index on every call, and
+//! maps each loop ordinal of a function to its top-level nest. The tables
+//! are indexed by `ExprId` and `StmtId`, which number the pools densely.
+//! The interpreter then runs on one stack of frames: a name is an index,
+//! an index tuple is a segment of one reused buffer, a nest profile is an
+//! entry of a `Vec`, and no environment is ever copied.
+//!
+//! One slot per name per function is sound because the front end's checks
+//! undo a loop body's or a branch's bindings after it: a name is never
+//! bound while another binding of it is visible.
 
 use pods_idlang::hir::{ExprId, List, StmtId};
-use pods_idlang::{
-    find_loop, HirExpr, HirFunction, HirNode, HirProgram, HirStmt, LoopInfo, LoopKey, Name, UnaryOp,
-};
+use pods_idlang::{HirExpr, HirProgram, HirStmt, LoopInfo, LoopKey, Name, UnaryOp};
 use pods_istructure::{ArrayId, ArrayShape, Value};
 use pods_machine::{eval_binary, eval_unary, TimingModel};
-use std::collections::HashMap;
 
 /// Errors produced by the sequential interpreter.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,37 +167,44 @@ pub fn run_sequential(
     timing: &TimingModel,
     max_steps: u64,
 ) -> Result<SequentialRun, BaselineError> {
+    let plan = Plan::new(hir, loops);
+    let entry = plan
+        .entry
+        .ok_or_else(|| BaselineError::Runtime("program has no `main` function".into()))?;
+    let params = hir.functions[entry].params.len();
+    if params != args.len() {
+        return Err(BaselineError::Runtime(format!(
+            "`main` takes {params} argument(s), {} supplied",
+            args.len()
+        )));
+    }
     let mut interp = Interp {
         hir,
         timing,
-        loops,
+        entered: vec![false; plan.nests.len()],
+        plan,
         arrays: Vec::new(),
-        time: 0.0,
-        nests: HashMap::new(),
+        stack: args.iter().map(|&v| Some(v)).collect(),
+        frame: Frame::default(),
+        indices: Vec::new(),
         nest_stack: Vec::new(),
-        serial_us: 0.0,
+        time: 0.0,
         depth: 0,
         steps: 0,
         max_steps,
     };
-    let entry = hir
-        .entry()
-        .ok_or_else(|| BaselineError::Runtime("program has no `main` function".into()))?;
-    if entry.params.len() != args.len() {
-        return Err(BaselineError::Runtime(format!(
-            "`main` takes {} argument(s), {} supplied",
-            entry.params.len(),
-            args.len()
-        )));
-    }
-    let return_value = interp.call(entry, args.to_vec())?;
+    let return_value = interp.call(entry, 0).map_err(|e| *e)?;
 
-    let mut nests: Vec<NestProfile> = interp.nests.into_values().collect();
-    nests.sort_by(|a, b| {
-        (a.key.function.clone(), a.key.ordinal).cmp(&(b.key.function.clone(), b.key.ordinal))
-    });
+    let entered = interp.entered;
+    let mut nests: Vec<NestProfile> = interp
+        .plan
+        .nests
+        .into_iter()
+        .zip(entered)
+        .filter_map(|(nest, entered)| entered.then_some(nest))
+        .collect();
+    nests.sort_by(|a, b| (&a.key.function, a.key.ordinal).cmp(&(&b.key.function, b.key.ordinal)));
     let nest_time: f64 = nests.iter().map(|n| n.time_us).sum();
-    interp.serial_us = (interp.time - nest_time).max(0.0);
     Ok(SequentialRun {
         elapsed_us: interp.time,
         return_value,
@@ -198,8 +218,240 @@ pub fn run_sequential(
             })
             .collect(),
         nests,
-        serial_us: interp.serial_us,
+        serial_us: (interp.time - nest_time).max(0.0),
     })
+}
+
+/// The deepest call nesting a run allows; `main` is at depth 0.
+const MAX_CALL_DEPTH: usize = 256;
+
+/// The marker of "none" in the plan's `u32` tables: no such function, no
+/// nest.
+const NONE: u32 = u32::MAX;
+
+/// What the resolve pass records for a statement.
+#[derive(Debug, Clone, Copy)]
+struct StmtPlan {
+    /// The frame slot a `Let`, an `Alloc` or a `For` binds or a `Store`
+    /// writes, the callee of a `Call`, the loops in an `If`'s `then` arm.
+    target: u32,
+    /// The loops in an `If`'s `else` arm.
+    else_loops: u32,
+}
+
+/// What the resolve pass records for a function.
+#[derive(Debug, Default)]
+struct FunctionPlan {
+    /// Frame slots: the parameters first, in order, then every other name
+    /// the body binds or reads.
+    slots: usize,
+    /// The nest of each loop ordinal that starts a top-level nest, [`NONE`]
+    /// for the others.
+    nests: Vec<u32>,
+}
+
+/// A program resolved for one run: every name bound to a frame slot,
+/// every call to its callee, every top-level loop to its nest.
+struct Plan {
+    /// The index of `main`.
+    entry: Option<usize>,
+    functions: Vec<FunctionPlan>,
+    /// Per expression: the frame slot of a `Var` or of a `Load`'s array,
+    /// the callee of a `Call` ([`NONE`] when no function has its name).
+    exprs: Vec<u32>,
+    /// Per statement.
+    stmts: Vec<StmtPlan>,
+    /// One profile per top-level nest of the loop analysis, filled in as
+    /// the run enters it.
+    nests: Vec<NestProfile>,
+}
+
+/// The index of the function a call of `name` reaches: the first of that
+/// name.
+fn function_index(hir: &HirProgram, name: &str) -> Option<usize> {
+    hir.functions.iter().position(|f| f.name == name)
+}
+
+impl Plan {
+    fn new(hir: &HirProgram, loops: &[LoopInfo]) -> Plan {
+        let [exprs, stmts, _] = hir.pool_lens();
+        let mut plan = Plan {
+            entry: function_index(hir, "main"),
+            functions: hir
+                .functions
+                .iter()
+                .map(|_| FunctionPlan::default())
+                .collect(),
+            exprs: vec![NONE; exprs],
+            stmts: vec![
+                StmtPlan {
+                    target: NONE,
+                    else_loops: 0,
+                };
+                stmts
+            ],
+            nests: Vec::new(),
+        };
+        for info in loops.iter().filter(|info| info.depth == 0) {
+            let Some(f) = function_index(hir, &info.key.function) else {
+                continue;
+            };
+            let table = &mut plan.functions[f].nests;
+            let ordinal = info.key.ordinal;
+            if table.len() <= ordinal {
+                table.resize(ordinal + 1, NONE);
+            }
+            if table[ordinal] == NONE {
+                table[ordinal] = plan.nests.len() as u32;
+                plan.nests.push(NestProfile {
+                    key: info.key.clone(),
+                    time_us: 0.0,
+                    element_reads: 0,
+                    element_writes: 0,
+                    parallelizable: info.is_distributable(),
+                });
+            }
+        }
+        let mut names = Vec::new();
+        for (f, function) in hir.functions.iter().enumerate() {
+            names.clear();
+            names.extend(function.params.iter());
+            let mut resolver = Resolver {
+                hir,
+                plan: &mut plan,
+                names: &mut names,
+                loops: 0,
+            };
+            resolver.block(function.body);
+            plan.functions[f].slots = names.len();
+        }
+        plan
+    }
+}
+
+/// The resolve pass over one function.
+struct Resolver<'p, 'h> {
+    hir: &'h HirProgram,
+    plan: &'p mut Plan,
+    /// The function's names, by slot. A repeated parameter keeps both
+    /// slots and the body reads the later one, as the last binding of a
+    /// name wins.
+    names: &'p mut Vec<&'h Name>,
+    /// Loops met so far, in preorder.
+    loops: u32,
+}
+
+impl<'h> Resolver<'_, 'h> {
+    fn slot(&mut self, name: &'h Name) -> u32 {
+        let slot = match self.names.iter().rposition(|n| *n == name) {
+            Some(slot) => slot,
+            None => {
+                self.names.push(name);
+                self.names.len() - 1
+            }
+        };
+        slot as u32
+    }
+
+    fn callee(&self, name: &str) -> u32 {
+        function_index(self.hir, name).map_or(NONE, |f| f as u32)
+    }
+
+    fn block(&mut self, stmts: List<StmtId>) {
+        for id in self.hir.stmts(stmts) {
+            let mut plan = StmtPlan {
+                target: NONE,
+                else_loops: 0,
+            };
+            match self.hir.stmt(id) {
+                HirStmt::Let { name, value } => {
+                    self.expr(*value);
+                    plan.target = self.slot(name);
+                }
+                HirStmt::Alloc { name, dims } => {
+                    self.exprs(*dims);
+                    plan.target = self.slot(name);
+                }
+                HirStmt::Store {
+                    array,
+                    indices,
+                    value,
+                } => {
+                    self.exprs(*indices);
+                    self.expr(*value);
+                    plan.target = self.slot(array);
+                }
+                HirStmt::For {
+                    var,
+                    from,
+                    to,
+                    body,
+                    ..
+                } => {
+                    self.loops += 1;
+                    self.expr(*from);
+                    self.expr(*to);
+                    plan.target = self.slot(var);
+                    self.block(*body);
+                }
+                HirStmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    self.expr(*cond);
+                    let before = self.loops;
+                    self.block(*then_body);
+                    let after_then = self.loops;
+                    self.block(*else_body);
+                    plan.target = after_then - before;
+                    plan.else_loops = self.loops - after_then;
+                }
+                HirStmt::Return { value } => self.expr(*value),
+                HirStmt::Call { function, args } => {
+                    self.exprs(*args);
+                    plan.target = self.callee(function);
+                }
+            }
+            self.plan.stmts[id.index()] = plan;
+        }
+    }
+
+    fn exprs(&mut self, exprs: List<ExprId>) {
+        for id in self.hir.exprs(exprs) {
+            self.expr(id);
+        }
+    }
+
+    fn expr(&mut self, id: ExprId) {
+        let target = match self.hir.expr(id) {
+            HirExpr::Int(_) | HirExpr::Float(_) | HirExpr::Bool(_) => return,
+            HirExpr::Var(name) => self.slot(name),
+            HirExpr::Load { array, indices } => {
+                self.exprs(*indices);
+                self.slot(array)
+            }
+            HirExpr::Unary { operand, .. } => return self.expr(*operand),
+            HirExpr::Binary { lhs, rhs, .. } => {
+                self.expr(*lhs);
+                return self.expr(*rhs);
+            }
+            HirExpr::Call { function, args } => {
+                self.exprs(*args);
+                self.callee(function)
+            }
+            HirExpr::Select {
+                cond,
+                then_value,
+                else_value,
+            } => {
+                self.expr(*cond);
+                self.expr(*then_value);
+                return self.expr(*else_value);
+            }
+        };
+        self.plan.exprs[id.index()] = target;
+    }
 }
 
 struct ArrayState {
@@ -208,17 +460,38 @@ struct ArrayState {
     values: Vec<Option<Value>>,
 }
 
+/// The running function's place on the stack.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frame {
+    /// The function's index.
+    function: usize,
+    /// Where its slots start on the stack.
+    base: usize,
+    /// The ordinal the next loop it enters takes. It counts loops as they
+    /// are entered, as the oracle always has, rather than in program text:
+    /// from the second iteration of a loop on, the loops in its body take
+    /// the ordinals of the loops after it, so an inner loop can be profiled
+    /// as a later nest and that nest not at all (ROADMAP finding 10). The
+    /// Pingali & Rogers rows of Figure 10 are built on this count.
+    ordinal: usize,
+}
+
 struct Interp<'a> {
     hir: &'a HirProgram,
     timing: &'a TimingModel,
-    loops: &'a [LoopInfo],
+    plan: Plan,
     arrays: Vec<ArrayState>,
+    /// Every active function's slots, the running one's last; a slot is
+    /// `None` until its name is bound.
+    stack: Vec<Option<Value>>,
+    frame: Frame,
+    /// The index tuples being evaluated, innermost last.
+    indices: Vec<i64>,
+    /// Which nests of the plan the run entered.
+    entered: Vec<bool>,
+    /// Top-level nests being executed (nest, entry time), innermost last.
+    nest_stack: Vec<(usize, f64)>,
     time: f64,
-    nests: HashMap<(String, usize), NestProfile>,
-    /// Stack of top-level nests currently being executed (function name,
-    /// ordinal, entry time).
-    nest_stack: Vec<(String, usize, f64)>,
-    serial_us: f64,
     depth: usize,
     /// Statements interpreted so far (the unit the step budget counts).
     steps: u64,
@@ -231,34 +504,53 @@ enum Flow {
     Return(Value),
 }
 
-impl<'a> Interp<'a> {
+/// What an interpreter step returns. The error is boxed so that a value
+/// or its error fits in two registers: errors are rare, and end the run.
+type Step<T> = Result<T, Box<BaselineError>>;
+
+impl Interp<'_> {
     fn charge(&mut self, us: f64) {
         self.time += us;
     }
 
     fn current_nest(&mut self) -> Option<&mut NestProfile> {
-        let (function, ordinal, _) = self.nest_stack.last()?.clone();
-        self.nests.get_mut(&(function, ordinal))
+        let &(nest, _) = self.nest_stack.last()?;
+        Some(&mut self.plan.nests[nest])
     }
 
-    fn call(
-        &mut self,
-        function: &HirFunction,
-        args: Vec<Value>,
-    ) -> Result<Option<Value>, BaselineError> {
-        if self.depth > 256 {
-            return Err(BaselineError::Runtime("call depth exceeded".into()));
+    fn slot(&self, slot: u32) -> Option<Value> {
+        self.stack[self.frame.base + slot as usize]
+    }
+
+    fn bind(&mut self, slot: u32, value: Option<Value>) {
+        self.stack[self.frame.base + slot as usize] = value;
+    }
+
+    /// Runs function `function` on the arguments on top of the stack, from
+    /// `base` on.
+    fn call(&mut self, function: usize, base: usize) -> Step<Option<Value>> {
+        if self.depth > MAX_CALL_DEPTH {
+            return Err(runtime(format_args!("call depth exceeded")));
         }
         self.depth += 1;
+        let args = self.stack.len() - base;
         // Call overhead: argument moves plus the call/return pair.
-        self.charge(
-            2.0 * self.timing.context_switch + args.len() as f64 * self.timing.memory_write,
+        self.charge(2.0 * self.timing.context_switch + args as f64 * self.timing.memory_write);
+        let f = &self.hir.functions[function];
+        self.stack.truncate(base + args.min(f.params.len()));
+        self.stack
+            .resize(base + self.plan.functions[function].slots, None);
+        let caller = std::mem::replace(
+            &mut self.frame,
+            Frame {
+                function,
+                base,
+                ordinal: 0,
+            },
         );
-        let mut env: HashMap<Name, Value> = HashMap::new();
-        for (p, v) in function.params.iter().zip(args) {
-            env.insert(p.clone(), v);
-        }
-        let flow = self.exec_block(&function.name, function.body, &mut env)?;
+        let flow = self.exec_block(f.body)?;
+        self.frame = caller;
+        self.stack.truncate(base);
         self.depth -= 1;
         Ok(match flow {
             Flow::Return(v) => Some(v),
@@ -266,317 +558,284 @@ impl<'a> Interp<'a> {
         })
     }
 
-    fn function(&self, name: &str) -> Result<&'a HirFunction, BaselineError> {
-        self.hir
-            .function(name)
-            .ok_or_else(|| BaselineError::Runtime(format!("unknown function `{name}`")))
+    /// Evaluates the arguments of a call of `callee` (`target`, from the
+    /// plan) and runs it.
+    fn call_site(&mut self, target: u32, callee: &Name, args: List<ExprId>) -> Step<Option<Value>> {
+        let base = self.stack.len();
+        for a in self.hir.exprs(args) {
+            let v = self.eval(a)?;
+            self.stack.push(Some(v));
+        }
+        if target == NONE {
+            return Err(runtime(format_args!("unknown function `{callee}`")));
+        }
+        self.call(target as usize, base)
     }
 
-    fn exec_block(
-        &mut self,
-        function: &str,
-        stmts: List<StmtId>,
-        env: &mut HashMap<Name, Value>,
-    ) -> Result<Flow, BaselineError> {
-        let mut loop_ordinal_iter = OrdinalTracker::at(0);
+    fn exec_block(&mut self, stmts: List<StmtId>) -> Step<Flow> {
         for stmt in self.hir.stmts(stmts) {
-            match self.exec_stmt(function, stmt, env, &mut loop_ordinal_iter)? {
-                Flow::Normal => {}
-                Flow::Return(v) => return Ok(Flow::Return(v)),
+            if let Flow::Return(v) = self.exec_stmt(stmt)? {
+                return Ok(Flow::Return(v));
             }
         }
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(
-        &mut self,
-        function: &str,
-        stmt: StmtId,
-        env: &mut HashMap<Name, Value>,
-        ordinals: &mut OrdinalTracker,
-    ) -> Result<Flow, BaselineError> {
+    fn exec_stmt(&mut self, stmt: StmtId) -> Step<Flow> {
         self.steps += 1;
         if self.max_steps > 0 && self.steps > self.max_steps {
-            return Err(BaselineError::step_limit(self.max_steps));
+            return Err(Box::new(BaselineError::step_limit(self.max_steps)));
         }
         let hir = self.hir;
+        let plan = self.plan.stmts[stmt.index()];
         match hir.stmt(stmt) {
-            HirStmt::Let { name, value } => {
-                let v = self.eval(function, *value, env)?;
+            HirStmt::Let { value, .. } => {
+                let v = self.eval(*value)?;
                 self.charge(self.timing.memory_write);
-                env.insert(name.clone(), v);
-                Ok(Flow::Normal)
+                self.bind(plan.target, Some(v));
             }
-            HirStmt::Alloc { name, dims } => {
-                let mut extents = Vec::new();
-                for d in hir.exprs(*dims) {
-                    let v = self.eval(function, d, env)?;
-                    let n = v.as_i64().filter(|&n| n > 0).ok_or_else(|| {
-                        BaselineError::Runtime(format!("bad dimension for `{name}`"))
-                    })?;
-                    extents.push(n as usize);
-                }
-                let shape = ArrayShape::new(extents);
-                // malloc-style allocation cost.
-                self.charge(self.timing.array_allocate);
-                let id = ArrayId(self.arrays.len());
-                self.arrays.push(ArrayState {
-                    name: name.clone(),
-                    shape: shape.clone(),
-                    values: vec![None; shape.len()],
-                });
-                env.insert(name.clone(), Value::ArrayRef(id));
-                Ok(Flow::Normal)
-            }
+            HirStmt::Alloc { name, dims } => self.alloc(plan.target, name, *dims)?,
             HirStmt::Store {
                 array,
                 indices,
                 value,
-            } => {
-                let v = self.eval(function, *value, env)?;
-                let offset = self.element_offset(function, array, *indices, env)?;
-                let id = self.array_id(array, env)?;
-                self.charge(self.timing.memory_write);
-                if let Some(nest) = self.current_nest() {
-                    nest.element_writes += 1;
-                }
-                let cell = &mut self.arrays[id.index()].values[offset];
-                if cell.is_some() {
-                    return Err(BaselineError::Runtime(format!(
-                        "single-assignment violation on `{array}`"
-                    )));
-                }
-                *cell = Some(v);
-                Ok(Flow::Normal)
-            }
+            } => self.store(plan.target, array, *indices, *value)?,
             HirStmt::For {
-                var,
                 from,
                 to,
                 descending,
                 body,
-            } => {
-                let ordinal = ordinals.next_for_this_loop();
-                let top_level = find_loop(self.loops, function, ordinal).filter(|l| l.depth == 0);
-                if let Some(info) = top_level {
-                    let parallelizable = info.is_distributable();
-                    self.nests
-                        .entry((function.to_string(), ordinal))
-                        .or_insert_with(|| NestProfile {
-                            key: LoopKey {
-                                function: Name::from(function),
-                                ordinal,
-                            },
-                            time_us: 0.0,
-                            element_reads: 0,
-                            element_writes: 0,
-                            parallelizable,
-                        });
-                    self.nest_stack
-                        .push((function.to_string(), ordinal, self.time));
-                }
-
-                let from_v = self
-                    .eval(function, *from, env)?
-                    .as_i64()
-                    .ok_or_else(|| BaselineError::Runtime("non-integer loop bound".into()))?;
-                let to_v = self
-                    .eval(function, *to, env)?
-                    .as_i64()
-                    .ok_or_else(|| BaselineError::Runtime("non-integer loop bound".into()))?;
-                let mut i = from_v;
-                loop {
-                    let done = if *descending { i < to_v } else { i > to_v };
-                    // Loop control: compare, branch, increment.
-                    self.charge(3.0 * self.timing.int_alu);
-                    if done {
-                        break;
-                    }
-                    env.insert(var.clone(), Value::Int(i));
-                    let mut inner_ordinals = OrdinalTracker::at(ordinals.next_counter);
-                    for stmt in hir.stmts(*body) {
-                        match self.exec_stmt(function, stmt, env, &mut inner_ordinals)? {
-                            Flow::Normal => {}
-                            Flow::Return(v) => return Ok(Flow::Return(v)),
-                        }
-                    }
-                    ordinals.next_counter = inner_ordinals.next_counter;
-                    i += if *descending { -1 } else { 1 };
-                }
-                env.remove(var.as_str());
-
-                if top_level.is_some() {
-                    if let Some((f, o, start)) = self.nest_stack.pop() {
-                        let elapsed = self.time - start;
-                        if let Some(nest) = self.nests.get_mut(&(f, o)) {
-                            nest.time_us += elapsed;
-                        }
-                    }
-                }
-                Ok(Flow::Normal)
-            }
+                ..
+            } => return self.exec_for(plan.target, *from, *to, *descending, *body),
             HirStmt::If {
                 cond,
                 then_body,
                 else_body,
             } => {
                 let c = self
-                    .eval(function, *cond, env)?
+                    .eval(*cond)?
                     .as_bool()
-                    .ok_or_else(|| BaselineError::Runtime("non-boolean condition".into()))?;
+                    .ok_or_else(|| runtime(format_args!("non-boolean condition")))?;
                 self.charge(self.timing.int_alu);
-                // Preorder loop numbering: the then-branch loops come first,
-                // then the else-branch loops, regardless of which branch is
-                // taken.
-                let then_start = ordinals.next_counter;
-                let else_start = then_start + OrdinalTracker::count_loops(hir, *then_body);
-                let after = else_start + OrdinalTracker::count_loops(hir, *else_body);
-                let (body, start) = if c {
-                    (*then_body, then_start)
-                } else {
-                    (*else_body, else_start)
-                };
-                // The branch binds in the enclosing environment: a name it
-                // binds holds the value it bound, also when an earlier
-                // iteration of an enclosing loop bound it too.
-                let mut inner = OrdinalTracker::at(start);
-                let mut flow = Flow::Normal;
-                for stmt in hir.stmts(body) {
-                    match self.exec_stmt(function, stmt, env, &mut inner)? {
-                        Flow::Normal => {}
-                        Flow::Return(v) => {
-                            flow = Flow::Return(v);
-                            break;
-                        }
-                    }
-                }
-                ordinals.next_counter = after;
-                Ok(flow)
+                // The then-arm's loops are numbered first, then the
+                // else-arm's, whichever arm runs.
+                let start = self.frame.ordinal;
+                let else_start = start + plan.target as usize;
+                self.frame.ordinal = if c { start } else { else_start };
+                let flow = self.exec_block(if c { *then_body } else { *else_body })?;
+                self.frame.ordinal = else_start + plan.else_loops as usize;
+                return Ok(flow);
             }
-            HirStmt::Return { value } => {
-                let v = self.eval(function, *value, env)?;
-                Ok(Flow::Return(v))
-            }
-            HirStmt::Call {
-                function: callee,
-                args,
-            } => {
-                let mut arg_values = Vec::new();
-                for a in hir.exprs(*args) {
-                    arg_values.push(self.eval(function, a, env)?);
-                }
-                let f = self.function(callee)?;
-                self.call(f, arg_values)?;
-                Ok(Flow::Normal)
+            HirStmt::Return { value } => return Ok(Flow::Return(self.eval(*value)?)),
+            HirStmt::Call { function, args } => {
+                self.call_site(plan.target, function, *args)?;
             }
         }
+        Ok(Flow::Normal)
     }
 
-    fn array_id(&self, name: &str, env: &HashMap<Name, Value>) -> Result<ArrayId, BaselineError> {
-        match env.get(name) {
-            Some(Value::ArrayRef(id)) => Ok(*id),
-            _ => Err(BaselineError::Runtime(format!("`{name}` is not an array"))),
+    fn alloc(&mut self, slot: u32, name: &Name, dims: List<ExprId>) -> Step<()> {
+        let mut extents = Vec::with_capacity(dims.len());
+        for d in self.hir.exprs(dims) {
+            let v = self.eval(d)?;
+            let n = v
+                .as_i64()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| runtime(format_args!("bad dimension for `{name}`")))?;
+            extents.push(n as usize);
         }
+        let shape = ArrayShape::new(extents);
+        // malloc-style allocation cost.
+        self.charge(self.timing.array_allocate);
+        let id = ArrayId(self.arrays.len());
+        self.arrays.push(ArrayState {
+            name: name.clone(),
+            values: vec![None; shape.len()],
+            shape,
+        });
+        self.bind(slot, Some(Value::ArrayRef(id)));
+        Ok(())
     }
 
-    fn element_offset(
+    fn store(&mut self, slot: u32, array: &Name, indices: List<ExprId>, value: ExprId) -> Step<()> {
+        let v = self.eval(value)?;
+        let (id, offset) = self.element(slot, array, indices)?;
+        self.charge(self.timing.memory_write);
+        if let Some(nest) = self.current_nest() {
+            nest.element_writes += 1;
+        }
+        let cell = &mut self.arrays[id.index()].values[offset];
+        if cell.is_some() {
+            return Err(runtime(format_args!(
+                "single-assignment violation on `{array}`"
+            )));
+        }
+        *cell = Some(v);
+        Ok(())
+    }
+
+    fn exec_for(
         &mut self,
-        function: &str,
-        array: &str,
-        indices: List<ExprId>,
-        env: &mut HashMap<Name, Value>,
-    ) -> Result<usize, BaselineError> {
-        let mut idx = Vec::new();
-        for e in self.hir.exprs(indices) {
-            let v = self.eval(function, e, env)?;
-            idx.push(v.as_i64().unwrap_or(-1));
+        slot: u32,
+        from: ExprId,
+        to: ExprId,
+        descending: bool,
+        body: List<StmtId>,
+    ) -> Step<Flow> {
+        let ordinal = self.frame.ordinal;
+        self.frame.ordinal += 1;
+        let nests = &self.plan.functions[self.frame.function].nests;
+        let nest = nests.get(ordinal).copied().filter(|&n| n != NONE);
+        if let Some(nest) = nest {
+            self.entered[nest as usize] = true;
+            self.nest_stack.push((nest as usize, self.time));
         }
-        let id = self.array_id(array, env)?;
+
+        let from = self
+            .eval(from)?
+            .as_i64()
+            .ok_or_else(|| runtime(format_args!("non-integer loop bound")))?;
+        let to = self
+            .eval(to)?
+            .as_i64()
+            .ok_or_else(|| runtime(format_args!("non-integer loop bound")))?;
+        let mut i = from;
+        loop {
+            let done = if descending { i < to } else { i > to };
+            // Loop control: compare, branch, increment.
+            self.charge(3.0 * self.timing.int_alu);
+            if done {
+                break;
+            }
+            self.bind(slot, Some(Value::Int(i)));
+            if let Flow::Return(v) = self.exec_block(body)? {
+                return Ok(Flow::Return(v));
+            }
+            i += if descending { -1 } else { 1 };
+        }
+        self.bind(slot, None);
+
+        if nest.is_some() {
+            if let Some((n, start)) = self.nest_stack.pop() {
+                self.plan.nests[n].time_us += self.time - start;
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    fn array_id(&self, slot: u32, name: &Name) -> Step<ArrayId> {
+        match self.slot(slot) {
+            Some(Value::ArrayRef(id)) => Ok(id),
+            _ => Err(runtime(format_args!("`{name}` is not an array"))),
+        }
+    }
+
+    /// Evaluates an access's indices and returns the array and the
+    /// element's offset in it.
+    fn element(
+        &mut self,
+        slot: u32,
+        array: &Name,
+        indices: List<ExprId>,
+    ) -> Step<(ArrayId, usize)> {
+        let mark = self.indices.len();
+        for e in self.hir.exprs(indices) {
+            let v = self.eval(e)?;
+            self.indices.push(v.as_i64().unwrap_or(-1));
+        }
+        let id = self.array_id(slot, array)?;
         // Address arithmetic: one multiply and add per dimension.
         self.charge(indices.len() as f64 * (self.timing.int_mul + self.timing.int_alu));
-        self.arrays[id.index()]
-            .shape
-            .offset_of(&idx)
-            .ok_or_else(|| {
-                BaselineError::Runtime(format!(
-                    "index {idx:?} out of bounds for `{array}` ({})",
-                    self.arrays[id.index()].shape
-                ))
-            })
+        let shape = &self.arrays[id.index()].shape;
+        let idx = &self.indices[mark..];
+        let offset = shape.offset_of(idx).ok_or_else(|| {
+            runtime(format_args!(
+                "index {idx:?} out of bounds for `{array}` ({shape})"
+            ))
+        })?;
+        self.indices.truncate(mark);
+        Ok((id, offset))
     }
 
-    fn eval(
-        &mut self,
-        function: &str,
-        expr: ExprId,
-        env: &mut HashMap<Name, Value>,
-    ) -> Result<Value, BaselineError> {
+    /// Evaluates `expr`. Literals and variables, most of a program's
+    /// expressions, are taken in line; [`Interp::eval_node`] evaluates
+    /// every kind.
+    #[inline(always)]
+    fn eval(&mut self, expr: ExprId) -> Step<Value> {
+        match self.hir.expr(expr) {
+            HirExpr::Int(v) => Ok(Value::Int(*v)),
+            HirExpr::Float(v) => Ok(Value::Float(*v)),
+            HirExpr::Var(name) => self.var(self.plan.exprs[expr.index()], name),
+            _ => self.eval_node(expr),
+        }
+    }
+
+    fn var(&self, slot: u32, name: &Name) -> Step<Value> {
+        self.slot(slot)
+            .ok_or_else(|| runtime(format_args!("unknown variable `{name}`")))
+    }
+
+    fn eval_node(&mut self, expr: ExprId) -> Step<Value> {
         let hir = self.hir;
+        let target = self.plan.exprs[expr.index()];
         Ok(match hir.expr(expr) {
             HirExpr::Int(v) => Value::Int(*v),
             HirExpr::Float(v) => Value::Float(*v),
             HirExpr::Bool(v) => Value::Bool(*v),
-            HirExpr::Var(name) => *env
-                .get(name.as_str())
-                .ok_or_else(|| BaselineError::Runtime(format!("unknown variable `{name}`")))?,
-            HirExpr::Load { array, indices } => {
-                let offset = self.element_offset(function, array, *indices, env)?;
-                let id = self.array_id(array, env)?;
-                self.charge(self.timing.memory_read);
-                if let Some(nest) = self.current_nest() {
-                    nest.element_reads += 1;
-                }
-                self.arrays[id.index()].values[offset].ok_or_else(|| {
-                    BaselineError::Runtime(format!(
-                        "element {offset} of `{array}` read before being written"
-                    ))
-                })?
-            }
+            HirExpr::Var(name) => self.var(target, name)?,
+            HirExpr::Load { array, indices } => self.load(target, array, *indices)?,
             HirExpr::Unary { op, operand } => {
-                let v = self.eval(function, *operand, env)?;
+                let v = self.eval(*operand)?;
                 self.charge(
                     self.timing
                         .unary_op(*op, v.is_float() || float_producing(*op)),
                 );
-                eval_unary(*op, v).map_err(|e| BaselineError::Runtime(e.to_string()))?
+                eval_unary(*op, v).map_err(|e| runtime(format_args!("{e}")))?
             }
             HirExpr::Binary { op, lhs, rhs } => {
-                let a = self.eval(function, *lhs, env)?;
-                let b = self.eval(function, *rhs, env)?;
+                let a = self.eval(*lhs)?;
+                let b = self.eval(*rhs)?;
                 self.charge(self.timing.binary_op(*op, a.is_float() || b.is_float()));
-                eval_binary(*op, a, b).map_err(|e| BaselineError::Runtime(e.to_string()))?
+                eval_binary(*op, a, b).map_err(|e| runtime(format_args!("{e}")))?
             }
-            HirExpr::Call {
-                function: callee,
-                args,
-            } => {
-                let mut arg_values = Vec::new();
-                for a in hir.exprs(*args) {
-                    arg_values.push(self.eval(function, a, env)?);
-                }
-                let f = self.function(callee)?;
-                self.call(f, arg_values)?.ok_or_else(|| {
-                    BaselineError::Runtime(format!("`{callee}` returned no value"))
-                })?
-            }
+            HirExpr::Call { function, args } => self
+                .call_site(target, function, *args)?
+                .ok_or_else(|| runtime(format_args!("`{function}` returned no value")))?,
             HirExpr::Select {
                 cond,
                 then_value,
                 else_value,
             } => {
                 let c = self
-                    .eval(function, *cond, env)?
+                    .eval(*cond)?
                     .as_bool()
-                    .ok_or_else(|| BaselineError::Runtime("non-boolean condition".into()))?;
+                    .ok_or_else(|| runtime(format_args!("non-boolean condition")))?;
                 self.charge(self.timing.int_alu);
-                if c {
-                    self.eval(function, *then_value, env)?
-                } else {
-                    self.eval(function, *else_value, env)?
-                }
+                self.eval(if c { *then_value } else { *else_value })?
             }
         })
     }
+
+    fn load(&mut self, slot: u32, array: &Name, indices: List<ExprId>) -> Step<Value> {
+        let (id, offset) = self.element(slot, array, indices)?;
+        self.charge(self.timing.memory_read);
+        if let Some(nest) = self.current_nest() {
+            nest.element_reads += 1;
+        }
+        self.arrays[id.index()].values[offset].ok_or_else(|| {
+            runtime(format_args!(
+                "element {offset} of `{array}` read before being written"
+            ))
+        })
+    }
+}
+
+/// A run-time error, built out of line so that formatting its message costs
+/// the paths that do not fail nothing.
+#[cold]
+#[inline(never)]
+fn runtime(message: std::fmt::Arguments) -> Box<BaselineError> {
+    Box::new(BaselineError::Runtime(message.to_string()))
 }
 
 /// Whether a unary operator produces a float regardless of its operand type
@@ -586,37 +845,6 @@ fn float_producing(op: UnaryOp) -> bool {
         op,
         UnaryOp::Sqrt | UnaryOp::Exp | UnaryOp::Ln | UnaryOp::Sin | UnaryOp::Cos
     )
-}
-
-/// Tracks preorder loop ordinals during interpretation so that profiles can
-/// be matched with the static loop analysis (which numbers loops the same
-/// way).
-struct OrdinalTracker {
-    next_counter: usize,
-}
-
-impl OrdinalTracker {
-    fn at(counter: usize) -> Self {
-        OrdinalTracker {
-            next_counter: counter,
-        }
-    }
-
-    fn next_for_this_loop(&mut self) -> usize {
-        let o = self.next_counter;
-        self.next_counter += 1;
-        o
-    }
-
-    /// Number of loops (recursively) contained in a statement list,
-    /// matching the preorder numbering of the loop analysis.
-    fn count_loops(hir: &HirProgram, stmts: List<StmtId>) -> usize {
-        let mut loops = 0;
-        hir.walk(stmts, &mut |node| {
-            loops += usize::from(matches!(node, HirNode::Stmt(HirStmt::For { .. })));
-        });
-        loops
-    }
 }
 
 #[cfg(test)]
