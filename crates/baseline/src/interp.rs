@@ -23,20 +23,23 @@
 //!
 //! A run first makes one pass over the program's pooled HIR ([`Plan`]). It
 //! gives every parameter, `let`, array and loop variable of a function a
-//! slot in that function's frame, notes the slot on every `Var`, `Load`,
-//! `Store` and binding statement and the callee's index on every call, and
-//! maps each loop ordinal of a function to its top-level nest. The tables
-//! are indexed by `ExprId` and `StmtId`, which number the pools densely.
-//! The interpreter then runs on one stack of frames: a name is an index,
-//! an index tuple is a segment of one reused buffer, a nest profile is an
-//! entry of a `Vec`, and no environment is ever copied.
+//! slot in that function's frame; lays out every expression a statement
+//! evaluates as postfix code ([`Op`]) that names each variable and array
+//! by its slot and each callee by its index; and maps each loop ordinal of
+//! a function to its top-level nest. Statements find their code and slot
+//! in a table indexed by `StmtId`, which numbers the pool densely. The
+//! interpreter then runs on one stack of frames and one stack of values:
+//! a name is an index, an index tuple is read off the value stack into one
+//! reused buffer, a nest profile is an entry of a `Vec`, and no
+//! environment is ever copied. Costs are charged, and errors raised, in
+//! the order a walk over the tree would charge and raise them.
 //!
 //! One slot per name per function is sound because the front end's checks
 //! undo a loop body's or a branch's bindings after it: a name is never
 //! bound while another binding of it is visible.
 
 use pods_idlang::hir::{ExprId, List, StmtId};
-use pods_idlang::{HirExpr, HirProgram, HirStmt, LoopInfo, LoopKey, Name, UnaryOp};
+use pods_idlang::{BinaryOp, HirExpr, HirProgram, HirStmt, LoopInfo, LoopKey, Name, UnaryOp};
 use pods_istructure::{ArrayId, ArrayShape, Value};
 use pods_machine::{eval_binary, eval_unary, TimingModel};
 
@@ -186,6 +189,7 @@ pub fn run_sequential(
         arrays: Vec::new(),
         stack: args.iter().map(|&v| Some(v)).collect(),
         frame: Frame::default(),
+        values: Vec::new(),
         indices: Vec::new(),
         nest_stack: Vec::new(),
         time: 0.0,
@@ -225,13 +229,56 @@ pub fn run_sequential(
 /// The deepest call nesting a run allows; `main` is at depth 0.
 const MAX_CALL_DEPTH: usize = 256;
 
-/// The marker of "none" in the plan's `u32` tables: no such function, no
+/// The marker of "none" in the plan's `u32` fields: no such function, no
 /// nest.
 const NONE: u32 = u32::MAX;
+
+/// One step of an expression's code. An expression is laid out in
+/// postfix order, its operands before its operator, so evaluating it is a
+/// loop over a stack of values rather than a walk over its tree.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    /// Push the variable in frame slot `slot`; `expr` names it.
+    Var {
+        slot: u32,
+        expr: ExprId,
+    },
+    /// Pop `rank` indices and push that element of the array in `slot`.
+    Load {
+        slot: u32,
+        rank: u32,
+        expr: ExprId,
+    },
+    Unary(UnaryOp),
+    Binary(BinaryOp),
+    /// Pop `args` arguments, call function `callee` ([`NONE`] when no
+    /// function has the name) and push what it returns.
+    Call {
+        callee: u32,
+        args: u32,
+        expr: ExprId,
+    },
+    /// Pop a condition; go on at `else_at` when it is false.
+    Branch {
+        else_at: u32,
+    },
+    Jump {
+        to: u32,
+    },
+    /// The end of one expression's code.
+    End,
+}
 
 /// What the resolve pass records for a statement.
 #[derive(Debug, Clone, Copy)]
 struct StmtPlan {
+    /// Where the code of its expressions starts: one expression after
+    /// another, each to its `End`. A `Store`'s value and indices and a
+    /// `Call`'s arguments are one run of code.
+    code: u32,
     /// The frame slot a `Let`, an `Alloc` or a `For` binds or a `Store`
     /// writes, the callee of a `Call`, the loops in an `If`'s `then` arm.
     target: u32,
@@ -251,16 +298,16 @@ struct FunctionPlan {
 }
 
 /// A program resolved for one run: every name bound to a frame slot,
-/// every call to its callee, every top-level loop to its nest.
+/// every call to its callee, every expression to its code, every
+/// top-level loop to its nest.
 struct Plan {
     /// The index of `main`.
     entry: Option<usize>,
     functions: Vec<FunctionPlan>,
-    /// Per expression: the frame slot of a `Var` or of a `Load`'s array,
-    /// the callee of a `Call` ([`NONE`] when no function has its name).
-    exprs: Vec<u32>,
-    /// Per statement.
+    /// Per statement, by id.
     stmts: Vec<StmtPlan>,
+    /// The code of every expression a statement evaluates.
+    code: Vec<Op>,
     /// One profile per top-level nest of the loop analysis, filled in as
     /// the run enters it.
     nests: Vec<NestProfile>,
@@ -282,14 +329,15 @@ impl Plan {
                 .iter()
                 .map(|_| FunctionPlan::default())
                 .collect(),
-            exprs: vec![NONE; exprs],
             stmts: vec![
                 StmtPlan {
+                    code: 0,
                     target: NONE,
                     else_loops: 0,
                 };
                 stmts
             ],
+            code: Vec::with_capacity(exprs + stmts),
             nests: Vec::new(),
         };
         for info in loops.iter().filter(|info| info.depth == 0) {
@@ -357,19 +405,30 @@ impl<'h> Resolver<'_, 'h> {
         function_index(self.hir, name).map_or(NONE, |f| f as u32)
     }
 
+    fn here(&self) -> u32 {
+        self.plan.code.len() as u32
+    }
+
+    fn emit(&mut self, op: Op) {
+        self.plan.code.push(op);
+    }
+
     fn block(&mut self, stmts: List<StmtId>) {
         for id in self.hir.stmts(stmts) {
             let mut plan = StmtPlan {
+                code: self.here(),
                 target: NONE,
                 else_loops: 0,
             };
             match self.hir.stmt(id) {
                 HirStmt::Let { name, value } => {
-                    self.expr(*value);
+                    self.root(*value);
                     plan.target = self.slot(name);
                 }
                 HirStmt::Alloc { name, dims } => {
-                    self.exprs(*dims);
+                    for d in self.hir.exprs(*dims) {
+                        self.root(d);
+                    }
                     plan.target = self.slot(name);
                 }
                 HirStmt::Store {
@@ -377,8 +436,9 @@ impl<'h> Resolver<'_, 'h> {
                     indices,
                     value,
                 } => {
-                    self.exprs(*indices);
                     self.expr(*value);
+                    self.exprs(*indices);
+                    self.emit(Op::End);
                     plan.target = self.slot(array);
                 }
                 HirStmt::For {
@@ -389,8 +449,8 @@ impl<'h> Resolver<'_, 'h> {
                     ..
                 } => {
                     self.loops += 1;
-                    self.expr(*from);
-                    self.expr(*to);
+                    self.root(*from);
+                    self.root(*to);
                     plan.target = self.slot(var);
                     self.block(*body);
                 }
@@ -399,7 +459,7 @@ impl<'h> Resolver<'_, 'h> {
                     then_body,
                     else_body,
                 } => {
-                    self.expr(*cond);
+                    self.root(*cond);
                     let before = self.loops;
                     self.block(*then_body);
                     let after_then = self.loops;
@@ -407,14 +467,21 @@ impl<'h> Resolver<'_, 'h> {
                     plan.target = after_then - before;
                     plan.else_loops = self.loops - after_then;
                 }
-                HirStmt::Return { value } => self.expr(*value),
+                HirStmt::Return { value } => self.root(*value),
                 HirStmt::Call { function, args } => {
                     self.exprs(*args);
+                    self.emit(Op::End);
                     plan.target = self.callee(function);
                 }
             }
             self.plan.stmts[id.index()] = plan;
         }
+    }
+
+    /// Lays out the code of a statement's expression `id`.
+    fn root(&mut self, id: ExprId) {
+        self.expr(id);
+        self.emit(Op::End);
     }
 
     fn exprs(&mut self, exprs: List<ExprId>) {
@@ -424,21 +491,38 @@ impl<'h> Resolver<'_, 'h> {
     }
 
     fn expr(&mut self, id: ExprId) {
-        let target = match self.hir.expr(id) {
-            HirExpr::Int(_) | HirExpr::Float(_) | HirExpr::Bool(_) => return,
-            HirExpr::Var(name) => self.slot(name),
+        let op = match self.hir.expr(id) {
+            HirExpr::Int(v) => Op::Int(*v),
+            HirExpr::Float(v) => Op::Float(*v),
+            HirExpr::Bool(v) => Op::Bool(*v),
+            HirExpr::Var(name) => Op::Var {
+                slot: self.slot(name),
+                expr: id,
+            },
             HirExpr::Load { array, indices } => {
                 self.exprs(*indices);
-                self.slot(array)
+                Op::Load {
+                    slot: self.slot(array),
+                    rank: indices.len() as u32,
+                    expr: id,
+                }
             }
-            HirExpr::Unary { operand, .. } => return self.expr(*operand),
-            HirExpr::Binary { lhs, rhs, .. } => {
+            HirExpr::Unary { op, operand } => {
+                self.expr(*operand);
+                Op::Unary(*op)
+            }
+            HirExpr::Binary { op, lhs, rhs } => {
                 self.expr(*lhs);
-                return self.expr(*rhs);
+                self.expr(*rhs);
+                Op::Binary(*op)
             }
             HirExpr::Call { function, args } => {
                 self.exprs(*args);
-                self.callee(function)
+                Op::Call {
+                    callee: self.callee(function),
+                    args: args.len() as u32,
+                    expr: id,
+                }
             }
             HirExpr::Select {
                 cond,
@@ -446,11 +530,32 @@ impl<'h> Resolver<'_, 'h> {
                 else_value,
             } => {
                 self.expr(*cond);
+                let branch = self.plan.code.len();
+                self.emit(Op::Branch { else_at: NONE });
                 self.expr(*then_value);
-                return self.expr(*else_value);
+                let jump = self.plan.code.len();
+                self.emit(Op::Jump { to: NONE });
+                self.plan.code[branch] = Op::Branch {
+                    else_at: self.here(),
+                };
+                self.expr(*else_value);
+                self.plan.code[jump] = Op::Jump { to: self.here() };
+                return;
             }
         };
-        self.plan.exprs[id.index()] = target;
+        self.emit(op);
+    }
+}
+
+/// The name expression `expr` reads or calls, for an error message: a
+/// variable's, a loaded array's or a callee's.
+#[cold]
+fn name_of(hir: &HirProgram, expr: ExprId) -> &Name {
+    match hir.expr(expr) {
+        HirExpr::Var(name)
+        | HirExpr::Load { array: name, .. }
+        | HirExpr::Call { function: name, .. } => name,
+        other => unreachable!("{other:?} names nothing"),
     }
 }
 
@@ -485,7 +590,9 @@ struct Interp<'a> {
     /// `None` until its name is bound.
     stack: Vec<Option<Value>>,
     frame: Frame,
-    /// The index tuples being evaluated, innermost last.
+    /// The values of the expressions being evaluated, innermost last.
+    values: Vec<Value>,
+    /// The index tuple of the access being made.
     indices: Vec<i64>,
     /// Which nests of the plan the run entered.
     entered: Vec<bool>,
@@ -526,6 +633,12 @@ impl Interp<'_> {
         self.stack[self.frame.base + slot as usize] = value;
     }
 
+    fn pop(&mut self) -> Value {
+        self.values
+            .pop()
+            .expect("an operator's operands are on the stack")
+    }
+
     /// Runs function `function` on the arguments on top of the stack, from
     /// `base` on.
     fn call(&mut self, function: usize, base: usize) -> Step<Option<Value>> {
@@ -558,18 +671,16 @@ impl Interp<'_> {
         })
     }
 
-    /// Evaluates the arguments of a call of `callee` (`target`, from the
-    /// plan) and runs it.
-    fn call_site(&mut self, target: u32, callee: &Name, args: List<ExprId>) -> Step<Option<Value>> {
+    /// Calls `callee` (from the plan; `name` is its name) on the top `args`
+    /// values.
+    fn call_site(&mut self, callee: u32, args: usize, name: &Name) -> Step<Option<Value>> {
+        if callee == NONE {
+            return Err(runtime(format_args!("unknown function `{name}`")));
+        }
         let base = self.stack.len();
-        for a in self.hir.exprs(args) {
-            let v = self.eval(a)?;
-            self.stack.push(Some(v));
-        }
-        if target == NONE {
-            return Err(runtime(format_args!("unknown function `{callee}`")));
-        }
-        self.call(target as usize, base)
+        let from = self.values.len() - args;
+        self.stack.extend(self.values.drain(from..).map(Some));
+        self.call(callee as usize, base)
     }
 
     fn exec_block(&mut self, stmts: List<StmtId>) -> Step<Flow> {
@@ -588,32 +699,29 @@ impl Interp<'_> {
         }
         let hir = self.hir;
         let plan = self.plan.stmts[stmt.index()];
+        let code = plan.code as usize;
         match hir.stmt(stmt) {
-            HirStmt::Let { value, .. } => {
-                let v = self.eval(*value)?;
+            HirStmt::Let { .. } => {
+                let (v, _) = self.value(code)?;
                 self.charge(self.timing.memory_write);
                 self.bind(plan.target, Some(v));
             }
-            HirStmt::Alloc { name, dims } => self.alloc(plan.target, name, *dims)?,
-            HirStmt::Store {
-                array,
-                indices,
-                value,
-            } => self.store(plan.target, array, *indices, *value)?,
+            HirStmt::Alloc { name, dims } => self.alloc(plan.target, name, dims.len(), code)?,
+            HirStmt::Store { array, indices, .. } => {
+                self.run(code)?;
+                self.store(plan.target, array, indices.len())?;
+            }
             HirStmt::For {
-                from,
-                to,
-                descending,
-                body,
-                ..
-            } => return self.exec_for(plan.target, *from, *to, *descending, *body),
+                descending, body, ..
+            } => return self.exec_for(plan.target, code, *descending, *body),
             HirStmt::If {
-                cond,
                 then_body,
                 else_body,
+                ..
             } => {
                 let c = self
-                    .eval(*cond)?
+                    .value(code)?
+                    .0
                     .as_bool()
                     .ok_or_else(|| runtime(format_args!("non-boolean condition")))?;
                 self.charge(self.timing.int_alu);
@@ -626,18 +734,20 @@ impl Interp<'_> {
                 self.frame.ordinal = else_start + plan.else_loops as usize;
                 return Ok(flow);
             }
-            HirStmt::Return { value } => return Ok(Flow::Return(self.eval(*value)?)),
+            HirStmt::Return { .. } => return Ok(Flow::Return(self.value(code)?.0)),
             HirStmt::Call { function, args } => {
-                self.call_site(plan.target, function, *args)?;
+                self.run(code)?;
+                self.call_site(plan.target, args.len(), function)?;
             }
         }
         Ok(Flow::Normal)
     }
 
-    fn alloc(&mut self, slot: u32, name: &Name, dims: List<ExprId>) -> Step<()> {
-        let mut extents = Vec::with_capacity(dims.len());
-        for d in self.hir.exprs(dims) {
-            let v = self.eval(d)?;
+    fn alloc(&mut self, slot: u32, name: &Name, rank: usize, mut code: usize) -> Step<()> {
+        let mut extents = Vec::with_capacity(rank);
+        for _ in 0..rank {
+            let (v, next) = self.value(code)?;
+            code = next;
             let n = v
                 .as_i64()
                 .filter(|&n| n > 0)
@@ -657,9 +767,10 @@ impl Interp<'_> {
         Ok(())
     }
 
-    fn store(&mut self, slot: u32, array: &Name, indices: List<ExprId>, value: ExprId) -> Step<()> {
-        let v = self.eval(value)?;
-        let (id, offset) = self.element(slot, array, indices)?;
+    /// Stores the value under the top `rank` indices.
+    fn store(&mut self, slot: u32, array: &Name, rank: usize) -> Step<()> {
+        let (id, offset) = self.element(slot, rank, || array)?;
+        let v = self.pop();
         self.charge(self.timing.memory_write);
         if let Some(nest) = self.current_nest() {
             nest.element_writes += 1;
@@ -677,8 +788,7 @@ impl Interp<'_> {
     fn exec_for(
         &mut self,
         slot: u32,
-        from: ExprId,
-        to: ExprId,
+        code: usize,
         descending: bool,
         body: List<StmtId>,
     ) -> Step<Flow> {
@@ -691,14 +801,13 @@ impl Interp<'_> {
             self.nest_stack.push((nest as usize, self.time));
         }
 
-        let from = self
-            .eval(from)?
-            .as_i64()
-            .ok_or_else(|| runtime(format_args!("non-integer loop bound")))?;
-        let to = self
-            .eval(to)?
-            .as_i64()
-            .ok_or_else(|| runtime(format_args!("non-integer loop bound")))?;
+        let bound = |v: Value| {
+            v.as_i64()
+                .ok_or_else(|| runtime(format_args!("non-integer loop bound")))
+        };
+        let (from, code) = self.value(code)?;
+        let from = bound(from)?;
+        let to = bound(self.value(code)?.0)?;
         let mut i = from;
         loop {
             let done = if descending { i < to } else { i > to };
@@ -723,108 +832,112 @@ impl Interp<'_> {
         Ok(Flow::Normal)
     }
 
-    fn array_id(&self, slot: u32, name: &Name) -> Step<ArrayId> {
-        match self.slot(slot) {
-            Some(Value::ArrayRef(id)) => Ok(id),
-            _ => Err(runtime(format_args!("`{name}` is not an array"))),
-        }
-    }
-
-    /// Evaluates an access's indices and returns the array and the
-    /// element's offset in it.
-    fn element(
+    /// Takes the top `rank` values as an access's indices and returns the
+    /// array in `slot` and the element's offset in it; `array` names the
+    /// array for an error.
+    fn element<'n>(
         &mut self,
         slot: u32,
-        array: &Name,
-        indices: List<ExprId>,
+        rank: usize,
+        array: impl Fn() -> &'n Name,
     ) -> Step<(ArrayId, usize)> {
-        let mark = self.indices.len();
-        for e in self.hir.exprs(indices) {
-            let v = self.eval(e)?;
+        let from = self.values.len() - rank;
+        self.indices.clear();
+        for v in &self.values[from..] {
             self.indices.push(v.as_i64().unwrap_or(-1));
         }
-        let id = self.array_id(slot, array)?;
+        self.values.truncate(from);
+        let id = match self.slot(slot) {
+            Some(Value::ArrayRef(id)) => id,
+            _ => return Err(runtime(format_args!("`{}` is not an array", array()))),
+        };
         // Address arithmetic: one multiply and add per dimension.
-        self.charge(indices.len() as f64 * (self.timing.int_mul + self.timing.int_alu));
+        self.charge(rank as f64 * (self.timing.int_mul + self.timing.int_alu));
         let shape = &self.arrays[id.index()].shape;
-        let idx = &self.indices[mark..];
-        let offset = shape.offset_of(idx).ok_or_else(|| {
+        let offset = shape.offset_of(&self.indices).ok_or_else(|| {
             runtime(format_args!(
-                "index {idx:?} out of bounds for `{array}` ({shape})"
+                "index {:?} out of bounds for `{}` ({shape})",
+                self.indices,
+                array()
             ))
         })?;
-        self.indices.truncate(mark);
         Ok((id, offset))
     }
 
-    /// Evaluates `expr`. Literals and variables, most of a program's
-    /// expressions, are taken in line; [`Interp::eval_node`] evaluates
-    /// every kind.
-    #[inline(always)]
-    fn eval(&mut self, expr: ExprId) -> Step<Value> {
-        match self.hir.expr(expr) {
-            HirExpr::Int(v) => Ok(Value::Int(*v)),
-            HirExpr::Float(v) => Ok(Value::Float(*v)),
-            HirExpr::Var(name) => self.var(self.plan.exprs[expr.index()], name),
-            _ => self.eval_node(expr),
+    /// Runs the expression code at `code` and returns its value and where
+    /// the next expression's code starts.
+    fn value(&mut self, code: usize) -> Step<(Value, usize)> {
+        let next = self.run(code)?;
+        Ok((self.pop(), next))
+    }
+
+    /// Runs the code at `code` to its `End`, leaving its values on the
+    /// value stack, and returns where the next expression's code starts.
+    fn run(&mut self, mut code: usize) -> Step<usize> {
+        loop {
+            let op = self.plan.code[code];
+            code += 1;
+            let v = match op {
+                Op::Int(v) => Value::Int(v),
+                Op::Float(v) => Value::Float(v),
+                Op::Bool(v) => Value::Bool(v),
+                Op::Var { slot, expr } => self.slot(slot).ok_or_else(|| {
+                    let name = name_of(self.hir, expr);
+                    runtime(format_args!("unknown variable `{name}`"))
+                })?,
+                Op::Load { slot, rank, expr } => self.load(slot, rank as usize, expr)?,
+                Op::Unary(op) => {
+                    let v = self.pop();
+                    self.charge(
+                        self.timing
+                            .unary_op(op, v.is_float() || float_producing(op)),
+                    );
+                    eval_unary(op, v).map_err(|e| runtime(format_args!("{e}")))?
+                }
+                Op::Binary(op) => {
+                    let b = self.pop();
+                    let a = self.pop();
+                    self.charge(self.timing.binary_op(op, a.is_float() || b.is_float()));
+                    eval_binary(op, a, b).map_err(|e| runtime(format_args!("{e}")))?
+                }
+                Op::Call { callee, args, expr } => {
+                    let name = name_of(self.hir, expr);
+                    self.call_site(callee, args as usize, name)?
+                        .ok_or_else(|| runtime(format_args!("`{name}` returned no value")))?
+                }
+                Op::Branch { else_at } => {
+                    let c = self
+                        .pop()
+                        .as_bool()
+                        .ok_or_else(|| runtime(format_args!("non-boolean condition")))?;
+                    self.charge(self.timing.int_alu);
+                    if !c {
+                        code = else_at as usize;
+                    }
+                    continue;
+                }
+                Op::Jump { to } => {
+                    code = to as usize;
+                    continue;
+                }
+                Op::End => return Ok(code),
+            };
+            self.values.push(v);
         }
     }
 
-    fn var(&self, slot: u32, name: &Name) -> Step<Value> {
-        self.slot(slot)
-            .ok_or_else(|| runtime(format_args!("unknown variable `{name}`")))
-    }
-
-    fn eval_node(&mut self, expr: ExprId) -> Step<Value> {
+    fn load(&mut self, slot: u32, rank: usize, expr: ExprId) -> Step<Value> {
         let hir = self.hir;
-        let target = self.plan.exprs[expr.index()];
-        Ok(match hir.expr(expr) {
-            HirExpr::Int(v) => Value::Int(*v),
-            HirExpr::Float(v) => Value::Float(*v),
-            HirExpr::Bool(v) => Value::Bool(*v),
-            HirExpr::Var(name) => self.var(target, name)?,
-            HirExpr::Load { array, indices } => self.load(target, array, *indices)?,
-            HirExpr::Unary { op, operand } => {
-                let v = self.eval(*operand)?;
-                self.charge(
-                    self.timing
-                        .unary_op(*op, v.is_float() || float_producing(*op)),
-                );
-                eval_unary(*op, v).map_err(|e| runtime(format_args!("{e}")))?
-            }
-            HirExpr::Binary { op, lhs, rhs } => {
-                let a = self.eval(*lhs)?;
-                let b = self.eval(*rhs)?;
-                self.charge(self.timing.binary_op(*op, a.is_float() || b.is_float()));
-                eval_binary(*op, a, b).map_err(|e| runtime(format_args!("{e}")))?
-            }
-            HirExpr::Call { function, args } => self
-                .call_site(target, function, *args)?
-                .ok_or_else(|| runtime(format_args!("`{function}` returned no value")))?,
-            HirExpr::Select {
-                cond,
-                then_value,
-                else_value,
-            } => {
-                let c = self
-                    .eval(*cond)?
-                    .as_bool()
-                    .ok_or_else(|| runtime(format_args!("non-boolean condition")))?;
-                self.charge(self.timing.int_alu);
-                self.eval(if c { *then_value } else { *else_value })?
-            }
-        })
-    }
-
-    fn load(&mut self, slot: u32, array: &Name, indices: List<ExprId>) -> Step<Value> {
-        let (id, offset) = self.element(slot, array, indices)?;
+        let array = || name_of(hir, expr);
+        let (id, offset) = self.element(slot, rank, array)?;
         self.charge(self.timing.memory_read);
         if let Some(nest) = self.current_nest() {
             nest.element_reads += 1;
         }
         self.arrays[id.index()].values[offset].ok_or_else(|| {
             runtime(format_args!(
-                "element {offset} of `{array}` read before being written"
+                "element {offset} of `{}` read before being written",
+                array()
             ))
         })
     }

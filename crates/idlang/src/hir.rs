@@ -170,8 +170,8 @@ pub struct ExprId(pub(crate) u32);
 
 impl ExprId {
     /// The expression's index in its program's pool, for tables kept
-    /// beside the program (the parser's spans, the oracle's slots).
-    pub fn index(self) -> usize {
+    /// beside the program (the parser's spans).
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -182,7 +182,7 @@ pub struct StmtId(pub(crate) u32);
 
 impl StmtId {
     /// The statement's index in its program's pool, for tables kept
-    /// beside the program (the parser's spans, the oracle's slots).
+    /// beside the program (the parser's spans, the oracle's plan).
     pub fn index(self) -> usize {
         self.0 as usize
     }
