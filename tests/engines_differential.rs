@@ -236,6 +236,70 @@ fn a_branch_binding_inside_a_loop_agrees_across_all_engines() {
     );
 }
 
+/// `f(k)` recurses `k` calls deep from a `return` expression.
+const RECURSION: &str = "
+    def main(n) { return f(n); }
+    def f(k) { return if k == 0 then 0 else f(k - 1) + 1; }
+";
+
+/// The same recursion from two loops and an `if` deep, where each level
+/// takes the oracle more stack.
+const NESTED_RECURSION: &str = "
+    def main(n) { return f(n); }
+    def f(k) {
+        a = array(1);
+        for i = 0 to 0 {
+            for j = 0 to 0 {
+                if k == 0 { a[0] = 0; } else { a[0] = f(k - 1) + 1; }
+            }
+        }
+        return a[0];
+    }
+";
+
+#[test]
+fn recursion_at_the_oracles_call_limit_returns_or_fails_with_an_error() {
+    // `main` and 256 levels of `f` are the oracle's deepest nesting; one
+    // level more fails with its error rather than overflowing the stack of
+    // the thread it runs on, a test thread's 2 MiB, in any build profile.
+    // The other engines keep no call stack and return.
+    let run = || {
+        for (name, source) in [("recursion", RECURSION), ("nested", NESTED_RECURSION)] {
+            let program = pods::compile(source).unwrap();
+            for kind in engines_under_test() {
+                let runtime = Runtime::builder(kind).workers(2).build();
+                let deepest = runtime.run(&program, &[Value::Int(255)]);
+                assert_eq!(
+                    deepest.map(|o| o.return_value).ok(),
+                    Some(Some(Value::Int(255))),
+                    "{name}/{kind}: f(255)"
+                );
+                let past = runtime.run(&program, &[Value::Int(256)]);
+                match kind {
+                    EngineKind::Seq => {
+                        let err = past.expect_err("one level past the limit");
+                        assert!(
+                            err.to_string().contains("call depth exceeded"),
+                            "{name}: {err}"
+                        );
+                    }
+                    _ => assert_eq!(
+                        past.map(|o| o.return_value).ok(),
+                        Some(Some(Value::Int(256))),
+                        "{name}/{kind}: f(256)"
+                    ),
+                }
+            }
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(run)
+        .expect("spawn")
+        .join()
+        .expect("every engine returns or fails with an error");
+}
+
 #[test]
 fn out_of_bounds_above_the_inline_index_capacity_is_reported_alike() {
     // The same program with its last store one past the innermost extent.
