@@ -47,7 +47,8 @@ fn engine_under_test() -> EngineKind {
 #[test]
 fn weighted_clients_share_a_saturated_runtime_fairly() {
     // A weight-2 and a weight-1 client each park a deep backlog behind a
-    // blocker that occupies the single dispatch slot, so both lanes are
+    // blocker that occupies the single dispatch slot until the test
+    // cancels it, after both backlogs are queued, so both lanes are
     // saturated when dispatching starts. Mid-drain, deficit round robin
     // must keep each client's completion share within 2x of its fair share
     // (heavy 2/3, light 1/3) — and the books must balance at full drain.
@@ -57,14 +58,11 @@ fn weighted_clients_share_a_saturated_runtime_fairly() {
     let program =
         pods::compile("def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i; } return a; }")
             .unwrap();
+    // The blocker's loop stores nothing, so it is not distributed: one
+    // instance runs its 2^60 iterations, which outlast any test, in
+    // constant memory. It ends when it is cancelled.
     let blocker_program = pods::compile(
-        "def main(n) {
-             a = matrix(n, n);
-             for i = 0 to n - 1 {
-                 for j = 0 to n - 1 { a[i, j] = i * n + j; }
-             }
-             return a;
-         }",
+        "def main(n) { a = array(1); for i = 0 to n { x = i * 2; } a[0] = n; return a; }",
     )
     .unwrap();
     let runtime = Runtime::builder(engine_under_test())
@@ -77,7 +75,17 @@ fn weighted_clients_share_a_saturated_runtime_fairly() {
 
     // Occupy the one dispatch slot so both backlogs queue up completely
     // before the dispatcher starts serving them.
-    let blocker = runtime.submit(&blocker_program, &[Value::Int(48)]).unwrap();
+    let blocker = runtime
+        .submit(&blocker_program, &[Value::Int(1 << 60)])
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while runtime.metrics().in_flight == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the blocker was never dispatched"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let handles: Vec<_> = std::thread::scope(|scope| {
         let workers: Vec<_> = [heavy, light]
             .into_iter()
@@ -104,14 +112,19 @@ fn weighted_clients_share_a_saturated_runtime_fairly() {
             .flat_map(|w| w.join().expect("submitter panicked"))
             .collect()
     });
-    assert!(blocker.wait().is_ok());
+    // Both backlogs are queued: let the dispatcher serve them.
+    blocker.cancel();
+    let err = blocker
+        .wait()
+        .expect_err("the blocker ends only when cancelled");
+    assert!(err.to_string().contains("cancelled"), "{err}");
 
     // Sample mid-drain: once at least half the backlog completed, each
     // client's share must sit within 2x of its weighted fair share.
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     loop {
         let m = runtime.metrics();
-        // Ignore the blocker (completed, anonymous) via per-client counts.
+        // Ignore the blocker (cancelled, anonymous) via per-client counts.
         let h = m.completed_for(heavy);
         let l = m.completed_for(light);
         let done = h + l;
@@ -142,12 +155,12 @@ fn weighted_clients_share_a_saturated_runtime_fairly() {
     }
     let m = runtime.metrics();
     assert_eq!(m.submitted, 2 * per_client + 1);
+    assert_eq!(m.completed, 2 * per_client, "nothing lost, nothing extra");
     assert_eq!(
-        m.completed,
-        2 * per_client + 1,
-        "nothing lost, nothing extra"
+        (m.rejected, m.cancelled),
+        (0, 1),
+        "only the blocker is cancelled"
     );
-    assert_eq!(m.rejected + m.cancelled, 0);
     assert_eq!(m.submitted, m.completed + m.rejected + m.cancelled);
     assert_eq!(m.completed_for(heavy), per_client);
     assert_eq!(m.completed_for(light), per_client);
