@@ -1519,3 +1519,83 @@ fn unwind_boundary_guard_fires_on_a_planted_violation() {
     let message = unwind_boundary_guard(&[pool("")]).expect("a missing call fires too");
     assert!(message.contains("no call"), "{message}");
 }
+
+/// `true` when `line` copies an environment: a `.clone()` of a receiver
+/// whose name starts with `env` (`env`, `env2`, `self.env`, ...).
+fn clones_an_environment(line: &str) -> bool {
+    line.match_indices(".clone()").any(|(at, _)| {
+        let receiver = line[..at].trim_end_matches(is_ident);
+        line[receiver.len()..at].starts_with("env")
+    })
+}
+
+/// The oracle-resolution guard. The sequential oracle
+/// (`crates/baseline/src/interp.rs`) gives every name a frame slot before
+/// it runs and never copies an environment. A `HashMap` in its non-test
+/// lines means names are hashed at run time again; a `.clone()` of an
+/// `env…` means an environment is copied per branch again.
+fn oracle_resolution_guard(files: &[SourceFile]) -> Option<String> {
+    let found = non_test_lines_under(files, "crates/baseline/src/interp.rs", |line| {
+        contains_word(line, "HashMap") || clones_an_environment(line)
+    });
+    if found.is_empty() {
+        return None;
+    }
+    Some(format!(
+        "The oracle looks names up or copies an environment as it runs:\n{}\n\
+         Resolve the name to a frame slot in its plan instead.",
+        found.join("\n")
+    ))
+}
+
+#[test]
+fn the_oracle_resolves_names_before_it_runs() {
+    let files = source_files();
+    assert!(
+        files
+            .iter()
+            .any(|f| f.path == "crates/baseline/src/interp.rs"),
+        "the guard reads the source tree"
+    );
+    if let Some(message) = oracle_resolution_guard(&files) {
+        panic!("{message}");
+    }
+}
+
+#[test]
+fn oracle_resolution_guard_fires_on_a_planted_violation() {
+    let file = |path: &str, text: &str| SourceFile {
+        path: path.to_string(),
+        text: text.to_string(),
+    };
+    let planted = [
+        file(
+            "crates/baseline/src/interp.rs",
+            "use std::collections::HashMap;\n\
+             let mut env2 = env.clone();\n\
+             name: name.clone(),\n\
+             let scope = self.env_of(f).clone();\n\
+             #[cfg(test)]\n\
+             mod tests { let m: HashMap<u32, u32> = HashMap::new(); let e = env.clone(); }",
+        ),
+        file(
+            "crates/baseline/src/pr.rs",
+            "use std::collections::HashMap;\nlet e = env.clone();",
+        ),
+    ];
+    let message = oracle_resolution_guard(&planted).expect("the guard fires");
+    for line in [
+        "crates/baseline/src/interp.rs:1:use std::collections::HashMap;",
+        "crates/baseline/src/interp.rs:2:let mut env2 = env.clone();",
+    ] {
+        assert!(message.contains(line), "{line} in {message}");
+    }
+    assert!(
+        !message.contains("interp.rs:3:")
+            && !message.contains("interp.rs:4:")
+            && !message.contains("interp.rs:6:")
+            && !message.contains("pr.rs"),
+        "other clones, test code and other files pass: {message}"
+    );
+    assert!(oracle_resolution_guard(&planted[1..]).is_none());
+}
