@@ -318,6 +318,12 @@ struct Plan {
     nests: Vec<NestProfile>,
 }
 
+/// `n` as one of a plan's `u32` fields. A plan holds a few entries per
+/// node of the program, whose pools are indexed by `u32`.
+fn plan_index(n: usize) -> u32 {
+    u32::try_from(n).expect("a plan holds fewer than 2^32 entries")
+}
+
 /// The index of the function a call of `name` reaches: the first of that
 /// name.
 fn function_index(hir: &HirProgram, name: &str) -> Option<usize> {
@@ -355,7 +361,7 @@ impl Plan {
                 table.resize(ordinal + 1, NONE);
             }
             if table[ordinal] == NONE {
-                table[ordinal] = plan.nests.len() as u32;
+                table[ordinal] = plan_index(plan.nests.len());
                 plan.nests.push(NestProfile {
                     key: info.key.clone(),
                     time_us: 0.0,
@@ -403,15 +409,15 @@ impl<'h> Resolver<'_, 'h> {
                 self.names.len() - 1
             }
         };
-        slot as u32
+        plan_index(slot)
     }
 
     fn callee(&self, name: &str) -> u32 {
-        function_index(self.hir, name).map_or(NONE, |f| f as u32)
+        function_index(self.hir, name).map_or(NONE, plan_index)
     }
 
     fn here(&self) -> u32 {
-        self.plan.code.len() as u32
+        plan_index(self.plan.code.len())
     }
 
     fn emit(&mut self, op: Op) {

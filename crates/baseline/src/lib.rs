@@ -8,7 +8,11 @@
 //!   run-time machinery. It stands in for the "most efficient sequential
 //!   version written in a conventional language" of the §5.3.4 efficiency
 //!   comparison, doubles as a correctness reference for the machine
-//!   simulator, and profiles every top-level loop nest.
+//!   simulator, and profiles every top-level loop nest of the loop analysis
+//!   it is given. It resolves, then runs: one pass over the program binds
+//!   every name to a frame slot and lays out every expression as postfix
+//!   code, and the run then looks nothing up by name and copies no
+//!   environment.
 //! * [`PrModel`] — a bulk-synchronous, statically-scheduled SPMD cost model
 //!   standing in for the Pingali & Rogers compiled-Id system (the "P&R"
 //!   curve of Figure 10), driven by the sequential profile and the loop
